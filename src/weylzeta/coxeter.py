@@ -631,10 +631,6 @@ def min_coset_reps(table, J, I, side="right"):
     return out
 
 
-def finite_parabolic_order(table, gens):
-    return len(table.parabolic_elements(gens))
-
-
 def all_proper_subsets(k):
     for size in range(k):
         yield from combinations(range(k), size)

@@ -16,7 +16,9 @@ from .series import (
     PowerSeries,
     QPolynomial,
     RationalFunction,
+    char_matrix_det,
     det_poly_matrix,
+    det_series,
     scalar_one_like,
 )
 
@@ -247,11 +249,20 @@ class Representation:
             cur = nxt
         return self._cache[key]
 
-    def word_image(self, word):
-        mat = Matrix.identity(self.dim, self._one())
-        for s in word:
-            mat = mat * self.gen_images[s]
-        return mat
+    # exact determinant routes used by the identity verifiers; dense here,
+    # overridden by representations with a faster exact route
+
+    def finite_det_hook(self, table, elements):
+        """det of sum rho(e_w) u^l(w) over a finite element set."""
+        return FiniteTwistedSeries(self, elements, table).det()
+
+    def cyclic_det_hook(self, table, element):
+        """det(I - rho(e_w) u^l(w)) as an exact polynomial."""
+        return char_matrix_det(self.image(table, element), element.length)
+
+    def det_series_hook(self, table, order):
+        """Trace-log determinant of the truncated twisted group sum."""
+        return det_series(twisted_group_sum(self, table, order))
 
     def __repr__(self):
         return "Representation(dim=%d, q=%s, scalar=%s)" % (self.dim, self.q, self.scalar_kind)
@@ -348,6 +359,17 @@ def check_word_products(rep, table, max_length=None):
 # twisted Poincare series
 
 
+def twisted_group_sum(rep, table, order):
+    """Truncated twisted Poincare series of the whole group,
+    sum of rho(e_w) u^l(w) over the table up to the given order."""
+    one = scalar_one_like(rep.q)
+    coeffs = [Matrix.identity(rep.dim, one) * 0 for _ in range(order + 1)]
+    for d in range(order + 1):
+        for el in table.layers[d]:
+            coeffs[d] = coeffs[d] + rep.image(table, el)
+    return PowerSeries(coeffs, order)
+
+
 class FiniteTwistedSeries:
     """Sum of rho(e_w) u^l(w) over a finite element set: a matrix polynomial."""
 
@@ -396,8 +418,6 @@ class CyclicTwistedSeries:
 
     def det_inverse(self):
         """det(I - A u^l) as an exact polynomial."""
-        from .series import char_matrix_det
-
         return char_matrix_det(self.a, self.length)
 
     def entry_rational(self, i, j):

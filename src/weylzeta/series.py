@@ -573,15 +573,8 @@ class PowerSeries:
         self.coeffs = tuple(coeffs)
         self.order = order
 
-    @staticmethod
-    def from_poly(p, order):
-        return Poly.coerce(p).truncate(order)
-
     def coeff(self, d):
         return self.coeffs[d]
-
-    def _zero(self):
-        return scalar_zero_like(self.coeffs[0])
 
     def __add__(self, other):
         other = self._match(other)

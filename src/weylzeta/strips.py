@@ -9,17 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import coxeter as cox
-from .hecke import CyclicTwistedSeries, FiniteTwistedSeries
-from .series import (
-    Matrix,
-    Poly,
-    PowerSeries,
-    RationalFunction,
-    char_matrix_det,
-    det_series,
-    poincare_affine,
-    scalar_one_like,
-)
+from .hecke import CyclicTwistedSeries, FiniteTwistedSeries, twisted_group_sum
+from .series import Poly, RationalFunction, poincare_affine
 
 
 class StripsError(Exception):
@@ -301,17 +292,6 @@ class TwistedFactorizationReport:
         }
 
 
-def twisted_group_sum(rep, table, order):
-    """Truncated twisted Poincare series of the whole group,
-    sum of rho(e_w) u^l(w) over the table up to the given order."""
-    one = scalar_one_like(rep.q)
-    coeffs = [Matrix.identity(rep.dim, one) * 0 for _ in range(order + 1)]
-    for d in range(order + 1):
-        for el in table.layers[d]:
-            coeffs[d] = coeffs[d] + rep.image(table, el)
-    return PowerSeries(coeffs, order)
-
-
 def verify_twisted_factorization(table, scheme, rep, order):
     """Check that the ordered product of the twisted factor series equals
     the twisted series of the whole group, coefficient by coefficient."""
@@ -337,21 +317,6 @@ def verify_twisted_factorization(table, scheme, rep, order):
 
 # ---------------------------------------------------------------------------
 # the determinant identity
-
-
-def _finite_factor_det(rep, table, elements):
-    hook = getattr(rep, "finite_det_hook", None)
-    if hook is not None:
-        return hook(table, elements)
-    return FiniteTwistedSeries(rep, elements, table).det()
-
-
-def _cyclic_factor_det(rep, table, element):
-    """det(I - rho(e_w) u^l(w)) as an exact polynomial."""
-    hook = getattr(rep, "cyclic_det_hook", None)
-    if hook is not None:
-        return hook(table, element)
-    return char_matrix_det(rep.image(table, element), element.length)
 
 
 @dataclass
@@ -389,8 +354,8 @@ def verify_determinant_identity(system, rep, table=None, dual_check_order=None):
     scheme = scheme_for(system.type_tag)
     factors = realize_factors(table, scheme)
     factor_dets = [
-        (kind, _finite_factor_det(rep, table, data) if kind == "finite"
-         else _cyclic_factor_det(rep, table, data))
+        (kind, rep.finite_det_hook(table, data) if kind == "finite"
+         else rep.cyclic_det_hook(table, data))
         for kind, data in factors
     ]
 
@@ -411,11 +376,7 @@ def verify_determinant_identity(system, rep, table=None, dual_check_order=None):
     # independent truncated route for the full-group determinant
     if dual_check_order is None:
         dual_check_order = 8 if rep.dim <= 8 else 6
-    hook = getattr(rep, "det_series_hook", None)
-    if hook is not None:
-        truncated = hook(table, dual_check_order)
-    else:
-        truncated = det_series(twisted_group_sum(rep, table, dual_check_order))
+    truncated = rep.det_series_hook(table, dual_check_order)
     dual_ok = truncated == det_full.expand(dual_check_order)
 
     # alternating product over all parabolic subsets
@@ -423,7 +384,7 @@ def verify_determinant_identity(system, rep, table=None, dual_check_order=None):
     alt = RationalFunction(Poly.one())
     for subset in cox.all_proper_subsets(k):
         exponent = (-1) ** (len(subset) + k)
-        d_i = RationalFunction(_finite_factor_det(rep, table, table.parabolic_elements(subset)))
+        d_i = RationalFunction(rep.finite_det_hook(table, table.parabolic_elements(subset)))
         alt = alt * (d_i if exponent == 1 else d_i.inverse())
     alt = alt * det_full  # the full subset enters with exponent +1
 

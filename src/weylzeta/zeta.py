@@ -3,8 +3,14 @@ strip zeta functions from operator data, and the unit-parameter torus
 quotient of the rank-2 affine apartment that realizes the determinant
 identities geometrically.
 
-numpy is used only as an exact integer fast path (int64 with asserted
-bounds); all emitted values are ints, Fractions, or exact polynomials.
+On the torus every operator is a permutation of chambers, so each
+determinant has one exact integer route: a finite factor splits into
+blocks over the orbits of its element permutations, and a strip factor
+det(I - P u^l) is the product of 1 - u^(l * len) over the cycles of P.
+
+numpy is used only as an exact integer fast path: int64 where an entry
+bound proves that no sum can wrap, Python ints otherwise.  All emitted
+values are ints, Fractions, or exact polynomials.
 """
 
 from __future__ import annotations
@@ -31,18 +37,35 @@ class ZetaError(Exception):
     pass
 
 
-_INT64_GUARD = 2 ** 62
-
-
 def _np_int(mat):
-    arr = np.array(mat, dtype=np.int64)
-    return arr
+    """Integer matrix as int64, or as Python ints when an entry does not fit."""
+    try:
+        return np.array(mat, dtype=np.int64)
+    except OverflowError:
+        return np.array(mat, dtype=object)
 
 
-def _checked(arr):
-    if arr.size and int(np.abs(arr).max()) >= _INT64_GUARD:
-        raise ZetaError("integer fast path overflow guard tripped")
-    return arr
+def _max_abs(arr):
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def _matmul_sum(pairs):
+    """Exact sum of the integer matrix products a @ b over nonempty pairs.
+
+    int64 is used only when the sum of max|a| * max|b| * (inner dim) is
+    below 2**63, which bounds every partial sum; otherwise the products are
+    taken in Python ints, so no entry ever wraps."""
+    bound = sum(_max_abs(a) * _max_abs(b) * a.shape[1] for a, b in pairs)
+    exact = bound >= 2 ** 63 or any(a.dtype == object or b.dtype == object for a, b in pairs)
+    out = None
+    for a, b in pairs:
+        prod = a.astype(object) @ b.astype(object) if exact else a @ b
+        out = prod if out is None else out + prod
+    return out
+
+
+def _trace(arr):
+    return sum(int(x) for x in arr.diagonal())
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +207,21 @@ def _operator_zeta(b_rows, order):
                 for i in range(n)
             ]
         )
+    return _zeta_report(inv, traces(b_rows, order), order)
+
+
+def _perm_zeta(perm, order):
+    """Z(u) = det(I - P u)^{-1} of a permutation operator from its cycle
+    type: the inverse is prod (1 - u^len) and tr P^m = sum of the cycle
+    lengths dividing m."""
+    cycles = _perm_cycles(perm)
+    counts = [sum(ln for ln in cycles if m % ln == 0) for m in range(1, order + 1)]
+    return _zeta_report(_perm_char_poly(perm, 1), counts, order)
+
+
+def _zeta_report(inv, counts, order):
     zeta = RationalFunction(Poly.one(), inv)
     series = zeta.expand(order)
-    counts = traces(b_rows, order)
     prim = primitive_counts_from_traces(counts)
     # the exponential of the trace series must reproduce the expansion
     log_coeffs = [Fraction(0)] + [Fraction(counts[k - 1], k) for k in range(1, order + 1)]
@@ -201,17 +236,16 @@ def ihara_zeta(graph, order=16):
 
 
 def traces(rows, order):
-    """tr(B^n) for n = 1..order (exact int64 with overflow guard)."""
+    """tr(B^n) for n = 1..order, exact (int64 only where it cannot wrap)."""
     if not rows:
         return [0] * order
     b = _np_int(rows)
     out = []
-    cur = b.copy()
-    for _ in range(order):
-        _checked(cur)
-        out.append(int(np.trace(cur)))
-        cur = cur @ b
-    _checked(cur)
+    cur = b
+    for n in range(order):
+        out.append(_trace(cur))
+        if n + 1 < order:
+            cur = _matmul_sum([(cur, b)])
     return out
 
 
@@ -318,147 +352,6 @@ def strip_zeta(a_matrix, order=16):
 
 
 # ---------------------------------------------------------------------------
-# exact cyclotomic arithmetic (for the character-block determinants)
-
-
-def _cyclotomic_poly(k):
-    """Integer coefficient list of the k-th cyclotomic polynomial."""
-    # x^k - 1 divided by the product of the lower cyclotomic factors
-    poly = [-1] + [0] * (k - 1) + [1]
-    for d in range(1, k):
-        if k % d == 0:
-            poly = _int_poly_exact_div(poly, _cyclotomic_poly(d))
-    return poly
-
-
-def _int_poly_exact_div(num, den):
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, den[-1])
-        if r:
-            raise ZetaError("inexact integer polynomial division")
-        out[i - len(den) + 1] = q
-        for j, dc in enumerate(den):
-            num[i - len(den) + 1 + j] -= q * dc
-    if any(num):
-        raise ZetaError("inexact integer polynomial division")
-    return out
-
-
-class CyclotomicField:
-    """Q(zeta_k) as Fraction vectors modulo the k-th cyclotomic polynomial."""
-
-    def __init__(self, k):
-        self.k = k
-        self.modulus = _cyclotomic_poly(k)
-        self.degree = len(self.modulus) - 1
-        self.zero = (Fraction(0),) * self.degree
-        one = [Fraction(0)] * self.degree
-        one[0] = Fraction(1)
-        self.one = tuple(one)
-        # x^m reduced mod the cyclotomic polynomial, for m < 2*degree
-        self._xpow = []
-        cur = list(self.one)
-        for _ in range(2 * self.degree):
-            self._xpow.append(tuple(cur))
-            cur = [Fraction(0)] + cur
-            if len(cur) > self.degree:
-                lead = cur.pop()
-                if lead:
-                    for i in range(self.degree):
-                        cur[i] -= lead * self.modulus[i]
-        self._zeta_pow = [self._reduce_power(m) for m in range(k)]
-
-    def _reduce_power(self, m):
-        out = self.one
-        for _ in range(m):
-            out = self._mul_by_x(out)
-        return out
-
-    def _mul_by_x(self, a):
-        cur = [Fraction(0)] + list(a)
-        lead = cur.pop()
-        if lead:
-            for i in range(self.degree):
-                cur[i] -= lead * self.modulus[i]
-        return tuple(cur)
-
-    def zeta_power(self, m):
-        return self._zeta_pow[m % self.k]
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def scale(self, a, c):
-        return tuple(x * c for x in a)
-
-    def mul(self, a, b):
-        d = self.degree
-        acc = [Fraction(0)] * d
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                pw = self._xpow[i + j]
-                t = x * y
-                for m in range(d):
-                    if pw[m]:
-                        acc[m] += t * pw[m]
-        return tuple(acc)
-
-    def inv(self, a):
-        """Inverse by the extended Euclidean algorithm against the modulus."""
-        r0 = list(self.modulus)
-        r1 = list(a) + [Fraction(0)]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        while deg(r1) > 0:
-            d0, d1 = deg(r0), deg(r1)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            f = Fraction(r0[deg(r0)]) / r1[deg(r1)]
-            shift = d0 - d1
-            for i in range(d1 + 1):
-                r0[i + shift] -= f * r1[i]
-            s1p = [Fraction(0)] * shift + list(s1)
-            while len(s0) < len(s1p):
-                s0.append(Fraction(0))
-            for i in range(len(s1p)):
-                s0[i] -= f * s1p[i]
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        c = r1[deg(r1)]
-        if deg(r1) != 0:
-            raise ZetaError("element is not invertible in the cyclotomic field")
-        out = [x / c for x in s1]
-        out += [Fraction(0)] * (self.degree - len(out))
-        return tuple(out[: self.degree])
-
-    def is_zero(self, a):
-        return all(x == 0 for x in a)
-
-    def as_rational(self, a):
-        if any(x != 0 for x in a[1:]):
-            return None
-        return a[0]
-
-
-# ---------------------------------------------------------------------------
 # the unit-parameter torus quotient of the rank-2 apartment
 
 
@@ -499,7 +392,7 @@ class TorusRepresentation(Representation):
             self._cache[key] = cached
         return cached
 
-    # exact determinant hooks used by the identity verifiers ----------------
+    # exact permutation routes for the identity verifiers --------------------
 
     def finite_det_hook(self, table, elements):
         return self.quotient.block_det([(self.perm(table, el), el.length, el.key) for el in elements])
@@ -552,26 +445,23 @@ def _perm_char_poly(perm, shift_power):
 
 def _det_series_int(coeff_arrays, order):
     """det of an integer matrix power series with identity constant term,
-    as exp of the trace of log, traces computed exactly in int64."""
+    as exp of the trace of log, with exact integer traces."""
     n = coeff_arrays[0].shape[0]
     if not np.array_equal(coeff_arrays[0], np.eye(n, dtype=np.int64)):
         raise ZetaError("det series fast path needs identity constant term")
-    nil = [c.copy() for c in coeff_arrays]
-    nil[0] = np.zeros((n, n), dtype=np.int64)
+    zero = np.zeros((n, n), dtype=np.int64)
+    nil = [zero] + list(coeff_arrays[1:order + 1])
     tr_log = [Fraction(0)] * (order + 1)
-    power = [np.eye(n, dtype=np.int64)] + [np.zeros((n, n), dtype=np.int64) for _ in range(order)]
+    power = [np.eye(n, dtype=np.int64)] + [zero] * order
     for j in range(1, order + 1):
-        nxt = [np.zeros((n, n), dtype=np.int64) for _ in range(order + 1)]
-        for a in range(order + 1):
-            if not power[a].any():
-                continue
-            for b in range(1, order + 1 - a):
-                if nil[b].any():
-                    nxt[a + b] += _checked(power[a] @ nil[b])
-        power = [_checked(p) for p in nxt]
+        nxt = [zero]
+        for d in range(1, order + 1):
+            pairs = [(power[a], nil[d - a]) for a in range(d) if power[a].any() and nil[d - a].any()]
+            nxt.append(_matmul_sum(pairs) if pairs else zero)
+        power = nxt
         sign = 1 if j % 2 == 1 else -1
         for d in range(j, order + 1):
-            tr_log[d] += Fraction(sign * int(np.trace(power[d])), j)
+            tr_log[d] += Fraction(sign * _trace(power[d]), j)
     return _series_exp(tr_log, order)
 
 
@@ -599,7 +489,6 @@ class TorusQuotient:
         self._enumerate_chambers()
         self._build_generator_permutations()
         self.representation = TorusRepresentation(self)
-        self._field = CyclotomicField(k)
 
     # -- construction --------------------------------------------------------
 
@@ -620,9 +509,6 @@ class TorusQuotient:
                     return None
             out.append(t)
         return tuple(out)
-
-    def _is_translation(self, key):
-        return self._shear_coords(key) is not None
 
     def _setup_lattice(self):
         """Basis of the translation lattice, found by scanning the table."""
@@ -740,158 +626,58 @@ class TorusQuotient:
         """Permutation matrix of right multiplication on the chambers."""
         return self.representation.image(self.table, element)
 
-    def action_permutation(self, element):
-        return self.representation.perm(self.table, element)
-
     def chamber_count(self):
         return len(self.chambers)
 
     # -- exact block determinants ---------------------------------------------
 
-    def _coset_transition(self, i, key):
-        """For section chamber g_i and group element w: the index j and the
-        translation residue t with g_i w = t g_j."""
-        p = cox.mat_mul(self._section[i], key)
-        j = self._linear_index[self._linear_part(p)]
-        tau = self._shear_coords(cox.mat_mul(p, self._section_inv[j]))
-        x, y = self._lattice_coords(tau)
-        return j, (x % self.k, y % self.k)
-
     def block_det(self, perm_len_keys, dual_check_order=4):
         """Exact determinant of sum_w rho(e_w) u^l(w) over a finite element
-        set, through the translation-character block decomposition:
-        det = prod over characters of the block determinant over Q(zeta_k).
+        set, as a product of per-orbit integer determinants.
+
+        The operator maps the span of each orbit of the chambers under the
+        element permutations to itself.  Inside a finite parabolic W_J the
+        action is free, so each orbit has at most |W_J| chambers.  Orbits
+        are labelled breadth first from their least chamber and their
+        blocks are cached by content, so equal blocks cost one determinant.
 
         Cross-checked against the truncated trace-log determinant."""
-        E = self._field
-        k = self.k
-        r = self.weyl_order
-        # per element: the section transitions
-        transitions = []
-        for perm, length, key in perm_len_keys:
-            row = [self._coset_transition(i, key) for i in range(r)]
-            transitions.append((row, length))
-        total = None
-        for a1 in range(k):
-            for a2 in range(k):
-                det_chi = self._block_det_one_character(E, transitions, a1, a2)
-                total = det_chi if total is None else _epoly_mul(E, total, det_chi)
-        coeffs = []
-        for c in total:
-            v = E.as_rational(c)
-            if v is None:
-                raise ZetaError("character-block determinant is not rational")
-            coeffs.append(int(v) if v.denominator == 1 else v)
-        det = Poly(coeffs)
-        # independent truncated route
         n = len(self.chambers)
+        pos = {}  # chamber -> index inside its orbit
+        blocks = {}
+        for root in range(n):
+            if root in pos:
+                continue
+            # the chambers reached from root by the permutations: its orbit
+            pos[root] = 0
+            orbit = [root]
+            for c in orbit:
+                for perm, _length, _key in perm_len_keys:
+                    if perm[c] not in pos:
+                        pos[perm[c]] = len(orbit)
+                        orbit.append(perm[c])
+            cells = {}
+            for perm, length, _key in perm_len_keys:
+                for c in orbit:
+                    cell = (pos[c], pos[perm[c]], length)
+                    cells[cell] = cells.get(cell, 0) + 1
+            content = (len(orbit), tuple(sorted(cells.items())))
+            blocks[content] = blocks.get(content, 0) + 1
+        det = Poly.one()
+        for (size, cells), mult in blocks.items():
+            rows = [[Poly.zero()] * size for _ in range(size)]
+            for (i, j, length), count in cells:
+                rows[i][j] = rows[i][j] + Poly.u(length, count)
+            det = det * det_poly_matrix(rows) ** mult
+        # independent truncated route
         arrays = [np.zeros((n, n), dtype=np.int64) for _ in range(dual_check_order + 1)]
         for perm, length, _key in perm_len_keys:
             if length <= dual_check_order:
                 arrays[length][np.arange(n), np.array(perm, dtype=np.int64)] += 1
         if np.array_equal(arrays[0], np.eye(n, dtype=np.int64)):
             if not (_det_series_int(arrays, dual_check_order) == det.truncate(dual_check_order)):
-                raise ZetaError("character-block determinant failed the trace-log cross-check")
+                raise ZetaError("orbit-block determinant failed the trace-log cross-check")
         return det
-
-    def _block_det_one_character(self, E, transitions, a1, a2):
-        r = self.weyl_order
-        max_len = max(length for _row, length in transitions)
-        # entries of the block as E[u] coefficient lists
-        block = [[[E.zero] * (max_len + 1) for _ in range(r)] for _ in range(r)]
-        for row, length in transitions:
-            for i in range(r):
-                j, (t1, t2) = row[i]
-                z = E.zeta_power(a1 * t1 + a2 * t2)
-                cell = block[i][j]
-                cell[length] = E.add(cell[length], z)
-        deg_bound = 0
-        for i in range(r):
-            row_deg = 0
-            for j in range(r):
-                for d in range(max_len, -1, -1):
-                    if not E.is_zero(block[i][j][d]):
-                        row_deg = max(row_deg, d)
-                        break
-            deg_bound += row_deg
-        points = list(range(-(deg_bound // 2), deg_bound - deg_bound // 2 + 1))
-        values = []
-        for x in points:
-            mat = [
-                [_epoly_eval(E, block[i][j], x) for j in range(r)]
-                for i in range(r)
-            ]
-            values.append(_field_det(E, mat))
-        return _einterpolate(E, points, values)
-
-
-def _epoly_mul(E, a, b):
-    out = [E.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if E.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            if E.is_zero(y):
-                continue
-            out[i + j] = E.add(out[i + j], E.mul(x, y))
-    return out
-
-
-def _epoly_eval(E, coeffs, x):
-    acc = E.zero
-    for c in reversed(coeffs):
-        acc = E.add(E.scale(acc, x), c)
-    return acc
-
-
-def _field_det(E, mat):
-    n = len(mat)
-    mat = [row[:] for row in mat]
-    det = E.one
-    sign = 1
-    for col in range(n):
-        piv = None
-        for rr in range(col, n):
-            if not E.is_zero(mat[rr][col]):
-                piv = rr
-                break
-        if piv is None:
-            return E.zero
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            sign = -sign
-        pval = mat[col][col]
-        det = E.mul(det, pval)
-        inv = E.inv(pval)
-        for rr in range(col + 1, n):
-            f = mat[rr][col]
-            if E.is_zero(f):
-                continue
-            fac = E.mul(f, inv)
-            mat[rr] = [E.sub(a, E.mul(fac, b)) for a, b in zip(mat[rr], mat[col])]
-    return det if sign == 1 else E.scale(det, -1)
-
-
-def _einterpolate(E, points, values):
-    """Newton interpolation over the cyclotomic field (exact; the divided
-    differences only divide by integer point gaps)."""
-    n = len(points)
-    table = list(values)
-    newton = [table[0]]
-    for level in range(1, n):
-        for i in range(n - level):
-            diff = E.sub(table[i + 1], table[i])
-            table[i] = E.scale(diff, Fraction(1, points[i + level] - points[i]))
-        newton.append(table[0])
-    poly = [newton[-1]]
-    for m in range(n - 2, -1, -1):
-        shifted = [E.zero] + poly
-        scaled = [E.scale(c, -points[m]) for c in poly] + [E.zero]
-        poly = [E.add(a, b) for a, b in zip(scaled, shifted)]
-        poly[0] = E.add(poly[0], newton[m])
-    while len(poly) > 1 and E.is_zero(poly[-1]):
-        poly.pop()
-    return poly
 
 
 def _ext_gcd(a, b):
@@ -996,13 +782,7 @@ def closed_strip_counts(tq, spec, n_max):
 def operator_strip_counts(tq, spec, n_max):
     """tr(A_w^n) for the strip operator, through integer matrix powers."""
     el = tq.table.element_of_word(spec.word)
-    a = _np_int([list(r) for r in tq.action_matrix(el).rows])
-    out = []
-    cur = a.copy()
-    for _ in range(n_max):
-        out.append(int(np.trace(cur)))
-        cur = _checked(cur @ a)
-    return out
+    return traces(tq.action_matrix(el).rows, n_max)
 
 
 @dataclass
@@ -1044,7 +824,7 @@ def verify_strip_zeta_identity(tq, trace_order=6):
     trace_ok = True
     for spec in specs:
         el = tq.table.element_of_word(spec.word)
-        zr = strip_zeta(tq.action_matrix(el), order=trace_order * spec.length)
+        zr = _perm_zeta(rep.perm(tq.table, el), trace_order * spec.length)
         zetas.append(zr)
         product = product * zr.zeta.substitute_power(spec.length)
         geo = closed_strip_counts(tq, spec, trace_order)

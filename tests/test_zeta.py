@@ -1,13 +1,13 @@
-from fractions import Fraction
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylzeta import coxeter, strips
 from weylzeta.series import Matrix, Poly, RationalFunction
 from weylzeta.zeta import (
-    CyclotomicField,
     Graph,
     ZetaError,
+    _perm_zeta,
     closed_strip_counts,
     complete_bipartite,
     complete_graph,
@@ -147,31 +147,30 @@ def test_strip_zeta_trivial_cases():
     assert z3.primitive_counts[:3] == [0, 0, 1]
 
 
-# ---------------------------------------------------------------------------
-# cyclotomic helper
+def test_traces_never_wrap():
+    # 8**21 == 2**63 used to wrap to -2**63 in the int64 fast path
+    assert traces(((8,),), 40) == [8 ** n for n in range(1, 41)]
+    for a in (3, 255, 256, 299):
+        assert traces(((a, a), (a, a)), 30) == [(2 * a) ** n for n in range(1, 31)]
+    assert traces(((2 ** 70,),), 3) == [2 ** 70, 2 ** 140, 2 ** 210]
+    assert strip_zeta(((8,),), 40).closed_counts == [8 ** n for n in range(1, 41)]
 
 
-def test_cyclotomic_field_basics():
-    for k in (2, 3, 4, 6):
-        E = CyclotomicField(k)
-        z = E.zeta_power(1)
-        acc = E.one
-        for _ in range(k):
-            acc = E.mul(acc, z)
-        assert acc == E.one  # zeta^k = 1
-        # sum over all k-th powers of zeta of a primitive character is zero
-        total = E.zero
-        for m in range(k):
-            total = E.add(total, E.zeta_power(m))
-        assert E.is_zero(total) or k == 1
-        inv = E.inv(z)
-        assert E.mul(z, inv) == E.one
+def _int_traces(rows, order):
+    n = len(rows)
+    cur = [list(r) for r in rows]
+    out = []
+    for _ in range(order):
+        out.append(sum(cur[i][i] for i in range(n)))
+        cur = [[sum(cur[i][m] * rows[m][j] for m in range(n)) for j in range(n)] for i in range(n)]
+    return out
 
 
-def test_cyclotomic_inverse_random():
-    E = CyclotomicField(3)
-    a = (Fraction(2), Fraction(-5))
-    assert E.mul(a, E.inv(a)) == E.one
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_traces_match_python_ints(rows):
+    assert traces(rows, 6) == _int_traces(rows, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +235,21 @@ def test_length_additive_products_via_permutations(torus_k2):
         assert checked > 1000
 
 
-def test_block_det_matches_generic(torus_k2):
+@pytest.mark.parametrize("tag,k", [("A2t", 2), ("A2t", 3), ("C2t", 2)], ids=["A2t-k2", "A2t-k3", "C2t-k2"])
+def test_block_det_matches_generic(tables, tag, k):
+    # every scheme finite factor and every proper parabolic: the orbit-block
+    # route against the dense determinant of the twisted series
     from weylzeta.hecke import FiniteTwistedSeries
 
-    tq = torus_k2["A2t"]
-    t = tq.table
+    t = tables[tag]
+    tq = torus_quotient_rep(coxeter.build_system(tag), k, t)
     rep = tq.representation
-    for gens in ((0, 1), (1, 2)):
-        els = t.parabolic_elements(gens)
+    sets = [data for kind, data in strips.realize_factors(t, strips.scheme_for(tag)) if kind == "finite"]
+    sets += [t.parabolic_elements(gens) for gens in coxeter.all_proper_subsets(3)]
+    assert len(sets) == 10
+    for els in sets:
         block = tq.block_det([(rep.perm(t, el), el.length, el.key) for el in els])
-        generic = FiniteTwistedSeries(rep, els, t).det()
-        assert block == generic
-    reps = coxeter.min_coset_reps(t, (0, 1), (1,), "right")
-    block = tq.block_det([(rep.perm(t, el), el.length, el.key) for el in reps])
-    generic = FiniteTwistedSeries(rep, reps, t).det()
-    assert block == generic
+        assert block == FiniteTwistedSeries(rep, els, t).det()
 
 
 def test_cyclic_det_cycle_formula(torus_k2):
@@ -272,6 +271,19 @@ def test_strip_traces_match_geometric_counts(torus_k2):
             geo = closed_strip_counts(tq, spec, 6)
             op = operator_strip_counts(tq, spec, 6)
             assert geo == op, (tag, spec.index)
+
+
+def test_cycle_type_strip_zeta_matches_dense(torus_k2):
+    for tag, tq in torus_k2.items():
+        for spec in strips.strip_generators(tag):
+            el = tq.table.element_of_word(spec.word)
+            order = 6 * spec.length
+            fast = _perm_zeta(tq.representation.perm(tq.table, el), order)
+            dense = strip_zeta(tq.action_matrix(el), order)
+            assert fast.zeta == dense.zeta, (tag, spec.index)
+            assert fast.inverse_poly == dense.inverse_poly
+            assert fast.closed_counts == dense.closed_counts
+            assert fast.primitive_counts == dense.primitive_counts
 
 
 def test_det_identity_torus_k2(torus_k2):
@@ -347,8 +359,8 @@ def test_scale_5_quotient_builds(tables):
 
 
 def test_det_identity_torus_k4(tables):
-    # scale 4 exercises the composite-order character field (fourth roots
-    # of unity) in the block determinants
+    # scale 4 is the first composite scale: the orbit blocks and strip
+    # cycles are checked against the dual trace-log route there as well
     tq = torus_quotient_rep(coxeter.build_system("A2t"), 4, tables["A2t"])
     assert tq.chamber_count() == 96
     report = strips.verify_determinant_identity(
