@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coxeter, hecke, rootsys, strips, zeta
-from .series import (
-    RationalFunction,
-    alt_product_rational,
-    poincare_affine,
-    series_to_json,
-)
+from .series import alt_product_rational, poincare_affine, series_to_json
 
 
 @dataclass
@@ -83,9 +78,8 @@ def cmd_poincare(config):
     else:
         # closed form via the height product; exact even for E8
         rs = rootsys.positive_roots(config.type_tag[0], system.rank)
-        finite, _ = rootsys.macdonald_series(rs)
-        poly = finite.as_polynomial()
-        rf = RationalFunction(poly)
+        rf, _ = rootsys.macdonald_series(rs)
+        poly = rf.as_polynomial()
         ps = poly.truncate(min(config.trunc, poly.degree))
     lines = [
         "type: %s" % config.type_tag,
@@ -196,7 +190,9 @@ def cmd_ihara(config):
     ]
     status = 0
     if config.q_mode not in ("formal", None):
-        q = int(Fraction(config.q_mode))
+        q = _parse_q(config)
+        if not isinstance(q, int):
+            raise ValueError("ihara --q must be an integer, got %r" % (config.q_mode,))
         check = zeta.ihara_formula_check(graph, q)
         obj["formula_check"] = check.as_json()
         lines.append("formula check (q=%d): %s" % (q, check.ok))

@@ -4,16 +4,19 @@ and the exponent tables of the affine alternating products.
 
 Roots are stored in simple-root coordinates only; heights are coordinate
 sums and supports are coordinate supports, so no Euclidean embedding is
-needed anywhere.
+needed anywhere.  Every series here is a product of (1 - u^d)^m_d, built
+as its exponent map d -> m_d (exponent tables read it directly) and turned
+into lowest terms by series.binomial_product: no Poly arithmetic here.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import _finite_cartan
-from .series import Poly, RationalFunction
+from .series import binomial_product
 
 
 class RootSystemError(Exception):
@@ -139,26 +142,25 @@ class AffineRootWindow:
 # Macdonald's formulas
 
 
-def _height_product(heights):
-    out = RationalFunction(Poly.one())
+def _height_map(heights, affine_of=None):
+    """Exponent map d -> m of the height product, the product of
+    (1-u^(t+1)) / (1-u^t) over the heights t, divided by (1-u^h)^n for
+    the affine group of a root system of rank n and Coxeter number h."""
+    out = Counter()
     for t in heights:
-        out = out * RationalFunction(_binomial(t + 1), _binomial(t))
+        out[t + 1] += 1
+        out[t] -= 1
+    if affine_of is not None:
+        out[affine_of.coxeter_number] -= affine_of.rank
     return out
-
-
-def _binomial(d):
-    return Poly((1,) + (0,) * (d - 1) + (-1,))
 
 
 def macdonald_series(rs):
     """Poincare series of the finite and affine Weyl groups from the
     height products over the positive roots and the affine window."""
-    finite = _height_product(sum(a) for a in rs.positive_roots)
-    window = AffineRootWindow.build(rs)
-    h, n = rs.coxeter_number, rs.rank
-    affine = _height_product(window.heights_multiset())
-    affine = affine * RationalFunction(Poly.one(), _binomial(h) ** n)
-    return finite, affine
+    finite = _height_map(sum(a) for a in rs.positive_roots)
+    affine = _height_map(AffineRootWindow.build(rs).heights_multiset(), rs)
+    return binomial_product(finite), binomial_product(affine)
 
 
 def sincere_heights(rs):
@@ -179,27 +181,19 @@ def alt_via_sincere(rs):
     """Alternating products of parabolic Poincare series, evaluated through
     the Moebius collapse onto full-support roots."""
     finite_hts, wrapped_hts = sincere_heights(rs)
-    alt_finite = _height_product(finite_hts)
-    h, n = rs.coxeter_number, rs.rank
-    alt_affine = _height_product(wrapped_hts) * RationalFunction(Poly.one(), _binomial(h) ** n)
-    return alt_finite, alt_affine
+    return binomial_product(_height_map(finite_hts)), binomial_product(_height_map(wrapped_hts, rs))
 
 
 def exponent_table(rs):
     """The degrees d_1 <= ... <= d_n with Alt(affine)(u)^{-1} equal to the
-    polynomial product of (1 - u^{d_i}); raises if the product fails to be
-    a polynomial of that shape."""
-    _, alt_affine = alt_via_sincere(rs)
-    inv = alt_affine.inverse().reduced()
-    if not inv.is_polynomial():
-        raise RootSystemError("affine alternating product inverse is not a polynomial")
-    factors = RationalFunction(inv.as_polynomial()).binomial_factors()
-    if factors is None or any(m < 0 for _, m in factors):
-        raise RootSystemError("affine alternating product is not a product of 1-u^d factors")
+    product of (1 - u^{d_i}): the negated exponent map of the affine
+    alternating product, which must have no negative multiplicity."""
+    _, wrapped_hts = sincere_heights(rs)
     out = []
-    for d, m in factors:
-        out.extend([d] * m)
-    out.sort()
+    for d, m in sorted(_height_map(wrapped_hts, rs).items()):
+        if m > 0:
+            raise RootSystemError("affine alternating product is not a product of 1-u^d factors")
+        out.extend([d] * -m)
     n, h = rs.rank, rs.coxeter_number
     if len(out) != n or out[0] != n + 1 or out[-1] > h:
         raise RootSystemError("exponent list %r violates the rank/Coxeter bounds" % (out,))

@@ -8,8 +8,11 @@ Nothing here ever touches floating point.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 
 class SeriesError(Exception):
@@ -413,39 +416,6 @@ def _divide_scalar(a, b):
     return f.numerator if f.denominator == 1 else f
 
 
-def _shifted_log_derivative(p):
-    """-u p'/p as a rational function (denominator constant term is p(0))."""
-    deriv = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
-    return RationalFunction(-Poly((0, 1)) * deriv, p)
-
-
-def _poly_gcd_rational(a, b):
-    """Monic gcd of u-polynomials with int/Fraction coefficients."""
-    fa = Poly([Fraction(c) for c in a.coeffs])
-    fb = Poly([Fraction(c) for c in b.coeffs])
-    while not fb.is_zero():
-        fa, fb = fb, _poly_mod(fa, fb)
-    if fa.is_zero():
-        return Poly.one()
-    lead = fa.coeffs[-1]
-    monic = Poly([c / lead for c in fa.coeffs])
-    return Poly(_normalize_fractions(list(monic.coeffs)))
-
-
-def _poly_mod(a, b):
-    rem = list(a.coeffs)
-    lead = b.coeffs[-1]
-    db = b.degree
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        f = c / lead
-        for j, bc in enumerate(b.coeffs):
-            rem[i - db + j] -= f * bc
-    return Poly(rem[:db])
-
-
 # ---------------------------------------------------------------------------
 # square matrices over exact scalars
 
@@ -671,8 +641,10 @@ class PowerSeries:
 class RationalFunction:
     """Quotient num/den of u-polynomials; den has unit constant term.
 
-    Normalised so that den(0) == 1.  Equality is tested by cross
-    multiplication, which is exact over any integral coefficient domain.
+    Normalised so that den(0) == 1, and not reduced: equality is tested by
+    cross multiplication, exact over any integral coefficient domain.
+    Products of (1-u^d)^m factors are read as exponent maps and put in
+    lowest terms without a gcd (binomial_factors, binomial_product).
     """
 
     __slots__ = ("num", "den")
@@ -756,37 +728,27 @@ class RationalFunction:
     def substitute_power(self, m):
         return RationalFunction(self.num.substitute_power(m), self.den.substitute_power(m))
 
-    def is_polynomial(self):
-        try:
-            self.num.exact_div(self.den)
-            return True
-        except SeriesError:
-            return False
-
     def as_polynomial(self):
         return self.num.exact_div(self.den)
 
     def reduced(self):
-        """Cancel the num/den gcd (rational coefficients only)."""
-        if any(
-            isinstance(c, (QPolynomial, Matrix))
-            for p in (self.num, self.den)
-            for c in p.coeffs
-        ):
-            return self
-        g = _poly_gcd_rational(self.num, self.den)
-        if g.degree < 1:
-            return self
-        return RationalFunction(self.num.exact_div(g), self.den.exact_div(g))
+        """Lowest terms of a product of (1-u^d) factors, through its exponent
+        map; any other value raises SeriesError, as no gcd is taken."""
+        factors = self.binomial_factors()
+        if factors is None:
+            raise SeriesError("not a product of (1-u^d) factors: %r" % (self,))
+        return binomial_product(factors)
 
     def binomial_factors(self):
         """Write the rational function as a product of (1-u^d)^m factors.
 
-        Returns a sorted list of (d, m) with m positive or negative, or
-        None when no such factorisation exists.  Works through the
-        logarithmic derivative: -u f'/f of such a product has n-th
-        coefficient sum of d*m_d over d dividing n, which peels off the
-        multiplicities; the candidate is then verified exactly.
+        Returns the exponent map as a sorted list of (d, m), or None when
+        there is none.  A gcd-free exact peel: where N = num and M = den
+        first differ, at u^d, N/M = 1 - m_d u^d + ..., and multiplying M or
+        N by (1-u^d)^|m_d| makes them agree there; N == M ends the peel and
+        is the exact check.  A true product has |m_d| <= D = deg num +
+        deg den and d <= 2 D^2 (phi(e) >= sqrt(e/2)), so beyond either
+        bound there is no factorisation.
         """
         def plain(p):
             out = []
@@ -800,59 +762,73 @@ class RationalFunction:
                 out.append(c)
             return Poly(out)
 
-        num, den = plain(self.num), plain(self.den)
-        if num is None or den is None:
+        top, bottom = plain(self.num), plain(self.den)
+        if top is None or bottom is None or top.constant() != 1:
             return None
-        red = RationalFunction(num, den).reduced()
-        if red.num.constant() != 1:
-            return None
-        # generous degree heuristic; cyclotomic cancellation can push the
-        # largest factor beyond the reduced degrees, and the final exact
-        # verification rejects anything the peeling got wrong
-        bound = 2 * (red.num.degree + red.den.degree)
-        if bound == 0:
-            return [] if red.num == red.den else None
-        log_der = _shifted_log_derivative(red.num).expand(bound) - _shifted_log_derivative(red.den).expand(bound)
-        mults = {}
-        for d in range(1, bound + 1):
-            acc = sum(e * m for e, m in mults.items() if d % e == 0)
-            v = log_der.coeff(d) - acc
-            if isinstance(v, Fraction):
-                if v.denominator != 1:
-                    return None
-                v = v.numerator
-            if v % d:
+        bound = top.degree + bottom.degree
+        factors = []
+        d = 1
+        while top != bottom:
+            while top.coeff(d) == bottom.coeff(d):
+                d += 1
+            c = top.coeff(d) - bottom.coeff(d)
+            if Fraction(c).denominator != 1 or abs(c) > bound or d > 2 * bound * bound:
                 return None
-            if v:
-                mults[d] = v // d
-        candidate = RationalFunction(Poly.one())
-        for d, m in mults.items():
-            candidate = candidate * RationalFunction(Poly((1,) + (0,) * (d - 1) + (-1,))) ** m
-        if not (candidate == red):
-            return None
-        return sorted(mults.items())
+            m = -int(c)
+            if m > 0:
+                bottom = (1 - Poly.u(d)) ** m * bottom
+            else:
+                top = (1 - Poly.u(d)) ** -m * top
+            factors.append((d, m))
+        return factors
 
     def __repr__(self):
         return "RationalFunction(%r, %r)" % (self.num, self.den)
 
     def __str__(self):
         facs = self.binomial_factors()
-        if facs is not None:
-            if not facs:
-                return "1"
-            ups = [
-                ("(1-u^%d)" % d if d > 1 else "(1-u)") + ("^%d" % m if m > 1 else "")
+        if facs is None:
+            return "(%s) / (%s)" % (self.num, self.den)
+
+        def side(sign):
+            return "".join(
+                ("(1-u^%d)" % d if d > 1 else "(1-u)") + ("^%d" % abs(m) if abs(m) > 1 else "")
                 for d, m in facs
-                if m > 0
-            ]
-            downs = [
-                ("(1-u^%d)" % d if d > 1 else "(1-u)") + ("^%d" % -m if m < -1 else "")
-                for d, m in facs
-                if m < 0
-            ]
-            num = "".join(ups) or "1"
-            return num + (" / " + "".join(downs) if downs else "")
-        return "(%s) / (%s)" % (self.num, self.den)
+                if m * sign > 0
+            )
+
+        downs = side(-1)
+        return (side(1) or "1") + (" / " + downs if downs else "")
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(e):
+    """Phi_e, normalised to constant term 1: Phi_1 = 1-u, and
+    Phi_e = (1-u^e) / prod of Phi_d over the proper divisors d of e."""
+    out = 1 - Poly.u(e)
+    for d in range(1, e):
+        if e % d == 0:
+            out = out.exact_div(_cyclotomic(d))
+    return out
+
+
+def binomial_product(factors):
+    """The product of (1-u^d)^m over an exponent map d -> m (a mapping or
+    (d, m) pairs) in lowest terms.  1-u^d is the product of Phi_e over
+    e | d, so the map becomes cyclotomic multiplicities c_e, which put
+    each Phi_e on one side only; with den(0) = 1 this form is unique."""
+    cyclo = Counter()
+    for d, m in dict(factors).items():
+        for e in range(1, d + 1):
+            if d % e == 0:
+                cyclo[e] += m
+    num, den = Poly.one(), Poly.one()
+    for e, c in sorted(cyclo.items()):
+        if c > 0:
+            num = num * _cyclotomic(e) ** c
+        elif c < 0:
+            den = den * _cyclotomic(e) ** -c
+    return RationalFunction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -999,9 +975,7 @@ def _det_fraction_matrix(mat):
     scale = Fraction(1)
     rows = []
     for r in mat:
-        den = 1
-        for e in r:
-            den = den * e.denominator // _gcd(den, e.denominator)
+        den = lcm(*(e.denominator for e in r))
         scale /= den
         rows.append([int(e * den) for e in r])
     prev = 1
@@ -1023,12 +997,6 @@ def _det_fraction_matrix(mat):
             rows[i][k] = 0
         prev = pk
     return sign * scale * rows[n - 1][n - 1]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a > 0 else -a
 
 
 def _interpolate(points, values):

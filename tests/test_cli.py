@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from weylzeta import cli
 
 
@@ -141,6 +143,15 @@ def test_ihara_with_formula_check(tmp_path, capsys):
     assert obj["formula_check"]["pass"] is True
 
 
+def test_ihara_rejects_rational_q(tmp_path, capsys):
+    path = tmp_path / "k4.txt"
+    path.write_text(K4_EDGES)
+    status, out = run_cli(["ihara", "--graph", str(path), "--q", "5/2", "--format", "json"], capsys)
+    assert status == 2
+    error = json.loads(out)["error"]
+    assert "--q" in error and "5/2" in error
+
+
 def test_torus_subcommand(tmp_path, capsys):
     status, out = run_cli(["torus", "--type", "A2t", "--scale", "2", "--format", "json"], capsys)
     assert status == 0
@@ -149,13 +160,36 @@ def test_torus_subcommand(tmp_path, capsys):
     assert obj["chambers"] == 24
 
 
-def test_outputs_deterministic(capsys):
-    _, out1 = run_cli(["macdonald-table", "--type", "all", "--format", "json"], capsys)
-    _, out2 = run_cli(["macdonald-table", "--type", "all", "--format", "json"], capsys)
-    assert out1 == out2
-    _, t1 = run_cli(["factorize", "--type", "G2t", "--trunc", "8"], capsys)
-    _, t2 = run_cli(["factorize", "--type", "G2t", "--trunc", "8"], capsys)
-    assert t1 == t2
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "cli")
+K4_EDGES = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+
+# golden stdout file -> CLI line; the README lines first, `{graph}` is a K4
+# edge list.  A golden match also pins the output as deterministic.
+GOLDEN_LINES = {
+    "alt_A2t.txt": "alt --type A2t",
+    "poincare_G2t_trunc12.txt": "poincare --type G2t --trunc 12",
+    "factorize_C2t_trunc20.txt": "factorize --type C2t --trunc 20",
+    "det_identity_G2t.txt": "det-identity --type G2t",
+    "det_identity_A2t_torus3.txt": "det-identity --type A2t --q torus --scale 3",
+    "macdonald_table_all.csv": "macdonald-table --type all --format csv",
+    "ihara_k4_q2.txt": "ihara --graph {graph} --q 2",
+    "torus_C2t_scale2.txt": "torus --type C2t --scale 2",
+    "poincare_A2t_trunc6.json": "poincare --type A2t --trunc 6 --format json",
+    "alt_C2t.json": "alt --type C2t --format json",
+    "poincare_E8_trunc4.txt": "poincare --type E8 --trunc 4",
+    "det_identity_A2t_q2.txt": "det-identity --type A2t --q 2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LINES))
+def test_outputs_match_golden(name, tmp_path, capsys):
+    graph = tmp_path / "k4.txt"
+    graph.write_text(K4_EDGES)
+    argv = [w.format(graph=graph) for w in GOLDEN_LINES[name].split()]
+    status, out = run_cli(argv, capsys)
+    assert status == 0
+    with open(os.path.join(GOLDEN_DIR, name)) as fh:
+        assert out == fh.read()
 
 
 def test_bad_type_exits_nonzero(capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylzeta import coxeter
 from weylzeta.series import (
@@ -13,6 +15,7 @@ from weylzeta.series import (
     RationalFunction,
     SeriesError,
     alt_product_rational,
+    binomial_product,
     char_matrix_det,
     det_poly_matrix,
     det_series,
@@ -77,6 +80,45 @@ def test_rational_function_binomial_factoring():
     g = RationalFunction(Poly((1, 0, 0, -1)) ** 2, Poly((1, -1)))
     assert g.binomial_factors() == [(1, -1), (3, 2)]
     assert RationalFunction(Poly((1, 1))).binomial_factors() == [(1, -1), (2, 1)]
+
+
+def test_binomial_factors_of_cyclotomic_phi6():
+    # Phi_6 = (1-u)(1-u^6) / ((1-u^2)(1-u^3)): the largest factor exceeds
+    # twice the reduced degree
+    want = [(1, 1), (2, -1), (3, -1), (6, 1)]
+    assert RationalFunction(Poly((1, -1, 1))).binomial_factors() == want
+    b = [None] + [1 - Poly.u(d) for d in range(1, 7)]
+    unreduced = RationalFunction(b[1] * b[6], b[2] * b[3])
+    assert unreduced.binomial_factors() == want
+    assert binomial_product(want).num == Poly((1, -1, 1))
+    with pytest.raises(SeriesError):
+        RationalFunction(Poly((1, 2))).reduced()
+
+
+def _naive_product(factors):
+    num, den = Poly.one(), Poly.one()
+    for d, m in factors.items():
+        if m > 0:
+            num = num * (1 - Poly.u(d)) ** m
+        else:
+            den = den * (1 - Poly.u(d)) ** -m
+    return num, den
+
+
+exponent_maps = st.dictionaries(st.integers(1, 16), st.integers(-3, 3)).map(
+    lambda m: {d: k for d, k in m.items() if k})
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent_maps, st.integers(-5, 5), st.integers(-5, 5))
+def test_binomial_factors_peel_unreduced_products(factors, a, b):
+    num, den = _naive_product(factors)
+    common = Poly((1, a, b))
+    rf = RationalFunction(num * common, den * common)
+    assert rf.binomial_factors() == sorted(factors.items())
+    assert RationalFunction(num * Poly((1, 2)), den).binomial_factors() is None
+    low = binomial_product(factors)
+    assert low.num * den == num * low.den
 
 
 def test_substitute_power():
@@ -226,7 +268,7 @@ def test_series_json_shape():
     from weylzeta.series import series_to_json
 
     rf, ps = poincare_affine(coxeter.build_system("A1t"), 4)
-    obj = series_to_json(rf.reduced(), ps)
+    obj = series_to_json(binomial_product(rf.binomial_factors()), ps)
     assert obj == {"num": [1, 1], "den": [1, -1], "coeffs": [1, 2, 2, 2, 2], "order": 4}
 
 
@@ -234,7 +276,7 @@ def test_series_json_roundtrip():
     from weylzeta.series import series_from_json, series_to_json
 
     rf, ps = poincare_affine(coxeter.build_system("A2t"), 6)
-    obj = series_to_json(rf.reduced(), ps)
+    obj = series_to_json(binomial_product(rf.binomial_factors()), ps)
     rf2, ps2 = series_from_json(obj)
     assert rf2 == rf and list(ps2.coeffs) == list(ps.coeffs)
     # rational entries serialize as [num, den] pairs
