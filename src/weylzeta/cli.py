@@ -10,34 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coxeter, hecke, rootsys, strips, zeta
 from .series import alt_product_rational, poincare_affine, series_to_json
-
-
-@dataclass
-class RunConfig:
-    command: str
-    type_tag: str = None
-    rank: int = None
-    trunc: int = 24
-    scale: int = 2
-    q_mode: str = "formal"  # "formal" or a rational literal
-    rep_path: str = None
-    graph_path: str = None
-    out_format: str = "text"
-    out_path: str = None
-
-    def validate(self):
-        if self.out_format not in ("text", "json", "csv"):
-            raise ValueError("unknown output format %r" % (self.out_format,))
-        if self.trunc < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if self.scale < 2:
-            raise ValueError("scale must be at least 2")
-        return self
 
 
 def _jsonable(x):
@@ -250,19 +226,7 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        type_tag=args.type_tag,
-        rank=args.rank,
-        trunc=args.trunc,
-        scale=args.scale,
-        q_mode=args.q_mode,
-        rep_path=args.rep_path,
-        graph_path=args.graph_path,
-        out_format=args.out_format,
-        out_path=args.out_path,
-    ).validate()
+    config = build_parser().parse_args(argv)
     if config.rank is not None and config.type_tag:
         config.type_tag = "%s%d%s" % (
             config.type_tag.rstrip("0123456789t"),
@@ -270,6 +234,10 @@ def main(argv=None):
             "t" if config.type_tag.endswith("t") else "",
         )
     try:
+        if config.trunc < 0:
+            raise ValueError("truncation order must be nonnegative")
+        if config.scale < 2:
+            raise ValueError("scale must be at least 2")
         status, lines, obj = _COMMANDS[config.command](config)
     except Exception as exc:  # structured failure for scripting
         _emit(config, ["error: %s" % exc], {"error": str(exc)})

@@ -219,6 +219,23 @@ def characters(system):
 # matrix representations
 
 
+def walk_word(table, element, cache, step):
+    """Value at e_w of a map cached by element key, built along the stored
+    reduced word of w: each prefix v s missing from the cache becomes
+    step(cache[v], s).  The cache must hold the identity's value."""
+    key = element.key if hasattr(element, "key") else element
+    cached = cache.get(key)
+    if cached is not None:
+        return cached
+    cur = table.identity.key
+    for s in table.element(key).word:
+        nxt = table.right_multiply_key(cur, s)
+        if nxt not in cache:
+            cache[nxt] = step(cache[cur], s)
+        cur = nxt
+    return cache[key]
+
+
 class Representation:
     """Validated matrix images of the generators over exact scalars."""
 
@@ -235,19 +252,7 @@ class Representation:
 
     def image(self, table, element):
         """Image of a basis vector e_w, built along the stored reduced word."""
-        key = element.key if hasattr(element, "key") else element
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        el = table.element(key)
-        cur = table.identity.key
-        # walk the stored reduced word, reusing cached prefixes
-        for s in el.word:
-            nxt = table.right_multiply_key(cur, s)
-            if nxt not in self._cache:
-                self._cache[nxt] = self._cache[cur] * self.gen_images[s]
-            cur = nxt
-        return self._cache[key]
+        return walk_word(table, element, self._cache, lambda m, s: m * self.gen_images[s])
 
     # exact determinant routes used by the identity verifiers; dense here,
     # overridden by representations with a faster exact route

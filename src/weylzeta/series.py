@@ -953,7 +953,7 @@ def det_poly_matrix(rows):
     points = _interp_points(deg_bound + 1)
     values = []
     for x in points:
-        mat = [[Fraction(e.evaluate(x)) for e in r] for r in rows]
+        mat = [[e.evaluate(x) for e in r] for r in rows]
         values.append(_det_fraction_matrix(mat))
     return _interpolate(points, values)
 
@@ -970,7 +970,8 @@ def _interp_points(count):
 
 
 def _det_fraction_matrix(mat):
-    """Bareiss fraction-free determinant over Fractions cleared to ints."""
+    """Bareiss fraction-free determinant of int and Fraction entries, each
+    row cleared to ints by the lcm of its denominators."""
     n = len(mat)
     scale = Fraction(1)
     rows = []

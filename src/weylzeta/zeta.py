@@ -7,6 +7,9 @@ On the torus every operator is a permutation of chambers, so each
 determinant has one exact integer route: a finite factor splits into
 blocks over the orbits of its element permutations, and a strip factor
 det(I - P u^l) is the product of 1 - u^(l * len) over the cycles of P.
+The torus representation holds only permutations; its dense chamber
+matrices (`image`, `action_matrix`) are uncached oracles for the tests
+and the generic consumers.
 
 numpy is used only as an exact integer fast path: int64 where an entry
 bound proves that no sum can wrap, Python ints otherwise.  All emitted
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import coxeter as cox
 from . import strips as strips_mod
-from .hecke import Representation
+from .hecke import Representation, walk_word
 from .series import (
     Matrix,
     Poly,
@@ -236,8 +239,9 @@ def ihara_zeta(graph, order=16):
 
 
 def traces(rows, order):
-    """tr(B^n) for n = 1..order, exact (int64 only where it cannot wrap)."""
-    if not rows:
+    """tr(B^n) for n = 1..order of an integer matrix given as rows or as an
+    ndarray, exact (int64 only where it cannot wrap)."""
+    if len(rows) == 0:
         return [0] * order
     b = _np_int(rows)
     out = []
@@ -357,40 +361,28 @@ def strip_zeta(a_matrix, order=16):
 
 class TorusRepresentation(Representation):
     """Permutation representation of the group algebra on the chambers of
-    the torus quotient; matrices materialize lazily from permutations."""
+    the torus quotient.  It holds only the generator permutations and a
+    cache of element permutations; a dense chamber matrix comes only from
+    `image`, an uncached oracle for the tests and the generic consumers."""
 
     def __init__(self, quotient):
+        # no dense generator images: Representation.__init__ is not called
         self.quotient = quotient
-        system = quotient.system
-        n = len(quotient.chambers)
-        gen_perms = quotient.generator_permutations
-        mats = tuple(_perm_matrix(p) for p in gen_perms)
-        super().__init__(system, mats, 1, "rational")
-        self._perm_cache = {cox.mat_identity(system.num_generators): tuple(range(n))}
+        self.system = quotient.system
+        self.q = 1
+        self.scalar_kind = "rational"
+        self.dim = len(quotient.chambers)
+        self._perm_cache = {quotient.table.identity.key: tuple(range(self.dim))}
 
     def perm(self, table, element):
-        key = element.key if hasattr(element, "key") else element
-        cached = self._perm_cache.get(key)
-        if cached is not None:
-            return cached
-        el = table.element(key)
-        cur = table.identity.key
-        for s in el.word:
-            nxt = table.right_multiply_key(cur, s)
-            if nxt not in self._perm_cache:
-                prev = self._perm_cache[cur]
-                gp = self.quotient.generator_permutations[s]
-                self._perm_cache[nxt] = tuple(gp[c] for c in prev)
-            cur = nxt
-        return self._perm_cache[key]
+        """Chamber permutation of e_w, built along the stored reduced word."""
+        gens = self.quotient.generator_permutations
+        return walk_word(table, element, self._perm_cache,
+                         lambda p, s: tuple(gens[s][c] for c in p))
 
     def image(self, table, element):
-        key = element.key if hasattr(element, "key") else element
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = _perm_matrix(self.perm(table, element))
-            self._cache[key] = cached
-        return cached
+        """Dense permutation matrix of e_w, rebuilt on every call."""
+        return _perm_matrix(self.perm(table, element))
 
     # exact permutation routes for the identity verifiers --------------------
 
@@ -404,18 +396,25 @@ class TorusRepresentation(Representation):
     def det_series_hook(self, table, order):
         """Trace-log determinant of the truncated twisted group sum,
         through the exact integer fast path."""
-        n = len(self.quotient.chambers)
-        coeffs = [np.zeros((n, n), dtype=np.int64) for _ in range(order + 1)]
-        for d in range(order + 1):
-            for el in table.layers[d]:
-                p = self.perm(table, el)
-                coeffs[d][np.arange(n), np.array(p, dtype=np.int64)] += 1
-        return _det_series_int(coeffs, order)
+        perm_lengths = ((self.perm(table, el), d)
+                        for d in range(order + 1) for el in table.layers[d])
+        return _det_series_int(_perm_arrays(self.dim, perm_lengths, order), order)
 
 
 def _perm_matrix(perm):
     n = len(perm)
     return Matrix(tuple(tuple(1 if perm[i] == j else 0 for j in range(n)) for i in range(n)))
+
+
+def _perm_arrays(n, perm_lengths, order):
+    """int64 coefficients of sum P u^l over (perm, l) pairs, up to u^order:
+    array l has entry (c, perm[c]) raised by one for each perm of length l."""
+    arrays = [np.zeros((n, n), dtype=np.int64) for _ in range(order + 1)]
+    rows = np.arange(n)
+    for perm, length in perm_lengths:
+        if length <= order:
+            arrays[length][rows, np.array(perm, dtype=np.int64)] += 1
+    return arrays
 
 
 def _perm_cycles(perm):
@@ -623,7 +622,8 @@ class TorusQuotient:
     # -- operators -----------------------------------------------------------
 
     def action_matrix(self, element):
-        """Permutation matrix of right multiplication on the chambers."""
+        """Dense permutation matrix of right multiplication on the
+        chambers, rebuilt on every call: an oracle, not a production route."""
         return self.representation.image(self.table, element)
 
     def chamber_count(self):
@@ -670,10 +670,8 @@ class TorusQuotient:
                 rows[i][j] = rows[i][j] + Poly.u(length, count)
             det = det * det_poly_matrix(rows) ** mult
         # independent truncated route
-        arrays = [np.zeros((n, n), dtype=np.int64) for _ in range(dual_check_order + 1)]
-        for perm, length, _key in perm_len_keys:
-            if length <= dual_check_order:
-                arrays[length][np.arange(n), np.array(perm, dtype=np.int64)] += 1
+        arrays = _perm_arrays(n, ((perm, length) for perm, length, _key in perm_len_keys),
+                              dual_check_order)
         if np.array_equal(arrays[0], np.eye(n, dtype=np.int64)):
             if not (_det_series_int(arrays, dual_check_order) == det.truncate(dual_check_order)):
                 raise ZetaError("orbit-block determinant failed the trace-log cross-check")
@@ -782,7 +780,8 @@ def closed_strip_counts(tq, spec, n_max):
 def operator_strip_counts(tq, spec, n_max):
     """tr(A_w^n) for the strip operator, through integer matrix powers."""
     el = tq.table.element_of_word(spec.word)
-    return traces(tq.action_matrix(el).rows, n_max)
+    perm = tq.representation.perm(tq.table, el)
+    return traces(_perm_arrays(len(perm), [(perm, 0)], 0)[0], n_max)
 
 
 @dataclass

@@ -152,6 +152,16 @@ def test_ihara_rejects_rational_q(tmp_path, capsys):
     assert "--q" in error and "5/2" in error
 
 
+@pytest.mark.parametrize("argv,word", [
+    (["torus", "--type", "A2t", "--scale", "1", "--format", "json"], "scale"),
+    (["poincare", "--type", "A2t", "--trunc", "-1", "--format", "json"], "truncation"),
+], ids=["scale", "trunc"])
+def test_bad_option_values_report_structured_error(argv, word, capsys):
+    status, out = run_cli(argv, capsys)
+    assert status == 2
+    assert word in json.loads(out)["error"]
+
+
 def test_torus_subcommand(tmp_path, capsys):
     status, out = run_cli(["torus", "--type", "A2t", "--scale", "2", "--format", "json"], capsys)
     assert status == 0

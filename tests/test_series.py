@@ -14,6 +14,7 @@ from weylzeta.series import (
     QPolynomial,
     RationalFunction,
     SeriesError,
+    _det_berkowitz,
     alt_product_rational,
     binomial_product,
     char_matrix_det,
@@ -338,3 +339,20 @@ def test_berkowitz_matches_evaluation_route():
             want = det_poly_matrix(specialized)
             got = Poly([c.evaluate(qval) if isinstance(c, QPolynomial) else c for c in det.coeffs])
             assert got == want, qval
+
+
+small_scalars = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(st.lists(small_scalars, max_size=3), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_interpolation_det_matches_berkowitz(coeff_rows):
+    # int and Fraction entries: the evaluation/interpolation route against
+    # the division-free expansion
+    rows = [[Poly(cs) for cs in row] for row in coeff_rows]
+    assert det_poly_matrix(rows) == _det_berkowitz(rows)

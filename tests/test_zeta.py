@@ -1,12 +1,16 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylzeta import coxeter, strips
-from weylzeta.series import Matrix, Poly, RationalFunction
+from weylzeta.series import Matrix, Poly, RationalFunction, char_matrix_det
 from weylzeta.zeta import (
     Graph,
     ZetaError,
+    _perm_char_poly,
+    _perm_matrix,
     _perm_zeta,
     closed_strip_counts,
     complete_bipartite,
@@ -260,9 +264,53 @@ def test_cyclic_det_cycle_formula(torus_k2):
     el = t.element_of_word(spec.word)
     d = rep.cyclic_det_hook(t, el)
     # independent route: dense characteristic determinant
-    from weylzeta.series import char_matrix_det
-
     assert d == char_matrix_det(rep.image(t, el), el.length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.permutations(range(7)), st.integers(1, 4))
+def test_cycle_type_char_poly_matches_dense(perm, shift):
+    assert _perm_char_poly(perm, shift) == char_matrix_det(_perm_matrix(perm), shift)
+
+
+def test_torus_strip_routes_stay_small(tables):
+    # G2t at k = 8 has 768 chambers: one dense chamber matrix of tuples is
+    # about 4.7 MB, the generator permutations a few kB each
+    tracemalloc.start()
+    try:
+        tq = torus_quotient_rep(coxeter.build_system("G2t"), 8, tables["G2t"])
+        for spec in strips.strip_generators("G2t"):
+            el = tq.table.element_of_word(spec.word)
+            tq.representation.cyclic_det_hook(tq.table, el)
+            closed_strip_counts(tq, spec, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tq.chamber_count() == 768
+    assert peak < 3 * 2 ** 20, peak
+
+
+def test_torus_routes_build_no_dense_matrix(tables, monkeypatch):
+    # the torus build and its identity verifiers stay on permutations;
+    # only image / action_matrix may build an n x n Matrix
+    sizes = []
+    init = Matrix.__init__
+
+    def recording_init(self, rows):
+        init(self, rows)
+        sizes.append(self.nrows)
+
+    monkeypatch.setattr(Matrix, "__init__", recording_init)
+    system = coxeter.build_system("A2t")
+    tq = torus_quotient_rep(system, 2, tables["A2t"])
+    assert strips.verify_determinant_identity(system, tq.representation, tq.table).ok
+    assert verify_strip_zeta_identity(tq, trace_order=4).ok
+    for spec in strips.strip_generators("A2t"):
+        operator_strip_counts(tq, spec, 4)
+    n = tq.chamber_count()
+    assert n not in sizes
+    tq.action_matrix(tq.table.identity)
+    assert sizes[-1] == n
 
 
 def test_strip_traces_match_geometric_counts(torus_k2):
