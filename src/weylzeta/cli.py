@@ -240,7 +240,7 @@ def main(argv=None):
             raise ValueError("scale must be at least 2")
         status, lines, obj = _COMMANDS[config.command](config)
     except Exception as exc:  # structured failure for scripting
-        _emit(config, ["error: %s" % exc], {"error": str(exc)})
+        _emit(config, ["error: %s" % exc], {"error": str(exc), "kind": type(exc).__name__})
         return 2
     _emit(config, lines, obj)
     return status

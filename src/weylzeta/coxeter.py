@@ -4,14 +4,16 @@ Groups are presented by a Coxeter matrix together with a generalized Cartan
 matrix; elements are canonicalized by their matrix in the reflection
 representation on the simple-root basis, which is faithful and integral for
 every crystallographic type handled here.  Enumeration is breadth-first, so
-every stored length is the true word length.
+every stored length is the true word length, and it records the Cayley
+graph: each element keeps the keys of its right neighbours w * s_i.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 INFINITE = 0  # Coxeter matrix entry encoding an infinite bond order
@@ -289,6 +291,39 @@ class CoxeterSystem:
             for a in range(k)
         )
 
+    @cached_property
+    def _cartan_support(self):
+        return tuple(tuple((b, c) for b, c in enumerate(row) if c) for row in self.cartan)
+
+    def right_reflect(self, key, i):
+        """key * s_i as a rank-one update: row r becomes
+        row_r - row_r[i] * cartan[i], so only the columns in the support
+        of Cartan row i change, and a row with row_r[i] == 0 is reused."""
+        support = self._cartan_support[i]
+        out = []
+        for row in key:
+            x = row[i]
+            if x:
+                row = list(row)
+                for b, c in support:
+                    row[b] -= x * c
+                row = tuple(row)
+            out.append(row)
+        return tuple(out)
+
+    def left_reflect(self, key, i):
+        """s_i * key: only row i changes, to row_i - sum_c cartan[i][c] * row_c."""
+        support = self._cartan_support[i]
+        row = tuple(v - sum(c * key[a][b] for a, c in support) for b, v in enumerate(key[i]))
+        return key[:i] + (row,) + key[i + 1 :]
+
+    def word_key(self, word):
+        """Matrix of the product of the generators along a word."""
+        key = mat_identity(self.num_generators)
+        for i in word:
+            key = self.right_reflect(key, i)
+        return key
+
     def bond(self, i, j):
         return self.coxeter_matrix[i][j]
 
@@ -374,11 +409,16 @@ def build_system(type_tag, rank=None):
 # elements and tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     key: tuple  # matrix in the geometric representation
     length: int
     word: tuple  # one reduced word, 0-based generator indices
+    # links[i] is the key of w * s_i, or None for an ascent out of the
+    # table's bound layer.  Keys, not elements: element-to-element links
+    # would form reference cycles, so a dropped table would wait for the
+    # garbage collector.
+    links: list = field(compare=False, repr=False)
 
     def __repr__(self):
         return "GroupElement(len=%d, word=%s)" % (self.length, ",".join(str(i + 1) for i in self.word) or "e")
@@ -387,7 +427,10 @@ class GroupElement:
 class ElementTable:
     """BFS-generated store of all group elements up to a length bound.
 
-    Immutable after construction; safe for concurrent reads.
+    The table is its Cayley graph: every element holds the keys of its
+    right neighbours w * s_i, so right multiplication by a generator inside
+    the table is a lookup.  Immutable after construction; safe for
+    concurrent reads.
     """
 
     def __init__(self, system, bound, layers, index):
@@ -395,7 +438,6 @@ class ElementTable:
         self.bound = bound
         self.layers = layers
         self.index = index
-        self._gen_mats = tuple(system.generator_matrix(i) for i in range(system.num_generators))
         self._parabolic_cache = {}
 
     @property
@@ -418,22 +460,23 @@ class ElementTable:
         return [len(layer) for layer in self.layers]
 
     def generator(self, i):
-        return self.element(self._gen_mats[i])
+        return self.element(self.right_multiply_key(self.identity.key, i))
 
     def right_multiply_key(self, key, i):
-        return mat_mul(key, self._gen_mats[i])
+        """key * s_i: the stored link inside the table, the reflection
+        kernel for keys outside it (or ascents out of the bound layer)."""
+        el = self.index.get(key)
+        link = el.links[i] if el is not None else None
+        return link if link is not None else self.system.right_reflect(key, i)
 
     def left_multiply_key(self, key, i):
-        return mat_mul(self._gen_mats[i], key)
+        return self.system.left_reflect(key, i)
 
     def product_key(self, k1, k2):
         return mat_mul(k1, k2)
 
     def word_key(self, word):
-        k = mat_identity(self.system.num_generators)
-        for i in word:
-            k = mat_mul(k, self._gen_mats[i])
-        return k
+        return self.system.word_key(word)
 
     def element_of_word(self, word):
         return self.element(self.word_key(word))
@@ -453,14 +496,14 @@ class ElementTable:
             nxt = []
             for el in frontier:
                 for i in gens:
-                    key = self.right_multiply_key(el.key, i)
-                    if key in seen:
-                        continue
-                    if key not in self.index:
+                    key = el.links[i]
+                    if key is None:
                         raise OutOfTableError(
                             "parabolic subgroup <%s> does not close within bound %d"
                             % (",".join(str(g + 1) for g in gens), self.bound)
                         )
+                    if key in seen:
+                        continue
                     nel = self.index[key]
                     seen.add(key)
                     out.append(nel)
@@ -486,7 +529,39 @@ class ElementTable:
                 fh.write(line + "\n")
 
 
+def _link_layer(system, layer, index, grow):
+    """Fill the right links of one layer and return the elements it grew.
+
+    l(ws) = l(w) +- 1, so every edge {w, ws} joins two adjacent layers.
+    The layer below has already set each descent link, and each ascent is
+    computed here once, by the reflection kernel, and linked both ways.
+    A product missing from the index goes to grow(key, parent, i), which
+    returns the new element; with grow None it is an error."""
+    out = []
+    for el in layer:
+        links = el.links
+        for i, link in enumerate(links):
+            if link is not None:
+                continue
+            key = system.right_reflect(el.key, i)
+            nb = index.get(key)
+            if nb is None:
+                if grow is None:
+                    raise CoxeterError("table is missing a neighbour of a stored element")
+                nb = grow(key, el, i)
+                out.append(nb)
+            elif nb.length != el.length + 1:
+                raise CoxeterError("stored lengths are not breadth-first depths")
+            links[i] = nb.key
+            nb.links[i] = el.key
+    return out
+
+
 def load_table(system, path_or_lines):
+    """Read a table written by ElementTable.save.  Every stored word must
+    evaluate to its matrix, and the Cayley graph is linked as
+    enumerate_elements links it, so a missing element or a stored length
+    that is not the BFS depth raises CoxeterError."""
     if isinstance(path_or_lines, str):
         with open(path_or_lines) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -504,7 +579,7 @@ def load_table(system, path_or_lines):
         if len(vals) != k * k:
             raise CoxeterError("malformed table line: %r" % line)
         key = tuple(tuple(vals[a * k : (a + 1) * k]) for a in range(k))
-        el = GroupElement(key, length, word)
+        el = GroupElement(key, length, word, [None] * k)
         if len(word) != length:
             raise CoxeterError("stored word length disagrees with stored length")
         layers.setdefault(length, []).append(el)
@@ -515,44 +590,55 @@ def load_table(system, path_or_lines):
     for el in index.values():
         if table.word_key(el.word) != el.key:
             raise CoxeterError("stored word does not evaluate to the stored matrix")
+    for layer in table.layers[:-1]:
+        _link_layer(system, layer, index, None)
     return table
+
+
+def element_cap():
+    """The element cap: WEYLZETA_MAX_ELEMENTS, or the default."""
+    return int(os.environ.get(_ENV_MAX_ELEMENTS, _DEFAULT_MAX_ELEMENTS))
+
+
+def check_element_cap(count, what, cap=None):
+    """Raise ResourceLimitError, naming the cap's variable, when count
+    (elements, or torus chambers) passes the element cap."""
+    cap = element_cap() if cap is None else cap
+    if count > cap:
+        raise ResourceLimitError(
+            "%s exceeded %d elements (set %s to raise the cap)" % (what, cap, _ENV_MAX_ELEMENTS)
+        )
 
 
 def enumerate_elements(system, bound=DEFAULT_BOUND, max_elements=None):
     """BFS from the identity by right multiplication.
 
     Each element appears exactly once, at its true length, because the
-    Cayley-graph distance to the identity is the Coxeter length.
+    Cayley-graph distance to the identity is the Coxeter length.  The BFS
+    records the Cayley graph as it runs: each edge {w, ws} is computed
+    once, from its shorter end, by the rank-one reflection kernel, and
+    stored as neighbour keys on both elements (see GroupElement.links).
     """
     if bound < 0:
         raise CoxeterError("bound must be nonnegative")
     if max_elements is None:
-        max_elements = int(os.environ.get(_ENV_MAX_ELEMENTS, _DEFAULT_MAX_ELEMENTS))
+        max_elements = element_cap()
     k = system.num_generators
-    gens = [system.generator_matrix(i) for i in range(k)]
-    ident = GroupElement(mat_identity(k), 0, ())
+    ident = GroupElement(mat_identity(k), 0, (), [None] * k)
     index = {ident.key: ident}
+
+    def grow(key, parent, i):
+        nel = GroupElement(key, parent.length + 1, parent.word + (i,), [None] * k)
+        index[key] = nel
+        check_element_cap(len(index), "enumeration", max_elements)
+        return nel
+
     layers = [[ident]]
-    frontier = [ident]
-    for depth in range(1, bound + 1):
-        nxt = []
-        for el in frontier:
-            for i in range(k):
-                key = mat_mul(el.key, gens[i])
-                if key in index:
-                    continue
-                nel = GroupElement(key, depth, el.word + (i,))
-                index[key] = nel
-                nxt.append(nel)
-                if len(index) > max_elements:
-                    raise ResourceLimitError(
-                        "enumeration exceeded %d elements (set %s to raise the cap)"
-                        % (max_elements, _ENV_MAX_ELEMENTS)
-                    )
+    for _ in range(bound):
+        nxt = _link_layer(system, layers[-1], index, grow)
         if not nxt:
             break  # finite group exhausted
         layers.append(nxt)
-        frontier = nxt
     return ElementTable(system, bound, layers, index)
 
 
@@ -576,7 +662,6 @@ def length_and_word(system, key):
     any element table.  Uses the standard criterion: s_i is a left descent
     of w exactly when w^{-1}(alpha_i) is a negative root."""
     k = system.num_generators
-    gens = [system.generator_matrix(i) for i in range(k)]
     ident = mat_identity(k)
     word = []
     cur = key
@@ -590,8 +675,8 @@ def length_and_word(system, key):
             col = tuple(cur_inv[a][i] for a in range(k))
             if all(c <= 0 for c in col) and any(c < 0 for c in col):
                 word.append(i)
-                cur = mat_mul(gens[i], cur)
-                cur_inv = mat_mul(cur_inv, gens[i])
+                cur = system.left_reflect(cur, i)
+                cur_inv = system.right_reflect(cur_inv, i)
                 break
         else:
             raise CoxeterError("no descent found; matrix is not a group element")
@@ -615,7 +700,7 @@ def min_coset_reps(table, J, I, side="right"):
         ok = True
         for s in I:
             if side == "right":
-                other_key = table.right_multiply_key(el.key, s)
+                other_key = el.links[s]
             elif side == "left":
                 other_key = table.left_multiply_key(el.key, s)
             else:

@@ -125,16 +125,13 @@ def hecke_mul(table, x, y, q=None):
 def _mul_by_generator(table, state, s, q):
     new = {}
     qm1 = q - 1
+    index = table.index
     for key, c in state.items():
         w = table.element(key)
-        ws_key = table.right_multiply_key(key, s)
-        try:
-            ws = table.element(ws_key)
-        except OutOfTableError:
-            raise OutOfTableError(
-                "Hecke product support escapes the table bound %d" % table.bound
-            ) from None
-        if ws.length > w.length:
+        ws_key = w.links[s]
+        if ws_key is None:
+            raise OutOfTableError("Hecke product support escapes the table bound %d" % table.bound)
+        if index[ws_key].length > w.length:
             new[ws_key] = new[ws_key] + c if ws_key in new else c
         else:
             t1 = c * qm1
@@ -348,9 +345,8 @@ def check_word_products(rep, table, max_length=None):
             if el.length + 1 > max_length:
                 return True
             m = rep.image(table, el)
-            for s in range(table.system.num_generators):
-                key = table.right_multiply_key(el.key, s)
-                if key not in table.index:
+            for s, key in enumerate(el.links):
+                if key is None:
                     continue
                 other = table.element(key)
                 if other.length != el.length + 1:

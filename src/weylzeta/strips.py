@@ -45,8 +45,7 @@ def strip_generators(type_tag):
     system = cox.build_system(type_tag)
     out = []
     for idx, word in enumerate(_STRIP_WORDS[type_tag], start=1):
-        key = _word_key(system, word)
-        length, _ = cox.length_and_word(system, key)
+        length, _ = cox.length_and_word(system, system.word_key(word))
         if length != len(word):
             raise StripsError("strip word %r is not reduced" % (word,))
         out.append(StripSpec(type_tag, idx, word, length))
@@ -57,17 +56,8 @@ def unreplaced_strip_generator():
     """The raw first strip-stabilizer generator of G2t (the one whose
     powers fail length additivity, motivating the conjugated word)."""
     system = cox.build_system("G2t")
-    key = _word_key(system, _G2T_RAW_WORD)
-    length, _ = cox.length_and_word(system, key)
+    length, _ = cox.length_and_word(system, system.word_key(_G2T_RAW_WORD))
     return StripSpec("G2t", 1, _G2T_RAW_WORD, length)
-
-
-def _word_key(system, word):
-    k = system.num_generators
-    key = cox.mat_identity(k)
-    for i in word:
-        key = cox.mat_mul(key, system.generator_matrix(i))
-    return key
 
 
 @dataclass
@@ -96,7 +86,7 @@ def check_power_lengths(table, spec, k_max):
     from the descent walk on the matrix otherwise, so large k is fine.
     """
     system = table.system
-    base = _word_key(system, spec.word)
+    base = system.word_key(spec.word)
     key = cox.mat_identity(system.num_generators)
     report = PowerLengthReport(spec, k_max, True)
     for k in range(k_max + 1):

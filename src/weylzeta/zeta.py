@@ -469,7 +469,9 @@ class TorusQuotient:
     times the translation lattice, with the right-multiplication action.
 
     Chambers are labelled by (finite Weyl group part, translation part
-    mod k); there are exactly |W0| * k^2 of them.
+    mod k); there are exactly |W0| * k^2 of them.  That count is checked
+    against the element cap (WEYLZETA_MAX_ELEMENTS) before any chamber is
+    built.
     """
 
     def __init__(self, system, k, table=None):
@@ -485,6 +487,8 @@ class TorusQuotient:
         self._delta = system.delta
         self._setup_lattice()
         self._setup_weyl_section()
+        chambers = self.weyl_order * k * k
+        cox.check_element_cap(chambers, "torus quotient with %d chambers" % chambers)
         self._enumerate_chambers()
         self._build_generator_permutations()
         self.representation = TorusRepresentation(self)

@@ -159,7 +159,26 @@ def test_ihara_rejects_rational_q(tmp_path, capsys):
 def test_bad_option_values_report_structured_error(argv, word, capsys):
     status, out = run_cli(argv, capsys)
     assert status == 2
-    assert word in json.loads(out)["error"]
+    error = json.loads(out)
+    assert word in error["error"]
+    assert error["kind"] == "ValueError"
+    # text mode prints the message alone
+    status, out = run_cli(argv[:-2], capsys)
+    assert status == 2
+    assert out == "error: %s\n" % error["error"]
+
+
+def test_torus_over_chamber_cap_reports_resource_limit(capsys, monkeypatch):
+    # A2t at bound 24 has 901 elements; scale 13 needs 6 * 13^2 = 1014 chambers
+    monkeypatch.setenv("WEYLZETA_MAX_ELEMENTS", "1000")
+    status, out = run_cli(["torus", "--type", "A2t", "--scale", "13", "--format", "json"], capsys)
+    assert status == 2
+    error = json.loads(out)
+    assert error["kind"] == "ResourceLimitError"
+    assert "1014 chambers" in error["error"] and "WEYLZETA_MAX_ELEMENTS" in error["error"]
+    status, out = run_cli(["torus", "--type", "A2t", "--scale", "13"], capsys)
+    assert status == 2
+    assert out == "error: %s\n" % error["error"]
 
 
 def test_torus_subcommand(tmp_path, capsys):

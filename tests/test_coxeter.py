@@ -1,6 +1,11 @@
+import gc
 import itertools
+import tracemalloc
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylzeta import coxeter
 from weylzeta.coxeter import (
@@ -225,6 +230,7 @@ def test_table_export_import_roundtrip(tmp_path, tables):
     loaded = load_table(build_system("C2t"), str(path))
     assert loaded.layer_sizes() == t.layer_sizes()
     assert set(loaded.index) == set(t.index)
+    assert all(loaded.index[key].links == el.links for key, el in t.index.items())
     # malformed line rejected
     bad = path.read_text().splitlines()
     bad[3] = bad[3].replace("\t", " ", 1)
@@ -273,3 +279,81 @@ def test_load_table_rejects_tampered_word(tmp_path):
     lines[4] = "\t".join(parts)
     with pytest.raises(coxeter.CoxeterError):
         load_table(build_system("A2t"), lines)
+
+
+def test_load_table_rejects_missing_element(tmp_path):
+    t = enumerate_elements(build_system("A2t"), 3)
+    path = tmp_path / "t.tsv"
+    t.save(str(path))
+    lines = path.read_text().splitlines()
+    del lines[5]
+    with pytest.raises(coxeter.CoxeterError):
+        load_table(build_system("A2t"), lines)
+
+
+@pytest.mark.parametrize("tag,bound", [
+    ("A1t", 24), ("A2t", 24), ("C2t", 24), ("G2t", 24), ("F4", 24), ("E6", 8), ("B3", 8),
+])
+def test_links_are_the_cayley_graph(tag, bound):
+    system = build_system(tag)
+    t = enumerate_elements(system, bound)
+    if tag == "F4":
+        assert len(t) == 1152  # all of F4: its longest element has length 24
+    gens = [system.generator_matrix(i) for i in range(system.num_generators)]
+    for key, el in t.index.items():
+        for i, link in enumerate(el.links):
+            product = mat_mul(key, gens[i])
+            # None exactly for an ascent out of the bound layer
+            assert (link is None) == (el.length == t.bound and product not in t.index)
+            if link is None:
+                continue
+            assert link == product
+            other = t.index[link]
+            assert other.links[i] == key
+            assert abs(other.length - el.length) == 1
+
+
+KERNEL_TAGS = ("A1t", "A2t", "C2t", "G2t", "A1", "A4", "B3", "C3", "D4", "E6", "E7", "E8", "F4", "G2")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_TAGS), st.data())
+def test_reflection_kernels_match_mat_mul(tag, data):
+    system = build_system(tag)
+    k = system.num_generators
+    key = tuple(tuple(row) for row in data.draw(
+        st.lists(st.lists(st.integers(-50, 50), min_size=k, max_size=k), min_size=k, max_size=k)))
+    i = data.draw(st.integers(0, k - 1))
+    gen = system.generator_matrix(i)
+    assert system.right_reflect(key, i) == mat_mul(key, gen)
+    assert system.left_reflect(key, i) == mat_mul(gen, key)
+    word = data.draw(st.lists(st.integers(0, k - 1), max_size=8))
+    expected = mat_identity(k)
+    for j in word:
+        expected = mat_mul(expected, system.generator_matrix(j))
+    assert system.word_key(word) == expected
+
+
+def test_table_memory_is_small_and_freed_without_gc():
+    # Neighbour links are keys, so the elements form no reference cycle:
+    # with the collector off, dropping the table frees it and its elements
+    # at once.  What stays traced afterwards is only the interpreter's
+    # tuple free lists (a few hundred KB).
+    system = build_system("A2t")
+    enumerate_elements(system, 2)  # fill the system's kernel cache first
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        table = enumerate_elements(system, 60)
+        live = tracemalloc.get_traced_memory()[0]
+        ref = weakref.ref(table)
+        assert len(table) == 5491
+        del table
+        assert ref() is None
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert live < 5.3 * 2**20
+    assert retained < 2**20

@@ -197,6 +197,21 @@ def test_scale_below_two_rejected(tables):
         torus_quotient_rep(coxeter.build_system("A2t"), 1, tables["A2t"])
 
 
+def test_chamber_cap_stops_the_torus_before_its_bfs(tables, monkeypatch):
+    from weylzeta import zeta
+
+    system = coxeter.build_system("A2t")
+    monkeypatch.setenv("WEYLZETA_MAX_ELEMENTS", "24")
+    assert torus_quotient_rep(system, 2, tables["A2t"]).chamber_count() == 24  # at the cap
+
+    def no_chamber_bfs(self):
+        raise AssertionError("the chamber BFS ran over the cap")
+
+    monkeypatch.setattr(zeta.TorusQuotient, "_enumerate_chambers", no_chamber_bfs)
+    with pytest.raises(coxeter.ResourceLimitError, match="54 chambers.*WEYLZETA_MAX_ELEMENTS"):
+        torus_quotient_rep(system, 3, tables["A2t"])
+
+
 def test_rank_one_rejected():
     with pytest.raises(ZetaError):
         torus_quotient_rep(coxeter.build_system("A1t"), 2)
