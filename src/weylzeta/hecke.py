@@ -110,21 +110,22 @@ def hecke_mul(table, x, y, q=None):
     along a reduced word of each basis element of y."""
     if q is None:
         q = formal_q()
+    qm1 = q - 1
     out = {}
     for key_y, c_y in y.terms.items():
         v = table.element(key_y)
         state = dict(x.terms)
         for s in v.word:
-            state = _mul_by_generator(table, state, s, q)
+            state = _mul_by_generator(table, state, s, q, qm1)
         for k, c in state.items():
             t = c * c_y
             out[k] = out[k] + t if k in out else t
     return HeckeElement(table, out)
 
 
-def _mul_by_generator(table, state, s, q):
+def _mul_by_generator(table, state, s, q, qm1):
+    """state * T_s, with qm1 = q - 1 computed once by the caller."""
     new = {}
-    qm1 = q - 1
     index = table.index
     for key, c in state.items():
         w = table.element(key)

@@ -11,17 +11,19 @@ The torus representation holds only permutations; its dense chamber
 matrices (`image`, `action_matrix`) are uncached oracles for the tests
 and the generic consumers.
 
-numpy is used only as an exact integer fast path: int64 where an entry
-bound proves that no sum can wrap, Python ints otherwise.  All emitted
-values are ints, Fractions, or exact polynomials.
+W/kL acts regularly on the chambers, so tr P(w) is n or 0 and a trace
+of a matrix power series is n times one diagonal entry: the dual
+trace-log checks push a single chamber vector through the permutations
+of a ball of the group.  All arithmetic is in Python ints and Fractions;
+all emitted values are ints, Fractions, or exact polynomials.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import coxeter as cox
 from . import strips as strips_mod
@@ -38,37 +40,6 @@ from .series import (
 
 class ZetaError(Exception):
     pass
-
-
-def _np_int(mat):
-    """Integer matrix as int64, or as Python ints when an entry does not fit."""
-    try:
-        return np.array(mat, dtype=np.int64)
-    except OverflowError:
-        return np.array(mat, dtype=object)
-
-
-def _max_abs(arr):
-    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
-
-
-def _matmul_sum(pairs):
-    """Exact sum of the integer matrix products a @ b over nonempty pairs.
-
-    int64 is used only when the sum of max|a| * max|b| * (inner dim) is
-    below 2**63, which bounds every partial sum; otherwise the products are
-    taken in Python ints, so no entry ever wraps."""
-    bound = sum(_max_abs(a) * _max_abs(b) * a.shape[1] for a, b in pairs)
-    exact = bound >= 2 ** 63 or any(a.dtype == object or b.dtype == object for a, b in pairs)
-    out = None
-    for a, b in pairs:
-        prod = a.astype(object) @ b.astype(object) if exact else a @ b
-        out = prod if out is None else out + prod
-    return out
-
-
-def _trace(arr):
-    return sum(int(x) for x in arr.diagonal())
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +210,23 @@ def ihara_zeta(graph, order=16):
 
 
 def traces(rows, order):
-    """tr(B^n) for n = 1..order of an integer matrix given as rows or as an
-    ndarray, exact (int64 only where it cannot wrap)."""
-    if len(rows) == 0:
-        return [0] * order
-    b = _np_int(rows)
+    """tr(B^n) for n = 1..order of an exact matrix given as rows: each
+    power is the previous one times B over B's nonzero entries, in Python
+    ints (or Fractions), so no entry can wrap."""
+    sparse = [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+    cur = [dict(r) for r in sparse]
     out = []
-    cur = b
     for n in range(order):
-        out.append(_trace(cur))
+        out.append(sum(row.get(i, 0) for i, row in enumerate(cur)))
         if n + 1 < order:
-            cur = _matmul_sum([(cur, b)])
+            nxt = []
+            for row in cur:
+                acc = {}
+                for m, x in row.items():
+                    for j, y in sparse[m]:
+                        acc[j] = acc.get(j, 0) + x * y
+                nxt.append({j: v for j, v in acc.items() if v})
+            cur = nxt
     return out
 
 
@@ -394,11 +371,15 @@ class TorusRepresentation(Representation):
         return _perm_char_poly(perm, element.length)
 
     def det_series_hook(self, table, order):
-        """Trace-log determinant of the truncated twisted group sum,
-        through the exact integer fast path."""
-        perm_lengths = ((self.perm(table, el), d)
-                        for d in range(order + 1) for el in table.layers[d])
-        return _det_series_int(_perm_arrays(self.dim, perm_lengths, order), order)
+        """Trace-log determinant of the truncated twisted group sum by the
+        one-vector route: once the quotient has asserted that the ball of
+        radius `order` acts regularly (`TorusQuotient.assert_regular`),
+        tr(N^j) = n (N^j)_{c0 c0}, and one chamber vector is pushed
+        through the ball's permutations."""
+        self.quotient.assert_regular(order)
+        perm_lengths = [(self.perm(table, el), d)
+                        for d in range(1, order + 1) for el in table.layers[d]]
+        return _one_vector_det_series(perm_lengths, self.dim, order)
 
 
 def _perm_matrix(perm):
@@ -406,15 +387,36 @@ def _perm_matrix(perm):
     return Matrix(tuple(tuple(1 if perm[i] == j else 0 for j in range(n)) for i in range(n)))
 
 
-def _perm_arrays(n, perm_lengths, order):
-    """int64 coefficients of sum P u^l over (perm, l) pairs, up to u^order:
-    array l has entry (c, perm[c]) raised by one for each perm of length l."""
-    arrays = [np.zeros((n, n), dtype=np.int64) for _ in range(order + 1)]
-    rows = np.arange(n)
+def _fixed_points(perm):
+    return sum(map(operator.eq, perm, range(len(perm))))
+
+
+def _one_vector_det_series(perm_lengths, n, order):
+    """det(I + N) up to u^order for N = sum P u^l over (perm, l) pairs with
+    l >= 1, as exp of the trace of log.  Valid only when every product of
+    the permutations fixes no chamber or all n of them: then
+    tr(N^j) = n (N^j)_{00}, the chamber-0 entry of the row vector e_0 N^j,
+    which is held as one sparse {chamber: count} map per degree."""
+    by_length = [[] for _ in range(order + 1)]
     for perm, length in perm_lengths:
         if length <= order:
-            arrays[length][rows, np.array(perm, dtype=np.int64)] += 1
-    return arrays
+            by_length[length].append(perm)
+    vec = [{0: 1}] + [{} for _ in range(order)]
+    tr_log = [Fraction(0)] * (order + 1)
+    for j in range(1, order + 1):
+        nxt = [{} for _ in range(order + 1)]
+        for a in range(order):
+            for c, x in vec[a].items():
+                for length in range(1, order - a + 1):
+                    row = nxt[a + length]
+                    for perm in by_length[length]:
+                        t = perm[c]
+                        row[t] = row.get(t, 0) + x
+        vec = nxt
+        sign = 1 if j % 2 == 1 else -1
+        for d in range(j, order + 1):
+            tr_log[d] += Fraction(sign * n * vec[d].get(0, 0), j)
+    return _series_exp(tr_log, order)
 
 
 def _perm_cycles(perm):
@@ -434,34 +436,28 @@ def _perm_cycles(perm):
 
 
 def _perm_char_poly(perm, shift_power):
-    """det(I - P u^s) for a permutation: product of 1 - u^(s*len) over cycles."""
-    out = Poly.one()
-    for ln in _perm_cycles(perm):
-        d = ln * shift_power
-        out = out * Poly((1,) + (0,) * (d - 1) + (-1,))
-    return out
+    """det(I - P u^s) for a permutation: the product of (1 - u^d)^m over
+    its cycle type, d = s * len -> m cycles of that length."""
+    return _binomial_power_product(Counter(shift_power * ln for ln in _perm_cycles(perm)))
 
 
-def _det_series_int(coeff_arrays, order):
-    """det of an integer matrix power series with identity constant term,
-    as exp of the trace of log, with exact integer traces."""
-    n = coeff_arrays[0].shape[0]
-    if not np.array_equal(coeff_arrays[0], np.eye(n, dtype=np.int64)):
-        raise ZetaError("det series fast path needs identity constant term")
-    zero = np.zeros((n, n), dtype=np.int64)
-    nil = [zero] + list(coeff_arrays[1:order + 1])
-    tr_log = [Fraction(0)] * (order + 1)
-    power = [np.eye(n, dtype=np.int64)] + [zero] * order
-    for j in range(1, order + 1):
-        nxt = [zero]
-        for d in range(1, order + 1):
-            pairs = [(power[a], nil[d - a]) for a in range(d) if power[a].any() and nil[d - a].any()]
-            nxt.append(_matmul_sum(pairs) if pairs else zero)
-        power = nxt
-        sign = 1 if j % 2 == 1 else -1
-        for d in range(j, order + 1):
-            tr_log[d] += Fraction(sign * _trace(power[d]), j)
-    return _series_exp(tr_log, order)
+def _binomial_power_product(exponents):
+    """prod (1 - u^d)^m over a map d -> m >= 0: each factor is its binomial
+    expansion sum_j (-1)^j C(m, j) u^(d j), multiplied in sparsely."""
+    terms = {0: 1}
+    for d, m in sorted(exponents.items()):
+        binom = [1]
+        for j in range(m):
+            binom.append(-binom[-1] * (m - j) // (j + 1))
+        prod = {}
+        for a, x in terms.items():
+            for j, y in enumerate(binom):
+                prod[a + d * j] = prod.get(a + d * j, 0) + x * y
+        terms = {e: c for e, c in prod.items() if c}
+    coeffs = [0] * (max(terms) + 1)
+    for e, c in terms.items():
+        coeffs[e] = c
+    return Poly(coeffs)
 
 
 class TorusQuotient:
@@ -490,8 +486,8 @@ class TorusQuotient:
         chambers = self.weyl_order * k * k
         cox.check_element_cap(chambers, "torus quotient with %d chambers" % chambers)
         self._enumerate_chambers()
-        self._build_generator_permutations()
         self.representation = TorusRepresentation(self)
+        self._regular_radius = 0  # the identity alone acts as the identity
 
     # -- construction --------------------------------------------------------
 
@@ -589,39 +585,33 @@ class TorusQuotient:
         return (j, x % self.k, y % self.k)
 
     def _enumerate_chambers(self):
+        """Breadth-first search from the identity's chamber.  Each neighbour
+        label found on the way is an entry of a generator permutation:
+        links[i][c] is the chamber across panel i of chamber c."""
         start = self.table.identity.key
         labels = {self.label(start): 0}
         reps = [start]
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for key in frontier:
-                for i in range(self.system.num_generators):
-                    nk = self.table.right_multiply_key(key, i)
-                    lb = self.label(nk)
-                    if lb not in labels:
-                        labels[lb] = len(reps)
-                        reps.append(nk)
-                        nxt.append(nk)
-            frontier = nxt
+        gens = range(self.system.num_generators)
+        links = [[] for _ in gens]
+        for key in reps:  # reps grows while it is walked: the BFS queue
+            for i in gens:
+                nk = self.table.right_multiply_key(key, i)
+                lb = self.label(nk)
+                c = labels.get(lb)
+                if c is None:
+                    c = labels[lb] = len(reps)
+                    reps.append(nk)
+                links[i].append(c)
         if len(reps) != self.weyl_order * self.k * self.k:
             raise ZetaError(
                 "chamber count %d disagrees with |W0| k^2 = %d"
                 % (len(reps), self.weyl_order * self.k * self.k))
+        for perm in links:
+            if _fixed_points(perm):
+                raise ZetaError("panel gluing fixes a chamber; the action is not free")
         self.chambers = reps
         self._label_index = labels
-
-    def _build_generator_permutations(self):
-        perms = []
-        for i in range(self.system.num_generators):
-            perm = []
-            for key in self.chambers:
-                perm.append(self._label_index[self.label(self.table.right_multiply_key(key, i))])
-            perm = tuple(perm)
-            if any(perm[c] == c for c in range(len(perm))):
-                raise ZetaError("panel gluing fixes a chamber; the action is not free")
-            perms.append(perm)
-        self.generator_permutations = tuple(perms)
+        self.generator_permutations = tuple(tuple(p) for p in links)
 
     # -- operators -----------------------------------------------------------
 
@@ -633,11 +623,28 @@ class TorusQuotient:
     def chamber_count(self):
         return len(self.chambers)
 
+    def assert_regular(self, radius):
+        """Raise ZetaError unless every element of length at most `radius`
+        permutes the chambers without a fixed point or as the identity.
+        Then tr P(w) is 0 or n for every product that a trace-log
+        truncated at u^radius needs, since such products lie in the ball.
+        Each layer of the ball is checked once per quotient."""
+        n = len(self.chambers)
+        rep = self.representation
+        for d in range(self._regular_radius + 1, radius + 1):
+            for el in self.table.layers[d]:
+                fixed = _fixed_points(rep.perm(self.table, el))
+                if 0 < fixed < n:
+                    raise ZetaError("the action is not regular: w = %s fixes %d of %d chambers"
+                                    % ("".join(str(s) for s in el.word), fixed, n))
+            self._regular_radius = d
+
     # -- exact block determinants ---------------------------------------------
 
     def block_det(self, perm_len_keys, dual_check_order=4):
         """Exact determinant of sum_w rho(e_w) u^l(w) over a finite element
-        set, as a product of per-orbit integer determinants.
+        set, given as (permutation, length, key) triples, as a product of
+        per-orbit integer determinants.
 
         The operator maps the span of each orbit of the chambers under the
         element permutations to itself.  Inside a finite parabolic W_J the
@@ -645,7 +652,9 @@ class TorusQuotient:
         are labelled breadth first from their least chamber and their
         blocks are cached by content, so equal blocks cost one determinant.
 
-        Cross-checked against the truncated trace-log determinant."""
+        Cross-checked up to u^dual_check_order, when the set holds the
+        identity, against the one-vector trace-log of the elements named by
+        the keys, after `assert_regular(dual_check_order)`."""
         n = len(self.chambers)
         pos = {}  # chamber -> index inside its orbit
         blocks = {}
@@ -673,11 +682,15 @@ class TorusQuotient:
             for (i, j, length), count in cells:
                 rows[i][j] = rows[i][j] + Poly.u(length, count)
             det = det * det_poly_matrix(rows) ** mult
-        # independent truncated route
-        arrays = _perm_arrays(n, ((perm, length) for perm, length, _key in perm_len_keys),
-                              dual_check_order)
-        if np.array_equal(arrays[0], np.eye(n, dtype=np.int64)):
-            if not (_det_series_int(arrays, dual_check_order) == det.truncate(dual_check_order)):
+        # independent truncated route, from the keys alone
+        elements = [self.table.element(key) for _perm, _length, key in perm_len_keys]
+        if [el.length for el in elements].count(0) == 1:
+            self.assert_regular(dual_check_order)
+            rep = self.representation
+            perm_lengths = [(rep.perm(self.table, el), el.length)
+                            for el in elements if 0 < el.length <= dual_check_order]
+            truncated = _one_vector_det_series(perm_lengths, n, dual_check_order)
+            if not (truncated == det.truncate(dual_check_order)):
                 raise ZetaError("orbit-block determinant failed the trace-log cross-check")
         return det
 
@@ -782,10 +795,15 @@ def closed_strip_counts(tq, spec, n_max):
 
 
 def operator_strip_counts(tq, spec, n_max):
-    """tr(A_w^n) for the strip operator, through integer matrix powers."""
-    el = tq.table.element_of_word(spec.word)
-    perm = tq.representation.perm(tq.table, el)
-    return traces(_perm_arrays(len(perm), [(perm, 0)], 0)[0], n_max)
+    """tr(A_w^m) for m = 1..n_max: the fixed points of the m-th power of
+    the strip operator's chamber permutation, one composition per power."""
+    perm = tq.representation.perm(tq.table, tq.table.element_of_word(spec.word))
+    counts = []
+    power = perm
+    for _ in range(n_max):
+        counts.append(_fixed_points(power))
+        power = [perm[c] for c in power]
+    return counts
 
 
 @dataclass

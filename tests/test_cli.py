@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -270,3 +272,13 @@ def test_help_renders(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     assert "weylzeta" in capsys.readouterr().out
+
+
+def test_import_does_not_load_numpy():
+    # start-up guard: the package and its CLI run on Python ints alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, weylzeta, weylzeta.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -288,6 +288,22 @@ def test_cycle_type_char_poly_matches_dense(perm, shift):
     assert _perm_char_poly(perm, shift) == char_matrix_det(_perm_matrix(perm), shift)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 12)), min_size=1, max_size=3),
+       st.integers(1, 4))
+def test_sparse_char_poly_matches_naive_product(cycle_groups, shift):
+    # many equal cycles: the grouped binomial product against one
+    # (1 - u^d) factor per cycle
+    perm, naive = [], Poly.one()
+    for length, count in cycle_groups:
+        for _ in range(count):
+            start = len(perm)
+            perm.extend(start + (i + 1) % length for i in range(length))
+            d = shift * length
+            naive = naive * Poly((1,) + (0,) * (d - 1) + (-1,))
+    assert _perm_char_poly(tuple(perm), shift) == naive
+
+
 def test_torus_strip_routes_stay_small(tables):
     # G2t at k = 8 has 768 chambers: one dense chamber matrix of tuples is
     # about 4.7 MB, the generator permutations a few kB each
@@ -326,6 +342,26 @@ def test_torus_routes_build_no_dense_matrix(tables, monkeypatch):
     assert n not in sizes
     tq.action_matrix(tq.table.identity)
     assert sizes[-1] == n
+
+
+def test_strip_routes_at_scale_6_stay_small(tables):
+    # G2t at k = 6: 432 chambers, strip cycles of length 12, so the counts
+    # up to 24 see two nonzero powers; fixed points of permutation powers,
+    # the generator walk and the cycle type must agree
+    tracemalloc.start()
+    try:
+        tq = torus_quotient_rep(coxeter.build_system("G2t"), 6, tables["G2t"])
+        for spec in strips.strip_generators("G2t"):
+            op = operator_strip_counts(tq, spec, 24)
+            assert op == closed_strip_counts(tq, spec, 24), spec.index
+            el = tq.table.element_of_word(spec.word)
+            assert op == _perm_zeta(tq.representation.perm(tq.table, el), 24).closed_counts
+            assert any(op), spec.index
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tq.chamber_count() == 432
+    assert peak < 3 * 2 ** 20, peak
 
 
 def test_strip_traces_match_geometric_counts(torus_k2):
@@ -388,6 +424,35 @@ def test_dual_route_full_group_det(torus_k2):
     generic = det_series(twisted_group_sum(rep, tq.table, 5))
     fast = rep.det_series_hook(tq.table, 5)
     assert generic == fast
+
+
+@pytest.mark.parametrize("tag,k", [("A2t", 2), ("C2t", 2), ("G2t", 2), ("A2t", 3)],
+                         ids=["A2t-k2", "C2t-k2", "G2t-k2", "A2t-k3"])
+def test_one_vector_det_series_matches_dense_oracle(tables, tag, k):
+    # the one-vector trace-log against det_series of the dense group sum
+    from weylzeta.series import det_series
+    from weylzeta.strips import twisted_group_sum
+
+    t = tables[tag]
+    tq = torus_quotient_rep(coxeter.build_system(tag), k, t)
+    rep = tq.representation
+    assert rep.det_series_hook(t, 6) == det_series(twisted_group_sum(rep, t, 6))
+
+
+def test_regularity_assertion_rejects_a_fixed_chamber(tables):
+    # one ball permutation that fixes some chambers but not all: both
+    # one-vector routes must refuse it rather than return n * (N^j)_00
+    t = tables["A2t"]
+    tq = torus_quotient_rep(coxeter.build_system("A2t"), 2, t)
+    rep = tq.representation
+    n = tq.chamber_count()
+    el = t.layers[2][0]
+    rep._perm_cache[el.key] = (1, 0) + tuple(range(2, n))
+    with pytest.raises(ZetaError, match="not regular"):
+        rep.det_series_hook(t, 4)
+    els = t.parabolic_elements((0, 1))
+    with pytest.raises(ZetaError, match="not regular"):
+        tq.block_det([(rep.perm(t, w), w.length, w.key) for w in els])
 
 
 def test_cyclic_entry_rationals_match_truncation(torus_k2):
