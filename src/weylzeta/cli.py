@@ -127,6 +127,8 @@ def cmd_det_identity(config):
     lines = ["type: %s" % config.type_tag]
     for r in results:
         lines.append("%-24s pass=%s  alt_det=%s" % (r["representation"], r["pass"], r["alt_det"]))
+        if "witness" in r:
+            lines.append("witness: %s" % json.dumps(_jsonable(r["witness"]), sort_keys=True))
     lines.append("all pass: %s" % ok)
     return (0 if ok else 1), lines, {"type": config.type_tag, "pass": ok, "results": results}
 

@@ -253,15 +253,21 @@ class Representation:
         return walk_word(table, element, self._cache, lambda m, s: m * self.gen_images[s])
 
     # exact determinant routes used by the identity verifiers; dense here,
-    # overridden by representations with a faster exact route
+    # overridden by representations with a faster exact route.  A factor
+    # is a value the verifiers multiply, divide and compare: here a
+    # RationalFunction.
 
-    def finite_det_hook(self, table, elements):
+    def finite_det_factor(self, table, elements):
         """det of sum rho(e_w) u^l(w) over a finite element set."""
-        return FiniteTwistedSeries(self, elements, table).det()
+        return RationalFunction(FiniteTwistedSeries(self, elements, table).det())
 
     def cyclic_det_hook(self, table, element):
         """det(I - rho(e_w) u^l(w)) as an exact polynomial."""
         return char_matrix_det(self.image(table, element), element.length)
+
+    def cyclic_det_factor(self, table, element):
+        """cyclic_det_hook as a factor of the determinant identity."""
+        return RationalFunction(self.cyclic_det_hook(table, element))
 
     def det_series_hook(self, table, order):
         """Trace-log determinant of the truncated twisted group sum."""

@@ -644,7 +644,8 @@ class RationalFunction:
     Normalised so that den(0) == 1, and not reduced: equality is tested by
     cross multiplication, exact over any integral coefficient domain.
     Products of (1-u^d)^m factors are read as exponent maps and put in
-    lowest terms without a gcd (binomial_factors, binomial_product).
+    lowest terms without a gcd (binomial_factors, binomial_product); a
+    value known as such a product from the start is an ExponentMap.
     """
 
     __slots__ = ("num", "den")
@@ -789,16 +790,165 @@ class RationalFunction:
         facs = self.binomial_factors()
         if facs is None:
             return "(%s) / (%s)" % (self.num, self.den)
+        return _format_binomial_factors(facs)
 
-        def side(sign):
-            return "".join(
-                ("(1-u^%d)" % d if d > 1 else "(1-u)") + ("^%d" % abs(m) if abs(m) > 1 else "")
-                for d, m in facs
-                if m * sign > 0
-            )
 
-        downs = side(-1)
-        return (side(1) or "1") + (" / " + downs if downs else "")
+def _format_binomial_factors(facs):
+    """Product form of sorted (d, m) pairs: (1-u^d)^m numerator factors
+    over the denominator ones."""
+    def side(sign):
+        return "".join(
+            ("(1-u^%d)" % d if d > 1 else "(1-u)") + ("^%d" % abs(m) if abs(m) > 1 else "")
+            for d, m in facs
+            if m * sign > 0
+        )
+
+    downs = side(-1)
+    return (side(1) or "1") + (" / " + downs if downs else "")
+
+
+def _add_exponents(a, b):
+    out = dict(a)
+    for key, m in b.items():
+        out[key] = out.get(key, 0) + m
+    return out
+
+
+class ExponentMap:
+    """prod (1-u^d)^m over an exponent map d -> m, times prod p^k over
+    residual polynomials p that did not peel into such factors.
+
+    The 1-u^d are multiplicatively independent, so the map is the
+    canonical form of a binomial product: products and quotients add and
+    subtract maps, and equality compares them.  Only a residual falls
+    back to cross-multiplication.  `rational`, `expand`, `as_polynomial`
+    and `str` are for output and the truncated cross-checks; `str` reads
+    the map, with no peel.
+    """
+
+    __slots__ = ("exponents", "residual")
+
+    def __init__(self, exponents=(), residual=()):
+        self.exponents = {d: m for d, m in dict(exponents).items() if m}
+        if any(not isinstance(d, int) or d < 1 for d in self.exponents):
+            raise SeriesError("exponent map degrees must be positive integers")
+        self.residual = {p: k for p, k in dict(residual).items() if k}
+
+    @staticmethod
+    def of_poly(poly, mult=1):
+        """poly ** mult, by its exponent map when the exact peel finds one;
+        otherwise poly stays as a residual factor."""
+        factors = RationalFunction(poly).binomial_factors()
+        if factors is None:
+            return ExponentMap(residual={poly: mult})
+        return ExponentMap({d: m * mult for d, m in factors})
+
+    def __mul__(self, other):
+        if not isinstance(other, ExponentMap):
+            return NotImplemented
+        return ExponentMap(_add_exponents(self.exponents, other.exponents),
+                           _add_exponents(self.residual, other.residual))
+
+    def inverse(self):
+        return ExponentMap({d: -m for d, m in self.exponents.items()},
+                           {p: -k for p, k in self.residual.items()})
+
+    def __truediv__(self, other):
+        if not isinstance(other, ExponentMap):
+            return NotImplemented
+        return self * other.inverse()
+
+    def __eq__(self, other):
+        if not isinstance(other, ExponentMap):
+            return NotImplemented
+        quotient = self / other
+        if not quotient.residual:
+            return not quotient.exponents
+        rf = quotient.rational()
+        return rf.num == rf.den
+
+    # equal values can carry different residuals, so no hash
+    __hash__ = None
+
+    def first_difference(self, other):
+        """The least d whose exponent differs between the two maps, or None."""
+        keys = self.exponents.keys() | other.exponents.keys()
+        return min((d for d in keys if self.exponents.get(d, 0) != other.exponents.get(d, 0)),
+                   default=None)
+
+    def substitute_power(self, m):
+        """The product at u^m."""
+        if m < 1:
+            raise SeriesError("substitution power must be positive")
+        return ExponentMap({d * m: e for d, e in self.exponents.items()},
+                           {p.substitute_power(m): k for p, k in self.residual.items()})
+
+    def expand(self, order):
+        """Power series to u^order: the binomial series of the map, times
+        the truncated residual factors."""
+        series = PowerSeries(_dense(_binomial_series(self.exponents, order), order + 1), order)
+        for p, k in self.residual.items():
+            factor = p.truncate(order)
+            if k < 0:
+                factor = factor.inverse()
+            for _ in range(abs(k)):
+                series = series * factor
+        return series
+
+    def as_polynomial(self):
+        """The product as a polynomial; every exponent must be positive."""
+        if any(m < 0 for m in self.exponents.values()) or any(k < 0 for k in self.residual.values()):
+            raise SeriesError("not a polynomial: %r" % (self,))
+        top = sum(d * m for d, m in self.exponents.items())
+        out = Poly(_dense(_binomial_series(self.exponents, top), top + 1))
+        for p, k in self.residual.items():
+            out = out * p ** k
+        return out
+
+    def rational(self):
+        """Unreduced num/den: the positive factors expanded sparsely into
+        num, the negative ones into den."""
+        num = ExponentMap({d: m for d, m in self.exponents.items() if m > 0},
+                          {p: k for p, k in self.residual.items() if k > 0})
+        return RationalFunction(num.as_polynomial(), (num / self).as_polynomial())
+
+    def __repr__(self):
+        return "ExponentMap(%r, %r)" % (self.exponents, self.residual)
+
+    def __str__(self):
+        if self.residual:
+            return str(self.rational())
+        return _format_binomial_factors(sorted(self.exponents.items()))
+
+
+def _binomial_series(exponents, top):
+    """prod (1-u^d)^m over a map d -> m, up to u^top, as a sparse {e: c}
+    map.  Each factor is its binomial series sum_j (-1)^j C(m, j) u^(d j),
+    for either sign of m (it ends at j = m when m >= 0), multiplied in
+    over the nonzero terms only."""
+    terms = {0: 1}
+    for d, m in sorted(exponents.items()):
+        binom, c = [], 1
+        for j in range(top // d + 1):
+            if not c:
+                break
+            binom.append((d * j, c))
+            c = c * (j - m) // (j + 1)
+        prod = {}
+        for a, x in terms.items():
+            for s, y in binom:
+                if a + s > top:
+                    break
+                prod[a + s] = prod.get(a + s, 0) + x * y
+        terms = {e: c for e, c in prod.items() if c}
+    return terms
+
+
+def _dense(terms, length):
+    coeffs = [0] * length
+    for e, c in terms.items():
+        coeffs[e] = c
+    return coeffs
 
 
 @lru_cache(maxsize=None)

@@ -6,11 +6,13 @@ the two strip factors to the alternating product of parabolic series.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import coxeter as cox
 from .hecke import CyclicTwistedSeries, FiniteTwistedSeries, twisted_group_sum
-from .series import Poly, RationalFunction, poincare_affine
+from .series import ExponentMap, RationalFunction, poincare_affine
 
 
 class StripsError(Exception):
@@ -314,69 +316,101 @@ class DetIdentityReport:
     type_tag: str
     ok: bool
     strip_dets: list
-    alt_det: RationalFunction
+    alt_det: RationalFunction | ExponentMap
     dual_check_order: int
     dual_check_ok: bool
+    witness: dict = None  # None on a pass
 
     def as_json(self):
-        return {
+        out = {
             "type": self.type_tag,
             "pass": bool(self.ok),
             "strip_det_inverses": [str(p) for p in self.strip_dets],
             "alt_det": str(self.alt_det),
             "dual_check": {"order": self.dual_check_order, "pass": bool(self.dual_check_ok)},
         }
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
 
 
 def verify_determinant_identity(system, rep, table=None, dual_check_order=None):
     """Exact check that the product of the two inverse strip determinants
     equals the alternating product of twisted parabolic determinants.
 
-    The full-group factor of the alternating product is obtained through
-    the length-preserving factorization; as an independent route its
-    truncated expansion is compared with the trace-log determinant of the
-    truncated group series.
+    Each determinant is a factor of the representation: a RationalFunction
+    for a dense representation, an ExponentMap on the torus, where the
+    products and the comparison are sums and comparisons of maps.  The
+    full-group factor of the alternating product is obtained through the
+    length-preserving factorization; as an independent route its truncated
+    expansion is compared with the trace-log determinant of the truncated
+    group series.  A failure records a witness: the check that failed, the
+    first degree where its two sides differ (for the identity, the first d
+    whose (1-u^d) exponents differ, when both sides are maps), and the
+    form of each factor.
     """
     if system.type_tag not in _STRIP_WORDS:
         raise StripsError("determinant identity applies to rank-2 affine types")
     if table is None:
         table = cox.enumerate_elements(system, cox.DEFAULT_BOUND)
     scheme = scheme_for(system.type_tag)
-    factors = realize_factors(table, scheme)
-    factor_dets = [
-        (kind, rep.finite_det_hook(table, data) if kind == "finite"
-         else rep.cyclic_det_hook(table, data))
-        for kind, data in factors
+    named = [
+        ("factor %d (%s)" % (i, kind), kind, rep.finite_det_factor(table, data) if kind == "finite"
+         else rep.cyclic_det_factor(table, data))
+        for i, (kind, data) in enumerate(realize_factors(table, scheme), start=1)
     ]
 
     # determinants of the two cyclic strip factors: det(I - A_i u^{l_i})
-    strip_dets = [det for kind, det in factor_dets if kind == "cyclic"]
-    lhs = RationalFunction(Poly.one())
-    for p in strip_dets:
-        lhs = lhs / RationalFunction(p)
+    strip_factors = [det for _name, kind, det in named if kind == "cyclic"]
+    strip_dets = [det.as_polynomial() for det in strip_factors]
+    lhs = reduce(operator.mul, strip_factors).inverse()
 
     # det of the full-group twisted series, through the factorization
-    det_full = RationalFunction(Poly.one())
-    for kind, det in factor_dets:
-        if kind == "finite":
-            det_full = det_full * RationalFunction(det)
-        else:
-            det_full = det_full / RationalFunction(det)
+    det_full = reduce(operator.mul, (det if kind == "finite" else det.inverse()
+                                     for _name, kind, det in named))
 
     # independent truncated route for the full-group determinant
     if dual_check_order is None:
         dual_check_order = 8 if rep.dim <= 8 else 6
     truncated = rep.det_series_hook(table, dual_check_order)
-    dual_ok = truncated == det_full.expand(dual_check_order)
+    expanded = det_full.expand(dual_check_order)
+    dual_ok = truncated == expanded
 
-    # alternating product over all parabolic subsets
+    # alternating product over all parabolic subsets; the full subset,
+    # det_full, enters with exponent +1
     k = system.num_generators
-    alt = RationalFunction(Poly.one())
+    alt = det_full
     for subset in cox.all_proper_subsets(k):
-        exponent = (-1) ** (len(subset) + k)
-        d_i = RationalFunction(rep.finite_det_hook(table, table.parabolic_elements(subset)))
-        alt = alt * (d_i if exponent == 1 else d_i.inverse())
-    alt = alt * det_full  # the full subset enters with exponent +1
+        d_i = rep.finite_det_factor(table, table.parabolic_elements(subset))
+        named.append(("parabolic {%s}" % ",".join(str(i + 1) for i in subset), "finite", d_i))
+        alt = alt * (d_i if (len(subset) + k) % 2 == 0 else d_i.inverse())
 
-    ok = dual_ok and (lhs == alt)
-    return DetIdentityReport(system.type_tag, ok, strip_dets, alt, dual_check_order, dual_ok)
+    identity_ok = lhs == alt
+    witness = None
+    if not dual_ok:
+        degree = next(d for d in range(dual_check_order + 1)
+                      if truncated.coeffs[d] != expanded.coeffs[d])
+        witness = {"check": "dual", "degree": degree,
+                   "lhs": str(truncated.coeffs[degree]), "rhs": str(expanded.coeffs[degree])}
+    elif not identity_ok:
+        witness = _identity_witness(lhs, alt)
+    if witness is not None:
+        witness["factors"] = [{"factor": name, "form": _factor_form(det)} for name, _kind, det in named]
+    return DetIdentityReport(system.type_tag, dual_ok and identity_ok, strip_dets, alt,
+                             dual_check_order, dual_ok, witness)
+
+
+def _identity_witness(lhs, alt):
+    """The first d whose (1-u^d) exponents differ, when both sides are
+    plain exponent maps; no degree otherwise."""
+    if isinstance(alt, ExponentMap) and not (lhs.residual or alt.residual):
+        degree = lhs.first_difference(alt)
+        return {"check": "identity", "degree": degree,
+                "lhs": lhs.exponents.get(degree, 0), "rhs": alt.exponents.get(degree, 0)}
+    return {"check": "identity", "degree": None}
+
+
+def _factor_form(det):
+    if not isinstance(det, ExponentMap):
+        return "rational function"
+    return "exponent map with residual" if det.residual else "exponent map"

@@ -7,6 +7,9 @@ On the torus every operator is a permutation of chambers, so each
 determinant has one exact integer route: a finite factor splits into
 blocks over the orbits of its element permutations, and a strip factor
 det(I - P u^l) is the product of 1 - u^(l * len) over the cycles of P.
+Both come out as exponent maps d -> m (`series.ExponentMap`), and the
+identity checkers multiply and compare maps; a polynomial is expanded
+from a map only for output.
 The torus representation holds only permutations; its dense chamber
 matrices (`image`, `action_matrix`) are uncached oracles for the tests
 and the generic consumers.
@@ -29,6 +32,7 @@ from . import coxeter as cox
 from . import strips as strips_mod
 from .hecke import Representation, walk_word
 from .series import (
+    ExponentMap,
     Matrix,
     Poly,
     PowerSeries,
@@ -363,12 +367,15 @@ class TorusRepresentation(Representation):
 
     # exact permutation routes for the identity verifiers --------------------
 
-    def finite_det_hook(self, table, elements):
+    def finite_det_factor(self, table, elements):
         return self.quotient.block_det([(self.perm(table, el), el.length, el.key) for el in elements])
 
+    def cyclic_det_factor(self, table, element):
+        """det(I - P u^l) as the exponent map of P's cycle type."""
+        return _cycle_type_map(self.perm(table, element), element.length)
+
     def cyclic_det_hook(self, table, element):
-        perm = self.perm(table, element)
-        return _perm_char_poly(perm, element.length)
+        return self.cyclic_det_factor(table, element).as_polynomial()
 
     def det_series_hook(self, table, order):
         """Trace-log determinant of the truncated twisted group sum by the
@@ -435,29 +442,15 @@ def _perm_cycles(perm):
     return out
 
 
+def _cycle_type_map(perm, shift_power):
+    """det(I - P u^s) for a permutation: the exponent map of the product
+    of (1 - u^d)^m over its cycle type, d = s * len -> m cycles of that
+    length."""
+    return ExponentMap(Counter(shift_power * ln for ln in _perm_cycles(perm)))
+
+
 def _perm_char_poly(perm, shift_power):
-    """det(I - P u^s) for a permutation: the product of (1 - u^d)^m over
-    its cycle type, d = s * len -> m cycles of that length."""
-    return _binomial_power_product(Counter(shift_power * ln for ln in _perm_cycles(perm)))
-
-
-def _binomial_power_product(exponents):
-    """prod (1 - u^d)^m over a map d -> m >= 0: each factor is its binomial
-    expansion sum_j (-1)^j C(m, j) u^(d j), multiplied in sparsely."""
-    terms = {0: 1}
-    for d, m in sorted(exponents.items()):
-        binom = [1]
-        for j in range(m):
-            binom.append(-binom[-1] * (m - j) // (j + 1))
-        prod = {}
-        for a, x in terms.items():
-            for j, y in enumerate(binom):
-                prod[a + d * j] = prod.get(a + d * j, 0) + x * y
-        terms = {e: c for e, c in prod.items() if c}
-    coeffs = [0] * (max(terms) + 1)
-    for e, c in terms.items():
-        coeffs[e] = c
-    return Poly(coeffs)
+    return _cycle_type_map(perm, shift_power).as_polynomial()
 
 
 class TorusQuotient:
@@ -643,18 +636,22 @@ class TorusQuotient:
 
     def block_det(self, perm_len_keys, dual_check_order=4):
         """Exact determinant of sum_w rho(e_w) u^l(w) over a finite element
-        set, given as (permutation, length, key) triples, as a product of
-        per-orbit integer determinants.
+        set, given as (permutation, length, key) triples, as an ExponentMap:
+        the product of per-orbit integer determinants.
 
         The operator maps the span of each orbit of the chambers under the
         element permutations to itself.  Inside a finite parabolic W_J the
         action is free, so each orbit has at most |W_J| chambers.  Orbits
         are labelled breadth first from their least chamber and their
-        blocks are cached by content, so equal blocks cost one determinant.
+        blocks are counted by content.  Each distinct block's determinant
+        is computed once and peeled into its exponent map, which enters
+        times the block's multiplicity; a block that does not peel stays
+        as a residual (polynomial, multiplicity) pair.
 
         Cross-checked up to u^dual_check_order, when the set holds the
         identity, against the one-vector trace-log of the elements named by
-        the keys, after `assert_regular(dual_check_order)`."""
+        the keys, after `assert_regular(dual_check_order)`: the map's own
+        truncated expansion must equal it."""
         n = len(self.chambers)
         pos = {}  # chamber -> index inside its orbit
         blocks = {}
@@ -676,12 +673,12 @@ class TorusQuotient:
                     cells[cell] = cells.get(cell, 0) + 1
             content = (len(orbit), tuple(sorted(cells.items())))
             blocks[content] = blocks.get(content, 0) + 1
-        det = Poly.one()
+        det = ExponentMap()
         for (size, cells), mult in blocks.items():
             rows = [[Poly.zero()] * size for _ in range(size)]
             for (i, j, length), count in cells:
                 rows[i][j] = rows[i][j] + Poly.u(length, count)
-            det = det * det_poly_matrix(rows) ** mult
+            det = det * ExponentMap.of_poly(det_poly_matrix(rows), mult)
         # independent truncated route, from the keys alone
         elements = [self.table.element(key) for _perm, _length, key in perm_len_keys]
         if [el.length for el in elements].count(0) == 1:
@@ -690,7 +687,7 @@ class TorusQuotient:
             perm_lengths = [(rep.perm(self.table, el), el.length)
                             for el in elements if 0 < el.length <= dual_check_order]
             truncated = _one_vector_det_series(perm_lengths, n, dual_check_order)
-            if not (truncated == det.truncate(dual_check_order)):
+            if not (truncated == det.expand(dual_check_order)):
                 raise ZetaError("orbit-block determinant failed the trace-log cross-check")
         return det
 
@@ -814,7 +811,7 @@ class StripZetaIdentityReport:
     det_identity_ok: bool
     zeta_match_ok: bool
     trace_match_ok: bool
-    alt_det: RationalFunction
+    alt_det: ExponentMap
     strip_zetas: list
 
     def as_json(self):
@@ -832,7 +829,9 @@ class StripZetaIdentityReport:
 def verify_strip_zeta_identity(tq, trace_order=6):
     """The geometric determinant identity on the torus: the alternating
     product of twisted parabolic determinants equals the product of the
-    two strip zeta functions evaluated at u^(strip length).
+    two strip zeta functions evaluated at u^(strip length).  Both sides
+    are exponent maps: a strip zeta is the inverse of its permutation's
+    cycle-type map, and u -> u^l multiplies each d by l.
 
     Also checks that operator traces match the independent geometric
     strip counts up to trace_order."""
@@ -841,13 +840,13 @@ def verify_strip_zeta_identity(tq, trace_order=6):
     det_report = strips_mod.verify_determinant_identity(system, rep, tq.table)
     specs = strips_mod.strip_generators(system.type_tag)
     zetas = []
-    product = RationalFunction(Poly.one())
+    product = ExponentMap()
     trace_ok = True
     for spec in specs:
-        el = tq.table.element_of_word(spec.word)
-        zr = _perm_zeta(rep.perm(tq.table, el), trace_order * spec.length)
+        perm = rep.perm(tq.table, tq.table.element_of_word(spec.word))
+        zr = _perm_zeta(perm, trace_order * spec.length)
         zetas.append(zr)
-        product = product * zr.zeta.substitute_power(spec.length)
+        product = product / _cycle_type_map(perm, 1).substitute_power(spec.length)
         geo = closed_strip_counts(tq, spec, trace_order)
         op = operator_strip_counts(tq, spec, trace_order)
         if geo != op or geo != zr.closed_counts[:trace_order]:

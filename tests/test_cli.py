@@ -209,6 +209,10 @@ GOLDEN_LINES = {
     "alt_C2t.json": "alt --type C2t --format json",
     "poincare_E8_trunc4.txt": "poincare --type E8 --trunc 4",
     "det_identity_A2t_q2.txt": "det-identity --type A2t --q 2",
+    # recorded from the dense-product route, which took about 10 s a line
+    "det_identity_G2t_torus6.txt": "det-identity --type G2t --q torus --scale 6",
+    "det_identity_G2t_torus6.json": "det-identity --type G2t --q torus --scale 6 --format json",
+    "torus_G2t_scale6.txt": "torus --type G2t --scale 6",
 }
 
 
@@ -221,6 +225,30 @@ def test_outputs_match_golden(name, tmp_path, capsys):
     assert status == 0
     with open(os.path.join(GOLDEN_DIR, name)) as fh:
         assert out == fh.read()
+
+
+def test_det_identity_failure_reports_witness(capsys, monkeypatch):
+    # one wrong parabolic factor: exit 1, and the witness in text and JSON
+    from weylzeta.series import ExponentMap
+    from weylzeta.zeta import TorusRepresentation
+
+    orig = TorusRepresentation.finite_det_factor
+
+    def wrong(self, table, elements):
+        out = orig(self, table, elements)
+        return out * ExponentMap({7: 1}) if [el.word for el in elements] == [(), (0,)] else out
+
+    monkeypatch.setattr(TorusRepresentation, "finite_det_factor", wrong)
+    argv = ["det-identity", "--type", "A2t", "--q", "torus", "--scale", "2"]
+    status, out = run_cli(argv + ["--format", "json"], capsys)
+    assert status == 1
+    obj = json.loads(out)
+    check_schema(obj, load_schema("det_identity.json"))
+    witness = obj["results"][0]["witness"]
+    assert (witness["check"], witness["degree"]) == ("identity", 7)
+    status, out = run_cli(argv, capsys)
+    assert status == 1
+    assert out.splitlines()[2] == "witness: %s" % json.dumps(witness, sort_keys=True)
 
 
 def test_bad_type_exits_nonzero(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from weylzeta import coxeter
 from weylzeta.series import (
+    ExponentMap,
     Matrix,
     Poly,
     PowerSeries,
@@ -120,6 +121,56 @@ def test_binomial_factors_peel_unreduced_products(factors, a, b):
     assert RationalFunction(num * Poly((1, 2)), den).binomial_factors() is None
     low = binomial_product(factors)
     assert low.num * den == num * low.den
+
+
+@settings(max_examples=80, deadline=None)
+@given(exponent_maps, exponent_maps)
+def test_exponent_maps_match_rational_functions(a, b):
+    # map products, quotients, equality and truncation against the lowest
+    # terms of binomial_product with RationalFunction cross-multiplication
+    ma, mb = ExponentMap(a), ExponentMap(b)
+    ra, rb = binomial_product(a), binomial_product(b)
+    assert (ma * mb).rational() == ra * rb
+    assert (ma / mb).rational() == ra / rb
+    assert (ma == mb) == (ra == rb) == (a == b)
+    assert ma.expand(20) == ra.expand(20)
+    assert str(ma) == str(ra)
+    assert ma.substitute_power(2).rational() == ra.substitute_power(2)
+    if all(m > 0 for m in a.values()):
+        assert ma.as_polynomial() == ra.num
+    # the exact peel of the unreduced num/den recovers the map
+    assert ExponentMap((ma / mb).rational().binomial_factors()) == ma / mb
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponent_maps, st.integers(-3, 3).filter(bool), st.integers(2, 4))
+def test_exponent_map_residual_falls_back_to_rational(a, k, c):
+    # a block determinant like 1 + c u is no binomial product: it stays a
+    # residual, and only then does equality cross-multiply
+    block = Poly((1, c))
+    res = ExponentMap.of_poly(block, k)
+    assert res.residual == {block: k} and not res.exponents
+    value = ExponentMap(a) * res
+    rf = binomial_product(a) * RationalFunction(block) ** k
+    assert value.rational() == rf
+    assert value.expand(12) == rf.expand(12)
+    assert value / res == ExponentMap(a)
+    assert value != ExponentMap(a)
+    assert value != ExponentMap(a) * ExponentMap.of_poly(Poly((1, c + 1)), k)
+    assert value == ExponentMap(a) * ExponentMap.of_poly(block * block, k) / res
+    # with a residual the output is the unreduced num/den
+    assert str(value) == str(value.rational())
+
+
+def test_exponent_map_of_poly_peels_and_rejects():
+    assert ExponentMap.of_poly(Poly((1, 0, -1)) * Poly((1, -1)), 3) == ExponentMap({1: 3, 2: 3})
+    assert ExponentMap.of_poly(Poly.one(), 5).exponents == {}
+    assert ExponentMap({4: 2}).first_difference(ExponentMap({4: 2, 2: -1})) == 2
+    assert ExponentMap({4: 2}).first_difference(ExponentMap({4: 2})) is None
+    with pytest.raises(SeriesError):
+        ExponentMap({1: -1}).as_polynomial()
+    with pytest.raises(SeriesError):
+        ExponentMap({0: 1})
 
 
 def test_substitute_power():

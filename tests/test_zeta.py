@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylzeta import coxeter, strips
-from weylzeta.series import Matrix, Poly, RationalFunction, char_matrix_det
+from weylzeta.series import ExponentMap, Matrix, Poly, RationalFunction, char_matrix_det
 from weylzeta.zeta import (
     Graph,
+    TorusRepresentation,
     ZetaError,
     _perm_char_poly,
     _perm_matrix,
@@ -268,7 +269,8 @@ def test_block_det_matches_generic(tables, tag, k):
     assert len(sets) == 10
     for els in sets:
         block = tq.block_det([(rep.perm(t, el), el.length, el.key) for el in els])
-        assert block == FiniteTwistedSeries(rep, els, t).det()
+        assert not block.residual
+        assert block.as_polynomial() == FiniteTwistedSeries(rep, els, t).det()
 
 
 def test_cyclic_det_cycle_formula(torus_k2):
@@ -342,6 +344,65 @@ def test_torus_routes_build_no_dense_matrix(tables, monkeypatch):
     assert n not in sizes
     tq.action_matrix(tq.table.identity)
     assert sizes[-1] == n
+
+
+def test_torus_identities_stay_in_exponent_maps(tables, monkeypatch):
+    # on the torus every factor, product and comparison of both identity
+    # checkers is an exponent map: no RationalFunction arithmetic at all
+    def refuse(*args):
+        raise AssertionError("RationalFunction arithmetic on the torus route")
+
+    for name in ("__mul__", "__truediv__", "__eq__"):
+        monkeypatch.setattr(RationalFunction, name, refuse)
+    system = coxeter.build_system("A2t")
+    tq = torus_quotient_rep(system, 3, tables["A2t"])
+    report = strips.verify_determinant_identity(system, tq.representation, tq.table)
+    assert report.ok and report.dual_check_ok and report.witness is None
+    assert str(report.alt_det) == "1 / (1-u^18)^18"
+    tq = torus_quotient_rep(coxeter.build_system("C2t"), 2, tables["C2t"])
+    assert verify_strip_zeta_identity(tq, trace_order=6).ok
+
+
+def _tamper(monkeypatch, hook, wrong, when):
+    # one factor of the torus representation is multiplied by a wrong map
+    orig = getattr(TorusRepresentation, hook)
+
+    def tampered(self, table, data):
+        out = orig(self, table, data)
+        return out * wrong if when(data) else out
+
+    monkeypatch.setattr(TorusRepresentation, hook, tampered)
+
+
+def test_det_identity_witness_names_first_differing_degree(torus_k2, monkeypatch):
+    tq = torus_k2["A2t"]
+    system = tq.system
+    passing = strips.verify_determinant_identity(system, tq.representation, tq.table)
+    assert passing.witness is None and "witness" not in passing.as_json()
+    # a wrong parabolic factor enters the alternating product only
+    _tamper(monkeypatch, "finite_det_factor", ExponentMap({7: 1}),
+            lambda els: [el.word for el in els] == [(), (0,)])
+    report = strips.verify_determinant_identity(system, tq.representation, tq.table)
+    assert not report.ok and report.dual_check_ok
+    w = report.witness
+    assert (w["check"], w["degree"], w["lhs"], w["rhs"]) == ("identity", 7, 0, 1)
+    assert {"factor": "parabolic {1}", "form": "exponent map"} in w["factors"]
+    assert [f["factor"] for f in w["factors"][:5]] == [
+        "factor 1 (finite)", "factor 2 (cyclic)", "factor 3 (finite)",
+        "factor 4 (cyclic)", "factor 5 (finite)"]
+    assert report.as_json()["witness"] == w
+
+
+def test_det_identity_witness_for_a_wrong_strip_factor(torus_k2, monkeypatch):
+    # a strip factor cancels from the identity itself, so the dual
+    # trace-log check is what sees it, first at u^5
+    tq = torus_k2["A2t"]
+    _tamper(monkeypatch, "cyclic_det_factor", ExponentMap({5: 1}), lambda el: el.word == (2, 1, 0))
+    report = strips.verify_determinant_identity(tq.system, tq.representation, tq.table)
+    assert not report.ok and not report.dual_check_ok
+    w = report.witness
+    assert (w["check"], w["degree"]) == ("dual", 5)
+    assert w["lhs"] != w["rhs"]
 
 
 def test_strip_routes_at_scale_6_stay_small(tables):
