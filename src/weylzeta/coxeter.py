@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from math import gcd
 
 INFINITE = 0  # Coxeter matrix entry encoding an infinite bond order
 
@@ -50,72 +51,6 @@ def mat_mul(a, b):
 
 def mat_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_det3(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-    raise CoxeterError("determinant helper limited to n <= 3")
-
-
-def mat_inv(m):
-    """Inverse of a small integer matrix with determinant +-1."""
-    n = len(m)
-    det = mat_det3(m) if n <= 3 else None
-    if n == 1:
-        return ((det,),) if det in (1, -1) else _gauss_inv(m)
-    if n == 2 and det in (1, -1):
-        a, b = m[0]
-        c, d = m[1]
-        return ((d * det, -b * det), (-c * det, a * det))
-    if n == 3 and det in (1, -1):
-        # cyclic-index minors produce the cofactors with signs built in
-        cof = tuple(
-            tuple(
-                m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-                - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-                for j in range(3)
-            )
-            for i in range(3)
-        )
-        # adjugate is the transpose of the cofactor matrix
-        return tuple(tuple(cof[j][i] * det for j in range(3)) for i in range(3))
-    return _gauss_inv(m)
-
-
-def _gauss_inv(m):
-    from fractions import Fraction
-
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = aug[i][n + j]
-            if v.denominator != 1:
-                raise CoxeterError("matrix inverse is not integral")
-            row.append(v.numerator)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +178,17 @@ def _null_marks(cartan):
         x[col] = -rows[piv][n - 1] * x[-1]
     denom = 1
     for v in x:
-        denom = denom * v.denominator // _int_gcd(denom, v.denominator)
+        denom = denom * v.denominator // gcd(denom, v.denominator)
     ints = [int(v * denom) for v in x]
     g = 0
     for v in ints:
-        g = _int_gcd(g, v)
+        g = gcd(g, v)
     ints = [v // g for v in ints]
     if any(v <= 0 for v in ints):
         ints = [-v for v in ints]
     if any(v <= 0 for v in ints):
         raise CoxeterError("Cartan matrix is not of affine type")
     return tuple(ints)
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ---------------------------------------------------------------------------
@@ -659,28 +588,25 @@ def multiply(table, w, v):
 
 def length_and_word(system, key):
     """Length and one reduced word computed by the descent walk, without
-    any element table.  Uses the standard criterion: s_i is a left descent
-    of w exactly when w^{-1}(alpha_i) is a negative root."""
+    any element table.  Column i of the key is w(alpha_i), and s_i is a
+    right descent of w exactly when that root is negative; each step
+    strips one right descent, so the word is built from the right."""
     k = system.num_generators
     ident = mat_identity(k)
     word = []
     cur = key
-    cur_inv = mat_inv(key)
-    guard = 0
     while cur != ident:
-        guard += 1
-        if guard > 10_000:
+        if len(word) >= 10_000:
             raise CoxeterError("descent walk failed to terminate")
         for i in range(k):
-            col = tuple(cur_inv[a][i] for a in range(k))
+            col = tuple(cur[a][i] for a in range(k))
             if all(c <= 0 for c in col) and any(c < 0 for c in col):
                 word.append(i)
-                cur = system.left_reflect(cur, i)
-                cur_inv = system.right_reflect(cur_inv, i)
+                cur = system.right_reflect(cur, i)
                 break
         else:
             raise CoxeterError("no descent found; matrix is not a group element")
-    return len(word), tuple(word)
+    return len(word), tuple(reversed(word))
 
 
 def min_coset_reps(table, J, I, side="right"):

@@ -277,8 +277,7 @@ class Representation:
         return "Representation(dim=%d, q=%s, scalar=%s)" % (self.dim, self.q, self.scalar_kind)
 
 
-def validate_representation(system, matrices, q=None, report_only=False,
-                            table=None, cache_depth=6):
+def validate_representation(system, matrices, q=None, table=None, cache_depth=6):
     """Check the quadratic and braid relations exactly; return the
     Representation on success, raise ValidationError otherwise.
 
@@ -317,21 +316,13 @@ def validate_representation(system, matrices, q=None, report_only=False,
                 failures.append({"relation": "braid", "generators": [i + 1, j + 1],
                                  "detail": "alternating products of order %d disagree" % m_ij})
     if failures:
-        report = {"ok": False, "failures": failures}
-        if report_only:
-            return report
-        raise ValidationError(report)
+        raise ValidationError({"ok": False, "failures": failures})
     scalar_kind = "q-poly" if isinstance(q, QPolynomial) and q.degree >= 1 else "rational"
     rep = Representation(system, matrices, q, scalar_kind)
     if table is not None and not check_word_products(rep, table, max_length=cache_depth):
         failures.append({"relation": "path-independence",
                          "detail": "image of some reduced word depends on the path"})
-        report = {"ok": False, "failures": failures}
-        if report_only:
-            return report
-        raise ValidationError(report)
-    if report_only:
-        return {"ok": True, "dim": dim, "scalar": scalar_kind}
+        raise ValidationError({"ok": False, "failures": failures})
     return rep
 
 

@@ -12,7 +12,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 
 
 class SeriesError(Exception):
@@ -412,6 +411,10 @@ def _divide_scalar(a, b):
     """Exact scalar division a / b in whatever ring the scalars live in."""
     if isinstance(a, QPolynomial) or isinstance(b, QPolynomial):
         return QPolynomial.coerce(a).exact_div(b)
+    if type(a) is int and type(b) is int:
+        quotient, remainder = divmod(a, b)
+        if not remainder:
+            return quotient
     f = Fraction(a) / Fraction(b)
     return f.numerator if f.denominator == 1 else f
 
@@ -1080,125 +1083,40 @@ def _normalize_fractions(cs):
 
 
 def det_poly_matrix(rows):
-    """Exact determinant of a square matrix of u-polynomials.
+    """Exact determinant of a square matrix of u-polynomials whose
+    coefficients lie in one integral domain: Z[u], Q[u] or Z[q][u].
 
-    Interpolation at integer points with fraction-free elimination when the
-    coefficients are rational; division-free expansion over q-polynomial
-    coefficients.
+    Bareiss's fraction-free elimination over the polynomial entries
+    (Math. Comp. 22, 1968): after step k every entry below the pivot row
+    is a (k+2)-minor, so the division by the previous pivot is exact.  A
+    zero pivot is swapped with a lower row that has a nonzero entry in
+    its column, flipping the sign; with no such row the determinant is 0.
     """
     n = len(rows)
-    if n == 0:
-        return Poly.one()
     rows = [[Poly.coerce(e) for e in r] for r in rows]
     if any(len(r) != n for r in rows):
         raise SeriesError("determinant of a non-square matrix")
-    if n == 1:
-        return rows[0][0]
-    has_qpoly = any(
-        isinstance(c, QPolynomial) for r in rows for e in r for c in e.coeffs
-    )
-    if has_qpoly:
-        return _det_berkowitz(rows)
-    deg_bound = sum(max((e.degree for e in r if not e.is_zero()), default=0) for r in rows)
-    points = _interp_points(deg_bound + 1)
-    values = []
-    for x in points:
-        mat = [[e.evaluate(x) for e in r] for r in rows]
-        values.append(_det_fraction_matrix(mat))
-    return _interpolate(points, values)
-
-
-def _interp_points(count):
-    pts = [0]
-    k = 1
-    while len(pts) < count:
-        pts.append(k)
-        if len(pts) < count:
-            pts.append(-k)
-        k += 1
-    return pts[:count]
-
-
-def _det_fraction_matrix(mat):
-    """Bareiss fraction-free determinant of int and Fraction entries, each
-    row cleared to ints by the lcm of its denominators."""
-    n = len(mat)
-    scale = Fraction(1)
-    rows = []
-    for r in mat:
-        den = lcm(*(e.denominator for e in r))
-        scale /= den
-        rows.append([int(e * den) for e in r])
-    prev = 1
+    if n == 0:
+        return Poly.one()
     sign = 1
+    prev = Poly.one()
     for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pk = rows[k][k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
+        if rows[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not rows[i][k].is_zero()), None)
+            if swap is None:
+                return Poly.zero()
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot, pivot_row = rows[k][k], rows[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
             for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pk - rik * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = pk
-    return sign * scale * rows[n - 1][n - 1]
-
-
-def _interpolate(points, values):
-    """Newton interpolation returning an exact Poly with int/Fraction coeffs."""
-    n = len(points)
-    table = [Fraction(v) for v in values]
-    coeffs_newton = [table[0]]
-    for level in range(1, n):
-        for i in range(n - level):
-            table[i] = (table[i + 1] - table[i]) / (points[i + level] - points[i])
-        coeffs_newton.append(table[0])
-    poly = Poly((coeffs_newton[-1],))
-    for k in range(n - 2, -1, -1):
-        poly = poly * Poly((-points[k], 1)) + Poly((coeffs_newton[k],))
-    return Poly(_normalize_fractions(list(poly.coeffs)))
-
-
-def _det_berkowitz(rows):
-    """Division-free determinant (works over any commutative ring)."""
-    n = len(rows)
-    one = Poly.one()
-    zero = Poly.zero()
-    # Berkowitz: iteratively build the characteristic-polynomial vector of
-    # leading principal submatrices; determinant is the last entry up to sign.
-    vec = [one, -rows[0][0]]
-    for m in range(1, n):
-        a = rows[m][m]
-        row = [Poly.coerce(rows[m][j]) for j in range(m)]
-        col = [Poly.coerce(rows[j][m]) for j in range(m)]
-        sub = [[Poly.coerce(rows[i][j]) for j in range(m)] for i in range(m)]
-        powers = [col]
-        for _ in range(m - 1):
-            prev = powers[-1]
-            powers.append([
-                sum((sub[i][j] * prev[j] for j in range(m)), zero) for i in range(m)
-            ])
-        c = [one, -a]
-        for k in range(1, m + 1):
-            dot = sum((row[j] * powers[k - 1][j] for j in range(m)), zero)
-            c.append(-dot)
-        new = [zero] * (m + 2)
-        for i, ci in enumerate(c):
-            if ci.is_zero():
-                continue
-            for j, vj in enumerate(vec):
-                if i + j <= m + 1:
-                    new[i + j] = new[i + j] + ci * vj
-        # toeplitz multiply truncates correctly because len(vec) == m+1
-        vec = new
-    det = vec[n]
-    return det if n % 2 == 0 else -det
+                entry = row[j] * pivot
+                if not (lead.is_zero() or pivot_row[j].is_zero()):
+                    entry = entry - lead * pivot_row[j]
+                row[j] = entry.exact_div(prev)
+        prev = pivot
+    return rows[-1][-1] if sign == 1 else -rows[-1][-1]
 
 
 def char_matrix_det(mat, shift_power=1):

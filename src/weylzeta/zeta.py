@@ -38,6 +38,7 @@ from .series import (
     PowerSeries,
     RationalFunction,
     _series_exp,
+    char_matrix_det,
     det_poly_matrix,
 )
 
@@ -175,17 +176,7 @@ class ZetaReport:
 
 def _operator_zeta(b_rows, order):
     """Z(u) = det(I - B u)^{-1} plus trace data and primitive counts."""
-    n = len(b_rows)
-    if n == 0:
-        inv = Poly.one()
-    else:
-        inv = det_poly_matrix(
-            [
-                [Poly([1 if i == j else 0, -b_rows[i][j]]) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-    return _zeta_report(inv, traces(b_rows, order), order)
+    return _zeta_report(char_matrix_det(Matrix(b_rows), 1), traces(b_rows, order), order)
 
 
 def _perm_zeta(perm, order):
@@ -484,20 +475,20 @@ class TorusQuotient:
 
     # -- construction --------------------------------------------------------
 
-    def _shear_coords(self, key):
-        """For a translation element, the linear functional it shears by,
-        as integer coordinates against the null-root direction."""
+    def _shear_coords(self, key, base):
+        """When every column of key - base is a multiple of the null root,
+        those multiples as integer coordinates; else None."""
         n = self.system.num_generators
         delta = self._delta
         r = next(i for i in range(n) if delta[i] != 0)
         out = []
         for col in range(n):
-            num = key[r][col] - (1 if r == col else 0)
+            num = key[r][col] - base[r][col]
             if num % delta[r] != 0:
                 return None
             t = num // delta[r]
             for a in range(n):
-                if key[a][col] - (1 if a == col else 0) != t * delta[a]:
+                if key[a][col] - base[a][col] != t * delta[a]:
                     return None
             out.append(t)
         return tuple(out)
@@ -505,10 +496,11 @@ class TorusQuotient:
     def _setup_lattice(self):
         """Basis of the translation lattice, found by scanning the table."""
         vecs = []
+        identity = self.table.identity.key
         for el in self.table.index.values():
             if el.length == 0:
                 continue
-            tau = self._shear_coords(el.key)
+            tau = self._shear_coords(el.key, identity)
             if tau is not None:
                 vecs.append(tau)
         basis = _lattice_basis_rank2(vecs)
@@ -558,7 +550,6 @@ class TorusQuotient:
         w0 = self.table.parabolic_elements((0, 1))
         self.weyl_order = len(w0)
         self._section = [el.key for el in w0]
-        self._section_inv = [cox.mat_inv(k) for k in self._section]
         self._linear_index = {}
         for idx, key in enumerate(self._section):
             lp = self._linear_part(key)
@@ -568,10 +559,14 @@ class TorusQuotient:
 
     def label(self, key):
         """Chamber label (finite part index, translation residue) of the
-        coset of the element with this matrix."""
+        coset of the element with this matrix.
+
+        The element is t_lam * w for the section element w of its linear
+        part, and column i of key - w is t_lam(w a_i) - w a_i, a multiple
+        of the null root: the shear of w^-1 lam.  The lattice is W0-stable,
+        so for a fixed w the residue of w^-1 lam mod k names the coset."""
         j = self._linear_index[self._linear_part(key)]
-        t_key = cox.mat_mul(key, self._section_inv[j])
-        tau = self._shear_coords(t_key)
+        tau = self._shear_coords(key, self._section[j])
         if tau is None:
             raise ZetaError("linear-part decomposition failed")
         x, y = self._lattice_coords(tau)
@@ -603,7 +598,6 @@ class TorusQuotient:
             if _fixed_points(perm):
                 raise ZetaError("panel gluing fixes a chamber; the action is not free")
         self.chambers = reps
-        self._label_index = labels
         self.generator_permutations = tuple(tuple(p) for p in links)
 
     # -- operators -----------------------------------------------------------

@@ -52,7 +52,7 @@ class LineQuotient:
         self._coord = coord
         w0 = self.table.parabolic_elements((0,))
         self._section = [el.key for el in w0]
-        self._section_inv = [coxeter.mat_inv(kk) for kk in self._section]
+        self._section_inv = [self.system.word_key(reversed(el.word)) for el in w0]
         self._lin_index = {self._linear(kk): i for i, kk in enumerate(self._section)}
         start = self.table.identity.key
         labels = {self.label(start): 0}

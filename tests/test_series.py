@@ -15,7 +15,6 @@ from weylzeta.series import (
     QPolynomial,
     RationalFunction,
     SeriesError,
-    _det_berkowitz,
     alt_product_rational,
     binomial_product,
     char_matrix_det,
@@ -392,18 +391,73 @@ def test_berkowitz_matches_evaluation_route():
             assert got == want, qval
 
 
-small_scalars = st.one_of(
-    st.integers(-4, 4),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
-)
+def _det_berkowitz(rows):
+    """Division-free determinant over any commutative ring: the oracle
+    for the Bareiss route of det_poly_matrix."""
+    n = len(rows)
+    one = Poly.one()
+    zero = Poly.zero()
+    # Berkowitz: iteratively build the characteristic-polynomial vector of
+    # leading principal submatrices; determinant is the last entry up to sign.
+    vec = [one, -rows[0][0]]
+    for m in range(1, n):
+        a = rows[m][m]
+        row = [Poly.coerce(rows[m][j]) for j in range(m)]
+        col = [Poly.coerce(rows[j][m]) for j in range(m)]
+        sub = [[Poly.coerce(rows[i][j]) for j in range(m)] for i in range(m)]
+        powers = [col]
+        for _ in range(m - 1):
+            prev = powers[-1]
+            powers.append([
+                sum((sub[i][j] * prev[j] for j in range(m)), zero) for i in range(m)
+            ])
+        c = [one, -a]
+        for k in range(1, m + 1):
+            dot = sum((row[j] * powers[k - 1][j] for j in range(m)), zero)
+            c.append(-dot)
+        new = [zero] * (m + 2)
+        for i, ci in enumerate(c):
+            if ci.is_zero():
+                continue
+            for j, vj in enumerate(vec):
+                if i + j <= m + 1:
+                    new[i + j] = new[i + j] + ci * vj
+        # toeplitz multiply truncates correctly because len(vec) == m+1
+        vec = new
+    det = vec[n]
+    return det if n % 2 == 0 else -det
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda n: st.lists(
-    st.lists(st.lists(small_scalars, max_size=3), min_size=n, max_size=n),
-    min_size=n, max_size=n)))
-def test_interpolation_det_matches_berkowitz(coeff_rows):
-    # int and Fraction entries: the evaluation/interpolation route against
-    # the division-free expansion
+# one coefficient ring per drawn matrix: Z[u], Q[u] or Z[q][u]
+coefficient_rings = {
+    "int": st.integers(-4, 4),
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    "qpoly": st.lists(st.integers(-3, 3), max_size=3).map(QPolynomial),
+}
+
+
+def poly_matrices(ring):
+    return st.integers(2, 4).flatmap(lambda n: st.lists(
+        st.lists(st.lists(coefficient_rings[ring], max_size=3), min_size=n, max_size=n),
+        min_size=n, max_size=n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(coefficient_rings)).flatmap(poly_matrices),
+       st.sampled_from(("drawn", "zero_pivot", "equal_rows", "zero_column")))
+def test_bareiss_det_matches_berkowitz(coeff_rows, shape):
     rows = [[Poly(cs) for cs in row] for row in coeff_rows]
-    assert det_poly_matrix(rows) == _det_berkowitz(rows)
+    if shape == "zero_pivot":
+        # the first pivot is zero and a lower row can replace it
+        rows[0][0] = Poly.zero()
+        if rows[-1][0].is_zero():
+            rows[-1][0] = Poly.one()
+    elif shape == "equal_rows":
+        rows[-1] = list(rows[0])
+    elif shape == "zero_column":
+        for row in rows:
+            row[0] = Poly.zero()
+    det = det_poly_matrix(rows)
+    assert det == _det_berkowitz(rows)
+    if shape in ("equal_rows", "zero_column"):
+        assert det == Poly.zero()

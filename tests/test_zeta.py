@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_series import _det_berkowitz
 from weylzeta import coxeter, strips
 from weylzeta.series import ExponentMap, Matrix, Poly, RationalFunction, char_matrix_det
 from weylzeta.zeta import (
@@ -92,6 +93,39 @@ def test_geodesic_oracle_matches_traces():
     for g in (complete_graph(3), complete_graph(4), complete_bipartite(3, 3), petersen_graph()):
         b = hashimoto_matrix(g)
         assert geodesic_oracle(g, 12) == traces(b, 12)
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """Connected multigraphs without isolated vertices, with at most 6
+    vertices and 9 edges: a random spanning tree plus parallel or extra
+    edges.  Vertex degree stays at most 5 to bound the depth-first
+    oracle, which visits every non-backtracking walk: nine parallel
+    edges take seconds at length 8."""
+    n = draw(st.integers(2, 6))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    for u, v in draw(st.lists(pairs, max_size=9 - len(edges))):
+        if degree[u] < 5 and degree[v] < 5:
+            edges.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_multigraphs())
+def test_ihara_zeta_matches_oracles_on_random_multigraphs(g):
+    report = ihara_zeta(g, 8)
+    assert report.closed_counts == geodesic_oracle(g, 8)
+    b = hashimoto_matrix(g)
+    n = len(b)
+    i_minus_bu = [[Poly([1 if i == j else 0, -b[i][j]]) for j in range(n)] for i in range(n)]
+    assert report.inverse_poly == _det_berkowitz(i_minus_bu)
 
 
 def test_tree_has_no_closed_walks():
