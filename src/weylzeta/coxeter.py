@@ -1,9 +1,10 @@
 """Finite and affine Coxeter groups in their integer geometric representation.
 
-Groups are presented by a Coxeter matrix together with a generalized Cartan
-matrix; elements are canonicalized by their matrix in the reflection
-representation on the simple-root basis, which is faithful and integral for
-every crystallographic type handled here.  Enumeration is breadth-first, so
+A group is given by its generalized Cartan matrix, from which the Coxeter
+matrix, affineness and the null root are derived.  Elements are
+canonicalized by their matrix in the reflection representation on the
+simple-root basis, which is faithful and integral for every
+crystallographic type handled here.  Enumeration is breadth-first, so
 every stored length is the true word length, and it records the Cayley
 graph: each element keeps the keys of its right neighbours w * s_i.
 """
@@ -16,6 +17,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import gcd
+
+from .series import det_poly_matrix
 
 INFINITE = 0  # Coxeter matrix entry encoding an infinite bond order
 
@@ -61,7 +64,7 @@ def _bond_order(pairing):
     return {0: 2, 1: 3, 2: 4, 3: 6}.get(pairing)
 
 
-def _coxeter_from_cartan(cartan):
+def _coxeter_matrix(cartan):
     k = len(cartan)
     mat = [[1] * k for _ in range(k)]
     for i in range(k):
@@ -130,65 +133,32 @@ def _finite_cartan(family, rank):
 
 # affine rank <= 2 systems with the generator numbering that makes
 # <s1, s2> the finite Weyl group (the stabilizer of the special vertex)
-_AFFINE_DATA = {
-    "A1t": {
-        "cartan": ((2, -2), (-2, 2)),
-        "rank": 1,
-    },
-    "A2t": {
-        "cartan": ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
-        "rank": 2,
-    },
-    "C2t": {
-        "cartan": ((2, -1, -1), (-2, 2, 0), (-2, 0, 2)),
-        "rank": 2,
-    },
-    "G2t": {
-        "cartan": ((2, -1, -1), (-3, 2, 0), (-1, 0, 2)),
-        "rank": 2,
-    },
+_AFFINE_CARTAN = {
+    "A1t": ((2, -2), (-2, 2)),
+    "A2t": ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
+    "C2t": ((2, -1, -1), (-2, 2, 0), (-2, 0, 2)),
+    "G2t": ((2, -1, -1), (-3, 2, 0), (-1, 0, 2)),
 }
 
-AFFINE_RANK2_TAGS = ("A2t", "C2t", "G2t")
 
+def _null_root(cartan):
+    """None when det C != 0; else the positive null root delta.
 
-def _null_marks(cartan):
-    """Positive integer right null vector of a singular Cartan matrix."""
-    from fractions import Fraction
-
-    n = len(cartan)
-    # solve cartan @ x = 0 with x[n-1] treated as free
-    rows = [[Fraction(cartan[i][j]) for j in range(n)] for i in range(n)]
-    x = [Fraction(0)] * n
-    x[-1] = Fraction(1)
-    # Gaussian elimination on the first n-1 columns
-    piv_rows = []
-    used = set()
-    for col in range(n - 1):
-        piv = next(r for r in range(n) if r not in used and rows[r][col] != 0)
-        used.add(piv)
-        piv_rows.append((col, piv))
-        inv = 1 / rows[piv][col]
-        rows[piv] = [v * inv for v in rows[piv]]
-        for r in range(n):
-            if r != piv and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv])]
-    for col, piv in reversed(piv_rows):
-        x[col] = -rows[piv][n - 1] * x[-1]
-    denom = 1
-    for v in x:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in x]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    if any(v <= 0 for v in ints):
-        ints = [-v for v in ints]
-    if any(v <= 0 for v in ints):
-        raise CoxeterError("Cartan matrix is not of affine type")
-    return tuple(ints)
+    C adj(C) = det C * I = 0, so column 0 of adj(C), the signed minors
+    along row 0, lies in the kernel of C.  For an affine matrix it is a
+    positive multiple of delta (Kac, Infinite-dimensional Lie algebras,
+    Ch. 4): its entry 0 is the determinant of the finite Cartan matrix
+    left when node 0 is deleted.  A singular matrix whose column is not
+    positive is not of affine type."""
+    if not det_poly_matrix(cartan).is_zero():
+        return None
+    rest = cartan[1:]
+    col = [(-1) ** j * det_poly_matrix([r[:j] + r[j + 1 :] for r in rest]).constant()
+           for j in range(len(cartan))]
+    if any(c <= 0 for c in col):
+        raise CoxeterError("singular Cartan matrix %r is not of affine type" % (cartan,))
+    g = gcd(*col)
+    return tuple(c // g for c in col)
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +167,39 @@ def _null_marks(cartan):
 
 @dataclass(frozen=True)
 class CoxeterSystem:
+    """A Coxeter system is its generalized Cartan matrix.  The Coxeter
+    matrix, affineness (det C = 0), the rank of the underlying finite
+    root datum and the null root delta are derived from it."""
+
     type_tag: str
-    labels: tuple
-    coxeter_matrix: tuple
     cartan: tuple
-    is_affine: bool
-    rank: int  # rank of the underlying (finite) root datum
-    delta: tuple = None  # marks of the null root for affine systems
+    coxeter_matrix: tuple = field(init=False, compare=False)
+    is_affine: bool = field(init=False, compare=False)
+    rank: int = field(init=False, compare=False)
+    delta: tuple = field(init=False, compare=False)  # None unless affine
+
+    def __post_init__(self):
+        cartan = tuple(tuple(int(v) for v in row) for row in self.cartan)
+        n = len(cartan)
+        if not all(len(row) == n for row in cartan) or not all(
+            a == 2 if i == j else a <= 0 and (a == 0) == (cartan[j][i] == 0)
+            for i, row in enumerate(cartan) for j, a in enumerate(row)
+        ):
+            raise UnsupportedTypeError("%r is not a generalized Cartan matrix" % (cartan,))
+        delta = _null_root(cartan)
+        derived = {
+            "cartan": cartan,
+            "coxeter_matrix": _coxeter_matrix(cartan),
+            "is_affine": delta is not None,
+            "rank": n - (delta is not None),
+            "delta": delta,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def num_generators(self):
-        return len(self.labels)
+        return len(self.cartan)
 
     def generator_matrix(self, i):
         """Reflection s_i acting on simple-root coordinates (column vectors)."""
@@ -260,78 +252,28 @@ class CoxeterSystem:
         return "CoxeterSystem(%s)" % self.type_tag
 
 
-def from_cartan(cartan, type_tag="custom", affine=None):
-    """Build a system from an explicit generalized Cartan matrix."""
-    cartan = tuple(tuple(int(v) for v in row) for row in cartan)
-    k = len(cartan)
-    for i in range(k):
-        if cartan[i][i] != 2:
-            raise UnsupportedTypeError("Cartan diagonal must be 2")
-    cox = _coxeter_from_cartan(cartan)
-    if affine is None:
-        affine = any(cox[i][j] == INFINITE for i in range(k) for j in range(k)) or _is_singular(cartan)
-    delta = _null_marks(cartan) if affine else None
-    rank = k - 1 if affine else k
-    labels = tuple("s%d" % (i + 1) for i in range(k))
-    return CoxeterSystem(type_tag, labels, cox, cartan, affine, rank, delta)
-
-
-def _is_singular(cartan):
-    from fractions import Fraction
-
-    n = len(cartan)
-    rows = [[Fraction(v) for v in row] for row in cartan]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return True
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det == 0
-
-
 _TAG_RE = re.compile(r"^([A-G])(\d+)(t?)$")
 
 
-def build_system(type_tag, rank=None):
-    """Build a supported Coxeter system.
+def build_system(type_tag):
+    """Build a supported Coxeter system from its tag.
 
     Finite types: "A1".."A9", "B2"..., "C2"..., "D3"..., "E6/7/8", "F4",
-    "G2" (or pass the family letter plus rank).  Affine types: "A1t",
-    "A2t", "C2t", "G2t" with the rank-2 generator numbering that makes
-    s3 the affine reflection.
+    "G2".  Affine types: "A1t", "A2t", "C2t", "G2t" with the rank-2
+    generator numbering that makes s3 the affine reflection.
     """
-    if rank is not None:
-        type_tag = "%s%d" % (type_tag.rstrip("0123456789t"), rank) + ("t" if type_tag.endswith("t") else "")
     tag = type_tag.strip()
     m = _TAG_RE.match(tag)
     if not m:
         raise UnsupportedTypeError("unrecognized type tag %r" % (type_tag,))
-    family, r, affine = m.group(1), int(m.group(2)), bool(m.group(3))
-    if affine:
-        if tag not in _AFFINE_DATA:
-            raise UnsupportedTypeError(
-                "affine geometric systems are built in for rank <= 2 only; "
-                "use from_cartan with an extended Cartan matrix for %r" % (type_tag,)
-            )
-        data = _AFFINE_DATA[tag]
-        cartan = data["cartan"]
-        cox = _coxeter_from_cartan(cartan)
-        labels = tuple("s%d" % (i + 1) for i in range(len(cartan)))
-        return CoxeterSystem(tag, labels, cox, cartan, True, data["rank"], _null_marks(cartan))
-    cartan = tuple(tuple(row) for row in _finite_cartan(family, r))
-    cox = _coxeter_from_cartan(cartan)
-    labels = tuple("s%d" % (i + 1) for i in range(r))
-    return CoxeterSystem(tag, labels, cox, cartan, False, r, None)
+    if not m.group(3):
+        return CoxeterSystem(tag, _finite_cartan(m.group(1), int(m.group(2))))
+    if tag not in _AFFINE_CARTAN:
+        raise UnsupportedTypeError(
+            "affine geometric systems are built in for rank <= 2 only; "
+            "build CoxeterSystem(tag, cartan) from an extended Cartan matrix for %r" % (type_tag,)
+        )
+    return CoxeterSystem(tag, _AFFINE_CARTAN[tag])
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +339,6 @@ class ElementTable:
         el = self.index.get(key)
         link = el.links[i] if el is not None else None
         return link if link is not None else self.system.right_reflect(key, i)
-
-    def left_multiply_key(self, key, i):
-        return self.system.left_reflect(key, i)
 
     def product_key(self, k1, k2):
         return mat_mul(k1, k2)
@@ -628,7 +567,7 @@ def min_coset_reps(table, J, I, side="right"):
             if side == "right":
                 other_key = el.links[s]
             elif side == "left":
-                other_key = table.left_multiply_key(el.key, s)
+                other_key = table.system.left_reflect(el.key, s)
             else:
                 raise CoxeterError("side must be 'right' or 'left'")
             other = table.element(other_key)

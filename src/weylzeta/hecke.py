@@ -51,10 +51,7 @@ class HeckeElement:
 
     def __init__(self, table, terms):
         self.table = table
-        self.terms = {k: c for k, c in terms.items() if not _coeff_is_zero(c)}
-
-    def support(self):
-        return [self.table.element(k) for k in self.terms]
+        self.terms = {k: c for k, c in terms.items() if c != 0}
 
     def coeff(self, element):
         key = element.key if hasattr(element, "key") else element
@@ -76,9 +73,6 @@ class HeckeElement:
             out[k] = out[k] - c if k in out else -c
         return HeckeElement(self.table, out)
 
-    def scale(self, c):
-        return HeckeElement(self.table, {k: v * c for k, v in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
@@ -95,10 +89,6 @@ class HeckeElement:
             word = ",".join(str(i + 1) for i in el.word) or "e"
             bits.append("(%s)*e[%s]" % (c, word))
         return " + ".join(bits) if bits else "0"
-
-
-def _coeff_is_zero(c):
-    return c == 0
 
 
 def basis_element(table, element, q=None):
@@ -237,13 +227,17 @@ def walk_word(table, element, cache, step):
 class Representation:
     """Validated matrix images of the generators over exact scalars."""
 
-    def __init__(self, system, gen_images, q, scalar_kind):
+    def __init__(self, system, gen_images, q):
         self.system = system
         self.gen_images = tuple(gen_images)
         self.q = q
-        self.scalar_kind = scalar_kind
         self.dim = gen_images[0].nrows
         self._cache = {mat_identity(system.num_generators): Matrix.identity(self.dim, self._one())}
+
+    @property
+    def scalar_kind(self):
+        """The scalar ring: "q-poly" over a formal q, else "rational"."""
+        return "q-poly" if isinstance(self.q, QPolynomial) and self.q.degree >= 1 else "rational"
 
     def _one(self):
         return scalar_one_like(self.q)
@@ -317,8 +311,7 @@ def validate_representation(system, matrices, q=None, table=None, cache_depth=6)
                                  "detail": "alternating products of order %d disagree" % m_ij})
     if failures:
         raise ValidationError({"ok": False, "failures": failures})
-    scalar_kind = "q-poly" if isinstance(q, QPolynomial) and q.degree >= 1 else "rational"
-    rep = Representation(system, matrices, q, scalar_kind)
+    rep = Representation(system, matrices, q)
     if table is not None and not check_word_products(rep, table, max_length=cache_depth):
         failures.append({"relation": "path-independence",
                          "detail": "image of some reduced word depends on the path"})

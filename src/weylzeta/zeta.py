@@ -342,7 +342,6 @@ class TorusRepresentation(Representation):
         self.quotient = quotient
         self.system = quotient.system
         self.q = 1
-        self.scalar_kind = "rational"
         self.dim = len(quotient.chambers)
         self._perm_cache = {quotient.table.identity.key: tuple(range(self.dim))}
 

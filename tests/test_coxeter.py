@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import tracemalloc
 import weakref
 
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylzeta import coxeter
+from weylzeta import coxeter, rootsys
 from weylzeta.coxeter import (
     INFINITE,
+    CoxeterError,
+    CoxeterSystem,
     OutOfTableError,
     ResourceLimitError,
     UnsupportedTypeError,
@@ -39,7 +42,7 @@ def test_unsupported_types_raise():
     with pytest.raises(UnsupportedTypeError):
         build_system("H3")
     with pytest.raises(UnsupportedTypeError):
-        build_system("F", 5)
+        build_system("F5")
     with pytest.raises(UnsupportedTypeError):
         build_system("B2t")
 
@@ -237,12 +240,77 @@ def test_table_export_import_roundtrip(tmp_path, tables):
         load_table(build_system("C2t"), bad)
 
 
-def test_from_cartan_roundtrip():
+def test_cartan_constructor_roundtrip():
     a2t = build_system("A2t")
-    rebuilt = coxeter.from_cartan(a2t.cartan, "custom")
+    rebuilt = CoxeterSystem("custom", [list(row) for row in a2t.cartan])
     assert rebuilt.is_affine
+    assert rebuilt.cartan == a2t.cartan
     assert rebuilt.coxeter_matrix == a2t.coxeter_matrix
     assert rebuilt.delta == a2t.delta
+
+
+# the fields derived from each built-in affine Cartan matrix
+AFFINE_DERIVED = {
+    "A1t": (((1, INFINITE), (INFINITE, 1)), 1, (1, 1)),
+    "A2t": (((1, 3, 3), (3, 1, 3), (3, 3, 1)), 2, (1, 1, 1)),
+    "C2t": (((1, 4, 4), (4, 1, 2), (4, 2, 1)), 2, (1, 1, 1)),
+    "G2t": (((1, 6, 3), (6, 1, 2), (3, 2, 1)), 2, (2, 3, 1)),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(AFFINE_DERIVED))
+def test_builtin_affine_derived_fields(tag):
+    system = build_system(tag)
+    assert (system.coxeter_matrix, system.rank, system.delta) == AFFINE_DERIVED[tag]
+    assert system.is_affine and system.num_generators == len(system.cartan)
+
+
+EXTENDED = (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+            ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2), ("E", 6))
+
+
+@pytest.mark.parametrize("family,n", EXTENDED, ids=["%s%d" % fn for fn in EXTENDED])
+def test_extended_cartan_null_root(family, n):
+    cartan = rootsys.extended_cartan(family, n)
+    system = CoxeterSystem("%s%dt" % (family, n), cartan)
+    delta = system.delta
+    assert system.is_affine and system.rank == n
+    assert all(sum(c * d for c, d in zip(row, delta)) == 0 for row in cartan)
+    assert all(d > 0 for d in delta) and math.gcd(*delta) == 1
+
+
+HYPERBOLIC = ((2, -2, -2), (-2, 2, -2), (-2, -2, 2))  # det -32, every bond infinite
+
+
+def test_nonsingular_cartan_is_not_affine():
+    cartans = [build_system(tag).cartan for tag in ("A2", "B3", "G2", "E8")] + [HYPERBOLIC]
+    for cartan in cartans:
+        system = CoxeterSystem("x", cartan)
+        assert not system.is_affine and system.delta is None
+        assert system.rank == system.num_generators
+    assert CoxeterSystem("x", HYPERBOLIC).coxeter_matrix == (
+        (1, INFINITE, INFINITE), (INFINITE, 1, INFINITE), (INFINITE, INFINITE, 1))
+
+
+def test_singular_cartan_without_positive_null_root_raises():
+    # A1t + A1: det 0, but its kernel is spanned by (1, 1, 0)
+    with pytest.raises(CoxeterError, match="not of affine type"):
+        CoxeterSystem("A1t+A1", ((2, -2, 0), (-2, 2, 0), (0, 0, 2)))
+    # A1 + A1t: column 0 of the adjugate is zero
+    with pytest.raises(CoxeterError, match="not of affine type"):
+        CoxeterSystem("A1+A1t", ((2, 0, 0), (0, 2, -2), (0, -2, 2)))
+
+
+@pytest.mark.parametrize("cartan", [
+    ((2, -1), (-1, 3)),  # diagonal entry not 2
+    ((2, -1, 0), (-1, 2)),  # not square
+    ((2, -1), (0, 2)),  # a_ij = 0 but a_ji != 0: (s1 s2)^2 != 1
+    ((2, 1), (1, 2)),  # positive off-diagonal entries
+    ((2, -5), (-1, 2)),  # pairing 5 is not crystallographic
+])
+def test_malformed_cartan_raises(cartan):
+    with pytest.raises(UnsupportedTypeError):
+        CoxeterSystem("bad", cartan)
 
 
 def test_load_table_rejects_tampered_length(tmp_path):

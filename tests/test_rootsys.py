@@ -199,7 +199,7 @@ def test_exponents_match_strip_lengths_g2():
 
 def test_extended_cartan_builds_affine_system(tables):
     ext = rootsys.extended_cartan("A", 2)
-    system = coxeter.from_cartan(ext, "A2-extended")
+    system = coxeter.CoxeterSystem("A2-extended", ext)
     assert system.is_affine
     rf_ext, _ = poincare_affine(system, 8)
     rf_std, _ = poincare_affine(coxeter.build_system("A2t"), 8, tables["A2t"])
@@ -208,7 +208,7 @@ def test_extended_cartan_builds_affine_system(tables):
 
 def test_extended_cartan_g2_matches_bond_orders():
     ext = rootsys.extended_cartan("G", 2)
-    system = coxeter.from_cartan(ext, "G2-extended")
+    system = coxeter.CoxeterSystem("G2-extended", ext)
     bonds = sorted(
         system.bond(i, j) for i in range(3) for j in range(i + 1, 3)
     )

@@ -339,20 +339,12 @@ def test_series_json_roundtrip():
 
 
 def test_affine_series_rejects_infinite_parabolic():
-    # a forged "affine" flag on a system whose proper parabolics are not
-    # all finite must surface as an enumeration error, not a wrong answer
-    import pytest as _pytest
-
-    hyper = coxeter.CoxeterSystem(
-        "forged",
-        ("s1", "s2", "s3"),
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-        ((2, -2, -2), (-2, 2, -2), (-2, -2, 2)),
-        True,
-        2,
-        (1, 1, 1),
-    )
-    with _pytest.raises(coxeter.CoxeterError):
+    # every pair of generators has an infinite bond and det C = -32, so the
+    # system is not affine, and the closed form refuses it rather than
+    # summing over parabolics that do not close
+    hyper = coxeter.CoxeterSystem("hyperbolic", ((2, -2, -2), (-2, 2, -2), (-2, -2, 2)))
+    assert not hyper.is_affine
+    with pytest.raises(SeriesError):
         poincare_affine(hyper, 6, coxeter.enumerate_elements(hyper, 6))
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from test_series import _det_berkowitz
 from weylzeta import coxeter, strips
-from weylzeta.series import ExponentMap, Matrix, Poly, RationalFunction, char_matrix_det
+from weylzeta.series import ExponentMap, Matrix, Poly, RationalFunction, char_matrix_det, det_poly_matrix
 from weylzeta.zeta import (
     Graph,
     TorusRepresentation,
@@ -305,6 +305,29 @@ def test_block_det_matches_generic(tables, tag, k):
         block = tq.block_det([(rep.perm(t, el), el.length, el.key) for el in els])
         assert not block.residual
         assert block.as_polynomial() == FiniteTwistedSeries(rep, els, t).det()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_block_det_is_regular_block_power(tables, tag, k):
+    # W_J acts freely on the chambers, so every orbit is a copy of its
+    # regular representation: block_det over W_J is det R_J to the power
+    # n / |W_J|, R_J = sum_w P_reg(w) u^l(w) with P_reg from table products
+    t = tables[tag]
+    tq = torus_quotient_rep(coxeter.build_system(tag), k, t)
+    rep = tq.representation
+    n = tq.chamber_count()
+    for gens in coxeter.all_proper_subsets(3):
+        els = t.parabolic_elements(gens)
+        pos = {el.key: i for i, el in enumerate(els)}
+        rows = [[Poly.zero()] * len(els) for _ in els]
+        for v in els:
+            for w in els:
+                j = pos[t.product_key(v.key, w.key)]
+                rows[pos[v.key]][j] = rows[pos[v.key]][j] + Poly.u(w.length)
+        assert n % len(els) == 0
+        regular = ExponentMap.of_poly(det_poly_matrix(rows), n // len(els))
+        assert tq.block_det([(rep.perm(t, el), el.length, el.key) for el in els]) == regular, gens
 
 
 def test_cyclic_det_cycle_formula(torus_k2):
