@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coxeter import OutOfTableError, mat_identity
 from .series import (
@@ -16,9 +15,11 @@ from .series import (
     PowerSeries,
     QPolynomial,
     RationalFunction,
+    SeriesError,
     char_matrix_det,
     det_poly_matrix,
     det_series,
+    scalar_from_json,
     scalar_one_like,
 )
 
@@ -54,8 +55,7 @@ class HeckeElement:
         self.terms = {k: c for k, c in terms.items() if c != 0}
 
     def coeff(self, element):
-        key = element.key if hasattr(element, "key") else element
-        return self.terms.get(key, 0)
+        return self.terms.get(element.key, 0)
 
     def __add__(self, other):
         if not isinstance(other, HeckeElement):
@@ -209,14 +209,15 @@ def characters(system):
 
 def walk_word(table, element, cache, step):
     """Value at e_w of a map cached by element key, built along the stored
-    reduced word of w: each prefix v s missing from the cache becomes
-    step(cache[v], s).  The cache must hold the identity's value."""
-    key = element.key if hasattr(element, "key") else element
+    reduced word of the GroupElement w: each prefix v s missing from the
+    cache becomes step(cache[v], s).  The cache must hold the identity's
+    value."""
+    key = element.key
     cached = cache.get(key)
     if cached is not None:
         return cached
     cur = table.identity.key
-    for s in table.element(key).word:
+    for s in element.word:
         nxt = table.right_multiply_key(cur, s)
         if nxt not in cache:
             cache[nxt] = step(cache[cur], s)
@@ -286,6 +287,8 @@ def validate_representation(system, matrices, q=None, table=None, cache_depth=6)
         failures.append({"relation": "arity", "detail": "expected %d generator images" % k})
         raise ValidationError({"ok": False, "failures": failures})
     dim = matrices[0].nrows
+    if dim < 1:
+        failures.append({"relation": "shape", "detail": "images must have dimension at least 1"})
     for i, m in enumerate(matrices):
         if m.nrows != dim or m.ncols != dim:
             failures.append({"relation": "shape", "generators": [i + 1],
@@ -363,7 +366,8 @@ def twisted_group_sum(rep, table, order):
 
 
 class FiniteTwistedSeries:
-    """Sum of rho(e_w) u^l(w) over a finite element set: a matrix polynomial."""
+    """Sum of rho(e_w) u^l(w) over a finite element set: a matrix
+    polynomial, held as its tuple of matrix coefficients by degree."""
 
     def __init__(self, rep, elements, table):
         self.rep = rep
@@ -374,14 +378,15 @@ class FiniteTwistedSeries:
         coeffs = [Matrix.identity(dim, one) * 0 for _ in range(max_len + 1)]
         for el in self.elements:
             coeffs[el.length] = coeffs[el.length] + rep.image(table, el)
-        self.poly = Poly(coeffs)
+        self.coeffs = tuple(coeffs)
 
     def truncate(self, order):
-        return self.poly.truncate(order)
+        cs = self.coeffs[: order + 1]
+        return PowerSeries(cs + (Matrix.zeros(self.rep.dim),) * (order + 1 - len(cs)), order)
 
     def det(self):
         rows = [
-            [Poly([m.rows[i][j] for m in self.poly.coeffs]) for j in range(self.rep.dim)]
+            [Poly([m.rows[i][j] for m in self.coeffs]) for j in range(self.rep.dim)]
             for i in range(self.rep.dim)
         ]
         return det_poly_matrix(rows)
@@ -471,27 +476,14 @@ def twisted_series(table, descriptor, rep, order=None):
 
 
 def _scalar_from_json(v, scalar):
-    if scalar == "rational":
-        if isinstance(v, int):
-            return v
-        if isinstance(v, list) and len(v) == 2:
-            f = Fraction(v[0], v[1])
-            return f.numerator if f.denominator == 1 else f
-        raise HeckeError("bad rational entry %r" % (v,))
-    if scalar == "q-poly":
-        if isinstance(v, int):
-            return QPolynomial((v,))
-        if isinstance(v, list):
-            coeffs = []
-            for c in v:
-                if isinstance(c, int):
-                    coeffs.append(c)
-                elif isinstance(c, list) and len(c) == 2:
-                    f = Fraction(c[0], c[1])
-                    coeffs.append(f.numerator if f.denominator == 1 else f)
-                else:
-                    raise HeckeError("bad q-poly coefficient %r" % (c,))
-            return QPolynomial(coeffs)
+    try:
+        if scalar == "rational":
+            return scalar_from_json(v)
+        if scalar == "q-poly":
+            return QPolynomial([scalar_from_json(c) for c in v] if isinstance(v, list)
+                               else (scalar_from_json(v),))
+    except SeriesError:
+        raise HeckeError("bad %s entry %r" % (scalar, v)) from None
     raise HeckeError("unknown scalar kind %r" % (scalar,))
 
 

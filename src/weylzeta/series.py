@@ -18,21 +18,13 @@ class SeriesError(Exception):
     pass
 
 
-def _is_scalar(x):
-    return isinstance(x, (int, Fraction, QPolynomial))
-
-
 def scalar_zero_like(x):
-    if isinstance(x, QPolynomial):
-        return QPolynomial.zero()
     if isinstance(x, Matrix):
         return Matrix.zeros(x.nrows, x.ncols)
     return x * 0
 
 
 def scalar_one_like(x):
-    if isinstance(x, QPolynomial):
-        return QPolynomial.one()
     if isinstance(x, Matrix):
         return Matrix.identity(x.nrows)
     return x * 0 + 1
@@ -45,17 +37,34 @@ def _is_zero(x):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in the formal Hecke parameter q
+# dense polynomials over a scalar ring: Z[q], Q[q] and R[u]
 
 
-class QPolynomial:
-    """Polynomial in the formal parameter q with int/Fraction coefficients.
+def _power(base, n, one):
+    """base ** n by square-and-multiply, for n >= 0; one is the unit."""
+    if n < 0:
+        raise SeriesError("negative power of %s" % type(base).__name__)
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
-    Coefficients are stored densely by degree with trailing zeros pruned,
-    so equal polynomials have equal tuples.
+
+class _DensePoly:
+    """Dense polynomial over a commutative ring of scalars.
+
+    Coefficients are stored by degree with trailing zeros pruned, so equal
+    polynomials have equal tuples.  A subclass names its variable and the
+    types that count as its scalar coefficients.
     """
 
     __slots__ = ("coeffs",)
+    var = None
+    scalars = ()
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
@@ -63,25 +72,21 @@ class QPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @staticmethod
-    def zero():
-        return QPolynomial(())
+    @classmethod
+    def zero(cls):
+        return cls(())
 
-    @staticmethod
-    def one():
-        return QPolynomial((1,))
+    @classmethod
+    def one(cls):
+        return cls((1,))
 
-    @staticmethod
-    def q(power=1):
-        return QPolynomial((0,) * power + (1,))
-
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, QPolynomial):
+    @classmethod
+    def coerce(cls, x):
+        if isinstance(x, cls):
             return x
-        if isinstance(x, (int, Fraction)):
-            return QPolynomial((x,))
-        raise TypeError("cannot coerce %r into a q-polynomial" % (x,))
+        if isinstance(x, cls.scalars):
+            return cls((x,))
+        raise TypeError("cannot coerce %r into a %s-polynomial" % (x, cls.var))
 
     @property
     def degree(self):
@@ -90,12 +95,15 @@ class QPolynomial:
     def is_zero(self):
         return not self.coeffs
 
+    def coeff(self, d):
+        return self.coeffs[d] if d < len(self.coeffs) else 0
+
     def constant(self):
         return self.coeffs[0] if self.coeffs else 0
 
     def __add__(self, other):
         try:
-            other = QPolynomial.coerce(other)
+            other = self.coerce(other)
         except TypeError:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -104,76 +112,67 @@ class QPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return QPolynomial(out)
+        return type(self)(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPolynomial(tuple(-c for c in self.coeffs))
+        return type(self)([-c for c in self.coeffs])
 
     def __sub__(self, other):
         try:
-            other = QPolynomial.coerce(other)
+            other = self.coerce(other)
         except TypeError:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return QPolynomial.coerce(other) - self
+        return self.coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QPolynomial(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, QPolynomial):
+        cls = type(self)
+        if not isinstance(other, cls):
+            if isinstance(other, cls.scalars):
+                return cls([c * other for c in self.coeffs])
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return QPolynomial(())
+            return cls(())
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca == 0:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return QPolynomial(out)
+        return cls(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise SeriesError("negative power of a q-polynomial")
-        out = QPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, self.one())
 
     def __eq__(self, other):
         try:
-            other = QPolynomial.coerce(other)
+            other = self.coerce(other)
         except TypeError:
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        if len(self.coeffs) <= 1:
-            return hash(self.constant())
         return hash(self.coeffs)
 
     def evaluate(self, value):
+        """Horner evaluation at a scalar value of the variable."""
         out = 0
         for c in reversed(self.coeffs):
             out = out * value + c
         return out
 
     def exact_div(self, other):
-        """Exact polynomial division; raises if the remainder is nonzero."""
-        other = QPolynomial.coerce(other)
+        """Exact division by another polynomial; raises on nonzero remainder."""
+        other = self.coerce(other)
         if other.is_zero():
-            raise ZeroDivisionError("q-polynomial division by zero")
+            raise ZeroDivisionError("%s-polynomial division by zero" % self.var)
         rem = list(self.coeffs)
         lead = other.coeffs[-1]
         dq = other.degree
@@ -182,21 +181,37 @@ class QPolynomial:
             c = rem[i]
             if c == 0:
                 continue
-            f = Fraction(c, 1) / lead if not isinstance(c, Fraction) else c / lead
-            if f.denominator == 1:
-                f = f.numerator
+            f = _divide_scalar(c, lead)
             out[i - dq] = f
             for j, oc in enumerate(other.coeffs):
                 rem[i - dq + j] -= f * oc
         if any(c != 0 for c in rem):
-            raise SeriesError("inexact q-polynomial division")
-        return QPolynomial(out)
+            raise SeriesError("inexact %s-polynomial division" % self.var)
+        return type(self)(out)
 
     def __repr__(self):
-        return "QPolynomial(%r)" % (list(self.coeffs),)
+        return "%s(%r)" % (type(self).__name__, list(self.coeffs))
 
     def __str__(self):
-        return format_poly(self.coeffs, "q")
+        return format_poly(self.coeffs, self.var)
+
+
+class QPolynomial(_DensePoly):
+    """Polynomial in the formal Hecke parameter q over int/Fraction."""
+
+    __slots__ = ()
+    var = "q"
+    scalars = (int, Fraction)
+
+    @staticmethod
+    def q(power=1):
+        return QPolynomial((0,) * power + (1,))
+
+    # a constant hashes like its coefficient, as it compares equal to it
+    def __hash__(self):
+        if len(self.coeffs) <= 1:
+            return hash(self.constant())
+        return hash(self.coeffs)
 
 
 def format_poly(coeffs, var):
@@ -204,7 +219,7 @@ def format_poly(coeffs, var):
         return "0"
     parts = []
     for d, c in enumerate(coeffs):
-        if _is_zero(c):
+        if c == 0:
             continue
         cs = str(c)
         if isinstance(c, QPolynomial) and ("+" in cs or "-" in cs[1:]):
@@ -227,184 +242,29 @@ def format_poly(coeffs, var):
     return out
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials in the series variable u
+class Poly(_DensePoly):
+    """Polynomial in the series variable u over int, Fraction or
+    QPolynomial scalars, mixed freely (they all embed in Q[q])."""
 
-
-class Poly:
-    """Polynomial in the series variable u.
-
-    Coefficients may be ints, Fractions, QPolynomials, or Matrix values,
-    mixed freely as long as they live in one commutative ring.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def zero():
-        return Poly(())
-
-    @staticmethod
-    def one():
-        return Poly((1,))
+    __slots__ = ()
+    var = "u"
+    scalars = (int, Fraction, QPolynomial)
 
     @staticmethod
     def u(power=1, coeff=1):
         return Poly((0,) * power + (coeff,))
 
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, Poly):
-            return x
-        if _is_scalar(x) or isinstance(x, Matrix):
-            return Poly((x,))
-        raise TypeError("cannot coerce %r into a u-polynomial" % (x,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def coeff(self, d):
-        return self.coeffs[d] if d < len(self.coeffs) else 0
-
-    def constant(self):
-        return self.coeffs[0] if self.coeffs else 0
-
-    def __add__(self, other):
-        try:
-            other = Poly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        try:
-            other = Poly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return Poly.coerce(other) - self
-
-    def __mul__(self, other):
-        if _is_scalar(other) or isinstance(other, Matrix):
-            return Poly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(())
-        out = [None] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if _is_zero(ca):
-                continue
-            for j, cb in enumerate(b):
-                t = ca * cb
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        z = scalar_zero_like(a[0] * b[0])
-        return Poly(tuple(z if c is None else c for c in out))
-
-    def __rmul__(self, other):
-        if _is_scalar(other) or isinstance(other, Matrix):
-            return Poly(tuple(other * c for c in self.coeffs))
-        return NotImplemented
-
-    def __pow__(self, n):
-        if n < 0:
-            raise SeriesError("negative power of a polynomial")
-        out = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        try:
-            other = Poly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def evaluate(self, value):
-        """Horner evaluation at a scalar value of u."""
-        if not self.coeffs:
-            return 0
-        out = scalar_zero_like(self.coeffs[0])
-        for c in reversed(self.coeffs):
-            out = out * value + c
-        return out
-
     def substitute_power(self, m):
         """The polynomial p(u^m)."""
         if m < 1:
             raise SeriesError("substitution power must be positive")
-        out = []
-        for c in self.coeffs:
-            out.append(c)
-            out.extend([scalar_zero_like(c)] * (m - 1))
-        return Poly(out[: (self.degree * m + 1)] if self.coeffs else ())
-
-    def truncate(self, order):
-        cs = list(self.coeffs[: order + 1])
-        z = scalar_zero_like(self.coeffs[0]) if self.coeffs else 0
-        cs += [z] * (order + 1 - len(cs))
-        return PowerSeries(cs, order)
-
-    def exact_div(self, other):
-        """Exact division by another polynomial; raises on nonzero remainder."""
-        other = Poly.coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        dq = other.degree
-        out = [0] * max(len(rem) - dq, 0)
-        for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i]
-            if _is_zero(c):
-                continue
-            f = _divide_scalar(c, lead)
-            out[i - dq] = f
-            for j, oc in enumerate(other.coeffs):
-                rem[i - dq + j] = rem[i - dq + j] - f * oc
-        if any(not _is_zero(c) for c in rem):
-            raise SeriesError("inexact polynomial division")
+        out = [0] * (self.degree * m + 1)
+        out[::m] = self.coeffs
         return Poly(out)
 
-    def __repr__(self):
-        return "Poly(%r)" % (list(self.coeffs),)
-
-    def __str__(self):
-        return format_poly(self.coeffs, "u")
+    def truncate(self, order):
+        cs = self.coeffs[: order + 1]
+        return PowerSeries(cs + (0,) * (order + 1 - len(cs)), order)
 
 
 def _divide_scalar(a, b):
@@ -468,26 +328,17 @@ class Matrix:
             return Matrix(
                 tuple(tuple(_dot(row, col) for col in bt) for row in self.rows)
             )
-        if _is_scalar(other):
+        if isinstance(other, Poly.scalars):
             return Matrix(tuple(tuple(a * other for a in r) for r in self.rows))
         return NotImplemented
 
     def __rmul__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, Poly.scalars):
             return Matrix(tuple(tuple(other * a for a in r) for r in self.rows))
         return NotImplemented
 
     def __pow__(self, n):
-        if n < 0:
-            raise SeriesError("negative matrix power")
-        out = Matrix.identity(self.nrows, scalar_one_like(self.rows[0][0]))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Matrix.identity(self.nrows, scalar_one_like(self.rows[0][0])))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -567,12 +418,12 @@ class PowerSeries:
             return other
         if isinstance(other, Poly):
             return other.truncate(self.order)
-        if _is_scalar(other) or isinstance(other, Matrix):
+        if isinstance(other, Poly.scalars):
             return Poly.coerce(other).truncate(self.order)
         raise TypeError("cannot combine %r with a power series" % (other,))
 
     def __mul__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, Poly.scalars):
             return PowerSeries([c * other for c in self.coeffs], self.order)
         other = self._match(other)
         n = min(self.order, other.order)
@@ -657,7 +508,7 @@ class RationalFunction:
         num = Poly.coerce(num)
         den = Poly.coerce(den)
         c0 = den.constant()
-        if _is_zero(c0):
+        if c0 == 0:
             raise SeriesError("rational function denominator vanishes at u=0")
         if c0 != 1:
             if isinstance(c0, QPolynomial):
@@ -705,12 +556,8 @@ class RationalFunction:
         return RationalFunction.coerce(other) - self
 
     def __pow__(self, n):
-        if n < 0:
-            return RationalFunction(self.den, self.num) ** (-n)
-        out = RationalFunction(Poly.one())
-        for _ in range(n):
-            out = out * self
-        return out
+        base = self if n >= 0 else self.inverse()
+        return _power(base, abs(n), RationalFunction(Poly.one()))
 
     def inverse(self):
         return RationalFunction(self.den, self.num)
@@ -757,8 +604,6 @@ class RationalFunction:
         def plain(p):
             out = []
             for c in p.coeffs:
-                if isinstance(c, Matrix):
-                    return None
                 if isinstance(c, QPolynomial):
                     if c.degree > 0:
                         return None
@@ -996,11 +841,16 @@ def _scalar_to_json(c):
     raise SeriesError("only integer/rational entries serialize to JSON")
 
 
-def _scalar_from_json(v):
-    if isinstance(v, list):
+def scalar_from_json(v):
+    """The exact scalar of a JSON value: an int, or a [num, den] pair of
+    ints with den != 0 (a whole fraction comes back as an int).  Anything
+    else, floats and booleans included, raises SeriesError."""
+    if type(v) is int:
+        return v
+    if isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v) and v[1]:
         f = Fraction(v[0], v[1])
         return f.numerator if f.denominator == 1 else f
-    return v
+    raise SeriesError("not an exact scalar: %r" % (v,))
 
 
 def series_to_json(rf, ps):
@@ -1015,10 +865,10 @@ def series_to_json(rf, ps):
 
 def series_from_json(obj):
     rf = RationalFunction(
-        Poly([_scalar_from_json(v) for v in obj["num"]]),
-        Poly([_scalar_from_json(v) for v in obj["den"]]),
+        Poly([scalar_from_json(v) for v in obj["num"]]),
+        Poly([scalar_from_json(v) for v in obj["den"]]),
     )
-    ps = PowerSeries([_scalar_from_json(v) for v in obj["coeffs"]], obj["order"])
+    ps = PowerSeries([scalar_from_json(v) for v in obj["coeffs"]], obj["order"])
     return rf, ps
 
 

@@ -286,6 +286,21 @@ def test_rep_ingestion_via_cli(tmp_path, capsys):
     assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("rep,kind,word", [
+    ({"dim": 0, "generators": {"s1": [], "s2": [], "s3": []}}, "ValidationError", "shape"),
+    ({"dim": 1, "generators": {"s1": [[-1]], "s2": [[-1]], "s3": [[[4, 0]]]}}, "HeckeError", "[4, 0]"),
+], ids=["dim0", "zero-denominator"])
+def test_bad_rep_reports_structured_error(rep, kind, word, tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    status, out = run_cli(
+        ["det-identity", "--type", "A2t", "--rep", str(path), "--format", "json"], capsys)
+    assert status == 2
+    error = json.loads(out)
+    assert error["kind"] == kind
+    assert word in error["error"]
+
+
 def test_poincare_large_finite_type(capsys):
     status, out = run_cli(["poincare", "--type", "E8", "--trunc", "4", "--format", "json"], capsys)
     assert status == 0

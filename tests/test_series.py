@@ -15,6 +15,7 @@ from weylzeta.series import (
     QPolynomial,
     RationalFunction,
     SeriesError,
+    _power,
     alt_product_rational,
     binomial_product,
     char_matrix_det,
@@ -22,6 +23,7 @@ from weylzeta.series import (
     det_series,
     poincare_affine,
     poincare_parabolic,
+    scalar_from_json,
 )
 
 
@@ -453,3 +455,130 @@ def test_bareiss_det_matches_berkowitz(coeff_rows, shape):
     assert det == _det_berkowitz(rows)
     if shape in ("equal_rows", "zero_column"):
         assert det == Poly.zero()
+
+
+def test_scalar_from_json_is_exact():
+    assert scalar_from_json(3) == 3
+    assert scalar_from_json([6, 4]) == Fraction(3, 2)
+    whole = scalar_from_json([4, -2])
+    assert whole == -2 and type(whole) is int
+    for bad in ([4, 0], 0.5, True, [1, 2, 3], [1.0, 2], "1", None):
+        with pytest.raises(SeriesError):
+            scalar_from_json(bad)
+
+
+def test_series_from_json_rejects_floats():
+    from weylzeta.series import series_from_json
+
+    with pytest.raises(SeriesError):
+        series_from_json({"num": [1], "den": [1, -0.5], "coeffs": [1, [1, 2]], "order": 1})
+
+
+# differential check of the one dense polynomial body: QPolynomial over
+# int/Fraction and Poly over int/Fraction/QPolynomial against a naive map
+# (u-degree, q-degree) -> nonzero Fraction
+
+q_scalars = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+qpolys = st.lists(q_scalars, max_size=4).map(QPolynomial)
+u_scalars = st.one_of(q_scalars, qpolys)
+upolys = st.lists(u_scalars, max_size=4).map(Poly)
+# variable name -> (polynomials, scalars, axis of the variable in the map)
+dense_rings = {"q": (qpolys, q_scalars, 1), "u": (upolys, u_scalars, 0)}
+
+
+def _ref(x):
+    if isinstance(x, Poly):
+        out = {}
+        for i, c in enumerate(x.coeffs):
+            out = _ref_add(out, {(i, j): v for (_, j), v in _ref(c).items()})
+        return out
+    if isinstance(x, QPolynomial):
+        return {(0, j): Fraction(c) for j, c in enumerate(x.coeffs) if c}
+    return {(0, 0): Fraction(x)} if x else {}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (i, j), v in a.items():
+        for (k, m), w in b.items():
+            out[i + k, j + m] = out.get((i + k, j + m), 0) + v * w
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_evaluate(a, axis, value):
+    out = {}
+    for key, v in a.items():
+        term = {(0, key[1]) if axis == 0 else (key[0], 0): v}
+        for _ in range(key[axis]):
+            term = _ref_mul(term, _ref(value))
+        out = _ref_add(out, term)
+    return out
+
+
+def _dense_case(var):
+    polys, scalars, _ = dense_rings[var]
+    return st.tuples(st.just(var), polys, polys, scalars, scalars, st.integers(0, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(dense_rings)).flatmap(_dense_case))
+def test_dense_polynomials_match_reference(case):
+    var, a, b, s, x, n = case
+    ra, rb = _ref(a), _ref(b)
+    for value in (a + b, a - b, a * b, a * s, s * a, a ** n):
+        assert type(value) is type(a)
+        assert not value.coeffs or value.coeffs[-1] != 0
+    assert _ref(a + b) == _ref_add(ra, rb)
+    assert _ref(a - b) == _ref_add(ra, {k: -v for k, v in rb.items()})
+    assert _ref(a * b) == _ref_mul(ra, rb)
+    assert _ref(a * s) == _ref(s * a) == _ref_mul(ra, _ref(s))
+    power = {(0, 0): 1}
+    for _ in range(n):
+        power = _ref_mul(power, ra)
+    assert _ref(a ** n) == power
+    if not b.is_zero():
+        assert (a * b).exact_div(b) == a
+    assert (a == b) == (ra == rb)
+    assert a == type(a)(a.coeffs + (0,)) and type(a)((s,)) == s
+    assert _ref(a.evaluate(x)) == _ref_evaluate(ra, dense_rings[var][2], x)
+
+
+@given(q_scalars)
+def test_constant_polynomials_hash_like_their_coefficient(c):
+    assert hash(QPolynomial((c,))) == hash(c)
+    assert hash(Poly((QPolynomial((c,)),))) == hash(Poly((c,)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       st.lists(st.integers(-3, 3), max_size=3), st.lists(st.integers(-3, 3), max_size=3),
+       st.integers(0, 4))
+def test_power_matches_repeated_products(entries, num, den_tail, n):
+    m = Matrix((entries[:2], entries[2:]))
+    prod = Matrix.identity(2)
+    for _ in range(n):
+        prod = prod * m
+    assert _power(m, n, Matrix.identity(2)) == m ** n == prod
+    rf = RationalFunction(Poly(num), Poly([1] + den_tail))
+    prod, inv = RationalFunction(Poly.one()), RationalFunction(Poly.one())
+    for _ in range(n):
+        prod = prod * rf
+        if num and num[0]:
+            inv = inv / rf
+    assert _power(rf, n, RationalFunction(Poly.one())) == rf ** n == prod
+    if num and num[0]:
+        assert rf ** -n == inv
+
+
+def test_poly_coefficients_are_scalars_only():
+    with pytest.raises(TypeError):
+        Poly.coerce(Matrix.identity(2))
+    with pytest.raises(TypeError):
+        Poly.one() * Matrix.identity(2)
