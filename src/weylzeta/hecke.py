@@ -265,7 +265,8 @@ class Representation:
         return RationalFunction(self.cyclic_det_hook(table, element))
 
     def det_series_hook(self, table, order):
-        """Trace-log determinant of the truncated twisted group sum."""
+        """Determinant of the truncated twisted group sum, by unit-pivot
+        elimination over the truncated series ring."""
         return det_series(twisted_group_sum(self, table, order))
 
     def __repr__(self):
@@ -488,11 +489,25 @@ def _scalar_from_json(v, scalar):
 
 
 def representation_from_json(system, obj, table=None):
-    """Ingest {dim, generators: {s1: [[...]], ...}, scalar, q} and validate."""
+    """Ingest {dim, generators: {s1: [[...]], ...}, scalar, q} and validate.
+
+    The shape is checked before any arithmetic: a JSON object whose dim
+    is a whole number and whose generators map each name to a list of
+    rows.  A bad shape raises HeckeError naming the key."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise HeckeError("representation is not JSON: %s" % exc) from None
+    if not isinstance(obj, dict):
+        raise HeckeError("representation must be a JSON object, not %s" % type(obj).__name__)
+    dim = obj.get("dim")
+    if type(dim) is not int or dim < 0:
+        raise HeckeError("representation key 'dim' must be a whole number, not %r" % (dim,))
+    gens = obj.get("generators")
+    if not isinstance(gens, dict):
+        raise HeckeError("representation key 'generators' must be an object of generator images")
     scalar = obj.get("scalar", "rational")
-    dim = obj["dim"]
     q = obj.get("q")
     if q is None:
         qval = formal_q() if scalar == "q-poly" else 1
@@ -503,9 +518,11 @@ def representation_from_json(system, obj, table=None):
     mats = []
     for i in range(system.num_generators):
         name = "s%d" % (i + 1)
-        if name not in obj["generators"]:
+        if name not in gens:
             raise HeckeError("missing generator image %s" % name)
-        rows = obj["generators"][name]
+        rows = gens[name]
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            raise HeckeError("generator %s must be a list of rows" % name)
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise HeckeError("generator %s is not %dx%d" % (name, dim, dim))
         mats.append(Matrix([[_scalar_from_json(v, scalar) for v in row] for row in rows]))

@@ -873,38 +873,36 @@ def series_from_json(obj):
 
 
 def det_series(ps, order=None):
-    """Determinant of a matrix-valued power series via trace-log expansion.
+    """Determinant of a matrix-valued power series with constant term I,
+    truncated at u^order (by default the series' own order).
 
-    The constant term must be the identity matrix and the scalars must live
-    in characteristic zero (ints/Fractions/QPolynomials all qualify).
+    Gaussian elimination over R[[u]]/(u^(order+1)).  The constant term is
+    I, so every Schur complement has constant term I as well: each pivot
+    is a unit series whose inverse needs only products and differences,
+    and the determinant is the product of the pivots.  There is no pivot
+    search and no division, so entries stay in their own ring (ints stay
+    ints), and a 1x1 series is its single entry.
     """
     if order is None:
         order = ps.order
+    if order > ps.order:
+        raise SeriesError("cannot extend a truncated series")
     c0 = ps.coeffs[0]
     if not isinstance(c0, Matrix) or not c0.is_identity():
         raise SeriesError("det_series needs identity constant term")
     n = c0.nrows
-    one = scalar_one_like(c0.rows[0][0])
-    zser = [scalar_zero_like(one) for _ in range(order + 1)]
-    nil = PowerSeries(
-        [ps.coeffs[d] - (c0 if d == 0 else Matrix.zeros(n)) for d in range(order + 1)],
-        order,
-    )
-    # trace of log(1 + N) = sum (-1)^(j+1) tr(N^j)/j, N nilpotent mod u
-    tr_log = list(zser)
-    power = PowerSeries([Matrix.identity(n, one)] + [Matrix.zeros(n)] * order, order)
-    for j in range(1, order + 1):
-        power = power * nil
-        sign = 1 if j % 2 == 1 else -1
-        for d in range(j, order + 1):
-            tr_log[d] = tr_log[d] + Fraction(sign, j) * _promote_fraction(power.coeffs[d].trace())
-    return _series_exp(tr_log, order)
-
-
-def _promote_fraction(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
+    rows = [
+        [PowerSeries([ps.coeffs[d].rows[i][j] for d in range(order + 1)], order) for j in range(n)]
+        for i in range(n)
+    ]
+    det = rows[0][0]
+    for k in range(n - 1):
+        inv = rows[k][k].inverse()
+        for i in range(k + 1, n):
+            f = rows[i][k] * inv
+            rows[i][k + 1:] = [a - f * b for a, b in zip(rows[i][k + 1:], rows[k][k + 1:])]
+        det = det * rows[k + 1][k + 1]
+    return det
 
 
 def _series_exp(coeffs, order):

@@ -343,11 +343,12 @@ def verify_determinant_identity(system, rep, table=None, dual_check_order=None):
     products and the comparison are sums and comparisons of maps.  The
     full-group factor of the alternating product is obtained through the
     length-preserving factorization; as an independent route its truncated
-    expansion is compared with the trace-log determinant of the truncated
-    group series.  A failure records a witness: the check that failed, the
-    first degree where its two sides differ (for the identity, the first d
-    whose (1-u^d) exponents differ, when both sides are maps), and the
-    form of each factor.
+    expansion is compared with the representation's det_series_hook, the
+    determinant of the truncated group series summed over the ball.  A
+    failure records a witness: the check that failed, the first degree
+    where its two sides differ (for the identity, the first d whose
+    (1-u^d) exponents differ, when both sides are maps), and the form of
+    each factor.
     """
     if system.type_tag not in _STRIP_WORDS:
         raise StripsError("determinant identity applies to rank-2 affine types")

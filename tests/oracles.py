@@ -1,0 +1,51 @@
+"""Second routes kept as named test oracles for production routes in
+weylzeta: each computes the same quantity another way, and a test
+compares the two."""
+
+from fractions import Fraction
+
+from weylzeta.series import (
+    Matrix,
+    PowerSeries,
+    SeriesError,
+    _series_exp,
+    scalar_one_like,
+    scalar_zero_like,
+)
+
+
+def det_series_tracelog(ps, order=None):
+    """Determinant of a matrix-valued power series via trace-log expansion:
+    det(I + N) = exp tr log(I + N), with tr log(I + N) the sum over j of
+    (-1)^(j+1) tr(N^j)/j.  Oracle for series.det_series.
+
+    The constant term must be the identity matrix and the scalars must live
+    in characteristic zero (ints/Fractions/QPolynomials all qualify).
+    """
+    if order is None:
+        order = ps.order
+    c0 = ps.coeffs[0]
+    if not isinstance(c0, Matrix) or not c0.is_identity():
+        raise SeriesError("det_series needs identity constant term")
+    n = c0.nrows
+    one = scalar_one_like(c0.rows[0][0])
+    zser = [scalar_zero_like(one) for _ in range(order + 1)]
+    nil = PowerSeries(
+        [ps.coeffs[d] - (c0 if d == 0 else Matrix.zeros(n)) for d in range(order + 1)],
+        order,
+    )
+    # trace of log(1 + N) = sum (-1)^(j+1) tr(N^j)/j, N nilpotent mod u
+    tr_log = list(zser)
+    power = PowerSeries([Matrix.identity(n, one)] + [Matrix.zeros(n)] * order, order)
+    for j in range(1, order + 1):
+        power = power * nil
+        sign = 1 if j % 2 == 1 else -1
+        for d in range(j, order + 1):
+            tr_log[d] = tr_log[d] + Fraction(sign, j) * _promote_fraction(power.coeffs[d].trace())
+    return _series_exp(tr_log, order)
+
+
+def _promote_fraction(x):
+    if isinstance(x, int):
+        return Fraction(x)
+    return x

@@ -289,7 +289,11 @@ def test_rep_ingestion_via_cli(tmp_path, capsys):
 @pytest.mark.parametrize("rep,kind,word", [
     ({"dim": 0, "generators": {"s1": [], "s2": [], "s3": []}}, "ValidationError", "shape"),
     ({"dim": 1, "generators": {"s1": [[-1]], "s2": [[-1]], "s3": [[[4, 0]]]}}, "HeckeError", "[4, 0]"),
-], ids=["dim0", "zero-denominator"])
+    ({"dim": "1", "generators": {"s1": [[-1]], "s2": [[-1]], "s3": [[-1]]}}, "HeckeError", "'dim'"),
+    ({"dim": 1}, "HeckeError", "'generators'"),
+    ([{"dim": 1}], "HeckeError", "JSON object"),
+    ({"dim": 1, "generators": {"s1": 5, "s2": [[-1]], "s3": [[-1]]}}, "HeckeError", "s1"),
+], ids=["dim0", "zero-denominator", "dim-string", "no-generators", "top-level-list", "generator-not-rows"])
 def test_bad_rep_reports_structured_error(rep, kind, word, tmp_path, capsys):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(rep))
@@ -299,6 +303,16 @@ def test_bad_rep_reports_structured_error(rep, kind, word, tmp_path, capsys):
     error = json.loads(out)
     assert error["kind"] == kind
     assert word in error["error"]
+
+
+def test_rep_that_is_not_json_reports_structured_error(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text("{dim: 1")
+    status, out = run_cli(
+        ["det-identity", "--type", "A2t", "--rep", str(path), "--format", "json"], capsys)
+    assert status == 2
+    error = json.loads(out)
+    assert error["kind"] == "HeckeError" and "not JSON" in error["error"]
 
 
 def test_poincare_large_finite_type(capsys):

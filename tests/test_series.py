@@ -25,6 +25,7 @@ from weylzeta.series import (
     poincare_parabolic,
     scalar_from_json,
 )
+from oracles import det_series_tracelog
 
 
 def rand_qpoly(rng, deg=4, lo=-5, hi=5):
@@ -223,6 +224,52 @@ def test_det_series_multiplicative_random_3x3():
         lhs = det_series(a * b)
         rhs = det_series(a) * det_series(b)
         assert lhs == rhs
+
+
+def test_det_series_rejects_an_order_past_the_truncation():
+    ps = PowerSeries([Matrix.identity(2), Matrix([[1, 2], [3, 4]])], 1)
+    with pytest.raises(SeriesError, match="cannot extend a truncated series"):
+        det_series(ps, 3)
+    assert det_series(ps, 0) == PowerSeries([1], 0)
+
+
+def test_det_series_keeps_int_entries_int():
+    rng = random.Random(3)
+    det = det_series(rand_matrix_series(rng, 3, 8))
+    assert all(type(c) is int for c in det.coeffs)
+
+
+@st.composite
+def unit_matrix_series(draw):
+    """I + sum_d M_d u^d over one coefficient ring, with each M_d drawn,
+    zero, or a fixed nilpotent N (N^2 = 0)."""
+    ring = draw(st.sampled_from(sorted(coefficient_rings)))
+    n = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 10))
+    scalar = coefficient_rings[ring]
+    one = QPolynomial.one() if ring == "qpoly" else 1
+    # N = v w^T with w = (-v_1, v_0, 0, ...), so w . v = 0 (N = 0 at n = 1)
+    v = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    w = [-v[1], v[0]] + [0] * (n - 2) if n > 1 else [0]
+    nil = Matrix([[vi * wj * one for wj in w] for vi in v])
+    assert (nil * nil).is_zero()
+    coeffs = [Matrix.identity(n, one)]
+    for _ in range(order):
+        kind = draw(st.sampled_from(("drawn", "zero", "nilpotent")))
+        if kind == "drawn":
+            coeffs.append(Matrix(draw(st.lists(st.lists(scalar, min_size=n, max_size=n),
+                                               min_size=n, max_size=n))))
+        else:
+            coeffs.append(Matrix.zeros(n) if kind == "zero" else nil)
+    return PowerSeries(coeffs, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_matrix_series())
+def test_det_series_matches_tracelog_oracle(ps):
+    det = det_series(ps)
+    assert det.order == ps.order
+    assert det == det_series_tracelog(ps)
 
 
 def test_det_poly_matrix_matches_char_det():

@@ -128,6 +128,39 @@ def test_det_identity_characters(tables):
             assert report.dual_check_ok
 
 
+def test_det_identity_wrong_character_factor_fails_the_dual_check(tables, monkeypatch):
+    # one finite factor of the factorization, for one character of C2t,
+    # is multiplied by 1 + u^5: only the dual check compares the
+    # factorization with the direct sum over the ball, and it sees the
+    # error first at u^5
+    system = coxeter.build_system("C2t")
+    table = tables["C2t"]
+    first_finite = next(data for kind, data in strips.realize_factors(table, strips.scheme_for("C2t"))
+                        if kind == "finite")
+    target_words = [el.word for el in first_finite]
+    reps = [ch.as_representation() for ch in hecke.characters(system)]
+    wrong = reps[3]
+    orig = hecke.Representation.finite_det_factor
+
+    def tampered(self, table, elements):
+        out = orig(self, table, elements)
+        if self is wrong and [el.word for el in elements] == target_words:
+            return out * RationalFunction(Poly.one() + Poly.u(5))
+        return out
+
+    monkeypatch.setattr(hecke.Representation, "finite_det_factor", tampered)
+    for rep in reps:
+        report = strips.verify_determinant_identity(system, rep, table)
+        if rep is not wrong:
+            assert report.ok and report.witness is None
+            continue
+        assert not report.ok and not report.dual_check_ok
+        w = report.witness
+        assert (w["check"], w["degree"]) == ("dual", 5)
+        assert w["lhs"] != w["rhs"]
+        assert report.as_json()["dual_check"] == {"order": 8, "pass": False}
+
+
 def test_det_identity_trivial_character_closed_form(tables):
     q = hecke.formal_q()
     system = coxeter.build_system("A2t")
