@@ -12,8 +12,41 @@ import json
 import sys
 from fractions import Fraction
 
-from . import coxeter, hecke, rootsys, strips, zeta
+from . import coxeter, hecke, rootsys, series, strips, zeta
 from .series import alt_product_rational, poincare_affine, series_to_json
+
+
+class InputError(ValueError):
+    """An input file or option value the command line cannot read."""
+
+
+# bad input exits 2; any other exception is a bug and exits 3
+_INPUT_ERRORS = (
+    ValueError,
+    coxeter.CoxeterError,
+    hecke.HeckeError,
+    rootsys.RootSystemError,
+    series.SeriesError,
+    strips.StripsError,
+    zeta.ZetaError,
+)
+
+
+def _read_input(path, option):
+    """The text of the file an option names, or an InputError naming both."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError("%s %s: %s" % (option, path, exc.strerror or exc)) from None
+    except UnicodeDecodeError as exc:
+        raise InputError("%s %s: not text (%s)" % (option, path, exc.reason)) from None
+
+
+def _system(config):
+    if not config.type_tag:
+        raise InputError("%s needs --type, e.g. --type A2t" % config.command)
+    return coxeter.build_system(config.type_tag)
 
 
 def _jsonable(x):
@@ -47,7 +80,7 @@ def _emit(config, text_lines, json_obj):
 
 
 def cmd_poincare(config):
-    system = coxeter.build_system(config.type_tag)
+    system = _system(config)
     if system.is_affine:
         rf, ps = poincare_affine(system, config.trunc)
         rf = rf.reduced()
@@ -66,7 +99,7 @@ def cmd_poincare(config):
 
 
 def cmd_alt(config):
-    system = coxeter.build_system(config.type_tag)
+    system = _system(config)
     alt = alt_product_rational(system)
     inv = alt.inverse().reduced()
     factors = inv.binomial_factors()
@@ -80,7 +113,7 @@ def cmd_alt(config):
 
 
 def cmd_factorize(config):
-    system = coxeter.build_system(config.type_tag)
+    system = _system(config)
     bound = max(coxeter.DEFAULT_BOUND, config.trunc)
     table = coxeter.enumerate_elements(system, bound)
     report = strips.factorization_census(table, strips.scheme_for(config.type_tag), config.trunc)
@@ -97,18 +130,21 @@ def cmd_factorize(config):
 def _parse_q(config):
     if config.q_mode == "formal":
         return None  # formal parameter
-    f = Fraction(config.q_mode)
+    try:
+        f = Fraction(config.q_mode)
+    except (ValueError, ZeroDivisionError):
+        raise InputError("--q must be 'formal', 'torus' or a rational like 2 or 1/2, not %r"
+                         % (config.q_mode,)) from None
     return f.numerator if f.denominator == 1 else f
 
 
 def cmd_det_identity(config):
-    system = coxeter.build_system(config.type_tag)
+    system = _system(config)
     table = coxeter.enumerate_elements(system, coxeter.DEFAULT_BOUND)
     results = []
     ok = True
     if config.rep_path:
-        with open(config.rep_path) as fh:
-            rep = hecke.representation_from_json(system, fh.read())
+        rep = hecke.representation_from_json(system, _read_input(config.rep_path, "--rep"))
         report = strips.verify_determinant_identity(system, rep, table)
         ok = report.ok
         results.append({"representation": config.rep_path, **report.as_json()})
@@ -135,9 +171,11 @@ def cmd_det_identity(config):
 
 def cmd_macdonald_table(config):
     if config.type_tag and config.type_tag.lower() != "all":
-        fam = config.type_tag[0].upper()
-        rank = int(config.type_tag[1:])
-        specs = [(fam, rank)]
+        fam, rank = config.type_tag[0].upper(), config.type_tag[1:]
+        if not (rank.isdigit() and rank.isascii()):
+            raise InputError("--type must be a finite type like E8, or all, not %r"
+                             % (config.type_tag,))
+        specs = [(fam, int(rank))]
     else:
         specs = rootsys.DEFAULT_TABLE_SPECS
     rows = rootsys.exponent_rows(specs)
@@ -156,8 +194,7 @@ def cmd_macdonald_table(config):
 def cmd_ihara(config):
     if not config.graph_path:
         raise ValueError("ihara needs --graph <edge list file>")
-    with open(config.graph_path) as fh:
-        graph = zeta.Graph.from_edge_list(fh.read())
+    graph = zeta.Graph.from_edge_list(_read_input(config.graph_path, "--graph"), config.graph_path)
     report = zeta.ihara_zeta(graph, config.trunc if config.trunc > 0 else 16)
     obj = report.as_json()
     lines = [
@@ -179,7 +216,7 @@ def cmd_ihara(config):
 
 
 def cmd_torus(config):
-    system = coxeter.build_system(config.type_tag)
+    system = _system(config)
     table = coxeter.enumerate_elements(system, coxeter.DEFAULT_BOUND)
     tq = zeta.torus_quotient_rep(system, config.scale, table)
     report = zeta.verify_strip_zeta_identity(tq)
@@ -243,7 +280,12 @@ def main(argv=None):
         status, lines, obj = _COMMANDS[config.command](config)
     except Exception as exc:  # structured failure for scripting
         _emit(config, ["error: %s" % exc], {"error": str(exc), "kind": type(exc).__name__})
-        return 2
+        if isinstance(exc, _INPUT_ERRORS):
+            return 2
+        import traceback  # only a bug pays for the import
+
+        traceback.print_exc()
+        return 3
     _emit(config, lines, obj)
     return status
 

@@ -8,6 +8,7 @@ Nothing here ever touches floating point.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -905,66 +906,118 @@ def det_series(ps, order=None):
     return det
 
 
-def _series_exp(coeffs, order):
-    """exp of a scalar series with zero constant term."""
-    if not _is_zero(coeffs[0]):
-        raise SeriesError("series exp needs zero constant term")
-    out = [scalar_one_like(coeffs[1] if order >= 1 else 1)]
-    if isinstance(out[0], int):
-        out[0] = Fraction(1)
+def power_sum_exp(power_sums, order):
+    """exp(sum_k p_k u^k / k) up to u^order from the power sums
+    p_1, ..., p_order, by Newton's identities: e_0 = 1 and
+    m e_m = sum_{k<=m} p_k e_{m-k}.  Each division by m is exact in the
+    scalars' own ring where it can be, so int power sums of a series with
+    int coefficients never make a Fraction."""
+    out = [1]
     for m in range(1, order + 1):
-        acc = scalar_zero_like(out[0])
+        acc = 0
         for k in range(1, m + 1):
-            acc = acc + k * coeffs[k] * out[m - k]
-        out.append(acc * Fraction(1, m))
-    return PowerSeries(_normalize_fractions(out), order)
-
-
-def _normalize_fractions(cs):
-    out = []
-    for c in cs:
-        if isinstance(c, Fraction) and c.denominator == 1:
-            out.append(c.numerator)
-        else:
-            out.append(c)
-    return out
+            acc = acc + power_sums[k - 1] * out[m - k]
+        out.append(_divide_scalar(acc, m))
+    return PowerSeries(out, order)
 
 
 def det_poly_matrix(rows):
     """Exact determinant of a square matrix of u-polynomials whose
     coefficients lie in one integral domain: Z[u], Q[u] or Z[q][u].
 
-    Bareiss's fraction-free elimination over the polynomial entries
-    (Math. Comp. 22, 1968): after step k every entry below the pivot row
-    is a (k+2)-minor, so the division by the previous pivot is exact.  A
-    zero pivot is swapped with a lower row that has a nonzero entry in
-    its column, flipping the sign; with no such row the determinant is 0.
+    One integer determinant by Kronecker substitution (von zur Gathen and
+    Gerhard, Modern Computer Algebra, 8.4): row i is scaled by the lcm L_i
+    of its denominators, and each entry packs into the int it takes at
+    q = X, u = X^(D+1) with X = 2^b, where D, the sum over the rows of
+    their largest q-degree, bounds the q-degree of every minor.  Every
+    coefficient of every minor is at most B = prod_i max(1, sum_j |a_ij|_1)
+    in absolute value (the product of the scaled rows' coefficient
+    1-norms), and 2^(b-1) > B, so a polynomial packs to 0 only if it is 0
+    and unpacks from its signed base-X digits.
+
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968) then runs
+    on the packed ints: after step k every entry below the pivot row is a
+    (k+2)-minor, so the division by the previous pivot is exact, in Z[u]
+    as in Z.  A zero pivot is swapped with a lower row that has a nonzero
+    entry in its column, flipping the sign; with no such row the
+    determinant is 0.  The result is divided by prod_i L_i.  Coefficients
+    come out as ints where integral, else Fractions, and as QPolynomials
+    when any entry has one; a matrix of size at most 1 returns its entry.
     """
     n = len(rows)
-    rows = [[Poly.coerce(e) for e in r] for r in rows]
     if any(len(r) != n for r in rows):
         raise SeriesError("determinant of a non-square matrix")
-    if n == 0:
-        return Poly.one()
-    sign = 1
-    prev = Poly.one()
+    if n <= 1:
+        return Poly.coerce(rows[0][0]) if n else Poly.one()
+    # each row as its nonzero terms (column, u-degree, q-degree, coefficient);
+    # an int entry is its own constant term
+    terms, over_q = [], False
+    for r in rows:
+        row = []
+        for j, entry in enumerate(r):
+            if type(entry) is int:
+                if entry:
+                    row.append((j, 0, 0, entry))
+                continue
+            for d, c in enumerate(Poly.coerce(entry).coeffs):
+                if isinstance(c, QPolynomial):
+                    over_q = True
+                    row.extend((j, d, e, x) for e, x in enumerate(c.coeffs) if x)
+                elif c:
+                    row.append((j, d, 0, c))
+        terms.append(row)
+    bound, q_degree, scale = 1, 0, 1
+    for i, row in enumerate(terms):
+        if any(type(t[3]) is not int for t in row):
+            lcm = math.lcm(*(t[3].denominator for t in row))
+            terms[i] = row = [(j, d, e, int(c * lcm)) for j, d, e, c in row]
+            scale *= lcm
+        bound *= max(1, sum(abs(t[3]) for t in row))
+        if over_q:
+            q_degree += max((t[2] for t in row), default=0)
+    b = bound.bit_length() + 1
+    step = b * (q_degree + 1)
+    a = []
+    for row in terms:
+        ints = [0] * n
+        for j, d, e, c in row:
+            ints[j] += c << (d * step + e * b)
+        a.append(ints)
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if rows[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not rows[i][k].is_zero()), None)
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
                 return Poly.zero()
-            rows[k], rows[swap] = rows[swap], rows[k]
+            a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        pivot, pivot_row = rows[k][k], rows[k]
-        for row in rows[k + 1:]:
+        pivot_row, cols = a[k], range(k + 1, n)
+        pivot = pivot_row[k]
+        for row in a[k + 1:]:
             lead = row[k]
-            for j in range(k + 1, n):
-                entry = row[j] * pivot
-                if not (lead.is_zero() or pivot_row[j].is_zero()):
-                    entry = entry - lead * pivot_row[j]
-                row[j] = entry.exact_div(prev)
+            for j in cols:
+                quotient, remainder = divmod(row[j] * pivot - lead * pivot_row[j], prev)
+                if remainder:
+                    raise SeriesError("inexact Bareiss division")
+                row[j] = quotient
         prev = pivot
-    return rows[-1][-1] if sign == 1 else -rows[-1][-1]
+    packed = sign * a[-1][-1]
+    # signed base-X digits: coefficient of q^e u^d at place d (D+1) + e
+    digits = []
+    top, mask = 1 << (b - 1), (1 << b) - 1
+    for _ in range(packed.bit_length() // b + 2):
+        digit = packed & mask
+        if digit >= top:
+            digit -= 1 << b
+        digits.append(_divide_scalar(digit, scale))
+        packed = (packed - digit) >> b
+    if packed:
+        raise SeriesError("packed determinant has no signed base-2^%d digits" % b)
+    if not over_q:
+        return Poly(digits)
+    width = q_degree + 1
+    coeffs = [QPolynomial(digits[i:i + width]) for i in range(0, len(digits), width)]
+    return Poly([0 if c.is_zero() else c for c in coeffs])
 
 
 def char_matrix_det(mat, shift_power=1):

@@ -17,16 +17,17 @@ and the generic consumers.
 W/kL acts regularly on the chambers, so tr P(w) is n or 0 and a trace
 of a matrix power series is n times one diagonal entry: the dual
 trace-log checks push a single chamber vector through the permutations
-of a ball of the group.  All arithmetic is in Python ints and Fractions;
-all emitted values are ints, Fractions, or exact polynomials.
+of a ball of the group, and Newton's identities turn the integer power
+sums of tr log into the determinant.  The torus routes run in Python
+ints; all emitted values are ints, Fractions, or exact polynomials.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import coxeter as cox
 from . import strips as strips_mod
@@ -37,9 +38,10 @@ from .series import (
     Poly,
     PowerSeries,
     RationalFunction,
-    _series_exp,
+    _divide_scalar,
     char_matrix_det,
     det_poly_matrix,
+    power_sum_exp,
 )
 
 
@@ -71,16 +73,23 @@ class Graph:
         return Graph(num_vertices, edges)
 
     @staticmethod
-    def from_edge_list(text):
-        """Parse the line-oriented `u v` edge-list format (0-indexed)."""
+    def from_edge_list(text, source="edge list"):
+        """Parse the line-oriented `u v` edge-list format (0-indexed).  A
+        line that is not two distinct vertex numbers raises ZetaError
+        naming the source and the line."""
         pairs = []
         top = -1
-        for ln in text.splitlines():
+        for number, ln in enumerate(text.splitlines(), 1):
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
-            a, b = ln.split()
-            u, v = int(a), int(b)
+            fields = ln.split()
+            if len(fields) != 2 or not all(f.isdigit() and f.isascii() for f in fields):
+                raise ZetaError("%s line %d: expected two vertex numbers 'u v', got %r"
+                                % (source, number, ln))
+            u, v = int(fields[0]), int(fields[1])
+            if u == v:
+                raise ZetaError("%s line %d: self-loops are not supported" % (source, number))
             pairs.append((u, v))
             top = max(top, u, v)
         return Graph.from_edges(top + 1, pairs)
@@ -192,9 +201,9 @@ def _zeta_report(inv, counts, order):
     zeta = RationalFunction(Poly.one(), inv)
     series = zeta.expand(order)
     prim = primitive_counts_from_traces(counts)
-    # the exponential of the trace series must reproduce the expansion
-    log_coeffs = [Fraction(0)] + [Fraction(counts[k - 1], k) for k in range(1, order + 1)]
-    if not (_series_exp(log_coeffs, order) == series):
+    # exp(sum N_k u^k / k), from the counts as power sums, must reproduce
+    # the expansion
+    if not (power_sum_exp(counts, order) == series):
         raise ZetaError("trace series disagrees with the determinant expansion")
     return ZetaReport(zeta, inv, series, counts, prim)
 
@@ -390,16 +399,22 @@ def _fixed_points(perm):
 
 def _one_vector_det_series(perm_lengths, n, order):
     """det(I + N) up to u^order for N = sum P u^l over (perm, l) pairs with
-    l >= 1, as exp of the trace of log.  Valid only when every product of
-    the permutations fixes no chamber or all n of them: then
+    l >= 1, as the exp of the trace of log.  Valid only when every product
+    of the permutations fixes no chamber or all n of them: then
     tr(N^j) = n (N^j)_{00}, the chamber-0 entry of the row vector e_0 N^j,
-    which is held as one sparse {chamber: count} map per degree."""
+    which is held as one sparse {chamber: count} map per degree.
+
+    tr log(I + N) is accumulated over the common denominator
+    lcm(1..order), and its power sums p_d = d tr log(I + N)_d are ints,
+    since u d/du log det(I + N) = tr(u N' (I + N)^-1) has integer
+    coefficients; `power_sum_exp` turns them into the determinant."""
     by_length = [[] for _ in range(order + 1)]
     for perm, length in perm_lengths:
         if length <= order:
             by_length[length].append(perm)
+    denom = math.lcm(*range(1, order + 1))
     vec = [{0: 1}] + [{} for _ in range(order)]
-    tr_log = [Fraction(0)] * (order + 1)
+    tr_log = [0] * (order + 1)  # denom * tr log(I + N), by degree
     for j in range(1, order + 1):
         nxt = [{} for _ in range(order + 1)]
         for a in range(order):
@@ -410,10 +425,10 @@ def _one_vector_det_series(perm_lengths, n, order):
                         t = perm[c]
                         row[t] = row.get(t, 0) + x
         vec = nxt
-        sign = 1 if j % 2 == 1 else -1
+        weight = (n if j % 2 == 1 else -n) * (denom // j)
         for d in range(j, order + 1):
-            tr_log[d] += Fraction(sign * n * vec[d].get(0, 0), j)
-    return _series_exp(tr_log, order)
+            tr_log[d] += weight * vec[d].get(0, 0)
+    return power_sum_exp([_divide_scalar(d * tr_log[d], denom) for d in range(1, order + 1)], order)
 
 
 def _perm_cycles(perm):

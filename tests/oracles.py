@@ -8,7 +8,7 @@ from weylzeta.series import (
     Matrix,
     PowerSeries,
     SeriesError,
-    _series_exp,
+    _is_zero,
     scalar_one_like,
     scalar_zero_like,
 )
@@ -49,3 +49,29 @@ def _promote_fraction(x):
     if isinstance(x, int):
         return Fraction(x)
     return x
+
+
+def _series_exp(coeffs, order):
+    """exp of a scalar series with zero constant term, in Fractions: the
+    oracle for series.power_sum_exp, whose power sums are k * coeffs[k]."""
+    if not _is_zero(coeffs[0]):
+        raise SeriesError("series exp needs zero constant term")
+    out = [scalar_one_like(coeffs[1] if order >= 1 else 1)]
+    if isinstance(out[0], int):
+        out[0] = Fraction(1)
+    for m in range(1, order + 1):
+        acc = scalar_zero_like(out[0])
+        for k in range(1, m + 1):
+            acc = acc + k * coeffs[k] * out[m - k]
+        out.append(acc * Fraction(1, m))
+    return PowerSeries(_normalize_fractions(out), order)
+
+
+def _normalize_fractions(cs):
+    out = []
+    for c in cs:
+        if isinstance(c, Fraction) and c.denominator == 1:
+            out.append(c.numerator)
+        else:
+            out.append(c)
+    return out

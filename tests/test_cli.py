@@ -315,6 +315,53 @@ def test_rep_that_is_not_json_reports_structured_error(tmp_path, capsys):
     assert error["kind"] == "HeckeError" and "not JSON" in error["error"]
 
 
+# argv (with {dir} for the test's directory), the text of {dir}/g.txt,
+# the error kind, and words the message must hold: the file and line, or
+# the option
+BAD_INPUTS = {
+    "graph-not-a-number": (["ihara", "--graph", "{dir}/g.txt"], "0 1\n0 x\n",
+                           "ZetaError", ("g.txt line 2", "'0 x'")),
+    "graph-three-fields": (["ihara", "--graph", "{dir}/g.txt"], "# K2\n0 1 2\n",
+                           "ZetaError", ("g.txt line 2", "'0 1 2'")),
+    "graph-missing": (["ihara", "--graph", "{dir}/none.txt"], None,
+                      "InputError", ("--graph", "none.txt")),
+    "rep-missing": (["det-identity", "--type", "A2t", "--rep", "{dir}/none.json"], None,
+                    "InputError", ("--rep", "none.json")),
+    "q-zero-denominator": (["det-identity", "--type", "A2t", "--q", "1/0"], None,
+                           "InputError", ("--q", "'1/0'")),
+    "no-type": (["poincare"], None, "InputError", ("--type",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_reports_typed_error(case, tmp_path, capsys):
+    argv, text, kind, words = BAD_INPUTS[case]
+    if text is not None:
+        (tmp_path / "g.txt").write_text(text)
+    argv = [a.format(dir=tmp_path) for a in argv]
+    status, out = run_cli(argv + ["--format", "json"], capsys)
+    assert status == 2
+    error = json.loads(out)
+    assert error["kind"] == kind
+    assert all(w in error["error"] for w in words), error
+
+
+def test_internal_error_exits_3_with_traceback(monkeypatch, capsys):
+    # an exception outside weylzeta's error classes is a bug, not bad input
+    def crash(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "alt", crash)
+    status = cli.main(["alt", "--type", "A2t", "--format", "json"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert json.loads(captured.out) == {"error": "boom", "kind": "RuntimeError"}
+    assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
+    status = cli.main(["alt", "--type", "A2t"])
+    captured = capsys.readouterr()
+    assert status == 3 and captured.out == "error: boom\n"
+
+
 def test_poincare_large_finite_type(capsys):
     status, out = run_cli(["poincare", "--type", "E8", "--trunc", "4", "--format", "json"], capsys)
     assert status == 0

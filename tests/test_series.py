@@ -23,9 +23,10 @@ from weylzeta.series import (
     det_series,
     poincare_affine,
     poincare_parabolic,
+    power_sum_exp,
     scalar_from_json,
 )
-from oracles import det_series_tracelog
+from oracles import _series_exp, det_series_tracelog
 
 
 def rand_qpoly(rng, deg=4, lo=-5, hi=5):
@@ -502,6 +503,57 @@ def test_bareiss_det_matches_berkowitz(coeff_rows, shape):
     assert det == _det_berkowitz(rows)
     if shape in ("equal_rows", "zero_column"):
         assert det == Poly.zero()
+
+
+@st.composite
+def near_bound_matrices(draw):
+    """Diagonal and triangular matrices of monomials +-2^k u^d, over Z[u],
+    Z[q][u] (times q^e, e <= 3) or Q[u] (over a denominator), with zero
+    entries off the diagonal and, when drawn, the first row moved down so
+    that the first pivot is zero.  On a diagonal matrix the determinant
+    has the packing bound prod_i |a_ii|_1 as its coefficient."""
+    n = draw(st.integers(2, 4))
+    ring = draw(st.sampled_from(("int", "qpoly", "fraction")))
+    shape = draw(st.sampled_from(("diagonal", "lower", "upper")))
+
+    def monomial():
+        c = draw(st.sampled_from((1, -1))) * 2 ** draw(st.integers(0, 40))
+        if ring == "qpoly":
+            c = QPolynomial((0,) * draw(st.integers(0, 3)) + (c,))
+        elif ring == "fraction":
+            c = Fraction(c, draw(st.sampled_from((1, 3, 4, 6))))
+        return Poly((0,) * draw(st.integers(0, 3)) + (c,))
+
+    rows = [[Poly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            off_diagonal = (shape == "lower" and j < i) or (shape == "upper" and j > i)
+            if i == j or (off_diagonal and draw(st.booleans())):
+                rows[i][j] = monomial()
+    if draw(st.booleans()):
+        rows.append(rows.pop(0))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_bound_matrices())
+def test_packed_det_is_exact_at_the_bound(rows):
+    # the Kronecker packing has one bit of room: a coefficient equal to
+    # the bound must unpack with its sign
+    assert det_poly_matrix(rows) == _det_berkowitz(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda order: st.lists(
+    st.one_of(st.integers(-9, 9), st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+    min_size=order, max_size=order)))
+def test_power_sum_exp_matches_fraction_oracle(power_sums):
+    order = len(power_sums)
+    log_coeffs = [Fraction(0)] + [Fraction(p) / k for k, p in enumerate(power_sums, 1)]
+    got = power_sum_exp(power_sums, order)
+    assert got == _series_exp(log_coeffs, order)
+    # integral coefficients come out as ints
+    assert all(type(c) is int or c.denominator != 1 for c in got.coeffs)
 
 
 def test_scalar_from_json_is_exact():

@@ -588,13 +588,50 @@ def test_cyclic_entry_rationals_match_truncation(torus_k2):
 
 
 def test_exp_of_trace_series_reproduces_zeta():
-    from weylzeta.series import _series_exp
+    from oracles import _series_exp
     from fractions import Fraction
 
     g = complete_graph(4)
     report = ihara_zeta(g, 10)
     log_coeffs = [Fraction(0)] + [Fraction(n, k) for k, n in enumerate(report.closed_counts, start=1)]
     assert _series_exp(log_coeffs, 10) == report.series
+
+
+def test_zeta_report_rejects_a_wrong_count():
+    # N_5 + 5 is still a valid necklace count (one more primitive class
+    # of length 5), so only the power-sum exp can refuse it
+    from weylzeta import zeta
+
+    b = hashimoto_matrix(complete_graph(4))
+    inv = char_matrix_det(Matrix(b), 1)
+    counts = traces(b, 8)
+    assert zeta._zeta_report(inv, counts, 8).closed_counts == counts
+    counts[4] += 5
+    with pytest.raises(ZetaError, match="trace series disagrees"):
+        zeta._zeta_report(inv, counts, 8)
+
+
+def test_block_det_cross_check_catches_a_wrong_block(torus_k2, monkeypatch):
+    # one orbit-block determinant off by u^3: the truncated one-vector
+    # trace-log must refuse the product
+    from weylzeta import zeta
+
+    tq = torus_k2["A2t"]
+    rep, t = tq.representation, tq.table
+    els = t.parabolic_elements((0, 1))
+    triples = [(rep.perm(t, w), w.length, w.key) for w in els]
+    tq.block_det(triples)
+    calls = []
+
+    def one_block_off(rows):
+        calls.append(rows)
+        det = det_poly_matrix(rows)
+        return det + Poly.u(3) if len(calls) == 1 else det
+
+    monkeypatch.setattr(zeta, "det_poly_matrix", one_block_off)
+    with pytest.raises(ZetaError, match="trace-log cross-check"):
+        tq.block_det(triples)
+    assert calls
 
 
 def test_scale_5_quotient_builds(tables):
