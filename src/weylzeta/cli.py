@@ -64,15 +64,30 @@ def _poly_json(p):
 
 
 def _emit(config, text_lines, json_obj):
+    """Write the output to --out, or to stdout.  Returns False when --out
+    cannot be opened; that InputError is then written to stdout."""
     if config.out_format == "json":
         payload = json.dumps(_jsonable(json_obj), sort_keys=True, indent=2) + "\n"
     else:
         payload = "\n".join(text_lines) + "\n"
-    if config.out_path:
+    if not config.out_path:
+        sys.stdout.write(payload)
+        return True
+    try:
         with open(config.out_path, "w") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+        return True
+    except OSError as exc:
+        path, config.out_path = config.out_path, None
+        _emit_error(config, InputError("--out %s: %s" % (path, exc.strerror or exc)))
+        return False
+
+
+def _emit_error(config, exc):
+    obj = {"error": str(exc), "kind": type(exc).__name__}
+    if isinstance(exc, coxeter.ResourceLimitError):
+        obj.update(cap=exc.cap, env=exc.env)
+    _emit(config, ["error: %s" % exc], obj)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +129,9 @@ def cmd_alt(config):
 
 def cmd_factorize(config):
     system = _system(config)
-    bound = max(coxeter.DEFAULT_BOUND, config.trunc)
-    table = coxeter.enumerate_elements(system, bound)
-    report = strips.factorization_census(table, strips.scheme_for(config.type_tag), config.trunc)
+    scheme = strips.scheme_for(config.type_tag)  # before a finite group is enumerated
+    table = coxeter.enumerate_elements(system, max(coxeter.DEFAULT_BOUND, config.trunc))
+    report = strips.factorization_census(table, scheme, config.trunc)
     lines = [
         "type: %s  L=%d" % (config.type_tag, config.trunc),
         "slice counts: %s" % " ".join(str(c) for c in report.counts),
@@ -228,6 +243,8 @@ def cmd_torus(config):
         "alt det: %s" % report.alt_det,
         "pass: %s" % report.ok,
     ]
+    if report.witness:
+        lines.append("witness: %s" % json.dumps(_jsonable(report.witness), sort_keys=True))
     obj = report.as_json()
     obj["chambers"] = tq.chamber_count()
     return (0 if report.ok else 1), lines, obj
@@ -279,15 +296,14 @@ def main(argv=None):
             raise ValueError("scale must be at least 2")
         status, lines, obj = _COMMANDS[config.command](config)
     except Exception as exc:  # structured failure for scripting
-        _emit(config, ["error: %s" % exc], {"error": str(exc), "kind": type(exc).__name__})
+        _emit_error(config, exc)
         if isinstance(exc, _INPUT_ERRORS):
             return 2
         import traceback  # only a bug pays for the import
 
         traceback.print_exc()
         return 3
-    _emit(config, lines, obj)
-    return status
+    return status if _emit(config, lines, obj) else 2
 
 
 if __name__ == "__main__":

@@ -40,7 +40,13 @@ class OutOfTableError(CoxeterError):
 
 
 class ResourceLimitError(CoxeterError):
-    pass
+    """A count passed the element cap `cap`, which the variable `env` sets."""
+
+    env = _ENV_MAX_ELEMENTS
+
+    def __init__(self, message, cap):
+        super().__init__(message)
+        self.cap = cap
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +480,8 @@ def check_element_cap(count, what, cap=None):
     cap = element_cap() if cap is None else cap
     if count > cap:
         raise ResourceLimitError(
-            "%s exceeded %d elements (set %s to raise the cap)" % (what, cap, _ENV_MAX_ELEMENTS)
-        )
+            "%s exceeded %d elements (set %s to raise the cap)" % (what, cap, _ENV_MAX_ELEMENTS),
+            cap)
 
 
 def enumerate_elements(system, bound=DEFAULT_BOUND, max_elements=None):

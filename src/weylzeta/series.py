@@ -1049,6 +1049,11 @@ def poincare_parabolic(table, gens):
     return Poly(counts)
 
 
+def _require_affine(system):
+    if not system.is_affine:
+        raise SeriesError("Poincare series in closed form needs an affine system")
+
+
 def poincare_affine(system, order, table=None):
     """Exact rational Poincare series of an affine system, plus its truncation.
 
@@ -1058,8 +1063,7 @@ def poincare_affine(system, order, table=None):
     """
     from . import coxeter
 
-    if not system.is_affine:
-        raise SeriesError("Poincare series in closed form needs an affine system")
+    _require_affine(system)
     if table is None:
         table = coxeter.enumerate_elements(system, order)
     k = system.num_generators
@@ -1086,6 +1090,7 @@ def alt_product_rational(system, table=None, order=None):
     of the generators (the full group included via its rational series)."""
     from . import coxeter
 
+    _require_affine(system)  # before a finite group is enumerated
     k = system.num_generators
     if order is None:
         order = 2 * k + 16

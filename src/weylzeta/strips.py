@@ -394,21 +394,22 @@ def verify_determinant_identity(system, rep, table=None, dual_check_order=None):
         witness = {"check": "dual", "degree": degree,
                    "lhs": str(truncated.coeffs[degree]), "rhs": str(expanded.coeffs[degree])}
     elif not identity_ok:
-        witness = _identity_witness(lhs, alt)
+        witness = exponent_witness("identity", lhs, alt)
     if witness is not None:
         witness["factors"] = [{"factor": name, "form": _factor_form(det)} for name, _kind, det in named]
     return DetIdentityReport(system.type_tag, dual_ok and identity_ok, strip_dets, alt,
                              dual_check_order, dual_ok, witness)
 
 
-def _identity_witness(lhs, alt):
-    """The first d whose (1-u^d) exponents differ, when both sides are
-    plain exponent maps; no degree otherwise."""
-    if isinstance(alt, ExponentMap) and not (lhs.residual or alt.residual):
-        degree = lhs.first_difference(alt)
-        return {"check": "identity", "degree": degree,
-                "lhs": lhs.exponents.get(degree, 0), "rhs": alt.exponents.get(degree, 0)}
-    return {"check": "identity", "degree": None}
+def exponent_witness(check, lhs, rhs):
+    """Witness of a failed check of lhs == rhs: the first d whose (1-u^d)
+    exponents differ, when both sides are plain exponent maps; no degree
+    otherwise."""
+    if isinstance(rhs, ExponentMap) and not (lhs.residual or rhs.residual):
+        degree = lhs.first_difference(rhs)
+        return {"check": check, "degree": degree,
+                "lhs": lhs.exponents.get(degree, 0), "rhs": rhs.exponents.get(degree, 0)}
+    return {"check": check, "degree": None}
 
 
 def _factor_form(det):

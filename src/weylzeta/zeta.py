@@ -460,12 +460,23 @@ def _perm_char_poly(perm, shift_power):
 
 class TorusQuotient:
     """Chamber complex of the rank-2 apartment modulo translations by k
-    times the translation lattice, with the right-multiplication action.
+    times the translation lattice L, with the right-multiplication action.
 
-    Chambers are labelled by (finite Weyl group part, translation part
-    mod k); there are exactly |W0| * k^2 of them.  That count is checked
-    against the element cap (WEYLZETA_MAX_ELEMENTS) before any chamber is
-    built.
+    Generators s1, s2, s3 are indices 0, 1, 2, with s3 affine and simple
+    roots a1, a2, a3.  W = W0 t(L) with W0 = <s1, s2> (Kac,
+    Infinite-dimensional Lie algebras, Ch. 6), and t(kL) is normal, so
+    the chamber of w = v t_mu is (v, mu mod kL); there are exactly
+    |W0| * k^2 of them.  That count is checked against the element cap
+    (WEYLZETA_MAX_ELEMENTS) before any chamber is built.
+
+    The translation part is read off row 2 of the key, the a3
+    coordinates: w a_i = v a_i - <mu, a_i> delta, and W0 keeps a1, a2 in
+    their own span, so key[2][0], key[2][1] are
+    phi(mu) = -delta_3 (<mu, a1>, <mu, a2>), an injective linear image.
+    The lattice comes from W0 and s3 alone: s3 v = (s3bar v) t_(v^-1 mu3),
+    and W0 t(span W0 mu3) holds s1, s2 and s3, so it is W and
+    L = span(W0 mu3).  phi(L) is spanned by row 2 of s3 v over the |W0|
+    section elements v; no table element is scanned for it.
     """
 
     def __init__(self, system, k, table=None):
@@ -478,8 +489,6 @@ class TorusQuotient:
         if table is None:
             table = cox.enumerate_elements(system, cox.DEFAULT_BOUND)
         self.table = table
-        self._delta = system.delta
-        self._setup_lattice()
         self._setup_weyl_section()
         chambers = self.weyl_order * k * k
         cox.check_element_cap(chambers, "torus quotient with %d chambers" % chambers)
@@ -489,67 +498,10 @@ class TorusQuotient:
 
     # -- construction --------------------------------------------------------
 
-    def _shear_coords(self, key, base):
-        """When every column of key - base is a multiple of the null root,
-        those multiples as integer coordinates; else None."""
-        n = self.system.num_generators
-        delta = self._delta
-        r = next(i for i in range(n) if delta[i] != 0)
-        out = []
-        for col in range(n):
-            num = key[r][col] - base[r][col]
-            if num % delta[r] != 0:
-                return None
-            t = num // delta[r]
-            for a in range(n):
-                if key[a][col] - base[a][col] != t * delta[a]:
-                    return None
-            out.append(t)
-        return tuple(out)
-
-    def _setup_lattice(self):
-        """Basis of the translation lattice, found by scanning the table."""
-        vecs = []
-        identity = self.table.identity.key
-        for el in self.table.index.values():
-            if el.length == 0:
-                continue
-            tau = self._shear_coords(el.key, identity)
-            if tau is not None:
-                vecs.append(tau)
-        basis = _lattice_basis_rank2(vecs)
-        if basis is None:
-            raise ZetaError("table bound too small to see the translation lattice")
-        self._basis = basis
-        # choose two coordinate positions where the basis is invertible
-        b1, b2 = basis
-        for c1 in range(3):
-            for c2 in range(c1 + 1, 3):
-                det = b1[c1] * b2[c2] - b1[c2] * b2[c1]
-                if det != 0:
-                    self._proj = (c1, c2, det)
-                    return
-        raise ZetaError("degenerate translation lattice basis")
-
-    def _lattice_coords(self, tau):
-        c1, c2, det = self._proj
-        b1, b2 = self._basis
-        x = tau[c1] * b2[c2] - tau[c2] * b2[c1]
-        y = b1[c1] * tau[c2] - b1[c2] * tau[c1]
-        if x % det or y % det:
-            raise ZetaError("translation outside the detected lattice")
-        x //= det
-        y //= det
-        # consistency on the remaining coordinate
-        for c in range(3):
-            if x * b1[c] + y * b2[c] != tau[c]:
-                raise ZetaError("translation outside the detected lattice")
-        return x, y
-
     def _linear_part(self, key):
         """Action on the weight plane (the quotient by the null direction),
         as a 2x2 integer matrix."""
-        delta = self._delta
+        delta = self.system.delta
         m3 = delta[2]
         cols = []
         for j in range(2):
@@ -561,30 +513,30 @@ class TorusQuotient:
         return (cols[0][0], cols[1][0], cols[0][1], cols[1][1])
 
     def _setup_weyl_section(self):
-        w0 = self.table.parabolic_elements((0, 1))
-        self.weyl_order = len(w0)
-        self._section = [el.key for el in w0]
+        """Index W0 by linear part, and take the triangular basis of phi(L)
+        from row 2 of s3 v over v in W0."""
+        section = [el.key for el in self.table.parabolic_elements((0, 1))]
+        self.weyl_order = len(section)
         self._linear_index = {}
-        for idx, key in enumerate(self._section):
+        for idx, key in enumerate(section):
             lp = self._linear_part(key)
             if lp in self._linear_index:
                 raise ZetaError("finite Weyl section is not faithful")
             self._linear_index[lp] = idx
+        self._basis = _triangular_basis(self.system.left_reflect(key, 2)[2][:2] for key in section)
 
     def label(self, key):
-        """Chamber label (finite part index, translation residue) of the
-        coset of the element with this matrix.
-
-        The element is t_lam * w for the section element w of its linear
-        part, and column i of key - w is t_lam(w a_i) - w a_i, a multiple
-        of the null root: the shear of w^-1 lam.  The lattice is W0-stable,
-        so for a fixed w the residue of w^-1 lam mod k names the coset."""
+        """Chamber label (W0 index, coordinates of mu mod k) of the element
+        w = v t_mu with this matrix: phi(mu) is entries 0 and 1 of row 2 of
+        the key, written in the triangular basis ((a, b), (0, c)) of phi(L).
+        Congruence mod k phi(L) does not depend on the basis."""
         j = self._linear_index[self._linear_part(key)]
-        tau = self._shear_coords(key, self._section[j])
-        if tau is None:
-            raise ZetaError("linear-part decomposition failed")
-        x, y = self._lattice_coords(tau)
-        return (j, x % self.k, y % self.k)
+        (a, b), c = self._basis
+        p, r = divmod(key[2][0], a)
+        q, r2 = divmod(key[2][1] - p * b, c)
+        if r or r2:
+            raise ZetaError("translation outside the detected lattice")
+        return (j, p % self.k, q % self.k)
 
     def _enumerate_chambers(self):
         """Breadth-first search from the identity's chamber.  Each neighbour
@@ -714,27 +666,19 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
-def _lattice_basis_rank2(vectors):
-    """Basis of the lattice generated by integer 3-vectors, by unimodular
-    row operations (Hermite-style); None unless the rank is exactly 2."""
-    rows = [list(v) for v in vectors if any(v)]
-    basis = []
-    for col in range(3):
-        idx = [i for i, r in enumerate(rows) if r[col] != 0]
-        if not idx:
-            continue
-        i0 = idx[0]
-        for i in idx[1:]:
-            a, b = rows[i0][col], rows[i][col]
-            g, x, y = _ext_gcd(a, b)
-            combined = [x * p + y * q for p, q in zip(rows[i0], rows[i])]
-            cleared = [(a // g) * q - (b // g) * p for p, q in zip(rows[i0], rows[i])]
-            rows[i0], rows[i] = combined, cleared
-        basis.append(tuple(rows[i0]))
-        rows = [r for i, r in enumerate(rows) if i != i0 and any(r)]
-    if len(basis) != 2:
-        return None
-    return basis
+def _triangular_basis(vectors):
+    """A basis ((a, b), c) = ((a, b), (0, c)), a, c > 0, of the lattice
+    spanned by integer 2-vectors, by unimodular row operations."""
+    a = b = c = 0
+    for x, y in vectors:
+        if a or x:
+            g, s, t = _ext_gcd(a, x)
+            a, b, c = g, s * b + t * y, math.gcd(c, x // g * b - a // g * y)
+        else:
+            c = math.gcd(c, y)
+    if not (a and c):
+        raise ZetaError("degenerate translation lattice basis")
+    return (a, b), c
 
 
 # ---------------------------------------------------------------------------
@@ -821,9 +765,10 @@ class StripZetaIdentityReport:
     trace_match_ok: bool
     alt_det: ExponentMap
     strip_zetas: list
+    witness: dict = None  # None on a pass
 
     def as_json(self):
-        return {
+        out = {
             "type": self.type_tag,
             "k": self.k,
             "pass": bool(self.ok),
@@ -832,6 +777,9 @@ class StripZetaIdentityReport:
             "trace_oracle_match": bool(self.trace_match_ok),
             "alt_det": str(self.alt_det),
         }
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
 
 
 def verify_strip_zeta_identity(tq, trace_order=6):
@@ -842,24 +790,35 @@ def verify_strip_zeta_identity(tq, trace_order=6):
     cycle-type map, and u -> u^l multiplies each d by l.
 
     Also checks that operator traces match the independent geometric
-    strip counts up to trace_order."""
+    strip counts up to trace_order.  A failure records a witness: for the
+    zeta product the first d whose (1-u^d) exponents differ, else for the
+    traces the strip and the first m where the geometric, operator and
+    zeta counts disagree, else the determinant identity's own witness."""
     rep = tq.representation
     system = tq.system
     det_report = strips_mod.verify_determinant_identity(system, rep, tq.table)
     specs = strips_mod.strip_generators(system.type_tag)
     zetas = []
     product = ExponentMap()
-    trace_ok = True
+    trace_witness = None
     for spec in specs:
         perm = rep.perm(tq.table, tq.table.element_of_word(spec.word))
         zr = _perm_zeta(perm, trace_order * spec.length)
         zetas.append(zr)
         product = product / _cycle_type_map(perm, 1).substitute_power(spec.length)
-        geo = closed_strip_counts(tq, spec, trace_order)
-        op = operator_strip_counts(tq, spec, trace_order)
-        if geo != op or geo != zr.closed_counts[:trace_order]:
-            trace_ok = False
+        counts = zip(closed_strip_counts(tq, spec, trace_order),
+                     operator_strip_counts(tq, spec, trace_order),
+                     zr.closed_counts[:trace_order], strict=True)
+        for m, (geo, op, zc) in enumerate(counts, 1):
+            if trace_witness is None and not geo == op == zc:
+                trace_witness = {"check": "traces", "strip": spec.index, "degree": m,
+                                 "geometric": geo, "operator": op, "zeta": zc}
     zeta_ok = product == det_report.alt_det
+    trace_ok = trace_witness is None
     ok = det_report.ok and zeta_ok and trace_ok
-    return StripZetaIdentityReport(
-        system.type_tag, tq.k, ok, det_report.ok, zeta_ok, trace_ok, det_report.alt_det, zetas)
+    if not zeta_ok:
+        witness = strips_mod.exponent_witness("zeta product", product, det_report.alt_det)
+    else:
+        witness = trace_witness or det_report.witness
+    return StripZetaIdentityReport(system.type_tag, tq.k, ok, det_report.ok, zeta_ok, trace_ok,
+                                   det_report.alt_det, zetas, witness)

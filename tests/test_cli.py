@@ -178,9 +178,42 @@ def test_torus_over_chamber_cap_reports_resource_limit(capsys, monkeypatch):
     error = json.loads(out)
     assert error["kind"] == "ResourceLimitError"
     assert "1014 chambers" in error["error"] and "WEYLZETA_MAX_ELEMENTS" in error["error"]
+    assert (error["cap"], error["env"]) == (1000, "WEYLZETA_MAX_ELEMENTS")
     status, out = run_cli(["torus", "--type", "A2t", "--scale", "13"], capsys)
     assert status == 2
     assert out == "error: %s\n" % error["error"]
+
+
+def test_element_cap_error_names_its_cap(capsys, monkeypatch):
+    # the bound-24 table of A2t passes 24 elements before any chamber
+    monkeypatch.setenv("WEYLZETA_MAX_ELEMENTS", "24")
+    argv = ["torus", "--type", "A2t", "--scale", "3"]
+    status, out = run_cli(argv + ["--format", "json"], capsys)
+    assert status == 2
+    error = json.loads(out)
+    assert error == {"error": "enumeration exceeded 24 elements (set WEYLZETA_MAX_ELEMENTS "
+                              "to raise the cap)",
+                     "kind": "ResourceLimitError", "cap": 24, "env": "WEYLZETA_MAX_ELEMENTS"}
+    status, out = run_cli(argv, capsys)
+    assert (status, out) == (2, "error: %s\n" % error["error"])
+
+
+@pytest.mark.parametrize("argv,word", [
+    (["factorize", "--type", "E8"], "no factorization scheme for type 'E8'"),
+    (["alt", "--type", "E8"], "Poincare series in closed form needs an affine system"),
+    (["alt", "--type", "A2"], "Poincare series in closed form needs an affine system"),
+], ids=["factorize-E8", "alt-E8", "alt-A2"])
+def test_finite_types_fail_before_enumerating(argv, word, capsys, monkeypatch):
+    from weylzeta import coxeter
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a finite type was enumerated before its error")
+
+    monkeypatch.setattr(coxeter, "enumerate_elements", no_enumeration)
+    status, out = run_cli(argv + ["--format", "json"], capsys)
+    assert status == 2
+    error = json.loads(out)
+    assert error["error"] == word and "cap" not in error
 
 
 def test_torus_subcommand(tmp_path, capsys):
@@ -188,7 +221,7 @@ def test_torus_subcommand(tmp_path, capsys):
     assert status == 0
     obj = json.loads(out)
     check_schema(obj, load_schema("torus.json"))
-    assert obj["chambers"] == 24
+    assert obj["chambers"] == 24 and "witness" not in obj
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "cli")
@@ -249,6 +282,74 @@ def test_det_identity_failure_reports_witness(capsys, monkeypatch):
     status, out = run_cli(argv, capsys)
     assert status == 1
     assert out.splitlines()[2] == "witness: %s" % json.dumps(witness, sort_keys=True)
+
+
+def _torus_failure(argv, capsys):
+    """Exit status 1, a schema-valid JSON report with its witness, and the
+    same witness as the last text line."""
+    status, out = run_cli(argv + ["--format", "json"], capsys)
+    assert status == 1
+    obj = json.loads(out)
+    check_schema(obj, load_schema("torus.json"))
+    assert not obj["pass"]
+    status, out = run_cli(argv, capsys)
+    assert status == 1
+    assert out.splitlines()[-1] == "witness: %s" % json.dumps(obj["witness"], sort_keys=True)
+    return obj
+
+
+def test_torus_witness_for_a_wrong_strip_count(capsys, monkeypatch):
+    from weylzeta import zeta
+
+    orig = zeta.closed_strip_counts
+
+    def wrong(tq, spec, n_max):
+        counts = orig(tq, spec, n_max)
+        if spec.index == 2:
+            counts[2] += 1
+        return counts
+
+    monkeypatch.setattr(zeta, "closed_strip_counts", wrong)
+    obj = _torus_failure(["torus", "--type", "A2t", "--scale", "2"], capsys)
+    assert (obj["det_identity"], obj["zeta_product_match"], obj["trace_oracle_match"]) == (
+        True, True, False)
+    w = obj["witness"]
+    assert (w["check"], w["strip"], w["degree"]) == ("traces", 2, 3)
+    assert w["geometric"] == w["operator"] + 1 == w["zeta"] + 1
+
+
+def test_torus_witness_for_a_wrong_cycle_map(capsys, monkeypatch):
+    # a factor (1 - u^40) on each strip's cycle map at u: past the order
+    # of the strip zeta's own check (6 * 3), so only the zeta product
+    # sees it, at u^(40 * 3) after u -> u^3
+    from weylzeta import zeta
+    from weylzeta.series import ExponentMap
+
+    orig = zeta._cycle_type_map
+
+    def wrong(perm, shift_power):
+        out = orig(perm, shift_power)
+        return out * ExponentMap({40: 1}) if shift_power == 1 else out
+
+    monkeypatch.setattr(zeta, "_cycle_type_map", wrong)
+    obj = _torus_failure(["torus", "--type", "A2t", "--scale", "2"], capsys)
+    assert (obj["det_identity"], obj["zeta_product_match"], obj["trace_oracle_match"]) == (
+        True, False, True)
+    w = obj["witness"]
+    assert (w["check"], w["degree"], w["lhs"], w["rhs"]) == ("zeta product", 120, -2, 0)
+
+
+def test_out_path_that_cannot_be_opened(tmp_path, capsys):
+    dest = tmp_path / "missing" / "x.json"
+    argv = ["alt", "--type", "A2t", "--out", str(dest)]
+    status, out = run_cli(argv + ["--format", "json"], capsys)
+    assert status == 2
+    error = json.loads(out)
+    assert error["kind"] == "InputError"
+    assert error["error"].startswith("--out %s: " % dest)
+    status, out = run_cli(argv, capsys)
+    assert (status, out) == (2, "error: %s\n" % error["error"])
+    assert not dest.parent.exists()
 
 
 def test_bad_type_exits_nonzero(capsys):

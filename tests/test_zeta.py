@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from test_series import _det_berkowitz
 from weylzeta import coxeter, strips
-from weylzeta.series import ExponentMap, Matrix, Poly, RationalFunction, char_matrix_det, det_poly_matrix
+from weylzeta.series import (
+    ExponentMap, Matrix, Poly, PowerSeries, RationalFunction, char_matrix_det, det_poly_matrix,
+)
 from weylzeta.zeta import (
     Graph,
     TorusRepresentation,
@@ -247,6 +250,58 @@ def test_chamber_cap_stops_the_torus_before_its_bfs(tables, monkeypatch):
         torus_quotient_rep(system, 3, tables["A2t"])
 
 
+def _in_scaled_translations(system, g, k):
+    """Whether g = w^-1 v lies in t(kL): its linear part is the identity
+    (every column of g - I is a multiple of delta), and I + (g - I)/k is
+    integral and a group element, which the descent walk decides."""
+    delta = system.delta
+    n = len(delta)
+    h = [[g[a][b] - (a == b) for b in range(n)] for a in range(n)]
+    if any(h[a][b] * delta[0] != h[0][b] * delta[a] for a in range(n) for b in range(n)):
+        return False
+    if any(x % k for row in h for x in row):
+        return False
+    root = tuple(tuple((a == b) + h[a][b] // k for b in range(n)) for a in range(n))
+    try:
+        coxeter.length_and_word(system, root)
+    except coxeter.CoxeterError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_chamber_labels_match_the_definition(tables, tag):
+    # w and v share a chamber exactly when w^-1 v is in t(kL); every pair
+    # of the ball of length <= 9
+    system = coxeter.build_system(tag)
+    table = tables[tag]
+    ball = [el for layer in table.layers[:10] for el in layer]
+    inverses = [system.word_key(reversed(el.word)) for el in ball]
+    quotients = [[coxeter.mat_mul(inv, v.key) for v in ball] for inv in inverses]
+    for k in (2, 3):
+        tq = torus_quotient_rep(system, k, table)
+        chamber = [tq.representation.perm(table, el)[0] for el in ball]
+        shared = 0
+        for i, row in enumerate(quotients):
+            for j, g in enumerate(row):
+                same = chamber[i] == chamber[j]
+                assert same == _in_scaled_translations(system, g, k), (tag, k, ball[i].word, ball[j].word)
+                shared += same and i != j
+        assert shared > 0
+
+
+def test_lattice_from_the_weyl_orbit_spans_every_translation_in_the_table(torus_k2):
+    # row 2 of a key is the image phi(mu) of its translation part; the
+    # basis read from W0 and s3 spans exactly the row-2 vectors of the table
+    for tq in torus_k2.values():
+        (a, b), c = tq._basis
+        vectors = sorted({(key[2][0], key[2][1]) for key in tq.table.index})
+        for x, y in vectors:
+            assert x % a == 0 and (y - x // a * b) % c == 0
+        minors = math.gcd(*(x1 * y2 - x2 * y1 for x1, y1 in vectors for x2, y2 in vectors))
+        assert minors == a * c  # equal index in Z^2, so equal lattices
+
+
 def test_rank_one_rejected():
     with pytest.raises(ZetaError):
         torus_quotient_rep(coxeter.build_system("A1t"), 2)
@@ -460,6 +515,25 @@ def test_det_identity_witness_for_a_wrong_strip_factor(torus_k2, monkeypatch):
     w = report.witness
     assert (w["check"], w["degree"]) == ("dual", 5)
     assert w["lhs"] != w["rhs"]
+
+
+def test_strip_zeta_report_carries_the_det_identity_witness(torus_k2, monkeypatch):
+    # a wrong trace-log series fails only the dual check of the
+    # determinant identity; the torus report carries that witness
+    tq = torus_k2["A2t"]
+    assert verify_strip_zeta_identity(tq).witness is None
+    orig = TorusRepresentation.det_series_hook
+
+    def wrong(self, table, order):
+        out = orig(self, table, order)
+        return PowerSeries(out.coeffs[:4] + (out.coeffs[4] + 1,) + out.coeffs[5:], out.order)
+
+    monkeypatch.setattr(TorusRepresentation, "det_series_hook", wrong)
+    report = verify_strip_zeta_identity(tq)
+    assert (report.det_identity_ok, report.zeta_match_ok, report.trace_match_ok) == (
+        False, True, True)
+    assert (report.witness["check"], report.witness["degree"]) == ("dual", 4)
+    assert report.as_json()["witness"] == report.witness
 
 
 def test_strip_routes_at_scale_6_stay_small(tables):
