@@ -346,8 +346,14 @@ class ElementTable:
         link = el.links[i] if el is not None else None
         return link if link is not None else self.system.right_reflect(key, i)
 
-    def product_key(self, k1, k2):
-        return mat_mul(k1, k2)
+    def walk_key(self, key, word):
+        """key times the generators along word, by right_multiply_key."""
+        for i in word:
+            key = self.right_multiply_key(key, i)
+        return key
+
+    def product_key(self, k1, k2):  # k2 in the table
+        return self.walk_key(k1, self.element(k2).word)
 
     def word_key(self, word):
         return self.system.word_key(word)

@@ -6,6 +6,7 @@ representations, and twisted Poincare series of element subsets.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .coxeter import OutOfTableError, mat_identity
@@ -21,6 +22,7 @@ from .series import (
     det_series,
     scalar_from_json,
     scalar_one_like,
+    signed_digits,
 )
 
 
@@ -96,21 +98,40 @@ def basis_element(table, element, q=None):
 
 
 def hecke_mul(table, x, y, q=None):
-    """Product in the Hecke algebra, by right-multiplication recursion
-    along a reduced word of each basis element of y."""
-    if q is None:
-        q = formal_q()
+    """Product in the Hecke algebra, by right-multiplication recursion along
+    a reduced word of each basis element of y.  Over Z[q] (the formal q by
+    default) it runs on ints packed at q = 2^b (as in series.det_poly_matrix),
+    scaled by the lcm L of the denominators: a descent maps c to c(q-1) + cq,
+    so L^2 x y has no coefficient above B = L^2 |x|_1 sum_y |c_y|_1 (2|q|_1 + 1)^l(y) < 2^(b-1)."""
+    q = formal_q() if q is None else q
+    x_terms, y_terms = x.terms, y.terms
+    q_norm = sum(map(abs, q.coeffs)) if isinstance(q, QPolynomial) else None
+    if type(q_norm) is int:  # q in Z[q]
+        norm = sum([sum(map(abs, QPolynomial.coerce(c).coeffs)) for c in x_terms.values()]) * sum(
+            [sum(map(abs, QPolynomial.coerce(c).coeffs)) * (2 * q_norm + 1) ** table.element(k).length
+             for k, c in y_terms.items()])
+        lcm = 1 if type(norm) is int else math.lcm(*[
+            f.denominator for t in (x_terms, y_terms) for c in t.values()
+            for f in QPolynomial.coerce(c).coeffs])
+        b = int(norm * lcm * lcm).bit_length() + 1
+        x_terms, y_terms = ({k: int(QPolynomial.coerce(c).evaluate(1 << b) * lcm) for k, c in t.items()}
+                            for t in (x_terms, y_terms))
+        q = q.evaluate(1 << b)
     qm1 = q - 1
     out = {}
-    for key_y, c_y in y.terms.items():
+    for key_y, c_y in y_terms.items():
         v = table.element(key_y)
-        state = dict(x.terms)
+        state = dict(x_terms)
         for s in v.word:
             state = _mul_by_generator(table, state, s, q, qm1)
         for k, c in state.items():
             t = c * c_y
             out[k] = out[k] + t if k in out else t
-    return HeckeElement(table, out)
+    if type(q_norm) is not int:
+        return HeckeElement(table, out)
+    product = HeckeElement(table, {})  # out holds no zero: skip the filter
+    product.terms = {k: QPolynomial(signed_digits(v, b, lcm * lcm)) for k, v in out.items() if v}
+    return product
 
 
 def _mul_by_generator(table, state, s, q, qm1):

@@ -153,6 +153,8 @@ class _DensePoly:
         return _power(self, n, self.one())
 
     def __eq__(self, other):
+        if type(other) is int:
+            return self.coeffs == ((other,) if other else ())
         try:
             other = self.coerce(other)
         except TypeError:
@@ -575,7 +577,16 @@ class RationalFunction:
     __hash__ = None
 
     def expand(self, order):
-        return self.den.truncate(order).inverse() * self.num.truncate(order)
+        """Power series to u^order: out_n = num_n - sum_{k>=1} den_k out_{n-k}, as
+        den(0) = 1, each summed onto 1/den(0) * num(0) * 0, the ring inversion gives."""
+        num, den = self.num.coeffs, self.den.coeffs
+        zero = (den[0] if isinstance(den[0], QPolynomial) else 1) * (num[0] if num else 0) * 0
+        terms = [(k, -c) for k, c in enumerate(den[1:order + 1], start=1) if num and c != 0]
+        out = []
+        for n in range(order + 1):
+            start = zero + num[n] if n < len(num) else zero
+            out.append(sum([c * out[n - k] for k, c in terms if k <= n], start))
+        return PowerSeries(out, order)
 
     def substitute_power(self, m):
         return RationalFunction(self.num.substitute_power(m), self.den.substitute_power(m))
@@ -921,6 +932,20 @@ def power_sum_exp(power_sums, order):
     return PowerSeries(out, order)
 
 
+def signed_digits(packed, b, scale=1):
+    """Digits in [-2^(b-1), 2^(b-1)) of a Kronecker-packed int, lowest
+    first, each divided by scale: the unpack of every packed route."""
+    digits = []
+    top, mask = 1 << (b - 1), (1 << b) - 1
+    for _ in range(packed.bit_length() // b + 1):
+        digit = ((packed + top) & mask) - top
+        digits.append(digit)
+        packed = (packed - digit) >> b
+    if packed:
+        raise SeriesError("packed value has no signed base-2^%d digits" % b)
+    return digits if scale == 1 else [_divide_scalar(d, scale) for d in digits]
+
+
 def det_poly_matrix(rows):
     """Exact determinant of a square matrix of u-polynomials whose
     coefficients lie in one integral domain: Z[u], Q[u] or Z[q][u].
@@ -1001,18 +1026,8 @@ def det_poly_matrix(rows):
                     raise SeriesError("inexact Bareiss division")
                 row[j] = quotient
         prev = pivot
-    packed = sign * a[-1][-1]
-    # signed base-X digits: coefficient of q^e u^d at place d (D+1) + e
-    digits = []
-    top, mask = 1 << (b - 1), (1 << b) - 1
-    for _ in range(packed.bit_length() // b + 2):
-        digit = packed & mask
-        if digit >= top:
-            digit -= 1 << b
-        digits.append(_divide_scalar(digit, scale))
-        packed = (packed - digit) >> b
-    if packed:
-        raise SeriesError("packed determinant has no signed base-2^%d digits" % b)
+    # coefficient of q^e u^d at place d (D+1) + e
+    digits = signed_digits(sign * a[-1][-1], b, scale)
     if not over_q:
         return Poly(digits)
     width = q_degree + 1

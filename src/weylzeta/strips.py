@@ -84,12 +84,11 @@ class PowerLengthReport:
 def check_power_lengths(table, spec, k_max):
     """Check l(w^k) == k * l(w) for 0 <= k <= k_max.
 
-    Lengths come from the table when the power is within the bound and
-    from the descent walk on the matrix otherwise, so large k is fine.
+    Each power walks the strip word on from the last.  Lengths come from
+    the table within its bound and from the descent walk beyond it.
     """
     system = table.system
-    base = system.word_key(spec.word)
-    key = cox.mat_identity(system.num_generators)
+    key = table.identity.key
     report = PowerLengthReport(spec, k_max, True)
     for k in range(k_max + 1):
         expected = k * spec.length
@@ -101,7 +100,7 @@ def check_power_lengths(table, spec, k_max):
         if actual != expected and report.ok:
             report.ok = False
             report.first_failure = (k, expected, actual)
-        key = cox.mat_mul(key, base)
+        key = table.walk_key(key, spec.word)
     return report
 
 
@@ -207,7 +206,6 @@ def factorization_census(table, scheme, order):
     """
     factors = realize_factors(table, scheme)
     system = table.system
-    ident = cox.mat_identity(system.num_generators)
     counts = [0] * (order + 1)
     seen = {}
     report = CensusReport(scheme.type_tag, order, counts, [], True, True, True)
@@ -238,17 +236,17 @@ def factorization_census(table, scheme, order):
             for el in data:
                 if total + el.length > order:
                     continue
-                descend(i + 1, cox.mat_mul(key, el.key), total + el.length, words + (el.word,))
+                descend(i + 1, table.walk_key(key, el.word), total + el.length, words + (el.word,))
         else:
             step = data.length
             cur = key
             k = 0
             while total + k * step <= order:
                 descend(i + 1, cur, total + k * step, words + (data.word * k,))
-                cur = cox.mat_mul(cur, data.key)
+                cur = table.walk_key(cur, data.word)
                 k += 1
 
-    descend(0, ident, 0, ())
+    descend(0, table.identity.key, 0, ())
     _, ps = poincare_affine(system, order, table if table.bound >= order else None)
     report.expected = [ps.coeff(d) for d in range(order + 1)]
     if counts != report.expected:

@@ -4,9 +4,12 @@ compares the two."""
 
 from fractions import Fraction
 
+from weylzeta.coxeter import OutOfTableError
+from weylzeta.hecke import HeckeElement
 from weylzeta.series import (
     Matrix,
     PowerSeries,
+    QPolynomial,
     SeriesError,
     _is_zero,
     scalar_one_like,
@@ -75,3 +78,31 @@ def _normalize_fractions(cs):
         else:
             out.append(c)
     return out
+
+
+def hecke_mul_recursion(table, x, y, q=None):
+    """Hecke product by the right-multiplication recursion on the
+    coefficients themselves, q-polynomials included: T_w T_s is T_ws on an
+    ascent and (q - 1) T_w + q T_ws on a descent.  Oracle for the packed
+    route of hecke.hecke_mul."""
+    if q is None:
+        q = QPolynomial.q()
+    out = {}
+    for key_y, c_y in y.terms.items():
+        state = dict(x.terms)
+        for s in table.element(key_y).word:
+            new = {}
+            for key, c in state.items():
+                w = table.element(key)
+                ws_key = w.links[s]
+                if ws_key is None:
+                    raise OutOfTableError("Hecke product support escapes the table bound")
+                if table.element(ws_key).length > w.length:
+                    new[ws_key] = new.get(ws_key, 0) + c
+                else:
+                    new[key] = new.get(key, 0) + c * (q - 1)
+                    new[ws_key] = new.get(ws_key, 0) + c * q
+            state = new
+        for k, c in state.items():
+            out[k] = out.get(k, 0) + c * c_y
+    return HeckeElement(table, out)

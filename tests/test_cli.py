@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylzeta import cli
+from weylzeta import cli, coxeter, hecke, rootsys, series, strips, zeta
 
 
 SCHEMA_DIR = os.path.join(os.path.dirname(cli.__file__), "schemas")
@@ -487,3 +491,82 @@ def test_import_does_not_load_numpy():
         [sys.executable, "-c", "import sys, weylzeta, weylzeta.cli; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# the kinds a bad input file may report: weylzeta's own error classes, and
+# ValueError for an option value
+INPUT_ERROR_KINDS = {"ValueError"} | {
+    name for module in (cli, coxeter, hecke, rootsys, series, strips, zeta)
+    for name, obj in vars(module).items()
+    if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == module.__name__
+}
+
+VALID_REPS = (
+    {"dim": 1, "scalar": "rational", "q": 1, "generators": {"s1": [[-1]], "s2": [[-1]], "s3": [[-1]]}},
+    {"dim": 2, "scalar": "rational", "q": 2,
+     "generators": {"s%d" % i: [[2, 0], [0, -1]] for i in (1, 2, 3)}},
+    {"dim": 1, "scalar": "q-poly", "generators": {"s%d" % i: [[[0, 1]]] for i in (1, 2, 3)}},
+)
+VALID_GRAPHS = ("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", "# a 4-cycle\n0 1\n1 2\n2 3\n3 0\n")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2, width=16)
+    | st.sampled_from(("rational", "q-poly", "s1", "", "1/2")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(("dim", "scalar", "q", "generators", "s1", "s3")), inner, max_size=3),
+    max_leaves=6)
+
+
+def _mutate_json(data, node):
+    """node with one drawn change somewhere below it: a value replaced, a
+    key or item dropped, or a value added."""
+    if isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(list(keys)))
+        node = dict(node) if isinstance(node, dict) else list(node)
+        action = data.draw(st.sampled_from(("descend", "descend", "drop", "add")))
+        if action == "descend":
+            node[key] = _mutate_json(data, node[key])
+        elif action == "drop":
+            del node[key]
+        elif isinstance(node, dict):
+            node[data.draw(st.sampled_from(("dim", "scalar", "q", "generators", "s2", "x")))] = data.draw(json_values)
+        else:
+            node.insert(key, data.draw(json_values))
+        return node
+    return data.draw(json_values)
+
+
+def _mutate_text(data, text):
+    """text with a drawn slice replaced by a few drawn characters."""
+    i = data.draw(st.integers(0, len(text)))
+    j = data.draw(st.integers(i, min(len(text), i + 4)))
+    return text[:i] + data.draw(st.text(alphabet=" \n#-+.,x0123[]{}\"\u0663\u00b2", max_size=3)) + text[j:]
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    return status, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_input_files_are_typed_input_errors(tmp_path_factory, data):
+    # a mutant of a valid --rep or --graph file passes, fails its check or
+    # is bad input; none is an internal error (exit 3)
+    path = tmp_path_factory.mktemp("mutant") / "input"
+    if data.draw(st.booleans()):
+        text = json.dumps(_mutate_json(data, data.draw(st.sampled_from(VALID_REPS))))
+        argv = ["det-identity", "--type", "A2t", "--rep", str(path)]
+    else:
+        text = data.draw(st.sampled_from(VALID_GRAPHS))
+        argv = ["ihara", "--graph", str(path)] + data.draw(st.sampled_from(([], ["--q", "2"])))
+    if data.draw(st.booleans()):
+        text = _mutate_text(data, text)
+    path.write_text(text, encoding="utf-8")
+    status, out = _run_in_process(argv + ["--format", "json"])
+    assert status in (0, 1, 2), out
+    if status == 2:
+        assert json.loads(out)["kind"] in INPUT_ERROR_KINDS, out

@@ -391,6 +391,29 @@ def test_reflection_kernels_match_mat_mul(tag, data):
     assert system.word_key(word) == expected
 
 
+WALK_TABLES = {tag: enumerate_elements(build_system(tag), 6) for tag in ("A2t", "C2t", "G2t")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(WALK_TABLES)), st.sampled_from(("inside", "bound", "outside")), st.data())
+def test_walking_a_stored_word_matches_mat_mul(tag, where, data):
+    # right_multiply_key reads a link inside the table and falls back to
+    # the reflection kernel on the bound layer (whose ascent links are
+    # None) and outside the table
+    table = WALK_TABLES[tag]
+    k = table.system.num_generators
+    if where == "outside":
+        word = data.draw(st.lists(st.integers(0, k - 1), min_size=table.bound + 1, max_size=table.bound + 6))
+        key = table.system.word_key(word)
+    else:
+        layers = table.layers[:-1] if where == "inside" else table.layers[-1:]
+        key = data.draw(st.sampled_from([el.key for layer in layers for el in layer]))
+    if where == "bound":
+        assert any(link is None for link in table.element(key).links)
+    el = data.draw(st.sampled_from([el for layer in table.layers for el in layer]))
+    assert table.walk_key(key, el.word) == table.product_key(key, el.key) == mat_mul(key, el.key)
+
+
 def test_table_memory_is_small_and_freed_without_gc():
     # Neighbour links are keys, so the elements form no reference cycle:
     # with the collector off, dropping the table frees it and its elements

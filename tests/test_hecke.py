@@ -1,10 +1,14 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylzeta import coxeter, hecke
 from weylzeta.hecke import (
+    HeckeElement,
     ValidationError,
     basis_element,
     characters,
@@ -16,6 +20,7 @@ from weylzeta.hecke import (
     validate_representation,
 )
 from weylzeta.series import Matrix, Poly, QPolynomial, RationalFunction, poincare_parabolic
+from oracles import hecke_mul_recursion
 
 
 def test_quadratic_relation_rearranged(tables):
@@ -269,3 +274,39 @@ def test_hecke_mul_distributes(tables):
         lhs = hecke_mul(t, x, y + z)
         rhs = hecke_mul(t, x, y) + hecke_mul(t, x, z)
         assert lhs == rhs
+
+
+PACKED_TABLE = coxeter.enumerate_elements(coxeter.build_system("A2t"), 8)
+PACKED_ELEMENTS = [el for layer in PACKED_TABLE.layers[:4] for el in layer]
+
+
+@st.composite
+def packed_hecke_cases(draw):
+    """Two Hecke elements over Z[q] or Q[q] with coefficients of both
+    signs: random q-polynomials, or monomials +-2^k q^e over a
+    denominator in Q[q].  In a tight case x is one monomial term and y a
+    monomial times the identity, so the product's one coefficient equals
+    the packing bound B and only the spare bit of 2^(b-1) > B holds it."""
+    dens = st.sampled_from((1, 2, 3, 6) if draw(st.booleans()) else (1,))
+    tight = draw(st.booleans())
+
+    def coeff():
+        if tight or draw(st.booleans()):
+            c = Fraction(draw(st.sampled_from((1, -1))) * 2 ** draw(st.integers(0, 60)), draw(dens))
+            return QPolynomial((0,) * draw(st.integers(0, 3)) + (c,))
+        return QPolynomial([Fraction(draw(st.integers(-9, 9)), draw(dens)) for _ in range(draw(st.integers(0, 4)))])
+
+    def element(size, elements):
+        keys = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=size))
+        return HeckeElement(PACKED_TABLE, {el.key: coeff() for el in keys})
+
+    x = element(1 if tight else 4, PACKED_ELEMENTS)
+    y = element(1 if tight else 4, [PACKED_TABLE.identity] if tight else PACKED_ELEMENTS)
+    return x, y, draw(st.sampled_from((None, formal_q())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_hecke_cases())
+def test_packed_product_matches_recursion(case):
+    x, y, q = case
+    assert hecke_mul(PACKED_TABLE, x, y, q) == hecke_mul_recursion(PACKED_TABLE, x, y, q)

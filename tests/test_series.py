@@ -556,6 +556,38 @@ def test_power_sum_exp_matches_fraction_oracle(power_sums):
     assert all(type(c) is int or c.denominator != 1 for c in got.coeffs)
 
 
+# one coefficient ring per drawn rational function, with a nonzero
+# constant for the denominator (a unit in Q, or a constant q-polynomial)
+expansion_rings = {
+    "int": (st.integers(-6, 6), st.integers(-3, 3).filter(bool)),
+    "fraction": (st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                 st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)),
+    "qpoly": (st.lists(st.integers(-3, 3), max_size=3).map(QPolynomial),
+              st.integers(-3, 3).filter(bool).map(lambda c: QPolynomial((c,)))),
+}
+
+
+@st.composite
+def rational_expansions(draw):
+    coeffs, units = expansion_rings[draw(st.sampled_from(sorted(expansion_rings)))]
+    num = draw(st.lists(coeffs, max_size=34))
+    den = [draw(units)] + draw(st.lists(coeffs, max_size=34))
+    return RationalFunction(Poly(num), Poly(den)), draw(st.integers(0, 30))
+
+
+@settings(max_examples=120, deadline=None)
+@given(rational_expansions())
+def test_expand_matches_inverse_times_numerator(case):
+    # the recurrence against inverting den and multiplying; same values
+    # and same types, so every printed coefficient is unchanged
+    rf, order = case
+    got = rf.expand(order)
+    want = rf.den.truncate(order).inverse() * rf.num.truncate(order)
+    assert got.order == want.order == order
+    assert got.coeffs == want.coeffs
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
 def test_scalar_from_json_is_exact():
     assert scalar_from_json(3) == 3
     assert scalar_from_json([6, 4]) == Fraction(3, 2)

@@ -221,3 +221,22 @@ def test_alt_factors_are_strip_lengths(tables):
         factors = alt_inv.binomial_factors()
         got = sorted(d for d, m in factors for _ in range(m))
         assert got == lengths
+
+
+def test_census_power_lengths_and_identity_multiply_no_matrices(tables, monkeypatch):
+    # products walk the Cayley-graph links, so no route here multiplies
+    # two matrices
+    def no_mat_mul(a, b):
+        raise AssertionError("coxeter.mat_mul called")
+
+    monkeypatch.setattr(coxeter, "mat_mul", no_mat_mul)
+    for tag in ("A2t", "C2t", "G2t"):
+        table = tables[tag]
+        assert strips.factorization_census(table, strips.scheme_for(tag), 16).ok
+        for spec in strips.strip_generators(tag):
+            assert strips.check_power_lengths(table, spec, 8).ok
+        ch = hecke.characters(table.system)[-1]
+        report = strips.verify_determinant_identity(table.system, ch.as_representation(), table)
+        assert report.ok and report.dual_check_ok
+    raw = strips.check_power_lengths(tables["G2t"], strips.unreplaced_strip_generator(), 4)
+    assert not raw.ok and raw.first_failure[0] == 2
