@@ -53,11 +53,6 @@ class ResourceLimitError(CoxeterError):
 # integer matrix helpers (tuples of tuples, column-vector convention)
 
 
-def mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def mat_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -352,9 +347,6 @@ class ElementTable:
             key = self.right_multiply_key(key, i)
         return key
 
-    def product_key(self, k1, k2):  # k2 in the table
-        return self.walk_key(k1, self.element(k2).word)
-
     def word_key(self, word):
         return self.system.word_key(word)
 
@@ -524,17 +516,6 @@ def enumerate_elements(system, bound=DEFAULT_BOUND, max_elements=None):
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def multiply(table, w, v):
-    """Product of two table elements with its true length.
-
-    Returns (element, length_additive).  Raises OutOfTableError when the
-    product falls outside the table bound.
-    """
-    key = table.product_key(w.key, v.key)
-    el = table.element(key)
-    return el, el.length == w.length + v.length
 
 
 def length_and_word(system, key):

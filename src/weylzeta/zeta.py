@@ -12,7 +12,10 @@ identity checkers multiply and compare maps; a polynomial is expanded
 from a map only for output.
 The torus representation holds only permutations; its dense chamber
 matrices (`image`, `action_matrix`) are uncached oracles for the tests
-and the generic consumers.
+and the generic consumers.  The chamber search that finds the generator
+permutations carries each chamber as a W0 index and row 2 of its key,
+never a whole group-element matrix; the search on whole keys is the
+oracle in the tests.
 
 W/kL acts regularly on the chambers, so tr P(w) is n or 0 and a trace
 of a matrix power series is n times one diagonal entry: the dual
@@ -25,7 +28,6 @@ ints; all emitted values are ints, Fractions, or exact polynomials.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -358,7 +360,7 @@ class TorusRepresentation(Representation):
         """Chamber permutation of e_w, built along the stored reduced word."""
         gens = self.quotient.generator_permutations
         return walk_word(table, element, self._perm_cache,
-                         lambda p, s: tuple(gens[s][c] for c in p))
+                         lambda p, s: _perm_compose(p, gens[s]))
 
     def image(self, table, element):
         """Dense permutation matrix of e_w, rebuilt on every call."""
@@ -394,7 +396,7 @@ def _perm_matrix(perm):
 
 
 def _fixed_points(perm):
-    return sum(map(operator.eq, perm, range(len(perm))))
+    return sum(1 for c in range(len(perm)) if perm[c] == c)
 
 
 def _one_vector_det_series(perm_lengths, n, order):
@@ -477,6 +479,12 @@ class TorusQuotient:
     and W0 t(span W0 mu3) holds s1, s2 and s3, so it is W and
     L = span(W0 mu3).  phi(L) is spanned by row 2 of s3 v over the |W0|
     section elements v; no table element is scanned for it.
+
+    The chamber search carries (W0 index, row 2 of the key) only: row 2
+    of w s_i depends on row 2 of w alone, and the W0 index of w s_i is
+    read from a |W0| x 3 table built once from the section.  No
+    group-element matrix is built per chamber; the breadth-first search
+    on whole keys is the oracle in the tests.
     """
 
     def __init__(self, system, k, table=None):
@@ -513,57 +521,70 @@ class TorusQuotient:
         return (cols[0][0], cols[1][0], cols[0][1], cols[1][1])
 
     def _setup_weyl_section(self):
-        """Index W0 by linear part, and take the triangular basis of phi(L)
-        from row 2 of s3 v over v in W0."""
+        """Index W0 by linear part, tabulate right multiplication on it,
+        and take the triangular basis of phi(L) from row 2 of s3 v over v
+        in W0.  The linear part is a homomorphism onto W0, so the W0 index
+        of w s_i is w0_right[j][i] for w of index j."""
         section = [el.key for el in self.table.parabolic_elements((0, 1))]
         self.weyl_order = len(section)
-        self._linear_index = {}
+        linear_index = {}
         for idx, key in enumerate(section):
             lp = self._linear_part(key)
-            if lp in self._linear_index:
+            if lp in linear_index:
                 raise ZetaError("finite Weyl section is not faithful")
-            self._linear_index[lp] = idx
+            linear_index[lp] = idx
+        gens = range(self.system.num_generators)
+        self._w0_right = tuple(
+            tuple(linear_index[self._linear_part(self.system.right_reflect(key, i))] for i in gens)
+            for key in section)
         self._basis = _triangular_basis(self.system.left_reflect(key, 2)[2][:2] for key in section)
-
-    def label(self, key):
-        """Chamber label (W0 index, coordinates of mu mod k) of the element
-        w = v t_mu with this matrix: phi(mu) is entries 0 and 1 of row 2 of
-        the key, written in the triangular basis ((a, b), (0, c)) of phi(L).
-        Congruence mod k phi(L) does not depend on the basis."""
-        j = self._linear_index[self._linear_part(key)]
-        (a, b), c = self._basis
-        p, r = divmod(key[2][0], a)
-        q, r2 = divmod(key[2][1] - p * b, c)
-        if r or r2:
-            raise ZetaError("translation outside the detected lattice")
-        return (j, p % self.k, q % self.k)
 
     def _enumerate_chambers(self):
         """Breadth-first search from the identity's chamber.  Each neighbour
         label found on the way is an entry of a generator permutation:
-        links[i][c] is the chamber across panel i of chamber c."""
-        start = self.table.identity.key
-        labels = {self.label(start): 0}
-        reps = [start]
-        gens = range(self.system.num_generators)
-        links = [[] for _ in gens]
-        for key in reps:  # reps grows while it is walked: the BFS queue
-            for i in gens:
-                nk = self.table.right_multiply_key(key, i)
-                lb = self.label(nk)
-                c = labels.get(lb)
-                if c is None:
-                    c = labels[lb] = len(reps)
-                    reps.append(nk)
-                links[i].append(c)
-        if len(reps) != self.weyl_order * self.k * self.k:
-            raise ZetaError(
-                "chamber count %d disagrees with |W0| k^2 = %d"
-                % (len(reps), self.weyl_order * self.k * self.k))
+        links[i][c] is the chamber across panel i of chamber c.
+
+        A chamber is carried as (j, row): the W0 index of a representative
+        w = v t_mu and row 2 of its key, since right_reflect updates each
+        row on its own, so row 2 of w s_i is row - row[i] * cartan[i].  Its
+        label is (j, coordinates of mu mod k): phi(mu) is entries 0 and 1
+        of the row, written in the triangular basis ((a, b), (0, c)) of
+        phi(L); congruence mod k phi(L) does not depend on the basis."""
+        k = self.k
+        total = self.weyl_order * k * k
+        (a, b), c = self._basis
+        w0_right = self._w0_right
+        cartan = tuple(enumerate(self.system.cartan))
+        # the identity: index 0 (the section is sorted by length), mu = 0;
+        # a label (j, p mod k, q mod k) is one int below |W0| k^2, and
+        # number[label] is its chamber, -1 until the search reaches it
+        chambers = [(0, self.table.identity.key[2])]
+        number = [-1] * total
+        number[0] = 0
+        links = [[] for _ in cartan]
+        for j, row in chambers:  # chambers grows while it is walked: the BFS queue
+            right = w0_right[j]
+            x0, x1, x2 = row
+            for i, (c0, c1, c2) in cartan:
+                x = row[i]
+                nrow = (x0 - x * c0, x1 - x * c1, x2 - x * c2) if x else row
+                p, r = divmod(nrow[0], a)
+                q, r2 = divmod(nrow[1] - p * b, c)
+                if r or r2:
+                    raise ZetaError("translation outside the detected lattice")
+                lb = (right[i] * k + p % k) * k + q % k
+                n = number[lb]
+                if n < 0:
+                    n = number[lb] = len(chambers)
+                    chambers.append((right[i], nrow))
+                links[i].append(n)
+        if len(chambers) != total:
+            raise ZetaError("chamber count %d disagrees with |W0| k^2 = %d" % (len(chambers), total))
         for perm in links:
             if _fixed_points(perm):
                 raise ZetaError("panel gluing fixes a chamber; the action is not free")
-        self.chambers = reps
+        # chambers are numbered in search order; the (j, row) pairs are dropped
+        self.chambers = range(len(chambers))
         self.generator_permutations = tuple(tuple(p) for p in links)
 
     # -- operators -----------------------------------------------------------
@@ -716,7 +737,7 @@ def _validate_permutation_rep(tq):
 
 def _perm_compose(p, q):
     """Permutation of 'apply p, then q' matching matrix order P_p P_q."""
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple([q[c] for c in p])
 
 
 def _perm_alternating(p, q, m, ident):
@@ -739,7 +760,7 @@ def closed_strip_counts(tq, spec, n_max):
         for s in spec.word:
             gp = tq.generator_permutations[s]
             current = [gp[c] for c in current]
-        counts.append(sum(1 for c in range(n) if current[c] == c))
+        counts.append(_fixed_points(current))
     return counts
 
 

@@ -15,6 +15,7 @@ from weylzeta.series import (
     scalar_one_like,
     scalar_zero_like,
 )
+from weylzeta.zeta import ZetaError
 
 
 def det_series_tracelog(ps, order=None):
@@ -106,3 +107,63 @@ def hecke_mul_recursion(table, x, y, q=None):
         for k, c in state.items():
             out[k] = out.get(k, 0) + c * c_y
     return HeckeElement(table, out)
+
+
+def torus_label(tq, key):
+    """Chamber label (W0 index, coordinates of mu mod k) of the element
+    w = v t_mu with this matrix, read off the whole key: the W0 index from
+    its linear part, phi(mu) from entries 0 and 1 of row 2 written in the
+    triangular basis of phi(L)."""
+    section = tq.table.parabolic_elements((0, 1))
+    linear_index = {tq._linear_part(el.key): j for j, el in enumerate(section)}
+    j = linear_index[tq._linear_part(key)]
+    (a, b), c = tq._basis
+    p, r = divmod(key[2][0], a)
+    q, r2 = divmod(key[2][1] - p * b, c)
+    if r or r2:
+        raise ZetaError("translation outside the detected lattice")
+    return (j, p % tq.k, q % tq.k)
+
+
+def torus_generator_permutations_by_keys(tq):
+    """Generator permutations of the torus by a breadth-first search on
+    whole 3x3 keys, each neighbour key * s_i built by the table and
+    labelled by `torus_label`.  Oracle for the row-2 search of
+    zeta.TorusQuotient._enumerate_chambers."""
+    start = tq.table.identity.key
+    labels = {torus_label(tq, start): 0}
+    reps = [start]
+    gens = range(tq.system.num_generators)
+    links = [[] for _ in gens]
+    for key in reps:
+        for i in gens:
+            nk = tq.table.right_multiply_key(key, i)
+            lb = torus_label(tq, nk)
+            c = labels.get(lb)
+            if c is None:
+                c = labels[lb] = len(reps)
+                reps.append(nk)
+            links[i].append(c)
+    return tuple(tuple(p) for p in links)
+
+
+def mat_mul(a, b):
+    """Integer matrix product of tuples of tuples.  Oracle for the
+    rank-one reflection kernels and the Cayley-graph walks of coxeter."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def product_key(table, k1, k2):
+    """Key of k1 * k2 for k2 in the table: k1 walked along k2's stored
+    reduced word."""
+    return table.walk_key(k1, table.element(k2).word)
+
+
+def multiply(table, w, v):
+    """Product of two table elements with its true length.
+
+    Returns (element, length_additive).  Raises OutOfTableError when the
+    product falls outside the table bound."""
+    el = table.element(product_key(table, w.key, v.key))
+    return el, el.length == w.length + v.length

@@ -9,6 +9,7 @@ import os
 import random
 import time
 
+from oracles import product_key
 from weylzeta import coxeter, hecke, rootsys, strips, zeta
 from weylzeta.series import (
     Matrix,
@@ -240,7 +241,7 @@ def test_criterion_10_property_suites(tables, torus_k2):
             for v in elements:
                 if w.length + v.length > 10:
                     continue
-                wv = table.element(table.product_key(w.key, v.key))
+                wv = table.element(product_key(table, w.key, v.key))
                 if wv.length != w.length + v.length:
                     continue
                 pairs += 1

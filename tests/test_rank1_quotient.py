@@ -7,6 +7,7 @@ the 2k-cycle; right multiplication by the primitive rotation gives the
 strip operator whose determinant reproduces the graph zeta function.
 """
 
+from oracles import mat_mul
 from weylzeta import coxeter, zeta
 from weylzeta.series import Poly, RationalFunction
 from weylzeta.zeta import cycle_graph, ihara_zeta
@@ -81,12 +82,12 @@ class LineQuotient:
 
     def label(self, key):
         j = self._lin_index[self._linear(key)]
-        tau = _shear_coords(self.system.delta, coxeter.mat_mul(key, self._section_inv[j]))
+        tau = _shear_coords(self.system.delta, mat_mul(key, self._section_inv[j]))
         return (j, (tau[self._coord] // self._gen[self._coord]) % self.k)
 
     def permutation(self, element):
         return tuple(
-            self._label_index[self.label(coxeter.mat_mul(key_c, element.key))]
+            self._label_index[self.label(mat_mul(key_c, element.key))]
             for key_c in self.chambers
         )
 
@@ -145,14 +146,14 @@ def test_line_factorization_is_length_additive():
                     break
                 key = cur
                 if a:
-                    key = coxeter.mat_mul(t.generator(0).key, key)
+                    key = mat_mul(t.generator(0).key, key)
                 if b:
-                    key = coxeter.mat_mul(key, t.generator(1).key)
+                    key = mat_mul(key, t.generator(1).key)
                 el = t.element(key)
                 assert el.length == total
                 assert key not in seen, "duplicate product"
                 seen[key] = (a, m, b)
-                cur = coxeter.mat_mul(cur, rot.key)
+                cur = mat_mul(cur, rot.key)
     # completeness on the ball of radius 6
     count = sum(1 for el in seen if t.element(el).length <= 6)
     assert count == sum(len(layer) for layer in t.layers[:7])

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mat_mul, product_key, torus_generator_permutations_by_keys
 from test_series import _det_berkowitz
 from weylzeta import coxeter, strips
 from weylzeta.series import (
     ExponentMap, Matrix, Poly, PowerSeries, RationalFunction, char_matrix_det, det_poly_matrix,
+    det_series,
 )
 from weylzeta.zeta import (
     Graph,
     TorusRepresentation,
     ZetaError,
+    _one_vector_det_series,
     _perm_char_poly,
     _perm_matrix,
     _perm_zeta,
@@ -277,7 +280,7 @@ def test_chamber_labels_match_the_definition(tables, tag):
     table = tables[tag]
     ball = [el for layer in table.layers[:10] for el in layer]
     inverses = [system.word_key(reversed(el.word)) for el in ball]
-    quotients = [[coxeter.mat_mul(inv, v.key) for v in ball] for inv in inverses]
+    quotients = [[mat_mul(inv, v.key) for v in ball] for inv in inverses]
     for k in (2, 3):
         tq = torus_quotient_rep(system, k, table)
         chamber = [tq.representation.perm(table, el)[0] for el in ball]
@@ -302,6 +305,33 @@ def test_lattice_from_the_weyl_orbit_spans_every_translation_in_the_table(torus_
         assert minors == a * c  # equal index in Z^2, so equal lattices
 
 
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_row_two_chamber_search_matches_the_key_walk(tables, tag, k):
+    tq = torus_quotient_rep(coxeter.build_system(tag), k, tables[tag])
+    assert tq.generator_permutations == torus_generator_permutations_by_keys(tq)
+
+
+def test_torus_build_reflects_only_the_weyl_section(tables, monkeypatch):
+    # the chamber search carries row 2 and a W0 index, so the only
+    # reflections are the 3 |W0| of the right-multiplication table on W0
+    reflect = coxeter.CoxeterSystem.right_reflect
+    calls = []
+
+    def counting(self, key, i):
+        calls.append(i)
+        return reflect(self, key, i)
+
+    monkeypatch.setattr(coxeter.CoxeterSystem, "right_reflect", counting)
+    for tag in ("A2t", "C2t", "G2t"):
+        counts = []
+        for k in (4, 12):
+            calls.clear()
+            tq = torus_quotient_rep(coxeter.build_system(tag), k, tables[tag])
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 3 * tq.weyl_order, (tag, counts)
+
+
 def test_rank_one_rejected():
     with pytest.raises(ZetaError):
         torus_quotient_rep(coxeter.build_system("A1t"), 2)
@@ -320,7 +350,7 @@ def test_action_is_homomorphism(torus_k2):
     rep = tq.representation
     w = t.element_of_word((0, 1, 2))
     v = t.element_of_word((2, 1))
-    wv = t.element(t.product_key(w.key, v.key))
+    wv = t.element(product_key(t, w.key, v.key))
     assert rep.image(t, w) * rep.image(t, v) == rep.image(t, wv)
 
 
@@ -335,7 +365,7 @@ def test_length_additive_products_via_permutations(torus_k2):
             for v in elements:
                 if w.length + v.length > 10:
                     continue
-                wv = t.element(t.product_key(w.key, v.key))
+                wv = t.element(product_key(t, w.key, v.key))
                 if wv.length != w.length + v.length:
                     continue
                 pv = rep.perm(t, v)
@@ -378,7 +408,7 @@ def test_block_det_is_regular_block_power(tables, tag, k):
         rows = [[Poly.zero()] * len(els) for _ in els]
         for v in els:
             for w in els:
-                j = pos[t.product_key(v.key, w.key)]
+                j = pos[product_key(t, v.key, w.key)]
                 rows[pos[v.key]][j] = rows[pos[v.key]][j] + Poly.u(w.length)
         assert n % len(els) == 0
         regular = ExponentMap.of_poly(det_poly_matrix(rows), n // len(els))
@@ -416,6 +446,25 @@ def test_sparse_char_poly_matches_naive_product(cycle_groups, shift):
             d = shift * length
             naive = naive * Poly((1,) + (0,) * (d - 1) + (-1,))
     assert _perm_char_poly(tuple(perm), shift) == naive
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(1, 3)), min_size=1, max_size=4),
+       st.integers(1, 5))
+def test_one_vector_det_series_matches_dense_on_regular_shifts(n, shifts, order):
+    # shifts x -> x + a mod n: every product of them fixes no point or all
+    # n, so the one-vector trace-log applies; against det_series of the
+    # dense I + sum P u^l
+    perm_lengths = [(tuple((x + a) % n for x in range(n)), length) for a, length in shifts]
+    coeffs = [Matrix.identity(n)] + [Matrix.zeros(n)] * order
+    for perm, length in perm_lengths:
+        if length <= order:
+            coeffs[length] = coeffs[length] + _perm_matrix(perm)
+    dense = det_series(PowerSeries(coeffs, order))
+    fast = _one_vector_det_series(perm_lengths, n, order)
+    assert fast.order == dense.order == order
+    assert list(fast.coeffs) == list(dense.coeffs)
 
 
 def test_torus_strip_routes_stay_small(tables):
@@ -608,7 +657,6 @@ def test_twisted_factorization_torus(torus_k2):
 def test_dual_route_full_group_det(torus_k2):
     # trace-log series of the truncated group sum equals the expansion of
     # the exact factorized determinant (the two independent routes)
-    from weylzeta.series import det_series
     from weylzeta.strips import twisted_group_sum
 
     tq = torus_k2["A2t"]
@@ -622,7 +670,6 @@ def test_dual_route_full_group_det(torus_k2):
                          ids=["A2t-k2", "C2t-k2", "G2t-k2", "A2t-k3"])
 def test_one_vector_det_series_matches_dense_oracle(tables, tag, k):
     # the one-vector trace-log against det_series of the dense group sum
-    from weylzeta.series import det_series
     from weylzeta.strips import twisted_group_sum
 
     t = tables[tag]
