@@ -439,59 +439,6 @@ class CyclicTwistedSeries:
         """det(I - A u^l) as an exact polynomial."""
         return char_matrix_det(self.a, self.length)
 
-    def entry_rational(self, i, j):
-        """Entry (i, j) of the inverse, as an exact rational function."""
-        det = self.det_inverse()
-        n = self.a.nrows
-        one = scalar_one_like(self.rep.q)
-        # adj(I - A t) = sum_m (sum_{k<=m} det_k A^{m-k}) t^m, deg < n in t
-        det_t = [det.coeff(d * self.length) for d in range(det.degree // self.length + 1)]
-        powers = [Matrix.identity(n, one)]
-        for _ in range(n - 1):
-            powers.append(powers[-1] * self.a)
-        num_coeffs = []
-        for m in range(n):
-            acc = powers[0] * 0
-            for k in range(m + 1):
-                if k < len(det_t):
-                    acc = acc + powers[m - k] * det_t[k]
-            num_coeffs.append(acc.rows[i][j])
-        num = Poly(
-            [
-                num_coeffs[d // self.length] if d % self.length == 0 and d // self.length < n else 0
-                for d in range((n - 1) * self.length + 1)
-            ]
-        )
-        return RationalFunction(num, det)
-
-
-def twisted_series(table, descriptor, rep, order=None):
-    """Twisted Poincare series of an element subset.
-
-    descriptor: ("parabolic", gens) | ("coset", J, I, side) |
-    ("cyclic", element) | ("elements", iterable) — the cyclic case returns
-    the exact closed form, everything else an exact matrix polynomial.
-    """
-    from . import coxeter as cox
-
-    kind = descriptor[0]
-    if kind == "parabolic":
-        elements = table.parabolic_elements(descriptor[1])
-    elif kind == "coset":
-        _, J, I, side = descriptor
-        elements = cox.min_coset_reps(table, J, I, side)
-    elif kind == "cyclic":
-        el = descriptor[1]
-        return CyclicTwistedSeries(rep, rep.image(table, el), el.length)
-    elif kind == "elements":
-        elements = list(descriptor[1])
-    else:
-        raise HeckeError("unknown subset descriptor %r" % (kind,))
-    fts = FiniteTwistedSeries(rep, elements, table)
-    if order is not None:
-        return fts.truncate(order)
-    return fts
-
 
 # ---------------------------------------------------------------------------
 # JSON ingestion

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coxeter import _finite_cartan
 from .series import binomial_product
@@ -201,56 +200,7 @@ def exponent_table(rs):
 
 
 # ---------------------------------------------------------------------------
-# extended Cartan data and table output
-
-
-def symmetrizers(cartan):
-    """Positive rationals d_i with d_i * c_ij symmetric."""
-    n = len(cartan)
-    d = [None] * n
-    d[0] = Fraction(1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if i != j and cartan[i][j] != 0 and d[i] is not None and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                    changed = True
-    if any(v is None for v in d):
-        raise RootSystemError("Cartan matrix is not connected")
-    return d
-
-
-def extended_cartan(family, rank):
-    """Generalized Cartan matrix of the untwisted affine extension, with
-    the affine node last (matching the rank-2 generator numbering)."""
-    rs = positive_roots(family, rank)
-    cartan = rs.cartan
-    n = rank
-    d = symmetrizers(cartan)
-    # (a, b) = sum_i a_i d_i <b, alpha_i^vee> built from rows of the Cartan matrix
-    def form(a, b):
-        return sum(
-            Fraction(a[i]) * d[i] * sum(cartan[i][j] * b[j] for j in range(n))
-            for i in range(n)
-        )
-
-    theta = rs.highest_root
-    tt = form(theta, theta)
-    ext = [[cartan[i][j] for j in range(n)] + [0] for i in range(n)]
-    ext.append([0] * (n + 1))
-    ext[n][n] = 2
-    for j in range(n):
-        alpha_j = tuple(1 if t == j else 0 for t in range(n))
-        # pairing of alpha_j against the lowest-root coroot and vice versa
-        v1 = -2 * form(alpha_j, theta) / tt
-        v2 = -sum(cartan[j][i] * theta[i] for i in range(n))
-        if v1.denominator != 1:
-            raise RootSystemError("non-integral affine pairing")
-        ext[n][j] = int(v1)
-        ext[j][n] = v2
-    return tuple(tuple(r) for r in ext)
+# table output
 
 
 def exponent_rows(specs):

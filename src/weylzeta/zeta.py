@@ -4,18 +4,21 @@ quotient of the rank-2 affine apartment that realizes the determinant
 identities geometrically.
 
 On the torus every operator is a permutation of chambers, so each
-determinant has one exact integer route: a finite factor splits into
-blocks over the orbits of its element permutations, and a strip factor
-det(I - P u^l) is the product of 1 - u^(l * len) over the cycles of P.
-Both come out as exponent maps d -> m (`series.ExponentMap`), and the
-identity checkers multiply and compare maps; a polynomial is expanded
-from a map only for output.
-The torus representation holds only permutations; its dense chamber
-matrices (`image`, `action_matrix`) are uncached oracles for the tests
-and the generic consumers.  The chamber search that finds the generator
-permutations carries each chamber as a W0 index and row 2 of its key,
-never a whole group-element matrix; the search on whole keys is the
-oracle in the tests.
+determinant has one exact integer route.  A finite factor is a set S in
+a finite parabolic W_J, which acts freely on the chambers, so its
+operator is n / |W_J| copies of one |W_J| x |W_J| block of the
+right-regular representation, whose determinant is taken once; a strip
+factor det(I - P u^l) is the product of 1 - u^(l * len) over the cycles
+of P.  Both come out as exponent maps d -> m (`series.ExponentMap`), and
+the identity checkers multiply and compare maps; a polynomial is
+expanded from a map only for output.  The per-orbit determinants are
+the oracle in the tests.
+The torus representation is a view of the quotient's permutations; its
+dense chamber matrices (`image`, `action_matrix`) are uncached oracles
+for the tests and the generic consumers.  The chamber search that finds
+the generator permutations carries each chamber as a W0 index and row 2
+of its key, never a whole group-element matrix; the search on whole
+keys is the oracle in the tests.
 
 W/kL acts regularly on the chambers, so tr P(w) is n or 0 and a trace
 of a matrix power series is n times one diagonal entry: the dual
@@ -129,25 +132,6 @@ class Graph:
                 out.append((s, t, c, idx))
         out.sort(key=lambda e: e[:3])
         return tuple(out)
-
-
-def complete_graph(n):
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def cycle_graph(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_bipartite(a, b):
-    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def petersen_graph():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, outer + spokes + inner)
 
 
 def hashimoto_matrix(graph):
@@ -344,9 +328,11 @@ def strip_zeta(a_matrix, order=16):
 
 class TorusRepresentation(Representation):
     """Permutation representation of the group algebra on the chambers of
-    the torus quotient.  It holds only the generator permutations and a
-    cache of element permutations; a dense chamber matrix comes only from
-    `image`, an uncached oracle for the tests and the generic consumers."""
+    the torus quotient: a light view of the quotient, whose generator
+    permutations and cache of element permutations it reads.  The
+    quotient holds no reference to its views, so the two form no cycle.
+    A dense chamber matrix comes only from `image`, an uncached oracle for
+    the tests and the generic consumers."""
 
     def __init__(self, quotient):
         # no dense generator images: Representation.__init__ is not called
@@ -354,7 +340,7 @@ class TorusRepresentation(Representation):
         self.system = quotient.system
         self.q = 1
         self.dim = len(quotient.chambers)
-        self._perm_cache = {quotient.table.identity.key: tuple(range(self.dim))}
+        self._perm_cache = quotient._perm_cache
 
     def perm(self, table, element):
         """Chamber permutation of e_w, built along the stored reduced word."""
@@ -501,8 +487,14 @@ class TorusQuotient:
         chambers = self.weyl_order * k * k
         cox.check_element_cap(chambers, "torus quotient with %d chambers" % chambers)
         self._enumerate_chambers()
-        self.representation = TorusRepresentation(self)
+        self._perm_cache = {table.identity.key: tuple(self.chambers)}
         self._regular_radius = 0  # the identity alone acts as the identity
+        self._free_parabolics = set()  # letter sets J whose W_J was checked to act freely
+
+    @property
+    def representation(self):
+        """The permutation representation, a new view on each read."""
+        return TorusRepresentation(self)
 
     # -- construction --------------------------------------------------------
 
@@ -617,59 +609,63 @@ class TorusQuotient:
 
     def block_det(self, perm_len_keys, dual_check_order=4):
         """Exact determinant of sum_w rho(e_w) u^l(w) over a finite element
-        set, given as (permutation, length, key) triples, as an ExponentMap:
-        the product of per-orbit integer determinants.
+        set S, given as (permutation, length, key) triples, as an
+        ExponentMap.
 
-        The operator maps the span of each orbit of the chambers under the
-        element permutations to itself.  Inside a finite parabolic W_J the
-        action is free, so each orbit has at most |W_J| chambers.  Orbits
-        are labelled breadth first from their least chamber and their
-        blocks are counted by content.  Each distinct block's determinant
-        is computed once and peeled into its exponent map, which enters
-        times the block's multiplicity; a block that does not peel stays
-        as a residual (polynomial, multiplicity) pair.
+        The letters of the elements' words give J, and S lies in the
+        finite parabolic W_J.  W_J meets the normal subgroup t(kL) only in
+        the identity, so it acts freely: every W_J-orbit of chambers is a
+        copy of W_J acting on itself by right multiplication, and the
+        operator is n / |W_J| copies of the one |W_J| x |W_J| block
+        sum_(w in S) u^l(w) R(w), R the right-regular representation.  The
+        block is built from the table by walking each w's word from each
+        v in W_J; its determinant is taken once and peeled into an
+        exponent map to the power n / |W_J| (a block that does not peel
+        stays as a residual).  An infinite or unclosed W_J, a w != e in
+        W_J that fixes a chamber, or a permutation that is not its key's
+        raises ZetaError; freeness is checked once per J and quotient.
 
         Cross-checked up to u^dual_check_order, when the set holds the
         identity, against the one-vector trace-log of the elements named by
         the keys, after `assert_regular(dual_check_order)`: the map's own
         truncated expansion must equal it."""
-        n = len(self.chambers)
-        pos = {}  # chamber -> index inside its orbit
-        blocks = {}
-        for root in range(n):
-            if root in pos:
-                continue
-            # the chambers reached from root by the permutations: its orbit
-            pos[root] = 0
-            orbit = [root]
-            for c in orbit:
-                for perm, _length, _key in perm_len_keys:
-                    if perm[c] not in pos:
-                        pos[perm[c]] = len(orbit)
-                        orbit.append(perm[c])
-            cells = {}
-            for perm, length, _key in perm_len_keys:
-                for c in orbit:
-                    cell = (pos[c], pos[perm[c]], length)
-                    cells[cell] = cells.get(cell, 0) + 1
-            content = (len(orbit), tuple(sorted(cells.items())))
-            blocks[content] = blocks.get(content, 0) + 1
-        det = ExponentMap()
-        for (size, cells), mult in blocks.items():
-            rows = [[Poly.zero()] * size for _ in range(size)]
-            for (i, j, length), count in cells:
-                rows[i][j] = rows[i][j] + Poly.u(length, count)
-            det = det * ExponentMap.of_poly(det_poly_matrix(rows), mult)
+        table, n = self.table, len(self.chambers)
+        elements = [table.element(key) for _perm, _length, key in perm_len_keys]
+        letters = tuple(sorted({s for el in elements for s in el.word}))
+        try:
+            group = table.parabolic_elements(letters)
+        except cox.OutOfTableError:
+            raise ZetaError("the letters %s generate no finite parabolic within bound %d"
+                            % ("".join(str(s + 1) for s in letters), table.bound)) from None
+        rep = self.representation
+        if letters not in self._free_parabolics:
+            for v in group[1:]:
+                fixed = _fixed_points(rep.perm(table, v))
+                if fixed:
+                    raise ZetaError("the action is not regular: w = %s in W_J fixes %d of %d chambers"
+                                    % ("".join(str(s) for s in v.word), fixed, n))
+            self._free_parabolics.add(letters)
+        for (perm, _length, _key), el in zip(perm_len_keys, elements):
+            own = rep.perm(table, el)
+            if perm is not own and perm != own:
+                raise ZetaError("w = %s: the permutation given is not the quotient's"
+                                % "".join(str(s) for s in el.word))
+        index = {v.key: i for i, v in enumerate(group)}
+        rows = [[Poly.zero()] * len(group) for _ in group]
+        for w in elements:
+            term = Poly.u(w.length)
+            for v in group:
+                i, j = index[v.key], index[table.walk_key(v.key, w.word)]
+                rows[i][j] = rows[i][j] + term
+        det = ExponentMap.of_poly(det_poly_matrix(rows), n // len(group))
         # independent truncated route, from the keys alone
-        elements = [self.table.element(key) for _perm, _length, key in perm_len_keys]
         if [el.length for el in elements].count(0) == 1:
             self.assert_regular(dual_check_order)
-            rep = self.representation
-            perm_lengths = [(rep.perm(self.table, el), el.length)
+            perm_lengths = [(rep.perm(table, el), el.length)
                             for el in elements if 0 < el.length <= dual_check_order]
             truncated = _one_vector_det_series(perm_lengths, n, dual_check_order)
             if not (truncated == det.expand(dual_check_order)):
-                raise ZetaError("orbit-block determinant failed the trace-log cross-check")
+                raise ZetaError("regular-block determinant failed the trace-log cross-check")
         return det
 
 

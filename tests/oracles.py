@@ -1,21 +1,28 @@
 """Second routes kept as named test oracles for production routes in
 weylzeta: each computes the same quantity another way, and a test
-compares the two."""
+compares the two.  The small graphs the Ihara tests share live here
+too."""
 
 from fractions import Fraction
 
+from weylzeta import coxeter as cox
 from weylzeta.coxeter import OutOfTableError
-from weylzeta.hecke import HeckeElement
+from weylzeta.hecke import CyclicTwistedSeries, FiniteTwistedSeries, HeckeElement, HeckeError
+from weylzeta.rootsys import RootSystemError, positive_roots
 from weylzeta.series import (
+    ExponentMap,
     Matrix,
+    Poly,
     PowerSeries,
     QPolynomial,
+    RationalFunction,
     SeriesError,
     _is_zero,
+    det_poly_matrix,
     scalar_one_like,
     scalar_zero_like,
 )
-from weylzeta.zeta import ZetaError
+from weylzeta.zeta import Graph, ZetaError
 
 
 def det_series_tracelog(ps, order=None):
@@ -167,3 +174,166 @@ def multiply(table, w, v):
     product falls outside the table bound."""
     el = table.element(product_key(table, w.key, v.key))
     return el, el.length == w.length + v.length
+
+
+def orbit_block_det(n, perm_len_keys):
+    """Determinant of sum_w P(w) u^l(w) over (permutation, length, key)
+    triples on n chambers, as an ExponentMap: the product of per-orbit
+    integer determinants.  Oracle for zeta.TorusQuotient.block_det, which
+    takes one regular W_J block instead.
+
+    The operator maps the span of each orbit of the chambers under the
+    element permutations to itself.  Orbits are labelled breadth first from
+    their least chamber and their blocks are counted by content.  Each
+    distinct block's determinant is computed once and peeled into its
+    exponent map, which enters times the block's multiplicity; a block
+    that does not peel stays as a residual (polynomial, multiplicity)
+    pair."""
+    pos = {}  # chamber -> index inside its orbit
+    blocks = {}
+    for root in range(n):
+        if root in pos:
+            continue
+        # the chambers reached from root by the permutations: its orbit
+        pos[root] = 0
+        orbit = [root]
+        for c in orbit:
+            for perm, _length, _key in perm_len_keys:
+                if perm[c] not in pos:
+                    pos[perm[c]] = len(orbit)
+                    orbit.append(perm[c])
+        cells = {}
+        for perm, length, _key in perm_len_keys:
+            for c in orbit:
+                cell = (pos[c], pos[perm[c]], length)
+                cells[cell] = cells.get(cell, 0) + 1
+        content = (len(orbit), tuple(sorted(cells.items())))
+        blocks[content] = blocks.get(content, 0) + 1
+    det = ExponentMap()
+    for (size, cells), mult in blocks.items():
+        rows = [[Poly.zero()] * size for _ in range(size)]
+        for (i, j, length), count in cells:
+            rows[i][j] = rows[i][j] + Poly.u(length, count)
+        det = det * ExponentMap.of_poly(det_poly_matrix(rows), mult)
+    return det
+
+
+def twisted_series(table, descriptor, rep, order=None):
+    """Twisted Poincare series of an element subset.
+
+    descriptor: ("parabolic", gens) | ("coset", J, I, side) |
+    ("cyclic", element) | ("elements", iterable) — the cyclic case returns
+    the exact closed form, everything else an exact matrix polynomial.
+    """
+    kind = descriptor[0]
+    if kind == "parabolic":
+        elements = table.parabolic_elements(descriptor[1])
+    elif kind == "coset":
+        _, J, I, side = descriptor
+        elements = cox.min_coset_reps(table, J, I, side)
+    elif kind == "cyclic":
+        el = descriptor[1]
+        return CyclicTwistedSeries(rep, rep.image(table, el), el.length)
+    elif kind == "elements":
+        elements = list(descriptor[1])
+    else:
+        raise HeckeError("unknown subset descriptor %r" % (kind,))
+    fts = FiniteTwistedSeries(rep, elements, table)
+    if order is not None:
+        return fts.truncate(order)
+    return fts
+
+
+def cyclic_entry_rational(cyc, i, j):
+    """Entry (i, j) of the inverse of a CyclicTwistedSeries, as an exact
+    rational function."""
+    det = cyc.det_inverse()
+    n = cyc.a.nrows
+    one = scalar_one_like(cyc.rep.q)
+    # adj(I - A t) = sum_m (sum_{k<=m} det_k A^{m-k}) t^m, deg < n in t
+    det_t = [det.coeff(d * cyc.length) for d in range(det.degree // cyc.length + 1)]
+    powers = [Matrix.identity(n, one)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * cyc.a)
+    num_coeffs = []
+    for m in range(n):
+        acc = powers[0] * 0
+        for k in range(m + 1):
+            if k < len(det_t):
+                acc = acc + powers[m - k] * det_t[k]
+        num_coeffs.append(acc.rows[i][j])
+    num = Poly(
+        [
+            num_coeffs[d // cyc.length] if d % cyc.length == 0 and d // cyc.length < n else 0
+            for d in range((n - 1) * cyc.length + 1)
+        ]
+    )
+    return RationalFunction(num, det)
+
+
+def symmetrizers(cartan):
+    """Positive rationals d_i with d_i * c_ij symmetric."""
+    n = len(cartan)
+    d = [None] * n
+    d[0] = Fraction(1)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if i != j and cartan[i][j] != 0 and d[i] is not None and d[j] is None:
+                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                    changed = True
+    if any(v is None for v in d):
+        raise RootSystemError("Cartan matrix is not connected")
+    return d
+
+
+def extended_cartan(family, rank):
+    """Generalized Cartan matrix of the untwisted affine extension, with
+    the affine node last (matching the rank-2 generator numbering)."""
+    rs = positive_roots(family, rank)
+    cartan = rs.cartan
+    n = rank
+    d = symmetrizers(cartan)
+    # (a, b) = sum_i a_i d_i <b, alpha_i^vee> built from rows of the Cartan matrix
+    def form(a, b):
+        return sum(
+            Fraction(a[i]) * d[i] * sum(cartan[i][j] * b[j] for j in range(n))
+            for i in range(n)
+        )
+
+    theta = rs.highest_root
+    tt = form(theta, theta)
+    ext = [[cartan[i][j] for j in range(n)] + [0] for i in range(n)]
+    ext.append([0] * (n + 1))
+    ext[n][n] = 2
+    for j in range(n):
+        alpha_j = tuple(1 if t == j else 0 for t in range(n))
+        # pairing of alpha_j against the lowest-root coroot and vice versa
+        v1 = -2 * form(alpha_j, theta) / tt
+        v2 = -sum(cartan[j][i] * theta[i] for i in range(n))
+        if v1.denominator != 1:
+            raise RootSystemError("non-integral affine pairing")
+        ext[n][j] = int(v1)
+        ext[j][n] = v2
+    return tuple(tuple(r) for r in ext)
+
+
+def complete_graph(n):
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def cycle_graph(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)

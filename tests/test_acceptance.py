@@ -9,7 +9,7 @@ import os
 import random
 import time
 
-from oracles import product_key
+from oracles import complete_bipartite, complete_graph, petersen_graph, product_key
 from weylzeta import coxeter, hecke, rootsys, strips, zeta
 from weylzeta.series import (
     Matrix,
@@ -201,16 +201,16 @@ def test_criterion_08_macdonald_agreement(tables):
 def test_criterion_09_ihara_checks():
     t0 = time.monotonic()
     cases = [
-        (zeta.complete_graph(3), 1, "K3"),
-        (zeta.complete_graph(4), 2, "K4"),
-        (zeta.complete_bipartite(3, 3), 2, "K33"),
-        (zeta.petersen_graph(), 2, "Petersen"),
+        (complete_graph(3), 1, "K3"),
+        (complete_graph(4), 2, "K4"),
+        (complete_bipartite(3, 3), 2, "K33"),
+        (petersen_graph(), 2, "Petersen"),
     ]
     for graph, q, name in cases:
         assert zeta.ihara_formula_check(graph, q).ok, name
         b = zeta.hashimoto_matrix(graph)
         assert zeta.geodesic_oracle(graph, 12) == zeta.traces(b, 12), name
-    k3 = zeta.ihara_zeta(zeta.complete_graph(3), 8)
+    k3 = zeta.ihara_zeta(complete_graph(3), 8)
     assert k3.inverse_poly == binom(3) * binom(3)
     report(9, time.monotonic() - t0,
            "Ihara formula + oracle traces (n<=12) for K3, K4, K33, Petersen")

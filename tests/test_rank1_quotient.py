@@ -7,10 +7,10 @@ the 2k-cycle; right multiplication by the primitive rotation gives the
 strip operator whose determinant reproduces the graph zeta function.
 """
 
-from oracles import mat_mul
+from oracles import cycle_graph, mat_mul
 from weylzeta import coxeter, zeta
 from weylzeta.series import Poly, RationalFunction
-from weylzeta.zeta import cycle_graph, ihara_zeta
+from weylzeta.zeta import ihara_zeta
 
 
 def _shear_coords(delta, key):

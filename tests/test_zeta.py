@@ -1,11 +1,16 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mat_mul, product_key, torus_generator_permutations_by_keys
+from oracles import (
+    complete_bipartite, complete_graph, cycle_graph, cyclic_entry_rational, mat_mul, orbit_block_det,
+    petersen_graph, product_key, torus_generator_permutations_by_keys, twisted_series,
+)
 from test_series import _det_berkowitz
 from weylzeta import coxeter, strips
 from weylzeta.series import (
@@ -14,6 +19,7 @@ from weylzeta.series import (
 )
 from weylzeta.zeta import (
     Graph,
+    TorusQuotient,
     TorusRepresentation,
     ZetaError,
     _one_vector_det_series,
@@ -21,15 +27,11 @@ from weylzeta.zeta import (
     _perm_matrix,
     _perm_zeta,
     closed_strip_counts,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
     geodesic_oracle,
     hashimoto_matrix,
     ihara_formula_check,
     ihara_zeta,
     operator_strip_counts,
-    petersen_graph,
     primitive_counts_from_traces,
     strip_zeta,
     torus_quotient_rep,
@@ -376,8 +378,9 @@ def test_length_additive_products_via_permutations(torus_k2):
 
 @pytest.mark.parametrize("tag,k", [("A2t", 2), ("A2t", 3), ("C2t", 2)], ids=["A2t-k2", "A2t-k3", "C2t-k2"])
 def test_block_det_matches_generic(tables, tag, k):
-    # every scheme finite factor and every proper parabolic: the orbit-block
-    # route against the dense determinant of the twisted series
+    # every scheme finite factor and every proper parabolic: the
+    # regular-block route against the dense determinant of the twisted
+    # series and against the per-orbit determinants
     from weylzeta.hecke import FiniteTwistedSeries
 
     t = tables[tag]
@@ -387,9 +390,11 @@ def test_block_det_matches_generic(tables, tag, k):
     sets += [t.parabolic_elements(gens) for gens in coxeter.all_proper_subsets(3)]
     assert len(sets) == 10
     for els in sets:
-        block = tq.block_det([(rep.perm(t, el), el.length, el.key) for el in els])
+        triples = [(rep.perm(t, el), el.length, el.key) for el in els]
+        block = tq.block_det(triples)
         assert not block.residual
         assert block.as_polynomial() == FiniteTwistedSeries(rep, els, t).det()
+        assert block == orbit_block_det(tq.chamber_count(), triples)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -413,6 +418,128 @@ def test_block_det_is_regular_block_power(tables, tag, k):
         assert n % len(els) == 0
         regular = ExponentMap.of_poly(det_poly_matrix(rows), n // len(els))
         assert tq.block_det([(rep.perm(t, el), el.length, el.key) for el in els]) == regular, gens
+
+
+class FreeAction(TorusQuotient):
+    """`copies` copies of W_J acting on itself by right multiplication, the
+    chambers relabelled by `relabel`: the action block_det relies on,
+    without the torus around it.  Generators outside J get no permutation,
+    so only W_J can be walked, and the trace-log check (which walks a
+    ball of the whole group) must be off: dual_check_order=0."""
+
+    def __init__(self, table, letters, copies, relabel):
+        group = table.parabolic_elements(letters)
+        index = {v.key: i for i, v in enumerate(group)}
+        size = len(group)
+        perms = []
+        for s in range(table.system.num_generators):
+            perm = None
+            if s in letters:
+                perm = [None] * (copies * size)
+                for c in range(copies):
+                    for v in group:
+                        perm[relabel[c * size + index[v.key]]] = relabel[c * size + index[v.links[s]]]
+                perm = tuple(perm)
+            perms.append(perm)
+        self.system, self.table = table.system, table
+        self.chambers = range(copies * size)
+        self.generator_permutations = tuple(perms)
+        self._perm_cache = {table.identity.key: tuple(self.chambers)}
+        self._regular_radius = 0
+        self._free_parabolics = set()
+
+
+@st.composite
+def free_actions(draw):
+    tag = draw(st.sampled_from(("A2t", "C2t", "G2t")))
+    letters = draw(st.sampled_from([J for J in coxeter.all_proper_subsets(3) if J]))
+    coset = draw(st.sampled_from((None, "right", "left")))
+    sub = draw(st.sets(st.sampled_from(letters)).map(sorted))
+    copies = draw(st.integers(1, 4))
+    return tag, letters, coset, sub, copies, draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_actions())
+def test_block_det_matches_the_orbit_oracle_on_random_free_actions(tables, action):
+    # the one regular W_J block, to the power n / |W_J|, against the
+    # per-orbit determinants of the same permutations, for a parabolic or
+    # a set of minimal coset representatives of W_J / W_I
+    tag, letters, coset, sub, copies, rnd = action
+    t = tables[tag]
+    size = len(t.parabolic_elements(letters))
+    relabel = list(range(copies * size))
+    rnd.shuffle(relabel)
+    free = FreeAction(t, letters, copies, relabel)
+    rep = free.representation
+    els = (t.parabolic_elements(letters) if coset is None
+           else coxeter.min_coset_reps(t, letters, sub, coset))
+    triples = [(rep.perm(t, el), el.length, el.key) for el in els]
+    det = free.block_det(triples, dual_check_order=0)
+    oracle = orbit_block_det(copies * size, triples)
+    assert det == oracle
+    assert det.exponents == oracle.exponents and not det.residual and not oracle.residual
+
+
+@pytest.mark.parametrize("length", [2, 6])
+def test_block_det_rejects_an_action_that_is_not_free(tables, length):
+    # an element of W_J = <s1, s2> of G2t made to fix a chamber: at length
+    # 2 as the identity permutation (all chambers fixed, which the ball's
+    # regularity allows), and the longest element, of length 6, with one
+    # chamber fixed (outside the trace-log ball of radius 4)
+    t = tables["G2t"]
+    tq = torus_quotient_rep(coxeter.build_system("G2t"), 2, t)
+    rep = tq.representation
+    n = tq.chamber_count()
+    els = t.parabolic_elements((0, 1))
+    w = next(el for el in els if el.length == length)
+    perm = list(rep.perm(t, w))
+    if length == 2:
+        perm = list(range(n))
+    else:
+        c = perm.index(0)
+        perm[0], perm[c] = 0, perm[0]
+    rep._perm_cache[w.key] = tuple(perm)
+    with pytest.raises(ZetaError, match="w = %s in W_J fixes" % "".join(map(str, w.word))):
+        tq.block_det([(rep.perm(t, el), el.length, el.key) for el in els])
+
+
+def test_block_det_rejects_an_infinite_parabolic(torus_k2):
+    tq = torus_k2["A2t"]
+    t, rep = tq.table, tq.representation
+    els = [t.identity] + [t.generator(i) for i in range(3)]
+    with pytest.raises(ZetaError, match="letters 123 generate no finite parabolic"):
+        tq.block_det([(rep.perm(t, el), el.length, el.key) for el in els])
+
+
+def test_block_det_rejects_a_permutation_that_is_not_its_keys(torus_k2):
+    tq = torus_k2["C2t"]
+    t, rep = tq.table, tq.representation
+    els = t.parabolic_elements((0, 2))
+    triples = [(rep.perm(t, el), el.length, el.key) for el in els]
+    triples[1] = (triples[2][0],) + triples[1][1:]
+    with pytest.raises(ZetaError, match="not the quotient's"):
+        tq.block_det(triples)
+
+
+def test_a_dropped_torus_is_freed_without_the_cycle_collector(tables):
+    # the representation is a view that holds the quotient, and the
+    # quotient holds no view, so reference counting alone frees the torus
+    t = tables["A2t"]
+    gc.collect()
+    gc.disable()
+    try:
+        tq = torus_quotient_rep(coxeter.build_system("A2t"), 3, t)
+        assert strips.verify_determinant_identity(tq.system, tq.representation, t).ok
+        rep = tq.representation
+        ref = weakref.ref(tq)
+        del tq
+        assert ref() is not None  # a caller that keeps only the view
+        assert rep.perm(t, t.generator(0)) == rep.quotient.generator_permutations[0]
+        del rep
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_cyclic_det_cycle_formula(torus_k2):
@@ -695,15 +822,13 @@ def test_regularity_assertion_rejects_a_fixed_chamber(tables):
 
 
 def test_cyclic_entry_rationals_match_truncation(torus_k2):
-    from weylzeta.hecke import twisted_series
-
     tq = torus_k2["A2t"]
     t = tq.table
     w1 = t.element_of_word((2, 1, 0))
     cyc = twisted_series(t, ("cyclic", w1), tq.representation)
     ser = cyc.truncate(9)
     for i, j in ((0, 0), (0, 5), (3, 7)):
-        exp = cyc.entry_rational(i, j).expand(9)
+        exp = cyclic_entry_rational(cyc, i, j).expand(9)
         for d in range(10):
             assert exp.coeff(d) == ser.coeffs[d].rows[i][j]
 
@@ -733,8 +858,8 @@ def test_zeta_report_rejects_a_wrong_count():
 
 
 def test_block_det_cross_check_catches_a_wrong_block(torus_k2, monkeypatch):
-    # one orbit-block determinant off by u^3: the truncated one-vector
-    # trace-log must refuse the product
+    # the regular-block determinant off by u^3: the truncated one-vector
+    # trace-log must refuse it
     from weylzeta import zeta
 
     tq = torus_k2["A2t"]
@@ -763,7 +888,7 @@ def test_scale_5_quotient_builds(tables):
 
 
 def test_det_identity_torus_k4(tables):
-    # scale 4 is the first composite scale: the orbit blocks and strip
+    # scale 4 is the first composite scale: the regular blocks and strip
     # cycles are checked against the dual trace-log route there as well
     tq = torus_quotient_rep(coxeter.build_system("A2t"), 4, tables["A2t"])
     assert tq.chamber_count() == 96
