@@ -165,7 +165,7 @@ def cmd_det_identity(config):
         results.append({"representation": config.rep_path, **report.as_json()})
     elif config.q_mode == "torus":
         tq = zeta.torus_quotient_rep(system, config.scale, table)
-        report = strips.verify_determinant_identity(system, tq.representation, table)
+        report = strips.verify_determinant_identity(system, tq, table)
         ok = report.ok
         results.append({"representation": "torus k=%d" % config.scale, **report.as_json()})
     else:

@@ -482,7 +482,7 @@ def check_element_cap(count, what, cap=None):
             cap)
 
 
-def enumerate_elements(system, bound=DEFAULT_BOUND, max_elements=None):
+def enumerate_elements(system, bound=DEFAULT_BOUND):
     """BFS from the identity by right multiplication.
 
     Each element appears exactly once, at its true length, because the
@@ -493,8 +493,7 @@ def enumerate_elements(system, bound=DEFAULT_BOUND, max_elements=None):
     """
     if bound < 0:
         raise CoxeterError("bound must be nonnegative")
-    if max_elements is None:
-        max_elements = element_cap()
+    cap = element_cap()
     k = system.num_generators
     ident = GroupElement(mat_identity(k), 0, (), [None] * k)
     index = {ident.key: ident}
@@ -502,7 +501,7 @@ def enumerate_elements(system, bound=DEFAULT_BOUND, max_elements=None):
     def grow(key, parent, i):
         nel = GroupElement(key, parent.length + 1, parent.word + (i,), [None] * k)
         index[key] = nel
-        check_element_cap(len(index), "enumeration", max_elements)
+        check_element_cap(len(index), "enumeration", cap)
         return nel
 
     layers = [[ident]]
@@ -548,28 +547,20 @@ def min_coset_reps(table, J, I, side="right"):
     left W_I-coset representatives, W_J = reps * W_I length-additively).
     side="left": no left descent in I (W_J = W_I * reps).
     """
+    if side not in ("right", "left"):
+        raise CoxeterError("side must be 'right' or 'left'")
     J = tuple(sorted(set(J)))
     I = tuple(sorted(set(I)))
     if not set(I) <= set(J):
         raise CoxeterError("I must be a subset of J")
-    elements = table.parabolic_elements(J)
     out = []
-    for el in elements:
-        ok = True
+    for el in table.parabolic_elements(J):
         for s in I:
-            if side == "right":
-                other_key = el.links[s]
-            elif side == "left":
-                other_key = table.system.left_reflect(el.key, s)
-            else:
-                raise CoxeterError("side must be 'right' or 'left'")
-            other = table.element(other_key)
-            if other.length < el.length:
-                ok = False
+            other_key = el.links[s] if side == "right" else table.system.left_reflect(el.key, s)
+            if table.element(other_key).length < el.length:
                 break
-        if not ok:
-            continue
-        out.append(el)
+        else:
+            out.append(el)
     out.sort(key=lambda e: (e.length, e.word))
     return out
 

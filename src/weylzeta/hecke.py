@@ -174,9 +174,6 @@ class Character:
             out = out * self.value(i, q)
         return out
 
-    def is_trivial_q(self):
-        return all(self.signs)
-
     def name(self):
         return "".join("q" if s else "-" for s in self.signs)
 
@@ -254,36 +251,24 @@ class Representation:
         self.gen_images = tuple(gen_images)
         self.q = q
         self.dim = gen_images[0].nrows
-        self._cache = {mat_identity(system.num_generators): Matrix.identity(self.dim, self._one())}
-
-    @property
-    def scalar_kind(self):
-        """The scalar ring: "q-poly" over a formal q, else "rational"."""
-        return "q-poly" if isinstance(self.q, QPolynomial) and self.q.degree >= 1 else "rational"
-
-    def _one(self):
-        return scalar_one_like(self.q)
+        self._cache = {mat_identity(system.num_generators): Matrix.identity(self.dim, scalar_one_like(q))}
 
     def image(self, table, element):
         """Image of a basis vector e_w, built along the stored reduced word."""
         return walk_word(table, element, self._cache, lambda m, s: m * self.gen_images[s])
 
-    # exact determinant routes used by the identity verifiers; dense here,
-    # overridden by representations with a faster exact route.  A factor
-    # is a value the verifiers multiply, divide and compare: here a
+    # exact determinant routes used by the identity verifiers, dense here
+    # (zeta.TorusQuotient has permutation routes of the same names).  A
+    # factor is a value the verifiers multiply, divide and compare: here a
     # RationalFunction.
 
     def finite_det_factor(self, table, elements):
         """det of sum rho(e_w) u^l(w) over a finite element set."""
         return RationalFunction(FiniteTwistedSeries(self, elements, table).det())
 
-    def cyclic_det_hook(self, table, element):
-        """det(I - rho(e_w) u^l(w)) as an exact polynomial."""
-        return char_matrix_det(self.image(table, element), element.length)
-
     def cyclic_det_factor(self, table, element):
-        """cyclic_det_hook as a factor of the determinant identity."""
-        return RationalFunction(self.cyclic_det_hook(table, element))
+        """det(I - rho(e_w) u^l(w)), an exact polynomial, as a factor."""
+        return RationalFunction(char_matrix_det(self.image(table, element), element.length))
 
     def det_series_hook(self, table, order):
         """Determinant of the truncated twisted group sum, by unit-pivot
@@ -291,16 +276,14 @@ class Representation:
         return det_series(twisted_group_sum(self, table, order))
 
     def __repr__(self):
-        return "Representation(dim=%d, q=%s, scalar=%s)" % (self.dim, self.q, self.scalar_kind)
+        return "Representation(dim=%d, q=%s)" % (self.dim, self.q)
 
 
-def validate_representation(system, matrices, q=None, table=None, cache_depth=6):
+def validate_representation(system, matrices, q=None):
     """Check the quadratic and braid relations exactly; return the
-    Representation on success, raise ValidationError otherwise.
-
-    When a table is supplied the image cache is built eagerly up to
-    cache_depth and path independence is checked on that sample (every
-    length-additive extension by a generator)."""
+    Representation on success, raise ValidationError otherwise.  They
+    present the Hecke algebra, so the image of a reduced word does not
+    depend on the word (Matsumoto); `check_word_products` tests that."""
     q = formal_q() if q is None else q
     matrices = tuple(m if isinstance(m, Matrix) else Matrix(m) for m in matrices)
     k = system.num_generators
@@ -336,12 +319,7 @@ def validate_representation(system, matrices, q=None, table=None, cache_depth=6)
                                  "detail": "alternating products of order %d disagree" % m_ij})
     if failures:
         raise ValidationError({"ok": False, "failures": failures})
-    rep = Representation(system, matrices, q)
-    if table is not None and not check_word_products(rep, table, max_length=cache_depth):
-        failures.append({"relation": "path-independence",
-                         "detail": "image of some reduced word depends on the path"})
-        raise ValidationError({"ok": False, "failures": failures})
-    return rep
+    return Representation(system, matrices, q)
 
 
 def _alternating_product(a, b, m, ident):
@@ -435,10 +413,6 @@ class CyclicTwistedSeries:
             d += self.length
         return PowerSeries(coeffs, order)
 
-    def det_inverse(self):
-        """det(I - A u^l) as an exact polynomial."""
-        return char_matrix_det(self.a, self.length)
-
 
 # ---------------------------------------------------------------------------
 # JSON ingestion
@@ -456,7 +430,7 @@ def _scalar_from_json(v, scalar):
     raise HeckeError("unknown scalar kind %r" % (scalar,))
 
 
-def representation_from_json(system, obj, table=None):
+def representation_from_json(system, obj):
     """Ingest {dim, generators: {s1: [[...]], ...}, scalar, q} and validate.
 
     The shape is checked before any arithmetic: a JSON object whose dim
@@ -494,4 +468,4 @@ def representation_from_json(system, obj, table=None):
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise HeckeError("generator %s is not %dx%d" % (name, dim, dim))
         mats.append(Matrix([[_scalar_from_json(v, scalar) for v in row] for row in rows]))
-    return validate_representation(system, mats, qval, table=table)
+    return validate_representation(system, mats, qval)

@@ -106,35 +106,11 @@ def positive_roots(family, rank):
 # the affine root window P = {affine roots with 0 < height < h}
 
 
-@dataclass(frozen=True)
-class AffineRootWindow:
-    """The affine roots of height strictly between 0 and the Coxeter
-    number: the positive roots a, plus one root delta - a for each a,
-    stored as ("+", a) and ("-", a) with heights ht(a) and h - ht(a)."""
-
-    root_system: RootSystem
-    members: tuple
-
-    @staticmethod
-    def build(rs):
-        members = [("+", a) for a in rs.positive_roots]
-        members += [("-", a) for a in rs.positive_roots]
-        return AffineRootWindow(rs, tuple(members))
-
-    def height(self, member):
-        sign, a = member
-        return sum(a) if sign == "+" else self.root_system.coxeter_number - sum(a)
-
-    def support_is_full(self, member):
-        """Whether the member touches every node of the extended diagram."""
-        sign, a = member
-        if sign == "+":
-            return all(c != 0 for c in a)
-        theta = self.root_system.highest_root
-        return all(t - c != 0 for t, c in zip(theta, a))
-
-    def heights_multiset(self):
-        return sorted(self.height(m) for m in self.members)
+def window_heights(rs):
+    """Heights of the affine roots strictly between 0 and the Coxeter
+    number h: ht(a) for each positive root a, and h - ht(a) for delta - a."""
+    heights = [sum(a) for a in rs.positive_roots]
+    return heights + [rs.coxeter_number - t for t in heights]
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +134,17 @@ def macdonald_series(rs):
     """Poincare series of the finite and affine Weyl groups from the
     height products over the positive roots and the affine window."""
     finite = _height_map(sum(a) for a in rs.positive_roots)
-    affine = _height_map(AffineRootWindow.build(rs).heights_multiset(), rs)
+    affine = _height_map(window_heights(rs), rs)
     return binomial_product(finite), binomial_product(affine)
 
 
 def sincere_heights(rs):
     """Heights of the full-support roots: (in R+, in the affine window
     among the wrapped roots delta - a)."""
-    window = AffineRootWindow.build(rs)
-    finite_part = sorted(
-        sum(a) for a in rs.positive_roots if all(c != 0 for c in a)
-    )
-    wrapped_part = sorted(
-        window.height(m) for m in window.members
-        if m[0] == "-" and window.support_is_full(m)
-    )
+    theta, h = rs.highest_root, rs.coxeter_number
+    finite_part = sorted(sum(a) for a in rs.positive_roots if all(a))
+    wrapped_part = sorted(h - sum(a) for a in rs.positive_roots
+                          if all(t - c for t, c in zip(theta, a)))
     return finite_part, wrapped_part
 
 

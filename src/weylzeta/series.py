@@ -1100,15 +1100,15 @@ def poincare_affine(system, order, table=None):
     return rf, ps
 
 
-def alt_product_rational(system, table=None, order=None):
+def alt_product_rational(system, table=None):
     """Alternating product of parabolic Poincare series over all subsets
-    of the generators (the full group included via its rational series)."""
+    of the generators (the full group included via its rational series,
+    checked against the table's layers up to 2k + 16)."""
     from . import coxeter
 
     _require_affine(system)  # before a finite group is enumerated
     k = system.num_generators
-    if order is None:
-        order = 2 * k + 16
+    order = 2 * k + 16
     if table is None:
         table = coxeter.enumerate_elements(system, order)
     rf_full, _ = poincare_affine(system, order, table)

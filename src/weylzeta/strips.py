@@ -332,7 +332,7 @@ class DetIdentityReport:
         return out
 
 
-def verify_determinant_identity(system, rep, table=None, dual_check_order=None):
+def verify_determinant_identity(system, rep, table=None):
     """Exact check that the product of the two inverse strip determinants
     equals the alternating product of twisted parabolic determinants.
 
@@ -369,8 +369,7 @@ def verify_determinant_identity(system, rep, table=None, dual_check_order=None):
                                      for _name, kind, det in named))
 
     # independent truncated route for the full-group determinant
-    if dual_check_order is None:
-        dual_check_order = 8 if rep.dim <= 8 else 6
+    dual_check_order = 8 if rep.dim <= 8 else 6
     truncated = rep.det_series_hook(table, dual_check_order)
     expanded = det_full.expand(dual_check_order)
     dual_ok = truncated == expanded

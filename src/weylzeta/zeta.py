@@ -13,12 +13,12 @@ of P.  Both come out as exponent maps d -> m (`series.ExponentMap`), and
 the identity checkers multiply and compare maps; a polynomial is
 expanded from a map only for output.  The per-orbit determinants are
 the oracle in the tests.
-The torus representation is a view of the quotient's permutations; its
-dense chamber matrices (`image`, `action_matrix`) are uncached oracles
-for the tests and the generic consumers.  The chamber search that finds
-the generator permutations carries each chamber as a W0 index and row 2
-of its key, never a whole group-element matrix; the search on whole
-keys is the oracle in the tests.
+The quotient is its own permutation representation at q = 1, validated
+when it is built; its dense chamber matrices (`image`, `action_matrix`)
+are uncached oracles for the tests and the generic consumers.  The
+chamber search that finds the generator permutations carries each
+chamber as a W0 index and row 2 of its key, never a whole group-element
+matrix; the search on whole keys is the oracle in the tests.
 
 W/kL acts regularly on the chambers, so tr P(w) is n or 0 and a trace
 of a matrix power series is n times one diagonal entry: the dual
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import coxeter as cox
 from . import strips as strips_mod
-from .hecke import Representation, walk_word
+from .hecke import walk_word
 from .series import (
     ExponentMap,
     Matrix,
@@ -326,56 +326,6 @@ def strip_zeta(a_matrix, order=16):
 # the unit-parameter torus quotient of the rank-2 apartment
 
 
-class TorusRepresentation(Representation):
-    """Permutation representation of the group algebra on the chambers of
-    the torus quotient: a light view of the quotient, whose generator
-    permutations and cache of element permutations it reads.  The
-    quotient holds no reference to its views, so the two form no cycle.
-    A dense chamber matrix comes only from `image`, an uncached oracle for
-    the tests and the generic consumers."""
-
-    def __init__(self, quotient):
-        # no dense generator images: Representation.__init__ is not called
-        self.quotient = quotient
-        self.system = quotient.system
-        self.q = 1
-        self.dim = len(quotient.chambers)
-        self._perm_cache = quotient._perm_cache
-
-    def perm(self, table, element):
-        """Chamber permutation of e_w, built along the stored reduced word."""
-        gens = self.quotient.generator_permutations
-        return walk_word(table, element, self._perm_cache,
-                         lambda p, s: _perm_compose(p, gens[s]))
-
-    def image(self, table, element):
-        """Dense permutation matrix of e_w, rebuilt on every call."""
-        return _perm_matrix(self.perm(table, element))
-
-    # exact permutation routes for the identity verifiers --------------------
-
-    def finite_det_factor(self, table, elements):
-        return self.quotient.block_det([(self.perm(table, el), el.length, el.key) for el in elements])
-
-    def cyclic_det_factor(self, table, element):
-        """det(I - P u^l) as the exponent map of P's cycle type."""
-        return _cycle_type_map(self.perm(table, element), element.length)
-
-    def cyclic_det_hook(self, table, element):
-        return self.cyclic_det_factor(table, element).as_polynomial()
-
-    def det_series_hook(self, table, order):
-        """Trace-log determinant of the truncated twisted group sum by the
-        one-vector route: once the quotient has asserted that the ball of
-        radius `order` acts regularly (`TorusQuotient.assert_regular`),
-        tr(N^j) = n (N^j)_{c0 c0}, and one chamber vector is pushed
-        through the ball's permutations."""
-        self.quotient.assert_regular(order)
-        perm_lengths = [(self.perm(table, el), d)
-                        for d in range(1, order + 1) for el in table.layers[d]]
-        return _one_vector_det_series(perm_lengths, self.dim, order)
-
-
 def _perm_matrix(perm):
     n = len(perm)
     return Matrix(tuple(tuple(1 if perm[i] == j else 0 for j in range(n)) for i in range(n)))
@@ -471,7 +421,14 @@ class TorusQuotient:
     read from a |W0| x 3 table built once from the section.  No
     group-element matrix is built per chamber; the breadth-first search
     on whole keys is the oracle in the tests.
+
+    The quotient is its own permutation representation of the group
+    algebra at q = 1, of dimension the chamber count: the generator
+    permutations are checked against the unit-parameter quadratic and
+    braid relations when it is built.
     """
+
+    q = 1
 
     def __init__(self, system, k, table=None):
         if not system.is_affine or system.rank != 2:
@@ -487,14 +444,25 @@ class TorusQuotient:
         chambers = self.weyl_order * k * k
         cox.check_element_cap(chambers, "torus quotient with %d chambers" % chambers)
         self._enumerate_chambers()
-        self._perm_cache = {table.identity.key: tuple(self.chambers)}
+        # the quadratic and braid relations at q = 1
+        ident = tuple(self.chambers)
+        perms = self.generator_permutations
+        for i, p in enumerate(perms):
+            if _perm_compose(p, p) != ident:
+                raise ZetaError("generator %d is not an involution on chambers" % (i + 1,))
+            for j in range(i + 1, len(perms)):
+                m = system.bond(i, j)
+                if m and (_perm_alternating(p, perms[j], m, ident)
+                          != _perm_alternating(perms[j], p, m, ident)):
+                    raise ZetaError("braid relation fails on chambers for (%d, %d)" % (i + 1, j + 1))
+        self._perm_cache = {table.identity.key: ident}
         self._regular_radius = 0  # the identity alone acts as the identity
         self._free_parabolics = set()  # letter sets J whose W_J was checked to act freely
 
     @property
     def representation(self):
-        """The permutation representation, a new view on each read."""
-        return TorusRepresentation(self)
+        """The quotient itself, under the name callers read a representation by."""
+        return self
 
     # -- construction --------------------------------------------------------
 
@@ -579,15 +547,48 @@ class TorusQuotient:
         self.chambers = range(len(chambers))
         self.generator_permutations = tuple(tuple(p) for p in links)
 
-    # -- operators -----------------------------------------------------------
+    # -- the permutation representation ----------------------------------------
+
+    def chamber_count(self):
+        return len(self.chambers)
+
+    dim = property(chamber_count)
+
+    def perm(self, table, element):
+        """Chamber permutation of e_w, built along the stored reduced word."""
+        gens = self.generator_permutations
+        return walk_word(table, element, self._perm_cache, lambda p, s: _perm_compose(p, gens[s]))
+
+    def image(self, table, element):
+        """Dense permutation matrix of e_w, rebuilt on every call."""
+        return _perm_matrix(self.perm(table, element))
 
     def action_matrix(self, element):
         """Dense permutation matrix of right multiplication on the
         chambers, rebuilt on every call: an oracle, not a production route."""
-        return self.representation.image(self.table, element)
+        return self.image(self.table, element)
 
-    def chamber_count(self):
-        return len(self.chambers)
+    # exact permutation routes for the identity verifiers
+
+    def finite_det_factor(self, table, elements):
+        return self.block_det([(self.perm(table, el), el.length, el.key) for el in elements])
+
+    def cyclic_det_factor(self, table, element):
+        """det(I - P u^l) as the exponent map of P's cycle type."""
+        return _cycle_type_map(self.perm(table, element), element.length)
+
+    def cyclic_det_hook(self, table, element):
+        return self.cyclic_det_factor(table, element).as_polynomial()
+
+    def det_series_hook(self, table, order):
+        """Trace-log determinant of the truncated twisted group sum by the
+        one-vector route: once the ball of radius `order` is asserted to
+        act regularly (`assert_regular`), tr(N^j) = n (N^j)_{c0 c0}, and
+        one chamber vector is pushed through the ball's permutations."""
+        self.assert_regular(order)
+        perm_lengths = [(self.perm(table, el), d)
+                        for d in range(1, order + 1) for el in table.layers[d]]
+        return _one_vector_det_series(perm_lengths, len(self.chambers), order)
 
     def assert_regular(self, radius):
         """Raise ZetaError unless every element of length at most `radius`
@@ -596,10 +597,9 @@ class TorusQuotient:
         truncated at u^radius needs, since such products lie in the ball.
         Each layer of the ball is checked once per quotient."""
         n = len(self.chambers)
-        rep = self.representation
         for d in range(self._regular_radius + 1, radius + 1):
             for el in self.table.layers[d]:
-                fixed = _fixed_points(rep.perm(self.table, el))
+                fixed = _fixed_points(self.perm(self.table, el))
                 if 0 < fixed < n:
                     raise ZetaError("the action is not regular: w = %s fixes %d of %d chambers"
                                     % ("".join(str(s) for s in el.word), fixed, n))
@@ -637,16 +637,15 @@ class TorusQuotient:
         except cox.OutOfTableError:
             raise ZetaError("the letters %s generate no finite parabolic within bound %d"
                             % ("".join(str(s + 1) for s in letters), table.bound)) from None
-        rep = self.representation
         if letters not in self._free_parabolics:
             for v in group[1:]:
-                fixed = _fixed_points(rep.perm(table, v))
+                fixed = _fixed_points(self.perm(table, v))
                 if fixed:
                     raise ZetaError("the action is not regular: w = %s in W_J fixes %d of %d chambers"
                                     % ("".join(str(s) for s in v.word), fixed, n))
             self._free_parabolics.add(letters)
         for (perm, _length, _key), el in zip(perm_len_keys, elements):
-            own = rep.perm(table, el)
+            own = self.perm(table, el)
             if perm is not own and perm != own:
                 raise ZetaError("w = %s: the permutation given is not the quotient's"
                                 % "".join(str(s) for s in el.word))
@@ -661,7 +660,7 @@ class TorusQuotient:
         # independent truncated route, from the keys alone
         if [el.length for el in elements].count(0) == 1:
             self.assert_regular(dual_check_order)
-            perm_lengths = [(rep.perm(table, el), el.length)
+            perm_lengths = [(self.perm(table, el), el.length)
                             for el in elements if 0 < el.length <= dual_check_order]
             truncated = _one_vector_det_series(perm_lengths, n, dual_check_order)
             if not (truncated == det.expand(dual_check_order)):
@@ -703,32 +702,13 @@ def _triangular_basis(vectors):
 
 
 def torus_quotient_rep(system, k, table=None):
-    """Build the chamber torus at scale k together with its validated
-    permutation representation of the group algebra."""
-    tq = TorusQuotient(system, k, table)
-    _validate_permutation_rep(tq)
-    return tq
+    """The chamber torus at scale k, which is its own validated permutation
+    representation of the group algebra."""
+    return TorusQuotient(system, k, table)
 
 
-def _validate_permutation_rep(tq):
-    """Quadratic and braid relations for the generator permutations (the
-    unit-parameter specializations of the Hecke relations)."""
-    system = tq.system
-    n = len(tq.chambers)
-    ident = tuple(range(n))
-    perms = tq.generator_permutations
-    for i, p in enumerate(perms):
-        if _perm_compose(p, p) != ident:
-            raise ZetaError("generator %d is not an involution on chambers" % (i + 1,))
-    for i in range(len(perms)):
-        for j in range(i + 1, len(perms)):
-            m = system.bond(i, j)
-            if m == 0:
-                continue
-            a = _perm_alternating(perms[i], perms[j], m, ident)
-            b = _perm_alternating(perms[j], perms[i], m, ident)
-            if a != b:
-                raise ZetaError("braid relation fails on chambers for (%d, %d)" % (i + 1, j + 1))
+# the former name, by which benchmarks/spans.py wraps the representation methods
+TorusRepresentation = TorusQuotient
 
 
 def _perm_compose(p, q):
@@ -763,7 +743,7 @@ def closed_strip_counts(tq, spec, n_max):
 def operator_strip_counts(tq, spec, n_max):
     """tr(A_w^m) for m = 1..n_max: the fixed points of the m-th power of
     the strip operator's chamber permutation, one composition per power."""
-    perm = tq.representation.perm(tq.table, tq.table.element_of_word(spec.word))
+    perm = tq.perm(tq.table, tq.table.element_of_word(spec.word))
     counts = []
     power = perm
     for _ in range(n_max):
@@ -811,15 +791,14 @@ def verify_strip_zeta_identity(tq, trace_order=6):
     zeta product the first d whose (1-u^d) exponents differ, else for the
     traces the strip and the first m where the geometric, operator and
     zeta counts disagree, else the determinant identity's own witness."""
-    rep = tq.representation
     system = tq.system
-    det_report = strips_mod.verify_determinant_identity(system, rep, tq.table)
+    det_report = strips_mod.verify_determinant_identity(system, tq, tq.table)
     specs = strips_mod.strip_generators(system.type_tag)
     zetas = []
     product = ExponentMap()
     trace_witness = None
     for spec in specs:
-        perm = rep.perm(tq.table, tq.table.element_of_word(spec.word))
+        perm = tq.perm(tq.table, tq.table.element_of_word(spec.word))
         zr = _perm_zeta(perm, trace_order * spec.length)
         zetas.append(zr)
         product = product / _cycle_type_map(perm, 1).substitute_power(spec.length)

@@ -18,6 +18,7 @@ from weylzeta.series import (
     RationalFunction,
     SeriesError,
     _is_zero,
+    char_matrix_det,
     det_poly_matrix,
     scalar_one_like,
     scalar_zero_like,
@@ -247,7 +248,7 @@ def twisted_series(table, descriptor, rep, order=None):
 def cyclic_entry_rational(cyc, i, j):
     """Entry (i, j) of the inverse of a CyclicTwistedSeries, as an exact
     rational function."""
-    det = cyc.det_inverse()
+    det = char_matrix_det(cyc.a, cyc.length)
     n = cyc.a.nrows
     one = scalar_one_like(cyc.rep.q)
     # adj(I - A t) = sum_m (sum_{k<=m} det_k A^{m-k}) t^m, deg < n in t

@@ -86,7 +86,7 @@ def test_criterion_04_determinant_identity(tables):
         system = coxeter.build_system(tag)
         for k in (2, 3):
             tq = zeta.torus_quotient_rep(system, k, tables[tag])
-            r = strips.verify_determinant_identity(system, tq.representation, tables[tag])
+            r = strips.verify_determinant_identity(system, tq, tables[tag])
             assert r.ok and r.dual_check_ok, (tag, k)
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
@@ -233,7 +233,7 @@ def test_criterion_10_property_suites(tables, torus_k2):
     for tag in AFFINE_TAGS:
         table = tables[tag]
         reps = [ch.as_representation() for ch in hecke.characters(table.system)]
-        torus = torus_k2[tag].representation
+        torus = torus_k2[tag]
         elements = [el for layer in table.layers[:11] for el in layer]
         pairs = 0
         for w in elements:

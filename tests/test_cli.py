@@ -267,15 +267,15 @@ def test_outputs_match_golden(name, tmp_path, capsys):
 def test_det_identity_failure_reports_witness(capsys, monkeypatch):
     # one wrong parabolic factor: exit 1, and the witness in text and JSON
     from weylzeta.series import ExponentMap
-    from weylzeta.zeta import TorusRepresentation
+    from weylzeta.zeta import TorusQuotient
 
-    orig = TorusRepresentation.finite_det_factor
+    orig = TorusQuotient.finite_det_factor
 
     def wrong(self, table, elements):
         out = orig(self, table, elements)
         return out * ExponentMap({7: 1}) if [el.word for el in elements] == [(), (0,)] else out
 
-    monkeypatch.setattr(TorusRepresentation, "finite_det_factor", wrong)
+    monkeypatch.setattr(TorusQuotient, "finite_det_factor", wrong)
     argv = ["det-identity", "--type", "A2t", "--q", "torus", "--scale", "2"]
     status, out = run_cli(argv + ["--format", "json"], capsys)
     assert status == 1

@@ -130,9 +130,10 @@ def test_zero_bound_table():
     assert table.layer_sizes() == [1]
 
 
-def test_resource_cap():
+def test_resource_cap(monkeypatch):
+    monkeypatch.setenv("WEYLZETA_MAX_ELEMENTS", "50")
     with pytest.raises(ResourceLimitError):
-        enumerate_elements(build_system("A2t"), 20, max_elements=50)
+        enumerate_elements(build_system("A2t"), 20)
 
 
 def test_multiply_examples(tables):
@@ -163,6 +164,13 @@ def test_min_coset_reps_examples(tables):
     assert len(full) == 6
     only_e = min_coset_reps(t, (0, 1), (0, 1), side="right")
     assert [el.length for el in only_e] == [0]
+
+
+@pytest.mark.parametrize("I", [(), (1,)])
+def test_min_coset_reps_rejects_an_unknown_side(tables, I):
+    # also when I is empty, where no descent is ever looked at
+    with pytest.raises(CoxeterError, match="side must be"):
+        min_coset_reps(tables["A2t"], (0, 1), I, side="up")
 
 
 def test_min_coset_reps_counts(tables):

@@ -93,14 +93,14 @@ def test_characters_respect_odd_bonds():
 
 def test_trivial_q_character_first():
     chs = characters(coxeter.build_system("G2t"))
-    assert chs[0].is_trivial_q()
+    assert all(chs[0].signs)
 
 
 def test_validate_character_representations():
     system = coxeter.build_system("A2t")
     q = formal_q()
     rep_q = validate_representation(system, [Matrix(((q,),))] * 3, q)
-    assert rep_q.dim == 1 and rep_q.scalar_kind == "q-poly"
+    assert rep_q.dim == 1 and rep_q.q == q
     rep_sign = validate_representation(system, [Matrix(((-1,),))] * 3, q)
     assert rep_sign.dim == 1
 
@@ -224,13 +224,12 @@ def test_character_word_values(tables):
                 assert rep.image(t, el).rows[0][0] == ch.word_value(el.word, q)
 
 
-def test_validation_with_table_builds_cache(tables):
-    from weylzeta.series import Matrix
-
+def test_word_product_check_builds_cache(tables):
     t = tables["A2t"]
     q = formal_q()
-    rep = validate_representation(t.system, [Matrix(((q,),))] * 3, q, table=t, cache_depth=5)
-    # the eager cache already contains every element up to the sampled depth
+    rep = validate_representation(t.system, [Matrix(((q,),))] * 3, q)
+    assert check_word_products(rep, t, max_length=5)
+    # the check filled the cache with every element up to the sampled depth
     for layer in t.layers[:5]:
         for el in layer:
             assert el.key in rep._cache
@@ -239,7 +238,7 @@ def test_validation_with_table_builds_cache(tables):
 def test_json_ingestion_with_table():
     system = coxeter.build_system("A1t")
     table = coxeter.enumerate_elements(system, 8)
-    rep = representation_from_json(system, json.dumps(A1T_2DIM), table=table)
+    rep = representation_from_json(system, json.dumps(A1T_2DIM))
     assert check_word_products(rep, table, max_length=6)
 
 

@@ -285,7 +285,7 @@ def test_chamber_labels_match_the_definition(tables, tag):
     quotients = [[mat_mul(inv, v.key) for v in ball] for inv in inverses]
     for k in (2, 3):
         tq = torus_quotient_rep(system, k, table)
-        chamber = [tq.representation.perm(table, el)[0] for el in ball]
+        chamber = [tq.perm(table, el)[0] for el in ball]
         shared = 0
         for i, row in enumerate(quotients):
             for j, g in enumerate(row):
@@ -349,29 +349,27 @@ def test_identity_trace_is_chamber_count(torus_k2):
 def test_action_is_homomorphism(torus_k2):
     tq = torus_k2["C2t"]
     t = tq.table
-    rep = tq.representation
     w = t.element_of_word((0, 1, 2))
     v = t.element_of_word((2, 1))
     wv = t.element(product_key(t, w.key, v.key))
-    assert rep.image(t, w) * rep.image(t, v) == rep.image(t, wv)
+    assert tq.image(t, w) * tq.image(t, v) == tq.image(t, wv)
 
 
 def test_length_additive_products_via_permutations(torus_k2):
     for tag, tq in torus_k2.items():
         t = tq.table
-        rep = tq.representation
         elements = [el for layer in t.layers[:11] for el in layer]
         checked = 0
         for w in elements:
-            pw = rep.perm(t, w)
+            pw = tq.perm(t, w)
             for v in elements:
                 if w.length + v.length > 10:
                     continue
                 wv = t.element(product_key(t, w.key, v.key))
                 if wv.length != w.length + v.length:
                     continue
-                pv = rep.perm(t, v)
-                assert tuple(pv[pw[i]] for i in range(len(pw))) == rep.perm(t, wv)
+                pv = tq.perm(t, v)
+                assert tuple(pv[pw[i]] for i in range(len(pw))) == tq.perm(t, wv)
                 checked += 1
         assert checked > 1000
 
@@ -385,15 +383,14 @@ def test_block_det_matches_generic(tables, tag, k):
 
     t = tables[tag]
     tq = torus_quotient_rep(coxeter.build_system(tag), k, t)
-    rep = tq.representation
     sets = [data for kind, data in strips.realize_factors(t, strips.scheme_for(tag)) if kind == "finite"]
     sets += [t.parabolic_elements(gens) for gens in coxeter.all_proper_subsets(3)]
     assert len(sets) == 10
     for els in sets:
-        triples = [(rep.perm(t, el), el.length, el.key) for el in els]
+        triples = [(tq.perm(t, el), el.length, el.key) for el in els]
         block = tq.block_det(triples)
         assert not block.residual
-        assert block.as_polynomial() == FiniteTwistedSeries(rep, els, t).det()
+        assert block.as_polynomial() == FiniteTwistedSeries(tq, els, t).det()
         assert block == orbit_block_det(tq.chamber_count(), triples)
 
 
@@ -405,7 +402,6 @@ def test_block_det_is_regular_block_power(tables, tag, k):
     # n / |W_J|, R_J = sum_w P_reg(w) u^l(w) with P_reg from table products
     t = tables[tag]
     tq = torus_quotient_rep(coxeter.build_system(tag), k, t)
-    rep = tq.representation
     n = tq.chamber_count()
     for gens in coxeter.all_proper_subsets(3):
         els = t.parabolic_elements(gens)
@@ -417,7 +413,7 @@ def test_block_det_is_regular_block_power(tables, tag, k):
                 rows[pos[v.key]][j] = rows[pos[v.key]][j] + Poly.u(w.length)
         assert n % len(els) == 0
         regular = ExponentMap.of_poly(det_poly_matrix(rows), n // len(els))
-        assert tq.block_det([(rep.perm(t, el), el.length, el.key) for el in els]) == regular, gens
+        assert tq.block_det([(tq.perm(t, el), el.length, el.key) for el in els]) == regular, gens
 
 
 class FreeAction(TorusQuotient):
@@ -471,10 +467,9 @@ def test_block_det_matches_the_orbit_oracle_on_random_free_actions(tables, actio
     relabel = list(range(copies * size))
     rnd.shuffle(relabel)
     free = FreeAction(t, letters, copies, relabel)
-    rep = free.representation
     els = (t.parabolic_elements(letters) if coset is None
            else coxeter.min_coset_reps(t, letters, sub, coset))
-    triples = [(rep.perm(t, el), el.length, el.key) for el in els]
+    triples = [(free.perm(t, el), el.length, el.key) for el in els]
     det = free.block_det(triples, dual_check_order=0)
     oracle = orbit_block_det(copies * size, triples)
     assert det == oracle
@@ -489,68 +484,108 @@ def test_block_det_rejects_an_action_that_is_not_free(tables, length):
     # chamber fixed (outside the trace-log ball of radius 4)
     t = tables["G2t"]
     tq = torus_quotient_rep(coxeter.build_system("G2t"), 2, t)
-    rep = tq.representation
     n = tq.chamber_count()
     els = t.parabolic_elements((0, 1))
     w = next(el for el in els if el.length == length)
-    perm = list(rep.perm(t, w))
+    perm = list(tq.perm(t, w))
     if length == 2:
         perm = list(range(n))
     else:
         c = perm.index(0)
         perm[0], perm[c] = 0, perm[0]
-    rep._perm_cache[w.key] = tuple(perm)
+    tq._perm_cache[w.key] = tuple(perm)
     with pytest.raises(ZetaError, match="w = %s in W_J fixes" % "".join(map(str, w.word))):
-        tq.block_det([(rep.perm(t, el), el.length, el.key) for el in els])
+        tq.block_det([(tq.perm(t, el), el.length, el.key) for el in els])
 
 
 def test_block_det_rejects_an_infinite_parabolic(torus_k2):
     tq = torus_k2["A2t"]
-    t, rep = tq.table, tq.representation
+    t = tq.table
     els = [t.identity] + [t.generator(i) for i in range(3)]
     with pytest.raises(ZetaError, match="letters 123 generate no finite parabolic"):
-        tq.block_det([(rep.perm(t, el), el.length, el.key) for el in els])
+        tq.block_det([(tq.perm(t, el), el.length, el.key) for el in els])
 
 
 def test_block_det_rejects_a_permutation_that_is_not_its_keys(torus_k2):
     tq = torus_k2["C2t"]
-    t, rep = tq.table, tq.representation
+    t = tq.table
     els = t.parabolic_elements((0, 2))
-    triples = [(rep.perm(t, el), el.length, el.key) for el in els]
+    triples = [(tq.perm(t, el), el.length, el.key) for el in els]
     triples[1] = (triples[2][0],) + triples[1][1:]
     with pytest.raises(ZetaError, match="not the quotient's"):
         tq.block_det(triples)
 
 
 def test_a_dropped_torus_is_freed_without_the_cycle_collector(tables):
-    # the representation is a view that holds the quotient, and the
-    # quotient holds no view, so reference counting alone frees the torus
+    # the quotient is its own representation and holds no reference to
+    # itself, so reference counting alone frees the torus
     t = tables["A2t"]
     gc.collect()
     gc.disable()
     try:
         tq = torus_quotient_rep(coxeter.build_system("A2t"), 3, t)
-        assert strips.verify_determinant_identity(tq.system, tq.representation, t).ok
-        rep = tq.representation
+        assert strips.verify_determinant_identity(tq.system, tq, t).ok
+        assert tq.representation is tq
         ref = weakref.ref(tq)
         del tq
-        assert ref() is not None  # a caller that keeps only the view
-        assert rep.perm(t, t.generator(0)) == rep.quotient.generator_permutations[0]
-        del rep
         assert ref() is None
     finally:
         gc.enable()
 
 
+def test_the_torus_is_its_own_representation(torus_k2):
+    from weylzeta import hecke
+
+    tq = torus_k2["G2t"]
+    assert TorusRepresentation is TorusQuotient and tq.representation is tq
+    assert (tq.q, tq.dim) == (1, tq.chamber_count())
+    assert not issubclass(TorusQuotient, hecke.Representation)
+
+
+def _spoil_involution(perms):
+    # generator 1 sends a to p(c) and c to p(a): still fixed-point free,
+    # but p(p(a)) = c
+    p = list(perms[0])
+    a, c = 0, next(c for c in range(len(p)) if c not in (0, p[0]))
+    p[a], p[c] = p[c], p[a]
+    return (tuple(p),) + perms[1:]
+
+
+def _spoil_braid(perms):
+    # generator 1 with its 2-cycles (a b), (c d) made (a c), (b d): still
+    # a fixed-point-free involution
+    p = list(perms[0])
+    a, c = 0, next(c for c in range(len(p)) if c not in (0, p[0]))
+    b, d = p[a], p[c]
+    p[a], p[c], p[b], p[d] = c, a, d, b
+    return (tuple(p),) + perms[1:]
+
+
+@pytest.mark.parametrize("spoil,match", [(_spoil_involution, "not an involution"),
+                                         (_spoil_braid, "braid relation fails")],
+                         ids=["involution", "braid"])
+def test_torus_build_checks_the_unit_hecke_relations(tables, monkeypatch, spoil, match):
+    # a generator permutation spoiled after the chamber search: the
+    # constructor itself must refuse it
+    search = TorusQuotient._enumerate_chambers
+
+    def spoiled_search(self):
+        search(self)
+        self.generator_permutations = spoil(self.generator_permutations)
+
+    monkeypatch.setattr(TorusQuotient, "_enumerate_chambers", spoiled_search)
+    with pytest.raises(ZetaError, match=match):
+        TorusQuotient(coxeter.build_system("A2t"), 2, tables["A2t"])
+
+
 def test_cyclic_det_cycle_formula(torus_k2):
     tq = torus_k2["A2t"]
     t = tq.table
-    rep = tq.representation
     spec = strips.strip_generators("A2t")[0]
     el = t.element_of_word(spec.word)
-    d = rep.cyclic_det_hook(t, el)
+    d = tq.cyclic_det_hook(t, el)
     # independent route: dense characteristic determinant
-    assert d == char_matrix_det(rep.image(t, el), el.length)
+    assert d == char_matrix_det(tq.image(t, el), el.length)
 
 
 @settings(max_examples=60, deadline=None)
@@ -602,7 +637,7 @@ def test_torus_strip_routes_stay_small(tables):
         tq = torus_quotient_rep(coxeter.build_system("G2t"), 8, tables["G2t"])
         for spec in strips.strip_generators("G2t"):
             el = tq.table.element_of_word(spec.word)
-            tq.representation.cyclic_det_hook(tq.table, el)
+            tq.cyclic_det_hook(tq.table, el)
             closed_strip_counts(tq, spec, 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -624,7 +659,7 @@ def test_torus_routes_build_no_dense_matrix(tables, monkeypatch):
     monkeypatch.setattr(Matrix, "__init__", recording_init)
     system = coxeter.build_system("A2t")
     tq = torus_quotient_rep(system, 2, tables["A2t"])
-    assert strips.verify_determinant_identity(system, tq.representation, tq.table).ok
+    assert strips.verify_determinant_identity(system, tq, tq.table).ok
     assert verify_strip_zeta_identity(tq, trace_order=4).ok
     for spec in strips.strip_generators("A2t"):
         operator_strip_counts(tq, spec, 4)
@@ -644,7 +679,7 @@ def test_torus_identities_stay_in_exponent_maps(tables, monkeypatch):
         monkeypatch.setattr(RationalFunction, name, refuse)
     system = coxeter.build_system("A2t")
     tq = torus_quotient_rep(system, 3, tables["A2t"])
-    report = strips.verify_determinant_identity(system, tq.representation, tq.table)
+    report = strips.verify_determinant_identity(system, tq, tq.table)
     assert report.ok and report.dual_check_ok and report.witness is None
     assert str(report.alt_det) == "1 / (1-u^18)^18"
     tq = torus_quotient_rep(coxeter.build_system("C2t"), 2, tables["C2t"])
@@ -652,25 +687,25 @@ def test_torus_identities_stay_in_exponent_maps(tables, monkeypatch):
 
 
 def _tamper(monkeypatch, hook, wrong, when):
-    # one factor of the torus representation is multiplied by a wrong map
-    orig = getattr(TorusRepresentation, hook)
+    # one factor of the torus is multiplied by a wrong map
+    orig = getattr(TorusQuotient, hook)
 
     def tampered(self, table, data):
         out = orig(self, table, data)
         return out * wrong if when(data) else out
 
-    monkeypatch.setattr(TorusRepresentation, hook, tampered)
+    monkeypatch.setattr(TorusQuotient, hook, tampered)
 
 
 def test_det_identity_witness_names_first_differing_degree(torus_k2, monkeypatch):
     tq = torus_k2["A2t"]
     system = tq.system
-    passing = strips.verify_determinant_identity(system, tq.representation, tq.table)
+    passing = strips.verify_determinant_identity(system, tq, tq.table)
     assert passing.witness is None and "witness" not in passing.as_json()
     # a wrong parabolic factor enters the alternating product only
     _tamper(monkeypatch, "finite_det_factor", ExponentMap({7: 1}),
             lambda els: [el.word for el in els] == [(), (0,)])
-    report = strips.verify_determinant_identity(system, tq.representation, tq.table)
+    report = strips.verify_determinant_identity(system, tq, tq.table)
     assert not report.ok and report.dual_check_ok
     w = report.witness
     assert (w["check"], w["degree"], w["lhs"], w["rhs"]) == ("identity", 7, 0, 1)
@@ -686,7 +721,7 @@ def test_det_identity_witness_for_a_wrong_strip_factor(torus_k2, monkeypatch):
     # trace-log check is what sees it, first at u^5
     tq = torus_k2["A2t"]
     _tamper(monkeypatch, "cyclic_det_factor", ExponentMap({5: 1}), lambda el: el.word == (2, 1, 0))
-    report = strips.verify_determinant_identity(tq.system, tq.representation, tq.table)
+    report = strips.verify_determinant_identity(tq.system, tq, tq.table)
     assert not report.ok and not report.dual_check_ok
     w = report.witness
     assert (w["check"], w["degree"]) == ("dual", 5)
@@ -698,13 +733,13 @@ def test_strip_zeta_report_carries_the_det_identity_witness(torus_k2, monkeypatc
     # determinant identity; the torus report carries that witness
     tq = torus_k2["A2t"]
     assert verify_strip_zeta_identity(tq).witness is None
-    orig = TorusRepresentation.det_series_hook
+    orig = TorusQuotient.det_series_hook
 
     def wrong(self, table, order):
         out = orig(self, table, order)
         return PowerSeries(out.coeffs[:4] + (out.coeffs[4] + 1,) + out.coeffs[5:], out.order)
 
-    monkeypatch.setattr(TorusRepresentation, "det_series_hook", wrong)
+    monkeypatch.setattr(TorusQuotient, "det_series_hook", wrong)
     report = verify_strip_zeta_identity(tq)
     assert (report.det_identity_ok, report.zeta_match_ok, report.trace_match_ok) == (
         False, True, True)
@@ -723,7 +758,7 @@ def test_strip_routes_at_scale_6_stay_small(tables):
             op = operator_strip_counts(tq, spec, 24)
             assert op == closed_strip_counts(tq, spec, 24), spec.index
             el = tq.table.element_of_word(spec.word)
-            assert op == _perm_zeta(tq.representation.perm(tq.table, el), 24).closed_counts
+            assert op == _perm_zeta(tq.perm(tq.table, el), 24).closed_counts
             assert any(op), spec.index
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -745,7 +780,7 @@ def test_cycle_type_strip_zeta_matches_dense(torus_k2):
         for spec in strips.strip_generators(tag):
             el = tq.table.element_of_word(spec.word)
             order = 6 * spec.length
-            fast = _perm_zeta(tq.representation.perm(tq.table, el), order)
+            fast = _perm_zeta(tq.perm(tq.table, el), order)
             dense = strip_zeta(tq.action_matrix(el), order)
             assert fast.zeta == dense.zeta, (tag, spec.index)
             assert fast.inverse_poly == dense.inverse_poly
@@ -756,7 +791,7 @@ def test_cycle_type_strip_zeta_matches_dense(torus_k2):
 def test_det_identity_torus_k2(torus_k2):
     for tag, tq in torus_k2.items():
         system = coxeter.build_system(tag)
-        report = strips.verify_determinant_identity(system, tq.representation, tq.table)
+        report = strips.verify_determinant_identity(system, tq, tq.table)
         assert report.ok, tag
         assert report.dual_check_ok
 
@@ -764,7 +799,7 @@ def test_det_identity_torus_k2(torus_k2):
 def test_det_identity_torus_k3_smallest(tables):
     tq = torus_quotient_rep(coxeter.build_system("A2t"), 3, tables["A2t"])
     report = strips.verify_determinant_identity(
-        coxeter.build_system("A2t"), tq.representation, tables["A2t"])
+        coxeter.build_system("A2t"), tq, tables["A2t"])
     assert report.ok
 
 
@@ -777,7 +812,7 @@ def test_strip_zeta_identity_k2(torus_k2):
 def test_twisted_factorization_torus(torus_k2):
     tq = torus_k2["A2t"]
     r = strips.verify_twisted_factorization(
-        tq.table, strips.scheme_for("A2t"), tq.representation, 6)
+        tq.table, strips.scheme_for("A2t"), tq, 6)
     assert r.ok
 
 
@@ -787,9 +822,8 @@ def test_dual_route_full_group_det(torus_k2):
     from weylzeta.strips import twisted_group_sum
 
     tq = torus_k2["A2t"]
-    rep = tq.representation
-    generic = det_series(twisted_group_sum(rep, tq.table, 5))
-    fast = rep.det_series_hook(tq.table, 5)
+    generic = det_series(twisted_group_sum(tq, tq.table, 5))
+    fast = tq.det_series_hook(tq.table, 5)
     assert generic == fast
 
 
@@ -801,8 +835,7 @@ def test_one_vector_det_series_matches_dense_oracle(tables, tag, k):
 
     t = tables[tag]
     tq = torus_quotient_rep(coxeter.build_system(tag), k, t)
-    rep = tq.representation
-    assert rep.det_series_hook(t, 6) == det_series(twisted_group_sum(rep, t, 6))
+    assert tq.det_series_hook(t, 6) == det_series(twisted_group_sum(tq, t, 6))
 
 
 def test_regularity_assertion_rejects_a_fixed_chamber(tables):
@@ -810,22 +843,21 @@ def test_regularity_assertion_rejects_a_fixed_chamber(tables):
     # one-vector routes must refuse it rather than return n * (N^j)_00
     t = tables["A2t"]
     tq = torus_quotient_rep(coxeter.build_system("A2t"), 2, t)
-    rep = tq.representation
     n = tq.chamber_count()
     el = t.layers[2][0]
-    rep._perm_cache[el.key] = (1, 0) + tuple(range(2, n))
+    tq._perm_cache[el.key] = (1, 0) + tuple(range(2, n))
     with pytest.raises(ZetaError, match="not regular"):
-        rep.det_series_hook(t, 4)
+        tq.det_series_hook(t, 4)
     els = t.parabolic_elements((0, 1))
     with pytest.raises(ZetaError, match="not regular"):
-        tq.block_det([(rep.perm(t, w), w.length, w.key) for w in els])
+        tq.block_det([(tq.perm(t, w), w.length, w.key) for w in els])
 
 
 def test_cyclic_entry_rationals_match_truncation(torus_k2):
     tq = torus_k2["A2t"]
     t = tq.table
     w1 = t.element_of_word((2, 1, 0))
-    cyc = twisted_series(t, ("cyclic", w1), tq.representation)
+    cyc = twisted_series(t, ("cyclic", w1), tq)
     ser = cyc.truncate(9)
     for i, j in ((0, 0), (0, 5), (3, 7)):
         exp = cyclic_entry_rational(cyc, i, j).expand(9)
@@ -863,7 +895,7 @@ def test_block_det_cross_check_catches_a_wrong_block(torus_k2, monkeypatch):
     from weylzeta import zeta
 
     tq = torus_k2["A2t"]
-    rep, t = tq.representation, tq.table
+    rep, t = tq, tq.table
     els = t.parabolic_elements((0, 1))
     triples = [(rep.perm(t, w), w.length, w.key) for w in els]
     tq.block_det(triples)
@@ -893,14 +925,14 @@ def test_det_identity_torus_k4(tables):
     tq = torus_quotient_rep(coxeter.build_system("A2t"), 4, tables["A2t"])
     assert tq.chamber_count() == 96
     report = strips.verify_determinant_identity(
-        coxeter.build_system("A2t"), tq.representation, tables["A2t"])
+        coxeter.build_system("A2t"), tq, tables["A2t"])
     assert report.ok and report.dual_check_ok
 
 
 def test_twisted_factorization_torus_c2t(torus_k2):
     tq = torus_k2["C2t"]
     r = strips.verify_twisted_factorization(
-        tq.table, strips.scheme_for("C2t"), tq.representation, 5)
+        tq.table, strips.scheme_for("C2t"), tq, 5)
     assert r.ok
 
 
