@@ -202,17 +202,6 @@ class CoxeterSystem:
     def num_generators(self):
         return len(self.cartan)
 
-    def generator_matrix(self, i):
-        """Reflection s_i acting on simple-root coordinates (column vectors)."""
-        k = self.num_generators
-        return tuple(
-            tuple(
-                (1 if a == b else 0) - (self.cartan[i][b] if a == i else 0)
-                for b in range(k)
-            )
-            for a in range(k)
-        )
-
     @cached_property
     def _cartan_support(self):
         return tuple(tuple((b, c) for b, c in enumerate(row) if c) for row in self.cartan)
@@ -430,33 +419,48 @@ def _link_layer(system, layer, index, grow):
 
 
 def load_table(system, path_or_lines):
-    """Read a table written by ElementTable.save.  Every stored word must
-    evaluate to its matrix, and the Cayley graph is linked as
-    enumerate_elements links it, so a missing element or a stored length
-    that is not the BFS depth raises CoxeterError."""
+    """Read a table written by ElementTable.save.  Each line holds a
+    length, a word of generator numbers 1..k (or "-") and k^2 integer
+    matrix entries, separated by tabs; one element, the identity, has
+    length 0.  Every stored word must evaluate to its matrix, and the
+    Cayley graph is linked as enumerate_elements links it, so a malformed
+    or repeated line, a missing element or a stored length that is not
+    the BFS depth raises CoxeterError."""
     if isinstance(path_or_lines, str):
         with open(path_or_lines) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = fh.read().splitlines()
     else:
-        lines = [ln.strip() for ln in path_or_lines if ln.strip()]
+        lines = list(path_or_lines)
     k = system.num_generators
     layers = {}
     index = {}
     bound = 0
-    for line in lines:
-        length_s, word_s, mat_s = line.split("\t")
-        length = int(length_s)
-        word = tuple(int(p) - 1 for p in word_s.split(",")) if word_s != "-" else ()
-        vals = [int(v) for v in mat_s.split()]
-        if len(vals) != k * k:
-            raise CoxeterError("malformed table line: %r" % line)
-        key = tuple(tuple(vals[a * k : (a + 1) * k]) for a in range(k))
-        el = GroupElement(key, length, word, [None] * k)
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            length_s, word_s, mat_s = line.strip().split("\t")
+            length = int(length_s)
+            word = tuple(int(p) - 1 for p in word_s.split(",")) if word_s != "-" else ()
+            vals = [int(v) for v in mat_s.split()]
+        except ValueError:
+            raise CoxeterError("table line %d: expected three tab-separated fields of integers"
+                               % number) from None
+        if len(vals) != k * k or not all(0 <= s < k for s in word):
+            raise CoxeterError("table line %d: expected generators 1..%d and %d matrix entries"
+                               % (number, k, k * k))
         if len(word) != length:
-            raise CoxeterError("stored word length disagrees with stored length")
+            raise CoxeterError("table line %d: stored word length disagrees with stored length"
+                               % number)
+        key = tuple(tuple(vals[a * k : (a + 1) * k]) for a in range(k))
+        if key in index:
+            raise CoxeterError("table line %d repeats an element" % number)
+        el = GroupElement(key, length, word, [None] * k)
         layers.setdefault(length, []).append(el)
         index[key] = el
         bound = max(bound, length)
+    if len(layers.get(0, ())) != 1:
+        raise CoxeterError("the table needs exactly one element of length 0, the identity")
     table = ElementTable(system, bound, [layers.get(d, []) for d in range(bound + 1)], index)
     # spot check: words must reproduce the stored matrices
     for el in index.values():

@@ -168,12 +168,6 @@ class Character:
     def value(self, i, q):
         return scalar_one_like(q) * q if self.signs[i] else -scalar_one_like(q)
 
-    def word_value(self, word, q):
-        out = scalar_one_like(q)
-        for i in word:
-            out = out * self.value(i, q)
-        return out
-
     def name(self):
         return "".join("q" if s else "-" for s in self.signs)
 
@@ -357,12 +351,8 @@ def check_word_products(rep, table, max_length=None):
 def twisted_group_sum(rep, table, order):
     """Truncated twisted Poincare series of the whole group,
     sum of rho(e_w) u^l(w) over the table up to the given order."""
-    one = scalar_one_like(rep.q)
-    coeffs = [Matrix.identity(rep.dim, one) * 0 for _ in range(order + 1)]
-    for d in range(order + 1):
-        for el in table.layers[d]:
-            coeffs[d] = coeffs[d] + rep.image(table, el)
-    return PowerSeries(coeffs, order)
+    ball = [el for d in range(order + 1) for el in table.layers[d]]
+    return FiniteTwistedSeries(rep, ball, table).truncate(order)
 
 
 class FiniteTwistedSeries:

@@ -257,14 +257,6 @@ class Poly(_DensePoly):
     def u(power=1, coeff=1):
         return Poly((0,) * power + (coeff,))
 
-    def substitute_power(self, m):
-        """The polynomial p(u^m)."""
-        if m < 1:
-            raise SeriesError("substitution power must be positive")
-        out = [0] * (self.degree * m + 1)
-        out[::m] = self.coeffs
-        return Poly(out)
-
     def truncate(self, order):
         cs = self.coeffs[: order + 1]
         return PowerSeries(cs + (0,) * (order + 1 - len(cs)), order)
@@ -447,27 +439,21 @@ class PowerSeries:
     def inverse(self):
         """Multiplicative inverse; the constant term must be a unit."""
         c0 = self.coeffs[0]
-        one = scalar_one_like(c0)
-        if isinstance(c0, Matrix):
-            if not c0.is_identity():
-                raise SeriesError("matrix series inverse needs identity constant term")
-            inv0 = one
+        if _is_zero(c0):
+            raise SeriesError("series with zero constant term has no inverse")
+        if isinstance(c0, QPolynomial):
+            if c0.degree != 0:
+                raise SeriesError("q-polynomial constant term is not a unit")
+            inv0 = QPolynomial((_divide_scalar(1, c0.constant()),))
         else:
-            if _is_zero(c0):
-                raise SeriesError("series with zero constant term has no inverse")
-            if isinstance(c0, QPolynomial):
-                if c0.degree != 0:
-                    raise SeriesError("q-polynomial constant term is not a unit")
-                inv0 = QPolynomial((_divide_scalar(1, c0.constant()),))
-            else:
-                inv0 = _divide_scalar(1, c0)
+            inv0 = _divide_scalar(1, c0)
         out = [inv0]
         for n in range(1, self.order + 1):
             acc = scalar_zero_like(c0)
             for k in range(1, n + 1):
                 if k < len(self.coeffs) and not _is_zero(self.coeffs[k]):
                     acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-(inv0 * acc) if not isinstance(c0, Matrix) else -acc)
+            out.append(-(inv0 * acc))
         return PowerSeries(out, self.order)
 
     def __eq__(self, other):
@@ -588,9 +574,6 @@ class RationalFunction:
             out.append(sum([c * out[n - k] for k, c in terms if k <= n], start))
         return PowerSeries(out, order)
 
-    def substitute_power(self, m):
-        return RationalFunction(self.num.substitute_power(m), self.den.substitute_power(m))
-
     def as_polynomial(self):
         return self.num.exact_div(self.den)
 
@@ -675,43 +658,38 @@ def _add_exponents(a, b):
 
 
 class ExponentMap:
-    """prod (1-u^d)^m over an exponent map d -> m, times prod p^k over
-    residual polynomials p that did not peel into such factors.
+    """prod (1-u^d)^m over an exponent map d -> m.
 
     The 1-u^d are multiplicatively independent, so the map is the
     canonical form of a binomial product: products and quotients add and
-    subtract maps, and equality compares them.  Only a residual falls
-    back to cross-multiplication.  `rational`, `expand`, `as_polynomial`
+    subtract maps, and equality compares them.  `expand`, `as_polynomial`
     and `str` are for output and the truncated cross-checks; `str` reads
     the map, with no peel.
     """
 
-    __slots__ = ("exponents", "residual")
+    __slots__ = ("exponents",)
 
-    def __init__(self, exponents=(), residual=()):
+    def __init__(self, exponents=()):
         self.exponents = {d: m for d, m in dict(exponents).items() if m}
         if any(not isinstance(d, int) or d < 1 for d in self.exponents):
             raise SeriesError("exponent map degrees must be positive integers")
-        self.residual = {p: k for p, k in dict(residual).items() if k}
 
     @staticmethod
     def of_poly(poly, mult=1):
-        """poly ** mult, by its exponent map when the exact peel finds one;
-        otherwise poly stays as a residual factor."""
+        """poly ** mult by the exponent map of the exact peel; a poly that
+        is no product of (1-u^d) factors raises SeriesError."""
         factors = RationalFunction(poly).binomial_factors()
         if factors is None:
-            return ExponentMap(residual={poly: mult})
+            raise SeriesError("not a product of (1-u^d) factors: %s" % (poly,))
         return ExponentMap({d: m * mult for d, m in factors})
 
     def __mul__(self, other):
         if not isinstance(other, ExponentMap):
             return NotImplemented
-        return ExponentMap(_add_exponents(self.exponents, other.exponents),
-                           _add_exponents(self.residual, other.residual))
+        return ExponentMap(_add_exponents(self.exponents, other.exponents))
 
     def inverse(self):
-        return ExponentMap({d: -m for d, m in self.exponents.items()},
-                           {p: -k for p, k in self.residual.items()})
+        return ExponentMap({d: -m for d, m in self.exponents.items()})
 
     def __truediv__(self, other):
         if not isinstance(other, ExponentMap):
@@ -721,14 +699,7 @@ class ExponentMap:
     def __eq__(self, other):
         if not isinstance(other, ExponentMap):
             return NotImplemented
-        quotient = self / other
-        if not quotient.residual:
-            return not quotient.exponents
-        rf = quotient.rational()
-        return rf.num == rf.den
-
-    # equal values can carry different residuals, so no hash
-    __hash__ = None
+        return self.exponents == other.exponents
 
     def first_difference(self, other):
         """The least d whose exponent differs between the two maps, or None."""
@@ -740,44 +711,23 @@ class ExponentMap:
         """The product at u^m."""
         if m < 1:
             raise SeriesError("substitution power must be positive")
-        return ExponentMap({d * m: e for d, e in self.exponents.items()},
-                           {p.substitute_power(m): k for p, k in self.residual.items()})
+        return ExponentMap({d * m: e for d, e in self.exponents.items()})
 
     def expand(self, order):
-        """Power series to u^order: the binomial series of the map, times
-        the truncated residual factors."""
-        series = PowerSeries(_dense(_binomial_series(self.exponents, order), order + 1), order)
-        for p, k in self.residual.items():
-            factor = p.truncate(order)
-            if k < 0:
-                factor = factor.inverse()
-            for _ in range(abs(k)):
-                series = series * factor
-        return series
+        """Power series to u^order: the binomial series of the map."""
+        return PowerSeries(_dense(_binomial_series(self.exponents, order), order + 1), order)
 
     def as_polynomial(self):
         """The product as a polynomial; every exponent must be positive."""
-        if any(m < 0 for m in self.exponents.values()) or any(k < 0 for k in self.residual.values()):
+        if any(m < 0 for m in self.exponents.values()):
             raise SeriesError("not a polynomial: %r" % (self,))
         top = sum(d * m for d, m in self.exponents.items())
-        out = Poly(_dense(_binomial_series(self.exponents, top), top + 1))
-        for p, k in self.residual.items():
-            out = out * p ** k
-        return out
-
-    def rational(self):
-        """Unreduced num/den: the positive factors expanded sparsely into
-        num, the negative ones into den."""
-        num = ExponentMap({d: m for d, m in self.exponents.items() if m > 0},
-                          {p: k for p, k in self.residual.items() if k > 0})
-        return RationalFunction(num.as_polynomial(), (num / self).as_polynomial())
+        return Poly(_dense(_binomial_series(self.exponents, top), top + 1))
 
     def __repr__(self):
-        return "ExponentMap(%r, %r)" % (self.exponents, self.residual)
+        return "ExponentMap(%r)" % (self.exponents,)
 
     def __str__(self):
-        if self.residual:
-            return str(self.rational())
         return _format_binomial_factors(sorted(self.exponents.items()))
 
 
@@ -875,18 +825,9 @@ def series_to_json(rf, ps):
     }
 
 
-def series_from_json(obj):
-    rf = RationalFunction(
-        Poly([scalar_from_json(v) for v in obj["num"]]),
-        Poly([scalar_from_json(v) for v in obj["den"]]),
-    )
-    ps = PowerSeries([scalar_from_json(v) for v in obj["coeffs"]], obj["order"])
-    return rf, ps
-
-
-def det_series(ps, order=None):
+def det_series(ps):
     """Determinant of a matrix-valued power series with constant term I,
-    truncated at u^order (by default the series' own order).
+    truncated at the series' own order.
 
     Gaussian elimination over R[[u]]/(u^(order+1)).  The constant term is
     I, so every Schur complement has constant term I as well: each pivot
@@ -895,11 +836,7 @@ def det_series(ps, order=None):
     search and no division, so entries stay in their own ring (ints stay
     ints), and a 1x1 series is its single entry.
     """
-    if order is None:
-        order = ps.order
-    if order > ps.order:
-        raise SeriesError("cannot extend a truncated series")
-    c0 = ps.coeffs[0]
+    order, c0 = ps.order, ps.coeffs[0]
     if not isinstance(c0, Matrix) or not c0.is_identity():
         raise SeriesError("det_series needs identity constant term")
     n = c0.nrows

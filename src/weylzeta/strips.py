@@ -400,9 +400,9 @@ def verify_determinant_identity(system, rep, table=None):
 
 def exponent_witness(check, lhs, rhs):
     """Witness of a failed check of lhs == rhs: the first d whose (1-u^d)
-    exponents differ, when both sides are plain exponent maps; no degree
+    exponents differ, when both sides are exponent maps; no degree
     otherwise."""
-    if isinstance(rhs, ExponentMap) and not (lhs.residual or rhs.residual):
+    if isinstance(rhs, ExponentMap):
         degree = lhs.first_difference(rhs)
         return {"check": check, "degree": degree,
                 "lhs": lhs.exponents.get(degree, 0), "rhs": rhs.exponents.get(degree, 0)}
@@ -410,6 +410,4 @@ def exponent_witness(check, lhs, rhs):
 
 
 def _factor_form(det):
-    if not isinstance(det, ExponentMap):
-        return "rational function"
-    return "exponent map with residual" if det.residual else "exponent map"
+    return "exponent map" if isinstance(det, ExponentMap) else "rational function"

@@ -7,12 +7,13 @@ On the torus every operator is a permutation of chambers, so each
 determinant has one exact integer route.  A finite factor is a set S in
 a finite parabolic W_J, which acts freely on the chambers, so its
 operator is n / |W_J| copies of one |W_J| x |W_J| block of the
-right-regular representation, whose determinant is taken once; a strip
-factor det(I - P u^l) is the product of 1 - u^(l * len) over the cycles
-of P.  Both come out as exponent maps d -> m (`series.ExponentMap`), and
-the identity checkers multiply and compare maps; a polynomial is
-expanded from a map only for output.  The per-orbit determinants are
-the oracle in the tests.
+right-regular representation, whose determinant is taken once and is
+a product of (1 - u^d) factors (Varchenko's determinant formula); a
+strip factor det(I - P u^l) is the product of 1 - u^(l * len) over the
+cycles of P.  Both come out as exponent maps d -> m
+(`series.ExponentMap`), and the identity checkers multiply and compare
+maps; a polynomial is expanded from a map only for output.  The
+per-orbit determinants are the oracle in the tests.
 The quotient is its own permutation representation at q = 1, validated
 when it is built; its dense chamber matrices (`image`, `action_matrix`)
 are uncached oracles for the tests and the generic consumers.  The
@@ -43,6 +44,7 @@ from .series import (
     Poly,
     PowerSeries,
     RationalFunction,
+    SeriesError,
     _divide_scalar,
     char_matrix_det,
     det_poly_matrix,
@@ -620,10 +622,13 @@ class TorusQuotient:
         sum_(w in S) u^l(w) R(w), R the right-regular representation.  The
         block is built from the table by walking each w's word from each
         v in W_J; its determinant is taken once and peeled into an
-        exponent map to the power n / |W_J| (a block that does not peel
-        stays as a residual).  An infinite or unclosed W_J, a w != e in
-        W_J that fixes a chamber, or a permutation that is not its key's
-        raises ZetaError; freeness is checked once per J and quotient.
+        exponent map to the power n / |W_J|: for S = W_J the block is the
+        Varchenko matrix of W_J's arrangement, a product of (1-u^(2m))
+        factors (Adv. Math. 97, 1993), and W_J = S W_I makes a coset block
+        a quotient of two.  A block that does not peel, an infinite or
+        unclosed W_J, a w != e in W_J that fixes a chamber, or a
+        permutation that is not its key's raises ZetaError; freeness is
+        checked once per J and quotient.
 
         Cross-checked up to u^dual_check_order, when the set holds the
         identity, against the one-vector trace-log of the elements named by
@@ -656,7 +661,11 @@ class TorusQuotient:
             for v in group:
                 i, j = index[v.key], index[table.walk_key(v.key, w.word)]
                 rows[i][j] = rows[i][j] + term
-        det = ExponentMap.of_poly(det_poly_matrix(rows), n // len(group))
+        try:
+            det = ExponentMap.of_poly(det_poly_matrix(rows), n // len(group))
+        except SeriesError:
+            raise ZetaError("the regular W_J block of the letters %s does not peel into (1-u^d) factors"
+                            % "".join(str(s + 1) for s in letters)) from None
         # independent truncated route, from the keys alone
         if [el.length for el in elements].count(0) == 1:
             self.assert_regular(dual_check_order)

@@ -20,6 +20,7 @@ from weylzeta.series import (
     _is_zero,
     char_matrix_det,
     det_poly_matrix,
+    scalar_from_json,
     scalar_one_like,
     scalar_zero_like,
 )
@@ -162,6 +163,37 @@ def mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
+def generator_matrix(system, i):
+    """Reflection s_i acting on simple-root coordinates (column vectors),
+    from the Cartan matrix.  Oracle for the rank-one reflection kernels
+    of coxeter.CoxeterSystem."""
+    k = system.num_generators
+    return tuple(
+        tuple((1 if a == b else 0) - (system.cartan[i][b] if a == i else 0) for b in range(k))
+        for a in range(k)
+    )
+
+
+def character_word_value(ch, word, q):
+    """Value of a one-dimensional character on the product of the
+    generators along a word.  Oracle for the walked character images."""
+    out = scalar_one_like(q)
+    for i in word:
+        out = out * ch.value(i, q)
+    return out
+
+
+def series_from_json(obj):
+    """The (RationalFunction, PowerSeries) pair that series.series_to_json
+    wrote, read back through series.scalar_from_json."""
+    rf = RationalFunction(
+        Poly([scalar_from_json(v) for v in obj["num"]]),
+        Poly([scalar_from_json(v) for v in obj["den"]]),
+    )
+    ps = PowerSeries([scalar_from_json(v) for v in obj["coeffs"]], obj["order"])
+    return rf, ps
+
+
 def product_key(table, k1, k2):
     """Key of k1 * k2 for k2 in the table: k1 walked along k2's stored
     reduced word."""
@@ -188,8 +220,7 @@ def orbit_block_det(n, perm_len_keys):
     their least chamber and their blocks are counted by content.  Each
     distinct block's determinant is computed once and peeled into its
     exponent map, which enters times the block's multiplicity; a block
-    that does not peel stays as a residual (polynomial, multiplicity)
-    pair."""
+    that does not peel raises SeriesError."""
     pos = {}  # chamber -> index inside its orbit
     blocks = {}
     for root in range(n):

@@ -23,7 +23,7 @@ from weylzeta.coxeter import (
     mat_identity,
     min_coset_reps,
 )
-from oracles import extended_cartan, mat_mul, multiply, product_key
+from oracles import extended_cartan, generator_matrix, mat_mul, multiply, product_key
 
 
 def test_affine_bond_orders_match_expected():
@@ -65,13 +65,13 @@ def test_generator_relations_exact():
         k = s.num_generators
         ident = mat_identity(k)
         for i in range(k):
-            gi = s.generator_matrix(i)
+            gi = generator_matrix(s, i)
             assert mat_mul(gi, gi) == ident
             for j in range(i + 1, k):
                 m = s.bond(i, j)
                 if m == INFINITE:
                     continue
-                prod = mat_mul(gi, s.generator_matrix(j))
+                prod = mat_mul(gi, generator_matrix(s, j))
                 acc = ident
                 for _ in range(m):
                     acc = mat_mul(acc, prod)
@@ -80,7 +80,7 @@ def test_generator_relations_exact():
 
 def test_infinite_bond_never_closes():
     s = build_system("A1t")
-    prod = mat_mul(s.generator_matrix(0), s.generator_matrix(1))
+    prod = mat_mul(generator_matrix(s, 0), generator_matrix(s, 1))
     acc = mat_identity(2)
     for _ in range(50):
         acc = mat_mul(acc, prod)
@@ -345,6 +345,33 @@ def test_load_table_rejects_tampered_word(tmp_path):
         load_table(build_system("A2t"), lines)
 
 
+def _replace(i, old, new):
+    return lambda lines: [ln.replace(old, new, 1) if j == i else ln for j, ln in enumerate(lines)]
+
+
+# each case loaded or failed untyped before load_table checked its lines:
+# generator 0 was read as index -1 (s3) and 9 as an index past k, a
+# missing identity failed later in table.identity, and a repeated line
+# put one element twice in its layer
+MALFORMED_TABLES = {
+    "generator-0": (_replace(3, "\t3\t", "\t0\t"), "table line 4: expected generators 1..3"),
+    "generator-9": (_replace(3, "\t3\t", "\t9\t"), "table line 4: expected generators 1..3"),
+    "two-fields": (lambda lines: lines[:2] + ["1\t2"] + lines[3:], "table line 3: expected three"),
+    "non-integer-length": (_replace(1, "1\t", "1.5\t"), "table line 2: expected three"),
+    "repeated-line": (lambda lines: lines + ["", lines[5]], "table line 12 repeats an element"),
+    "empty": (lambda lines: [], "exactly one element of length 0"),
+    "no-identity": (lambda lines: lines[1:], "exactly one element of length 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_load_table_rejects_a_malformed_table(case):
+    tamper, message = MALFORMED_TABLES[case]
+    lines = list(enumerate_elements(build_system("A2t"), 2).export_lines())
+    with pytest.raises(coxeter.CoxeterError, match=message):
+        load_table(build_system("A2t"), tamper(lines))
+
+
 def test_load_table_rejects_missing_element(tmp_path):
     t = enumerate_elements(build_system("A2t"), 3)
     path = tmp_path / "t.tsv"
@@ -363,7 +390,7 @@ def test_links_are_the_cayley_graph(tag, bound):
     t = enumerate_elements(system, bound)
     if tag == "F4":
         assert len(t) == 1152  # all of F4: its longest element has length 24
-    gens = [system.generator_matrix(i) for i in range(system.num_generators)]
+    gens = [generator_matrix(system, i) for i in range(system.num_generators)]
     for key, el in t.index.items():
         for i, link in enumerate(el.links):
             product = mat_mul(key, gens[i])
@@ -388,13 +415,13 @@ def test_reflection_kernels_match_mat_mul(tag, data):
     key = tuple(tuple(row) for row in data.draw(
         st.lists(st.lists(st.integers(-50, 50), min_size=k, max_size=k), min_size=k, max_size=k)))
     i = data.draw(st.integers(0, k - 1))
-    gen = system.generator_matrix(i)
+    gen = generator_matrix(system, i)
     assert system.right_reflect(key, i) == mat_mul(key, gen)
     assert system.left_reflect(key, i) == mat_mul(gen, key)
     word = data.draw(st.lists(st.integers(0, k - 1), max_size=8))
     expected = mat_identity(k)
     for j in word:
-        expected = mat_mul(expected, system.generator_matrix(j))
+        expected = mat_mul(expected, generator_matrix(system, j))
     assert system.word_key(word) == expected
 
 

@@ -19,7 +19,9 @@ from weylzeta.hecke import (
     validate_representation,
 )
 from weylzeta.series import Matrix, Poly, QPolynomial, RationalFunction, poincare_parabolic
-from oracles import cyclic_entry_rational, hecke_mul_recursion, multiply, twisted_series
+from oracles import (
+    character_word_value, cyclic_entry_rational, hecke_mul_recursion, multiply, twisted_series,
+)
 
 
 def test_quadratic_relation_rearranged(tables):
@@ -221,7 +223,7 @@ def test_character_word_values(tables):
         rep = ch.as_representation()
         for layer in t.layers[:5]:
             for el in layer:
-                assert rep.image(t, el).rows[0][0] == ch.word_value(el.word, q)
+                assert rep.image(t, el).rows[0][0] == character_word_value(ch, el.word, q)
 
 
 def test_word_product_check_builds_cache(tables):

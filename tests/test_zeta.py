@@ -389,9 +389,20 @@ def test_block_det_matches_generic(tables, tag, k):
     for els in sets:
         triples = [(tq.perm(t, el), el.length, el.key) for el in els]
         block = tq.block_det(triples)
-        assert not block.residual
         assert block.as_polynomial() == FiniteTwistedSeries(tq, els, t).det()
         assert block == orbit_block_det(tq.chamber_count(), triples)
+
+
+def _regular_block_det(t, group, els):
+    """det of sum_(w in els) u^l(w) R(w) over the group W_J, R its
+    right-regular representation, from table products."""
+    pos = {v.key: i for i, v in enumerate(group)}
+    rows = [[Poly.zero()] * len(group) for _ in group]
+    for v in group:
+        for w in els:
+            j = pos[product_key(t, v.key, w.key)]
+            rows[pos[v.key]][j] = rows[pos[v.key]][j] + Poly.u(w.length)
+    return det_poly_matrix(rows)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -405,15 +416,29 @@ def test_block_det_is_regular_block_power(tables, tag, k):
     n = tq.chamber_count()
     for gens in coxeter.all_proper_subsets(3):
         els = t.parabolic_elements(gens)
-        pos = {el.key: i for i, el in enumerate(els)}
-        rows = [[Poly.zero()] * len(els) for _ in els]
-        for v in els:
-            for w in els:
-                j = pos[product_key(t, v.key, w.key)]
-                rows[pos[v.key]][j] = rows[pos[v.key]][j] + Poly.u(w.length)
         assert n % len(els) == 0
-        regular = ExponentMap.of_poly(det_poly_matrix(rows), n // len(els))
+        regular = ExponentMap.of_poly(_regular_block_det(t, els, els), n // len(els))
         assert tq.block_det([(tq.perm(t, el), el.length, el.key) for el in els]) == regular, gens
+
+
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_every_regular_block_peels(tables, tag):
+    # Varchenko's determinant formula: the regular block of a proper
+    # parabolic W_J is a product of (1-u^(2m)) factors, m > 0, and the
+    # block of the minimal coset representatives S of W_J = S W_I (length
+    # additive) is a quotient of two, so it peels too
+    t = tables[tag]
+    for gens in coxeter.all_proper_subsets(3):
+        els = t.parabolic_elements(gens)
+        det = ExponentMap.of_poly(_regular_block_det(t, els, els))
+        assert all(d % 2 == 0 and m > 0 for d, m in det.exponents.items()), (gens, det)
+        assert det.exponents or not gens
+    cosets = [factor for factor in strips.scheme_for(tag).factors if factor[0] == "coset"]
+    assert cosets
+    for _kind, J, I, side in cosets:
+        els = coxeter.min_coset_reps(t, J, I, side)
+        det = ExponentMap.of_poly(_regular_block_det(t, t.parabolic_elements(J), els))
+        assert det.exponents, (J, I, side)
 
 
 class FreeAction(TorusQuotient):
@@ -473,7 +498,7 @@ def test_block_det_matches_the_orbit_oracle_on_random_free_actions(tables, actio
     det = free.block_det(triples, dual_check_order=0)
     oracle = orbit_block_det(copies * size, triples)
     assert det == oracle
-    assert det.exponents == oracle.exponents and not det.residual and not oracle.residual
+    assert det.exponents == oracle.exponents
 
 
 @pytest.mark.parametrize("length", [2, 6])
@@ -890,8 +915,8 @@ def test_zeta_report_rejects_a_wrong_count():
 
 
 def test_block_det_cross_check_catches_a_wrong_block(torus_k2, monkeypatch):
-    # the regular-block determinant off by u^3: the truncated one-vector
-    # trace-log must refuse it
+    # the regular-block determinant times 1 - u^3, which still peels: the
+    # truncated one-vector trace-log must refuse it
     from weylzeta import zeta
 
     tq = torus_k2["A2t"]
@@ -904,12 +929,26 @@ def test_block_det_cross_check_catches_a_wrong_block(torus_k2, monkeypatch):
     def one_block_off(rows):
         calls.append(rows)
         det = det_poly_matrix(rows)
-        return det + Poly.u(3) if len(calls) == 1 else det
+        return det * (1 - Poly.u(3)) if len(calls) == 1 else det
 
     monkeypatch.setattr(zeta, "det_poly_matrix", one_block_off)
     with pytest.raises(ZetaError, match="trace-log cross-check"):
         tq.block_det(triples)
     assert calls
+
+
+def test_block_det_refuses_a_block_that_does_not_peel(torus_k2, monkeypatch):
+    # a regular block whose determinant has the factor 1 + 2u, which is no
+    # product of (1-u^d) factors: refused by the peel, with the
+    # cross-check off
+    from weylzeta import zeta
+
+    tq = torus_k2["A2t"]
+    t = tq.table
+    triples = [(tq.perm(t, w), w.length, w.key) for w in t.parabolic_elements((0, 1))]
+    monkeypatch.setattr(zeta, "det_poly_matrix", lambda rows: det_poly_matrix(rows) * Poly((1, 2)))
+    with pytest.raises(ZetaError, match="regular W_J block of the letters 12 does not peel"):
+        tq.block_det(triples, dual_check_order=0)
 
 
 def test_scale_5_quotient_builds(tables):
