@@ -1,12 +1,14 @@
 """Finite and affine Coxeter groups in their integer geometric representation.
 
 A group is given by its generalized Cartan matrix, from which the Coxeter
-matrix, affineness and the null root are derived.  Elements are
-canonicalized by their matrix in the reflection representation on the
-simple-root basis, which is faithful and integral for every
-crystallographic type handled here.  Enumeration is breadth-first, so
-every stored length is the true word length, and it records the Cayley
-graph: each element keeps the keys of its right neighbours w * s_i.
+matrix, affineness and the null root are derived.  An element w is keyed
+by v = (w^-1 f)(alpha_j), the column sums of its matrix, for f = 1 on every
+simple root: f is inside the fundamental chamber of the Tits cone, so the
+key is injective on W (Bourbaki, Lie Groups and Lie Algebras V 4.4-4.6).
+w * s_i has key v_b - v_i * cartan[i][b], and s_i is a right descent
+exactly when v_i < 0.  Enumeration is breadth-first, so every stored
+length is the true word length; it records the Cayley graph (each element
+keeps the keys of its right neighbours w * s_i) and each element's parent.
 """
 
 from __future__ import annotations
@@ -50,19 +52,11 @@ class ResourceLimitError(CoxeterError):
 
 
 # ---------------------------------------------------------------------------
-# integer matrix helpers (tuples of tuples, column-vector convention)
-
-
-def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-# ---------------------------------------------------------------------------
 # type data
 
 
-def _bond_order(pairing):
-    return {0: 2, 1: 3, 2: 4, 3: 6}.get(pairing)
+# Coxeter matrix entry m_ij by the pairing a_ij * a_ji of a Cartan matrix
+_BOND_ORDER = {0: 2, 1: 3, 2: 4, 3: 6, 4: INFINITE}
 
 
 def _coxeter_matrix(cartan):
@@ -70,28 +64,17 @@ def _coxeter_matrix(cartan):
     mat = [[1] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            if i == j:
-                continue
-            prod = cartan[i][j] * cartan[j][i]
-            if prod == 4:
-                mat[i][j] = INFINITE
-                continue
-            m = _bond_order(prod)
-            if m is None:
-                raise UnsupportedTypeError("Cartan pairing %d is not crystallographic" % prod)
-            mat[i][j] = m
+            if i != j:
+                prod = cartan[i][j] * cartan[j][i]
+                if prod not in _BOND_ORDER:
+                    raise UnsupportedTypeError("Cartan pairing %d is not crystallographic" % prod)
+                mat[i][j] = _BOND_ORDER[prod]
     return tuple(tuple(r) for r in mat)
 
 
 def _finite_cartan(family, rank):
     def path(n):
-        c = [[0] * n for _ in range(n)]
-        for i in range(n):
-            c[i][i] = 2
-            if i + 1 < n:
-                c[i][i + 1] = -1
-                c[i + 1][i] = -1
-        return c
+        return [[2 if i == j else -(abs(i - j) == 1) for j in range(n)] for i in range(n)]
 
     if family == "A" and rank >= 1:
         return path(rank)
@@ -104,23 +87,15 @@ def _finite_cartan(family, rank):
         c[rank - 1][rank - 2] = -2
         return c
     if family == "D" and rank >= 3:
-        c = path(rank - 1)
-        for row in c:
-            row.append(0)
-        c.append([0] * rank)
-        c[rank - 1][rank - 1] = 2
-        c[rank - 3][rank - 1] = -1
-        c[rank - 1][rank - 3] = -1
+        c = path(rank)  # node rank-1 moves from node rank-2 to node rank-3
+        c[rank - 2][rank - 1] = c[rank - 1][rank - 2] = 0
+        c[rank - 3][rank - 1] = c[rank - 1][rank - 3] = -1
         return c
     if family == "E" and rank in (6, 7, 8):
         # Bourbaki: node 2 hangs off node 4 of the path 1-3-4-5-6(-7)(-8)
-        c = [[0] * rank for _ in range(rank)]
-        for i in range(rank):
-            c[i][i] = 2
-        chain = [0] + list(range(2, rank))
-        for a, b in zip(chain, chain[1:]):
-            c[a][b] = c[b][a] = -1
-        c[1][3] = c[3][1] = -1
+        c = path(rank)
+        c[0][1] = c[1][0] = c[1][2] = c[2][1] = 0
+        c[0][2] = c[2][0] = c[1][3] = c[3][1] = -1
         return c
     if family == "F" and rank == 4:
         c = path(4)
@@ -206,34 +181,35 @@ class CoxeterSystem:
     def _cartan_support(self):
         return tuple(tuple((b, c) for b, c in enumerate(row) if c) for row in self.cartan)
 
-    def right_reflect(self, key, i):
-        """key * s_i as a rank-one update: row r becomes
-        row_r - row_r[i] * cartan[i], so only the columns in the support
-        of Cartan row i change, and a row with row_r[i] == 0 is reused."""
-        support = self._cartan_support[i]
-        out = []
-        for row in key:
-            x = row[i]
-            if x:
-                row = list(row)
-                for b, c in support:
-                    row[b] -= x * c
-                row = tuple(row)
-            out.append(row)
-        return tuple(out)
-
-    def left_reflect(self, key, i):
-        """s_i * key: only row i changes, to row_i - sum_c cartan[i][c] * row_c."""
-        support = self._cartan_support[i]
-        row = tuple(v - sum(c * key[a][b] for a, c in support) for b, v in enumerate(key[i]))
-        return key[:i] + (row,) + key[i + 1 :]
+    def right_multiply_key(self, key, i):
+        """Key of w * s_i from the key of w: v_b - v_i * cartan[i][b], only
+        on the support of Cartan row i."""
+        x = key[i]
+        v = list(key)
+        for b, c in self._cartan_support[i]:
+            v[b] -= x * c
+        return tuple(v)
 
     def word_key(self, word):
-        """Matrix of the product of the generators along a word."""
-        key = mat_identity(self.num_generators)
+        """Key of the product of the generators along a word."""
+        key = (1,) * self.num_generators
         for i in word:
-            key = self.right_reflect(key, i)
+            key = self.right_multiply_key(key, i)
         return key
+
+    def right_reflect(self, matrix, i):
+        """matrix * s_i for a matrix on the simple-root basis (column
+        vectors): each row changes as a key does."""
+        return tuple(self.right_multiply_key(row, i) for row in matrix)
+
+    def word_matrix(self, word):
+        """Matrix of the product of the generators along a word; its
+        column sums are the word's key."""
+        n = self.num_generators
+        matrix = tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
+        for i in word:
+            matrix = self.right_reflect(matrix, i)
+        return matrix
 
     def bond(self, i, j):
         return self.coxeter_matrix[i][j]
@@ -270,16 +246,26 @@ def build_system(type_tag):
 # elements and tables
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class GroupElement:
-    key: tuple  # matrix in the geometric representation
+    key: tuple  # (w^-1 f)(alpha_j): the column sums of w's matrix
     length: int
-    word: tuple  # one reduced word, 0-based generator indices
     # links[i] is the key of w * s_i, or None for an ascent out of the
     # table's bound layer.  Keys, not elements: element-to-element links
     # would form reference cycles, so a dropped table would wait for the
-    # garbage collector.
-    links: list = field(compare=False, repr=False)
+    # garbage collector.  The parent is shorter, so parents form no cycle.
+    links: list = field(repr=False)
+    letter: int = None  # w = parent * s_letter, parent its breadth-first parent
+    parent: GroupElement = field(default=None, repr=False)
+
+    @property
+    def word(self):
+        """The reduced word the BFS assigned (0-based), read along the parents."""
+        el, out = self, []
+        while el.parent is not None:
+            out.append(el.letter)
+            el = el.parent
+        return tuple(reversed(out))
 
     def __repr__(self):
         return "GroupElement(len=%d, word=%s)" % (self.length, ",".join(str(i + 1) for i in self.word) or "e")
@@ -311,9 +297,6 @@ class ElementTable:
         except KeyError:
             raise OutOfTableError("element outside the enumerated bound") from None
 
-    def __contains__(self, key):
-        return key in self.index
-
     def __len__(self):
         return len(self.index)
 
@@ -324,11 +307,11 @@ class ElementTable:
         return self.element(self.right_multiply_key(self.identity.key, i))
 
     def right_multiply_key(self, key, i):
-        """key * s_i: the stored link inside the table, the reflection
-        kernel for keys outside it (or ascents out of the bound layer)."""
+        """key * s_i: the stored link inside the table, the system's kernel
+        for keys outside it (or ascents out of the bound layer)."""
         el = self.index.get(key)
         link = el.links[i] if el is not None else None
-        return link if link is not None else self.system.right_reflect(key, i)
+        return link if link is not None else self.system.right_multiply_key(key, i)
 
     def walk_key(self, key, word):
         """key times the generators along word, by right_multiply_key."""
@@ -336,11 +319,8 @@ class ElementTable:
             key = self.right_multiply_key(key, i)
         return key
 
-    def word_key(self, word):
-        return self.system.word_key(word)
-
     def element_of_word(self, word):
-        return self.element(self.word_key(word))
+        return self.element(self.system.word_key(word))
 
     def parabolic_elements(self, gens):
         """All elements of the standard parabolic subgroup generated by the
@@ -377,12 +357,18 @@ class ElementTable:
     # -- persistence --------------------------------------------------------
 
     def export_lines(self):
-        k = self.system.num_generators
+        """One line per element, layer by layer and by word: its length, its
+        word and the k^2 entries of its matrix, each matrix made from its
+        parent's by one reflection."""
+        system = self.system
+        matrices = {}
         for layer in self.layers:
-            for el in sorted(layer, key=lambda e: e.word):
-                word = ",".join(str(i + 1) for i in el.word) or "-"
-                entries = " ".join(str(el.key[a][b]) for a in range(k) for b in range(k))
-                yield "%d\t%s\t%s" % (el.length, word, entries)
+            above, matrices = matrices, {}
+            for word, el in sorted(((el.word, el) for el in layer), key=lambda pair: pair[0]):
+                m = matrices[el.key] = (system.word_matrix(()) if el.parent is None
+                                        else system.right_reflect(above[el.parent.key], el.letter))
+                yield "%d\t%s\t%s" % (el.length, ",".join(str(i + 1) for i in word) or "-",
+                                       " ".join(str(x) for row in m for x in row))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -395,26 +381,31 @@ def _link_layer(system, layer, index, grow):
 
     l(ws) = l(w) +- 1, so every edge {w, ws} joins two adjacent layers.
     The layer below has already set each descent link, and each ascent is
-    computed here once, by the reflection kernel, and linked both ways.
+    computed here once, by the key kernel (inlined), and linked both ways.
     A product missing from the index goes to grow(key, parent, i), which
     returns the new element; with grow None it is an error."""
+    support = system._cartan_support
     out = []
     for el in layer:
-        links = el.links
+        key, links = el.key, el.links
         for i, link in enumerate(links):
             if link is not None:
                 continue
-            key = system.right_reflect(el.key, i)
-            nb = index.get(key)
+            x = key[i]
+            v = list(key)
+            for b, c in support[i]:
+                v[b] -= x * c
+            v = tuple(v)
+            nb = index.get(v)
             if nb is None:
                 if grow is None:
                     raise CoxeterError("table is missing a neighbour of a stored element")
-                nb = grow(key, el, i)
+                nb = grow(v, el, i)
                 out.append(nb)
             elif nb.length != el.length + 1:
                 raise CoxeterError("stored lengths are not breadth-first depths")
             links[i] = nb.key
-            nb.links[i] = el.key
+            nb.links[i] = key
     return out
 
 
@@ -422,19 +413,19 @@ def load_table(system, path_or_lines):
     """Read a table written by ElementTable.save.  Each line holds a
     length, a word of generator numbers 1..k (or "-") and k^2 integer
     matrix entries, separated by tabs; one element, the identity, has
-    length 0.  Every stored word must evaluate to its matrix, and the
-    Cayley graph is linked as enumerate_elements links it, so a malformed
-    or repeated line, a missing element or a stored length that is not
-    the BFS depth raises CoxeterError."""
+    length 0.  Every stored word is checked to evaluate to its matrix
+    along its prefixes, which must be stored words too (as save writes
+    them).  Elements are keyed by their matrices' column sums and linked
+    as enumerate_elements links them, so a malformed or repeated line, a
+    missing element or a stored length that is not the BFS depth raises
+    CoxeterError."""
     if isinstance(path_or_lines, str):
         with open(path_or_lines) as fh:
             lines = fh.read().splitlines()
     else:
         lines = list(path_or_lines)
     k = system.num_generators
-    layers = {}
-    index = {}
-    bound = 0
+    records = {}
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -452,23 +443,32 @@ def load_table(system, path_or_lines):
         if len(word) != length:
             raise CoxeterError("table line %d: stored word length disagrees with stored length"
                                % number)
-        key = tuple(tuple(vals[a * k : (a + 1) * k]) for a in range(k))
-        if key in index:
-            raise CoxeterError("table line %d repeats an element" % number)
-        el = GroupElement(key, length, word, [None] * k)
-        layers.setdefault(length, []).append(el)
-        index[key] = el
-        bound = max(bound, length)
-    if len(layers.get(0, ())) != 1:
+        matrix = tuple(tuple(vals[a * k : (a + 1) * k]) for a in range(k))
+        records.setdefault(length, []).append((number, word, matrix))
+    if len(records.get(0, ())) != 1:
         raise CoxeterError("the table needs exactly one element of length 0, the identity")
-    table = ElementTable(system, bound, [layers.get(d, []) for d in range(bound + 1)], index)
-    # spot check: words must reproduce the stored matrices
-    for el in index.values():
-        if table.word_key(el.word) != el.key:
-            raise CoxeterError("stored word does not evaluate to the stored matrix")
-    for layer in table.layers[:-1]:
+    bound = max(records)
+    by_word = {(): (None, system.word_matrix(()))}
+    index = {}
+    layers = []
+    for d in range(bound + 1):
+        layers.append([])
+        for number, word, matrix in records.get(d, ()):
+            key = tuple(map(sum, zip(*matrix)))
+            if key in index:
+                raise CoxeterError("table line %d repeats an element" % number)
+            if word[:-1] not in by_word:
+                raise CoxeterError("table line %d: the word's prefix is not a stored word" % number)
+            parent, above = by_word[word[:-1]]
+            if matrix != (system.right_reflect(above, word[-1]) if d else above):
+                raise CoxeterError("table line %d: stored word does not evaluate to the stored matrix"
+                                   % number)
+            el = index[key] = GroupElement(key, d, [None] * k, word[-1] if d else None, parent)
+            by_word[word] = (el, matrix)
+            layers[-1].append(el)
+    for layer in layers[:-1]:
         _link_layer(system, layer, index, None)
-    return table
+    return ElementTable(system, bound, layers, index)
 
 
 def element_cap():
@@ -492,19 +492,19 @@ def enumerate_elements(system, bound=DEFAULT_BOUND):
     Each element appears exactly once, at its true length, because the
     Cayley-graph distance to the identity is the Coxeter length.  The BFS
     records the Cayley graph as it runs: each edge {w, ws} is computed
-    once, from its shorter end, by the rank-one reflection kernel, and
-    stored as neighbour keys on both elements (see GroupElement.links).
+    once, from its shorter end, by the key kernel, and stored as neighbour
+    keys on both elements (see GroupElement.links).  A new element keeps
+    the element it was found from as its parent, and the letter.
     """
     if bound < 0:
         raise CoxeterError("bound must be nonnegative")
     cap = element_cap()
     k = system.num_generators
-    ident = GroupElement(mat_identity(k), 0, (), [None] * k)
+    ident = GroupElement(system.word_key(()), 0, [None] * k)
     index = {ident.key: ident}
 
     def grow(key, parent, i):
-        nel = GroupElement(key, parent.length + 1, parent.word + (i,), [None] * k)
-        index[key] = nel
+        nel = index[key] = GroupElement(key, parent.length + 1, [None] * k, i, parent)
         check_element_cap(len(index), "enumeration", cap)
         return nel
 
@@ -517,30 +517,54 @@ def enumerate_elements(system, bound=DEFAULT_BOUND):
     return ElementTable(system, bound, layers, index)
 
 
+def layer_sizes(system, bound=DEFAULT_BOUND):
+    """enumerate_elements(system, bound).layer_sizes(), by a streaming walk
+    that keeps one layer of keys and no set: w * s_i is made only for an
+    ascent i of w (v_i > 0) and kept only when i is the least right
+    descent of w * s_i.  An element of the next layer has one least right
+    descent j, so it is made once, from w = (w s_j) s_j.  The running
+    count is checked against the element cap after each layer."""
+    if bound < 0:
+        raise CoxeterError("bound must be nonnegative")
+    cap = element_cap()
+    reflect = system.right_multiply_key
+    layer = [system.word_key(())]
+    sizes = [1]
+    for _ in range(bound):
+        nxt = []
+        for key in layer:
+            for i, x in enumerate(key):
+                if x > 0:
+                    v = reflect(key, i)
+                    if not i or min(v[:i]) > 0:
+                        nxt.append(v)
+        if not nxt:
+            break  # finite group exhausted
+        sizes.append(len(nxt))
+        check_element_cap(sum(sizes), "enumeration", cap)
+        layer = nxt
+    return sizes
+
+
 # ---------------------------------------------------------------------------
 # operations
 
 
 def length_and_word(system, key):
-    """Length and one reduced word computed by the descent walk, without
-    any element table.  Column i of the key is w(alpha_i), and s_i is a
-    right descent of w exactly when that root is negative; each step
-    strips one right descent, so the word is built from the right."""
-    k = system.num_generators
-    ident = mat_identity(k)
-    word = []
-    cur = key
-    while cur != ident:
+    """Length and one reduced word of the element with this key, by the
+    descent walk, without any element table.  s_i is a right descent
+    exactly when v_i < 0; each step strips one, so the word is built from
+    the right.  The walk ends at a key with no negative entry, which in a
+    key's orbit is only the identity's (f is in the fundamental chamber);
+    ending anywhere else means the key is not a group element's."""
+    word, cur = [], tuple(key)
+    while (i := next((i for i, x in enumerate(cur) if x < 0), None)) is not None:
         if len(word) >= 10_000:
             raise CoxeterError("descent walk failed to terminate")
-        for i in range(k):
-            col = tuple(cur[a][i] for a in range(k))
-            if all(c <= 0 for c in col) and any(c < 0 for c in col):
-                word.append(i)
-                cur = system.right_reflect(cur, i)
-                break
-        else:
-            raise CoxeterError("no descent found; matrix is not a group element")
+        word.append(i)
+        cur = system.right_multiply_key(cur, i)
+    if cur != system.word_key(()):
+        raise CoxeterError("no descent found; the key is not a group element's")
     return len(word), tuple(reversed(word))
 
 
@@ -548,8 +572,10 @@ def min_coset_reps(table, J, I, side="right"):
     """Minimal coset representatives inside the parabolic W_J.
 
     side="right": elements of W_J with no right descent in I (minimal
-    left W_I-coset representatives, W_J = reps * W_I length-additively).
-    side="left": no left descent in I (W_J = W_I * reps).
+    left W_I-coset representatives, W_J = reps * W_I length-additively);
+    s is a right descent of w exactly when its key has key[s] < 0.
+    side="left": no left descent in I (W_J = W_I * reps); s * w is found
+    by walking w's word from the key of s through the table.
     """
     if side not in ("right", "left"):
         raise CoxeterError("side must be 'right' or 'left'")
@@ -557,16 +583,13 @@ def min_coset_reps(table, J, I, side="right"):
     I = tuple(sorted(set(I)))
     if not set(I) <= set(J):
         raise CoxeterError("I must be a subset of J")
-    out = []
-    for el in table.parabolic_elements(J):
-        for s in I:
-            other_key = el.links[s] if side == "right" else table.system.left_reflect(el.key, s)
-            if table.element(other_key).length < el.length:
-                break
-        else:
-            out.append(el)
-    out.sort(key=lambda e: (e.length, e.word))
-    return out
+
+    def descent(el, s):
+        if side == "right":
+            return el.key[s] < 0
+        return table.element(table.walk_key(table.generator(s).key, el.word)).length < el.length
+
+    return [el for el in table.parabolic_elements(J) if not any(descent(el, s) for s in I)]
 
 
 def all_proper_subsets(k):

@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .coxeter import OutOfTableError, mat_identity
+from .coxeter import OutOfTableError
 from .series import (
     Matrix,
     Poly,
@@ -48,7 +48,7 @@ def formal_q():
 
 class HeckeElement:
     """Finite q-polynomial combination of basis vectors, keyed by the
-    matrix of the underlying group element."""
+    key of the underlying group element."""
 
     __slots__ = ("table", "terms")
 
@@ -85,11 +85,10 @@ class HeckeElement:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        bits = []
-        for k, c in sorted(self.terms.items(), key=lambda kv: (self.table.element(kv[0]).length, kv[0])):
-            el = self.table.element(k)
-            word = ",".join(str(i + 1) for i in el.word) or "e"
-            bits.append("(%s)*e[%s]" % (c, word))
+        """Terms by length, then by word (a key's order is no reading order)."""
+        words = {k: self.table.element(k).word for k in self.terms}
+        bits = ["(%s)*e[%s]" % (c, ",".join(str(i + 1) for i in words[k]) or "e")
+                for k, c in sorted(self.terms.items(), key=lambda kv: (len(words[kv[0]]), words[kv[0]]))]
         return " + ".join(bits) if bits else "0"
 
 
@@ -135,15 +134,14 @@ def hecke_mul(table, x, y, q=None):
 
 
 def _mul_by_generator(table, state, s, q, qm1):
-    """state * T_s, with qm1 = q - 1 computed once by the caller."""
+    """state * T_s (qm1 = q - 1 from the caller); s is a descent of w iff key[s] < 0."""
     new = {}
     index = table.index
     for key, c in state.items():
-        w = table.element(key)
-        ws_key = w.links[s]
+        ws_key = index[key].links[s]
         if ws_key is None:
             raise OutOfTableError("Hecke product support escapes the table bound %d" % table.bound)
-        if index[ws_key].length > w.length:
+        if key[s] > 0:
             new[ws_key] = new[ws_key] + c if ws_key in new else c
         else:
             t1 = c * qm1
@@ -219,22 +217,19 @@ def characters(system):
 # matrix representations
 
 
-def walk_word(table, element, cache, step):
-    """Value at e_w of a map cached by element key, built along the stored
-    reduced word of the GroupElement w: each prefix v s missing from the
-    cache becomes step(cache[v], s).  The cache must hold the identity's
-    value."""
-    key = element.key
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    cur = table.identity.key
-    for s in element.word:
-        nxt = table.right_multiply_key(cur, s)
-        if nxt not in cache:
-            cache[nxt] = step(cache[cur], s)
-        cur = nxt
-    return cache[key]
+def walk_word(element, cache, step):
+    """Value at e_w of a map cached by element key, built along the
+    breadth-first parents of the GroupElement w: each v s_i missing from
+    the cache becomes step(cache[v], i), for its parent v and letter i.
+    The cache must hold the identity's value."""
+    chain = []
+    while element.key not in cache:
+        chain.append(element)
+        element = element.parent
+    value = cache[element.key]
+    for el in reversed(chain):
+        value = cache[el.key] = step(value, el.letter)
+    return value
 
 
 class Representation:
@@ -245,11 +240,11 @@ class Representation:
         self.gen_images = tuple(gen_images)
         self.q = q
         self.dim = gen_images[0].nrows
-        self._cache = {mat_identity(system.num_generators): Matrix.identity(self.dim, scalar_one_like(q))}
+        self._cache = {system.word_key(()): Matrix.identity(self.dim, scalar_one_like(q))}
 
     def image(self, table, element):
         """Image of a basis vector e_w, built along the stored reduced word."""
-        return walk_word(table, element, self._cache, lambda m, s: m * self.gen_images[s])
+        return walk_word(element, self._cache, lambda m, s: m * self.gen_images[s])
 
     # exact determinant routes used by the identity verifiers, dense here
     # (zeta.TorusQuotient has permutation routes of the same names).  A
@@ -333,13 +328,9 @@ def check_word_products(rep, table, max_length=None):
             if el.length + 1 > max_length:
                 return True
             m = rep.image(table, el)
-            for s, key in enumerate(el.links):
-                if key is None:
-                    continue
-                other = table.element(key)
-                if other.length != el.length + 1:
-                    continue
-                if not (m * rep.gen_images[s] == rep.image(table, other)):
+            for s, key in enumerate(el.links):  # the ascents: key[s] > 0
+                if key is not None and el.key[s] > 0 and not (
+                        m * rep.gen_images[s] == rep.image(table, table.element(key))):
                     return False
     return True
 
@@ -350,8 +341,12 @@ def check_word_products(rep, table, max_length=None):
 
 def twisted_group_sum(rep, table, order):
     """Truncated twisted Poincare series of the whole group,
-    sum of rho(e_w) u^l(w) over the table up to the given order."""
-    ball = [el for d in range(order + 1) for el in table.layers[d]]
+    sum of rho(e_w) u^l(w) over the table up to the given order.  An
+    order past the table's bound raises OutOfTableError; a finite group
+    whose layers end sooner sums every layer it has."""
+    if order > table.bound:
+        raise OutOfTableError("order %d is past the table bound %d" % (order, table.bound))
+    ball = [el for layer in table.layers[: order + 1] for el in layer]
     return FiniteTwistedSeries(rep, ball, table).truncate(order)
 
 

@@ -12,7 +12,6 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 
 class SeriesError(Exception):
@@ -994,8 +993,7 @@ def poincare_parabolic(table, gens):
     """Length generating polynomial of the finite parabolic subgroup
     generated by the given generator indices."""
     elements = table.parabolic_elements(gens)
-    max_len = max(e.length for e in elements)
-    counts = [0] * (max_len + 1)
+    counts = [0] * (elements[-1].length + 1)
     for e in elements:
         counts[e.length] += 1
     return Poly(counts)
@@ -1010,30 +1008,29 @@ def poincare_affine(system, order, table=None):
     """Exact rational Poincare series of an affine system, plus its truncation.
 
     The rational function comes from the alternating sum over proper
-    parabolic subgroups; the truncation is cross-checked against BFS layer
-    counts when a table is supplied.
+    parabolic subgroups; the truncation is checked exactly against the
+    layer counts, the supplied table's or, with no table, a streaming
+    count (coxeter.layer_sizes) next to a DEFAULT_BOUND table for the
+    parabolics.
     """
     from . import coxeter
 
     _require_affine(system)
     if table is None:
-        table = coxeter.enumerate_elements(system, order)
+        layers = coxeter.layer_sizes(system, order)
+        table = coxeter.enumerate_elements(system, coxeter.DEFAULT_BOUND)
+    else:
+        layers = table.layer_sizes()
     k = system.num_generators
-    gens = range(k)
     total = RationalFunction(Poly.zero())
-    for size in range(k):
-        for subset in combinations(gens, size):
-            w_i = poincare_parabolic(table, subset)
-            sign = (-1) ** (size + k + 1)
-            total = total + RationalFunction(Poly((sign,)), w_i)
+    for subset in coxeter.all_proper_subsets(k):
+        sign = (-1) ** (len(subset) + k + 1)
+        total = total + RationalFunction(Poly((sign,)), poincare_parabolic(table, subset))
     rf = total.inverse()
     ps = rf.expand(order)
-    layers = table.layer_sizes()
-    for d in range(min(order, table.bound) + 1):
-        if ps.coeff(d) != layers[d]:
-            raise SeriesError(
-                "affine Poincare series disagrees with BFS layers at degree %d" % d
-            )
+    for d, count in enumerate(layers[: order + 1]):
+        if ps.coeff(d) != count:
+            raise SeriesError("affine Poincare series disagrees with BFS layers at degree %d" % d)
     return rf, ps
 
 
@@ -1050,12 +1047,7 @@ def alt_product_rational(system, table=None):
         table = coxeter.enumerate_elements(system, order)
     rf_full, _ = poincare_affine(system, order, table)
     out = RationalFunction(Poly.one())
-    for size in range(k + 1):
-        for subset in combinations(range(k), size):
-            if size == k:
-                factor = rf_full
-            else:
-                factor = RationalFunction(poincare_parabolic(table, subset))
-            exponent = (-1) ** (size + k)
-            out = out * (factor if exponent == 1 else factor.inverse())
-    return out
+    for subset in coxeter.all_proper_subsets(k):
+        factor = RationalFunction(poincare_parabolic(table, subset))
+        out = out * (factor if (len(subset) + k) % 2 == 0 else factor.inverse())
+    return out * rf_full  # the full subset, exponent +1

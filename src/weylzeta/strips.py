@@ -85,17 +85,13 @@ def check_power_lengths(table, spec, k_max):
     """Check l(w^k) == k * l(w) for 0 <= k <= k_max.
 
     Each power walks the strip word on from the last.  Lengths come from
-    the table within its bound and from the descent walk beyond it.
+    the descent walk on the key.
     """
-    system = table.system
     key = table.identity.key
     report = PowerLengthReport(spec, k_max, True)
     for k in range(k_max + 1):
         expected = k * spec.length
-        if key in table.index:
-            actual = table.element(key).length
-        else:
-            actual, _ = cox.length_and_word(system, key)
+        actual, _ = cox.length_and_word(table.system, key)
         report.lengths.append(actual)
         if actual != expected and report.ok:
             report.ok = False
@@ -204,7 +200,9 @@ def factorization_census(table, scheme, order):
     (c) the number of tuples of total length k equals the coefficient of
         u^k in the Poincare series of the group.
     """
-    factors = realize_factors(table, scheme)
+    # every factor element as its (length, word) pair: words are read once
+    factors = [(kind, [(el.length, el.word) for el in data] if kind == "finite"
+                else (data.length, data.word)) for kind, data in realize_factors(table, scheme)]
     system = table.system
     counts = [0] * (order + 1)
     seen = {}
@@ -233,17 +231,16 @@ def factorization_census(table, scheme, order):
             return
         kind, data = factors[i]
         if kind == "finite":
-            for el in data:
-                if total + el.length > order:
-                    continue
-                descend(i + 1, table.walk_key(key, el.word), total + el.length, words + (el.word,))
+            for length, word in data:
+                if total + length <= order:
+                    descend(i + 1, table.walk_key(key, word), total + length, words + (word,))
         else:
-            step = data.length
+            step, word = data
             cur = key
             k = 0
             while total + k * step <= order:
-                descend(i + 1, cur, total + k * step, words + (data.word * k,))
-                cur = table.walk_key(cur, data.word)
+                descend(i + 1, cur, total + k * step, words + (word * k,))
+                cur = table.walk_key(cur, word)
                 k += 1
 
     descend(0, table.identity.key, 0, ())
@@ -253,12 +250,8 @@ def factorization_census(table, scheme, order):
         report.counts_ok = False
         if report.witness is None:
             bad = next(d for d in range(order + 1) if counts[d] != report.expected[d])
-            report.witness = {
-                "check": "counts",
-                "degree": bad,
-                "expected": report.expected[bad],
-                "actual": counts[bad],
-            }
+            report.witness = {"check": "counts", "degree": bad,
+                              "expected": report.expected[bad], "actual": counts[bad]}
     return report
 
 

@@ -4,29 +4,20 @@ quotient of the rank-2 affine apartment that realizes the determinant
 identities geometrically.
 
 On the torus every operator is a permutation of chambers, so each
-determinant has one exact integer route.  A finite factor is a set S in
-a finite parabolic W_J, which acts freely on the chambers, so its
-operator is n / |W_J| copies of one |W_J| x |W_J| block of the
-right-regular representation, whose determinant is taken once and is
-a product of (1 - u^d) factors (Varchenko's determinant formula); a
-strip factor det(I - P u^l) is the product of 1 - u^(l * len) over the
-cycles of P.  Both come out as exponent maps d -> m
-(`series.ExponentMap`), and the identity checkers multiply and compare
-maps; a polynomial is expanded from a map only for output.  The
-per-orbit determinants are the oracle in the tests.
-The quotient is its own permutation representation at q = 1, validated
-when it is built; its dense chamber matrices (`image`, `action_matrix`)
-are uncached oracles for the tests and the generic consumers.  The
-chamber search that finds the generator permutations carries each
-chamber as a W0 index and row 2 of its key, never a whole group-element
-matrix; the search on whole keys is the oracle in the tests.
-
-W/kL acts regularly on the chambers, so tr P(w) is n or 0 and a trace
-of a matrix power series is n times one diagonal entry: the dual
-trace-log checks push a single chamber vector through the permutations
-of a ball of the group, and Newton's identities turn the integer power
-sums of tr log into the determinant.  The torus routes run in Python
-ints; all emitted values are ints, Fractions, or exact polynomials.
+determinant has one exact integer route, which comes out as an exponent
+map d -> m of a product of (1 - u^d)^m (`series.ExponentMap`): a finite
+factor from one block of the right-regular representation of a finite
+parabolic W_J (`TorusQuotient.block_det`), a strip factor det(I - P u^l)
+from the cycle type of P.  The identity checkers multiply and compare
+maps; a polynomial is expanded from a map only for output.  The quotient
+is its own permutation representation at q = 1, validated when it is
+built; its dense chamber matrices (`image`, `action_matrix`) are uncached
+oracles.  W/kL acts regularly on the chambers, so tr P(w) is n or 0: the
+dual trace-log checks push a single chamber vector through the
+permutations of a ball of the group, and Newton's identities turn the
+integer power sums of tr log into the determinant.  The torus routes run
+in Python ints; all emitted values are ints, Fractions, or exact
+polynomials.
 """
 
 from __future__ import annotations
@@ -409,20 +400,15 @@ class TorusQuotient:
     |W0| * k^2 of them.  That count is checked against the element cap
     (WEYLZETA_MAX_ELEMENTS) before any chamber is built.
 
-    The translation part is read off row 2 of the key, the a3
+    The translation part is read off row 2 of w's matrix, the a3
     coordinates: w a_i = v a_i - <mu, a_i> delta, and W0 keeps a1, a2 in
-    their own span, so key[2][0], key[2][1] are
+    their own span, so entries 0 and 1 of that row are
     phi(mu) = -delta_3 (<mu, a1>, <mu, a2>), an injective linear image.
     The lattice comes from W0 and s3 alone: s3 v = (s3bar v) t_(v^-1 mu3),
     and W0 t(span W0 mu3) holds s1, s2 and s3, so it is W and
     L = span(W0 mu3).  phi(L) is spanned by row 2 of s3 v over the |W0|
-    section elements v; no table element is scanned for it.
-
-    The chamber search carries (W0 index, row 2 of the key) only: row 2
-    of w s_i depends on row 2 of w alone, and the W0 index of w s_i is
-    read from a |W0| x 3 table built once from the section.  No
-    group-element matrix is built per chamber; the breadth-first search
-    on whole keys is the oracle in the tests.
+    section elements v; no table element is scanned for it.  The chamber
+    search carries a W0 index and row 2 only (see _enumerate_chambers).
 
     The quotient is its own permutation representation of the group
     algebra at q = 1, of dimension the chamber count: the generator
@@ -468,14 +454,14 @@ class TorusQuotient:
 
     # -- construction --------------------------------------------------------
 
-    def _linear_part(self, key):
-        """Action on the weight plane (the quotient by the null direction),
-        as a 2x2 integer matrix."""
+    def _linear_part(self, matrix):
+        """Action of w, given by its matrix, on the weight plane (the
+        quotient by the null direction), as a 2x2 integer matrix."""
         delta = self.system.delta
         m3 = delta[2]
         cols = []
         for j in range(2):
-            c = [key[a][j] for a in range(3)]
+            c = [matrix[a][j] for a in range(3)]
             if c[2] % m3:
                 raise ZetaError("non-integral linear part")
             t = c[2] // m3
@@ -485,21 +471,29 @@ class TorusQuotient:
     def _setup_weyl_section(self):
         """Index W0 by linear part, tabulate right multiplication on it,
         and take the triangular basis of phi(L) from row 2 of s3 v over v
-        in W0.  The linear part is a homomorphism onto W0, so the W0 index
-        of w s_i is w0_right[j][i] for w of index j."""
-        section = [el.key for el in self.table.parabolic_elements((0, 1))]
+        in W0.  Each section matrix is its parent's times one reflection;
+        the linear part is a homomorphism onto W0, so the W0 index of
+        w s_i is w0_right[j][i] for w of index j, read off the table's
+        links for s1, s2 and off one reflection for s3."""
+        system = self.system
+        section = self.table.parabolic_elements((0, 1))  # parents come first
         self.weyl_order = len(section)
-        linear_index = {}
-        for idx, key in enumerate(section):
-            lp = self._linear_part(key)
-            if lp in linear_index:
-                raise ZetaError("finite Weyl section is not faithful")
-            linear_index[lp] = idx
-        gens = range(self.system.num_generators)
+        position = {el.key: j for j, el in enumerate(section)}
+        matrices = []
+        for el in section:
+            matrices.append(system.word_matrix(()) if el.parent is None
+                            else system.right_reflect(matrices[position[el.parent.key]], el.letter))
+        linear_index = {self._linear_part(m): j for j, m in enumerate(matrices)}
+        if len(linear_index) != len(section):
+            raise ZetaError("finite Weyl section is not faithful")
         self._w0_right = tuple(
-            tuple(linear_index[self._linear_part(self.system.right_reflect(key, i))] for i in gens)
-            for key in section)
-        self._basis = _triangular_basis(self.system.left_reflect(key, 2)[2][:2] for key in section)
+            (position[el.links[0]], position[el.links[1]],
+             linear_index[self._linear_part(system.right_reflect(m, 2))])
+            for el, m in zip(section, matrices))
+        # row 2 of s3 v is v's row 2 minus sum_c cartan[2][c] * (v's row c)
+        self._basis = _triangular_basis(
+            tuple(m[2][b] - sum(c * m[a][b] for a, c in enumerate(system.cartan[2])) for b in (0, 1))
+            for m in matrices)
 
     def _enumerate_chambers(self):
         """Breadth-first search from the identity's chamber.  Each neighbour
@@ -507,7 +501,7 @@ class TorusQuotient:
         links[i][c] is the chamber across panel i of chamber c.
 
         A chamber is carried as (j, row): the W0 index of a representative
-        w = v t_mu and row 2 of its key, since right_reflect updates each
+        w = v t_mu and row 2 of its matrix, since right_reflect updates each
         row on its own, so row 2 of w s_i is row - row[i] * cartan[i].  Its
         label is (j, coordinates of mu mod k): phi(mu) is entries 0 and 1
         of the row, written in the triangular basis ((a, b), (0, c)) of
@@ -520,7 +514,7 @@ class TorusQuotient:
         # the identity: index 0 (the section is sorted by length), mu = 0;
         # a label (j, p mod k, q mod k) is one int below |W0| k^2, and
         # number[label] is its chamber, -1 until the search reaches it
-        chambers = [(0, self.table.identity.key[2])]
+        chambers = [(0, self.system.word_matrix(())[2])]
         number = [-1] * total
         number[0] = 0
         links = [[] for _ in cartan]
@@ -559,7 +553,7 @@ class TorusQuotient:
     def perm(self, table, element):
         """Chamber permutation of e_w, built along the stored reduced word."""
         gens = self.generator_permutations
-        return walk_word(table, element, self._perm_cache, lambda p, s: _perm_compose(p, gens[s]))
+        return walk_word(element, self._perm_cache, lambda p, s: _perm_compose(p, gens[s]))
 
     def image(self, table, element):
         """Dense permutation matrix of e_w, rebuilt on every call."""
@@ -597,7 +591,10 @@ class TorusQuotient:
         permutes the chambers without a fixed point or as the identity.
         Then tr P(w) is 0 or n for every product that a trace-log
         truncated at u^radius needs, since such products lie in the ball.
-        Each layer of the ball is checked once per quotient."""
+        Each layer of the ball is checked once per quotient; a ball past
+        the table's bound raises OutOfTableError."""
+        if radius > self.table.bound:
+            raise cox.OutOfTableError("radius %d is past the table bound %d" % (radius, self.table.bound))
         n = len(self.chambers)
         for d in range(self._regular_radius + 1, radius + 1):
             for el in self.table.layers[d]:
@@ -657,9 +654,9 @@ class TorusQuotient:
         index = {v.key: i for i, v in enumerate(group)}
         rows = [[Poly.zero()] * len(group) for _ in group]
         for w in elements:
-            term = Poly.u(w.length)
+            term, word = Poly.u(w.length), w.word
             for v in group:
-                i, j = index[v.key], index[table.walk_key(v.key, w.word)]
+                i, j = index[v.key], index[table.walk_key(v.key, word)]
                 rows[i][j] = rows[i][j] + term
         try:
             det = ExponentMap.of_poly(det_poly_matrix(rows), n // len(group))
@@ -727,9 +724,8 @@ def _perm_compose(p, q):
 
 def _perm_alternating(p, q, m, ident):
     out = ident
-    pair = (p, q)
     for t in range(m):
-        out = _perm_compose(out, pair[t % 2])
+        out = _perm_compose(out, (p, q)[t % 2])
     return out
 
 
@@ -738,9 +734,8 @@ def closed_strip_counts(tq, spec, n_max):
     strip word's generator permutations n times around and count the
     chambers that come back to themselves.  Independent of the operator
     traces (no composite permutation or matrix is reused)."""
-    n = len(tq.chambers)
     counts = []
-    current = list(range(n))
+    current = list(range(len(tq.chambers)))
     for _ in range(n_max):
         for s in spec.word:
             gp = tq.generator_permutations[s]
@@ -752,9 +747,8 @@ def closed_strip_counts(tq, spec, n_max):
 def operator_strip_counts(tq, spec, n_max):
     """tr(A_w^m) for m = 1..n_max: the fixed points of the m-th power of
     the strip operator's chamber permutation, one composition per power."""
-    perm = tq.perm(tq.table, tq.table.element_of_word(spec.word))
+    power = perm = tq.perm(tq.table, tq.table.element_of_word(spec.word))
     counts = []
-    power = perm
     for _ in range(n_max):
         counts.append(_fixed_points(power))
         power = [perm[c] for c in power]

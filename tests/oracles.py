@@ -118,36 +118,37 @@ def hecke_mul_recursion(table, x, y, q=None):
     return HeckeElement(table, out)
 
 
-def torus_label(tq, key):
+def torus_label(tq, matrix, linear_index):
     """Chamber label (W0 index, coordinates of mu mod k) of the element
-    w = v t_mu with this matrix, read off the whole key: the W0 index from
-    its linear part, phi(mu) from entries 0 and 1 of row 2 written in the
+    w = v t_mu with this matrix, read off the whole matrix: the W0 index
+    from its linear part (linear_index maps the section's to their
+    indices), phi(mu) from entries 0 and 1 of row 2 written in the
     triangular basis of phi(L)."""
-    section = tq.table.parabolic_elements((0, 1))
-    linear_index = {tq._linear_part(el.key): j for j, el in enumerate(section)}
-    j = linear_index[tq._linear_part(key)]
+    j = linear_index[tq._linear_part(matrix)]
     (a, b), c = tq._basis
-    p, r = divmod(key[2][0], a)
-    q, r2 = divmod(key[2][1] - p * b, c)
+    p, r = divmod(matrix[2][0], a)
+    q, r2 = divmod(matrix[2][1] - p * b, c)
     if r or r2:
         raise ZetaError("translation outside the detected lattice")
     return (j, p % tq.k, q % tq.k)
 
 
-def torus_generator_permutations_by_keys(tq):
+def torus_generator_permutations_by_matrices(tq):
     """Generator permutations of the torus by a breadth-first search on
-    whole 3x3 keys, each neighbour key * s_i built by the table and
-    labelled by `torus_label`.  Oracle for the row-2 search of
+    whole 3x3 matrices, each neighbour matrix * s_i built by the matrix
+    kernel and labelled by `torus_label`.  Oracle for the row-2 search of
     zeta.TorusQuotient._enumerate_chambers."""
-    start = tq.table.identity.key
-    labels = {torus_label(tq, start): 0}
+    section = tq.table.parabolic_elements((0, 1))
+    linear_index = {tq._linear_part(tq.system.word_matrix(el.word)): j for j, el in enumerate(section)}
+    start = tq.system.word_matrix(())
+    labels = {torus_label(tq, start, linear_index): 0}
     reps = [start]
     gens = range(tq.system.num_generators)
     links = [[] for _ in gens]
-    for key in reps:
+    for matrix in reps:
         for i in gens:
-            nk = tq.table.right_multiply_key(key, i)
-            lb = torus_label(tq, nk)
+            nk = tq.system.right_reflect(matrix, i)
+            lb = torus_label(tq, nk, linear_index)
             c = labels.get(lb)
             if c is None:
                 c = labels[lb] = len(reps)
@@ -156,9 +157,19 @@ def torus_generator_permutations_by_keys(tq):
     return tuple(tuple(p) for p in links)
 
 
+def mat_identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def column_sums(matrix):
+    """The key of the element with this matrix: (w^-1 f)(alpha_j) for the
+    form f that is 1 on every simple root."""
+    return tuple(map(sum, zip(*matrix)))
+
+
 def mat_mul(a, b):
     """Integer matrix product of tuples of tuples.  Oracle for the
-    rank-one reflection kernels and the Cayley-graph walks of coxeter."""
+    reflection kernels of coxeter and for its keys, through column_sums."""
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 

@@ -103,6 +103,14 @@ def test_poincare_json_schema(capsys):
     assert obj["series"]["coeffs"] == [1, 3, 6, 9, 12, 15, 18]
 
 
+def test_poincare_below_the_longest_parabolic_element(capsys):
+    # the parabolics come from a default-bound table, so a truncation below
+    # the length 6 of G2's longest element no longer leaves <s1, s2> open
+    status, out = run_cli(["poincare", "--type", "G2t", "--trunc", "3"], capsys)
+    assert status == 0
+    assert out.splitlines()[-1] == "coefficients (to u^3): 1 3 5 7"
+
+
 def test_poincare_finite_type(capsys):
     status, out = run_cli(["poincare", "--type", "G2", "--format", "json"], capsys)
     assert status == 0

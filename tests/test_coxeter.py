@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,13 @@ from weylzeta.coxeter import (
     build_system,
     enumerate_elements,
     length_and_word,
+    layer_sizes,
     load_table,
-    mat_identity,
     min_coset_reps,
 )
-from oracles import extended_cartan, generator_matrix, mat_mul, multiply, product_key
+from oracles import (
+    column_sums, extended_cartan, generator_matrix, mat_identity, mat_mul, multiply, product_key,
+)
 
 
 def test_affine_bond_orders_match_expected():
@@ -221,7 +224,7 @@ def test_descent_walk_matches_bfs(tables):
             for el in layer:
                 length, word = length_and_word(system, el.key)
                 assert length == el.length
-                assert t.word_key(word) == el.key
+                assert t.system.word_key(word) == el.key
 
 
 def test_parabolic_lengths_are_global_lengths(tables):
@@ -392,8 +395,9 @@ def test_links_are_the_cayley_graph(tag, bound):
         assert len(t) == 1152  # all of F4: its longest element has length 24
     gens = [generator_matrix(system, i) for i in range(system.num_generators)]
     for key, el in t.index.items():
+        matrix = system.word_matrix(el.word)
         for i, link in enumerate(el.links):
-            product = mat_mul(key, gens[i])
+            product = column_sums(mat_mul(matrix, gens[i]))
             # None exactly for an ascent out of the bound layer
             assert (link is None) == (el.length == t.bound and product not in t.index)
             if link is None:
@@ -417,12 +421,13 @@ def test_reflection_kernels_match_mat_mul(tag, data):
     i = data.draw(st.integers(0, k - 1))
     gen = generator_matrix(system, i)
     assert system.right_reflect(key, i) == mat_mul(key, gen)
-    assert system.left_reflect(key, i) == mat_mul(gen, key)
+    assert system.right_multiply_key(column_sums(key), i) == column_sums(mat_mul(key, gen))
     word = data.draw(st.lists(st.integers(0, k - 1), max_size=8))
     expected = mat_identity(k)
     for j in word:
         expected = mat_mul(expected, generator_matrix(system, j))
-    assert system.word_key(word) == expected
+    assert system.word_matrix(word) == expected
+    assert system.word_key(word) == column_sums(expected)
 
 
 WALK_TABLES = {tag: enumerate_elements(build_system(tag), 6) for tag in ("A2t", "C2t", "G2t")}
@@ -435,17 +440,102 @@ def test_walking_a_stored_word_matches_mat_mul(tag, where, data):
     # the reflection kernel on the bound layer (whose ascent links are
     # None) and outside the table
     table = WALK_TABLES[tag]
-    k = table.system.num_generators
+    system = table.system
+    k = system.num_generators
     if where == "outside":
         word = data.draw(st.lists(st.integers(0, k - 1), min_size=table.bound + 1, max_size=table.bound + 6))
-        key = table.system.word_key(word)
     else:
         layers = table.layers[:-1] if where == "inside" else table.layers[-1:]
-        key = data.draw(st.sampled_from([el.key for layer in layers for el in layer]))
+        word = data.draw(st.sampled_from([el for layer in layers for el in layer])).word
+    key = system.word_key(word)
     if where == "bound":
         assert any(link is None for link in table.element(key).links)
     el = data.draw(st.sampled_from([el for layer in table.layers for el in layer]))
-    assert table.walk_key(key, el.word) == product_key(table, key, el.key) == mat_mul(key, el.key)
+    product = column_sums(mat_mul(system.word_matrix(word), system.word_matrix(el.word)))
+    assert table.walk_key(key, el.word) == product_key(table, key, el.key) == product
+
+
+@pytest.mark.parametrize("tag,bound", [
+    ("A1t", 20), ("A2t", 20), ("C2t", 20), ("G2t", 20), ("F4", 24), ("E6", 8),
+])
+def test_keys_are_column_sums_and_descents_are_negative_entries(tag, bound):
+    # the key is the column sums of the word's matrix, v_i < 0 exactly for
+    # the descent links, and the descent walk on the key alone gives the
+    # length and a word whose matrix has that key again
+    system = build_system(tag)
+    t = enumerate_elements(system, bound)
+    if tag == "F4":
+        assert len(t) == 1152
+    for el in t.index.values():
+        assert el.key == column_sums(system.word_matrix(el.word))
+        for i, link in enumerate(el.links):
+            down = link is not None and t.element(link).length == el.length - 1
+            assert (el.key[i] < 0) == down
+        length, word = length_and_word(system, el.key)
+        assert length == el.length
+        assert column_sums(system.word_matrix(word)) == el.key
+
+
+@pytest.mark.parametrize("tag", ["A1t", "A2t", "C2t", "G2t"])
+def test_streaming_layer_sizes_match_the_table(tag):
+    system = build_system(tag)
+    assert layer_sizes(system, 30) == enumerate_elements(system, 30).layer_sizes()
+
+
+def test_streaming_layer_sizes_of_finite_groups_stop_at_the_longest_element():
+    for tag in ("A2", "B3", "G2", "F4"):
+        system = build_system(tag)
+        assert layer_sizes(system, 40) == enumerate_elements(system, 40).layer_sizes()
+
+
+def test_streaming_layer_sizes_respect_the_cap(monkeypatch):
+    monkeypatch.setenv("WEYLZETA_MAX_ELEMENTS", "50")
+    with pytest.raises(ResourceLimitError, match="enumeration exceeded 50"):
+        layer_sizes(build_system("A2t"), 20)
+
+
+GOLDEN_TABLES = Path(__file__).parent / "golden" / "tables"
+
+
+@pytest.mark.parametrize("tag", ["C2t", "G2t"])
+def test_export_matches_the_golden_and_round_trips(tag):
+    # lengths, BFS words and matrices, byte for byte as the matrix-keyed
+    # table wrote them
+    golden = (GOLDEN_TABLES / ("export_%s_bound6.txt" % tag)).read_text()
+    system = build_system(tag)
+    table = enumerate_elements(system, 6)
+    assert "".join(line + "\n" for line in table.export_lines()) == golden
+    loaded = load_table(system, golden.splitlines())
+    assert "".join(line + "\n" for line in loaded.export_lines()) == golden
+    assert all(loaded.element(key).links == el.links for key, el in table.index.items())
+
+
+def test_load_table_rejects_a_word_whose_prefix_is_not_stored():
+    # 2,1,2,3 is a reduced word of the element stored as 1,2,1,3, but its
+    # prefix 2,1,2 is stored as 1,2,1, so no stored word reaches it
+    lines = list(enumerate_elements(build_system("A2t"), 4).export_lines())
+    row = next(i for i, ln in enumerate(lines) if ln.split("\t")[1] == "1,2,1,3")
+    lines[row] = lines[row].replace("\t1,2,1,3\t", "\t2,1,2,3\t")
+    with pytest.raises(CoxeterError, match="table line %d: the word's prefix is not a stored" % (row + 1)):
+        load_table(build_system("A2t"), lines)
+
+
+def test_bytes_per_element_do_not_grow_with_length():
+    # an element holds its key, its links, its letter and its parent, not
+    # its word, so its size does not grow with its length
+    system = build_system("A2t")
+    enumerate_elements(system, 2)
+    per_element = {}
+    for bound in (40, 120):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            table = enumerate_elements(system, bound)
+            per_element[bound] = tracemalloc.get_traced_memory()[0] / len(table)
+        finally:
+            tracemalloc.stop()
+        del table
+    assert abs(per_element[120] - per_element[40]) <= 0.15 * per_element[40], per_element
 
 
 def test_table_memory_is_small_and_freed_without_gc():

@@ -310,3 +310,24 @@ def packed_hecke_cases(draw):
 def test_packed_product_matches_recursion(case):
     x, y, q = case
     assert hecke_mul(PACKED_TABLE, x, y, q) == hecke_mul_recursion(PACKED_TABLE, x, y, q)
+
+
+def test_twisted_group_sum_past_the_table_bound_raises():
+    # the layers past the bound were read as a bare IndexError
+    t = coxeter.enumerate_elements(coxeter.build_system("A2t"), 3)
+    rep = characters(t.system)[0].as_representation()
+    with pytest.raises(coxeter.OutOfTableError, match="order 5 is past the table bound 3"):
+        rep.det_series_hook(t, 5)
+
+
+def test_twisted_group_sum_of_an_exhausted_finite_group():
+    # A2's layers end at its longest element (length 3), before order 5:
+    # the sum is the whole group, (1 + qu)(1 + qu + q^2 u^2) for the all-q
+    # character, padded with zeros
+    t = coxeter.enumerate_elements(coxeter.build_system("A2"), 10)
+    assert t.layer_sizes() == [1, 2, 2, 1]
+    q = formal_q()
+    rep = characters(t.system)[0].as_representation()
+    det = rep.det_series_hook(t, 5)
+    assert [det.coeff(d) for d in range(6)] == [QPolynomial.one(), 2 * q, 2 * q ** 2, q ** 3,
+                                                 QPolynomial.zero(), QPolynomial.zero()]

@@ -7,7 +7,7 @@ the 2k-cycle; right multiplication by the primitive rotation gives the
 strip operator whose determinant reproduces the graph zeta function.
 """
 
-from oracles import cycle_graph, mat_mul
+from oracles import column_sums, cycle_graph, mat_identity, mat_mul
 from weylzeta import coxeter, zeta
 from weylzeta.series import Poly, RationalFunction
 from weylzeta.zeta import ihara_zeta
@@ -41,7 +41,7 @@ class LineQuotient:
         for el in self.table.index.values():
             if el.length == 0:
                 continue
-            tau = _shear_coords(delta, el.key)
+            tau = _shear_coords(delta, self.system.word_matrix(el.word))
             if tau is not None:
                 taus.append(tau)
         # one-dimensional lattice: the shortest shear generates it
@@ -52,10 +52,10 @@ class LineQuotient:
         self._gen = gen
         self._coord = coord
         w0 = self.table.parabolic_elements((0,))
-        self._section = [el.key for el in w0]
-        self._section_inv = [self.system.word_key(reversed(el.word)) for el in w0]
+        self._section = [self.system.word_matrix(el.word) for el in w0]
+        self._section_inv = [self.system.word_matrix(reversed(el.word)) for el in w0]
         self._lin_index = {self._linear(kk): i for i, kk in enumerate(self._section)}
-        start = self.table.identity.key
+        start = self.system.word_matrix(())
         labels = {self.label(start): 0}
         reps = [start]
         frontier = [start]
@@ -63,7 +63,7 @@ class LineQuotient:
             nxt = []
             for key in frontier:
                 for i in range(2):
-                    nk = self.table.right_multiply_key(key, i)
+                    nk = self.system.right_reflect(key, i)
                     lb = self.label(nk)
                     if lb not in labels:
                         labels[lb] = len(reps)
@@ -87,7 +87,7 @@ class LineQuotient:
 
     def permutation(self, element):
         return tuple(
-            self._label_index[self.label(mat_mul(key_c, element.key))]
+            self._label_index[self.label(mat_mul(key_c, self.system.word_matrix(element.word)))]
             for key_c in self.chambers
         )
 
@@ -135,25 +135,26 @@ def test_line_factorization_is_length_additive():
     # every element splits uniquely as s1^a (s2 s1)^m s2^b with lengths adding
     lq = LineQuotient(2, bound=12)
     t = lq.table
-    rot = t.element_of_word((1, 0))
+    rot = lq.system.word_matrix(t.element_of_word((1, 0)).word)
+    s1, s2 = (lq.system.word_matrix(t.generator(i).word) for i in (0, 1))
     seen = {}
     for a in (0, 1):
         for b in (0, 1):
-            cur = coxeter.mat_identity(2)
+            cur = mat_identity(2)
             for m in range(6):
                 total = a + 2 * m + b
                 if total > t.bound:
                     break
                 key = cur
                 if a:
-                    key = mat_mul(t.generator(0).key, key)
+                    key = mat_mul(s1, key)
                 if b:
-                    key = mat_mul(key, t.generator(1).key)
-                el = t.element(key)
+                    key = mat_mul(key, s2)
+                el = t.element(column_sums(key))
                 assert el.length == total
                 assert key not in seen, "duplicate product"
                 seen[key] = (a, m, b)
-                cur = mat_mul(cur, rot.key)
+                cur = mat_mul(cur, rot)
     # completeness on the ball of radius 6
-    count = sum(1 for el in seen if t.element(el).length <= 6)
+    count = sum(1 for el in seen if t.element(column_sums(el)).length <= 6)
     assert count == sum(len(layer) for layer in t.layers[:7])

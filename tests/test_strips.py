@@ -15,11 +15,11 @@ def test_strip_generator_words_and_lengths():
 
 def test_g2t_replacement_word_identity(tables):
     # conjugating the raw strip generator by s1 gives the short word:
-    # both evaluate to the same matrix
+    # both words have the same key, so they are one element
     t = tables["G2t"]
     raw = strips.unreplaced_strip_generator()
-    lhs = t.word_key((0,) + raw.word + (0,))
-    rhs = t.word_key((2, 0, 1))
+    lhs = t.system.word_key((0,) + raw.word + (0,))
+    rhs = t.system.word_key((2, 0, 1))
     assert lhs == rhs
 
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    complete_bipartite, complete_graph, cycle_graph, cyclic_entry_rational, mat_mul, orbit_block_det,
-    petersen_graph, product_key, torus_generator_permutations_by_keys, twisted_series,
+    column_sums, complete_bipartite, complete_graph, cycle_graph, cyclic_entry_rational, mat_mul,
+    orbit_block_det,
+    petersen_graph, product_key, torus_generator_permutations_by_matrices, twisted_series,
 )
 from test_series import _det_berkowitz
 from weylzeta import coxeter, strips
@@ -258,7 +259,8 @@ def test_chamber_cap_stops_the_torus_before_its_bfs(tables, monkeypatch):
 def _in_scaled_translations(system, g, k):
     """Whether g = w^-1 v lies in t(kL): its linear part is the identity
     (every column of g - I is a multiple of delta), and I + (g - I)/k is
-    integral and a group element, which the descent walk decides."""
+    integral and a group element, which the descent walk on its key and
+    the matrix of the word it finds decide."""
     delta = system.delta
     n = len(delta)
     h = [[g[a][b] - (a == b) for b in range(n)] for a in range(n)]
@@ -268,10 +270,10 @@ def _in_scaled_translations(system, g, k):
         return False
     root = tuple(tuple((a == b) + h[a][b] // k for b in range(n)) for a in range(n))
     try:
-        coxeter.length_and_word(system, root)
+        _, word = coxeter.length_and_word(system, column_sums(root))
     except coxeter.CoxeterError:
         return False
-    return True
+    return system.word_matrix(word) == root
 
 
 @pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
@@ -281,8 +283,9 @@ def test_chamber_labels_match_the_definition(tables, tag):
     system = coxeter.build_system(tag)
     table = tables[tag]
     ball = [el for layer in table.layers[:10] for el in layer]
-    inverses = [system.word_key(reversed(el.word)) for el in ball]
-    quotients = [[mat_mul(inv, v.key) for v in ball] for inv in inverses]
+    inverses = [system.word_matrix(reversed(el.word)) for el in ball]
+    matrices = [system.word_matrix(v.word) for v in ball]
+    quotients = [[mat_mul(inv, m) for m in matrices] for inv in inverses]
     for k in (2, 3):
         tq = torus_quotient_rep(system, k, table)
         chamber = [tq.perm(table, el)[0] for el in ball]
@@ -296,11 +299,12 @@ def test_chamber_labels_match_the_definition(tables, tag):
 
 
 def test_lattice_from_the_weyl_orbit_spans_every_translation_in_the_table(torus_k2):
-    # row 2 of a key is the image phi(mu) of its translation part; the
+    # row 2 of a matrix is the image phi(mu) of its translation part; the
     # basis read from W0 and s3 spans exactly the row-2 vectors of the table
     for tq in torus_k2.values():
         (a, b), c = tq._basis
-        vectors = sorted({(key[2][0], key[2][1]) for key in tq.table.index})
+        rows = (tq.system.word_matrix(el.word)[2] for el in tq.table.index.values())
+        vectors = sorted({(row[0], row[1]) for row in rows})
         for x, y in vectors:
             assert x % a == 0 and (y - x // a * b) % c == 0
         minors = math.gcd(*(x1 * y2 - x2 * y1 for x1, y1 in vectors for x2, y2 in vectors))
@@ -311,12 +315,13 @@ def test_lattice_from_the_weyl_orbit_spans_every_translation_in_the_table(torus_
 @pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
 def test_row_two_chamber_search_matches_the_key_walk(tables, tag, k):
     tq = torus_quotient_rep(coxeter.build_system(tag), k, tables[tag])
-    assert tq.generator_permutations == torus_generator_permutations_by_keys(tq)
+    assert tq.generator_permutations == torus_generator_permutations_by_matrices(tq)
 
 
 def test_torus_build_reflects_only_the_weyl_section(tables, monkeypatch):
-    # the chamber search carries row 2 and a W0 index, so the only
-    # reflections are the 3 |W0| of the right-multiplication table on W0
+    # the chamber search carries row 2 and a W0 index, so the only matrix
+    # reflections are the W0 section's: one per element along its BFS
+    # parent and one for each w s3, within the 3 |W0| of the table on W0
     reflect = coxeter.CoxeterSystem.right_reflect
     calls = []
 
@@ -981,3 +986,15 @@ def test_single_edge_graph_q0():
     r = ihara_formula_check(g, 0)
     assert r.ok
     assert r.lhs == Poly.one()
+
+
+def test_torus_ball_past_the_table_bound_raises():
+    # the regularity check and the trace-log read the table's layers up to
+    # the order: past a bound-3 table they raised a bare IndexError
+    system = coxeter.build_system("A2t")
+    t = coxeter.enumerate_elements(system, 3)
+    tq = torus_quotient_rep(system, 2, t)
+    with pytest.raises(coxeter.OutOfTableError, match="radius 5 is past the table bound 3"):
+        tq.det_series_hook(t, 5)
+    with pytest.raises(coxeter.OutOfTableError, match="radius 4 is past the table bound 3"):
+        tq.block_det([(tq.perm(t, el), el.length, el.key) for el in t.parabolic_elements((0, 1))])
