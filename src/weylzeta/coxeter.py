@@ -303,6 +303,13 @@ class ElementTable:
     def layer_sizes(self):
         return [len(layer) for layer in self.layers]
 
+    def ball(self, order):
+        """Every element of length at most order, by layer (a finite group's
+        layers may end sooner); an order past the bound raises OutOfTableError."""
+        if order > self.bound:
+            raise OutOfTableError("order %d is past the table bound %d" % (order, self.bound))
+        return [el for layer in self.layers[: order + 1] for el in layer]
+
     def generator(self, i):
         return self.element(self.right_multiply_key(self.identity.key, i))
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .coxeter import OutOfTableError
 from .series import (
@@ -22,7 +23,6 @@ from .series import (
     det_series,
     scalar_from_json,
     scalar_one_like,
-    signed_digits,
 )
 
 
@@ -70,10 +70,7 @@ class HeckeElement:
     def __sub__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] - c if k in out else -c
-        return HeckeElement(self.table, out)
+        return self + HeckeElement(self.table, {k: -c for k, c in other.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
@@ -97,58 +94,79 @@ def basis_element(table, element, q=None):
 
 
 def hecke_mul(table, x, y, q=None):
-    """Product in the Hecke algebra, by right-multiplication recursion along
-    a reduced word of each basis element of y.  Over Z[q] (the formal q by
-    default) it runs on ints packed at q = 2^b (as in series.det_poly_matrix),
-    scaled by the lcm L of the denominators: a descent maps c to c(q-1) + cq,
-    so L^2 x y has no coefficient above B = L^2 |x|_1 sum_y |c_y|_1 (2|q|_1 + 1)^l(y) < 2^(b-1)."""
-    q = formal_q() if q is None else q
+    """Product in the Hecke algebra, by right-multiplication recursion along a
+    reduced word of each basis element of y: T_w T_s is T_ws on an ascent and
+    (q - 1) T_w + q T_ws on a descent (key[s] < 0), so with t = c q a descent
+    leaves t - c on w and t on ws.  Over Z[q] (the formal q by default) the
+    coefficients, scaled by the lcm L of their denominators, are packed into
+    ints at q = 2^b; a step multiplies a 1-norm by at most 2|q|_1 + 1, so no
+    coefficient of L^2 x y exceeds B = |Lx|_1 sum_y |L c_y|_1 (2|q|_1 + 1)^l(y)
+    < 2^(b-1).  Any other q runs the same loop on the coefficients as given."""
+    index = table.index
     x_terms, y_terms = x.terms, y.terms
-    q_norm = sum(map(abs, q.coeffs)) if isinstance(q, QPolynomial) else None
-    if type(q_norm) is int:  # q in Z[q]
-        norm = sum([sum(map(abs, QPolynomial.coerce(c).coeffs)) for c in x_terms.values()]) * sum(
-            [sum(map(abs, QPolynomial.coerce(c).coeffs)) * (2 * q_norm + 1) ** table.element(k).length
-             for k, c in y_terms.items()])
-        lcm = 1 if type(norm) is int else math.lcm(*[
-            f.denominator for t in (x_terms, y_terms) for c in t.values()
-            for f in QPolynomial.coerce(c).coeffs])
+    q_coeffs = (0, 1) if q is None else q.coeffs if isinstance(q, QPolynomial) else None
+    grow = q_coeffs and 2 * sum(map(abs, q_coeffs)) + 1
+    b = 0
+    if type(grow) is int:  # q in Z[q]: pack
+        norm = _norm(x_terms, index, 1) * _norm(y_terms, index, grow)
+        lcm = 1 if type(norm) is int else math.lcm(*[  # over Q[q]: the lcm of the denominators
+            a.denominator for t in (x_terms, y_terms) for c in t.values()
+            for a in (c.coeffs if type(c) is QPolynomial else (c,))])
         b = int(norm * lcm * lcm).bit_length() + 1
-        x_terms, y_terms = ({k: int(QPolynomial.coerce(c).evaluate(1 << b) * lcm) for k, c in t.items()}
-                            for t in (x_terms, y_terms))
-        q = q.evaluate(1 << b)
-    qm1 = q - 1
+        x_terms, y_terms = _pack(x_terms, b, lcm), _pack(y_terms, b, lcm)
+        q = 1 << b if q is None else _pack({0: q}, b, 1)[0]
     out = {}
     for key_y, c_y in y_terms.items():
-        v = table.element(key_y)
-        state = dict(x_terms)
-        for s in v.word:
-            state = _mul_by_generator(table, state, s, q, qm1)
+        state = x_terms
+        for s in index[key_y].word:
+            new = {}
+            for key, c in state.items():
+                ws_key = index[key].links[s]
+                if ws_key is None:
+                    raise OutOfTableError("Hecke product support escapes the table bound %d" % table.bound)
+                if key[s] > 0:
+                    new[ws_key] = new[ws_key] + c if ws_key in new else c
+                else:
+                    t = c * q
+                    new[key] = new[key] + t - c if key in new else t - c
+                    new[ws_key] = new[ws_key] + t if ws_key in new else t
+            state = new
         for k, c in state.items():
             t = c * c_y
             out[k] = out[k] + t if k in out else t
-    if type(q_norm) is not int:
+    if not b:
         return HeckeElement(table, out)
-    product = HeckeElement(table, {})  # out holds no zero: skip the filter
-    product.terms = {k: QPolynomial(signed_digits(v, b, lcm * lcm)) for k, v in out.items() if v}
+    top, mask, scale = 1 << (b - 1), (1 << b) - 1, lcm * lcm
+    product = HeckeElement(table, {})  # v != 0 means B >= 1, so b >= 2 and each digit loop ends
+    for k, v in out.items():
+        if v:
+            digits = []
+            while v:
+                d = ((v + top) & mask) - top
+                digits.append(d)
+                v = (v - d) >> b
+            product.terms[k] = QPolynomial(
+                digits if scale == 1 else [Fraction(d, scale) if d % scale else d // scale for d in digits])
     return product
 
 
-def _mul_by_generator(table, state, s, q, qm1):
-    """state * T_s (qm1 = q - 1 from the caller); s is a descent of w iff key[s] < 0."""
-    new = {}
-    index = table.index
-    for key, c in state.items():
-        ws_key = index[key].links[s]
-        if ws_key is None:
-            raise OutOfTableError("Hecke product support escapes the table bound %d" % table.bound)
-        if key[s] > 0:
-            new[ws_key] = new[ws_key] + c if ws_key in new else c
-        else:
-            t1 = c * qm1
-            new[key] = new[key] + t1 if key in new else t1
-            t2 = c * q
-            new[ws_key] = new[ws_key] + t2 if ws_key in new else t2
-    return new
+def _norm(terms, index, grow):
+    """sum |c|_1 grow^l(w) over the terms c T_w (a Fraction if a c has one)."""
+    norm = 0
+    for k, c in terms.items():
+        norm += sum(map(abs, c.coeffs if type(c) is QPolynomial else (c,))) * grow ** index[k].length
+    return norm
+
+
+def _pack(terms, b, lcm):
+    """{key: the int L c takes at q = 2^b}, by shift-and-add."""
+    out = {}
+    for k, c in terms.items():
+        v = 0
+        for a in reversed(c.coeffs if type(c) is QPolynomial else (c,)):
+            v = (v << b) + (a if lcm == 1 and type(a) is int else int(a * lcm))
+        out[k] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,24 +194,16 @@ class Character:
 
 
 def odd_bond_classes(system):
+    """The generators as classes joined by odd bonds (connected components),
+    each in increasing order, ordered by their least generator."""
     k = system.num_generators
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    label = list(range(k))
     for i in range(k):
         for j in range(i + 1, k):
             m = system.bond(i, j)
             if m != 0 and m % 2 == 1:
-                parent[find(i)] = find(j)
-    classes = {}
-    for i in range(k):
-        classes.setdefault(find(i), []).append(i)
-    return sorted(classes.values())
+                label = [label[i] if a == label[j] else a for a in label]
+    return sorted([i for i in range(k) if label[i] == c] for c in set(label))
 
 
 def characters(system):
@@ -313,9 +323,8 @@ def validate_representation(system, matrices, q=None):
 
 def _alternating_product(a, b, m, ident):
     out = ident
-    cur = (a, b)
     for t in range(m):
-        out = out * cur[t % 2]
+        out = out * (a, b)[t % 2]
     return out
 
 
@@ -340,14 +349,9 @@ def check_word_products(rep, table, max_length=None):
 
 
 def twisted_group_sum(rep, table, order):
-    """Truncated twisted Poincare series of the whole group,
-    sum of rho(e_w) u^l(w) over the table up to the given order.  An
-    order past the table's bound raises OutOfTableError; a finite group
-    whose layers end sooner sums every layer it has."""
-    if order > table.bound:
-        raise OutOfTableError("order %d is past the table bound %d" % (order, table.bound))
-    ball = [el for layer in table.layers[: order + 1] for el in layer]
-    return FiniteTwistedSeries(rep, ball, table).truncate(order)
+    """Truncated twisted Poincare series of the whole group, sum of
+    rho(e_w) u^l(w) over `table.ball(order)`."""
+    return FiniteTwistedSeries(rep, table.ball(order), table).truncate(order)
 
 
 class FiniteTwistedSeries:
@@ -357,24 +361,22 @@ class FiniteTwistedSeries:
     def __init__(self, rep, elements, table):
         self.rep = rep
         self.elements = tuple(elements)
-        max_len = max(e.length for e in self.elements)
-        dim = rep.dim
-        one = scalar_one_like(rep.q)
-        coeffs = [Matrix.identity(dim, one) * 0 for _ in range(max_len + 1)]
+        images = [[] for _ in range(max(e.length for e in self.elements) + 1)]
         for el in self.elements:
-            coeffs[el.length] = coeffs[el.length] + rep.image(table, el)
-        self.coeffs = tuple(coeffs)
+            images[el.length].append(rep.image(table, el).rows)
+        zero = scalar_one_like(rep.q) * 0
+        # one entrywise sum per degree (row i of every image, then entry j)
+        self.coeffs = tuple(Matrix.of_rows(
+            tuple([tuple([sum(entries, zero) for entries in zip(*rows)]) for rows in zip(*ms)]) if ms
+            else ((zero,) * rep.dim,) * rep.dim) for ms in images)
 
     def truncate(self, order):
         cs = self.coeffs[: order + 1]
         return PowerSeries(cs + (Matrix.zeros(self.rep.dim),) * (order + 1 - len(cs)), order)
 
     def det(self):
-        rows = [
-            [Poly([m.rows[i][j] for m in self.coeffs]) for j in range(self.rep.dim)]
-            for i in range(self.rep.dim)
-        ]
-        return det_poly_matrix(rows)
+        cs, dim = self.coeffs, self.rep.dim
+        return det_poly_matrix([[Poly([m.rows[i][j] for m in cs]) for j in range(dim)] for i in range(dim)])
 
 
 class CyclicTwistedSeries:
@@ -387,15 +389,11 @@ class CyclicTwistedSeries:
         self.length = length
 
     def truncate(self, order):
-        dim = self.a.nrows
-        one = scalar_one_like(self.rep.q)
-        coeffs = [Matrix.identity(dim, one) * 0 for _ in range(order + 1)]
-        power = Matrix.identity(dim, one)
-        d = 0
-        while d <= order:
+        power = Matrix.identity(self.a.nrows, scalar_one_like(self.rep.q))
+        coeffs = [power * 0] * (order + 1)
+        for d in range(0, order + 1, self.length):
             coeffs[d] = power
             power = power * self.a
-            d += self.length
         return PowerSeries(coeffs, order)
 
 

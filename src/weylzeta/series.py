@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add, sub
 
 
 class SeriesError(Exception):
@@ -286,14 +287,20 @@ class Matrix:
         self.rows = tuple(tuple(r) for r in rows)
 
     @staticmethod
+    def of_rows(rows):
+        """The matrix on a tuple of row tuples, taken as it is (no copy)."""
+        m = Matrix.__new__(Matrix)
+        m.rows = rows
+        return m
+
+    @staticmethod
     def identity(n, one=1):
         z = scalar_zero_like(one)
-        return Matrix(tuple(tuple(one if i == j else z for j in range(n)) for i in range(n)))
+        return Matrix.of_rows(tuple(tuple([one if i == j else z for j in range(n)]) for i in range(n)))
 
     @staticmethod
     def zeros(n, m=None):
-        m = n if m is None else m
-        return Matrix(tuple((0,) * m for _ in range(n)))
+        return Matrix.of_rows(((0,) * (n if m is None else m),) * n)
 
     @property
     def nrows(self):
@@ -306,30 +313,25 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return Matrix(tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+        return Matrix.of_rows(tuple([tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)]))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return Matrix(tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+        return Matrix.of_rows(tuple([tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)]))
 
     def __neg__(self):
-        return Matrix(tuple(tuple(-a for a in r) for r in self.rows))
+        return Matrix.of_rows(tuple([tuple([-a for a in r]) for r in self.rows]))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            bt = tuple(zip(*other.rows))
-            return Matrix(
-                tuple(tuple(_dot(row, col) for col in bt) for row in self.rows)
-            )
+            cols = tuple(zip(*other.rows))
+            return Matrix.of_rows(tuple([tuple([_dot(row, col) for col in cols]) for row in self.rows]))
         if isinstance(other, Poly.scalars):
-            return Matrix(tuple(tuple(a * other for a in r) for r in self.rows))
+            return Matrix.of_rows(tuple([tuple([a * other for a in r]) for r in self.rows]))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, Poly.scalars):
-            return Matrix(tuple(tuple(other * a for a in r) for r in self.rows))
-        return NotImplemented
+    __rmul__ = __mul__  # the scalars commute
 
     def __pow__(self, n):
         return _power(self, n, Matrix.identity(self.nrows, scalar_one_like(self.rows[0][0])))
@@ -338,8 +340,7 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.nrows == other.nrows and all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
 
     def __hash__(self):
         return hash(self.rows)
@@ -348,17 +349,10 @@ class Matrix:
         return all(_is_zero(a) for r in self.rows for a in r)
 
     def is_identity(self):
-        return all(
-            (a == 1 if i == j else _is_zero(a))
-            for i, r in enumerate(self.rows)
-            for j, a in enumerate(r)
-        )
+        return all((a == 1 if i == j else _is_zero(a)) for i, r in enumerate(self.rows) for j, a in enumerate(r))
 
     def trace(self):
-        t = self.rows[0][0]
-        for i in range(1, self.nrows):
-            t = t + self.rows[i][i]
-        return t
+        return reduce(add, [r[i] for i, r in enumerate(self.rows)])
 
     def __repr__(self):
         return "Matrix(%r)" % (list(map(list, self.rows)),)
@@ -870,7 +864,7 @@ def power_sum_exp(power_sums, order):
 
 def signed_digits(packed, b, scale=1):
     """Digits in [-2^(b-1), 2^(b-1)) of a Kronecker-packed int, lowest
-    first, each divided by scale: the unpack of every packed route."""
+    first, each divided by scale (hecke.hecke_mul inlines the same rule)."""
     digits = []
     top, mask = 1 << (b - 1), (1 << b) - 1
     for _ in range(packed.bit_length() // b + 1):

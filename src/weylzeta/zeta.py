@@ -582,8 +582,7 @@ class TorusQuotient:
         act regularly (`assert_regular`), tr(N^j) = n (N^j)_{c0 c0}, and
         one chamber vector is pushed through the ball's permutations."""
         self.assert_regular(order)
-        perm_lengths = [(self.perm(table, el), d)
-                        for d in range(1, order + 1) for el in table.layers[d]]
+        perm_lengths = [(self.perm(table, el), el.length) for el in table.ball(order)[1:]]
         return _one_vector_det_series(perm_lengths, len(self.chambers), order)
 
     def assert_regular(self, radius):

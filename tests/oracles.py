@@ -118,6 +118,20 @@ def hecke_mul_recursion(table, x, y, q=None):
     return HeckeElement(table, out)
 
 
+def finite_twisted_coeffs(rep, elements, table):
+    """Matrix coefficients by degree of sum rho(e_w) u^l(w) over a finite
+    element set, adding one image Matrix at a time.  Oracle for the
+    per-degree entrywise sums of hecke.FiniteTwistedSeries."""
+    elements = tuple(elements)
+    max_len = max(e.length for e in elements)
+    dim = rep.dim
+    one = scalar_one_like(rep.q)
+    coeffs = [Matrix.identity(dim, one) * 0 for _ in range(max_len + 1)]
+    for el in elements:
+        coeffs[el.length] = coeffs[el.length] + rep.image(table, el)
+    return tuple(coeffs)
+
+
 def torus_label(tq, matrix, linear_index):
     """Chamber label (W0 index, coordinates of mu mod k) of the element
     w = v t_mu with this matrix, read off the whole matrix: the W0 index

@@ -254,6 +254,8 @@ GOLDEN_LINES = {
     "alt_C2t.json": "alt --type C2t --format json",
     "poincare_E8_trunc4.txt": "poincare --type E8 --trunc 4",
     "det_identity_A2t_q2.txt": "det-identity --type A2t --q 2",
+    # the largest character line, and the one whose scalars are Fractions
+    "det_identity_C2t_qhalf.txt": "det-identity --type C2t --q 1/2",
     # recorded from the dense-product route, which took about 10 s a line
     "det_identity_G2t_torus6.txt": "det-identity --type G2t --q torus --scale 6",
     "det_identity_G2t_torus6.json": "det-identity --type G2t --q torus --scale 6 --format json",

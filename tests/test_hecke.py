@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylzeta import coxeter, hecke
 from weylzeta.hecke import (
+    FiniteTwistedSeries,
     HeckeElement,
     ValidationError,
     basis_element,
@@ -20,7 +21,8 @@ from weylzeta.hecke import (
 )
 from weylzeta.series import Matrix, Poly, QPolynomial, RationalFunction, poincare_parabolic
 from oracles import (
-    character_word_value, cyclic_entry_rational, hecke_mul_recursion, multiply, twisted_series,
+    character_word_value, cyclic_entry_rational, finite_twisted_coeffs, hecke_mul_recursion, multiply,
+    twisted_series,
 )
 
 
@@ -280,18 +282,28 @@ PACKED_TABLE = coxeter.enumerate_elements(coxeter.build_system("A2t"), 8)
 PACKED_ELEMENTS = [el for layer in PACKED_TABLE.layers[:4] for el in layer]
 
 
+# q formal (None or given), scalar, and over Z[q] or Q[q] beyond q itself
+HECKE_QS = (None, formal_q(), 2, Fraction(1, 2), QPolynomial((-1, 0, 3)), QPolynomial((Fraction(1, 2), 1)))
+
+
 @st.composite
 def packed_hecke_cases(draw):
-    """Two Hecke elements over Z[q] or Q[q] with coefficients of both
-    signs: random q-polynomials, or monomials +-2^k q^e over a
-    denominator in Q[q].  In a tight case x is one monomial term and y a
-    monomial times the identity, so the product's one coefficient equals
-    the packing bound B and only the spare bit of 2^(b-1) > B holds it."""
+    """Two Hecke elements of several terms whose coefficients mix ints,
+    Fractions and q-polynomials over Z or Q of both signs (random ones, or
+    monomials +-2^k q^e over a denominator), at every kind of q.  In a
+    tight case x is one monomial term and y a monomial times the
+    identity, so the product's one coefficient equals the packing bound B
+    and only the spare bit of 2^(b-1) > B holds it."""
     dens = st.sampled_from((1, 2, 3, 6) if draw(st.booleans()) else (1,))
     tight = draw(st.booleans())
 
     def coeff():
-        if tight or draw(st.booleans()):
+        kind = "monomial" if tight else draw(st.sampled_from(("int", "fraction", "monomial", "poly")))
+        if kind == "int":
+            return draw(st.integers(-9, 9))
+        if kind == "fraction":
+            return Fraction(draw(st.integers(-9, 9)), draw(dens))
+        if kind == "monomial":
             c = Fraction(draw(st.sampled_from((1, -1))) * 2 ** draw(st.integers(0, 60)), draw(dens))
             return QPolynomial((0,) * draw(st.integers(0, 3)) + (c,))
         return QPolynomial([Fraction(draw(st.integers(-9, 9)), draw(dens)) for _ in range(draw(st.integers(0, 4)))])
@@ -300,16 +312,90 @@ def packed_hecke_cases(draw):
         keys = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=size))
         return HeckeElement(PACKED_TABLE, {el.key: coeff() for el in keys})
 
-    x = element(1 if tight else 4, PACKED_ELEMENTS)
-    y = element(1 if tight else 4, [PACKED_TABLE.identity] if tight else PACKED_ELEMENTS)
-    return x, y, draw(st.sampled_from((None, formal_q())))
+    x = element(1 if tight else 5, PACKED_ELEMENTS)
+    y = element(1 if tight else 5, [PACKED_TABLE.identity] if tight else PACKED_ELEMENTS)
+    return x, y, draw(st.sampled_from(HECKE_QS[:2] if tight else HECKE_QS))
 
 
-@settings(max_examples=300, deadline=None)
+def _integral_fraction_case(c, q):
+    """Fraction(2, 1) has no denominator to scale away but is no int: the
+    packing must still turn it into one."""
+    e, s = PACKED_TABLE.element_of_word((0, 1)), PACKED_TABLE.generator(0)
+    return HeckeElement(PACKED_TABLE, {e.key: c}), HeckeElement(PACKED_TABLE, {s.key: c, e.key: 1}), q
+
+
+@settings(max_examples=400, deadline=None)
 @given(packed_hecke_cases())
+@example(_integral_fraction_case(Fraction(2, 1), None))
+@example(_integral_fraction_case(QPolynomial((Fraction(4, 2), 1)), QPolynomial((-1, 0, 3))))
 def test_packed_product_matches_recursion(case):
     x, y, q = case
     assert hecke_mul(PACKED_TABLE, x, y, q) == hecke_mul_recursion(PACKED_TABLE, x, y, q)
+
+
+def test_associativity_chain_matches_recursion(tables):
+    # a chain of four products of one- or two-term elements from layers
+    # <= 4, each step against the recursion oracle, then nested the other way
+    t = tables["A2t"]
+    rng = random.Random(20)
+    elements = [el for layer in t.layers[:5] for el in layer]
+    coeffs = (1, -2, Fraction(1, 3), QPolynomial((-1, 2)), QPolynomial((0, Fraction(-1, 2))))
+    for q in HECKE_QS:
+        for _ in range(6):
+            factors = [HeckeElement(t, {rng.choice(elements).key: rng.choice(coeffs) for _ in range(rng.randint(1, 2))})
+                       for _ in range(4)]
+            chain = oracle = factors[0]
+            for f in factors[1:]:
+                chain, oracle = hecke_mul(t, chain, f, q), hecke_mul_recursion(t, oracle, f, q)
+                assert chain == oracle
+            a, b, c, d = factors
+            assert hecke_mul(t, a, hecke_mul(t, b, hecke_mul(t, c, d, q), q), q) == chain
+
+
+TWISTED_TABLES = {tag: coxeter.enumerate_elements(coxeter.build_system(tag), 6) for tag in ("A2t", "C2t", "G2t")}
+
+
+def _twisted_reps(system):
+    """Every character at q formal, 2 and 1/2, and the 2-dimensional q = 2
+    representation diag(2, -1) of every generator, ingested through JSON."""
+    rep_2dim = {"dim": 2, "scalar": "rational", "q": 2,
+                "generators": {"s%d" % (i + 1): [[2, 0], [0, -1]] for i in range(system.num_generators)}}
+    return [ch.as_representation(q) for q in (None, 2, Fraction(1, 2)) for ch in characters(system)] + [
+        representation_from_json(system, rep_2dim)]
+
+
+TWISTED_REPS = {tag: _twisted_reps(t.system) for tag, t in TWISTED_TABLES.items()}
+
+
+def _assert_same_twisted_sum(rep, elements, table):
+    new, old = FiniteTwistedSeries(rep, elements, table).coeffs, finite_twisted_coeffs(rep, elements, table)
+    assert new == old
+    assert [type(a) for m in new for r in m.rows for a in r] == [type(a) for m in old for r in m.rows for a in r]
+
+
+@st.composite
+def twisted_sum_cases(draw):
+    tag = draw(st.sampled_from(sorted(TWISTED_TABLES)))
+    table = TWISTED_TABLES[tag]
+    elements = draw(st.lists(st.sampled_from([el for layer in table.layers for el in layer]), min_size=1, max_size=12))
+    return draw(st.sampled_from(TWISTED_REPS[tag])), elements, table
+
+
+@settings(max_examples=200, deadline=None)
+@given(twisted_sum_cases())
+def test_twisted_sum_matches_the_per_element_oracle(case):
+    _assert_same_twisted_sum(*case)
+
+
+@pytest.mark.parametrize("tag", sorted(TWISTED_TABLES))
+def test_twisted_sum_with_a_skipped_degree(tag):
+    # layers 0, 1, 4 and 6: the coefficients of u^2, u^3 and u^5 are zero
+    table = TWISTED_TABLES[tag]
+    elements = [el for d in (0, 1, 4, 6) for el in table.layers[d]]
+    for rep in TWISTED_REPS[tag]:
+        coeffs = FiniteTwistedSeries(rep, elements, table).coeffs
+        assert len(coeffs) == 7 and all(coeffs[d].is_zero() for d in (2, 3, 5))
+        _assert_same_twisted_sum(rep, elements, table)
 
 
 def test_twisted_group_sum_past_the_table_bound_raises():

@@ -988,6 +988,18 @@ def test_single_edge_graph_q0():
     assert r.lhs == Poly.one()
 
 
+def test_torus_det_series_hook_past_the_argument_table_bound_raises(tables):
+    # the ball was checked against the quotient's own bound-24 table, and
+    # the layers past the bound of the table passed in were read as a bare
+    # IndexError (the mirror of test_twisted_group_sum_past_the_table_bound_raises)
+    system = coxeter.build_system("A2t")
+    t3 = coxeter.enumerate_elements(system, 3)
+    tq = torus_quotient_rep(system, 2, tables["A2t"])
+    with pytest.raises(coxeter.OutOfTableError, match="order 5 is past the table bound 3"):
+        tq.det_series_hook(t3, 5)
+    assert tq.det_series_hook(t3, 3) == tq.det_series_hook(tables["A2t"], 3)
+
+
 def test_torus_ball_past_the_table_bound_raises():
     # the regularity check and the trace-log read the table's layers up to
     # the order: past a bound-3 table they raised a bare IndexError
