@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 
 from . import coxeter as cox
 from . import strips as strips_mod
@@ -407,8 +408,8 @@ class TorusQuotient:
     The lattice comes from W0 and s3 alone: s3 v = (s3bar v) t_(v^-1 mu3),
     and W0 t(span W0 mu3) holds s1, s2 and s3, so it is W and
     L = span(W0 mu3).  phi(L) is spanned by row 2 of s3 v over the |W0|
-    section elements v; no table element is scanned for it.  The chamber
-    search carries a W0 index and row 2 only (see _enumerate_chambers).
+    section elements v; no table element is scanned for it.  s_i acts on
+    a chamber (W0 index, mu mod kL) by one small table per part.
 
     The quotient is its own permutation representation of the group
     algebra at q = 1, of dimension the chamber count: the generator
@@ -438,10 +439,12 @@ class TorusQuotient:
         for i, p in enumerate(perms):
             if _perm_compose(p, p) != ident:
                 raise ZetaError("generator %d is not an involution on chambers" % (i + 1,))
+        # for involutions p, q the braid relation pqp... = qpq..., m
+        # letters a side, is (pq)^m = 1
+        for i, p in enumerate(perms):
             for j in range(i + 1, len(perms)):
                 m = system.bond(i, j)
-                if m and (_perm_alternating(p, perms[j], m, ident)
-                          != _perm_alternating(perms[j], p, m, ident)):
+                if m and reduce(_perm_compose, [_perm_compose(p, perms[j])] * m) != ident:
                     raise ZetaError("braid relation fails on chambers for (%d, %d)" % (i + 1, j + 1))
         self._perm_cache = {table.identity.key: ident}
         self._regular_radius = 0  # the identity alone acts as the identity
@@ -496,52 +499,56 @@ class TorusQuotient:
             for m in matrices)
 
     def _enumerate_chambers(self):
-        """Breadth-first search from the identity's chamber.  Each neighbour
-        label found on the way is an entry of a generator permutation:
-        links[i][c] is the chamber across panel i of chamber c.
-
-        A chamber is carried as (j, row): the W0 index of a representative
-        w = v t_mu and row 2 of its matrix, since right_reflect updates each
-        row on its own, so row 2 of w s_i is row - row[i] * cartan[i].  Its
-        label is (j, coordinates of mu mod k): phi(mu) is entries 0 and 1
-        of the row, written in the triangular basis ((a, b), (0, c)) of
-        phi(L); congruence mod k phi(L) does not depend on the basis."""
-        k = self.k
-        total = self.weyl_order * k * k
+        """Number the chambers breadth-first from the identity's, panels of
+        each chamber in turn.  A chamber is a label j k^2 + t: j the W0 index
+        of w = v t_mu, t = (p mod k) k + (q mod k) for phi(mu) = p (a, b) +
+        q (0, c).  s_i acts on labels as R_i x T_i, R_i column i of w0_right
+        and T_i on the k^2 classes alone: row 2 of w's matrix is phi(mu) and,
+        W fixing delta, row . delta = delta[2]; row 2 of w s_i is
+        row - row[i] * cartan[i].  T_i is read off one row per class, p, q in
+        0..k-1; 0, (a, b) and (0, c) are among them, so images in phi(L)
+        keep phi(L) and k phi(L): T_i is well defined mod k.  R_i x T_i
+        fixes a label exactly when R_i and T_i both fix its parts."""
+        k, size = self.k, self.k * self.k
         (a, b), c = self._basis
-        w0_right = self._w0_right
-        cartan = tuple(enumerate(self.system.cartan))
-        # the identity: index 0 (the section is sorted by length), mu = 0;
-        # a label (j, p mod k, q mod k) is one int below |W0| k^2, and
-        # number[label] is its chamber, -1 until the search reaches it
-        chambers = [(0, self.system.word_matrix(())[2])]
-        number = [-1] * total
-        number[0] = 0
-        links = [[] for _ in cartan]
-        for j, row in chambers:  # chambers grows while it is walked: the BFS queue
-            right = w0_right[j]
-            x0, x1, x2 = row
-            for i, (c0, c1, c2) in cartan:
-                x = row[i]
-                nrow = (x0 - x * c0, x1 - x * c1, x2 - x * c2) if x else row
-                p, r = divmod(nrow[0], a)
-                q, r2 = divmod(nrow[1] - p * b, c)
+        d0, d1, d2 = self.system.delta
+        rows = []
+        for p in range(k):
+            for q in range(k):
+                x0, x1 = p * a, p * b + q * c
+                x2, r = divmod(d2 - x0 * d0 - x1 * d1, d2)
+                if r:
+                    raise ZetaError("a lattice row is off the plane row . delta = delta[2]")
+                rows.append((x0, x1, x2))
+        gens = []  # s_i on the labels, one list per generator
+        for i, (c0, c1, _) in enumerate(self.system.cartan):
+            classes = []
+            for row in rows:
+                p, r = divmod(row[0] - row[i] * c0, a)
+                q, r2 = divmod(row[1] - row[i] * c1 - p * b, c)
                 if r or r2:
                     raise ZetaError("translation outside the detected lattice")
-                lb = (right[i] * k + p % k) * k + q % k
-                n = number[lb]
-                if n < 0:
-                    n = number[lb] = len(chambers)
-                    chambers.append((right[i], nrow))
-                links[i].append(n)
-        if len(chambers) != total:
-            raise ZetaError("chamber count %d disagrees with |W0| k^2 = %d" % (len(chambers), total))
-        for perm in links:
-            if _fixed_points(perm):
+                classes.append(p % k * k + q % k)
+            right = [w0[i] for w0 in self._w0_right]
+            if (any(j == rj for j, rj in enumerate(right))
+                    and any(t == ct for t, ct in enumerate(classes))):
                 raise ZetaError("panel gluing fixes a chamber; the action is not free")
-        # chambers are numbered in search order; the (j, row) pairs are dropped
-        self.chambers = range(len(chambers))
-        self.generator_permutations = tuple(tuple(p) for p in links)
+            gens.append([rj * size + t for rj in right for t in classes])
+        total = self.weyl_order * size
+        number = [-1] * total  # a label's chamber, -1 until the search reaches it
+        number[0] = 0  # the identity: W0 index 0 (the section is sorted by length), mu = 0
+        order, links = [0], []  # links[3 c + i] is the chamber across panel i of chamber c
+        for label in order:  # order grows while it is walked: the BFS queue
+            for g in gens:
+                n = number[g[label]]
+                if n < 0:
+                    n = number[g[label]] = len(order)
+                    order.append(g[label])
+                links.append(n)
+        if len(order) != total:
+            raise ZetaError("chamber count %d disagrees with |W0| k^2 = %d" % (len(order), total))
+        self.chambers = range(total)
+        self.generator_permutations = tuple(tuple(links[i::3]) for i in range(3))
 
     # -- the permutation representation ----------------------------------------
 
@@ -719,13 +726,6 @@ TorusRepresentation = TorusQuotient
 def _perm_compose(p, q):
     """Permutation of 'apply p, then q' matching matrix order P_p P_q."""
     return tuple([q[c] for c in p])
-
-
-def _perm_alternating(p, q, m, ident):
-    out = ident
-    for t in range(m):
-        out = _perm_compose(out, (p, q)[t % 2])
-    return out
 
 
 def closed_strip_counts(tq, spec, n_max):

@@ -150,8 +150,10 @@ def torus_label(tq, matrix, linear_index):
 def torus_generator_permutations_by_matrices(tq):
     """Generator permutations of the torus by a breadth-first search on
     whole 3x3 matrices, each neighbour matrix * s_i built by the matrix
-    kernel and labelled by `torus_label`.  Oracle for the row-2 search of
-    zeta.TorusQuotient._enumerate_chambers."""
+    kernel and labelled by `torus_label`.  Oracle for
+    zeta.TorusQuotient._enumerate_chambers, which numbers the same search
+    from two small tables, a W0 index table and one translation table on
+    the k^2 classes of L/kL per generator, and never builds a matrix."""
     section = tq.table.parabolic_elements((0, 1))
     linear_index = {tq._linear_part(tq.system.word_matrix(el.word)): j for j, el in enumerate(section)}
     start = tq.system.word_matrix(())

@@ -250,6 +250,8 @@ GOLDEN_LINES = {
     "macdonald_table_all.csv": "macdonald-table --type all --format csv",
     "ihara_k4_q2.txt": "ihara --graph {graph} --q 2",
     "torus_C2t_scale2.txt": "torus --type C2t --scale 2",
+    # an even scale, where C2t's lattice basis (a = c = 2) meets k
+    "torus_C2t_scale6.txt": "torus --type C2t --scale 6",
     "poincare_A2t_trunc6.json": "poincare --type A2t --trunc 6 --format json",
     "alt_C2t.json": "alt --type C2t --format json",
     "poincare_E8_trunc4.txt": "poincare --type E8 --trunc 4",

@@ -1,7 +1,9 @@
 import gc
 import math
 import tracemalloc
+import types
 import weakref
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from weylzeta.zeta import (
     ZetaError,
     _one_vector_det_series,
     _perm_char_poly,
+    _perm_compose,
     _perm_matrix,
     _perm_zeta,
     closed_strip_counts,
@@ -311,17 +314,68 @@ def test_lattice_from_the_weyl_orbit_spans_every_translation_in_the_table(torus_
         assert minors == a * c  # equal index in Z^2, so equal lattices
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 12])
 @pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
 def test_row_two_chamber_search_matches_the_key_walk(tables, tag, k):
+    # even k meet C2t's lattice basis, whose a = c = 2
     tq = torus_quotient_rep(coxeter.build_system(tag), k, tables[tag])
     assert tq.generator_permutations == torus_generator_permutations_by_matrices(tq)
 
 
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_row_two_lies_on_the_plane_of_delta(tables, tag):
+    # W fixes delta, so row 2 of every element's matrix has
+    # row . delta = delta[2]: the torus build reads entry 2 off entries 0, 1
+    system = coxeter.build_system(tag)
+    delta = system.delta
+    for el in tables[tag].index.values():
+        row = system.word_matrix(el.word)[2]
+        assert sum(x * d for x, d in zip(row, delta)) == delta[2], el.word
+
+
+def _coarser_basis(tq):
+    (a, b), c = tq._basis
+    tq._basis = ((2 * a, 2 * b), 2 * c)
+
+
+def _s1_fixes_the_weyl_index(tq):
+    tq._w0_right = tuple((j,) + right[1:] for j, right in enumerate(tq._w0_right))
+
+
+def _every_generator_moves_the_weyl_index_as_s1(tq):
+    # fixed-point free, but the orbit of the identity misses most labels
+    tq._w0_right = tuple((right[0],) * 3 for right in tq._w0_right)
+
+
+def _delta_off_the_section(tq):
+    # a null root whose entry 2 does not divide the rows of phi(L)
+    tq.system = types.SimpleNamespace(delta=(1, 1, 3), cartan=tq.system.cartan)
+
+
+@pytest.mark.parametrize("spoil,match", [
+    (_coarser_basis, "translation outside the detected lattice"),
+    (_s1_fixes_the_weyl_index, "panel gluing fixes a chamber"),
+    (_every_generator_moves_the_weyl_index_as_s1, r"chamber count \d+ disagrees with \|W0\| k\^2"),
+    (_delta_off_the_section, "off the plane row . delta = delta"),
+], ids=["coarser-basis", "fixing-w0", "one-w0-generator", "delta"])
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_torus_build_refuses_a_spoiled_weyl_section(tables, monkeypatch, tag, spoil, match):
+    setup = TorusQuotient._setup_weyl_section
+
+    def spoiled_setup(self):
+        setup(self)
+        spoil(self)
+
+    monkeypatch.setattr(TorusQuotient, "_setup_weyl_section", spoiled_setup)
+    with pytest.raises(ZetaError, match=match):
+        TorusQuotient(coxeter.build_system(tag), 3, tables[tag])
+
+
 def test_torus_build_reflects_only_the_weyl_section(tables, monkeypatch):
-    # the chamber search carries row 2 and a W0 index, so the only matrix
-    # reflections are the W0 section's: one per element along its BFS
-    # parent and one for each w s3, within the 3 |W0| of the table on W0
+    # the chamber labels come from the W0 table and one row 2 per class
+    # of L/kL, so the only matrix reflections are the W0 section's: one
+    # per element along its BFS parent and one for each w s3, within the
+    # 3 |W0| of the table on W0
     reflect = coxeter.CoxeterSystem.right_reflect
     calls = []
 
@@ -589,6 +643,38 @@ def _spoil_braid(perms):
     b, d = p[a], p[c]
     p[a], p[c], p[b], p[d] = c, a, d, b
     return (tuple(p),) + perms[1:]
+
+
+def _alternating(p, q, m):
+    """p q p ... with m letters, as a permutation."""
+    out = tuple(range(len(p)))
+    for t in range(m):
+        out = _perm_compose(out, (p, q)[t % 2])
+    return out
+
+
+@st.composite
+def _involution_pairs(draw):
+    n = 2 * draw(st.integers(1, 6))
+
+    def matching():
+        order = draw(st.permutations(range(n)))
+        p = [0] * n
+        for x, y in zip(order[::2], order[1::2]):
+            p[x], p[y] = y, x
+        return tuple(p)
+
+    return matching(), matching()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_involution_pairs(), st.integers(2, 6))
+def test_braid_of_involutions_is_the_order_of_their_product(pair, m):
+    # the torus build checks (pq)^m = 1 in place of pqp... = qpq..., m
+    # letters a side; for fixed-point-free involutions the two agree
+    p, q = pair
+    power = reduce(_perm_compose, [_perm_compose(p, q)] * m)
+    assert (power == tuple(range(len(p)))) == (_alternating(p, q, m) == _alternating(q, p, m))
 
 
 @pytest.mark.parametrize("spoil,match", [(_spoil_involution, "not an involution"),
