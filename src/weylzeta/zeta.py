@@ -8,22 +8,21 @@ determinant has one exact integer route, which comes out as an exponent
 map d -> m of a product of (1 - u^d)^m (`series.ExponentMap`): a finite
 factor from one block of the right-regular representation of a finite
 parabolic W_J (`TorusQuotient.block_det`), a strip factor det(I - P u^l)
-from the cycle type of P.  The identity checkers multiply and compare
-maps; a polynomial is expanded from a map only for output.  The quotient
-is its own permutation representation at q = 1, validated when it is
-built; its dense chamber matrices (`image`, `action_matrix`) are uncached
-oracles.  W/kL acts regularly on the chambers, so tr P(w) is n or 0: the
-dual trace-log checks push a single chamber vector through the
-permutations of a ball of the group, and Newton's identities turn the
-integer power sums of tr log into the determinant.  The torus routes run
-in Python ints; all emitted values are ints, Fractions, or exact
-polynomials.
+as (1 - u^(l o))^(n/o), o the order of w modulo t(kL).  The identity
+checkers multiply and compare maps; a polynomial is expanded from a map
+only for output.  The quotient is its own permutation representation at
+q = 1, validated when it is built; its dense chamber matrices (`image`,
+`action_matrix`) are uncached oracles.  The build proves W/t(kL) acts
+regularly, so tr P(w) is n or 0 and every cycle of P(w) has length o:
+the dual trace-log checks push one chamber vector through the
+permutations of a ball, and Newton's identities turn the integer power
+sums of tr log into the determinant.  The torus routes run in Python
+ints; all emitted values are ints, Fractions, or exact polynomials.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -166,15 +165,6 @@ class ZetaReport:
 def _operator_zeta(b_rows, order):
     """Z(u) = det(I - B u)^{-1} plus trace data and primitive counts."""
     return _zeta_report(char_matrix_det(Matrix(b_rows), 1), traces(b_rows, order), order)
-
-
-def _perm_zeta(perm, order):
-    """Z(u) = det(I - P u)^{-1} of a permutation operator from its cycle
-    type: the inverse is prod (1 - u^len) and tr P^m = sum of the cycle
-    lengths dividing m."""
-    cycles = _perm_cycles(perm)
-    counts = [sum(ln for ln in cycles if m % ln == 0) for m in range(1, order + 1)]
-    return _zeta_report(_perm_char_poly(perm, 1), counts, order)
 
 
 def _zeta_report(inv, counts, order):
@@ -332,7 +322,7 @@ def _fixed_points(perm):
 def _one_vector_det_series(perm_lengths, n, order):
     """det(I + N) up to u^order for N = sum P u^l over (perm, l) pairs with
     l >= 1, as the exp of the trace of log.  Valid only when every product
-    of the permutations fixes no chamber or all n of them: then
+    of the permutations fixes no chamber or all n of them, as on a torus: then
     tr(N^j) = n (N^j)_{00}, the chamber-0 entry of the row vector e_0 N^j,
     which is held as one sparse {chamber: count} map per degree.
 
@@ -363,31 +353,10 @@ def _one_vector_det_series(perm_lengths, n, order):
     return power_sum_exp([_divide_scalar(d * tr_log[d], denom) for d in range(1, order + 1)], order)
 
 
-def _perm_cycles(perm):
-    seen = [False] * len(perm)
-    out = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        ln = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        out.append(ln)
-    return out
-
-
-def _cycle_type_map(perm, shift_power):
-    """det(I - P u^s) for a permutation: the exponent map of the product
-    of (1 - u^d)^m over its cycle type, d = s * len -> m cycles of that
-    length."""
-    return ExponentMap(Counter(shift_power * ln for ln in _perm_cycles(perm)))
-
-
-def _perm_char_poly(perm, shift_power):
-    return _cycle_type_map(perm, shift_power).as_polynomial()
+def _regular_cycle_map(n, o, shift_power):
+    """det(I - P u^s) for a permutation of n points whose cycles all have
+    length o: the exponent map of (1 - u^(s o))^(n / o)."""
+    return ExponentMap({shift_power * o: n // o})
 
 
 class TorusQuotient:
@@ -414,7 +383,13 @@ class TorusQuotient:
     The quotient is its own permutation representation of the group
     algebra at q = 1, of dimension the chamber count: the generator
     permutations are checked against the unit-parameter quadratic and
-    braid relations when it is built.
+    braid relations when it is built, which makes them a W-action, and
+    the search makes it transitive on n = |W0| k^2 = [W : t(kL)] chambers.
+    The build then walks the k-th power of each translation v^-1 s3 s_theta v
+    (v in W0, s_theta the W0 element of s3's linear part) from chamber 0 and
+    back.  These generate t(kL), so chamber 0's stabiliser is t(kL), which
+    is normal: G_k = W/t(kL) acts regularly, every w fixes no chamber or
+    all n, and P(w) has n / o cycles of length o, w's order in G_k.
     """
 
     q = 1
@@ -446,9 +421,11 @@ class TorusQuotient:
                 m = system.bond(i, j)
                 if m and reduce(_perm_compose, [_perm_compose(p, perms[j])] * m) != ident:
                     raise ZetaError("braid relation fails on chambers for (%d, %d)" % (i + 1, j + 1))
+        for word in self._translation_words:  # t(kL) fixes chamber 0
+            if self.walk(0, word * k):
+                raise ZetaError("the translation %s to the power k moves chamber 0; "
+                                "W/t(kL) does not act regularly" % "".join(str(s + 1) for s in word))
         self._perm_cache = {table.identity.key: ident}
-        self._regular_radius = 0  # the identity alone acts as the identity
-        self._free_parabolics = set()  # letter sets J whose W_J was checked to act freely
 
     @property
     def representation(self):
@@ -489,10 +466,14 @@ class TorusQuotient:
         linear_index = {self._linear_part(m): j for j, m in enumerate(matrices)}
         if len(linear_index) != len(section):
             raise ZetaError("finite Weyl section is not faithful")
-        self._w0_right = tuple(
-            (position[el.links[0]], position[el.links[1]],
-             linear_index[self._linear_part(system.right_reflect(m, 2))])
-            for el, m in zip(section, matrices))
+        right3 = [linear_index.get(self._linear_part(system.right_reflect(m, 2))) for m in matrices]
+        if None in right3:
+            raise ZetaError("the torus quotient needs generator 3 as the affine node: "
+                            "s3's linear part is not in the W0 of s1, s2")
+        self._w0_right = tuple((position[el.links[0]], position[el.links[1]], r3)
+                               for el, r3 in zip(section, right3))
+        theta = section[right3[0]].word  # s3 s_theta is a translation
+        self._translation_words = tuple(v.word[::-1] + (2,) + theta + v.word for v in section)
         # row 2 of s3 v is v's row 2 minus sum_c cartan[2][c] * (v's row c)
         self._basis = _triangular_basis(
             tuple(m[2][b] - sum(c * m[a][b] for a, c in enumerate(system.cartan[2])) for b in (0, 1))
@@ -557,6 +538,21 @@ class TorusQuotient:
 
     dim = property(chamber_count)
 
+    def walk(self, chamber, word):
+        """The chamber reached from `chamber` across the panels of word."""
+        gens = self.generator_permutations
+        for s in word:
+            chamber = gens[s][chamber]
+        return chamber
+
+    def order(self, word):
+        """The order o of word's element in G_k: the least o >= 1 with
+        walk(0, word^o) = 0, the length of every cycle of its permutation."""
+        chamber, o = self.walk(0, word), 1
+        while chamber:
+            chamber, o = self.walk(chamber, word), o + 1
+        return o
+
     def perm(self, table, element):
         """Chamber permutation of e_w, built along the stored reduced word."""
         gens = self.generator_permutations
@@ -577,38 +573,19 @@ class TorusQuotient:
         return self.block_det([(self.perm(table, el), el.length, el.key) for el in elements])
 
     def cyclic_det_factor(self, table, element):
-        """det(I - P u^l) as the exponent map of P's cycle type."""
-        return _cycle_type_map(self.perm(table, element), element.length)
+        """det(I - P u^l) = (1 - u^(l o))^(n / o), o the element's order."""
+        return _regular_cycle_map(len(self.chambers), self.order(element.word), element.length)
 
     def cyclic_det_hook(self, table, element):
         return self.cyclic_det_factor(table, element).as_polynomial()
 
     def det_series_hook(self, table, order):
         """Trace-log determinant of the truncated twisted group sum by the
-        one-vector route: once the ball of radius `order` is asserted to
-        act regularly (`assert_regular`), tr(N^j) = n (N^j)_{c0 c0}, and
-        one chamber vector is pushed through the ball's permutations."""
-        self.assert_regular(order)
+        one-vector route: the action is regular (proved at build), so
+        tr(N^j) = n (N^j)_{c0 c0}, and one chamber vector is pushed through
+        the permutations of the ball of radius `order`."""
         perm_lengths = [(self.perm(table, el), el.length) for el in table.ball(order)[1:]]
         return _one_vector_det_series(perm_lengths, len(self.chambers), order)
-
-    def assert_regular(self, radius):
-        """Raise ZetaError unless every element of length at most `radius`
-        permutes the chambers without a fixed point or as the identity.
-        Then tr P(w) is 0 or n for every product that a trace-log
-        truncated at u^radius needs, since such products lie in the ball.
-        Each layer of the ball is checked once per quotient; a ball past
-        the table's bound raises OutOfTableError."""
-        if radius > self.table.bound:
-            raise cox.OutOfTableError("radius %d is past the table bound %d" % (radius, self.table.bound))
-        n = len(self.chambers)
-        for d in range(self._regular_radius + 1, radius + 1):
-            for el in self.table.layers[d]:
-                fixed = _fixed_points(self.perm(self.table, el))
-                if 0 < fixed < n:
-                    raise ZetaError("the action is not regular: w = %s fixes %d of %d chambers"
-                                    % ("".join(str(s) for s in el.word), fixed, n))
-            self._regular_radius = d
 
     # -- exact block determinants ---------------------------------------------
 
@@ -618,25 +595,23 @@ class TorusQuotient:
         ExponentMap.
 
         The letters of the elements' words give J, and S lies in the
-        finite parabolic W_J.  W_J meets the normal subgroup t(kL) only in
-        the identity, so it acts freely: every W_J-orbit of chambers is a
-        copy of W_J acting on itself by right multiplication, and the
-        operator is n / |W_J| copies of the one |W_J| x |W_J| block
-        sum_(w in S) u^l(w) R(w), R the right-regular representation.  The
-        block is built from the table by walking each w's word from each
-        v in W_J; its determinant is taken once and peeled into an
-        exponent map to the power n / |W_J|: for S = W_J the block is the
-        Varchenko matrix of W_J's arrangement, a product of (1-u^(2m))
-        factors (Adv. Math. 97, 1993), and W_J = S W_I makes a coset block
-        a quotient of two.  A block that does not peel, an infinite or
-        unclosed W_J, a w != e in W_J that fixes a chamber, or a
-        permutation that is not its key's raises ZetaError; freeness is
-        checked once per J and quotient.
+        finite parabolic W_J, which meets the torsion-free t(kL) only in e,
+        so W_J acts freely (regularity is proved at build): every W_J-orbit
+        of chambers is a copy of W_J acting on itself by right
+        multiplication, and the operator is n / |W_J| copies of the one
+        |W_J| x |W_J| block sum_(w in S) u^l(w) R(w), R the right-regular
+        representation.  The block is built from the table by walking each
+        w's word from each v in W_J; its determinant is taken once and
+        peeled into an exponent map to the power n / |W_J|: for S = W_J the
+        block is the Varchenko matrix of W_J's arrangement, a product of
+        (1-u^(2m)) factors (Adv. Math. 97, 1993), and W_J = S W_I makes a
+        coset block a quotient of two.  A block that does not peel, an
+        infinite or unclosed W_J, or a permutation that is not its key's
+        raises ZetaError.
 
         Cross-checked up to u^dual_check_order, when the set holds the
         identity, against the one-vector trace-log of the elements named by
-        the keys, after `assert_regular(dual_check_order)`: the map's own
-        truncated expansion must equal it."""
+        the keys: the map's own truncated expansion must equal it."""
         table, n = self.table, len(self.chambers)
         elements = [table.element(key) for _perm, _length, key in perm_len_keys]
         letters = tuple(sorted({s for el in elements for s in el.word}))
@@ -645,13 +620,6 @@ class TorusQuotient:
         except cox.OutOfTableError:
             raise ZetaError("the letters %s generate no finite parabolic within bound %d"
                             % ("".join(str(s + 1) for s in letters), table.bound)) from None
-        if letters not in self._free_parabolics:
-            for v in group[1:]:
-                fixed = _fixed_points(self.perm(table, v))
-                if fixed:
-                    raise ZetaError("the action is not regular: w = %s in W_J fixes %d of %d chambers"
-                                    % ("".join(str(s) for s in v.word), fixed, n))
-            self._free_parabolics.add(letters)
         for (perm, _length, _key), el in zip(perm_len_keys, elements):
             own = self.perm(table, el)
             if perm is not own and perm != own:
@@ -671,7 +639,6 @@ class TorusQuotient:
                             % "".join(str(s + 1) for s in letters)) from None
         # independent truncated route, from the keys alone
         if [el.length for el in elements].count(0) == 1:
-            self.assert_regular(dual_check_order)
             perm_lengths = [(self.perm(table, el), el.length)
                             for el in elements if 0 < el.length <= dual_check_order]
             truncated = _one_vector_det_series(perm_lengths, n, dual_check_order)
@@ -785,8 +752,9 @@ def verify_strip_zeta_identity(tq, trace_order=6):
     """The geometric determinant identity on the torus: the alternating
     product of twisted parabolic determinants equals the product of the
     two strip zeta functions evaluated at u^(strip length).  Both sides
-    are exponent maps: a strip zeta is the inverse of its permutation's
-    cycle-type map, and u -> u^l multiplies each d by l.
+    are exponent maps: a strip zeta is 1 / (1 - u^o)^(n / o), o the strip
+    word's order, tr P^m is n when o | m and 0 otherwise, and u -> u^l
+    multiplies each d by l.
 
     Also checks that operator traces match the independent geometric
     strip counts up to trace_order.  A failure records a witness: for the
@@ -800,10 +768,11 @@ def verify_strip_zeta_identity(tq, trace_order=6):
     product = ExponentMap()
     trace_witness = None
     for spec in specs:
-        perm = tq.perm(tq.table, tq.table.element_of_word(spec.word))
-        zr = _perm_zeta(perm, trace_order * spec.length)
+        o, order = tq.order(spec.word), trace_order * spec.length
+        cycles = _regular_cycle_map(tq.dim, o, 1)
+        zr = _zeta_report(cycles.as_polynomial(), [0 if m % o else tq.dim for m in range(1, order + 1)], order)
         zetas.append(zr)
-        product = product / _cycle_type_map(perm, 1).substitute_power(spec.length)
+        product = product / cycles.substitute_power(spec.length)
         counts = zip(closed_strip_counts(tq, spec, trace_order),
                      operator_strip_counts(tq, spec, trace_order),
                      zr.closed_counts[:trace_order], strict=True)

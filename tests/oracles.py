@@ -3,6 +3,7 @@ weylzeta: each computes the same quantity another way, and a test
 compares the two.  The small graphs the Ihara tests share live here
 too."""
 
+from collections import Counter
 from fractions import Fraction
 
 from weylzeta import coxeter as cox
@@ -24,7 +25,7 @@ from weylzeta.series import (
     scalar_one_like,
     scalar_zero_like,
 )
-from weylzeta.zeta import Graph, ZetaError
+from weylzeta.zeta import Graph, ZetaError, _zeta_report
 
 
 def det_series_tracelog(ps, order=None):
@@ -234,6 +235,46 @@ def multiply(table, w, v):
     product falls outside the table bound."""
     el = table.element(product_key(table, w.key, v.key))
     return el, el.length == w.length + v.length
+
+
+# the cycle-type oracle: on the torus every cycle of P(w) has length
+# zeta.TorusQuotient.order(w), so these give what the walked orders do
+
+
+def _perm_zeta(perm, order):
+    """Z(u) = det(I - P u)^{-1} of a permutation operator from its cycle
+    type: the inverse is prod (1 - u^len) and tr P^m = sum of the cycle
+    lengths dividing m."""
+    cycles = _perm_cycles(perm)
+    counts = [sum(ln for ln in cycles if m % ln == 0) for m in range(1, order + 1)]
+    return _zeta_report(_perm_char_poly(perm, 1), counts, order)
+
+
+def _perm_cycles(perm):
+    seen = [False] * len(perm)
+    out = []
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        ln = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            ln += 1
+        out.append(ln)
+    return out
+
+
+def _cycle_type_map(perm, shift_power):
+    """det(I - P u^s) for a permutation: the exponent map of the product
+    of (1 - u^d)^m over its cycle type, d = s * len -> m cycles of that
+    length."""
+    return ExponentMap(Counter(shift_power * ln for ln in _perm_cycles(perm)))
+
+
+def _perm_char_poly(perm, shift_power):
+    return _cycle_type_map(perm, shift_power).as_polynomial()
 
 
 def orbit_block_det(n, perm_len_keys):

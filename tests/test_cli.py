@@ -262,6 +262,8 @@ GOLDEN_LINES = {
     "det_identity_G2t_torus6.txt": "det-identity --type G2t --q torus --scale 6",
     "det_identity_G2t_torus6.json": "det-identity --type G2t --q torus --scale 6 --format json",
     "torus_G2t_scale6.txt": "torus --type G2t --scale 6",
+    # an odd scale, and the only A2t torus line
+    "torus_A2t_scale5.txt": "torus --type A2t --scale 5",
 }
 
 
@@ -341,13 +343,13 @@ def test_torus_witness_for_a_wrong_cycle_map(capsys, monkeypatch):
     from weylzeta import zeta
     from weylzeta.series import ExponentMap
 
-    orig = zeta._cycle_type_map
+    orig = zeta._regular_cycle_map
 
-    def wrong(perm, shift_power):
-        out = orig(perm, shift_power)
+    def wrong(n, o, shift_power):
+        out = orig(n, o, shift_power)
         return out * ExponentMap({40: 1}) if shift_power == 1 else out
 
-    monkeypatch.setattr(zeta, "_cycle_type_map", wrong)
+    monkeypatch.setattr(zeta, "_regular_cycle_map", wrong)
     obj = _torus_failure(["torus", "--type", "A2t", "--scale", "2"], capsys)
     assert (obj["det_identity"], obj["zeta_product_match"], obj["trace_oracle_match"]) == (
         True, False, True)

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import types
 import weakref
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _cycle_type_map, _perm_char_poly, _perm_cycles, _perm_zeta,
     column_sums, complete_bipartite, complete_graph, cycle_graph, cyclic_entry_rational, mat_mul,
     orbit_block_det,
     petersen_graph, product_key, torus_generator_permutations_by_matrices, twisted_series,
@@ -25,11 +27,10 @@ from weylzeta.zeta import (
     TorusQuotient,
     TorusRepresentation,
     ZetaError,
+    _fixed_points,
     _one_vector_det_series,
-    _perm_char_poly,
     _perm_compose,
     _perm_matrix,
-    _perm_zeta,
     closed_strip_counts,
     geodesic_oracle,
     hashimoto_matrix,
@@ -352,12 +353,19 @@ def _delta_off_the_section(tq):
     tq.system = types.SimpleNamespace(delta=(1, 1, 3), cartan=tq.system.cartan)
 
 
+def _translation_words_one_letter_longer(tq):
+    # odd length, so no power of the word is a translation: the
+    # regularity proof must find chamber 0 moved
+    tq._translation_words = tuple(word + (0,) for word in tq._translation_words)
+
+
 @pytest.mark.parametrize("spoil,match", [
     (_coarser_basis, "translation outside the detected lattice"),
     (_s1_fixes_the_weyl_index, "panel gluing fixes a chamber"),
     (_every_generator_moves_the_weyl_index_as_s1, r"chamber count \d+ disagrees with \|W0\| k\^2"),
     (_delta_off_the_section, "off the plane row . delta = delta"),
-], ids=["coarser-basis", "fixing-w0", "one-w0-generator", "delta"])
+    (_translation_words_one_letter_longer, "to the power k moves chamber 0"),
+], ids=["coarser-basis", "fixing-w0", "one-w0-generator", "delta", "not-a-translation"])
 @pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
 def test_torus_build_refuses_a_spoiled_weyl_section(tables, monkeypatch, tag, spoil, match):
     setup = TorusQuotient._setup_weyl_section
@@ -391,6 +399,24 @@ def test_torus_build_reflects_only_the_weyl_section(tables, monkeypatch):
             tq = torus_quotient_rep(coxeter.build_system(tag), k, tables[tag])
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 3 * tq.weyl_order, (tag, counts)
+
+
+def _reordered(cartan, order):
+    return tuple(tuple(cartan[a][b] for b in order) for a in order)
+
+
+@pytest.mark.parametrize("cartan", [
+    ((2, -1, -1), (-1, 2, 0), (-3, 0, 2)),  # G2t with its last two nodes swapped
+    _reordered(coxeter.build_system("C2t").cartan, (1, 2, 0)),
+    _reordered(coxeter.build_system("C2t").cartan, (2, 1, 0)),
+], ids=["G2t-swapped", "C2t-middle-last", "C2t-middle-last-ends-swapped"])
+def test_torus_needs_generator_3_as_the_affine_node(cartan):
+    # s3's linear part lies outside <s1, s2>: refused by name, where the
+    # lookup of that linear part raised a bare KeyError
+    system = coxeter.CoxeterSystem("X", cartan)
+    assert system.is_affine and system.rank == 2
+    with pytest.raises(ZetaError, match="needs generator 3 as the affine node"):
+        TorusQuotient(system, 2)
 
 
 def test_rank_one_rejected():
@@ -525,8 +551,6 @@ class FreeAction(TorusQuotient):
         self.chambers = range(copies * size)
         self.generator_permutations = tuple(perms)
         self._perm_cache = {table.identity.key: tuple(self.chambers)}
-        self._regular_radius = 0
-        self._free_parabolics = set()
 
 
 @st.composite
@@ -558,28 +582,6 @@ def test_block_det_matches_the_orbit_oracle_on_random_free_actions(tables, actio
     oracle = orbit_block_det(copies * size, triples)
     assert det == oracle
     assert det.exponents == oracle.exponents
-
-
-@pytest.mark.parametrize("length", [2, 6])
-def test_block_det_rejects_an_action_that_is_not_free(tables, length):
-    # an element of W_J = <s1, s2> of G2t made to fix a chamber: at length
-    # 2 as the identity permutation (all chambers fixed, which the ball's
-    # regularity allows), and the longest element, of length 6, with one
-    # chamber fixed (outside the trace-log ball of radius 4)
-    t = tables["G2t"]
-    tq = torus_quotient_rep(coxeter.build_system("G2t"), 2, t)
-    n = tq.chamber_count()
-    els = t.parabolic_elements((0, 1))
-    w = next(el for el in els if el.length == length)
-    perm = list(tq.perm(t, w))
-    if length == 2:
-        perm = list(range(n))
-    else:
-        c = perm.index(0)
-        perm[0], perm[c] = 0, perm[0]
-    tq._perm_cache[w.key] = tuple(perm)
-    with pytest.raises(ZetaError, match="w = %s in W_J fixes" % "".join(map(str, w.word))):
-        tq.block_det([(tq.perm(t, el), el.length, el.key) for el in els])
 
 
 def test_block_det_rejects_an_infinite_parabolic(torus_k2):
@@ -954,19 +956,23 @@ def test_one_vector_det_series_matches_dense_oracle(tables, tag, k):
     assert tq.det_series_hook(t, 6) == det_series(twisted_group_sum(tq, t, 6))
 
 
-def test_regularity_assertion_rejects_a_fixed_chamber(tables):
-    # one ball permutation that fixes some chambers but not all: both
-    # one-vector routes must refuse it rather than return n * (N^j)_00
-    t = tables["A2t"]
-    tq = torus_quotient_rep(coxeter.build_system("A2t"), 2, t)
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_walked_orders_match_the_cycle_type_oracle(tables, tag, k):
+    # regularity is proved at build, so the permutation of every element
+    # of the ball of radius 8, and of each strip word, has n / o cycles of
+    # length o = order(word), and fixes all n chambers or none
+    t = tables[tag]
+    tq = torus_quotient_rep(coxeter.build_system(tag), k, t)
     n = tq.chamber_count()
-    el = t.layers[2][0]
-    tq._perm_cache[el.key] = (1, 0) + tuple(range(2, n))
-    with pytest.raises(ZetaError, match="not regular"):
-        tq.det_series_hook(t, 4)
-    els = t.parabolic_elements((0, 1))
-    with pytest.raises(ZetaError, match="not regular"):
-        tq.block_det([(tq.perm(t, w), w.length, w.key) for w in els])
+    elements = t.ball(8) + [t.element_of_word(spec.word) for spec in strips.strip_generators(tag)]
+    for el in elements:
+        o = tq.order(el.word)
+        perm = tq.perm(t, el)
+        assert Counter(_perm_cycles(perm)) == {o: n // o}, (el.word, o)
+        assert _fixed_points(perm) == (n if o == 1 else 0), el.word
+        if el.length:
+            assert tq.cyclic_det_factor(t, el) == _cycle_type_map(perm, el.length), el.word
 
 
 def test_cyclic_entry_rationals_match_truncation(torus_k2):
@@ -1086,13 +1092,16 @@ def test_torus_det_series_hook_past_the_argument_table_bound_raises(tables):
     assert tq.det_series_hook(t3, 3) == tq.det_series_hook(tables["A2t"], 3)
 
 
-def test_torus_ball_past_the_table_bound_raises():
-    # the regularity check and the trace-log read the table's layers up to
-    # the order: past a bound-3 table they raised a bare IndexError
+def test_torus_ball_past_the_table_bound_raises(tables):
+    # the trace-log reads the table's layers up to the order: past a
+    # bound-3 table it raised a bare IndexError.  The regular block reads
+    # only W_J, which the bound-3 table holds, so it needs no ball
     system = coxeter.build_system("A2t")
     t = coxeter.enumerate_elements(system, 3)
     tq = torus_quotient_rep(system, 2, t)
-    with pytest.raises(coxeter.OutOfTableError, match="radius 5 is past the table bound 3"):
+    with pytest.raises(coxeter.OutOfTableError, match="order 5 is past the table bound 3"):
         tq.det_series_hook(t, 5)
-    with pytest.raises(coxeter.OutOfTableError, match="radius 4 is past the table bound 3"):
-        tq.block_det([(tq.perm(t, el), el.length, el.key) for el in t.parabolic_elements((0, 1))])
+    full = torus_quotient_rep(system, 2, tables["A2t"])
+    dets = [q.block_det([(q.perm(q.table, el), el.length, el.key)
+                         for el in q.table.parabolic_elements((0, 1))]) for q in (tq, full)]
+    assert dets[0] == dets[1] and dets[0].exponents == dets[1].exponents
