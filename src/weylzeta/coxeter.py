@@ -11,11 +11,8 @@ length is the true word length; it records the Cayley graph (each element
 keeps the keys of its right neighbours w * s_i) and each element's parent.
 """
 
-from __future__ import annotations
-
 import os
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -141,21 +138,14 @@ def _null_root(cartan):
 # the Coxeter system
 
 
-@dataclass(frozen=True)
 class CoxeterSystem:
     """A Coxeter system is its generalized Cartan matrix.  The Coxeter
     matrix, affineness (det C = 0), the rank of the underlying finite
-    root datum and the null root delta are derived from it."""
+    root datum and the null root delta are derived from it; equality and
+    hashing read the tag and the Cartan matrix only."""
 
-    type_tag: str
-    cartan: tuple
-    coxeter_matrix: tuple = field(init=False, compare=False)
-    is_affine: bool = field(init=False, compare=False)
-    rank: int = field(init=False, compare=False)
-    delta: tuple = field(init=False, compare=False)  # None unless affine
-
-    def __post_init__(self):
-        cartan = tuple(tuple(int(v) for v in row) for row in self.cartan)
+    def __init__(self, type_tag, cartan):
+        cartan = tuple(tuple(int(v) for v in row) for row in cartan)
         n = len(cartan)
         if not all(len(row) == n for row in cartan) or not all(
             a == 2 if i == j else a <= 0 and (a == 0) == (cartan[j][i] == 0)
@@ -163,15 +153,19 @@ class CoxeterSystem:
         ):
             raise UnsupportedTypeError("%r is not a generalized Cartan matrix" % (cartan,))
         delta = _null_root(cartan)
-        derived = {
-            "cartan": cartan,
-            "coxeter_matrix": _coxeter_matrix(cartan),
-            "is_affine": delta is not None,
-            "rank": n - (delta is not None),
-            "delta": delta,
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        self.type_tag = type_tag
+        self.cartan = cartan
+        self.coxeter_matrix = _coxeter_matrix(cartan)
+        self.is_affine = delta is not None
+        self.rank = n - (delta is not None)
+        self.delta = delta  # None unless affine
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            (self.type_tag, self.cartan) == (other.type_tag, other.cartan))
+
+    def __hash__(self):
+        return hash((self.type_tag, self.cartan))
 
     @property
     def num_generators(self):
@@ -191,9 +185,13 @@ class CoxeterSystem:
         return tuple(v)
 
     def word_key(self, word):
-        """Key of the product of the generators along a word."""
-        key = (1,) * self.num_generators
+        """Key of the product of the generators along a word; a letter
+        outside 0..n-1 raises CoxeterError."""
+        n = self.num_generators
+        key = (1,) * n
         for i in word:
+            if not 0 <= i < n:
+                raise CoxeterError("letter %r is not one of the %d generators 0..%d" % (i, n, n - 1))
             key = self.right_multiply_key(key, i)
         return key
 
@@ -246,17 +244,19 @@ def build_system(type_tag):
 # elements and tables
 
 
-@dataclass(slots=True, eq=False)
 class GroupElement:
-    key: tuple  # (w^-1 f)(alpha_j): the column sums of w's matrix
-    length: int
-    # links[i] is the key of w * s_i, or None for an ascent out of the
-    # table's bound layer.  Keys, not elements: element-to-element links
-    # would form reference cycles, so a dropped table would wait for the
-    # garbage collector.  The parent is shorter, so parents form no cycle.
-    links: list = field(repr=False)
-    letter: int = None  # w = parent * s_letter, parent its breadth-first parent
-    parent: GroupElement = field(default=None, repr=False)
+    __slots__ = ("key", "length", "links", "letter", "parent")
+
+    def __init__(self, key, length, links, letter=None, parent=None):
+        self.key = key  # (w^-1 f)(alpha_j): the column sums of w's matrix
+        self.length = length
+        # links[i] is the key of w * s_i, or None for an ascent out of the
+        # table's bound layer.  Keys, not elements: element-to-element links
+        # would form reference cycles, so a dropped table would wait for the
+        # garbage collector.  The parent is shorter, so parents form no cycle.
+        self.links = links
+        self.letter = letter  # w = parent * s_letter, parent its breadth-first parent
+        self.parent = parent
 
     @property
     def word(self):

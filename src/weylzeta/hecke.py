@@ -3,11 +3,8 @@ q-polynomials, one-dimensional characters, validated matrix
 representations, and twisted Poincare series of element subsets.
 """
 
-from __future__ import annotations
-
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import OutOfTableError
@@ -173,13 +170,19 @@ def _pack(terms, b, lcm):
 # one-dimensional characters
 
 
-@dataclass(frozen=True)
 class Character:
     """Map sending each generator to q or -1, constant on the classes of
     generators joined by odd bond orders (so the braid relations hold)."""
 
-    system: object
-    signs: tuple  # True where the generator maps to q, False where to -1
+    def __init__(self, system, signs):
+        self.system = system
+        self.signs = signs  # True where the generator maps to q, False where to -1
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     def value(self, i, q):
         return scalar_one_like(q) * q if self.signs[i] else -scalar_one_like(q)

@@ -9,10 +9,7 @@ as its exponent map d -> m_d (exponent tables read it directly) and turned
 into lowest terms by series.binomial_product: no Poly arithmetic here.
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from dataclasses import dataclass
 
 from .coxeter import _finite_cartan
 from .series import binomial_product
@@ -33,14 +30,20 @@ _CLASSICAL_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    family: str
-    rank: int
-    cartan: tuple
-    positive_roots: tuple  # coordinate tuples, sorted by (height, coords)
-    highest_root: tuple
-    coxeter_number: int
+    def __init__(self, family, rank, cartan, positive_roots, highest_root, coxeter_number):
+        self.family = family
+        self.rank = rank
+        self.cartan = cartan
+        self.positive_roots = positive_roots  # coordinate tuples, sorted by (height, coords)
+        self.highest_root = highest_root
+        self.coxeter_number = coxeter_number
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     @property
     def type_tag(self):

@@ -4,15 +4,12 @@ factorizations of the affine group, and the determinant identity relating
 the two strip factors to the alternating product of parabolic series.
 """
 
-from __future__ import annotations
-
 import operator
-from dataclasses import dataclass, field
 from functools import reduce
 
 from . import coxeter as cox
 from .hecke import CyclicTwistedSeries, FiniteTwistedSeries, twisted_group_sum
-from .series import ExponentMap, RationalFunction, poincare_affine
+from .series import ExponentMap, poincare_affine
 
 
 class StripsError(Exception):
@@ -31,12 +28,18 @@ _STRIP_WORDS = {
 _G2T_RAW_WORD = (2, 0, 1, 2, 0)
 
 
-@dataclass(frozen=True)
 class StripSpec:
-    type_tag: str
-    index: int  # 1 or 2
-    word: tuple
-    length: int
+    def __init__(self, type_tag, index, word, length):
+        self.type_tag = type_tag
+        self.index = index  # 1 or 2
+        self.word = word
+        self.length = length
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
 def strip_generators(type_tag):
@@ -62,13 +65,11 @@ def unreplaced_strip_generator():
     return StripSpec("G2t", 1, _G2T_RAW_WORD, length)
 
 
-@dataclass
 class PowerLengthReport:
-    spec: StripSpec
-    k_max: int
-    ok: bool
-    first_failure: tuple = None  # (k, expected, actual)
-    lengths: list = field(default_factory=list)
+    def __init__(self, spec, k_max, ok, first_failure=None, lengths=None):
+        # first_failure is (k, expected, actual); each report has its own lengths list
+        self.spec, self.k_max, self.ok, self.first_failure = spec, k_max, ok, first_failure
+        self.lengths = [] if lengths is None else lengths
 
     def as_json(self):
         return {
@@ -104,7 +105,6 @@ def check_power_lengths(table, spec, k_max):
 # factorization schemes
 
 
-@dataclass(frozen=True)
 class FactorizationScheme:
     """Ordered factor descriptors whose set product is the whole group.
 
@@ -112,8 +112,15 @@ class FactorizationScheme:
     ("cyclic", strip_index).
     """
 
-    type_tag: str
-    factors: tuple
+    def __init__(self, type_tag, factors):
+        self.type_tag = type_tag
+        self.factors = factors
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
 def scheme_for(type_tag):
@@ -164,16 +171,12 @@ def realize_factors(table, scheme):
     return out
 
 
-@dataclass
 class CensusReport:
-    type_tag: str
-    order: int
-    counts: list
-    expected: list
-    length_additive_ok: bool
-    distinct_ok: bool
-    counts_ok: bool
-    witness: dict = None
+    def __init__(self, type_tag, order, counts, expected, length_additive_ok, distinct_ok,
+                 counts_ok, witness=None):
+        self.type_tag, self.order, self.counts, self.expected = type_tag, order, counts, expected
+        self.length_additive_ok, self.distinct_ok, self.counts_ok = length_additive_ok, distinct_ok, counts_ok
+        self.witness = witness
 
     @property
     def ok(self):
@@ -259,12 +262,9 @@ def factorization_census(table, scheme, order):
 # twisted factorization at the series level
 
 
-@dataclass
 class TwistedFactorizationReport:
-    type_tag: str
-    order: int
-    ok: bool
-    first_mismatch: int = None
+    def __init__(self, type_tag, order, ok, first_mismatch=None):
+        self.type_tag, self.order, self.ok, self.first_mismatch = type_tag, order, ok, first_mismatch
 
     def as_json(self):
         return {
@@ -302,15 +302,13 @@ def verify_twisted_factorization(table, scheme, rep, order):
 # the determinant identity
 
 
-@dataclass
 class DetIdentityReport:
-    type_tag: str
-    ok: bool
-    strip_dets: list
-    alt_det: RationalFunction | ExponentMap
-    dual_check_order: int
-    dual_check_ok: bool
-    witness: dict = None  # None on a pass
+    def __init__(self, type_tag, ok, strip_dets, alt_det, dual_check_order, dual_check_ok,
+                 witness=None):
+        self.type_tag, self.ok, self.strip_dets = type_tag, ok, strip_dets
+        self.alt_det = alt_det  # a RationalFunction or an ExponentMap
+        self.dual_check_order, self.dual_check_ok = dual_check_order, dual_check_ok
+        self.witness = witness  # None on a pass
 
     def as_json(self):
         out = {

@@ -20,10 +20,7 @@ sums of tr log into the determinant.  The torus routes run in Python
 ints; all emitted values are ints, Fractions, or exact polynomials.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 from . import coxeter as cox
@@ -33,7 +30,6 @@ from .series import (
     ExponentMap,
     Matrix,
     Poly,
-    PowerSeries,
     RationalFunction,
     SeriesError,
     _divide_scalar,
@@ -51,19 +47,23 @@ class ZetaError(Exception):
 # finite graphs
 
 
-@dataclass(frozen=True)
 class Graph:
     """Finite undirected multigraph without self-loops."""
 
-    num_vertices: int
-    edges: tuple  # sorted (u, v) pairs, repeated for multiplicity
-
-    def __post_init__(self):
-        for u, v in self.edges:
+    def __init__(self, num_vertices, edges):
+        for u, v in edges:
             if u == v:
                 raise ZetaError("self-loops are not supported")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ZetaError("edge endpoint out of range")
+        self.num_vertices = num_vertices
+        self.edges = edges  # sorted (u, v) pairs, repeated for multiplicity
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     @staticmethod
     def from_edges(num_vertices, pairs):
@@ -145,13 +145,12 @@ def hashimoto_matrix(graph):
     return tuple(tuple(r) for r in rows)
 
 
-@dataclass
 class ZetaReport:
-    zeta: RationalFunction  # the zeta function itself
-    inverse_poly: Poly  # its exact inverse polynomial
-    series: PowerSeries
-    closed_counts: list  # N_n = tr(B^n), n = 1..order
-    primitive_counts: list  # primitive classes by length, n = 1..order
+    def __init__(self, zeta, inverse_poly, series, closed_counts, primitive_counts):
+        # zeta and its exact inverse polynomial and expansion; N_n = tr(B^n) and
+        # the primitive classes by length, n = 1..order
+        self.zeta, self.inverse_poly, self.series = zeta, inverse_poly, series
+        self.closed_counts, self.primitive_counts = closed_counts, primitive_counts
 
     def as_json(self):
         return {
@@ -236,12 +235,10 @@ def primitive_counts_from_traces(counts):
     return prim
 
 
-@dataclass
 class IharaCheckReport:
-    regular_degree: int
-    ok: bool
-    lhs: Poly
-    rhs: RationalFunction
+    def __init__(self, regular_degree, ok, lhs, rhs):
+        self.regular_degree, self.ok = regular_degree, ok
+        self.lhs, self.rhs = lhs, rhs  # det(I - B u) and its vertex side
 
     def as_json(self):
         return {
@@ -721,17 +718,14 @@ def operator_strip_counts(tq, spec, n_max):
     return counts
 
 
-@dataclass
 class StripZetaIdentityReport:
-    type_tag: str
-    k: int
-    ok: bool
-    det_identity_ok: bool
-    zeta_match_ok: bool
-    trace_match_ok: bool
-    alt_det: ExponentMap
-    strip_zetas: list
-    witness: dict = None  # None on a pass
+    def __init__(self, type_tag, k, ok, det_identity_ok, zeta_match_ok, trace_match_ok, alt_det,
+                 strip_zetas, witness=None):
+        self.type_tag, self.k, self.ok = type_tag, k, ok
+        self.det_identity_ok, self.zeta_match_ok, self.trace_match_ok = (
+            det_identity_ok, zeta_match_ok, trace_match_ok)
+        self.alt_det, self.strip_zetas = alt_det, strip_zetas
+        self.witness = witness  # None on a pass
 
     def as_json(self):
         out = {

@@ -497,14 +497,24 @@ def test_help_renders(capsys):
     assert "weylzeta" in capsys.readouterr().out
 
 
-def test_import_does_not_load_numpy():
-    # start-up guard: the package and its CLI run on Python ints alone
+def _loaded_after_a_fresh_cli_import(*modules):
+    """Which of modules a fresh interpreter holds after importing weylzeta.cli."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, weylzeta, weylzeta.cli; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    code = "import sys, weylzeta, weylzeta.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code, *modules], env=env, capture_output=True, text=True,
+                         check=True)
+    return out.stdout.split()
+
+
+def test_import_does_not_load_numpy():
+    # start-up guard: the package and its CLI run on Python ints alone
+    assert _loaded_after_a_fresh_cli_import("numpy") == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # start-up guard: plain classes, so no import pays for dataclasses (and the inspect it loads)
+    assert _loaded_after_a_fresh_cli_import("dataclasses", "inspect") == []
 
 
 # the kinds a bad input file may report: weylzeta's own error classes, and

@@ -152,6 +152,24 @@ def test_multiply_examples(tables):
     assert el.length == 6 and additive
 
 
+@pytest.mark.parametrize("letter", [-1, 3])
+def test_element_of_word_refuses_a_letter_outside_the_generators(tables, letter):
+    # a negative letter used to count from the end (s3 for -1); 3 was an IndexError
+    with pytest.raises(CoxeterError, match=r"letter %d is not one of the 3 generators 0\.\.2" % letter):
+        tables["A2t"].element_of_word((0, letter))
+
+
+def test_system_equality_reads_the_tag_and_cartan_matrix():
+    rows = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    lists, tuples = CoxeterSystem("x", rows), CoxeterSystem("x", tuple(map(tuple, rows)))
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert {lists: 1}[tuples] == 1
+    assert lists != CoxeterSystem("y", rows) and lists != CoxeterSystem("x", build_system("C2t").cartan)
+    # the derived fields play no part
+    tuples.rank, tuples.delta, tuples.coxeter_matrix = 99, None, ()
+    assert lists == tuples and hash(lists) == hash(tuples)
+
+
 def test_multiply_out_of_bound():
     t = enumerate_elements(build_system("A2t"), 3)
     w = t.element_of_word((2, 1, 0))

@@ -95,6 +95,13 @@ def test_characters_respect_odd_bonds():
                         assert ch.signs[i] == ch.signs[j]
 
 
+def test_characters_are_values():
+    a, b = characters(coxeter.build_system("C2t")), characters(coxeter.build_system("C2t"))
+    assert a == b and [hash(x) for x in a] == [hash(x) for x in b]
+    assert len(set(a + b)) == len(a) == 8
+    assert a[0] != characters(coxeter.build_system("G2t"))[0]
+
+
 def test_trivial_q_character_first():
     chs = characters(coxeter.build_system("G2t"))
     assert all(chs[0].signs)

@@ -13,6 +13,35 @@ def test_strip_generator_words_and_lengths():
     assert [(s.word, s.length) for s in g2] == [((2, 0, 1), 3), ((2, 0, 1, 0, 1), 5)]
 
 
+def test_strip_generators_are_values():
+    a, b = strips.strip_generators("G2t"), strips.strip_generators("G2t")
+    assert a == b and hash(a) == hash(b) and a[0] != a[1]
+    assert {a: "G2t"}[b] == "G2t"
+    assert strips.scheme_for("C2t") == strips.scheme_for("C2t") != strips.scheme_for("A2t")
+    assert hash(strips.scheme_for("C2t")) == hash(strips.scheme_for("C2t"))
+
+
+def test_power_length_reports_do_not_share_lengths():
+    spec = strips.strip_generators("A2t")[0]
+    first, second = strips.PowerLengthReport(spec, 3, True), strips.PowerLengthReport(spec, 3, True)
+    first.lengths.append(0)
+    assert second.lengths == [] and strips.PowerLengthReport(spec, 2, True).lengths == []
+
+
+def test_reports_build_by_keyword_with_their_defaults():
+    spec = strips.strip_generators("A2t")[0]
+    power = strips.PowerLengthReport(spec=spec, k_max=2, ok=True)
+    assert (power.first_failure, power.lengths) == (None, [])
+    census = strips.CensusReport(type_tag="A2t", order=2, counts=[1], expected=[1],
+                                 length_additive_ok=True, distinct_ok=True, counts_ok=False)
+    assert census.witness is None and not census.ok
+    twisted = strips.TwistedFactorizationReport(type_tag="A2t", order=2, ok=True)
+    assert twisted.first_mismatch is None and twisted.as_json()["pass"]
+    det = strips.DetIdentityReport(type_tag="A2t", ok=True, strip_dets=[], alt_det="1",
+                                   dual_check_order=4, dual_check_ok=True)
+    assert det.witness is None and "witness" not in det.as_json()
+
+
 def test_g2t_replacement_word_identity(tables):
     # conjugating the raw strip generator by s1 gives the short word:
     # both words have the same key, so they are one element

@@ -24,9 +24,12 @@ from weylzeta.series import (
 )
 from weylzeta.zeta import (
     Graph,
+    IharaCheckReport,
+    StripZetaIdentityReport,
     TorusQuotient,
     TorusRepresentation,
     ZetaError,
+    ZetaReport,
     _fixed_points,
     _one_vector_det_series,
     _perm_compose,
@@ -57,6 +60,34 @@ def test_graph_invariants():
 def test_self_loops_rejected():
     with pytest.raises(ZetaError):
         Graph.from_edges(2, [(0, 0)])
+
+
+@pytest.mark.parametrize("edges,message", [(((0, 1), (1, 1)), "self-loops"),
+                                           (((0, 1), (1, 2)), "endpoint out of range")],
+                         ids=["self-loop", "out-of-range"])
+def test_graph_constructor_refuses_a_bad_edge(edges, message):
+    with pytest.raises(ZetaError, match=message):
+        Graph(2, edges)
+
+
+def test_graphs_are_values():
+    g = Graph.from_edges(3, [(1, 0), (2, 1), (0, 1)])
+    assert g == Graph(3, ((0, 1), (0, 1), (1, 2))) and hash(g) == hash(Graph(3, g.edges))
+    assert {g: "multi"}[Graph.from_edge_list("0 1\n1 2\n0 1\n")] == "multi"
+    assert g != Graph(4, g.edges) and g != Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+def test_zeta_reports_build_by_keyword_with_their_defaults():
+    z = ihara_zeta(complete_graph(3), 4)
+    report = ZetaReport(zeta=z.zeta, inverse_poly=z.inverse_poly, series=z.series,
+                        closed_counts=z.closed_counts, primitive_counts=z.primitive_counts)
+    assert report.as_json() == z.as_json()
+    ihara = IharaCheckReport(regular_degree=3, ok=True, lhs=Poly((1,)), rhs=RationalFunction(Poly((1,))))
+    assert ihara.as_json() == {"q": 2, "pass": True, "det_edge_side": [1]}
+    strip = StripZetaIdentityReport(type_tag="A2t", k=2, ok=True, det_identity_ok=True,
+                                    zeta_match_ok=True, trace_match_ok=True,
+                                    alt_det=ExponentMap(), strip_zetas=[])
+    assert strip.witness is None and "witness" not in strip.as_json()
 
 
 def test_edge_list_parsing_roundtrip():
