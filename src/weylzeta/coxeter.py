@@ -184,14 +184,20 @@ class CoxeterSystem:
             v[b] -= x * c
         return tuple(v)
 
+    def checked_word(self, word):
+        """The word as a tuple; a letter outside 0..n-1 raises CoxeterError.
+        One min and one max per word, not a test per letter."""
+        word, n = tuple(word), self.num_generators
+        if word and not (0 <= min(word) and max(word) < n):
+            i = next(i for i in word if not 0 <= i < n)
+            raise CoxeterError("letter %r is not one of the %d generators 0..%d" % (i, n, n - 1))
+        return word
+
     def word_key(self, word):
         """Key of the product of the generators along a word; a letter
         outside 0..n-1 raises CoxeterError."""
-        n = self.num_generators
-        key = (1,) * n
-        for i in word:
-            if not 0 <= i < n:
-                raise CoxeterError("letter %r is not one of the %d generators 0..%d" % (i, n, n - 1))
+        key = (1,) * self.num_generators
+        for i in self.checked_word(word):
             key = self.right_multiply_key(key, i)
         return key
 
@@ -201,11 +207,11 @@ class CoxeterSystem:
         return tuple(self.right_multiply_key(row, i) for row in matrix)
 
     def word_matrix(self, word):
-        """Matrix of the product of the generators along a word; its
-        column sums are the word's key."""
+        """Matrix of the product of the generators along a word, checked as
+        by word_key; its column sums are the word's key."""
         n = self.num_generators
         matrix = tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
-        for i in word:
+        for i in self.checked_word(word):
             matrix = self.right_reflect(matrix, i)
         return matrix
 
@@ -321,8 +327,8 @@ class ElementTable:
         return link if link is not None else self.system.right_multiply_key(key, i)
 
     def walk_key(self, key, word):
-        """key times the generators along word, by right_multiply_key."""
-        for i in word:
+        """key times the generators along word, checked as by word_key."""
+        for i in self.system.checked_word(word):
             key = self.right_multiply_key(key, i)
         return key
 

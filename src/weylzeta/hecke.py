@@ -5,7 +5,6 @@ representations, and twisted Poincare series of element subsets.
 
 import json
 import math
-from fractions import Fraction
 
 from .coxeter import OutOfTableError
 from .series import (
@@ -20,6 +19,7 @@ from .series import (
     det_series,
     scalar_from_json,
     scalar_one_like,
+    signed_digits,
 )
 
 
@@ -133,17 +133,8 @@ def hecke_mul(table, x, y, q=None):
             out[k] = out[k] + t if k in out else t
     if not b:
         return HeckeElement(table, out)
-    top, mask, scale = 1 << (b - 1), (1 << b) - 1, lcm * lcm
-    product = HeckeElement(table, {})  # v != 0 means B >= 1, so b >= 2 and each digit loop ends
-    for k, v in out.items():
-        if v:
-            digits = []
-            while v:
-                d = ((v + top) & mask) - top
-                digits.append(d)
-                v = (v - d) >> b
-            product.terms[k] = QPolynomial(
-                digits if scale == 1 else [Fraction(d, scale) if d % scale else d // scale for d in digits])
+    product = HeckeElement(table, {})  # a nonzero v unpacks to a nonzero coefficient
+    product.terms = {k: QPolynomial(signed_digits(v, b, lcm * lcm)) for k, v in out.items() if v}
     return product
 
 

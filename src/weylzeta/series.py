@@ -864,7 +864,7 @@ def power_sum_exp(power_sums, order):
 
 def signed_digits(packed, b, scale=1):
     """Digits in [-2^(b-1), 2^(b-1)) of a Kronecker-packed int, lowest
-    first, each divided by scale (hecke.hecke_mul inlines the same rule)."""
+    first, each divided by scale."""
     digits = []
     top, mask = 1 << (b - 1), (1 << b) - 1
     for _ in range(packed.bit_length() // b + 1):

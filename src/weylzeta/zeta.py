@@ -127,11 +127,16 @@ class Graph:
         return tuple(out)
 
 
+def _refuse_isolated_vertex(graph):
+    # O(m), from the edges alone: n may be huge, so this precedes anything of size n
+    if len({v for edge in graph.edges for v in edge}) != graph.num_vertices:
+        raise ZetaError("graph has an isolated vertex")
+
+
 def hashimoto_matrix(graph):
     """Directed-edge transfer matrix: e -> f allowed when f continues e
     without traversing the same edge copy straight back."""
-    if any(d == 0 for d in graph.degrees()):
-        raise ZetaError("graph has an isolated vertex")
+    _refuse_isolated_vertex(graph)
     des = graph.directed_edges()
     m = len(des)
     rows = [[0] * m for _ in range(m)]
@@ -161,11 +166,6 @@ class ZetaReport:
         }
 
 
-def _operator_zeta(b_rows, order):
-    """Z(u) = det(I - B u)^{-1} plus trace data and primitive counts."""
-    return _zeta_report(char_matrix_det(Matrix(b_rows), 1), traces(b_rows, order), order)
-
-
 def _zeta_report(inv, counts, order):
     zeta = RationalFunction(Poly.one(), inv)
     series = zeta.expand(order)
@@ -177,9 +177,26 @@ def _zeta_report(inv, counts, order):
     return ZetaReport(zeta, inv, series, counts, prim)
 
 
+def _vertex_side(graph):
+    """det(I - B u) by Bass's three-term formula, which holds for every
+    finite multigraph: (1 - u^2)^(m - n) * det(I - A u + (D - I) u^2), D the
+    degree matrix.  An n x n determinant with entries of degree <= 2; for
+    n > m the power of (1 - u^2) divides it exactly."""
+    _refuse_isolated_vertex(graph)
+    n, a, deg = graph.num_vertices, graph.adjacency(), graph.degrees()
+    det = det_poly_matrix([
+        [Poly((1, 0, deg[i] - 1)) if i == j else Poly((0, -a[i][j])) if a[i][j] else 0 for j in range(n)]
+        for i in range(n)
+    ])
+    power = Poly((1, 0, -1)) ** abs(graph.euler_characteristic())
+    return det.exact_div(power) if n > graph.num_edges else det * power
+
+
 def ihara_zeta(graph, order=16):
-    """Ihara zeta of a finite graph, via the non-backtracking operator."""
-    return _operator_zeta(hashimoto_matrix(graph), order)
+    """Ihara zeta of a finite graph: the inverse polynomial from Bass's
+    vertex side, the counts N_n = tr(B^n) from the non-backtracking
+    operator B, so the power-sum exp check compares two routes."""
+    return _zeta_report(_vertex_side(graph), traces(hashimoto_matrix(graph), order), order)
 
 
 def traces(rows, order):
@@ -250,25 +267,13 @@ class IharaCheckReport:
 
 def ihara_formula_check(graph, q):
     """The rank-one determinant identity for a (q+1)-regular graph:
-    det(I - B u) == (1 - u^2)^(E - V) * det(I - A u + q u^2)."""
-    degs = graph.degrees()
-    if any(d != q + 1 for d in degs):
+    det(I - B u) == (1 - u^2)^(E - V) * det(I - A u + q u^2), Bass's vertex
+    side with D - I = q I."""
+    _refuse_isolated_vertex(graph)
+    if any(d != q + 1 for d in graph.degrees()):
         raise ZetaError("graph is not %d-regular" % (q + 1,))
-    b = hashimoto_matrix(graph)
-    lhs = _operator_zeta(b, 4).inverse_poly
-    n = graph.num_vertices
-    a = graph.adjacency()
-    vertex_det = det_poly_matrix(
-        [
-            [Poly([1 if i == j else 0, -a[i][j], q if i == j else 0]) for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    chi = graph.euler_characteristic()
-    one_minus_u2 = Poly((1, 0, -1))
-    rhs = RationalFunction(vertex_det) * (RationalFunction(one_minus_u2) ** (-chi))
-    ok = RationalFunction(lhs) == rhs
-    return IharaCheckReport(q + 1, ok, lhs, rhs)
+    lhs, rhs = char_matrix_det(Matrix(hashimoto_matrix(graph)), 1), _vertex_side(graph)
+    return IharaCheckReport(q + 1, lhs == rhs, lhs, rhs)
 
 
 def geodesic_oracle(graph, n_max):
@@ -296,11 +301,8 @@ def geodesic_oracle(graph, n_max):
 def strip_zeta(a_matrix, order=16):
     """Zeta function of one strip type from its operator: exact
     det(I - A u)^{-1}, trace counts, and primitive class counts."""
-    if isinstance(a_matrix, Matrix):
-        rows = [list(r) for r in a_matrix.rows]
-    else:
-        rows = [list(r) for r in a_matrix]
-    return _operator_zeta(tuple(tuple(r) for r in rows), order)
+    rows = tuple(tuple(r) for r in (a_matrix.rows if isinstance(a_matrix, Matrix) else a_matrix))
+    return _zeta_report(char_matrix_det(Matrix(rows), 1), traces(rows, order), order)
 
 
 # ---------------------------------------------------------------------------

@@ -237,10 +237,12 @@ def test_torus_subcommand(tmp_path, capsys):
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "cli")
+GRAPH_DIR = os.path.join(os.path.dirname(__file__), "golden", "graphs")
 K4_EDGES = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
 # golden stdout file -> CLI line; the README lines first, `{graph}` is a K4
-# edge list.  A golden match also pins the output as deterministic.
+# edge list and `{graphs}` the directory of edge lists under golden/.  A
+# golden match also pins the output as deterministic.
 GOLDEN_LINES = {
     "alt_A2t.txt": "alt --type A2t",
     "poincare_G2t_trunc12.txt": "poincare --type G2t --trunc 12",
@@ -264,6 +266,10 @@ GOLDEN_LINES = {
     "torus_G2t_scale6.txt": "torus --type G2t --scale 6",
     # an odd scale, and the only A2t torus line
     "torus_A2t_scale5.txt": "torus --type A2t --scale 5",
+    # recorded from the 2m x 2m edge determinant det(I - B u)
+    "ihara_petersen_q2.json": "ihara --graph {graphs}/petersen.txt --q 2 --format json",
+    # a doubled edge, a leaf and two separate edges: m - n = -1
+    "ihara_mixed.txt": "ihara --graph {graphs}/mixed.txt",
 }
 
 
@@ -271,7 +277,7 @@ GOLDEN_LINES = {
 def test_outputs_match_golden(name, tmp_path, capsys):
     graph = tmp_path / "k4.txt"
     graph.write_text(K4_EDGES)
-    argv = [w.format(graph=graph) for w in GOLDEN_LINES[name].split()]
+    argv = [w.format(graph=graph, graphs=GRAPH_DIR) for w in GOLDEN_LINES[name].split()]
     status, out = run_cli(argv, capsys)
     assert status == 0
     with open(os.path.join(GOLDEN_DIR, name)) as fh:
@@ -442,6 +448,9 @@ BAD_INPUTS = {
                            "ZetaError", ("g.txt line 2", "'0 x'")),
     "graph-three-fields": (["ihara", "--graph", "{dir}/g.txt"], "# K2\n0 1 2\n",
                            "ZetaError", ("g.txt line 2", "'0 1 2'")),
+    # n is the largest vertex number plus 1: refused before anything of size n
+    "graph-huge-isolated-vertex": (["ihara", "--graph", "{dir}/g.txt"], "0 1\n1 2\n2 0\n0 100000000000000\n",
+                                   "ZetaError", ("isolated vertex",)),
     "graph-missing": (["ihara", "--graph", "{dir}/none.txt"], None,
                       "InputError", ("--graph", "none.txt")),
     "rep-missing": (["det-identity", "--type", "A2t", "--rep", "{dir}/none.json"], None,

@@ -154,9 +154,14 @@ def test_multiply_examples(tables):
 
 @pytest.mark.parametrize("letter", [-1, 3])
 def test_element_of_word_refuses_a_letter_outside_the_generators(tables, letter):
-    # a negative letter used to count from the end (s3 for -1); 3 was an IndexError
-    with pytest.raises(CoxeterError, match=r"letter %d is not one of the 3 generators 0\.\.2" % letter):
-        tables["A2t"].element_of_word((0, letter))
+    # a negative letter used to count from the end (s3 for -1); 3 was an
+    # IndexError.  word_matrix and walk_key did the same until they refused it too
+    table = tables["A2t"]
+    routes = (table.element_of_word, table.system.word_matrix,
+              lambda word: table.walk_key(table.identity.key, word))
+    for route in routes:
+        with pytest.raises(CoxeterError, match=r"letter %d is not one of the 3 generators 0\.\.2" % letter):
+            route((0, letter))
 
 
 def test_system_equality_reads_the_tag_and_cartan_matrix():
