@@ -380,10 +380,11 @@ class TorusQuotient:
     a chamber (W0 index, mu mod kL) by one small table per part.
 
     The quotient is its own permutation representation of the group
-    algebra at q = 1, of dimension the chamber count: the generator
-    permutations are checked against the unit-parameter quadratic and
-    braid relations when it is built, which makes them a W-action, and
-    the search makes it transitive on n = |W0| k^2 = [W : t(kL)] chambers.
+    algebra at q = 1, of dimension the chamber count: the quadratic and
+    braid relations at q = 1 are checked when it is built on the factor
+    tables (`factor_permutations`, R_i on W0 and T_i on L/kL), which the
+    search numbers one to one, so they make the generator permutations a
+    W-action, and the search makes it transitive on n = |W0| k^2 chambers.
     The build then walks the k-th power of each translation v^-1 s3 s_theta v
     (v in W0, s_theta the W0 element of s3's linear part) from chamber 0 and
     back.  These generate t(kL), so chamber 0's stabiliser is t(kL), which
@@ -407,24 +408,25 @@ class TorusQuotient:
         chambers = self.weyl_order * k * k
         cox.check_element_cap(chambers, "torus quotient with %d chambers" % chambers)
         self._enumerate_chambers()
-        # the quadratic and braid relations at q = 1
-        ident = tuple(self.chambers)
-        perms = self.generator_permutations
-        for i, p in enumerate(perms):
-            if _perm_compose(p, p) != ident:
+        # the quadratic and braid relations at q = 1, on both factors: the
+        # numbering is a bijection onto the labels, so they hold on chambers
+        factors = self.factor_permutations
+        idents = [tuple(range(len(f))) for f in factors[0]]
+        for i, pair in enumerate(factors):
+            if any(_perm_compose(f, f) != e for f, e in zip(pair, idents)):
                 raise ZetaError("generator %d is not an involution on chambers" % (i + 1,))
         # for involutions p, q the braid relation pqp... = qpq..., m
         # letters a side, is (pq)^m = 1
-        for i, p in enumerate(perms):
-            for j in range(i + 1, len(perms)):
+        for i, pair in enumerate(factors):
+            for j in range(i + 1, len(factors)):
                 m = system.bond(i, j)
-                if m and reduce(_perm_compose, [_perm_compose(p, perms[j])] * m) != ident:
+                if m and any(reduce(_perm_compose, [_perm_compose(f, g)] * m) != e
+                             for f, g, e in zip(pair, factors[j], idents)):
                     raise ZetaError("braid relation fails on chambers for (%d, %d)" % (i + 1, j + 1))
         for word in self._translation_words:  # t(kL) fixes chamber 0
-            if self.walk(0, word * k):
+            if self._walk(0, word * k):
                 raise ZetaError("the translation %s to the power k moves chamber 0; "
                                 "W/t(kL) does not act regularly" % "".join(str(s + 1) for s in word))
-        self._perm_cache = {table.identity.key: ident}
 
     @property
     def representation(self):
@@ -488,7 +490,8 @@ class TorusQuotient:
         row - row[i] * cartan[i].  T_i is read off one row per class, p, q in
         0..k-1; 0, (a, b) and (0, c) are among them, so images in phi(L)
         keep phi(L) and k phi(L): T_i is well defined mod k.  R_i x T_i
-        fixes a label exactly when R_i and T_i both fix its parts."""
+        fixes a label exactly when R_i and T_i both fix its parts; the
+        pairs are kept as `factor_permutations`."""
         k, size = self.k, self.k * self.k
         (a, b), c = self._basis
         d0, d1, d2 = self.system.delta
@@ -500,7 +503,7 @@ class TorusQuotient:
                 if r:
                     raise ZetaError("a lattice row is off the plane row . delta = delta[2]")
                 rows.append((x0, x1, x2))
-        gens = []  # s_i on the labels, one list per generator
+        factors, gens = [], []  # s_i as (R_i, T_i) and on the labels, per generator
         for i, (c0, c1, _) in enumerate(self.system.cartan):
             classes = []
             for row in rows:
@@ -509,11 +512,13 @@ class TorusQuotient:
                 if r or r2:
                     raise ZetaError("translation outside the detected lattice")
                 classes.append(p % k * k + q % k)
-            right = [w0[i] for w0 in self._w0_right]
+            right = tuple(w0[i] for w0 in self._w0_right)
             if (any(j == rj for j, rj in enumerate(right))
                     and any(t == ct for t, ct in enumerate(classes))):
                 raise ZetaError("panel gluing fixes a chamber; the action is not free")
+            factors.append((right, tuple(classes)))
             gens.append([rj * size + t for rj in right for t in classes])
+        self.factor_permutations = tuple(factors)
         total = self.weyl_order * size
         number = [-1] * total  # a label's chamber, -1 until the search reaches it
         number[0] = 0  # the identity: W0 index 0 (the section is sorted by length), mu = 0
@@ -528,6 +533,9 @@ class TorusQuotient:
         if len(order) != total:
             raise ZetaError("chamber count %d disagrees with |W0| k^2 = %d" % (len(order), total))
         self.chambers = range(total)
+        # the identity shares the search's int objects, and the labels go first
+        self._perm_cache = {self.table.identity.key: tuple([number[label] for label in order])}
+        del gens, number, order
         self.generator_permutations = tuple(tuple(links[i::3]) for i in range(3))
 
     # -- the permutation representation ----------------------------------------
@@ -538,7 +546,11 @@ class TorusQuotient:
     dim = property(chamber_count)
 
     def walk(self, chamber, word):
-        """The chamber reached from `chamber` across the panels of word."""
+        """The chamber reached from `chamber` across the panels of word; a
+        letter outside the generators raises CoxeterError."""
+        return self._walk(chamber, self.system.checked_word(word))
+
+    def _walk(self, chamber, word):
         gens = self.generator_permutations
         for s in word:
             chamber = gens[s][chamber]
@@ -547,9 +559,10 @@ class TorusQuotient:
     def order(self, word):
         """The order o of word's element in G_k: the least o >= 1 with
         walk(0, word^o) = 0, the length of every cycle of its permutation."""
-        chamber, o = self.walk(0, word), 1
+        word = self.system.checked_word(word)
+        chamber, o = self._walk(0, word), 1
         while chamber:
-            chamber, o = self.walk(chamber, word), o + 1
+            chamber, o = self._walk(chamber, word), o + 1
         return o
 
     def perm(self, table, element):
@@ -695,17 +708,18 @@ def _perm_compose(p, q):
 
 
 def closed_strip_counts(tq, spec, n_max):
-    """Geometric counts of closed pointed strips of one type: walk the
-    strip word's generator permutations n times around and count the
-    chambers that come back to themselves.  Independent of the operator
-    traces (no composite permutation or matrix is reused)."""
-    counts = []
-    current = list(range(len(tq.chambers)))
+    """Geometric counts of closed pointed strips of one type: walk the W0
+    indices and the k^2 classes of L/kL through the strip word's factor
+    tables n times around, letter by letter.  A chamber comes back to
+    itself exactly when both of its parts do, so the count is the product
+    of the two fixed-point counts.  Independent of the operator traces
+    and of the orders (no composite permutation or matrix is reused)."""
+    word, counts = tq.system.checked_word(spec.word), []
+    parts = [list(range(len(f))) for f in tq.factor_permutations[0]]
     for _ in range(n_max):
-        for s in spec.word:
-            gp = tq.generator_permutations[s]
-            current = [gp[c] for c in current]
-        counts.append(_fixed_points(current))
+        for s in word:
+            parts = [[f[c] for c in part] for f, part in zip(tq.factor_permutations[s], parts)]
+        counts.append(math.prod(_fixed_points(part) for part in parts))
     return counts
 
 

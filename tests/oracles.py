@@ -25,7 +25,7 @@ from weylzeta.series import (
     scalar_one_like,
     scalar_zero_like,
 )
-from weylzeta.zeta import Graph, ZetaError, _zeta_report
+from weylzeta.zeta import Graph, ZetaError, _fixed_points, _zeta_report
 
 
 def det_series_tracelog(ps, order=None):
@@ -172,6 +172,22 @@ def torus_generator_permutations_by_matrices(tq):
                 reps.append(nk)
             links[i].append(c)
     return tuple(tuple(p) for p in links)
+
+
+def closed_strip_counts_by_chambers(tq, spec, n_max):
+    """Closed pointed strip counts by walking all n chambers: the strip
+    word's generator permutations n times around, counting the chambers
+    that come back to themselves.  Oracle for zeta.closed_strip_counts,
+    which walks the two factor tables (W0 and L/kL) in place of the
+    chambers and so does not see the breadth-first numbering."""
+    counts = []
+    current = list(range(len(tq.chambers)))
+    for _ in range(n_max):
+        for s in spec.word:
+            gp = tq.generator_permutations[s]
+            current = [gp[c] for c in current]
+        counts.append(_fixed_points(current))
+    return counts
 
 
 def mat_identity(n):

@@ -266,6 +266,9 @@ GOLDEN_LINES = {
     "torus_G2t_scale6.txt": "torus --type G2t --scale 6",
     # an odd scale, and the only A2t torus line
     "torus_A2t_scale5.txt": "torus --type A2t --scale 5",
+    # 1,728 chambers: the closed counts multiply the fixed points of the W0
+    # and L/kL factor tables
+    "torus_G2t_scale12.json": "torus --type G2t --scale 12 --format json",
     # recorded from the 2m x 2m edge determinant det(I - B u)
     "ihara_petersen_q2.json": "ihara --graph {graphs}/petersen.txt --q 2 --format json",
     # a doubled edge, a leaf and two separate edges: m - n = -1

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    _cycle_type_map, _perm_char_poly, _perm_cycles, _perm_zeta,
+    _cycle_type_map, _perm_char_poly, _perm_cycles, _perm_zeta, closed_strip_counts_by_chambers,
     column_sums, complete_bipartite, complete_graph, cycle_graph, cyclic_entry_rational, mat_mul,
     orbit_block_det,
     petersen_graph, product_key, torus_generator_permutations_by_matrices, twisted_series,
@@ -373,6 +373,18 @@ def test_row_two_chamber_search_matches_the_key_walk(tables, tag, k):
     assert tq.generator_permutations == torus_generator_permutations_by_matrices(tq)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 12])
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_factor_strip_counts_match_the_chamber_walk(tables, tag, k):
+    # fixed points of the W0 and L/kL factors multiplied, against the
+    # walk of all |W0| k^2 chambers and the operator's fixed points
+    tq = torus_quotient_rep(coxeter.build_system(tag), k, tables[tag])
+    for spec in strips.strip_generators(tag):
+        counts = closed_strip_counts(tq, spec, 24)
+        assert counts == closed_strip_counts_by_chambers(tq, spec, 24), spec.index
+        assert counts == operator_strip_counts(tq, spec, 24), spec.index
+
+
 @pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
 def test_row_two_lies_on_the_plane_of_delta(tables, tag):
     # W fixes delta, so row 2 of every element's matrix has
@@ -678,23 +690,25 @@ def test_the_torus_is_its_own_representation(torus_k2):
     assert not issubclass(TorusQuotient, hecke.Representation)
 
 
-def _spoil_involution(perms):
-    # generator 1 sends a to p(c) and c to p(a): still fixed-point free,
-    # but p(p(a)) = c
-    p = list(perms[0])
-    a, c = 0, next(c for c in range(len(p)) if c not in (0, p[0]))
+def _spoil_involution(p):
+    # a point a that p moves is sent to p(c), and c to p(a): still a
+    # permutation, but p(p(a)) is not a
+    p = list(p)
+    a = next(a for a in range(len(p)) if p[a] != a)
+    c = next(c for c in range(len(p)) if c not in (a, p[a]))
     p[a], p[c] = p[c], p[a]
-    return (tuple(p),) + perms[1:]
+    return tuple(p)
 
 
-def _spoil_braid(perms):
-    # generator 1 with its 2-cycles (a b), (c d) made (a c), (b d): still
-    # a fixed-point-free involution
-    p = list(perms[0])
-    a, c = 0, next(c for c in range(len(p)) if c not in (0, p[0]))
+def _spoil_braid(p):
+    # the first two 2-cycles (a b), (c d) of p made (a c), (b d): still
+    # an involution
+    p = list(p)
+    a = next(a for a in range(len(p)) if p[a] != a)
+    c = next(c for c in range(len(p)) if p[c] != c and c not in (a, p[a]))
     b, d = p[a], p[c]
     p[a], p[c], p[b], p[d] = c, a, d, b
-    return (tuple(p),) + perms[1:]
+    return tuple(p)
 
 
 def _alternating(p, q, m):
@@ -729,21 +743,47 @@ def test_braid_of_involutions_is_the_order_of_their_product(pair, m):
     assert (power == tuple(range(len(p)))) == (_alternating(p, q, m) == _alternating(q, p, m))
 
 
-@pytest.mark.parametrize("spoil,match", [(_spoil_involution, "not an involution"),
-                                         (_spoil_braid, "braid relation fails")],
-                         ids=["involution", "braid"])
-def test_torus_build_checks_the_unit_hecke_relations(tables, monkeypatch, spoil, match):
-    # a generator permutation spoiled after the chamber search: the
-    # constructor itself must refuse it
+@pytest.mark.parametrize("part,spoil,match", [(0, _spoil_involution, "not an involution"),
+                                              (0, _spoil_braid, "braid relation fails"),
+                                              (1, _spoil_involution, "not an involution"),
+                                              (1, _spoil_braid, "braid relation fails")],
+                         ids=["involution", "braid", "classes-involution", "classes-braid"])
+def test_torus_build_checks_the_unit_hecke_relations(tables, monkeypatch, part, spoil, match):
+    # generator 1's W0 table R_1 (part 0) or its table T_1 on the k^2
+    # classes (part 1) spoiled after the chamber search: the constructor
+    # checks the relations on these factors and must refuse it.  At k = 3
+    # T_1 has three 2-cycles for the braid spoil to swap.
     search = TorusQuotient._enumerate_chambers
 
     def spoiled_search(self):
         search(self)
-        self.generator_permutations = spoil(self.generator_permutations)
+        first = tuple(spoil(f) if x == part else f for x, f in enumerate(self.factor_permutations[0]))
+        self.factor_permutations = (first,) + self.factor_permutations[1:]
 
     monkeypatch.setattr(TorusQuotient, "_enumerate_chambers", spoiled_search)
     with pytest.raises(ZetaError, match=match):
-        TorusQuotient(coxeter.build_system("A2t"), 2, tables["A2t"])
+        TorusQuotient(coxeter.build_system("A2t"), 3, tables["A2t"])
+
+
+@pytest.mark.parametrize("letter", [-1, 3])
+def test_torus_walks_refuse_a_letter_outside_the_generators(tables, letter):
+    # -1 used to walk as s3 and 3 raised a bare IndexError
+    tq = torus_quotient_rep(coxeter.build_system("A2t"), 3, tables["A2t"])
+    message = r"letter %d is not one of the 3 generators 0\.\.2" % letter
+    spec = strips.StripSpec("A2t", 1, (0, letter), 2)
+    for route in (lambda: tq.walk(0, (letter,)), lambda: tq.order((letter, 0)),
+                  lambda: closed_strip_counts(tq, spec, 3)):
+        with pytest.raises(coxeter.CoxeterError, match=message):
+            route()
+
+
+def test_torus_order_checks_its_word_once(tables, monkeypatch):
+    tq = torus_quotient_rep(coxeter.build_system("A2t"), 3, tables["A2t"])
+    calls = []
+    checked = coxeter.CoxeterSystem.checked_word
+    monkeypatch.setattr(coxeter.CoxeterSystem, "checked_word",
+                        lambda self, word: calls.append(word) or checked(self, word))
+    assert tq.order((0, 1)) == 3 and calls == [(0, 1)]
 
 
 def test_cyclic_det_cycle_formula(torus_k2):
