@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import compress
 from operator import add, sub
 
 
@@ -218,11 +219,10 @@ class QPolynomial(_DensePoly):
 
 
 def format_poly(coeffs, var):
-    if not coeffs:
-        return "0"
     parts = []
-    for d, c in enumerate(coeffs):
-        if c == 0:
+    for d in compress(range(len(coeffs)), coeffs):  # the nonzero terms
+        c = coeffs[d]
+        if c == 0:  # a zero QPolynomial is truthy
             continue
         cs = str(c)
         if isinstance(c, QPolynomial) and ("+" in cs or "-" in cs[1:]):
@@ -884,11 +884,13 @@ def det_poly_matrix(rows):
     Gerhard, Modern Computer Algebra, 8.4): row i is scaled by the lcm L_i
     of its denominators, and each entry packs into the int it takes at
     q = X, u = X^(D+1) with X = 2^b, where D, the sum over the rows of
-    their largest q-degree, bounds the q-degree of every minor.  Every
-    coefficient of every minor is at most B = prod_i max(1, sum_j |a_ij|_1)
-    in absolute value (the product of the scaled rows' coefficient
-    1-norms), and 2^(b-1) > B, so a polynomial packs to 0 only if it is 0
-    and unpacks from its signed base-X digits.
+    their largest q-degree, bounds the q-degree of every minor.  A
+    coefficient is at most the largest modulus on |u| = |q| = 1 (Cauchy's
+    estimate), where |a_ij| <= |a_ij|_1, the coefficient 1-norm of a scaled
+    entry; there Hadamard's inequality bounds a minor by the product of its
+    rows' Euclidean norms, so every coefficient of every minor is at most
+    sqrt(prod_i max(1, sum_j |a_ij|_1^2)) < 2^(b-1): a polynomial packs to 0
+    only if it is 0 and unpacks from its signed base-X digits.
 
     Bareiss's fraction-free elimination (Math. Comp. 22, 1968) then runs
     on the packed ints: after step k every entry below the pivot row is a
@@ -927,10 +929,13 @@ def det_poly_matrix(rows):
             lcm = math.lcm(*(t[3].denominator for t in row))
             terms[i] = row = [(j, d, e, int(c * lcm)) for j, d, e, c in row]
             scale *= lcm
-        bound *= max(1, sum(abs(t[3]) for t in row))
+        norms = [0] * n  # the row's entries' 1-norms, by column
+        for j, _d, _e, c in row:
+            norms[j] += abs(c)
+        bound *= max(1, sum(x * x for x in norms))
         if over_q:
             q_degree += max((t[2] for t in row), default=0)
-    b = bound.bit_length() + 1
+    b = (math.isqrt(bound) + 1).bit_length() + 1
     step = b * (q_degree + 1)
     a = []
     for row in terms:

@@ -5,7 +5,7 @@ the two strip factors to the alternating product of parabolic series.
 """
 
 import operator
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import coxeter as cox
 from .hecke import CyclicTwistedSeries, FiniteTwistedSeries, twisted_group_sum
@@ -42,9 +42,10 @@ class StripSpec:
         return hash(tuple(vars(self).values()))
 
 
+@lru_cache(maxsize=None)
 def strip_generators(type_tag):
     """The two straight-strip generators of a rank-2 affine type, with
-    lengths verified against the geometric representation."""
+    lengths verified against the geometric representation, once per type."""
     if type_tag not in _STRIP_WORDS:
         raise StripsError("no strip generators for type %r" % (type_tag,))
     system = cox.build_system(type_tag)
@@ -203,10 +204,18 @@ def factorization_census(table, scheme, order):
     (c) the number of tuples of total length k equals the coefficient of
         u^k in the Poincare series of the group.
     """
-    # every factor element as its (length, word) pair: words are read once
-    factors = [(kind, [(el.length, el.word) for el in data] if kind == "finite"
-                else (data.length, data.word)) for kind, data in realize_factors(table, scheme)]
-    system = table.system
+    # every factor element as its (length, word) pair: each word is checked
+    # once here and then walked one unchecked step a letter
+    system, multiply = table.system, table.right_multiply_key
+    factors = [(kind, [(el.length, system.checked_word(el.word)) for el in data] if kind == "finite"
+                else (data.length, system.checked_word(data.word)))
+               for kind, data in realize_factors(table, scheme)]
+
+    def walk(key, word):
+        for s in word:
+            key = multiply(key, s)
+        return key
+
     counts = [0] * (order + 1)
     seen = {}
     report = CensusReport(scheme.type_tag, order, counts, [], True, True, True)
@@ -236,14 +245,14 @@ def factorization_census(table, scheme, order):
         if kind == "finite":
             for length, word in data:
                 if total + length <= order:
-                    descend(i + 1, table.walk_key(key, word), total + length, words + (word,))
+                    descend(i + 1, walk(key, word), total + length, words + (word,))
         else:
             step, word = data
             cur = key
             k = 0
             while total + k * step <= order:
                 descend(i + 1, cur, total + k * step, words + (word * k,))
-                cur = table.walk_key(cur, word)
+                cur = walk(cur, word)
                 k += 1
 
     descend(0, table.identity.key, 0, ())

@@ -14,14 +14,14 @@ only for output.  The quotient is its own permutation representation at
 q = 1, validated when it is built; its dense chamber matrices (`image`,
 `action_matrix`) are uncached oracles.  The build proves W/t(kL) acts
 regularly, so tr P(w) is n or 0 and every cycle of P(w) has length o:
-the dual trace-log checks push one chamber vector through the
-permutations of a ball, and Newton's identities turn the integer power
+the dual trace-log checks push one label vector through the factor
+pairs of a ball, and Newton's identities turn the integer power
 sums of tr log into the determinant.  The torus routes run in Python
 ints; all emitted values are ints, Fractions, or exact polynomials.
 """
 
 import math
-from functools import reduce
+from functools import cached_property, reduce
 
 from . import coxeter as cox
 from . import strips as strips_mod
@@ -318,21 +318,22 @@ def _fixed_points(perm):
     return sum(1 for c in range(len(perm)) if perm[c] == c)
 
 
-def _one_vector_det_series(perm_lengths, n, order):
-    """det(I + N) up to u^order for N = sum P u^l over (perm, l) pairs with
-    l >= 1, as the exp of the trace of log.  Valid only when every product
-    of the permutations fixes no chamber or all n of them, as on a torus: then
-    tr(N^j) = n (N^j)_{00}, the chamber-0 entry of the row vector e_0 N^j,
-    which is held as one sparse {chamber: count} map per degree.
+def _one_vector_det_series(pair_lengths, n, order):
+    """det(I + N) up to u^order for N = sum P u^l over (pair, l), l >= 1,
+    P the factor pair (R, T) sending label j s + t to R[j] s + T[t],
+    s = len(T).  Valid only when every product of the P fixes no label or
+    all n, as on a torus: then tr(N^j) = n (N^j)_{00}, from the row vector
+    e_0 N^j, held as one sparse {label: count} map per degree.
 
     tr log(I + N) is accumulated over the common denominator
     lcm(1..order), and its power sums p_d = d tr log(I + N)_d are ints,
     since u d/du log det(I + N) = tr(u N' (I + N)^-1) has integer
     coefficients; `power_sum_exp` turns them into the determinant."""
-    by_length = [[] for _ in range(order + 1)]
-    for perm, length in perm_lengths:
-        if length <= order:
-            by_length[length].append(perm)
+    by_length, size = [[] for _ in range(order + 1)], 1
+    for (right, classes), length in pair_lengths:
+        if length <= order:  # R held as R[j] s, s the same for every pair
+            size = len(classes)
+            by_length[length].append((tuple([r * size for r in right]), classes))
     denom = math.lcm(*range(1, order + 1))
     vec = [{0: 1}] + [{} for _ in range(order)]
     tr_log = [0] * (order + 1)  # denom * tr log(I + N), by degree
@@ -340,11 +341,12 @@ def _one_vector_det_series(perm_lengths, n, order):
         nxt = [{} for _ in range(order + 1)]
         for a in range(order):
             for c, x in vec[a].items():
+                w0, t = divmod(c, size)
                 for length in range(1, order - a + 1):
                     row = nxt[a + length]
-                    for perm in by_length[length]:
-                        t = perm[c]
-                        row[t] = row.get(t, 0) + x
+                    for right, classes in by_length[length]:
+                        label = right[w0] + classes[t]
+                        row[label] = row.get(label, 0) + x
         vec = nxt
         weight = (n if j % 2 == 1 else -n) * (denom // j)
         for d in range(j, order + 1):
@@ -358,6 +360,26 @@ def _regular_cycle_map(n, o, shift_power):
     return ExponentMap({shift_power * o: n // o})
 
 
+# an affine map x -> M x + v of Z^2 is the 6-tuple (M00, M01, M10, M11, v0, v1)
+_IDENTITY_MAP = (1, 0, 0, 1, 0, 0)
+
+
+def _pair_then(f, g):
+    """'Apply f, then g' for pairs (permutation, affine map of Z^2)."""
+    a, b, c, d, e, h = f[1]
+    p, q, r, s, x, y = g[1]
+    return (_perm_compose(f[0], g[0]),
+            (p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d, p * e + q * h + x, r * e + s * h + y))
+
+
+def _fixed_classes(f, k):
+    """#{x mod k : (M - I) x = -v mod k}: none unless -v lies in the lattice
+    (M - I) Z^2 + k Z^2, else its index, prod gcd(d_i, k) for the Smith
+    form diag(d_1, d_2) of M - I (Newman, Integral Matrices, Ch. II)."""
+    (p, q), r = _triangular_basis(((f[0] - 1, f[2]), (f[1], f[3] - 1), (k, 0), (0, k)))
+    return p * r if f[4] % p == 0 and (f[4] // p * q - f[5]) % r == 0 else 0
+
+
 class TorusQuotient:
     """Chamber complex of the rank-2 apartment modulo translations by k
     times the translation lattice L, with the right-multiplication action.
@@ -367,7 +389,9 @@ class TorusQuotient:
     Infinite-dimensional Lie algebras, Ch. 6), and t(kL) is normal, so
     the chamber of w = v t_mu is (v, mu mod kL); there are exactly
     |W0| * k^2 of them.  That count is checked against the element cap
-    (WEYLZETA_MAX_ELEMENTS) before any chamber is built.
+    (WEYLZETA_MAX_ELEMENTS) before any chamber is built.  A chamber is
+    its label j k^2 + p k + q: j the W0 index of v, (p, q) mod k the
+    coordinates of phi(mu) in the triangular basis (a, b), (0, c) of phi(L).
 
     The translation part is read off row 2 of w's matrix, the a3
     coordinates: w a_i = v a_i - <mu, a_i> delta, and W0 keeps a1, a2 in
@@ -375,21 +399,21 @@ class TorusQuotient:
     phi(mu) = -delta_3 (<mu, a1>, <mu, a2>), an injective linear image.
     The lattice comes from W0 and s3 alone: s3 v = (s3bar v) t_(v^-1 mu3),
     and W0 t(span W0 mu3) holds s1, s2 and s3, so it is W and
-    L = span(W0 mu3).  phi(L) is spanned by row 2 of s3 v over the |W0|
-    section elements v; no table element is scanned for it.  s_i acts on
-    a chamber (W0 index, mu mod kL) by one small table per part.
+    L = span(W0 mu3), spanned by row 2 of s3 v over the |W0| section
+    elements v.  s_i acts on a label as R_i x T_i: R_i is right
+    multiplication on the W0 indices, T_i the integer affine class map
+    x -> M_i x + v_i reduced mod k (`factor_permutations`).
 
-    The quotient is its own permutation representation of the group
-    algebra at q = 1, of dimension the chamber count: the quadratic and
-    braid relations at q = 1 are checked when it is built on the factor
-    tables (`factor_permutations`, R_i on W0 and T_i on L/kL), which the
-    search numbers one to one, so they make the generator permutations a
-    W-action, and the search makes it transitive on n = |W0| k^2 chambers.
-    The build then walks the k-th power of each translation v^-1 s3 s_theta v
-    (v in W0, s_theta the W0 element of s3's linear part) from chamber 0 and
-    back.  These generate t(kL), so chamber 0's stabiliser is t(kL), which
-    is normal: G_k = W/t(kL) acts regularly, every w fixes no chamber or
-    all n, and P(w) has n / o cycles of length o, w's order in G_k.
+    The quotient is its own permutation representation at q = 1.  The
+    build checks the quadratic and braid relations at q = 1 on the R_i and
+    on the class maps over Z, for every k at once, so the labels carry a
+    W-action, and proves G_k = W/t(kL) acts regularly: the k-th powers of
+    the translations v^-1 s3 s_theta v (v in W0, s_theta the W0 element of
+    s3's linear part) generate t(kL) and fix chamber 0, and the action is
+    transitive, as R is W0's right-regular action and the translations fix
+    every W0 index and shift the classes by vectors whose 2x2 minors have
+    gcd 1.  So chamber 0's stabiliser is the normal t(kL): every w fixes no
+    chamber or all n, and P(w) has n / o cycles of length o, w's order.
     """
 
     q = 1
@@ -405,28 +429,33 @@ class TorusQuotient:
             table = cox.enumerate_elements(system, cox.DEFAULT_BOUND)
         self.table = table
         self._setup_weyl_section()
-        chambers = self.weyl_order * k * k
-        cox.check_element_cap(chambers, "torus quotient with %d chambers" % chambers)
-        self._enumerate_chambers()
-        # the quadratic and braid relations at q = 1, on both factors: the
-        # numbering is a bijection onto the labels, so they hold on chambers
-        factors = self.factor_permutations
-        idents = [tuple(range(len(f))) for f in factors[0]]
-        for i, pair in enumerate(factors):
-            if any(_perm_compose(f, f) != e for f, e in zip(pair, idents)):
+        self.chambers = range(self.weyl_order * k * k)
+        cox.check_element_cap(len(self.chambers), "torus quotient with %d chambers" % len(self.chambers))
+        self._read_factors()
+        # quadratic and braid relations at q = 1; for involutions, (pq)^m = 1
+        one = self._factor_pair(())
+        for i in range(3):
+            if self._factor_pair((i, i)) != one:
                 raise ZetaError("generator %d is not an involution on chambers" % (i + 1,))
-        # for involutions p, q the braid relation pqp... = qpq..., m
-        # letters a side, is (pq)^m = 1
-        for i, pair in enumerate(factors):
-            for j in range(i + 1, len(factors)):
-                m = system.bond(i, j)
-                if m and any(reduce(_perm_compose, [_perm_compose(f, g)] * m) != e
-                             for f, g, e in zip(pair, factors[j], idents)):
-                    raise ZetaError("braid relation fails on chambers for (%d, %d)" % (i + 1, j + 1))
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            if system.bond(i, j) and self._factor_pair((i, j) * system.bond(i, j)) != one:
+                raise ZetaError("braid relation fails on chambers for (%d, %d)" % (i + 1, j + 1))
+        shifts = []
         for word in self._translation_words:  # t(kL) fixes chamber 0
+            name, (right, f) = "".join(str(s + 1) for s in word), self._factor_pair(word)
             if self._walk(0, word * k):
                 raise ZetaError("the translation %s to the power k moves chamber 0; "
-                                "W/t(kL) does not act regularly" % "".join(str(s + 1) for s in word))
+                                "W/t(kL) does not act regularly" % name)
+            if (right, f[:4]) != (one[0], _IDENTITY_MAP[:4]):
+                raise ZetaError("the word %s does not translate the labels" % name)
+            shifts.append(f[4:])
+        orbit = {0}  # R acts transitively on the W0 indices
+        for _ in range(self.weyl_order):
+            orbit |= {r for j in orbit for r in self._w0_right[j]}
+        if len(orbit) != self.weyl_order:
+            raise ZetaError("the W0 tables reach %d of the |W0| = %d indices" % (len(orbit), self.weyl_order))
+        if math.gcd(*(x * y2 - y * x2 for x, y in shifts for x2, y2 in shifts)) != 1:
+            raise ZetaError("the translation words do not shift the classes onto all of L/kL")
 
     @property
     def representation(self):
@@ -480,48 +509,43 @@ class TorusQuotient:
             tuple(m[2][b] - sum(c * m[a][b] for a, c in enumerate(system.cartan[2])) for b in (0, 1))
             for m in matrices)
 
-    def _enumerate_chambers(self):
-        """Number the chambers breadth-first from the identity's, panels of
-        each chamber in turn.  A chamber is a label j k^2 + t: j the W0 index
-        of w = v t_mu, t = (p mod k) k + (q mod k) for phi(mu) = p (a, b) +
-        q (0, c).  s_i acts on labels as R_i x T_i, R_i column i of w0_right
-        and T_i on the k^2 classes alone: row 2 of w's matrix is phi(mu) and,
-        W fixing delta, row . delta = delta[2]; row 2 of w s_i is
-        row - row[i] * cartan[i].  T_i is read off one row per class, p, q in
-        0..k-1; 0, (a, b) and (0, c) are among them, so images in phi(L)
-        keep phi(L) and k phi(L): T_i is well defined mod k.  R_i x T_i
-        fixes a label exactly when R_i and T_i both fix its parts; the
-        pairs are kept as `factor_permutations`."""
-        k, size = self.k, self.k * self.k
+    def _read_factors(self):
+        """The class maps and the pairs (R_i, T_i).  Row 2 of w's matrix is
+        phi(mu) with row . delta = delta[2], as W fixes delta, and row 2 of
+        w s_i is row - row[i] * cartan[i]: the image class is affine in
+        (p, q), read off the classes (0, 0), (1, 0), (0, 1) and integral
+        there, so x -> M_i x + v_i is integral and keeps k phi(L)."""
+        k = self.k
         (a, b), c = self._basis
         d0, d1, d2 = self.system.delta
-        rows = []
-        for p in range(k):
-            for q in range(k):
-                x0, x1 = p * a, p * b + q * c
-                x2, r = divmod(d2 - x0 * d0 - x1 * d1, d2)
-                if r:
-                    raise ZetaError("a lattice row is off the plane row . delta = delta[2]")
-                rows.append((x0, x1, x2))
-        factors, gens = [], []  # s_i as (R_i, T_i) and on the labels, per generator
+        rows = [(x0, x1) + divmod(d2 - x0 * d0 - x1 * d1, d2) for x0, x1 in ((0, 0), (a, b), (0, c))]
+        if any(row[3] for row in rows):  # row[2] is entry 2, row[3] its remainder
+            raise ZetaError("a lattice row is off the plane row . delta = delta[2]")
+        maps = []
         for i, (c0, c1, _) in enumerate(self.system.cartan):
-            classes = []
+            images = []
             for row in rows:
                 p, r = divmod(row[0] - row[i] * c0, a)
                 q, r2 = divmod(row[1] - row[i] * c1 - p * b, c)
                 if r or r2:
                     raise ZetaError("translation outside the detected lattice")
-                classes.append(p % k * k + q % k)
-            right = tuple(w0[i] for w0 in self._w0_right)
-            if (any(j == rj for j, rj in enumerate(right))
-                    and any(t == ct for t, ct in enumerate(classes))):
-                raise ZetaError("panel gluing fixes a chamber; the action is not free")
-            factors.append((right, tuple(classes)))
-            gens.append([rj * size + t for rj in right for t in classes])
-        self.factor_permutations = tuple(factors)
-        total = self.weyl_order * size
-        number = [-1] * total  # a label's chamber, -1 until the search reaches it
-        number[0] = 0  # the identity: W0 index 0 (the section is sorted by length), mu = 0
+                images.append((p, q))
+            (e, h), (p1, q1), (p2, q2) = images
+            maps.append((p1 - e, p2 - e, q1 - h, q2 - h, e, h))
+        self._class_maps = tuple(maps)
+        self.factor_permutations = tuple(
+            (tuple(w0[i] for w0 in self._w0_right),
+             tuple([(x + m01 * q) % k * k + (y + m11 * q) % k
+                    for x, y in ((m00 * p + e, m10 * p + h) for p in range(k)) for q in range(k)]))
+            for i, (m00, m01, m10, m11, e, h) in enumerate(maps))
+        self._perm_cache = {self.table.identity.key: (tuple(range(self.weyl_order)), tuple(range(k * k)))}
+
+    def _enumerate_chambers(self):
+        """The generator permutations, chambers numbered breadth-first from
+        label 0, panels of each chamber in turn; the action is transitive."""
+        size = self.k * self.k
+        gens = [[rj * size + t for rj in right for t in classes] for right, classes in self.factor_permutations]
+        number = [0] + [-1] * (len(self.chambers) - 1)  # a label's chamber, -1 until reached
         order, links = [0], []  # links[3 c + i] is the chamber across panel i of chamber c
         for label in order:  # order grows while it is walked: the BFS queue
             for g in gens:
@@ -530,13 +554,12 @@ class TorusQuotient:
                     n = number[g[label]] = len(order)
                     order.append(g[label])
                 links.append(n)
-        if len(order) != total:
-            raise ZetaError("chamber count %d disagrees with |W0| k^2 = %d" % (len(order), total))
-        self.chambers = range(total)
-        # the identity shares the search's int objects, and the labels go first
-        self._perm_cache = {self.table.identity.key: tuple([number[label] for label in order])}
-        del gens, number, order
-        self.generator_permutations = tuple(tuple(links[i::3]) for i in range(3))
+        return tuple(tuple(links[i::3]) for i in range(3))
+
+    @cached_property
+    def generator_permutations(self):
+        """`_enumerate_chambers`, built on first read: no production route reads it."""
+        return self._enumerate_chambers()
 
     # -- the permutation representation ----------------------------------------
 
@@ -546,33 +569,45 @@ class TorusQuotient:
     dim = property(chamber_count)
 
     def walk(self, chamber, word):
-        """The chamber reached from `chamber` across the panels of word; a
-        letter outside the generators raises CoxeterError."""
+        """The label reached from the label `chamber` across word's panels; a
+        chamber outside 0..n-1 raises ZetaError, a bad letter CoxeterError."""
+        if chamber not in self.chambers:
+            raise ZetaError("chamber %r is not one of the %d chambers 0..%d"
+                            % (chamber, len(self.chambers), self.chambers[-1]))
         return self._walk(chamber, self.system.checked_word(word))
 
     def _walk(self, chamber, word):
-        gens = self.generator_permutations
+        size, factors = self.k * self.k, self.factor_permutations
+        j, t = divmod(chamber, size)
         for s in word:
-            chamber = gens[s][chamber]
-        return chamber
+            j, t = factors[s][0][j], factors[s][1][t]
+        return j * size + t
+
+    def _factor_pair(self, word):
+        """R_w and the class map of w over Z, for a checked word."""
+        return reduce(_pair_then, [(self.factor_permutations[s][0], self._class_maps[s]) for s in word],
+                      (tuple(range(self.weyl_order)), _IDENTITY_MAP))
 
     def order(self, word):
-        """The order o of word's element in G_k: the least o >= 1 with
-        walk(0, word^o) = 0, the length of every cycle of its permutation."""
-        word = self.system.checked_word(word)
-        chamber, o = self._walk(0, word), 1
-        while chamber:
-            chamber, o = self._walk(chamber, word), o + 1
-        return o
+        """The order o of word's element w in G_k, every cycle's length:
+        e k / gcd(k, v_e), e the length of W0 index 0's cycle under R_w, as
+        w^e lies in t(L), which shifts the classes: x -> x + v_e."""
+        pair = power = self._factor_pair(self.system.checked_word(word))
+        e = 1
+        while power[0][0]:
+            power, e = _pair_then(power, pair), e + 1
+        return e * self.k // math.gcd(self.k, *power[1][4:])
 
     def perm(self, table, element):
-        """Chamber permutation of e_w, built along the stored reduced word."""
-        gens = self.generator_permutations
-        return walk_word(element, self._perm_cache, lambda p, s: _perm_compose(p, gens[s]))
+        """The factor pair (R_w, T_w) of e_w, built along the stored reduced
+        word: it sends the label j k^2 + t to R_w[j] k^2 + T_w[t]."""
+        factors = self.factor_permutations
+        return walk_word(element, self._perm_cache, lambda p, s: tuple(map(_perm_compose, p, factors[s])))
 
     def image(self, table, element):
-        """Dense permutation matrix of e_w, rebuilt on every call."""
-        return _perm_matrix(self.perm(table, element))
+        """Dense permutation matrix of e_w on the labels, rebuilt on every call."""
+        right, classes = self.perm(table, element)
+        return _perm_matrix([r * len(classes) + t for r in right for t in classes])
 
     def action_matrix(self, element):
         """Dense permutation matrix of right multiplication on the
@@ -594,16 +629,16 @@ class TorusQuotient:
     def det_series_hook(self, table, order):
         """Trace-log determinant of the truncated twisted group sum by the
         one-vector route: the action is regular (proved at build), so
-        tr(N^j) = n (N^j)_{c0 c0}, and one chamber vector is pushed through
-        the permutations of the ball of radius `order`."""
-        perm_lengths = [(self.perm(table, el), el.length) for el in table.ball(order)[1:]]
-        return _one_vector_det_series(perm_lengths, len(self.chambers), order)
+        tr(N^j) = n (N^j)_{c0 c0}, and one label vector is pushed through
+        the factor pairs of the ball of radius `order`."""
+        pair_lengths = [(self.perm(table, el), el.length) for el in table.ball(order)[1:]]
+        return _one_vector_det_series(pair_lengths, len(self.chambers), order)
 
     # -- exact block determinants ---------------------------------------------
 
     def block_det(self, perm_len_keys, dual_check_order=4):
         """Exact determinant of sum_w rho(e_w) u^l(w) over a finite element
-        set S, given as (permutation, length, key) triples, as an
+        set S, given as (factor pair, length, key) triples, as an
         ExponentMap.
 
         The letters of the elements' words give J, and S lies in the
@@ -612,14 +647,13 @@ class TorusQuotient:
         of chambers is a copy of W_J acting on itself by right
         multiplication, and the operator is n / |W_J| copies of the one
         |W_J| x |W_J| block sum_(w in S) u^l(w) R(w), R the right-regular
-        representation.  The block is built from the table by walking each
-        w's word from each v in W_J; its determinant is taken once and
-        peeled into an exponent map to the power n / |W_J|: for S = W_J the
-        block is the Varchenko matrix of W_J's arrangement, a product of
-        (1-u^(2m)) factors (Adv. Math. 97, 1993), and W_J = S W_I makes a
-        coset block a quotient of two.  A block that does not peel, an
-        infinite or unclosed W_J, or a permutation that is not its key's
-        raises ZetaError.
+        representation, built along each w's stored word by the table's links
+        within W_J.  Its determinant is taken once and peeled into an
+        exponent map to the power n / |W_J|: for S = W_J the block is the
+        Varchenko matrix of W_J's arrangement, a product of (1-u^(2m))
+        factors (Adv. Math. 97, 1993), and W_J = S W_I makes a coset block a
+        quotient of two.  A block that does not peel, an infinite or
+        unclosed W_J, or a pair that is not its key's raises ZetaError.
 
         Cross-checked up to u^dual_check_order, when the set holds the
         identity, against the one-vector trace-log of the elements named by
@@ -638,12 +672,15 @@ class TorusQuotient:
                 raise ZetaError("w = %s: the permutation given is not the quotient's"
                                 % "".join(str(s) for s in el.word))
         index = {v.key: i for i, v in enumerate(group)}
-        rows = [[Poly.zero()] * len(group) for _ in group]
+        right = {s: [index[v.links[s]] for v in group] for s in letters}
+        top, cells = max(el.length for el in elements), [{} for _ in group]  # {column: coefficients}
         for w in elements:
-            term, word = Poly.u(w.length), w.word
-            for v in group:
-                i, j = index[v.key], index[table.walk_key(v.key, word)]
-                rows[i][j] = rows[i][j] + term
+            column = range(len(group))  # column[i] is the index of v_i w
+            for s in w.word:
+                column = [right[s][c] for c in column]
+            for row, j in zip(cells, column):
+                row.setdefault(j, [0] * (top + 1))[w.length] += 1
+        rows = [[Poly(row[j]) if j in row else 0 for j in range(len(group))] for row in cells]
         try:
             det = ExponentMap.of_poly(det_poly_matrix(rows), n // len(group))
         except SeriesError:
@@ -651,9 +688,9 @@ class TorusQuotient:
                             % "".join(str(s + 1) for s in letters)) from None
         # independent truncated route, from the keys alone
         if [el.length for el in elements].count(0) == 1:
-            perm_lengths = [(self.perm(table, el), el.length)
+            pair_lengths = [(self.perm(table, el), el.length)
                             for el in elements if 0 < el.length <= dual_check_order]
-            truncated = _one_vector_det_series(perm_lengths, n, dual_check_order)
+            truncated = _one_vector_det_series(pair_lengths, n, dual_check_order)
             if not (truncated == det.expand(dual_check_order)):
                 raise ZetaError("regular-block determinant failed the trace-log cross-check")
         return det
@@ -708,29 +745,28 @@ def _perm_compose(p, q):
 
 
 def closed_strip_counts(tq, spec, n_max):
-    """Geometric counts of closed pointed strips of one type: walk the W0
-    indices and the k^2 classes of L/kL through the strip word's factor
-    tables n times around, letter by letter.  A chamber comes back to
-    itself exactly when both of its parts do, so the count is the product
-    of the two fixed-point counts.  Independent of the operator traces
-    and of the orders (no composite permutation or matrix is reused)."""
-    word, counts = tq.system.checked_word(spec.word), []
-    parts = [list(range(len(f))) for f in tq.factor_permutations[0]]
+    """Geometric counts of closed pointed strips of one type, in closed
+    form: w^m fixes a chamber exactly when R_w^m fixes its W0 index and the
+    class map x -> M_m x + v_m of w^m its class, so the count is fix(R_w^m)
+    times `_fixed_classes`.  It reads no operator, order or walk."""
+    pair = power = tq._factor_pair(tq.system.checked_word(spec.word))
+    counts = []
     for _ in range(n_max):
-        for s in word:
-            parts = [[f[c] for c in part] for f, part in zip(tq.factor_permutations[s], parts)]
-        counts.append(math.prod(_fixed_points(part) for part in parts))
+        fixed = _fixed_points(power[0])
+        counts.append(fixed and fixed * _fixed_classes(power[1], tq.k))
+        power = _pair_then(power, pair)
     return counts
 
 
 def operator_strip_counts(tq, spec, n_max):
     """tr(A_w^m) for m = 1..n_max: the fixed points of the m-th power of
-    the strip operator's chamber permutation, one composition per power."""
-    power = perm = tq.perm(tq.table, tq.table.element_of_word(spec.word))
+    the strip operator's factor pair (R_w, T_w), one composition of each
+    part per power; a label is fixed exactly when both of its parts are."""
+    pair = power = tq.perm(tq.table, tq.table.element_of_word(spec.word))
     counts = []
     for _ in range(n_max):
-        counts.append(_fixed_points(power))
-        power = [perm[c] for c in power]
+        counts.append(_fixed_points(power[0]) * _fixed_points(power[1]))
+        power = tuple(map(_perm_compose, power, pair))
     return counts
 
 

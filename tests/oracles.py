@@ -190,6 +190,44 @@ def closed_strip_counts_by_chambers(tq, spec, n_max):
     return counts
 
 
+def label_permutation(tq, el):
+    """The permutation of the chamber labels j k^2 + t of e_w, expanded
+    from the factor pair (R_w, T_w) that zeta.TorusQuotient.perm returns:
+    the label j k^2 + t goes to R_w[j] k^2 + T_w[t].  Every test that
+    reads a chamber permutation of the torus reads it here."""
+    right, classes = tq.perm(tq.table, el)
+    size = len(classes)
+    return tuple(r * size + t for r in right for t in classes)
+
+
+def closed_strip_counts_by_factor_walk(tq, spec, n_max):
+    """Closed pointed strip counts by walking the W0 indices and the k^2
+    classes of L/kL through the strip word's factor tables n times around,
+    letter by letter: a chamber comes back to itself exactly when both of
+    its parts do, so the count is the product of the two fixed-point
+    counts.  Oracle for the closed form of zeta.closed_strip_counts."""
+    counts = []
+    parts = [list(range(len(f))) for f in tq.factor_permutations[0]]
+    for _ in range(n_max):
+        for s in spec.word:
+            parts = [[f[c] for c in part] for f, part in zip(tq.factor_permutations[s], parts)]
+        counts.append(_fixed_points(parts[0]) * _fixed_points(parts[1]))
+    return counts
+
+
+def order_by_factor_walk(tq, word):
+    """The least o >= 1 with w^o fixing label 0, by walking the label
+    through the factor tables letter by letter.  Oracle for the closed
+    form e k / gcd(k, v_e) of zeta.TorusQuotient.order."""
+    j, t, o = 0, 0, 0
+    while not o or j or t:
+        for s in word:
+            right, classes = tq.factor_permutations[s]
+            j, t = right[j], classes[t]
+        o += 1
+    return o
+
+
 def mat_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

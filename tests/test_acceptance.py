@@ -9,7 +9,7 @@ import os
 import random
 import time
 
-from oracles import complete_bipartite, complete_graph, petersen_graph, product_key
+from oracles import complete_bipartite, complete_graph, label_permutation, petersen_graph, product_key
 from weylzeta import coxeter, hecke, rootsys, strips, zeta
 from weylzeta.series import (
     Matrix,
@@ -237,7 +237,7 @@ def test_criterion_10_property_suites(tables, torus_k2):
         elements = [el for layer in table.layers[:11] for el in layer]
         pairs = 0
         for w in elements:
-            perms_w = torus.perm(table, w)
+            perms_w = label_permutation(torus, w)
             for v in elements:
                 if w.length + v.length > 10:
                     continue
@@ -245,8 +245,8 @@ def test_criterion_10_property_suites(tables, torus_k2):
                 if wv.length != w.length + v.length:
                     continue
                 pairs += 1
-                pv = torus.perm(table, v)
-                assert tuple(pv[perms_w[i]] for i in range(len(pv))) == torus.perm(table, wv)
+                pv = label_permutation(torus, v)
+                assert tuple(pv[perms_w[i]] for i in range(len(pv))) == label_permutation(torus, wv)
                 for rep in reps:
                     lhs = rep.image(table, w).rows[0][0] * rep.image(table, v).rows[0][0]
                     assert lhs == rep.image(table, wv).rows[0][0]

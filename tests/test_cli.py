@@ -269,6 +269,8 @@ GOLDEN_LINES = {
     # 1,728 chambers: the closed counts multiply the fixed points of the W0
     # and L/kL factor tables
     "torus_G2t_scale12.json": "torus --type G2t --scale 12 --format json",
+    # 120,000 chambers, recorded from the breadth-first chamber numbering
+    "torus_G2t_scale100.json": "torus --type G2t --scale 100 --format json",
     # recorded from the 2m x 2m edge determinant det(I - B u)
     "ihara_petersen_q2.json": "ihara --graph {graphs}/petersen.txt --q 2 --format json",
     # a doubled edge, a leaf and two separate edges: m - n = -1

@@ -1,12 +1,13 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weylzeta import coxeter
+from weylzeta import coxeter, series
 from weylzeta.series import (
     ExponentMap,
     Matrix,
@@ -495,6 +496,37 @@ def test_bareiss_det_matches_berkowitz(coeff_rows, shape):
     assert det == _det_berkowitz(rows)
     if shape in ("equal_rows", "zero_column"):
         assert det == Poly.zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(coefficient_rings)).flatmap(poly_matrices))
+def test_hadamard_packing_bound_holds_on_every_minor(coeff_rows):
+    # det_poly_matrix packs at 2^b with 2^(b-1) above the Hadamard bound:
+    # every coefficient of every minor of the rows, each row scaled by the
+    # lcm of its denominators, must stay below 2^(b-1); the minors come
+    # from Berkowitz.  b is read from the one unpacking call.
+    rows = [[Poly(cs) for cs in row] for row in coeff_rows]
+    bits, unpack = [], series.signed_digits
+    series.signed_digits = lambda packed, b, scale=1: bits.append(b) or unpack(packed, b, scale)
+    try:
+        det = det_poly_matrix(rows)
+    finally:
+        series.signed_digits = unpack
+    assume(bits)  # no unpacking when a pivot column is zero
+    assert det == _det_berkowitz(rows)
+    scaled = []
+    for row in rows:
+        fractions = [c for p in row for c in p.coeffs if isinstance(c, Fraction)]
+        lcm = math.lcm(*(c.denominator for c in fractions)) if fractions else 1
+        scaled.append([p * lcm for p in row])
+    n, top = len(rows), 2 ** (bits[0] - 1)
+    for size in range(1, n + 1):
+        for picked in combinations(range(n), size):
+            for cols in combinations(range(n), size):
+                minor = _det_berkowitz([[scaled[i][j] for j in cols] for i in picked])
+                for c in minor.coeffs:
+                    for x in (c.coeffs if isinstance(c, QPolynomial) else (c,)):
+                        assert abs(x) < top, (picked, cols, x, bits)
 
 
 @st.composite

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     _cycle_type_map, _perm_char_poly, _perm_cycles, _perm_zeta, closed_strip_counts_by_chambers,
-    column_sums, complete_bipartite, complete_graph, cycle_graph, cyclic_entry_rational, mat_mul,
-    orbit_block_det,
+    closed_strip_counts_by_factor_walk, column_sums, complete_bipartite, complete_graph, cycle_graph,
+    cyclic_entry_rational, label_permutation, mat_mul, orbit_block_det, order_by_factor_walk,
     petersen_graph, product_key, torus_generator_permutations_by_matrices, twisted_series,
 )
 from test_series import _det_berkowitz
@@ -302,10 +302,10 @@ def test_chamber_cap_stops_the_torus_before_its_bfs(tables, monkeypatch):
     monkeypatch.setenv("WEYLZETA_MAX_ELEMENTS", "24")
     assert torus_quotient_rep(system, 2, tables["A2t"]).chamber_count() == 24  # at the cap
 
-    def no_chamber_bfs(self):
-        raise AssertionError("the chamber BFS ran over the cap")
+    def no_factor_tables(self):
+        raise AssertionError("the factor tables were built over the cap")
 
-    monkeypatch.setattr(zeta.TorusQuotient, "_enumerate_chambers", no_chamber_bfs)
+    monkeypatch.setattr(zeta.TorusQuotient, "_read_factors", no_factor_tables)
     with pytest.raises(coxeter.ResourceLimitError, match="54 chambers.*WEYLZETA_MAX_ELEMENTS"):
         torus_quotient_rep(system, 3, tables["A2t"])
 
@@ -342,7 +342,7 @@ def test_chamber_labels_match_the_definition(tables, tag):
     quotients = [[mat_mul(inv, m) for m in matrices] for inv in inverses]
     for k in (2, 3):
         tq = torus_quotient_rep(system, k, table)
-        chamber = [tq.perm(table, el)[0] for el in ball]
+        chamber = [label_permutation(tq, el)[0] for el in ball]
         shared = 0
         for i, row in enumerate(quotients):
             for j, g in enumerate(row):
@@ -385,6 +385,60 @@ def test_factor_strip_counts_match_the_chamber_walk(tables, tag, k):
         assert counts == operator_strip_counts(tq, spec, 24), spec.index
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 12, 30])
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_closed_forms_match_the_factor_walk(tables, tag, k):
+    # the closed strip counts (the index of (M_m - I) Z^2 + k Z^2) and the
+    # orders e k / gcd(k, v_e) against walks of the factor tables
+    t = tables[tag]
+    tq = torus_quotient_rep(coxeter.build_system(tag), k, t)
+    for spec in strips.strip_generators(tag):
+        counts = closed_strip_counts(tq, spec, 24)
+        assert counts == closed_strip_counts_by_factor_walk(tq, spec, 24), spec.index
+    for el in t.ball(8):
+        assert tq.order(el.word) == order_by_factor_walk(tq, el.word), el.word
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_label_walks_match_the_numbered_chambers(tables, tag, k):
+    # chamber 0 is label 0; following the numbered chambers breadth first
+    # and the label walks alongside gives a bijection of chambers onto
+    # labels under which every generator permutation agrees
+    tq = torus_quotient_rep(coxeter.build_system(tag), k, tables[tag])
+    gens, label = tq.generator_permutations, {0: 0}
+    for c in range(tq.chamber_count()):
+        for i, g in enumerate(gens):
+            assert label.setdefault(g[c], tq.walk(label[c], (i,))) == tq.walk(label[c], (i,)), (c, i)
+    assert sorted(label.values()) == list(tq.chambers)
+
+
+def test_no_route_reads_the_breadth_first_numbering(tables, monkeypatch):
+    # the numbering is built only when generator_permutations is read
+    def no_numbering(self):
+        raise AssertionError("the breadth-first numbering was built")
+
+    monkeypatch.setattr(TorusQuotient, "_enumerate_chambers", no_numbering)
+    tq = torus_quotient_rep(coxeter.build_system("G2t"), 4, tables["G2t"])
+    t = tq.table
+    assert tq.walk(0, (2, 0, 1) * tq.order((2, 0, 1))) == 0
+    for spec in strips.strip_generators("G2t"):
+        assert closed_strip_counts(tq, spec, 6) == operator_strip_counts(tq, spec, 6)
+    tq.block_det([(tq.perm(t, el), el.length, el.key) for el in t.parabolic_elements((0, 1))])
+    tq.det_series_hook(t, 4)
+    assert verify_strip_zeta_identity(tq).ok
+    monkeypatch.undo()
+    assert tq.generator_permutations == torus_generator_permutations_by_matrices(tq)
+
+
+@pytest.mark.parametrize("chamber", [-1, 24])
+def test_torus_walk_refuses_a_chamber_outside_the_labels(torus_k2, chamber):
+    # -1 used to walk as chamber 23 and 24 raised a bare IndexError
+    tq = torus_k2["A2t"]
+    with pytest.raises(ZetaError, match=r"chamber %d is not one of the 24 chambers 0\.\.23" % chamber):
+        tq.walk(chamber, (0, 1))
+
+
 @pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
 def test_row_two_lies_on_the_plane_of_delta(tables, tag):
     # W fixes delta, so row 2 of every element's matrix has
@@ -402,6 +456,7 @@ def _coarser_basis(tq):
 
 
 def _s1_fixes_the_weyl_index(tq):
+    # s1 would fix chambers: the relations or the k-th powers refuse it
     tq._w0_right = tuple((j,) + right[1:] for j, right in enumerate(tq._w0_right))
 
 
@@ -415,6 +470,11 @@ def _delta_off_the_section(tq):
     tq.system = types.SimpleNamespace(delta=(1, 1, 3), cartan=tq.system.cartan)
 
 
+def _one_translation_word(tq):
+    # its multiples shift the classes along one line, not onto all of L/kL
+    tq._translation_words = tq._translation_words[:1] * len(tq._translation_words)
+
+
 def _translation_words_one_letter_longer(tq):
     # odd length, so no power of the word is a translation: the
     # regularity proof must find chamber 0 moved
@@ -423,11 +483,13 @@ def _translation_words_one_letter_longer(tq):
 
 @pytest.mark.parametrize("spoil,match", [
     (_coarser_basis, "translation outside the detected lattice"),
-    (_s1_fixes_the_weyl_index, "panel gluing fixes a chamber"),
-    (_every_generator_moves_the_weyl_index_as_s1, r"chamber count \d+ disagrees with \|W0\| k\^2"),
+    (_s1_fixes_the_weyl_index, "braid relation fails|to the power k moves chamber 0"),
+    (_every_generator_moves_the_weyl_index_as_s1, r"W0 tables reach 2 of the \|W0\| = \d+ indices"),
     (_delta_off_the_section, "off the plane row . delta = delta"),
     (_translation_words_one_letter_longer, "to the power k moves chamber 0"),
-], ids=["coarser-basis", "fixing-w0", "one-w0-generator", "delta", "not-a-translation"])
+    (_one_translation_word, "do not shift the classes onto all of L/kL"),
+], ids=["coarser-basis", "fixing-w0", "one-w0-generator", "delta", "not-a-translation",
+        "one-translation"])
 @pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
 def test_torus_build_refuses_a_spoiled_weyl_section(tables, monkeypatch, tag, spoil, match):
     setup = TorusQuotient._setup_weyl_section
@@ -439,6 +501,20 @@ def test_torus_build_refuses_a_spoiled_weyl_section(tables, monkeypatch, tag, sp
     monkeypatch.setattr(TorusQuotient, "_setup_weyl_section", spoiled_setup)
     with pytest.raises(ZetaError, match=match):
         TorusQuotient(coxeter.build_system(tag), 3, tables[tag])
+
+
+def test_torus_build_refuses_a_translation_word_that_moves_the_weyl_index(tables, monkeypatch):
+    # s1 s2 has order 3 in the W0 of A2t: its cube fixes chamber 0 at k = 3,
+    # but it moves the W0 indices, so it shifts no class by a vector
+    setup = TorusQuotient._setup_weyl_section
+
+    def spoiled_setup(self):
+        setup(self)
+        self._translation_words = ((0, 1),) + self._translation_words[1:]
+
+    monkeypatch.setattr(TorusQuotient, "_setup_weyl_section", spoiled_setup)
+    with pytest.raises(ZetaError, match="the word 12 does not translate the labels"):
+        TorusQuotient(coxeter.build_system("A2t"), 3, tables["A2t"])
 
 
 def test_torus_build_reflects_only_the_weyl_section(tables, monkeypatch):
@@ -508,15 +584,15 @@ def test_length_additive_products_via_permutations(torus_k2):
         elements = [el for layer in t.layers[:11] for el in layer]
         checked = 0
         for w in elements:
-            pw = tq.perm(t, w)
+            pw = label_permutation(tq, w)
             for v in elements:
                 if w.length + v.length > 10:
                     continue
                 wv = t.element(product_key(t, w.key, v.key))
                 if wv.length != w.length + v.length:
                     continue
-                pv = tq.perm(t, v)
-                assert tuple(pv[pw[i]] for i in range(len(pw))) == tq.perm(t, wv)
+                pv = label_permutation(tq, v)
+                assert tuple(pv[pw[i]] for i in range(len(pw))) == label_permutation(tq, wv)
                 checked += 1
         assert checked > 1000
 
@@ -534,9 +610,9 @@ def test_block_det_matches_generic(tables, tag, k):
     sets += [t.parabolic_elements(gens) for gens in coxeter.all_proper_subsets(3)]
     assert len(sets) == 10
     for els in sets:
-        triples = [(tq.perm(t, el), el.length, el.key) for el in els]
-        block = tq.block_det(triples)
+        block = tq.block_det([(tq.perm(t, el), el.length, el.key) for el in els])
         assert block.as_polynomial() == FiniteTwistedSeries(tq, els, t).det()
+        triples = [(label_permutation(tq, el), el.length, el.key) for el in els]
         assert block == orbit_block_det(tq.chamber_count(), triples)
 
 
@@ -591,9 +667,10 @@ def test_every_regular_block_peels(tables, tag):
 class FreeAction(TorusQuotient):
     """`copies` copies of W_J acting on itself by right multiplication, the
     chambers relabelled by `relabel`: the action block_det relies on,
-    without the torus around it.  Generators outside J get no permutation,
-    so only W_J can be walked, and the trace-log check (which walks a
-    ball of the whole group) must be off: dual_check_order=0."""
+    without the torus around it.  Its factor pairs have one W0 index and
+    the relabelled chambers as their classes.  Generators outside J get no
+    permutation, so only W_J can be walked, and the trace-log check (which
+    walks a ball of the whole group) must be off: dual_check_order=0."""
 
     def __init__(self, table, letters, copies, relabel):
         group = table.parabolic_elements(letters)
@@ -611,8 +688,8 @@ class FreeAction(TorusQuotient):
             perms.append(perm)
         self.system, self.table = table.system, table
         self.chambers = range(copies * size)
-        self.generator_permutations = tuple(perms)
-        self._perm_cache = {table.identity.key: tuple(self.chambers)}
+        self.factor_permutations = tuple(perm and ((0,), perm) for perm in perms)
+        self._perm_cache = {table.identity.key: ((0,), tuple(self.chambers))}
 
 
 @st.composite
@@ -639,9 +716,8 @@ def test_block_det_matches_the_orbit_oracle_on_random_free_actions(tables, actio
     free = FreeAction(t, letters, copies, relabel)
     els = (t.parabolic_elements(letters) if coset is None
            else coxeter.min_coset_reps(t, letters, sub, coset))
-    triples = [(free.perm(t, el), el.length, el.key) for el in els]
-    det = free.block_det(triples, dual_check_order=0)
-    oracle = orbit_block_det(copies * size, triples)
+    det = free.block_det([(free.perm(t, el), el.length, el.key) for el in els], dual_check_order=0)
+    oracle = orbit_block_det(copies * size, [(label_permutation(free, el), el.length, el.key) for el in els])
     assert det == oracle
     assert det.exponents == oracle.exponents
 
@@ -743,24 +819,37 @@ def test_braid_of_involutions_is_the_order_of_their_product(pair, m):
     assert (power == tuple(range(len(p)))) == (_alternating(p, q, m) == _alternating(q, p, m))
 
 
+def _spoil_translation(f):
+    # s1's class map is linear, x -> M x with M = [[-1, 0], [1, 1]]; adding
+    # the translation (1, 0) leaves M^2 = I but moves 0 to M e1 + e1 = e2
+    return f[:4] + (f[4] + 1, f[5])
+
+
+def _spoil_sign(f):
+    # -M is still an involution, but (-M_1 M_2)^3 = -I
+    return tuple(-x for x in f[:4]) + f[4:]
+
+
 @pytest.mark.parametrize("part,spoil,match", [(0, _spoil_involution, "not an involution"),
                                               (0, _spoil_braid, "braid relation fails"),
-                                              (1, _spoil_involution, "not an involution"),
-                                              (1, _spoil_braid, "braid relation fails")],
+                                              (1, _spoil_translation, "not an involution"),
+                                              (1, _spoil_sign, "braid relation fails")],
                          ids=["involution", "braid", "classes-involution", "classes-braid"])
 def test_torus_build_checks_the_unit_hecke_relations(tables, monkeypatch, part, spoil, match):
-    # generator 1's W0 table R_1 (part 0) or its table T_1 on the k^2
-    # classes (part 1) spoiled after the chamber search: the constructor
-    # checks the relations on these factors and must refuse it.  At k = 3
-    # T_1 has three 2-cycles for the braid spoil to swap.
-    search = TorusQuotient._enumerate_chambers
+    # generator 1's W0 table R_1 (part 0) or its class map x -> M_1 x + v_1
+    # over Z (part 1) spoiled once they are read: the constructor checks
+    # the relations on these factors and must refuse it
+    read = TorusQuotient._read_factors
 
-    def spoiled_search(self):
-        search(self)
-        first = tuple(spoil(f) if x == part else f for x, f in enumerate(self.factor_permutations[0]))
-        self.factor_permutations = (first,) + self.factor_permutations[1:]
+    def spoiled_read(self):
+        read(self)
+        if part:
+            self._class_maps = (spoil(self._class_maps[0]),) + self._class_maps[1:]
+        else:
+            first = (spoil(self.factor_permutations[0][0]),) + self.factor_permutations[0][1:]
+            self.factor_permutations = (first,) + self.factor_permutations[1:]
 
-    monkeypatch.setattr(TorusQuotient, "_enumerate_chambers", spoiled_search)
+    monkeypatch.setattr(TorusQuotient, "_read_factors", spoiled_read)
     with pytest.raises(ZetaError, match=match):
         TorusQuotient(coxeter.build_system("A2t"), 3, tables["A2t"])
 
@@ -832,7 +921,8 @@ def test_one_vector_det_series_matches_dense_on_regular_shifts(n, shifts, order)
         if length <= order:
             coeffs[length] = coeffs[length] + _perm_matrix(perm)
     dense = det_series(PowerSeries(coeffs, order))
-    fast = _one_vector_det_series(perm_lengths, n, order)
+    # a permutation of n points is the factor pair with one W0 index
+    fast = _one_vector_det_series([(((0,), perm), length) for perm, length in perm_lengths], n, order)
     assert fast.order == dense.order == order
     assert list(fast.coeffs) == list(dense.coeffs)
 
@@ -966,7 +1056,7 @@ def test_strip_routes_at_scale_6_stay_small(tables):
             op = operator_strip_counts(tq, spec, 24)
             assert op == closed_strip_counts(tq, spec, 24), spec.index
             el = tq.table.element_of_word(spec.word)
-            assert op == _perm_zeta(tq.perm(tq.table, el), 24).closed_counts
+            assert op == _perm_zeta(label_permutation(tq, el), 24).closed_counts
             assert any(op), spec.index
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -988,7 +1078,7 @@ def test_cycle_type_strip_zeta_matches_dense(torus_k2):
         for spec in strips.strip_generators(tag):
             el = tq.table.element_of_word(spec.word)
             order = 6 * spec.length
-            fast = _perm_zeta(tq.perm(tq.table, el), order)
+            fast = _perm_zeta(label_permutation(tq, el), order)
             dense = strip_zeta(tq.action_matrix(el), order)
             assert fast.zeta == dense.zeta, (tag, spec.index)
             assert fast.inverse_poly == dense.inverse_poly
@@ -1058,7 +1148,7 @@ def test_walked_orders_match_the_cycle_type_oracle(tables, tag, k):
     elements = t.ball(8) + [t.element_of_word(spec.word) for spec in strips.strip_generators(tag)]
     for el in elements:
         o = tq.order(el.word)
-        perm = tq.perm(t, el)
+        perm = label_permutation(tq, el)
         assert Counter(_perm_cycles(perm)) == {o: n // o}, (el.word, o)
         assert _fixed_points(perm) == (n if o == 1 else 0), el.word
         if el.length:
