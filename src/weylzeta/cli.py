@@ -156,25 +156,18 @@ def _parse_q(config):
 def cmd_det_identity(config):
     system = _system(config)
     table = coxeter.enumerate_elements(system, coxeter.DEFAULT_BOUND)
-    results = []
-    ok = True
     if config.rep_path:
-        rep = hecke.representation_from_json(system, _read_input(config.rep_path, "--rep"))
-        report = strips.verify_determinant_identity(system, rep, table)
-        ok = report.ok
-        results.append({"representation": config.rep_path, **report.as_json()})
+        reps = [(config.rep_path,
+                 hecke.representation_from_json(system, _read_input(config.rep_path, "--rep")))]
     elif config.q_mode == "torus":
-        tq = zeta.torus_quotient_rep(system, config.scale, table)
-        report = strips.verify_determinant_identity(system, tq, table)
-        ok = report.ok
-        results.append({"representation": "torus k=%d" % config.scale, **report.as_json()})
+        reps = [("torus k=%d" % config.scale, zeta.torus_quotient_rep(system, config.scale, table))]
     else:
         qval = _parse_q(config)
-        for ch in hecke.characters(system):
-            rep = ch.as_representation(hecke.formal_q() if qval is None else qval)
-            report = strips.verify_determinant_identity(system, rep, table)
-            ok = ok and report.ok
-            results.append({"representation": "character %s" % ch.name(), **report.as_json()})
+        reps = [("character %s" % ch.name(), ch.as_representation(hecke.formal_q() if qval is None else qval))
+                for ch in hecke.characters(system)]
+    results = [{"representation": name, **strips.verify_determinant_identity(system, rep, table).as_json()}
+               for name, rep in reps]
+    ok = all(r["pass"] for r in results)
     lines = ["type: %s" % config.type_tag]
     for r in results:
         lines.append("%-24s pass=%s  alt_det=%s" % (r["representation"], r["pass"], r["alt_det"]))
@@ -210,7 +203,7 @@ def cmd_ihara(config):
     if not config.graph_path:
         raise ValueError("ihara needs --graph <edge list file>")
     graph = zeta.Graph.from_edge_list(_read_input(config.graph_path, "--graph"), config.graph_path)
-    report = zeta.ihara_zeta(graph, config.trunc if config.trunc > 0 else 16)
+    report = zeta.ihara_zeta(graph, config.trunc)
     obj = report.as_json()
     lines = [
         "vertices: %d  edges: %d" % (graph.num_vertices, graph.num_edges),

@@ -246,7 +246,7 @@ class Representation:
         self.dim = gen_images[0].nrows
         self._cache = {system.word_key(()): Matrix.identity(self.dim, scalar_one_like(q))}
 
-    def image(self, table, element):
+    def image(self, element):
         """Image of a basis vector e_w, built along the stored reduced word."""
         return walk_word(element, self._cache, lambda m, s: m * self.gen_images[s])
 
@@ -255,13 +255,13 @@ class Representation:
     # factor is a value the verifiers multiply, divide and compare: here a
     # RationalFunction.
 
-    def finite_det_factor(self, table, elements):
+    def finite_det_factor(self, elements):
         """det of sum rho(e_w) u^l(w) over a finite element set."""
-        return RationalFunction(FiniteTwistedSeries(self, elements, table).det())
+        return RationalFunction(FiniteTwistedSeries(self, elements).det())
 
-    def cyclic_det_factor(self, table, element):
+    def cyclic_det_factor(self, element):
         """det(I - rho(e_w) u^l(w)), an exact polynomial, as a factor."""
-        return RationalFunction(char_matrix_det(self.image(table, element), element.length))
+        return RationalFunction(char_matrix_det(self.image(element), element.length))
 
     def det_series_hook(self, table, order):
         """Determinant of the truncated twisted group sum, by unit-pivot
@@ -330,10 +330,10 @@ def check_word_products(rep, table, max_length=None):
         for el in layer:
             if el.length + 1 > max_length:
                 return True
-            m = rep.image(table, el)
+            m = rep.image(el)
             for s, key in enumerate(el.links):  # the ascents: key[s] > 0
                 if key is not None and el.key[s] > 0 and not (
-                        m * rep.gen_images[s] == rep.image(table, table.element(key))):
+                        m * rep.gen_images[s] == rep.image(table.element(key))):
                     return False
     return True
 
@@ -345,19 +345,19 @@ def check_word_products(rep, table, max_length=None):
 def twisted_group_sum(rep, table, order):
     """Truncated twisted Poincare series of the whole group, sum of
     rho(e_w) u^l(w) over `table.ball(order)`."""
-    return FiniteTwistedSeries(rep, table.ball(order), table).truncate(order)
+    return FiniteTwistedSeries(rep, table.ball(order)).truncate(order)
 
 
 class FiniteTwistedSeries:
     """Sum of rho(e_w) u^l(w) over a finite element set: a matrix
     polynomial, held as its tuple of matrix coefficients by degree."""
 
-    def __init__(self, rep, elements, table):
+    def __init__(self, rep, elements):
         self.rep = rep
         self.elements = tuple(elements)
         images = [[] for _ in range(max(e.length for e in self.elements) + 1)]
         for el in self.elements:
-            images[el.length].append(rep.image(table, el).rows)
+            images[el.length].append(rep.image(el).rows)
         zero = scalar_one_like(rep.q) * 0
         # one entrywise sum per degree (row i of every image, then entry j)
         self.coeffs = tuple(Matrix.of_rows(
@@ -375,12 +375,12 @@ class FiniteTwistedSeries:
 
 class CyclicTwistedSeries:
     """Closed form (I - rho(e_w) u^l)^{-1} for the powers of one straight
-    generator; exact, never truncated internally."""
+    generator w; exact, never truncated internally."""
 
-    def __init__(self, rep, a_matrix, length):
+    def __init__(self, rep, element):
         self.rep = rep
-        self.a = a_matrix
-        self.length = length
+        self.a = rep.image(element)
+        self.length = element.length
 
     def truncate(self, order):
         power = Matrix.identity(self.a.nrows, scalar_one_like(self.rep.q))

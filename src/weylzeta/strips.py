@@ -293,9 +293,9 @@ def verify_twisted_factorization(table, scheme, rep, order):
     product = None
     for kind, data in factors:
         if kind == "finite":
-            ts = FiniteTwistedSeries(rep, data, table).truncate(order)
+            ts = FiniteTwistedSeries(rep, data).truncate(order)
         else:
-            ts = CyclicTwistedSeries(rep, rep.image(table, data), data.length).truncate(order)
+            ts = CyclicTwistedSeries(rep, data).truncate(order)
         product = ts if product is None else product * ts
     direct = twisted_group_sum(rep, table, order)
     report = TwistedFactorizationReport(scheme.type_tag, order, True)
@@ -354,8 +354,8 @@ def verify_determinant_identity(system, rep, table=None):
         table = cox.enumerate_elements(system, cox.DEFAULT_BOUND)
     scheme = scheme_for(system.type_tag)
     named = [
-        ("factor %d (%s)" % (i, kind), kind, rep.finite_det_factor(table, data) if kind == "finite"
-         else rep.cyclic_det_factor(table, data))
+        ("factor %d (%s)" % (i, kind), kind, rep.finite_det_factor(data) if kind == "finite"
+         else rep.cyclic_det_factor(data))
         for i, (kind, data) in enumerate(realize_factors(table, scheme), start=1)
     ]
 
@@ -379,7 +379,7 @@ def verify_determinant_identity(system, rep, table=None):
     k = system.num_generators
     alt = det_full
     for subset in cox.all_proper_subsets(k):
-        d_i = rep.finite_det_factor(table, table.parabolic_elements(subset))
+        d_i = rep.finite_det_factor(table.parabolic_elements(subset))
         named.append(("parabolic {%s}" % ",".join(str(i + 1) for i in subset), "finite", d_i))
         alt = alt * (d_i if (len(subset) + k) % 2 == 0 else d_i.inverse())
 

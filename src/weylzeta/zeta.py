@@ -407,13 +407,14 @@ class TorusQuotient:
     The quotient is its own permutation representation at q = 1.  The
     build checks the quadratic and braid relations at q = 1 on the R_i and
     on the class maps over Z, for every k at once, so the labels carry a
-    W-action, and proves G_k = W/t(kL) acts regularly: the k-th powers of
-    the translations v^-1 s3 s_theta v (v in W0, s_theta the W0 element of
-    s3's linear part) generate t(kL) and fix chamber 0, and the action is
-    transitive, as R is W0's right-regular action and the translations fix
-    every W0 index and shift the classes by vectors whose 2x2 minors have
-    gcd 1.  So chamber 0's stabiliser is the normal t(kL): every w fixes no
-    chamber or all n, and P(w) has n / o cycles of length o, w's order.
+    W-action, and proves G_k = W/t(kL) acts regularly.  The translations
+    v^-1 s3 s_theta v (v in W0, s_theta the W0 element of s3's linear part)
+    are checked to fix every W0 index and to act on the classes over Z as
+    x -> x + v, so their k-th powers, which generate t(kL), fix every
+    label; and the action is transitive, as R is W0's right-regular action
+    and the vectors v have 2x2 minors of gcd 1.  So chamber 0's stabiliser
+    is the normal t(kL): every w fixes no chamber or all n, and P(w) has
+    n / o cycles of length o, w's order.
     """
 
     q = 1
@@ -441,13 +442,11 @@ class TorusQuotient:
             if system.bond(i, j) and self._factor_pair((i, j) * system.bond(i, j)) != one:
                 raise ZetaError("braid relation fails on chambers for (%d, %d)" % (i + 1, j + 1))
         shifts = []
-        for word in self._translation_words:  # t(kL) fixes chamber 0
-            name, (right, f) = "".join(str(s + 1) for s in word), self._factor_pair(word)
-            if self._walk(0, word * k):
-                raise ZetaError("the translation %s to the power k moves chamber 0; "
-                                "W/t(kL) does not act regularly" % name)
+        for word in self._translation_words:  # x -> x + v over Z, so t(kL) fixes every label
+            right, f = self._factor_pair(word)
             if (right, f[:4]) != (one[0], _IDENTITY_MAP[:4]):
-                raise ZetaError("the word %s does not translate the labels" % name)
+                raise ZetaError("the word %s does not translate the labels"
+                                % "".join(str(s + 1) for s in word))
             shifts.append(f[4:])
         orbit = {0}  # R acts transitively on the W0 indices
         for _ in range(self.weyl_order):
@@ -569,19 +568,17 @@ class TorusQuotient:
     dim = property(chamber_count)
 
     def walk(self, chamber, word):
-        """The label reached from the label `chamber` across word's panels; a
-        chamber outside 0..n-1 raises ZetaError, a bad letter CoxeterError."""
+        """The label reached from the label `chamber` across word's panels,
+        by the word's factor pair: (j, x) goes to (R_w[j], M_w x + v_w mod k).
+        A chamber outside 0..n-1 raises ZetaError, a bad letter CoxeterError."""
         if chamber not in self.chambers:
             raise ZetaError("chamber %r is not one of the %d chambers 0..%d"
                             % (chamber, len(self.chambers), self.chambers[-1]))
-        return self._walk(chamber, self.system.checked_word(word))
-
-    def _walk(self, chamber, word):
-        size, factors = self.k * self.k, self.factor_permutations
-        j, t = divmod(chamber, size)
-        for s in word:
-            j, t = factors[s][0][j], factors[s][1][t]
-        return j * size + t
+        right, (a, b, c, d, e, h) = self._factor_pair(self.system.checked_word(word))
+        k = self.k
+        j, t = divmod(chamber, k * k)
+        p, q = divmod(t, k)
+        return (right[j] * k + (a * p + b * q + e) % k) * k + (c * p + d * q + h) % k
 
     def _factor_pair(self, word):
         """R_w and the class map of w over Z, for a checked word."""
@@ -598,40 +595,38 @@ class TorusQuotient:
             power, e = _pair_then(power, pair), e + 1
         return e * self.k // math.gcd(self.k, *power[1][4:])
 
-    def perm(self, table, element):
+    def perm(self, element):
         """The factor pair (R_w, T_w) of e_w, built along the stored reduced
         word: it sends the label j k^2 + t to R_w[j] k^2 + T_w[t]."""
         factors = self.factor_permutations
         return walk_word(element, self._perm_cache, lambda p, s: tuple(map(_perm_compose, p, factors[s])))
 
-    def image(self, table, element):
-        """Dense permutation matrix of e_w on the labels, rebuilt on every call."""
-        right, classes = self.perm(table, element)
+    def image(self, element):
+        """Dense permutation matrix of e_w, right multiplication on the labels,
+        rebuilt on every call: an oracle, not a production route."""
+        right, classes = self.perm(element)
         return _perm_matrix([r * len(classes) + t for r in right for t in classes])
 
-    def action_matrix(self, element):
-        """Dense permutation matrix of right multiplication on the
-        chambers, rebuilt on every call: an oracle, not a production route."""
-        return self.image(self.table, element)
+    action_matrix = image
 
     # exact permutation routes for the identity verifiers
 
-    def finite_det_factor(self, table, elements):
-        return self.block_det([(self.perm(table, el), el.length, el.key) for el in elements])
+    def finite_det_factor(self, elements):
+        return self.block_det([(self.perm(el), el.length, el.key) for el in elements])
 
-    def cyclic_det_factor(self, table, element):
+    def cyclic_det_factor(self, element):
         """det(I - P u^l) = (1 - u^(l o))^(n / o), o the element's order."""
         return _regular_cycle_map(len(self.chambers), self.order(element.word), element.length)
 
-    def cyclic_det_hook(self, table, element):
-        return self.cyclic_det_factor(table, element).as_polynomial()
+    def cyclic_det_hook(self, _table, element):
+        return self.cyclic_det_factor(element).as_polynomial()
 
     def det_series_hook(self, table, order):
         """Trace-log determinant of the truncated twisted group sum by the
         one-vector route: the action is regular (proved at build), so
         tr(N^j) = n (N^j)_{c0 c0}, and one label vector is pushed through
         the factor pairs of the ball of radius `order`."""
-        pair_lengths = [(self.perm(table, el), el.length) for el in table.ball(order)[1:]]
+        pair_lengths = [(self.perm(el), el.length) for el in table.ball(order)[1:]]
         return _one_vector_det_series(pair_lengths, len(self.chambers), order)
 
     # -- exact block determinants ---------------------------------------------
@@ -667,7 +662,7 @@ class TorusQuotient:
             raise ZetaError("the letters %s generate no finite parabolic within bound %d"
                             % ("".join(str(s + 1) for s in letters), table.bound)) from None
         for (perm, _length, _key), el in zip(perm_len_keys, elements):
-            own = self.perm(table, el)
+            own = self.perm(el)
             if perm is not own and perm != own:
                 raise ZetaError("w = %s: the permutation given is not the quotient's"
                                 % "".join(str(s) for s in el.word))
@@ -688,7 +683,7 @@ class TorusQuotient:
                             % "".join(str(s + 1) for s in letters)) from None
         # independent truncated route, from the keys alone
         if [el.length for el in elements].count(0) == 1:
-            pair_lengths = [(self.perm(table, el), el.length)
+            pair_lengths = [(self.perm(el), el.length)
                             for el in elements if 0 < el.length <= dual_check_order]
             truncated = _one_vector_det_series(pair_lengths, n, dual_check_order)
             if not (truncated == det.expand(dual_check_order)):
@@ -762,7 +757,7 @@ def operator_strip_counts(tq, spec, n_max):
     """tr(A_w^m) for m = 1..n_max: the fixed points of the m-th power of
     the strip operator's factor pair (R_w, T_w), one composition of each
     part per power; a label is fixed exactly when both of its parts are."""
-    pair = power = tq.perm(tq.table, tq.table.element_of_word(spec.word))
+    pair = power = tq.perm(tq.table.element_of_word(spec.word))
     counts = []
     for _ in range(n_max):
         counts.append(_fixed_points(power[0]) * _fixed_points(power[1]))

@@ -119,7 +119,7 @@ def hecke_mul_recursion(table, x, y, q=None):
     return HeckeElement(table, out)
 
 
-def finite_twisted_coeffs(rep, elements, table):
+def finite_twisted_coeffs(rep, elements):
     """Matrix coefficients by degree of sum rho(e_w) u^l(w) over a finite
     element set, adding one image Matrix at a time.  Oracle for the
     per-degree entrywise sums of hecke.FiniteTwistedSeries."""
@@ -129,7 +129,7 @@ def finite_twisted_coeffs(rep, elements, table):
     one = scalar_one_like(rep.q)
     coeffs = [Matrix.identity(dim, one) * 0 for _ in range(max_len + 1)]
     for el in elements:
-        coeffs[el.length] = coeffs[el.length] + rep.image(table, el)
+        coeffs[el.length] = coeffs[el.length] + rep.image(el)
     return tuple(coeffs)
 
 
@@ -195,7 +195,7 @@ def label_permutation(tq, el):
     from the factor pair (R_w, T_w) that zeta.TorusQuotient.perm returns:
     the label j k^2 + t goes to R_w[j] k^2 + T_w[t].  Every test that
     reads a chamber permutation of the torus reads it here."""
-    right, classes = tq.perm(tq.table, el)
+    right, classes = tq.perm(el)
     size = len(classes)
     return tuple(r * size + t for r in right for t in classes)
 
@@ -387,12 +387,12 @@ def twisted_series(table, descriptor, rep, order=None):
         elements = cox.min_coset_reps(table, J, I, side)
     elif kind == "cyclic":
         el = descriptor[1]
-        return CyclicTwistedSeries(rep, rep.image(table, el), el.length)
+        return CyclicTwistedSeries(rep, el)
     elif kind == "elements":
         elements = list(descriptor[1])
     else:
         raise HeckeError("unknown subset descriptor %r" % (kind,))
-    fts = FiniteTwistedSeries(rep, elements, table)
+    fts = FiniteTwistedSeries(rep, elements)
     if order is not None:
         return fts.truncate(order)
     return fts

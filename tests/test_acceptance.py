@@ -248,8 +248,8 @@ def test_criterion_10_property_suites(tables, torus_k2):
                 pv = label_permutation(torus, v)
                 assert tuple(pv[perms_w[i]] for i in range(len(pv))) == label_permutation(torus, wv)
                 for rep in reps:
-                    lhs = rep.image(table, w).rows[0][0] * rep.image(table, v).rows[0][0]
-                    assert lhs == rep.image(table, wv).rows[0][0]
+                    lhs = rep.image(w).rows[0][0] * rep.image(v).rows[0][0]
+                    assert lhs == rep.image(wv).rows[0][0]
         assert pairs > 1000, tag
     # (c) det_series multiplicativity on random 3x3 matrix series to order 12
     for _ in range(10):

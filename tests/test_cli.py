@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -157,6 +158,17 @@ def test_ihara_with_formula_check(tmp_path, capsys):
     assert obj["formula_check"]["pass"] is True
 
 
+def test_ihara_trunc_zero_is_order_zero(tmp_path, capsys):
+    # --trunc 0 asks for no counts; it used to be read as order 16
+    path = tmp_path / "k4.txt"
+    path.write_text(K4_EDGES)
+    status, out = run_cli(["ihara", "--graph", str(path), "--trunc", "0", "--format", "json"], capsys)
+    assert status == 0
+    obj = json.loads(out)
+    check_schema(obj, load_schema("zeta_report.json"))
+    assert (obj["order"], obj["N"], obj["primitive_counts"]) == (0, [], [])
+
+
 def test_ihara_rejects_rational_q(tmp_path, capsys):
     path = tmp_path / "k4.txt"
     path.write_text(K4_EDGES)
@@ -289,6 +301,20 @@ def test_outputs_match_golden(name, tmp_path, capsys):
         assert out == fh.read()
 
 
+def test_console_script_matches_every_golden(tmp_path):
+    # the installed entry point, run as a user runs it, over the whole table
+    script = shutil.which("weylzeta")
+    if script is None:
+        pytest.skip("the weylzeta console script is not installed")
+    graph = tmp_path / "k4.txt"
+    graph.write_text(K4_EDGES)
+    for name, line in sorted(GOLDEN_LINES.items()):
+        argv = [w.format(graph=graph, graphs=GRAPH_DIR) for w in line.split()]
+        out = subprocess.run([script, *argv], capture_output=True, check=True).stdout
+        with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+            assert out == fh.read(), name
+
+
 def test_det_identity_failure_reports_witness(capsys, monkeypatch):
     # one wrong parabolic factor: exit 1, and the witness in text and JSON
     from weylzeta.series import ExponentMap
@@ -296,8 +322,8 @@ def test_det_identity_failure_reports_witness(capsys, monkeypatch):
 
     orig = TorusQuotient.finite_det_factor
 
-    def wrong(self, table, elements):
-        out = orig(self, table, elements)
+    def wrong(self, elements):
+        out = orig(self, elements)
         return out * ExponentMap({7: 1}) if [el.word for el in elements] == [(), (0,)] else out
 
     monkeypatch.setattr(TorusQuotient, "finite_det_factor", wrong)

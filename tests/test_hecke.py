@@ -232,7 +232,7 @@ def test_character_word_values(tables):
         rep = ch.as_representation()
         for layer in t.layers[:5]:
             for el in layer:
-                assert rep.image(t, el).rows[0][0] == character_word_value(ch, el.word, q)
+                assert rep.image(el).rows[0][0] == character_word_value(ch, el.word, q)
 
 
 def test_word_product_check_builds_cache(tables):
@@ -374,8 +374,8 @@ def _twisted_reps(system):
 TWISTED_REPS = {tag: _twisted_reps(t.system) for tag, t in TWISTED_TABLES.items()}
 
 
-def _assert_same_twisted_sum(rep, elements, table):
-    new, old = FiniteTwistedSeries(rep, elements, table).coeffs, finite_twisted_coeffs(rep, elements, table)
+def _assert_same_twisted_sum(rep, elements):
+    new, old = FiniteTwistedSeries(rep, elements).coeffs, finite_twisted_coeffs(rep, elements)
     assert new == old
     assert [type(a) for m in new for r in m.rows for a in r] == [type(a) for m in old for r in m.rows for a in r]
 
@@ -385,7 +385,7 @@ def twisted_sum_cases(draw):
     tag = draw(st.sampled_from(sorted(TWISTED_TABLES)))
     table = TWISTED_TABLES[tag]
     elements = draw(st.lists(st.sampled_from([el for layer in table.layers for el in layer]), min_size=1, max_size=12))
-    return draw(st.sampled_from(TWISTED_REPS[tag])), elements, table
+    return draw(st.sampled_from(TWISTED_REPS[tag])), elements
 
 
 @settings(max_examples=200, deadline=None)
@@ -400,9 +400,9 @@ def test_twisted_sum_with_a_skipped_degree(tag):
     table = TWISTED_TABLES[tag]
     elements = [el for d in (0, 1, 4, 6) for el in table.layers[d]]
     for rep in TWISTED_REPS[tag]:
-        coeffs = FiniteTwistedSeries(rep, elements, table).coeffs
+        coeffs = FiniteTwistedSeries(rep, elements).coeffs
         assert len(coeffs) == 7 and all(coeffs[d].is_zero() for d in (2, 3, 5))
-        _assert_same_twisted_sum(rep, elements, table)
+        _assert_same_twisted_sum(rep, elements)
 
 
 def test_twisted_group_sum_past_the_table_bound_raises():
