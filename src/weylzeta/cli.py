@@ -262,8 +262,10 @@ def build_parser():
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--type", dest="type_tag", help="type tag, e.g. A2t, C2t, G2t, E8, all")
     parser.add_argument("--rank", type=int, default=None)
-    parser.add_argument("--trunc", type=int, default=24, help="truncation order")
-    parser.add_argument("--scale", type=int, default=2, help="torus scale k")
+    parser.add_argument("--trunc", type=int, default=None,
+                        help="truncation order (poincare, factorize, ihara; default 24)")
+    parser.add_argument("--scale", type=int, default=None,
+                        help="torus scale k (torus, det-identity --q torus; default 2)")
     parser.add_argument("--q", dest="q_mode", default="formal",
                         help="'formal', a rational like 2 or 1/2, or 'torus'")
     parser.add_argument("--rep", dest="rep_path", help="representation JSON file")
@@ -272,6 +274,25 @@ def build_parser():
                         choices=("text", "json", "csv"))
     parser.add_argument("--out", dest="out_path", default=None)
     return parser
+
+
+def _read_options(config):
+    """Fill in --trunc and --scale where the command reads them; an
+    option the command does not read raises an InputError naming both."""
+    reads = {
+        "trunc": config.command in ("poincare", "factorize", "ihara"),
+        "scale": config.command == "torus" or (
+            config.command == "det-identity" and config.q_mode == "torus" and not config.rep_path),
+    }
+    for option, default in (("trunc", 24), ("scale", 2)):
+        value = getattr(config, option)
+        if reads[option]:
+            setattr(config, option, default if value is None else value)
+        elif value is not None:
+            message = "%s does not read --%s" % (config.command, option)
+            if option == "scale" and config.command == "det-identity":
+                message += " (only with --q torus and no --rep)"
+            raise InputError(message)
 
 
 def main(argv=None):
@@ -283,9 +304,10 @@ def main(argv=None):
             "t" if config.type_tag.endswith("t") else "",
         )
     try:
-        if config.trunc < 0:
+        _read_options(config)
+        if config.trunc is not None and config.trunc < 0:
             raise ValueError("truncation order must be nonnegative")
-        if config.scale < 2:
+        if config.scale is not None and config.scale < 2:
             raise ValueError("scale must be at least 2")
         status, lines, obj = _COMMANDS[config.command](config)
     except Exception as exc:  # structured failure for scripting

@@ -588,6 +588,11 @@ class RationalFunction:
         is the exact check.  A true product has |m_d| <= D = deg num +
         deg den and d <= 2 D^2 (phi(e) >= sqrt(e/2)), so beyond either
         bound there is no factorisation.
+
+        N and M are plain coefficient lists of one length, both grown by
+        d |m_d| before a step, and each factor (1-u^d) is multiplied in
+        place as c[i] -= c[i-d] over every i >= d, each c[i-d] read before
+        it is written: no polynomial is built and no power taken.
         """
         def plain(p):
             out = []
@@ -597,25 +602,29 @@ class RationalFunction:
                         return None
                     c = c.constant()
                 out.append(c)
-            return Poly(out)
+            return out
 
         top, bottom = plain(self.num), plain(self.den)
-        if top is None or bottom is None or top.constant() != 1:
+        if top is None or bottom is None or not top or top[0] != 1:
             return None
-        bound = top.degree + bottom.degree
+        bound = len(top) + len(bottom) - 2
+        size = max(len(top), len(bottom))
+        top += [0] * (size - len(top))
+        bottom += [0] * (size - len(bottom))
         factors = []
         d = 1
         while top != bottom:
-            while top.coeff(d) == bottom.coeff(d):
+            while top[d] == bottom[d]:
                 d += 1
-            c = top.coeff(d) - bottom.coeff(d)
+            c = top[d] - bottom[d]
             if Fraction(c).denominator != 1 or abs(c) > bound or d > 2 * bound * bound:
                 return None
             m = -int(c)
-            if m > 0:
-                bottom = (1 - Poly.u(d)) ** m * bottom
-            else:
-                top = (1 - Poly.u(d)) ** -m * top
+            top += [0] * (d * abs(m))
+            bottom += [0] * (d * abs(m))
+            side = bottom if m > 0 else top
+            for _ in range(abs(m)):
+                side[d:] = map(sub, side[d:], side[:-d])
             factors.append((d, m))
         return factors
 

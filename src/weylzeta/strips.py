@@ -5,7 +5,7 @@ the two strip factors to the alternating product of parabolic series.
 """
 
 import operator
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 from . import coxeter as cox
 from .hecke import CyclicTwistedSeries, FiniteTwistedSeries, twisted_group_sum
@@ -312,9 +312,13 @@ def verify_twisted_factorization(table, scheme, rep, order):
 
 
 class DetIdentityReport:
+    """`strip_dets` takes the two strip determinant factors, each an
+    ExponentMap or a RationalFunction, and reads back as polynomials,
+    expanded when first read."""
+
     def __init__(self, type_tag, ok, strip_dets, alt_det, dual_check_order, dual_check_ok,
                  witness=None):
-        self.type_tag, self.ok, self.strip_dets = type_tag, ok, strip_dets
+        self.type_tag, self.ok, self._strip_factors = type_tag, ok, strip_dets
         self.alt_det = alt_det  # a RationalFunction or an ExponentMap
         self.dual_check_order, self.dual_check_ok = dual_check_order, dual_check_ok
         self.witness = witness  # None on a pass
@@ -330,6 +334,10 @@ class DetIdentityReport:
         if self.witness is not None:
             out["witness"] = self.witness
         return out
+
+    @cached_property
+    def strip_dets(self):
+        return [det.as_polynomial() for det in self._strip_factors]
 
 
 def verify_determinant_identity(system, rep, table=None):
@@ -361,7 +369,6 @@ def verify_determinant_identity(system, rep, table=None):
 
     # determinants of the two cyclic strip factors: det(I - A_i u^{l_i})
     strip_factors = [det for _name, kind, det in named if kind == "cyclic"]
-    strip_dets = [det.as_polynomial() for det in strip_factors]
     lhs = reduce(operator.mul, strip_factors).inverse()
 
     # det of the full-group twisted series, through the factorization
@@ -394,7 +401,7 @@ def verify_determinant_identity(system, rep, table=None):
         witness = exponent_witness("identity", lhs, alt)
     if witness is not None:
         witness["factors"] = [{"factor": name, "form": _factor_form(det)} for name, _kind, det in named]
-    return DetIdentityReport(system.type_tag, dual_ok and identity_ok, strip_dets, alt,
+    return DetIdentityReport(system.type_tag, dual_ok and identity_ok, strip_factors, alt,
                              dual_check_order, dual_ok, witness)
 
 

@@ -14,9 +14,9 @@ only for output.  The quotient is its own permutation representation at
 q = 1, validated when it is built; its dense chamber matrices (`image`,
 `action_matrix`) are uncached oracles.  The build proves W/t(kL) acts
 regularly, so tr P(w) is n or 0 and every cycle of P(w) has length o:
-the dual trace-log checks push one label vector through the factor
-pairs of a ball, and Newton's identities turn the integer power
-sums of tr log into the determinant.  The torus routes run in Python
+the dual trace-log checks solve one resolvent recurrence for a label
+vector over the factor pairs of a ball, and Newton's identities turn
+its integer power sums into the determinant.  The torus routes run in Python
 ints; all emitted values are ints, Fractions, or exact polynomials.
 """
 
@@ -32,7 +32,6 @@ from .series import (
     Poly,
     RationalFunction,
     SeriesError,
-    _divide_scalar,
     char_matrix_det,
     det_poly_matrix,
     power_sum_exp,
@@ -322,36 +321,39 @@ def _one_vector_det_series(pair_lengths, n, order):
     """det(I + N) up to u^order for N = sum P u^l over (pair, l), l >= 1,
     P the factor pair (R, T) sending label j s + t to R[j] s + T[t],
     s = len(T).  Valid only when every product of the P fixes no label or
-    all n, as on a torus: then tr(N^j) = n (N^j)_{00}, from the row vector
-    e_0 N^j, held as one sparse {label: count} map per degree.
+    all n, as on a torus: then tr M = n M_00 for every M in the algebra
+    the P span, read off the row vector e_0 M.
 
-    tr log(I + N) is accumulated over the common denominator
-    lcm(1..order), and its power sums p_d = d tr log(I + N)_d are ints,
-    since u d/du log det(I + N) = tr(u N' (I + N)^-1) has integer
-    coefficients; `power_sum_exp` turns them into the determinant."""
+    By Jacobi's formula the power sums of det(I + N) = exp(sum p_d u^d / d)
+    are the coefficients of u d/du log det(I + N) = tr(u N' (I + N)^-1),
+    so p_d = n (y_d)_0 for the row vector y = e_0 u N' (I + N)^-1.  One
+    resolvent pass solves y (I + N) = e_0 u N' degree by degree,
+        y_d = d sum_(P of length d) e_P(0) - sum_(l<d) y_(d-l) N_l,
+    each y_d a sparse {label: int} map, so every p_d is an int and
+    `power_sum_exp` is the only step that divides."""
     by_length, size = [[] for _ in range(order + 1)], 1
     for (right, classes), length in pair_lengths:
         if length <= order:  # R held as R[j] s, s the same for every pair
             size = len(classes)
             by_length[length].append((tuple([r * size for r in right]), classes))
-    denom = math.lcm(*range(1, order + 1))
-    vec = [{0: 1}] + [{} for _ in range(order)]
-    tr_log = [0] * (order + 1)  # denom * tr log(I + N), by degree
-    for j in range(1, order + 1):
-        nxt = [{} for _ in range(order + 1)]
-        for a in range(order):
-            for c, x in vec[a].items():
+    ys, power_sums = [None], []
+    for d in range(1, order + 1):
+        row = {}
+        for right, classes in by_length[d]:
+            label = right[0] + classes[0]
+            row[label] = row.get(label, 0) + d
+        for length in range(1, d):
+            pairs = by_length[length]
+            if not pairs:
+                continue
+            for c, x in ys[d - length].items():
                 w0, t = divmod(c, size)
-                for length in range(1, order - a + 1):
-                    row = nxt[a + length]
-                    for right, classes in by_length[length]:
-                        label = right[w0] + classes[t]
-                        row[label] = row.get(label, 0) + x
-        vec = nxt
-        weight = (n if j % 2 == 1 else -n) * (denom // j)
-        for d in range(j, order + 1):
-            tr_log[d] += weight * vec[d].get(0, 0)
-    return power_sum_exp([_divide_scalar(d * tr_log[d], denom) for d in range(1, order + 1)], order)
+                for right, classes in pairs:
+                    label = right[w0] + classes[t]
+                    row[label] = row.get(label, 0) - x
+        ys.append(row)
+        power_sums.append(n * row.get(0, 0))
+    return power_sum_exp(power_sums, order)
 
 
 def _regular_cycle_map(n, o, shift_power):
@@ -623,9 +625,9 @@ class TorusQuotient:
 
     def det_series_hook(self, table, order):
         """Trace-log determinant of the truncated twisted group sum by the
-        one-vector route: the action is regular (proved at build), so
-        tr(N^j) = n (N^j)_{c0 c0}, and one label vector is pushed through
-        the factor pairs of the ball of radius `order`."""
+        one-vector route: the action is regular (proved at build), so a
+        trace is n times one diagonal entry, and one resolvent pass over
+        the factor pairs of the ball of radius `order` gives the power sums."""
         pair_lengths = [(self.perm(el), el.length) for el in table.ball(order)[1:]]
         return _one_vector_det_series(pair_lengths, len(self.chambers), order)
 

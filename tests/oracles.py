@@ -91,6 +91,42 @@ def _normalize_fractions(cs):
     return out
 
 
+def binomial_factors_dense(rf):
+    """The (1-u^d)^m exponent map of a RationalFunction, as a sorted list
+    of (d, m), or None, by the peel on Poly values: each step multiplies
+    by the dense product (1-u^d)^|m|.  Oracle for
+    RationalFunction.binomial_factors, which peels on plain lists."""
+    def plain(p):
+        out = []
+        for c in p.coeffs:
+            if isinstance(c, QPolynomial):
+                if c.degree > 0:
+                    return None
+                c = c.constant()
+            out.append(c)
+        return Poly(out)
+
+    top, bottom = plain(rf.num), plain(rf.den)
+    if top is None or bottom is None or top.constant() != 1:
+        return None
+    bound = top.degree + bottom.degree
+    factors = []
+    d = 1
+    while top != bottom:
+        while top.coeff(d) == bottom.coeff(d):
+            d += 1
+        c = top.coeff(d) - bottom.coeff(d)
+        if Fraction(c).denominator != 1 or abs(c) > bound or d > 2 * bound * bound:
+            return None
+        m = -int(c)
+        if m > 0:
+            bottom = (1 - Poly.u(d)) ** m * bottom
+        else:
+            top = (1 - Poly.u(d)) ** -m * top
+        factors.append((d, m))
+    return factors
+
+
 def hecke_mul_recursion(table, x, y, q=None):
     """Hecke product by the right-multiplication recursion on the
     coefficients themselves, q-polynomials included: T_w T_s is T_ws on an

@@ -194,6 +194,28 @@ def test_bad_option_values_report_structured_error(argv, word, capsys):
     assert out == "error: %s\n" % error["error"]
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["torus", "--type", "A2t", "--trunc", "5"], "--trunc"),
+    (["det-identity", "--type", "A2t", "--q", "torus", "--trunc", "5"], "--trunc"),
+    (["alt", "--type", "A2t", "--trunc", "5"], "--trunc"),
+    (["macdonald-table", "--type", "E8", "--trunc", "5"], "--trunc"),
+    (["alt", "--type", "A2t", "--scale", "3"], "--scale"),
+    (["poincare", "--type", "A2t", "--scale", "3"], "--scale"),
+    (["factorize", "--type", "A2t", "--scale", "3"], "--scale"),
+    (["det-identity", "--type", "A2t", "--scale", "3"], "--scale"),
+    (["det-identity", "--type", "A2t", "--q", "2", "--scale", "3"], "--scale"),
+], ids=["torus-trunc", "det-identity-trunc", "alt-trunc", "macdonald-trunc", "alt-scale",
+        "poincare-scale", "factorize-scale", "det-identity-scale", "det-identity-q2-scale"])
+def test_an_option_the_command_does_not_read_is_refused(argv, option, capsys):
+    status, out = run_cli(argv + ["--format", "json"], capsys)
+    assert status == 2
+    error = json.loads(out)
+    assert error["kind"] == "InputError"
+    assert error["error"].startswith("%s does not read %s" % (argv[0], option))
+    status, out = run_cli(argv, capsys)
+    assert (status, out) == (2, "error: %s\n" % error["error"])
+
+
 def test_torus_over_chamber_cap_reports_resource_limit(capsys, monkeypatch):
     # A2t at bound 24 has 901 elements; scale 13 needs 6 * 13^2 = 1014 chambers
     monkeypatch.setenv("WEYLZETA_MAX_ELEMENTS", "1000")

@@ -27,7 +27,7 @@ from weylzeta.series import (
     power_sum_exp,
     scalar_from_json,
 )
-from oracles import _series_exp, det_series_tracelog, series_from_json
+from oracles import _series_exp, binomial_factors_dense, det_series_tracelog, series_from_json
 
 
 def rand_qpoly(rng, deg=4, lo=-5, hi=5):
@@ -125,6 +125,34 @@ def test_binomial_factors_peel_unreduced_products(factors, a, b):
     assert RationalFunction(num * Poly((1, 2)), den).binomial_factors() is None
     low = binomial_product(factors)
     assert low.num * den == num * low.den
+
+
+def test_binomial_factors_match_the_dense_peel_oracle():
+    # the in-place peel against the peel on Poly values: seeded exponent
+    # maps with negative exponents, unreduced and lowest-terms (Phi_e)
+    # forms, and non-products, next to 1 + u = (1-u^2)/(1-u), Phi_6 and
+    # rational and q-constant coefficients
+    rng = random.Random(2807)
+    b = [None] + [1 - Poly.u(d) for d in range(1, 7)]
+    cases = [RationalFunction(Poly((1, 1))), RationalFunction(Poly((1, -1, 1))),
+             RationalFunction(b[1] * b[6], b[2] * b[3]), RationalFunction(Poly((1, Fraction(-1, 2)))),
+             RationalFunction(Poly([QPolynomial((1,)), QPolynomial((-1,))]), b[2]),
+             RationalFunction(Poly([1, QPolynomial((0, 1))]))]
+    products = []
+    for _ in range(80):
+        factors = {rng.randint(1, 9): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(0, 3))}
+        num, den = _naive_product(factors)
+        common = Poly((1, rng.randint(-3, 3), rng.randint(-3, 3)))
+        products += [(RationalFunction(num * common, den * common), factors), (binomial_product(factors), factors)]
+        cases += [RationalFunction(num * Poly((1, rng.choice((2, -2, 3)))), den),
+                  RationalFunction(num + Poly.u(rng.randint(1, 12), rng.choice((1, -1, 2))), den)]
+    for rf, factors in products:
+        assert rf.binomial_factors() == binomial_factors_dense(rf) == sorted(factors.items())
+    peeled = [rf.binomial_factors() for rf in cases]
+    assert peeled == [binomial_factors_dense(rf) for rf in cases]
+    phi6 = [(1, 1), (2, -1), (3, -1), (6, 1)]
+    assert peeled[:6] == [[(1, -1), (2, 1)], phi6, phi6, None, [(1, 1), (2, -1)], None]
+    assert 40 < peeled.count(None) < len(peeled)
 
 
 @settings(max_examples=80, deadline=None)

@@ -30,3 +30,43 @@ def test_every_parameter_is_read():
     assert {p.name for p in SOURCES} >= {"cli.py", "coxeter.py", "hecke.py", "strips.py", "zeta.py"}
     unread = ["%s:%d %s(%s)" % (path.name, *hit) for path in SOURCES for hit in _unread_parameters(path)]
     assert unread == []
+
+
+_INEXACT_MATH = {"sqrt", "log", "exp", "pow"}
+
+
+def _inexact_nodes(path):
+    """(line, what) for every float or complex literal, float(...) call
+    and math.sqrt/log/exp/pow use, however math or its names were
+    imported."""
+    tree = ast.parse(path.read_text(), str(path))
+    math_names, calls = {"math"}, {"float"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            math_names |= {a.asname for a in node.names if a.name == "math" and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            calls |= {a.asname or a.name for a in node.names if a.name in _INEXACT_MATH}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            out.append((node.lineno, "literal %r" % node.value))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in calls:
+            out.append((node.lineno, "%s(...)" % node.func.id))
+        elif (isinstance(node, ast.Attribute) and node.attr in _INEXACT_MATH
+              and isinstance(node.value, ast.Name) and node.value.id in math_names):
+            out.append((node.lineno, "%s.%s" % (node.value.id, node.attr)))
+    return out
+
+
+def test_no_floating_point_in_the_package():
+    # every value stays an int, a Fraction or an exact polynomial
+    inexact = ["%s:%d %s" % (path.name, *hit) for path in SOURCES for hit in _inexact_nodes(path)]
+    assert inexact == []
+
+
+def test_the_float_guard_sees_each_form(tmp_path):
+    src = tmp_path / "inexact.py"
+    src.write_text("import math as m\nfrom math import sqrt as root\n"
+                   "a = 0.5\nb = float(3)\nc = m.log(2)\nd = root(4)\ne = math.exp(1)\nf = 2j\n"
+                   "g = isinstance(a, float) and math.gcd(4, 6)\n")
+    assert sorted(line for line, _what in _inexact_nodes(src)) == [3, 4, 5, 6, 7, 8]

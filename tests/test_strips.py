@@ -190,6 +190,16 @@ def test_det_identity_wrong_character_factor_fails_the_dual_check(tables, monkey
         assert report.as_json()["dual_check"] == {"order": 8, "pass": False}
 
 
+def test_det_identity_expands_the_strip_determinants_when_read(torus_k2, tables):
+    tq = torus_k2["A2t"]
+    report = strips.verify_determinant_identity(tq.system, tq, tables["A2t"])
+    assert report.ok and "strip_dets" not in vars(report)
+    # both A2t strips have length 3 and order 4 on the 24 chambers
+    assert report.strip_dets == [(1 - Poly.u(12)) ** 6] * 2
+    assert report.strip_dets is report.strip_dets
+    assert report.as_json()["strip_det_inverses"] == [str((1 - Poly.u(12)) ** 6)] * 2
+
+
 def test_det_identity_trivial_character_closed_form(tables):
     q = hecke.formal_q()
     system = coxeter.build_system("A2t")

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import tracemalloc
 import types
 import weakref
@@ -1125,15 +1126,48 @@ def test_dual_route_full_group_det(torus_k2):
     assert generic == fast
 
 
+def _recorded_power_sums(monkeypatch):
+    """The power sums each one-vector call hands to power_sum_exp."""
+    from weylzeta import zeta
+
+    seen, orig = [], zeta.power_sum_exp
+    monkeypatch.setattr(zeta, "power_sum_exp", lambda sums, order: seen.append(list(sums)) or orig(sums, order))
+    return seen
+
+
 @pytest.mark.parametrize("tag,k", [("A2t", 2), ("C2t", 2), ("G2t", 2), ("A2t", 3)],
                          ids=["A2t-k2", "C2t-k2", "G2t-k2", "A2t-k3"])
-def test_one_vector_det_series_matches_dense_oracle(tables, tag, k):
-    # the one-vector trace-log against det_series of the dense group sum
+def test_one_vector_det_series_matches_dense_oracle(tables, tag, k, monkeypatch):
+    # the one-vector trace-log against det_series of the dense group sum at
+    # order 12, its power sums ints
     from weylzeta.strips import twisted_group_sum
 
     t = tables[tag]
     tq = torus_quotient_rep(coxeter.build_system(tag), k, t)
-    assert tq.det_series_hook(t, 6) == det_series(twisted_group_sum(tq, t, 6))
+    seen = _recorded_power_sums(monkeypatch)
+    fast = tq.det_series_hook(t, 12)
+    assert fast == det_series(twisted_group_sum(tq, t, 12))
+    assert len(seen) == 1 and len(seen[0]) == 12
+    assert all(type(p) is int for p in seen[0]) and all(type(c) is int for c in fast.coeffs)
+
+
+def test_one_vector_det_series_matches_dense_at_order_12_on_seeded_shifts(monkeypatch):
+    # the resolvent recurrence against det_series of the dense I + sum P u^l
+    # at order 12, on shifts x -> x + a mod n (a regular action), lengths
+    # up to 13 so that some pairs fall past the order
+    rng, order = random.Random(2812), 12
+    seen = _recorded_power_sums(monkeypatch)
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        shifts = [(rng.randrange(n), rng.randint(1, 13)) for _ in range(rng.randint(1, 5))]
+        perm_lengths = [(tuple((x + a) % n for x in range(n)), length) for a, length in shifts]
+        coeffs = [Matrix.identity(n)] + [Matrix.zeros(n)] * order
+        for perm, length in perm_lengths:
+            if length <= order:
+                coeffs[length] = coeffs[length] + _perm_matrix(perm)
+        fast = _one_vector_det_series([(((0,), perm), length) for perm, length in perm_lengths], n, order)
+        assert list(fast.coeffs) == list(det_series(PowerSeries(coeffs, order)).coeffs)
+    assert len(seen) == 30 and all(type(p) is int for sums in seen for p in sums)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
