@@ -212,7 +212,7 @@ def cmd_ihara(config):
         "primitive classes: %s" % " ".join(str(p) for p in report.primitive_counts),
     ]
     status = 0
-    if config.q_mode not in ("formal", None):
+    if config.q_mode != "formal":
         q = _parse_q(config)
         if not isinstance(q, int):
             raise ValueError("ihara --q must be an integer, got %r" % (config.q_mode,))
@@ -266,10 +266,10 @@ def build_parser():
                         help="truncation order (poincare, factorize, ihara; default 24)")
     parser.add_argument("--scale", type=int, default=None,
                         help="torus scale k (torus, det-identity --q torus; default 2)")
-    parser.add_argument("--q", dest="q_mode", default="formal",
-                        help="'formal', a rational like 2 or 1/2, or 'torus'")
-    parser.add_argument("--rep", dest="rep_path", help="representation JSON file")
-    parser.add_argument("--graph", dest="graph_path", help="edge list file")
+    parser.add_argument("--q", dest="q_mode", default=None,
+                        help="'formal' (default), a rational like 2 or 1/2, or 'torus' (det-identity, ihara)")
+    parser.add_argument("--rep", dest="rep_path", help="representation JSON file (det-identity)")
+    parser.add_argument("--graph", dest="graph_path", help="edge list file (ihara)")
     parser.add_argument("--format", dest="out_format", default="text",
                         choices=("text", "json", "csv"))
     parser.add_argument("--out", dest="out_path", default=None)
@@ -277,22 +277,23 @@ def build_parser():
 
 
 def _read_options(config):
-    """Fill in --trunc and --scale where the command reads them; an
-    option the command does not read raises an InputError naming both."""
-    reads = {
-        "trunc": config.command in ("poincare", "factorize", "ihara"),
-        "scale": config.command == "torus" or (
-            config.command == "det-identity" and config.q_mode == "torus" and not config.rep_path),
-    }
-    for option, default in (("trunc", 24), ("scale", 2)):
-        value = getattr(config, option)
-        if reads[option]:
-            setattr(config, option, default if value is None else value)
+    """Fill in the options the command reads; any other given raises an InputError."""
+    command = config.command
+    own_reps = command == "det-identity" and not config.rep_path  # its characters or the torus
+    options = (  # option, attribute, default, whether the command reads it
+        ("trunc", "trunc", 24, command in ("poincare", "factorize", "ihara")),
+        ("scale", "scale", 2, command == "torus" or (own_reps and config.q_mode == "torus")),
+        ("q", "q_mode", "formal", command == "ihara" or own_reps),
+        ("rep", "rep_path", None, command == "det-identity"),
+        ("graph", "graph_path", None, command == "ihara"),
+    )
+    for option, attribute, default, reads in options:
+        value = getattr(config, attribute)
+        if reads:
+            setattr(config, attribute, default if value is None else value)
         elif value is not None:
-            message = "%s does not read --%s" % (config.command, option)
-            if option == "scale" and config.command == "det-identity":
-                message += " (only with --q torus and no --rep)"
-            raise InputError(message)
+            hint = {"scale": " (only with --q torus and no --rep)", "q": " (not with --rep)"}.get(option, "")
+            raise InputError("%s does not read --%s%s" % (command, option, hint if command == "det-identity" else ""))
 
 
 def main(argv=None):

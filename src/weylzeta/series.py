@@ -676,15 +676,6 @@ class ExponentMap:
         if any(not isinstance(d, int) or d < 1 for d in self.exponents):
             raise SeriesError("exponent map degrees must be positive integers")
 
-    @staticmethod
-    def of_poly(poly, mult=1):
-        """poly ** mult by the exponent map of the exact peel; a poly that
-        is no product of (1-u^d) factors raises SeriesError."""
-        factors = RationalFunction(poly).binomial_factors()
-        if factors is None:
-            raise SeriesError("not a product of (1-u^d) factors: %s" % (poly,))
-        return ExponentMap({d: m * mult for d, m in factors})
-
     def __mul__(self, other):
         if not isinstance(other, ExponentMap):
             return NotImplemented

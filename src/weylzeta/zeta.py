@@ -6,8 +6,8 @@ identities geometrically.
 On the torus every operator is a permutation of chambers, so each
 determinant has one exact integer route, which comes out as an exponent
 map d -> m of a product of (1 - u^d)^m (`series.ExponentMap`): a finite
-factor from one block of the right-regular representation of a finite
-parabolic W_J (`TorusQuotient.block_det`), a strip factor det(I - P u^l)
+factor in closed form, Varchenko's determinant of the regular block of
+a finite parabolic W_J (`TorusQuotient.block_det`), a strip factor det(I - P u^l)
 as (1 - u^(l o))^(n/o), o the order of w modulo t(kL).  The identity
 checkers multiply and compare maps; a polynomial is expanded from a map
 only for output.  The quotient is its own permutation representation at
@@ -31,7 +31,6 @@ from .series import (
     Matrix,
     Poly,
     RationalFunction,
-    SeriesError,
     char_matrix_det,
     det_poly_matrix,
     power_sum_exp,
@@ -362,6 +361,14 @@ def _regular_cycle_map(n, o, shift_power):
     return ExponentMap({shift_power * o: n // o})
 
 
+def _regular_block_exponents(system, letters):
+    """V_J of `block_det`, for a parabolic of rank at most 2, as a map d -> m."""
+    if len(letters) < 2:
+        return {2: len(letters)}
+    m = system.bond(*letters)
+    return {2: 2 * m, 2 * m: m - 2}
+
+
 # an affine map x -> M x + v of Z^2 is the 6-tuple (M00, M01, M10, M11, v0, v1)
 _IDENTITY_MAP = (1, 0, 0, 1, 0, 0)
 
@@ -636,21 +643,25 @@ class TorusQuotient:
     def block_det(self, perm_len_keys, dual_check_order=4):
         """Exact determinant of sum_w rho(e_w) u^l(w) over a finite element
         set S, given as (factor pair, length, key) triples, as an
-        ExponentMap.
+        ExponentMap in closed form: no block is built.
 
-        The letters of the elements' words give J, and S lies in the
-        finite parabolic W_J, which meets the torsion-free t(kL) only in e,
-        so W_J acts freely (regularity is proved at build): every W_J-orbit
-        of chambers is a copy of W_J acting on itself by right
-        multiplication, and the operator is n / |W_J| copies of the one
-        |W_J| x |W_J| block sum_(w in S) u^l(w) R(w), R the right-regular
-        representation, built along each w's stored word by the table's links
-        within W_J.  Its determinant is taken once and peeled into an
-        exponent map to the power n / |W_J|: for S = W_J the block is the
-        Varchenko matrix of W_J's arrangement, a product of (1-u^(2m))
-        factors (Adv. Math. 97, 1993), and W_J = S W_I makes a coset block a
-        quotient of two.  A block that does not peel, an infinite or
-        unclosed W_J, or a pair that is not its key's raises ZetaError.
+        The words' letters give J; W_J meets the torsion-free t(kL) only in
+        e, so it acts freely (regularity is proved at build): the operator is
+        n / |W_J| copies of sum_(w in S) u^l(w) R(w), R W_J's right-regular
+        representation.  For S = W_J that is the Varchenko matrix of W_J's
+        arrangement, of determinant prod_X (1 - u^(2 h_X))^l_X, h_X the lines
+        through X and l_X the chambers of the restriction to X times beta of
+        the localization at X (Adv. Math. 97, 1993): V_e = 1, V_i = 1 - u^2,
+        and for m = bond(i, j) each line has l = 2 * 1 and the origin
+        1 * (m - 2), chi(t) = t^2 - m t + m - 1, so
+        V_ij = (1 - u^2)^(2m) (1 - u^(2m))^(m-2).  Else S must be W_J^I,
+        the minimal representatives of W_J over W_I on either side, and
+        W_J = S W_I length-additively makes it V_J / V_I^(|W_J|/|W_I|).  I is
+        the letters that are a right descent (key[s] < 0) of no element, else
+        of no inverse (its word walked reversed from e): S lies in W_J^I, so
+        |W_J| / |W_I| distinct elements are all of it.  Any other set, a
+        repeated element, an infinite or unclosed W_J, or a pair that is not
+        its key's raises ZetaError.
 
         Cross-checked up to u^dual_check_order, when the set holds the
         identity, against the one-vector trace-log of the elements named by
@@ -658,31 +669,28 @@ class TorusQuotient:
         table, n = self.table, len(self.chambers)
         elements = [table.element(key) for _perm, _length, key in perm_len_keys]
         letters = tuple(sorted({s for el in elements for s in el.word}))
+        named = "".join(str(s + 1) for s in letters)
         try:
             group = table.parabolic_elements(letters)
         except cox.OutOfTableError:
             raise ZetaError("the letters %s generate no finite parabolic within bound %d"
-                            % ("".join(str(s + 1) for s in letters), table.bound)) from None
+                            % (named, table.bound)) from None
         for (perm, _length, _key), el in zip(perm_len_keys, elements):
             own = self.perm(el)
             if perm is not own and perm != own:
                 raise ZetaError("w = %s: the permutation given is not the quotient's"
-                                % "".join(str(s) for s in el.word))
-        index = {v.key: i for i, v in enumerate(group)}
-        right = {s: [index[v.links[s]] for v in group] for s in letters}
-        top, cells = max(el.length for el in elements), [{} for _ in group]  # {column: coefficients}
-        for w in elements:
-            column = range(len(group))  # column[i] is the index of v_i w
-            for s in w.word:
-                column = [right[s][c] for c in column]
-            for row, j in zip(cells, column):
-                row.setdefault(j, [0] * (top + 1))[w.length] += 1
-        rows = [[Poly(row[j]) if j in row else 0 for j in range(len(group))] for row in cells]
-        try:
-            det = ExponentMap.of_poly(det_poly_matrix(rows), n // len(group))
-        except SeriesError:
-            raise ZetaError("the regular W_J block of the letters %s does not peel into (1-u^d) factors"
-                            % "".join(str(s + 1) for s in letters)) from None
+                                % "".join(str(s + 1) for s in el.word))
+        for side in (lambda el: el.key, lambda el: table.walk_key(table.identity.key, el.word[::-1])):
+            keys = [side(el) for el in elements]
+            sub = tuple(s for s in letters if all(key[s] >= 0 for key in keys))
+            if len(set(keys)) == len(keys) and len(keys) * len(table.parabolic_elements(sub)) == len(group):
+                break
+        else:
+            raise ZetaError("the elements over the letters %s are no set of minimal coset representatives" % named)
+        ratio, copies = len(group) // len(table.parabolic_elements(sub)), n // len(group)
+        whole, part = (_regular_block_exponents(self.system, J) for J in (letters, sub))
+        det = ExponentMap({d: (whole.get(d, 0) - ratio * part.get(d, 0)) * copies
+                           for d in whole.keys() | part.keys()})
         # independent truncated route, from the keys alone
         if [el.length for el in elements].count(0) == 1:
             pair_lengths = [(self.perm(el), el.length)

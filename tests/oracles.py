@@ -367,6 +367,16 @@ def _perm_char_poly(perm, shift_power):
     return _cycle_type_map(perm, shift_power).as_polynomial()
 
 
+def exponent_map_of_poly(poly, mult=1):
+    """poly ** mult by the exponent map of the exact peel, the form
+    `TorusQuotient.block_det` returns; a poly that is no product of
+    (1-u^d) factors raises SeriesError.  Reads the dense block oracles."""
+    factors = RationalFunction(poly).binomial_factors()
+    if factors is None:
+        raise SeriesError("not a product of (1-u^d) factors: %s" % (poly,))
+    return ExponentMap({d: m * mult for d, m in factors})
+
+
 def orbit_block_det(n, perm_len_keys):
     """Determinant of sum_w P(w) u^l(w) over (permutation, length, key)
     triples on n chambers, as an ExponentMap: the product of per-orbit
@@ -404,7 +414,7 @@ def orbit_block_det(n, perm_len_keys):
         rows = [[Poly.zero()] * size for _ in range(size)]
         for (i, j, length), count in cells:
             rows[i][j] = rows[i][j] + Poly.u(length, count)
-        det = det * ExponentMap.of_poly(det_poly_matrix(rows), mult)
+        det = det * exponent_map_of_poly(det_poly_matrix(rows), mult)
     return det
 
 

@@ -204,8 +204,18 @@ def test_bad_option_values_report_structured_error(argv, word, capsys):
     (["factorize", "--type", "A2t", "--scale", "3"], "--scale"),
     (["det-identity", "--type", "A2t", "--scale", "3"], "--scale"),
     (["det-identity", "--type", "A2t", "--q", "2", "--scale", "3"], "--scale"),
+    (["torus", "--type", "A2t", "--q", "2"], "--q"),
+    (["alt", "--type", "A2t", "--q", "formal"], "--q"),
+    (["poincare", "--type", "A2t", "--q", "2"], "--q"),
+    (["det-identity", "--type", "A2t", "--rep", "r.json", "--q", "torus"], "--q"),
+    (["torus", "--type", "A2t", "--rep", "r.json"], "--rep"),
+    (["ihara", "--graph", "g.txt", "--rep", "r.json"], "--rep"),
+    (["alt", "--type", "A2t", "--graph", "nothere.txt"], "--graph"),
+    (["det-identity", "--type", "A2t", "--graph", "nothere.txt"], "--graph"),
 ], ids=["torus-trunc", "det-identity-trunc", "alt-trunc", "macdonald-trunc", "alt-scale",
-        "poincare-scale", "factorize-scale", "det-identity-scale", "det-identity-q2-scale"])
+        "poincare-scale", "factorize-scale", "det-identity-scale", "det-identity-q2-scale",
+        "torus-q", "alt-q-formal", "poincare-q", "det-identity-rep-q", "torus-rep", "ihara-rep",
+        "alt-graph", "det-identity-graph"])
 def test_an_option_the_command_does_not_read_is_refused(argv, option, capsys):
     status, out = run_cli(argv + ["--format", "json"], capsys)
     assert status == 2
@@ -297,6 +307,8 @@ GOLDEN_LINES = {
     # recorded from the dense-product route, which took about 10 s a line
     "det_identity_G2t_torus6.txt": "det-identity --type G2t --q torus --scale 6",
     "det_identity_G2t_torus6.json": "det-identity --type G2t --q torus --scale 6 --format json",
+    # C2t's left coset factor and its m = 2 and m = 4 parabolics on the torus
+    "det_identity_C2t_torus4.json": "det-identity --type C2t --q torus --scale 4 --format json",
     "torus_G2t_scale6.txt": "torus --type G2t --scale 6",
     # an odd scale, and the only A2t torus line
     "torus_A2t_scale5.txt": "torus --type A2t --scale 5",

@@ -27,7 +27,9 @@ from weylzeta.series import (
     power_sum_exp,
     scalar_from_json,
 )
-from oracles import _series_exp, binomial_factors_dense, det_series_tracelog, series_from_json
+from oracles import (
+    _series_exp, binomial_factors_dense, det_series_tracelog, exponent_map_of_poly, series_from_json,
+)
 
 
 def rand_qpoly(rng, deg=4, lo=-5, hi=5):
@@ -180,17 +182,17 @@ def test_exponent_maps_match_rational_functions(a, b):
 @given(exponent_maps, st.integers(-3, 3).filter(bool), st.integers(2, 4))
 def test_exponent_map_of_poly_refuses_a_block_that_does_not_peel(a, k, c):
     # 1 + c u has a root off the unit circle, so neither it nor its product
-    # with a binomial product peels: of_poly raises instead of keeping it
+    # with a binomial product peels: the peel raises instead of keeping it
     block = Poly((1, c))
     product = ExponentMap({d: m for d, m in a.items() if m > 0}).as_polynomial()
     for poly in (block, product * block):
         with pytest.raises(SeriesError, match="not a product of"):
-            ExponentMap.of_poly(poly, k)
+            exponent_map_of_poly(poly, k)
 
 
 def test_exponent_map_of_poly_peels_and_rejects():
-    assert ExponentMap.of_poly(Poly((1, 0, -1)) * Poly((1, -1)), 3) == ExponentMap({1: 3, 2: 3})
-    assert ExponentMap.of_poly(Poly.one(), 5).exponents == {}
+    assert exponent_map_of_poly(Poly((1, 0, -1)) * Poly((1, -1)), 3) == ExponentMap({1: 3, 2: 3})
+    assert exponent_map_of_poly(Poly.one(), 5).exponents == {}
     assert ExponentMap({4: 2}).first_difference(ExponentMap({4: 2, 2: -1})) == 2
     assert ExponentMap({4: 2}).first_difference(ExponentMap({4: 2})) is None
     with pytest.raises(SeriesError):

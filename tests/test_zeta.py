@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import tracemalloc
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import (
     _cycle_type_map, _perm_char_poly, _perm_cycles, _perm_zeta, closed_strip_counts_by_chambers,
     closed_strip_counts_by_factor_walk, column_sums, complete_bipartite, complete_graph, cycle_graph,
-    cyclic_entry_rational, label_permutation, mat_mul, orbit_block_det, order_by_factor_walk,
+    cyclic_entry_rational, exponent_map_of_poly, label_permutation, mat_mul, orbit_block_det, order_by_factor_walk,
     petersen_graph, product_key, torus_generator_permutations_by_matrices, twisted_series,
 )
 from test_series import _det_berkowitz
@@ -641,7 +642,7 @@ def test_block_det_is_regular_block_power(tables, tag, k):
     for gens in coxeter.all_proper_subsets(3):
         els = t.parabolic_elements(gens)
         assert n % len(els) == 0
-        regular = ExponentMap.of_poly(_regular_block_det(t, els, els), n // len(els))
+        regular = exponent_map_of_poly(_regular_block_det(t, els, els), n // len(els))
         assert tq.block_det([(tq.perm(el), el.length, el.key) for el in els]) == regular, gens
 
 
@@ -654,15 +655,48 @@ def test_every_regular_block_peels(tables, tag):
     t = tables[tag]
     for gens in coxeter.all_proper_subsets(3):
         els = t.parabolic_elements(gens)
-        det = ExponentMap.of_poly(_regular_block_det(t, els, els))
+        det = exponent_map_of_poly(_regular_block_det(t, els, els))
         assert all(d % 2 == 0 and m > 0 for d, m in det.exponents.items()), (gens, det)
         assert det.exponents or not gens
     cosets = [factor for factor in strips.scheme_for(tag).factors if factor[0] == "coset"]
     assert cosets
     for _kind, J, I, side in cosets:
         els = coxeter.min_coset_reps(t, J, I, side)
-        det = ExponentMap.of_poly(_regular_block_det(t, t.parabolic_elements(J), els))
+        det = exponent_map_of_poly(_regular_block_det(t, t.parabolic_elements(J), els))
         assert det.exponents, (J, I, side)
+
+
+@pytest.mark.parametrize("tag,letters", [("A1", (0,)), ("A2", (0, 1)), ("B2", (0, 1)), ("G2", (0, 1)),
+                                         ("C2t", (1, 2)), ("G2t", (1, 2))])
+def test_regular_block_closed_form_matches_the_dense_block(tables, tag, letters):
+    # Varchenko's formula for a finite W_J of rank at most 2, the m = 2
+    # parabolics of C2t and G2t included, against the dense regular block
+    from weylzeta import zeta
+
+    system = coxeter.build_system(tag)
+    t = tables[tag] if tag in tables else coxeter.enumerate_elements(system, 24)
+    els = t.parabolic_elements(letters)
+    closed = ExponentMap(zeta._regular_block_exponents(system, letters))
+    assert closed == exponent_map_of_poly(_regular_block_det(t, els, els)), closed
+
+
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_block_det_matches_the_dense_block_on_every_coset_set(tables, torus_k2, tag):
+    # every (J, I, side) set W_J^I of minimal coset representatives: the
+    # closed form V_J / V_I^(|W_J|/|W_I|) against the dense block of S in
+    # the regular representation of W_J, to the power n / |W_J|
+    t, tq = tables[tag], torus_k2[tag]
+    n, checked = tq.chamber_count(), 0
+    for J in coxeter.all_proper_subsets(3):
+        group = t.parabolic_elements(J)
+        for I in [sub for size in range(len(J) + 1) for sub in itertools.combinations(J, size)]:
+            for side in ("right", "left"):
+                els = coxeter.min_coset_reps(t, J, I, side)
+                det = tq.block_det([(tq.perm(el), el.length, el.key) for el in els])
+                dense = exponent_map_of_poly(_regular_block_det(t, group, els), n // len(group))
+                assert det == dense, (J, I, side)
+                checked += 1
+    assert checked == 2 * (1 + 3 * 2 + 3 * 4)
 
 
 class FreeAction(TorusQuotient):
@@ -736,8 +770,9 @@ def test_block_det_rejects_a_permutation_that_is_not_its_keys(torus_k2):
     t = tq.table
     els = t.parabolic_elements((0, 2))
     triples = [(tq.perm(el), el.length, el.key) for el in els]
-    triples[1] = (triples[2][0],) + triples[1][1:]
-    with pytest.raises(ZetaError, match="not the quotient's"):
+    triples[3] = (triples[2][0],) + triples[3][1:]
+    # the word in 1-based letters, as every other message prints it
+    with pytest.raises(ZetaError, match="w = 13: the permutation given is not the quotient's"):
         tq.block_det(triples)
 
 
@@ -1226,8 +1261,8 @@ def test_zeta_report_rejects_a_wrong_count():
 
 
 def test_block_det_cross_check_catches_a_wrong_block(torus_k2, monkeypatch):
-    # the regular-block determinant times 1 - u^3, which still peels: the
-    # truncated one-vector trace-log must refuse it
+    # the closed-form map times 1 - u^3, still a product of (1-u^d)
+    # factors: the truncated one-vector trace-log must refuse it
     from weylzeta import zeta
 
     tq = torus_k2["A2t"]
@@ -1237,29 +1272,45 @@ def test_block_det_cross_check_catches_a_wrong_block(torus_k2, monkeypatch):
     tq.block_det(triples)
     calls = []
 
-    def one_block_off(rows):
-        calls.append(rows)
-        det = det_poly_matrix(rows)
-        return det * (1 - Poly.u(3)) if len(calls) == 1 else det
+    def one_map_off(exponents):
+        calls.append(exponents)
+        det = ExponentMap(exponents)
+        return det * ExponentMap({3: 1}) if len(calls) == 1 else det
 
-    monkeypatch.setattr(zeta, "det_poly_matrix", one_block_off)
+    monkeypatch.setattr(zeta, "ExponentMap", one_map_off)
     with pytest.raises(ZetaError, match="trace-log cross-check"):
         tq.block_det(triples)
     assert calls
 
 
-def test_block_det_refuses_a_block_that_does_not_peel(torus_k2, monkeypatch):
-    # a regular block whose determinant has the factor 1 + 2u, which is no
-    # product of (1-u^d) factors: refused by the peel, with the
-    # cross-check off
-    from weylzeta import zeta
-
+def test_block_det_refuses_a_set_that_is_not_a_coset_set(torus_k2):
+    # W_J less one element, {e, s1 s2} and a repeated element: no set
+    # W_J^I on either side, so no closed form applies
     tq = torus_k2["A2t"]
     t = tq.table
-    triples = [(tq.perm(w), w.length, w.key) for w in t.parabolic_elements((0, 1))]
-    monkeypatch.setattr(zeta, "det_poly_matrix", lambda rows: det_poly_matrix(rows) * Poly((1, 2)))
-    with pytest.raises(ZetaError, match="regular W_J block of the letters 12 does not peel"):
-        tq.block_det(triples, dual_check_order=0)
+    group = t.parabolic_elements((0, 1))
+    s1s2 = t.element_of_word((0, 1))
+    # {e, s1 s2, s1 s2} would pass the count alone: W_J^I = {e, s2, s1 s2} for I = {s1}
+    for els in (group[:-1], [t.identity, s1s2], [t.identity, s1s2, s1s2]):
+        with pytest.raises(ZetaError, match="letters 12 are no set of minimal coset representatives"):
+            tq.block_det([(tq.perm(w), w.length, w.key) for w in els], dual_check_order=0)
+
+
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_torus_identities_take_no_determinant(tables, monkeypatch, tag):
+    # every torus factor is a closed form or a cycle map: no polynomial
+    # determinant is taken and no polynomial is peeled
+    from weylzeta import zeta
+
+    def refuse(*_args):
+        raise AssertionError("a torus identity took a determinant or a peel")
+
+    monkeypatch.setattr(zeta, "det_poly_matrix", refuse)
+    monkeypatch.setattr(RationalFunction, "binomial_factors", refuse)
+    system = coxeter.build_system(tag)
+    tq3 = torus_quotient_rep(system, 3, tables[tag])
+    assert strips.verify_determinant_identity(system, tq3, tables[tag]).ok
+    assert zeta.verify_strip_zeta_identity(torus_quotient_rep(system, 2, tables[tag])).ok
 
 
 def test_scale_5_quotient_builds(tables):
