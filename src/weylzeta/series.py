@@ -227,22 +227,11 @@ def format_poly(coeffs, var):
         cs = str(c)
         if isinstance(c, QPolynomial) and ("+" in cs or "-" in cs[1:]):
             cs = "(%s)" % cs
-        if d == 0:
-            parts.append(cs)
-        else:
+        if d:
             term = var if d == 1 else "%s^%d" % (var, d)
-            if cs == "1":
-                parts.append(term)
-            elif cs == "-1":
-                parts.append("-" + term)
-            else:
-                parts.append("%s*%s" % (cs, term))
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+            cs = term if cs == "1" else "-" + term if cs == "-1" else "%s*%s" % (cs, term)
+        parts.append(cs if not parts else " - " + cs[1:] if cs[0] == "-" else " + " + cs)
+    return "".join(parts) or "0"
 
 
 class Poly(_DensePoly):
@@ -729,7 +718,7 @@ def _binomial_series(exponents, top):
     map.  Each factor is its binomial series sum_j (-1)^j C(m, j) u^(d j),
     for either sign of m (it ends at j = m when m >= 0), multiplied in
     over the nonzero terms only."""
-    terms = {0: 1}
+    terms = None
     for d, m in sorted(exponents.items()):
         binom, c = [], 1
         for j in range(top // d + 1):
@@ -737,6 +726,9 @@ def _binomial_series(exponents, top):
                 break
             binom.append((d * j, c))
             c = c * (j - m) // (j + 1)
+        if terms is None:  # the first factor is its own series
+            terms = dict(binom)
+            continue
         prod = {}
         for a, x in terms.items():
             for s, y in binom:
@@ -744,7 +736,7 @@ def _binomial_series(exponents, top):
                     break
                 prod[a + s] = prod.get(a + s, 0) + x * y
         terms = {e: c for e, c in prod.items() if c}
-    return terms
+    return {0: 1} if terms is None else terms
 
 
 def _dense(terms, length):

@@ -15,7 +15,7 @@ q = 1, validated when it is built; its dense chamber matrices (`image`,
 `action_matrix`) are uncached oracles.  The build proves W/t(kL) acts
 regularly, so tr P(w) is n or 0 and every cycle of P(w) has length o:
 the dual trace-log checks solve one resolvent recurrence for a label
-vector over the factor pairs of a ball, and Newton's identities turn
+vector over the compact pairs of a ball, and Newton's identities turn
 its integer power sums into the determinant.  The torus routes run in Python
 ints; all emitted values are ints, Fractions, or exact polynomials.
 """
@@ -152,8 +152,12 @@ class ZetaReport:
     def __init__(self, zeta, inverse_poly, series, closed_counts, primitive_counts):
         # zeta and its exact inverse polynomial and expansion; N_n = tr(B^n) and
         # the primitive classes by length, n = 1..order
-        self.zeta, self.inverse_poly, self.series = zeta, inverse_poly, series
+        self.zeta, self._inverse, self.series = zeta, inverse_poly, series
         self.closed_counts, self.primitive_counts = closed_counts, primitive_counts
+
+    @cached_property
+    def inverse_poly(self):  # an ExponentMap inverse is expanded when first read
+        return self._inverse.as_polynomial() if isinstance(self._inverse, ExponentMap) else self._inverse
 
     def as_json(self):
         return {
@@ -165,7 +169,8 @@ class ZetaReport:
 
 
 def _zeta_report(inv, counts, order):
-    zeta = RationalFunction(Poly.one(), inv)
+    # the zeta of an inverse ExponentMap is the inverse map, expanded only to the order
+    zeta = inv.inverse() if isinstance(inv, ExponentMap) else RationalFunction(Poly.one(), inv)
     series = zeta.expand(order)
     prim = primitive_counts_from_traces(counts)
     # exp(sum N_k u^k / k), from the counts as power sums, must reproduce
@@ -318,10 +323,11 @@ def _fixed_points(perm):
 
 def _one_vector_det_series(pair_lengths, n, order):
     """det(I + N) up to u^order for N = sum P u^l over (pair, l), l >= 1,
-    P the factor pair (R, T) sending label j s + t to R[j] s + T[t],
-    s = len(T).  Valid only when every product of the P fixes no label or
-    all n, as on a torus: then tr M = n M_00 for every M in the algebra
-    the P span, read off the row vector e_0 M.
+    P the pair (R, f) sending label j k^2 + p k + q to R[j] k^2 + f(p, q)
+    mod k: R a permutation of s indices (a W0 Cayley column), f an affine
+    map of Z^2 and k^2 = n / s.  Valid only when every product of the P
+    fixes no label or all n, as on a torus: then tr M = n M_00 for every
+    M in the algebra the P span, read off the row vector e_0 M.
 
     By Jacobi's formula the power sums of det(I + N) = exp(sum p_d u^d / d)
     are the coefficients of u d/du log det(I + N) = tr(u N' (I + N)^-1),
@@ -329,26 +335,29 @@ def _one_vector_det_series(pair_lengths, n, order):
     resolvent pass solves y (I + N) = e_0 u N' degree by degree,
         y_d = d sum_(P of length d) e_P(0) - sum_(l<d) y_(d-l) N_l,
     each y_d a sparse {label: int} map, so every p_d is an int and
-    `power_sum_exp` is the only step that divides."""
-    by_length, size = [[] for _ in range(order + 1)], 1
-    for (right, classes), length in pair_lengths:
-        if length <= order:  # R held as R[j] s, s the same for every pair
-            size = len(classes)
-            by_length[length].append((tuple([r * size for r in right]), classes))
+    `power_sum_exp` is the only step that divides; nothing of size k^2 or
+    n is built."""
+    by_length = [[] for _ in range(order + 1)]
+    for pair, length in pair_lengths:
+        if length <= order:
+            by_length[length].append(pair)
+    k = math.isqrt(n // len(pair_lengths[0][0][0])) if pair_lengths else 1
+    size = k * k
     ys, power_sums = [None], []
     for d in range(1, order + 1):
         row = {}
-        for right, classes in by_length[d]:
-            label = right[0] + classes[0]
+        for right, (_a, _b, _c, _d, e, h) in by_length[d]:
+            label = right[0] * size + e % k * k + h % k
             row[label] = row.get(label, 0) + d
         for length in range(1, d):
             pairs = by_length[length]
             if not pairs:
                 continue
-            for c, x in ys[d - length].items():
-                w0, t = divmod(c, size)
-                for right, classes in pairs:
-                    label = right[w0] + classes[t]
+            for at, x in ys[d - length].items():
+                j, t = divmod(at, size)
+                p, q = divmod(t, k)
+                for right, (a, b, c, dd, e, h) in pairs:
+                    label = right[j] * size + (a * p + b * q + e) % k * k + (c * p + dd * q + h) % k
                     row[label] = row.get(label, 0) - x
         ys.append(row)
         power_sums.append(n * row.get(0, 0))
@@ -373,12 +382,11 @@ def _regular_block_exponents(system, letters):
 _IDENTITY_MAP = (1, 0, 0, 1, 0, 0)
 
 
-def _pair_then(f, g):
-    """'Apply f, then g' for pairs (permutation, affine map of Z^2)."""
-    a, b, c, d, e, h = f[1]
-    p, q, r, s, x, y = g[1]
-    return (_perm_compose(f[0], g[0]),
-            (p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d, p * e + q * h + x, r * e + s * h + y))
+def _map_then(f, g):
+    """'Apply f, then g' for affine maps of Z^2."""
+    a, b, c, d, e, h = f
+    p, q, r, s, x, y = g
+    return (p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d, p * e + q * h + x, r * e + s * h + y)
 
 
 def _fixed_classes(f, k):
@@ -393,37 +401,35 @@ class TorusQuotient:
     """Chamber complex of the rank-2 apartment modulo translations by k
     times the translation lattice L, with the right-multiplication action.
 
-    Generators s1, s2, s3 are indices 0, 1, 2, with s3 affine and simple
-    roots a1, a2, a3.  W = W0 t(L) with W0 = <s1, s2> (Kac,
-    Infinite-dimensional Lie algebras, Ch. 6), and t(kL) is normal, so
-    the chamber of w = v t_mu is (v, mu mod kL); there are exactly
-    |W0| * k^2 of them.  That count is checked against the element cap
-    (WEYLZETA_MAX_ELEMENTS) before any chamber is built.  A chamber is
-    its label j k^2 + p k + q: j the W0 index of v, (p, q) mod k the
-    coordinates of phi(mu) in the triangular basis (a, b), (0, c) of phi(L).
+    Generators s1, s2, s3 are indices 0, 1, 2, s3 affine, simple roots a1,
+    a2, a3.  W = W0 t(L) with W0 = <s1, s2> (Kac, Infinite-dimensional Lie
+    algebras, Ch. 6), and t(kL) is normal, so the chamber of w = v t_mu is
+    (v, mu mod kL): |W0| k^2 chambers, a count checked against the element
+    cap (WEYLZETA_MAX_ELEMENTS) before any is built.  A chamber is its
+    label j k^2 + p k + q: j the W0 index of v, (p, q) mod k the
+    coordinates of phi(mu) in the triangular basis (a, b), (0, c) of
+    phi(L).  phi(mu) = -delta_3 (<mu, a1>, <mu, a2>), injective, is entries
+    0 and 1 of row 2 of w's matrix, as w a_i = v a_i - <mu, a_i> delta and
+    W0 keeps a1, a2 in their span.  As s3 v = (s3bar v) t_(v^-1 mu3),
+    L = span(W0 mu3), spanned by row 2 of s3 v over the section's v.
 
-    The translation part is read off row 2 of w's matrix, the a3
-    coordinates: w a_i = v a_i - <mu, a_i> delta, and W0 keeps a1, a2 in
-    their own span, so entries 0 and 1 of that row are
-    phi(mu) = -delta_3 (<mu, a1>, <mu, a2>), an injective linear image.
-    The lattice comes from W0 and s3 alone: s3 v = (s3bar v) t_(v^-1 mu3),
-    and W0 t(span W0 mu3) holds s1, s2 and s3, so it is W and
-    L = span(W0 mu3), spanned by row 2 of s3 v over the |W0| section
-    elements v.  s_i acts on a label as R_i x T_i: R_i is right
-    multiplication on the W0 indices, T_i the integer affine class map
-    x -> M_i x + v_i reduced mod k (`factor_permutations`).
+    An element w acts as its compact pair (g, f), g the W0 index of its
+    linear part and f its class map x -> M x + v over Z: it sends (j, x)
+    to (R_g[j], f(x) mod k), R_g column g of the W0 Cayley table.  A step
+    by s_i is (R_i[g], f then (M_i, v_i)) and a composition reads the
+    Cayley table, so no route builds a table of the k^2 classes or the n
+    labels.
 
-    The quotient is its own permutation representation at q = 1.  The
-    build checks the quadratic and braid relations at q = 1 on the R_i and
-    on the class maps over Z, for every k at once, so the labels carry a
-    W-action, and proves G_k = W/t(kL) acts regularly.  The translations
-    v^-1 s3 s_theta v (v in W0, s_theta the W0 element of s3's linear part)
-    are checked to fix every W0 index and to act on the classes over Z as
-    x -> x + v, so their k-th powers, which generate t(kL), fix every
-    label; and the action is transitive, as R is W0's right-regular action
-    and the vectors v have 2x2 minors of gcd 1.  So chamber 0's stabiliser
-    is the normal t(kL): every w fixes no chamber or all n, and P(w) has
-    n / o cycles of length o, w's order.
+    The build checks the quadratic and braid relations at q = 1 on the R_i
+    at every W0 index and on the class maps over Z, for every k at once:
+    the labels carry a W-action, the quotient's own permutation
+    representation at q = 1.  Each translation v^-1 s3 s_theta v (s_theta
+    the W0 element of s3's linear part) must fix every W0 index and act on
+    the classes over Z as x -> x + v, so its k-th power fixes every label,
+    and these powers generate t(kL).  R is W0's right-regular action and
+    the vectors v span Z^2, so the action is transitive and chamber 0's
+    stabiliser is the normal t(kL): every w fixes no chamber or all n, and
+    P(w) has n / o cycles of length o, w's order.
     """
 
     q = 1
@@ -433,36 +439,48 @@ class TorusQuotient:
             raise ZetaError("torus quotient needs a rank-2 affine system")
         if k < 2:
             raise ZetaError("scale k must be at least 2")
-        self.system = system
-        self.k = k
-        if table is None:
-            table = cox.enumerate_elements(system, cox.DEFAULT_BOUND)
-        self.table = table
+        self.system, self.k = system, k
+        self.table = cox.enumerate_elements(system, cox.DEFAULT_BOUND) if table is None else table
         self._setup_weyl_section()
         self.chambers = range(self.weyl_order * k * k)
         cox.check_element_cap(len(self.chambers), "torus quotient with %d chambers" % len(self.chambers))
         self._read_factors()
+        indices = list(range(self.weyl_order))
+        columns = [list(column) for column in zip(*self._w0_right)]  # R_i at every W0 index
+        actions = {(): (indices, _IDENTITY_MAP)}
+
+        def act(word):  # R_w at every W0 index and w's class map over Z
+            middle = len(word) > 1 and word[0] == word[-1] and actions.get(word[1:-1])
+            if middle:  # s w' s, w' walked: the translation words are v^-1 s3 s_theta v
+                col, f = columns[word[0]], self._class_maps[word[0]]
+                actions[word] = [col[middle[0][x]] for x in col], _map_then(_map_then(f, middle[1]), f)
+            else:
+                right = reduce(lambda out, s: [columns[s][j] for j in out], word, indices)
+                actions[word] = right, self._factor_pair(word)[1]
+            return actions[word]
+
         # quadratic and braid relations at q = 1; for involutions, (pq)^m = 1
-        one = self._factor_pair(())
-        for i in range(3):
-            if self._factor_pair((i, i)) != one:
-                raise ZetaError("generator %d is not an involution on chambers" % (i + 1,))
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            if system.bond(i, j) and self._factor_pair((i, j) * system.bond(i, j)) != one:
-                raise ZetaError("braid relation fails on chambers for (%d, %d)" % (i + 1, j + 1))
+        relations = [((i, i), "generator %d is not an involution on chambers" % (i + 1,)) for i in range(3)]
+        relations += [((i, j) * system.bond(i, j), "braid relation fails on chambers for (%d, %d)" % (i + 1, j + 1))
+                      for i, j in ((0, 1), (0, 2), (1, 2)) if system.bond(i, j)]
+        for word, message in relations:
+            if act(word) != (indices, _IDENTITY_MAP):
+                raise ZetaError(message)
         shifts = []
         for word in self._translation_words:  # x -> x + v over Z, so t(kL) fixes every label
-            right, f = self._factor_pair(word)
-            if (right, f[:4]) != (one[0], _IDENTITY_MAP[:4]):
+            right, f = act(word)
+            if right != indices or f[:4] != _IDENTITY_MAP[:4]:
                 raise ZetaError("the word %s does not translate the labels"
                                 % "".join(str(s + 1) for s in word))
             shifts.append(f[4:])
-        orbit = {0}  # R acts transitively on the W0 indices
-        for _ in range(self.weyl_order):
-            orbit |= {r for j in orbit for r in self._w0_right[j]}
+        orbit, grown = {0}, [0]  # R acts transitively on the W0 indices
+        while grown:
+            grown = {r for j in grown for r in self._w0_right[j]} - orbit
+            orbit |= grown
         if len(orbit) != self.weyl_order:
             raise ZetaError("the W0 tables reach %d of the |W0| = %d indices" % (len(orbit), self.weyl_order))
-        if math.gcd(*(x * y2 - y * x2 for x, y in shifts for x2, y2 in shifts)) != 1:
+        (a, _b), c = _triangular_basis(shifts)
+        if a * c != 1:
             raise ZetaError("the translation words do not shift the classes onto all of L/kL")
 
     @property
@@ -475,55 +493,56 @@ class TorusQuotient:
     def _linear_part(self, matrix):
         """Action of w, given by its matrix, on the weight plane (the
         quotient by the null direction), as a 2x2 integer matrix."""
-        delta = self.system.delta
-        m3 = delta[2]
+        d0, d1, d2 = self.system.delta
         cols = []
         for j in range(2):
-            c = [matrix[a][j] for a in range(3)]
-            if c[2] % m3:
+            t, r = divmod(matrix[2][j], d2)
+            if r:
                 raise ZetaError("non-integral linear part")
-            t = c[2] // m3
-            cols.append((c[0] - t * delta[0], c[1] - t * delta[1]))
+            cols.append((matrix[0][j] - t * d0, matrix[1][j] - t * d1))
         return (cols[0][0], cols[1][0], cols[0][1], cols[1][1])
 
     def _setup_weyl_section(self):
-        """Index W0 by linear part, tabulate right multiplication on it,
-        and take the triangular basis of phi(L) from row 2 of s3 v over v
-        in W0.  Each section matrix is its parent's times one reflection;
-        the linear part is a homomorphism onto W0, so the W0 index of
-        w s_i is w0_right[j][i] for w of index j, read off the table's
-        links for s1, s2 and off one reflection for s3."""
+        """Index W0 by linear part and take the triangular basis of phi(L)
+        from row 2 of s3 v over v in W0, each section matrix its parent's
+        times one reflection.  The Cayley table follows the parents on the
+        table's links, v_j v_g = (v_j v_parent) s_i; the linear part is a
+        homomorphism onto W0, so s3 acts on the indices as s_theta."""
         system = self.system
         section = self.table.parabolic_elements((0, 1))  # parents come first
         self.weyl_order = len(section)
         position = {el.key: j for j, el in enumerate(section)}
-        matrices = []
-        for el in section:
-            matrices.append(system.word_matrix(()) if el.parent is None
-                            else system.right_reflect(matrices[position[el.parent.key]], el.letter))
+        right = [(position[el.links[0]], position[el.links[1]]) for el in section]
+        # _w0_mul[g][j] is the W0 index of v_j v_g: the permutation R_g
+        matrices, mul = [system.word_matrix(())], [tuple(range(self.weyl_order))]
+        for el in section[1:]:
+            parent = position[el.parent.key]
+            matrices.append(system.right_reflect(matrices[parent], el.letter))
+            mul.append(tuple([right[j][el.letter] for j in mul[parent]]))
         linear_index = {self._linear_part(m): j for j, m in enumerate(matrices)}
         if len(linear_index) != len(section):
             raise ZetaError("finite Weyl section is not faithful")
-        right3 = [linear_index.get(self._linear_part(system.right_reflect(m, 2))) for m in matrices]
-        if None in right3:
+        theta = linear_index.get(self._linear_part(system.right_reflect(matrices[0], 2)))
+        if theta is None:
             raise ZetaError("the torus quotient needs generator 3 as the affine node: "
                             "s3's linear part is not in the W0 of s1, s2")
-        self._w0_right = tuple((position[el.links[0]], position[el.links[1]], r3)
-                               for el, r3 in zip(section, right3))
-        theta = section[right3[0]].word  # s3 s_theta is a translation
-        self._translation_words = tuple(v.word[::-1] + (2,) + theta + v.word for v in section)
+        self._w0_mul = tuple(mul)
+        self._w0_right = tuple(r + (r3,) for r, r3 in zip(right, mul[theta]))
+        s_theta = section[theta].word  # s3 s_theta is a translation
+        self._translation_words = tuple(v.word[::-1] + (2,) + s_theta + v.word for v in section)
         # row 2 of s3 v is v's row 2 minus sum_c cartan[2][c] * (v's row c)
+        c0, c1, c2 = system.cartan[2]
         self._basis = _triangular_basis(
-            tuple(m[2][b] - sum(c * m[a][b] for a, c in enumerate(system.cartan[2])) for b in (0, 1))
-            for m in matrices)
+            tuple(m[2][b] - c0 * m[0][b] - c1 * m[1][b] - c2 * m[2][b] for b in (0, 1)) for m in matrices)
+        if not (self._basis[0][0] and self._basis[1]):
+            raise ZetaError("degenerate translation lattice basis")
 
     def _read_factors(self):
-        """The class maps and the pairs (R_i, T_i).  Row 2 of w's matrix is
+        """The class maps x -> M_i x + v_i.  Row 2 of w's matrix is
         phi(mu) with row . delta = delta[2], as W fixes delta, and row 2 of
         w s_i is row - row[i] * cartan[i]: the image class is affine in
         (p, q), read off the classes (0, 0), (1, 0), (0, 1) and integral
         there, so x -> M_i x + v_i is integral and keeps k phi(L)."""
-        k = self.k
         (a, b), c = self._basis
         d0, d1, d2 = self.system.delta
         rows = [(x0, x1) + divmod(d2 - x0 * d0 - x1 * d1, d2) for x0, x1 in ((0, 0), (a, b), (0, c))]
@@ -541,28 +560,40 @@ class TorusQuotient:
             (e, h), (p1, q1), (p2, q2) = images
             maps.append((p1 - e, p2 - e, q1 - h, q2 - h, e, h))
         self._class_maps = tuple(maps)
-        self.factor_permutations = tuple(
+        self._perm_cache = {self.table.identity.key: (0, _IDENTITY_MAP)}
+
+    @cached_property
+    def factor_permutations(self):
+        """The tables (R_i, T_i) on the |W0| indices and the k^2 classes, built
+        on first read: only the breadth-first numbering and the oracles read them."""
+        k = self.k
+        return tuple(
             (tuple(w0[i] for w0 in self._w0_right),
              tuple([(x + m01 * q) % k * k + (y + m11 * q) % k
                     for x, y in ((m00 * p + e, m10 * p + h) for p in range(k)) for q in range(k)]))
-            for i, (m00, m01, m10, m11, e, h) in enumerate(maps))
-        self._perm_cache = {self.table.identity.key: (tuple(range(self.weyl_order)), tuple(range(k * k)))}
+            for i, (m00, m01, m10, m11, e, h) in enumerate(self._class_maps))
 
     def _enumerate_chambers(self):
         """The generator permutations, chambers numbered breadth-first from
         label 0, panels of each chamber in turn; the action is transitive."""
         size = self.k * self.k
-        gens = [[rj * size + t for rj in right for t in classes] for right, classes in self.factor_permutations]
+        g0, g1, g2 = ([rj * size + t for rj in right for t in classes] for right, classes in self.factor_permutations)
         number = [0] + [-1] * (len(self.chambers) - 1)  # a label's chamber, -1 until reached
-        order, links = [0], []  # links[3 c + i] is the chamber across panel i of chamber c
+        order, l0, l1, l2 = [0], [], [], []  # li[c] is the chamber across panel i of chamber c
         for label in order:  # order grows while it is walked: the BFS queue
-            for g in gens:
-                n = number[g[label]]
-                if n < 0:
-                    n = number[g[label]] = len(order)
-                    order.append(g[label])
-                links.append(n)
-        return tuple(tuple(links[i::3]) for i in range(3))
+            if (c := number[x := g0[label]]) < 0:
+                c = number[x] = len(order)
+                order.append(x)
+            l0.append(c)
+            if (c := number[x := g1[label]]) < 0:
+                c = number[x] = len(order)
+                order.append(x)
+            l1.append(c)
+            if (c := number[x := g2[label]]) < 0:
+                c = number[x] = len(order)
+                order.append(x)
+            l2.append(c)
+        return tuple(l0), tuple(l1), tuple(l2)
 
     @cached_property
     def generator_permutations(self):
@@ -578,43 +609,48 @@ class TorusQuotient:
 
     def walk(self, chamber, word):
         """The label reached from the label `chamber` across word's panels,
-        by the word's factor pair: (j, x) goes to (R_w[j], M_w x + v_w mod k).
+        by the word's compact pair (g, f): (j, x) goes to (R_g[j], f(x) mod k).
         A chamber outside 0..n-1 raises ZetaError, a bad letter CoxeterError."""
         if chamber not in self.chambers:
             raise ZetaError("chamber %r is not one of the %d chambers 0..%d"
                             % (chamber, len(self.chambers), self.chambers[-1]))
-        right, (a, b, c, d, e, h) = self._factor_pair(self.system.checked_word(word))
+        g, (a, b, c, d, e, h) = self._factor_pair(self.system.checked_word(word))
         k = self.k
         j, t = divmod(chamber, k * k)
         p, q = divmod(t, k)
-        return (right[j] * k + (a * p + b * q + e) % k) * k + (c * p + d * q + h) % k
+        return (self._w0_mul[g][j] * k + (a * p + b * q + e) % k) * k + (c * p + d * q + h) % k
 
     def _factor_pair(self, word):
-        """R_w and the class map of w over Z, for a checked word."""
-        return reduce(_pair_then, [(self.factor_permutations[s][0], self._class_maps[s]) for s in word],
-                      (tuple(range(self.weyl_order)), _IDENTITY_MAP))
+        """w's compact pair over Z, for a checked word."""
+        right = self._w0_right
+        return (reduce(lambda j, s: right[j][s], word, 0),
+                reduce(_map_then, [self._class_maps[s] for s in word], _IDENTITY_MAP))
+
+    def _then(self, x, y):
+        """'Apply x, then y' for compact pairs: the W0 part from the Cayley table."""
+        return self._w0_mul[y[0]][x[0]], _map_then(x[1], y[1])
 
     def order(self, word):
         """The order o of word's element w in G_k, every cycle's length:
-        e k / gcd(k, v_e), e the length of W0 index 0's cycle under R_w, as
-        w^e lies in t(L), which shifts the classes: x -> x + v_e."""
+        e k / gcd(k, v_e), e the order of w's W0 part, as w^e lies in t(L),
+        which shifts the classes: x -> x + v_e."""
         pair = power = self._factor_pair(self.system.checked_word(word))
         e = 1
-        while power[0][0]:
-            power, e = _pair_then(power, pair), e + 1
+        while power[0]:
+            power, e = self._then(power, pair), e + 1
         return e * self.k // math.gcd(self.k, *power[1][4:])
 
     def perm(self, element):
-        """The factor pair (R_w, T_w) of e_w, built along the stored reduced
-        word: it sends the label j k^2 + t to R_w[j] k^2 + T_w[t]."""
-        factors = self.factor_permutations
-        return walk_word(element, self._perm_cache, lambda p, s: tuple(map(_perm_compose, p, factors[s])))
+        """The compact pair (g, f) of e_w, f reduced mod k, built along the
+        stored reduced word: equal actions give equal, hashable pairs."""
+        right, maps, k = self._w0_right, self._class_maps, self.k
+        return walk_word(element, self._perm_cache,
+                         lambda pair, s: (right[pair[0]][s], tuple([x % k for x in _map_then(pair[1], maps[s])])))
 
     def image(self, element):
         """Dense permutation matrix of e_w, right multiplication on the labels,
         rebuilt on every call: an oracle, not a production route."""
-        right, classes = self.perm(element)
-        return _perm_matrix([r * len(classes) + t for r in right for t in classes])
+        return _perm_matrix([self.walk(label, element.word) for label in self.chambers])
 
     action_matrix = image
 
@@ -634,38 +670,33 @@ class TorusQuotient:
         """Trace-log determinant of the truncated twisted group sum by the
         one-vector route: the action is regular (proved at build), so a
         trace is n times one diagonal entry, and one resolvent pass over
-        the factor pairs of the ball of radius `order` gives the power sums."""
-        pair_lengths = [(self.perm(el), el.length) for el in table.ball(order)[1:]]
-        return _one_vector_det_series(pair_lengths, len(self.chambers), order)
+        the compact pairs of the ball of radius `order` gives the power sums."""
+        return _one_vector_det_series(self._pushes(table.ball(order)[1:]), len(self.chambers), order)
+
+    def _pushes(self, elements):  # (R_g, f) and l(w): what `_one_vector_det_series` pushes
+        return [((self._w0_mul[g], f), el.length) for el in elements for g, f in [self.perm(el)]]
 
     # -- exact block determinants ---------------------------------------------
 
     def block_det(self, perm_len_keys, dual_check_order=4):
         """Exact determinant of sum_w rho(e_w) u^l(w) over a finite element
-        set S, given as (factor pair, length, key) triples, as an
+        set S, given as (compact pair, length, key) triples, as an
         ExponentMap in closed form: no block is built.
 
         The words' letters give J; W_J meets the torsion-free t(kL) only in
-        e, so it acts freely (regularity is proved at build): the operator is
-        n / |W_J| copies of sum_(w in S) u^l(w) R(w), R W_J's right-regular
-        representation.  For S = W_J that is the Varchenko matrix of W_J's
-        arrangement, of determinant prod_X (1 - u^(2 h_X))^l_X, h_X the lines
-        through X and l_X the chambers of the restriction to X times beta of
-        the localization at X (Adv. Math. 97, 1993): V_e = 1, V_i = 1 - u^2,
-        and for m = bond(i, j) each line has l = 2 * 1 and the origin
-        1 * (m - 2), chi(t) = t^2 - m t + m - 1, so
-        V_ij = (1 - u^2)^(2m) (1 - u^(2m))^(m-2).  Else S must be W_J^I,
-        the minimal representatives of W_J over W_I on either side, and
-        W_J = S W_I length-additively makes it V_J / V_I^(|W_J|/|W_I|).  I is
-        the letters that are a right descent (key[s] < 0) of no element, else
-        of no inverse (its word walked reversed from e): S lies in W_J^I, so
-        |W_J| / |W_I| distinct elements are all of it.  Any other set, a
-        repeated element, an infinite or unclosed W_J, or a pair that is not
-        its key's raises ZetaError.
-
-        Cross-checked up to u^dual_check_order, when the set holds the
-        identity, against the one-vector trace-log of the elements named by
-        the keys: the map's own truncated expansion must equal it."""
+        e, so it acts freely: the operator is n / |W_J| copies of
+        sum_(w in S) u^l(w) R(w), R W_J's right-regular representation.  For
+        S = W_J that is the Varchenko matrix of W_J's arrangement (Adv. Math.
+        97, 1993), of determinant V_e = 1, V_i = 1 - u^2 and, for
+        m = bond(i, j), V_ij = (1 - u^2)^(2m) (1 - u^(2m))^(m-2).  Else S must
+        be W_J^I, the minimal representatives of W_J over W_I on either side,
+        and W_J = S W_I length-additively makes it V_J / V_I^(|W_J|/|W_I|):
+        I is the letters that are a right descent (key[s] < 0) of no element,
+        else of no inverse, and |W_J| / |W_I| distinct elements are all of
+        W_J^I.  Any other set, a repeated element, an infinite or unclosed
+        W_J, or a pair that is not its key's raises ZetaError.  When S holds
+        the identity, the map's truncated expansion must equal the one-vector
+        trace-log of the elements named by the keys up to u^dual_check_order."""
         table, n = self.table, len(self.chambers)
         elements = [table.element(key) for _perm, _length, key in perm_len_keys]
         letters = tuple(sorted({s for el in elements for s in el.word}))
@@ -693,40 +724,26 @@ class TorusQuotient:
                            for d in whole.keys() | part.keys()})
         # independent truncated route, from the keys alone
         if [el.length for el in elements].count(0) == 1:
-            pair_lengths = [(self.perm(el), el.length)
-                            for el in elements if 0 < el.length <= dual_check_order]
+            pair_lengths = self._pushes([el for el in elements if 0 < el.length <= dual_check_order])
             truncated = _one_vector_det_series(pair_lengths, n, dual_check_order)
             if not (truncated == det.expand(dual_check_order)):
                 raise ZetaError("regular-block determinant failed the trace-log cross-check")
         return det
 
 
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _triangular_basis(vectors):
-    """A basis ((a, b), c) = ((a, b), (0, c)), a, c > 0, of the lattice
-    spanned by integer 2-vectors, by unimodular row operations."""
+    """A basis ((a, b), c) = ((a, b), (0, c)), a, c >= 0, of the lattice
+    spanned by integer 2-vectors, by unimodular row operations: a and c
+    are both nonzero exactly when the lattice has rank 2, and a c is its
+    index in Z^2."""
     a = b = c = 0
     for x, y in vectors:
-        if a or x:
-            g, s, t = _ext_gcd(a, x)
-            a, b, c = g, s * b + t * y, math.gcd(c, x // g * b - a // g * y)
-        else:
-            c = math.gcd(c, y)
-    if not (a and c):
-        raise ZetaError("degenerate translation lattice basis")
+        while x:  # Euclid on the first entries of the rows (a, b) and (x, y)
+            q = a // x
+            a, b, x, y = x, y, a - q * x, b - q * y
+        if a < 0:
+            a, b = -a, -b
+        c = math.gcd(c, y)
     return (a, b), c
 
 
@@ -744,34 +761,33 @@ def torus_quotient_rep(system, k, table=None):
 TorusRepresentation = TorusQuotient
 
 
-def _perm_compose(p, q):
-    """Permutation of 'apply p, then q' matching matrix order P_p P_q."""
-    return tuple([q[c] for c in p])
-
-
 def closed_strip_counts(tq, spec, n_max):
     """Geometric counts of closed pointed strips of one type, in closed
-    form: w^m fixes a chamber exactly when R_w^m fixes its W0 index and the
-    class map x -> M_m x + v_m of w^m its class, so the count is fix(R_w^m)
-    times `_fixed_classes`.  It reads no operator, order or walk."""
+    form: w^m fixes a chamber exactly when its W0 part is 1 (R_w^m fixes
+    every W0 index) and its class map x -> M_m x + v_m fixes the class, so
+    the count is |W0| times `_fixed_classes`, or 0.  No operator or walk."""
     pair = power = tq._factor_pair(tq.system.checked_word(spec.word))
     counts = []
     for _ in range(n_max):
-        fixed = _fixed_points(power[0])
-        counts.append(fixed and fixed * _fixed_classes(power[1], tq.k))
-        power = _pair_then(power, pair)
+        counts.append(0 if power[0] else tq.weyl_order * _fixed_classes(power[1], tq.k))
+        power = tq._then(power, pair)
     return counts
 
 
 def operator_strip_counts(tq, spec, n_max):
-    """tr(A_w^m) for m = 1..n_max: the fixed points of the m-th power of
-    the strip operator's factor pair (R_w, T_w), one composition of each
-    part per power; a label is fixed exactly when both of its parts are."""
+    """tr(A_w^m) for m = 1..n_max, counted: the power's compact pair (g, f)
+    fixes (j, x) exactly when R_g fixes j and f fixes x mod k, so the trace
+    is fix(R_g) on the Cayley table times the classes f fixes, counted over
+    the k^2 classes, with no table built."""
+    k = tq.k
     pair = power = tq.perm(tq.table.element_of_word(spec.word))
     counts = []
     for _ in range(n_max):
-        counts.append(_fixed_points(power[0]) * _fixed_points(power[1]))
-        power = tuple(map(_perm_compose, power, pair))
+        fixed = _fixed_points(tq._w0_mul[power[0]])
+        a, b, c, d, e, h = power[1]
+        counts.append(fixed and fixed * sum(1 for p in range(k) for q in range(k)
+                                            if not (a * p + b * q + e - p) % k and not (c * p + d * q + h - q) % k))
+        power = tq._then(power, pair)
     return counts
 
 
@@ -804,24 +820,20 @@ def verify_strip_zeta_identity(tq, trace_order=6):
     product of twisted parabolic determinants equals the product of the
     two strip zeta functions evaluated at u^(strip length).  Both sides
     are exponent maps: a strip zeta is 1 / (1 - u^o)^(n / o), o the strip
-    word's order, tr P^m is n when o | m and 0 otherwise, and u -> u^l
-    multiplies each d by l.
-
-    Also checks that operator traces match the independent geometric
-    strip counts up to trace_order.  A failure records a witness: for the
-    zeta product the first d whose (1-u^d) exponents differ, else for the
-    traces the strip and the first m where the geometric, operator and
-    zeta counts disagree, else the determinant identity's own witness."""
+    word's order, kept as its map and expanded only to the trace order;
+    tr P^m is n when o | m and 0 otherwise, and u -> u^l multiplies each
+    d by l.  The operator traces must match the geometric strip counts up
+    to trace_order.  A failure's witness is, for the zeta product, the
+    first d whose (1-u^d) exponents differ, else for the traces the strip
+    and the first m where the three counts disagree, else the determinant
+    identity's own witness."""
     system = tq.system
     det_report = strips_mod.verify_determinant_identity(system, tq, tq.table)
-    specs = strips_mod.strip_generators(system.type_tag)
-    zetas = []
-    product = ExponentMap()
-    trace_witness = None
-    for spec in specs:
+    zetas, product, trace_witness = [], ExponentMap(), None
+    for spec in strips_mod.strip_generators(system.type_tag):
         o, order = tq.order(spec.word), trace_order * spec.length
         cycles = _regular_cycle_map(tq.dim, o, 1)
-        zr = _zeta_report(cycles.as_polynomial(), [0 if m % o else tq.dim for m in range(1, order + 1)], order)
+        zr = _zeta_report(cycles, [0 if m % o else tq.dim for m in range(1, order + 1)], order)
         zetas.append(zr)
         product = product / cycles.substitute_power(spec.length)
         counts = zip(closed_strip_counts(tq, spec, trace_order),
@@ -831,12 +843,8 @@ def verify_strip_zeta_identity(tq, trace_order=6):
             if trace_witness is None and not geo == op == zc:
                 trace_witness = {"check": "traces", "strip": spec.index, "degree": m,
                                  "geometric": geo, "operator": op, "zeta": zc}
-    zeta_ok = product == det_report.alt_det
-    trace_ok = trace_witness is None
-    ok = det_report.ok and zeta_ok and trace_ok
-    if not zeta_ok:
-        witness = strips_mod.exponent_witness("zeta product", product, det_report.alt_det)
-    else:
-        witness = trace_witness or det_report.witness
-    return StripZetaIdentityReport(system.type_tag, tq.k, ok, det_report.ok, zeta_ok, trace_ok,
-                                   det_report.alt_det, zetas, witness)
+    zeta_ok, trace_ok = product == det_report.alt_det, trace_witness is None
+    witness = (trace_witness or det_report.witness if zeta_ok
+               else strips_mod.exponent_witness("zeta product", product, det_report.alt_det))
+    return StripZetaIdentityReport(system.type_tag, tq.k, det_report.ok and zeta_ok and trace_ok, det_report.ok,
+                                   zeta_ok, trace_ok, det_report.alt_det, zetas, witness)

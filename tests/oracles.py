@@ -226,12 +226,32 @@ def closed_strip_counts_by_chambers(tq, spec, n_max):
     return counts
 
 
+def _perm_compose(p, q):
+    """Permutation of 'apply p, then q' matching matrix order P_p P_q."""
+    return tuple([q[c] for c in p])
+
+
 def label_permutation(tq, el):
-    """The permutation of the chamber labels j k^2 + t of e_w, expanded
-    from the factor pair (R_w, T_w) that zeta.TorusQuotient.perm returns:
-    the label j k^2 + t goes to R_w[j] k^2 + T_w[t].  Every test that
-    reads a chamber permutation of the torus reads it here."""
-    right, classes = tq.perm(el)
+    """The permutation of the chamber labels j k^2 + p k + q of e_w,
+    expanded from the compact pair (g, f) that zeta.TorusQuotient.perm
+    returns: (j, x) goes to (R_g[j], f(x) mod k), R_g the column g of the
+    quotient's W0 Cayley table.  Every test that reads a chamber
+    permutation of the torus reads it here."""
+    g, (a, b, c, d, e, h) = tq.perm(el)
+    k = tq.k
+    return tuple((r * k + (a * p + b * q + e) % k) * k + (c * p + d * q + h) % k
+                 for r in tq._w0_mul[g] for p in range(k) for q in range(k))
+
+
+def label_permutation_by_factor_tables(tq, word):
+    """The permutation of the chamber labels of the word's element, by
+    composing the generators' factor tables (R_i, T_i) letter by letter:
+    the label j k^2 + t goes to R_w[j] k^2 + T_w[t].  Oracle for the
+    compact pairs of zeta.TorusQuotient.perm."""
+    right, classes = tuple(range(tq.weyl_order)), tuple(range(tq.k * tq.k))
+    for s in word:
+        r_s, t_s = tq.factor_permutations[s]
+        right, classes = _perm_compose(right, r_s), _perm_compose(classes, t_s)
     size = len(classes)
     return tuple(r * size + t for r in right for t in classes)
 

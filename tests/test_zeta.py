@@ -13,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    _cycle_type_map, _perm_char_poly, _perm_cycles, _perm_zeta, closed_strip_counts_by_chambers,
+    _cycle_type_map, _perm_char_poly, _perm_compose, _perm_cycles, _perm_zeta, closed_strip_counts_by_chambers,
     closed_strip_counts_by_factor_walk, column_sums, complete_bipartite, complete_graph, cycle_graph,
-    cyclic_entry_rational, exponent_map_of_poly, label_permutation, mat_mul, orbit_block_det, order_by_factor_walk,
-    petersen_graph, product_key, torus_generator_permutations_by_matrices, twisted_series,
+    cyclic_entry_rational, exponent_map_of_poly, label_permutation, label_permutation_by_factor_tables, mat_mul,
+    orbit_block_det, order_by_factor_walk, petersen_graph, product_key, torus_generator_permutations_by_matrices,
+    twisted_series,
 )
 from test_series import _det_berkowitz
 from weylzeta import coxeter, strips
+from weylzeta import zeta as zeta_mod
+from weylzeta.hecke import walk_word
 from weylzeta.series import (
     ExponentMap, Matrix, Poly, PowerSeries, RationalFunction, char_matrix_det, det_poly_matrix,
     det_series,
@@ -32,9 +35,9 @@ from weylzeta.zeta import (
     TorusRepresentation,
     ZetaError,
     ZetaReport,
+    _IDENTITY_MAP,
     _fixed_points,
     _one_vector_det_series,
-    _perm_compose,
     _perm_matrix,
     closed_strip_counts,
     geodesic_oracle,
@@ -401,6 +404,48 @@ def test_closed_forms_match_the_factor_walk(tables, tag, k):
         assert tq.order(el.word) == order_by_factor_walk(tq, el.word), el.word
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 12, 30])
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_compact_pairs_match_the_factor_table_composition(tables, tag, k):
+    # the compact pair (g, f) of every element of the ball of radius 8,
+    # expanded to labels, against the generators' factor tables (R_i, T_i)
+    # composed letter by letter, and its order against the walked order;
+    # seeded words of up to 30 letters, unreduced and past the table, walk
+    # seeded labels; the closed strip counts equal the counted operator
+    # traces to order 24
+    t = tables[tag]
+    tq = torus_quotient_rep(coxeter.build_system(tag), k, t)
+    for el in t.ball(8):
+        assert label_permutation(tq, el) == label_permutation_by_factor_tables(tq, el.word), el.word
+        assert tq.order(el.word) == order_by_factor_walk(tq, el.word), el.word
+    rng = random.Random(3000 + k)
+    for _ in range(10):
+        word = tuple(rng.randrange(3) for _ in range(rng.randint(1, 30)))
+        assert tq.order(word) == order_by_factor_walk(tq, word), word
+        walked = label_permutation_by_factor_tables(tq, word)
+        for label in rng.sample(tq.chambers, 5):
+            assert tq.walk(label, word) == walked[label], (word, label)
+    for spec in strips.strip_generators(tag):
+        assert closed_strip_counts(tq, spec, 24) == operator_strip_counts(tq, spec, 24), spec.index
+
+
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_no_production_route_builds_a_table_of_labels_or_classes(tables, monkeypatch, tag):
+    # the tables T_i on the k^2 classes, the breadth-first numbering and
+    # the dense chamber matrices refuse to be built: the determinant
+    # identity and the strip zeta identity need none of them, whatever k is
+    def refuse(*_args):
+        raise AssertionError("a table of labels or classes was built")
+
+    monkeypatch.setattr(TorusQuotient, "factor_permutations", property(refuse))
+    monkeypatch.setattr(TorusQuotient, "_enumerate_chambers", refuse)
+    monkeypatch.setattr(zeta_mod, "_perm_matrix", refuse)
+    system, t = coxeter.build_system(tag), tables[tag]
+    assert strips.verify_determinant_identity(system, torus_quotient_rep(system, 3, t), t).ok
+    for k in (2, 30):
+        assert verify_strip_zeta_identity(torus_quotient_rep(system, k, t)).ok, k
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 @pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
 def test_label_walks_match_the_numbered_chambers(tables, tag, k):
@@ -702,10 +747,11 @@ def test_block_det_matches_the_dense_block_on_every_coset_set(tables, torus_k2, 
 class FreeAction(TorusQuotient):
     """`copies` copies of W_J acting on itself by right multiplication, the
     chambers relabelled by `relabel`: the action block_det relies on,
-    without the torus around it.  Its factor pairs have one W0 index and
-    the relabelled chambers as their classes.  Generators outside J get no
-    permutation, so only W_J can be walked, and the trace-log check (which
-    walks a ball of the whole group) must be off: dual_check_order=0."""
+    without the torus around it.  `perm` gives an element as its
+    permutation of the relabelled chambers, which block_det compares and
+    the orbit oracle reads.  Generators outside J get no permutation, so
+    only W_J can be walked, and the trace-log check (which walks a ball of
+    the whole group) must be off: dual_check_order=0."""
 
     def __init__(self, table, letters, copies, relabel):
         group = table.parabolic_elements(letters)
@@ -723,8 +769,11 @@ class FreeAction(TorusQuotient):
             perms.append(perm)
         self.system, self.table = table.system, table
         self.chambers = range(copies * size)
-        self.factor_permutations = tuple(perm and ((0,), perm) for perm in perms)
-        self._perm_cache = {table.identity.key: ((0,), tuple(self.chambers))}
+        self._gens = perms
+        self._perm_cache = {table.identity.key: tuple(self.chambers)}
+
+    def perm(self, element):
+        return walk_word(element, self._perm_cache, lambda p, s: _perm_compose(p, self._gens[s]))
 
 
 @st.composite
@@ -752,7 +801,7 @@ def test_block_det_matches_the_orbit_oracle_on_random_free_actions(tables, actio
     els = (t.parabolic_elements(letters) if coset is None
            else coxeter.min_coset_reps(t, letters, sub, coset))
     det = free.block_det([(free.perm(el), el.length, el.key) for el in els], dual_check_order=0)
-    oracle = orbit_block_det(copies * size, [(label_permutation(free, el), el.length, el.key) for el in els])
+    oracle = orbit_block_det(copies * size, [(free.perm(el), el.length, el.key) for el in els])
     assert det == oracle
     assert det.exponents == oracle.exponents
 
@@ -866,15 +915,28 @@ def _spoil_sign(f):
     return tuple(-x for x in f[:4]) + f[4:]
 
 
+def _spoil_involution_off_index_0(p):
+    # as _spoil_involution, on two indices that are neither 0 nor p(0): the
+    # orbit of index 0 under R_1 is untouched
+    p = list(p)
+    a = next(a for a in range(len(p)) if a not in (0, p[0]))
+    c = next(c for c in range(len(p)) if c not in (0, p[0], a, p[a]))
+    p[a], p[c] = p[c], p[a]
+    return tuple(p)
+
+
 @pytest.mark.parametrize("part,spoil,match", [(0, _spoil_involution, "not an involution"),
                                               (0, _spoil_braid, "braid relation fails"),
+                                              (0, _spoil_involution_off_index_0, "not an involution"),
                                               (1, _spoil_translation, "not an involution"),
                                               (1, _spoil_sign, "braid relation fails")],
-                         ids=["involution", "braid", "classes-involution", "classes-braid"])
+                         ids=["involution", "braid", "involution-off-index-0", "classes-involution",
+                              "classes-braid"])
 def test_torus_build_checks_the_unit_hecke_relations(tables, monkeypatch, part, spoil, match):
-    # generator 1's W0 table R_1 (part 0) or its class map x -> M_1 x + v_1
-    # over Z (part 1) spoiled once they are read: the constructor checks
-    # the relations on these factors and must refuse it
+    # generator 1's column R_1 of the W0 table (part 0) or its class map
+    # x -> M_1 x + v_1 over Z (part 1) spoiled once they are read: the
+    # constructor checks the relations on these factors, at every W0
+    # index, and must refuse it
     read = TorusQuotient._read_factors
 
     def spoiled_read(self):
@@ -882,8 +944,8 @@ def test_torus_build_checks_the_unit_hecke_relations(tables, monkeypatch, part, 
         if part:
             self._class_maps = (spoil(self._class_maps[0]),) + self._class_maps[1:]
         else:
-            first = (spoil(self.factor_permutations[0][0]),) + self.factor_permutations[0][1:]
-            self.factor_permutations = (first,) + self.factor_permutations[1:]
+            first = spoil(tuple(right[0] for right in self._w0_right))
+            self._w0_right = tuple((x,) + right[1:] for x, right in zip(first, self._w0_right))
 
     monkeypatch.setattr(TorusQuotient, "_read_factors", spoiled_read)
     with pytest.raises(ZetaError, match=match):
@@ -957,8 +1019,8 @@ def test_one_vector_det_series_matches_dense_on_regular_shifts(n, shifts, order)
         if length <= order:
             coeffs[length] = coeffs[length] + _perm_matrix(perm)
     dense = det_series(PowerSeries(coeffs, order))
-    # a permutation of n points is the factor pair with one W0 index
-    fast = _one_vector_det_series([(((0,), perm), length) for perm, length in perm_lengths], n, order)
+    # a permutation of n points is the pair with n indices and one class
+    fast = _one_vector_det_series([((perm, _IDENTITY_MAP), length) for perm, length in perm_lengths], n, order)
     assert fast.order == dense.order == order
     assert list(fast.coeffs) == list(dense.coeffs)
 
@@ -1143,6 +1205,25 @@ def test_strip_zeta_identity_k2(torus_k2):
         assert report.ok, report.as_json()
 
 
+@pytest.mark.parametrize("k", [2, 5])
+def test_strip_zeta_reports_read_the_exponent_map(tables, k):
+    # each strip's report keeps (1 - u^o)^(n/o) as its map: the zeta, its
+    # expansion to order 24 and the counts are those of the dense inverse
+    # polynomial, which is expanded only when first read
+    from weylzeta.zeta import _zeta_report
+
+    for tag in ("A2t", "C2t", "G2t"):
+        tq = torus_quotient_rep(coxeter.build_system(tag), k, tables[tag])
+        report = verify_strip_zeta_identity(tq)
+        for spec, zr in zip(strips.strip_generators(tag), report.strip_zetas):
+            o = tq.order(spec.word)
+            assert "inverse_poly" not in vars(zr)
+            dense = _zeta_report(ExponentMap({o: tq.dim // o}).as_polynomial(), zr.closed_counts, zr.series.order)
+            assert zr.zeta.expand(24).coeffs == dense.zeta.expand(24).coeffs
+            assert zr.series == dense.series and zr.as_json() == dense.as_json()
+            assert zr.inverse_poly == dense.inverse_poly
+
+
 def test_twisted_factorization_torus(torus_k2):
     tq = torus_k2["A2t"]
     r = strips.verify_twisted_factorization(
@@ -1200,7 +1281,7 @@ def test_one_vector_det_series_matches_dense_at_order_12_on_seeded_shifts(monkey
         for perm, length in perm_lengths:
             if length <= order:
                 coeffs[length] = coeffs[length] + _perm_matrix(perm)
-        fast = _one_vector_det_series([(((0,), perm), length) for perm, length in perm_lengths], n, order)
+        fast = _one_vector_det_series([((perm, _IDENTITY_MAP), length) for perm, length in perm_lengths], n, order)
         assert list(fast.coeffs) == list(det_series(PowerSeries(coeffs, order)).coeffs)
     assert len(seen) == 30 and all(type(p) is int for sums in seen for p in sums)
 
