@@ -45,13 +45,34 @@ def formal_q():
 
 class HeckeElement:
     """Finite q-polynomial combination of basis vectors, keyed by the
-    key of the underlying group element."""
+    key of the underlying group element.
 
-    __slots__ = ("table", "terms")
+    A product over Z[q] stays in its Kronecker-packed form: `packed` maps
+    each key to the int its coefficient takes at q = 2^width, with no
+    coefficient of absolute value reaching 2^(width - 1), and `norm`
+    bounds the total coefficient 1-norm.  `terms` is unpacked from it on
+    first read.  An element built from terms has packed = None."""
+
+    __slots__ = ("table", "_terms", "packed", "width", "norm")
 
     def __init__(self, table, terms):
         self.table = table
-        self.terms = {k: c for k, c in terms.items() if c != 0}
+        self._terms = {k: c for k, c in terms.items() if c != 0}
+        self.packed = self.width = self.norm = None
+
+    @classmethod
+    def _from_packed(cls, table, packed, width, norm):
+        element = cls.__new__(cls)
+        element.table, element._terms = table, None
+        element.packed, element.width, element.norm = packed, width, norm
+        return element
+
+    @property
+    def terms(self):
+        if self._terms is None:  # a nonzero packed value unpacks to a nonzero coefficient
+            b = self.width
+            self._terms = {k: QPolynomial(signed_digits(v, b)) for k, v in self.packed.items()}
+        return self._terms
 
     def coeff(self, element):
         return self.terms.get(element.key, 0)
@@ -70,8 +91,12 @@ class HeckeElement:
         return self + HeckeElement(self.table, {k: -c for k, c in other.terms.items()})
 
     def __eq__(self, other):
+        """At one width the packed ints fix the coefficients (every digit
+        lies in (-2^(width-1), 2^(width-1))), so they are compared as they are."""
         if not isinstance(other, HeckeElement):
             return NotImplemented
+        if self.packed is not None and other.packed is not None and self.width == other.width:
+            return self.packed == other.packed
         keys = set(self.terms) | set(other.terms)
         return all(self.terms.get(k, 0) == other.terms.get(k, 0) for k in keys)
 
@@ -87,31 +112,59 @@ class HeckeElement:
 
 
 def basis_element(table, element, q=None):
-    return HeckeElement(table, {element.key: QPolynomial.one() if q is None else scalar_one_like(q)})
+    """T_w; at the formal q it is born packed (the constant 1 is 1 at every width)."""
+    if q is None:
+        return HeckeElement._from_packed(table, {element.key: 1}, _width(1), 1)
+    return HeckeElement(table, {element.key: scalar_one_like(q)})
+
+
+def _width(bound):
+    """The least width b = 32 * 2^i with 2^(b-1) > bound, so that chained
+    products, and both sides of a comparison, mostly share one width."""
+    b = 32
+    while bound >> (b - 1):
+        b *= 2
+    return b
 
 
 def hecke_mul(table, x, y, q=None):
     """Product in the Hecke algebra, by right-multiplication recursion along a
     reduced word of each basis element of y: T_w T_s is T_ws on an ascent and
     (q - 1) T_w + q T_ws on a descent (key[s] < 0), so with t = c q a descent
-    leaves t - c on w and t on ws.  Over Z[q] (the formal q by default) the
-    coefficients, scaled by the lcm L of their denominators, are packed into
-    ints at q = 2^b; a step multiplies a 1-norm by at most 2|q|_1 + 1, so no
-    coefficient of L^2 x y exceeds B = |Lx|_1 sum_y |L c_y|_1 (2|q|_1 + 1)^l(y)
-    < 2^(b-1).  Any other q runs the same loop on the coefficients as given."""
+    leaves t - c on w and t on ws.
+
+    Over Z[q] (the formal q by default) the coefficients, scaled by the lcm
+    L of their denominators, are packed into ints at q = 2^b.  A descent
+    step turns a coefficient c into c(q - 1) and cq, of 1-norm at most
+    (2|q|_1 + 1)|c|_1, and merging terms only lowers the total 1-norm; so
+    x T_y has total 1-norm at most |x|_1 (2|q|_1 + 1)^l(y), and no
+    coefficient of L^2 x y exceeds its total 1-norm, at most
+    B = L^2 |x|_1 sum_y |c_y|_1 (2|q|_1 + 1)^l(y) < 2^(b-1).  A packed
+    operand brings its stored bound on |x|_1 in place of its terms (for y,
+    times (2|q|_1 + 1) to its greatest length), which keeps B a bound.
+    The width b comes from `_width`, and an operand packed at b is used as
+    it is.  When L = 1 the product stays packed at b, with norm bound B;
+    otherwise it is unpacked.  Any other q runs the same loop on the
+    coefficients as given."""
     index = table.index
-    x_terms, y_terms = x.terms, y.terms
     q_coeffs = (0, 1) if q is None else q.coeffs if isinstance(q, QPolynomial) else None
     grow = q_coeffs and 2 * sum(map(abs, q_coeffs)) + 1
     b = 0
     if type(grow) is int:  # q in Z[q]: pack
-        norm = _norm(x_terms, index, 1) * _norm(y_terms, index, grow)
+        norm = (x.norm if x.packed is not None else _norm(x.terms, index, 1)) * (
+            y.norm * grow ** max([index[k].length for k in y.packed], default=0) if y.packed is not None
+            else _norm(y.terms, index, grow))
         lcm = 1 if type(norm) is int else math.lcm(*[  # over Q[q]: the lcm of the denominators
-            a.denominator for t in (x_terms, y_terms) for c in t.values()
+            a.denominator for t in (x, y) if t.packed is None for c in t.terms.values()
             for a in (c.coeffs if type(c) is QPolynomial else (c,))])
-        b = int(norm * lcm * lcm).bit_length() + 1
-        x_terms, y_terms = _pack(x_terms, b, lcm), _pack(y_terms, b, lcm)
-        q = 1 << b if q is None else _pack({0: q}, b, 1)[0]
+        norm = int(norm * lcm * lcm)
+        b = _width(norm)
+        x_terms, y_terms = (t.packed if t.width == b and lcm == 1 else _pack(t.terms, b, lcm) for t in (x, y))
+        if q is not None:
+            q = _pack({0: q}, b, 1)[0]
+    else:
+        x_terms, y_terms = x.terms, y.terms
+    shift = b if q_coeffs == (0, 1) else 0  # at the formal q a descent step is a shift
     out = {}
     for key_y, c_y in y_terms.items():
         state = x_terms
@@ -124,7 +177,7 @@ def hecke_mul(table, x, y, q=None):
                 if key[s] > 0:
                     new[ws_key] = new[ws_key] + c if ws_key in new else c
                 else:
-                    t = c * q
+                    t = c << shift if shift else c * q
                     new[key] = new[key] + t - c if key in new else t - c
                     new[ws_key] = new[ws_key] + t if ws_key in new else t
             state = new
@@ -133,9 +186,9 @@ def hecke_mul(table, x, y, q=None):
             out[k] = out[k] + t if k in out else t
     if not b:
         return HeckeElement(table, out)
-    product = HeckeElement(table, {})  # a nonzero v unpacks to a nonzero coefficient
-    product.terms = {k: QPolynomial(signed_digits(v, b, lcm * lcm)) for k, v in out.items() if v}
-    return product
+    if lcm == 1:
+        return HeckeElement._from_packed(table, {k: v for k, v in out.items() if v}, b, norm)
+    return HeckeElement(table, {k: QPolynomial(signed_digits(v, b, lcm * lcm)) for k, v in out.items() if v})
 
 
 def _norm(terms, index, grow):

@@ -22,6 +22,7 @@ ints; all emitted values are ints, Fractions, or exact polynomials.
 
 import math
 from functools import cached_property, reduce
+from itertools import combinations
 
 from . import coxeter as cox
 from . import strips as strips_mod
@@ -442,8 +443,9 @@ class TorusQuotient:
         self.system, self.k = system, k
         self.table = cox.enumerate_elements(system, cox.DEFAULT_BOUND) if table is None else table
         self._setup_weyl_section()
-        self.chambers = range(self.weyl_order * k * k)
-        cox.check_element_cap(len(self.chambers), "torus quotient with %d chambers" % len(self.chambers))
+        self.n = self.weyl_order * k * k  # an int: len() of a range past sys.maxsize raises OverflowError
+        cox.check_element_cap(self.n, "torus quotient with %d chambers" % self.n)
+        self.chambers = range(self.n)
         self._read_factors()
         indices = list(range(self.weyl_order))
         columns = [list(column) for column in zip(*self._w0_right)]  # R_i at every W0 index
@@ -578,7 +580,7 @@ class TorusQuotient:
         label 0, panels of each chamber in turn; the action is transitive."""
         size = self.k * self.k
         g0, g1, g2 = ([rj * size + t for rj in right for t in classes] for right, classes in self.factor_permutations)
-        number = [0] + [-1] * (len(self.chambers) - 1)  # a label's chamber, -1 until reached
+        number = [0] + [-1] * (self.n - 1)  # a label's chamber, -1 until reached
         order, l0, l1, l2 = [0], [], [], []  # li[c] is the chamber across panel i of chamber c
         for label in order:  # order grows while it is walked: the BFS queue
             if (c := number[x := g0[label]]) < 0:
@@ -603,7 +605,7 @@ class TorusQuotient:
     # -- the permutation representation ----------------------------------------
 
     def chamber_count(self):
-        return len(self.chambers)
+        return self.n
 
     dim = property(chamber_count)
 
@@ -613,7 +615,7 @@ class TorusQuotient:
         A chamber outside 0..n-1 raises ZetaError, a bad letter CoxeterError."""
         if chamber not in self.chambers:
             raise ZetaError("chamber %r is not one of the %d chambers 0..%d"
-                            % (chamber, len(self.chambers), self.chambers[-1]))
+                            % (chamber, self.n, self.n - 1))
         g, (a, b, c, d, e, h) = self._factor_pair(self.system.checked_word(word))
         k = self.k
         j, t = divmod(chamber, k * k)
@@ -661,7 +663,7 @@ class TorusQuotient:
 
     def cyclic_det_factor(self, element):
         """det(I - P u^l) = (1 - u^(l o))^(n / o), o the element's order."""
-        return _regular_cycle_map(len(self.chambers), self.order(element.word), element.length)
+        return _regular_cycle_map(self.n, self.order(element.word), element.length)
 
     def cyclic_det_hook(self, _table, element):
         return self.cyclic_det_factor(element).as_polynomial()
@@ -671,7 +673,7 @@ class TorusQuotient:
         one-vector route: the action is regular (proved at build), so a
         trace is n times one diagonal entry, and one resolvent pass over
         the compact pairs of the ball of radius `order` gives the power sums."""
-        return _one_vector_det_series(self._pushes(table.ball(order)[1:]), len(self.chambers), order)
+        return _one_vector_det_series(self._pushes(table.ball(order)[1:]), self.n, order)
 
     def _pushes(self, elements):  # (R_g, f) and l(w): what `_one_vector_det_series` pushes
         return [((self._w0_mul[g], f), el.length) for el in elements for g, f in [self.perm(el)]]
@@ -697,7 +699,7 @@ class TorusQuotient:
         W_J, or a pair that is not its key's raises ZetaError.  When S holds
         the identity, the map's truncated expansion must equal the one-vector
         trace-log of the elements named by the keys up to u^dual_check_order."""
-        table, n = self.table, len(self.chambers)
+        table, n = self.table, self.n
         elements = [table.element(key) for _perm, _length, key in perm_len_keys]
         letters = tuple(sorted({s for el in elements for s in el.word}))
         named = "".join(str(s + 1) for s in letters)
@@ -775,20 +777,30 @@ def closed_strip_counts(tq, spec, n_max):
 
 
 def operator_strip_counts(tq, spec, n_max):
-    """tr(A_w^m) for m = 1..n_max, counted: the power's compact pair (g, f)
-    fixes (j, x) exactly when R_g fixes j and f fixes x mod k, so the trace
-    is fix(R_g) on the Cayley table times the classes f fixes, counted over
-    the k^2 classes, with no table built."""
+    """tr(A_w^m) for m = 1..n_max: the power's compact pair (g, f) fixes
+    (j, x) exactly when R_g fixes j and f fixes x mod k, so the trace is
+    fix(R_g) on the Cayley table times `_minor_classes`, with no table built."""
     k = tq.k
     pair = power = tq.perm(tq.table.element_of_word(spec.word))
     counts = []
     for _ in range(n_max):
         fixed = _fixed_points(tq._w0_mul[power[0]])
-        a, b, c, d, e, h = power[1]
-        counts.append(fixed and fixed * sum(1 for p in range(k) for q in range(k)
-                                            if not (a * p + b * q + e - p) % k and not (c * p + d * q + h - q) % k))
+        counts.append(fixed and fixed * _minor_classes(power[1], k))
         power = tq._then(power, pair)
     return counts
+
+
+def _minor_classes(f, k):
+    """#{x mod k : (M - I) x = -v mod k} for f: x -> M x + v, by
+    determinantal divisors: [Z^2 : L] for L = (M - I) Z^2 + k Z^2 when -v
+    lies in L, else 0.  The index of a full-rank lattice is the gcd of the
+    2x2 minors of its spanning columns, and -v lies in L exactly when
+    adding it as a column keeps that gcd (Newman, Integral Matrices,
+    Ch. II).  Ten minors and no Euclid on rows, unlike `_fixed_classes`."""
+    a, b, c, d, e, h = f
+    columns = ((a - 1, c), (b, d - 1), (k, 0), (0, k))
+    index = math.gcd(*[x * w - y * z for (x, z), (y, w) in combinations(columns, 2)])
+    return index if math.gcd(index, *[e * z - x * h for x, z in columns]) == index else 0  # the minors with -v
 
 
 class StripZetaIdentityReport:

@@ -226,6 +226,24 @@ def closed_strip_counts_by_chambers(tq, spec, n_max):
     return counts
 
 
+def counted_strip_traces(tq, spec, n_max):
+    """tr(A_w^m) for m = 1..n_max, counted: the power's compact pair (g, f)
+    fixes (j, x) exactly when R_g fixes j and f fixes x mod k, so the trace
+    is fix(R_g) on the Cayley table times the classes f fixes, counted over
+    the k^2 classes.  Oracle for zeta.operator_strip_counts, which reads
+    the classes off determinantal divisors."""
+    k = tq.k
+    pair = power = tq.perm(tq.table.element_of_word(spec.word))
+    counts = []
+    for _ in range(n_max):
+        fixed = _fixed_points(tq._w0_mul[power[0]])
+        a, b, c, d, e, h = power[1]
+        counts.append(fixed and fixed * sum(1 for p in range(k) for q in range(k)
+                                            if not (a * p + b * q + e - p) % k and not (c * p + d * q + h - q) % k))
+        power = tq._then(power, pair)
+    return counts
+
+
 def _perm_compose(p, q):
     """Permutation of 'apply p, then q' matching matrix order P_p P_q."""
     return tuple([q[c] for c in p])

@@ -240,6 +240,24 @@ def test_torus_over_chamber_cap_reports_resource_limit(capsys, monkeypatch):
     assert out == "error: %s\n" % error["error"]
 
 
+@pytest.mark.parametrize("argv,chambers", [
+    (["torus", "--type", "G2t", "--scale", "876706529"], 12 * 876706529 ** 2),
+    (["torus", "--type", "A2t", "--scale", "10000000000"], 6 * 10 ** 20),
+    (["det-identity", "--type", "C2t", "--q", "torus", "--scale", "10000000000"], 8 * 10 ** 20),
+], ids=["torus-G2t", "torus-A2t", "det-identity-C2t"])
+def test_a_chamber_count_past_sys_maxsize_is_a_typed_resource_limit(argv, chambers, capsys, monkeypatch):
+    # |W0| k^2 past sys.maxsize is refused by the cap, as a smaller count
+    # is, and never as an untyped OverflowError (exit 3)
+    assert chambers > sys.maxsize
+    monkeypatch.delenv("WEYLZETA_MAX_ELEMENTS", raising=False)
+    status, out = run_cli(argv + ["--format", "json"], capsys)
+    assert status == 2
+    error = json.loads(out)
+    assert error["kind"] == "ResourceLimitError"
+    assert "torus quotient with %d chambers" % chambers in error["error"]
+    assert (error["cap"], error["env"]) == (2000000, "WEYLZETA_MAX_ELEMENTS")
+
+
 def test_element_cap_error_names_its_cap(capsys, monkeypatch):
     # the bound-24 table of A2t passes 24 elements before any chamber
     monkeypatch.setenv("WEYLZETA_MAX_ELEMENTS", "24")

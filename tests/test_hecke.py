@@ -359,6 +359,120 @@ def test_associativity_chain_matches_recursion(tables):
             assert hecke_mul(t, a, hecke_mul(t, b, hecke_mul(t, c, d, q), q), q) == chain
 
 
+def _at_width(element, b):
+    """The element over Z[q] held packed at width b."""
+    return HeckeElement._from_packed(element.table, hecke._pack(element.terms, b, 1), b, hecke._norm(
+        element.terms, element.table.index, 1))
+
+
+def test_packed_and_unpacked_elements_compare_and_hash_equal(tables):
+    # one element packed at widths 32 and 64 and built from its terms: all
+    # equal and of one hash; a product lands at width 64 when its bound
+    # needs it, and still equals the recursion
+    t = tables["A2t"]
+    s, w = t.generator(0), t.element_of_word((0, 1, 2))
+    plain = HeckeElement(t, {s.key: QPolynomial((3, -1)), w.key: -2, t.identity.key: QPolynomial((0, 0, 5))})
+    packed = [_at_width(plain, b) for b in (32, 64)]
+    for x in packed:
+        assert x.packed is not None and x == plain and plain == x and hash(x) == hash(plain)
+    assert packed[0] == packed[1] and hash(packed[0]) == hash(packed[1])
+    other = _at_width(HeckeElement(t, {s.key: QPolynomial((3, -1)), w.key: -2}), 32)
+    assert other != packed[0] and packed[0] != other
+    big = HeckeElement(t, {s.key: QPolynomial((2 ** 40, -1)), w.key: -(2 ** 35)})
+    product, oracle = hecke_mul(t, big, plain), hecke_mul_recursion(t, big, plain)
+    assert product.width == 64
+    assert product == oracle and hash(product) == hash(oracle)
+    assert hecke_mul(t, product, packed[0]) == hecke_mul_recursion(t, oracle, plain)
+
+
+def test_a_packed_operands_bound_grows_with_its_length(tables):
+    # y = T_s is born packed with norm bound 1; at q = 3q^2 - 1 the product
+    # 2^30 T_s T_s has the coefficient 3 * 2^30 of q^2, past 2^31: only
+    # the growth factor (2|q|_1 + 1)^l(s) = 9 on y's bound widens past 32
+    t = tables["A2t"]
+    q = QPolynomial((-1, 0, 3))
+    s = t.generator(0)
+    x, y = HeckeElement(t, {s.key: 2 ** 30}), basis_element(t, s)
+    product = hecke_mul(t, x, y, q)
+    assert product.width == 64
+    assert product == hecke_mul_recursion(t, x, y, q)
+
+
+def test_formal_chain_unpacks_only_when_a_term_is_read(tables, monkeypatch):
+    # products at the formal q stay packed through the chain and the
+    # comparison; signed_digits runs first when a coefficient is read
+    calls = []
+    digits = hecke.signed_digits
+
+    def counted(*args):
+        calls.append(args)
+        return digits(*args)
+
+    monkeypatch.setattr(hecke, "signed_digits", counted)
+    t = tables["A2t"]
+    rng = random.Random(31)
+    elements = [el for layer in t.layers[:5] for el in layer]
+    for _ in range(50):
+        a, b = (basis_element(t, rng.choice(elements)) for _ in range(2))
+        c = HeckeElement(t, {rng.choice(elements).key: QPolynomial((1, -2)), rng.choice(elements).key: 3})
+        left = hecke_mul(t, hecke_mul(t, a, b), c)
+        right = hecke_mul(t, a, hecke_mul(t, b, c))
+        assert left == right
+    assert calls == []
+    terms = left.terms
+    assert len(calls) == len(terms)
+    assert terms == hecke_mul_recursion(t, hecke_mul_recursion(t, a, b), c).terms
+
+
+@st.composite
+def product_feedback_cases(draw):
+    """Start elements over Z, Q, Z[q] and Q[q], then products of two
+    drawn earlier entries at a drawn q, each fed back in as an operand:
+    packed products at the formal q, unpacked ones at any other q, and
+    packed ones whose terms were already read."""
+    def coeff():
+        kind = draw(st.sampled_from(("int", "fraction", "poly", "big")))
+        if kind == "int":
+            return draw(st.integers(-5, 5))
+        if kind == "fraction":
+            return Fraction(draw(st.integers(-5, 5)), draw(st.sampled_from((1, 2, 3))))
+        if kind == "poly":
+            return QPolynomial([draw(st.integers(-3, 3)) for _ in range(draw(st.integers(0, 3)))])
+        return QPolynomial((0,) * draw(st.integers(0, 2)) + (draw(st.sampled_from((1, -1))) * 2 ** draw(st.integers(20, 60)),))
+
+    elements = [el for layer in PACKED_TABLE.layers[:3] for el in layer]
+    starts = [HeckeElement(PACKED_TABLE, {draw(st.sampled_from(elements)).key: coeff()
+                                          for _ in range(draw(st.integers(1, 2)))})
+              for _ in range(draw(st.integers(2, 3)))]
+    steps = draw(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20), st.sampled_from(HECKE_QS), st.booleans()),
+                          min_size=1, max_size=5))
+    return starts, steps
+
+
+def _product_or_escape(mul, x, y, q):
+    try:
+        return mul(PACKED_TABLE, x, y, q)
+    except coxeter.OutOfTableError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_feedback_cases())
+def test_products_fed_back_as_operands_match_the_recursion(case):
+    starts, steps = case
+    pool = [(x, x) for x in starts]  # (hecke_mul's element, the oracle's)
+    for i, j, q, read in steps:
+        (x, x_oracle), (y, y_oracle) = pool[i % len(pool)], pool[j % len(pool)]
+        product = _product_or_escape(hecke_mul, x, y, q)
+        oracle = _product_or_escape(hecke_mul_recursion, x_oracle, y_oracle, q)
+        assert (product is None) == (oracle is None)
+        if product is not None:
+            assert product == oracle
+            if read:
+                product.terms
+            pool.append((product, oracle))
+
+
 TWISTED_TABLES = {tag: coxeter.enumerate_elements(coxeter.build_system(tag), 6) for tag in ("A2t", "C2t", "G2t")}
 
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     _cycle_type_map, _perm_char_poly, _perm_compose, _perm_cycles, _perm_zeta, closed_strip_counts_by_chambers,
-    closed_strip_counts_by_factor_walk, column_sums, complete_bipartite, complete_graph, cycle_graph,
+    closed_strip_counts_by_factor_walk, column_sums, complete_bipartite, complete_graph, counted_strip_traces,
+    cycle_graph,
     cyclic_entry_rational, exponent_map_of_poly, label_permutation, label_permutation_by_factor_tables, mat_mul,
     orbit_block_det, order_by_factor_walk, petersen_graph, product_key, torus_generator_permutations_by_matrices,
     twisted_series,
@@ -36,7 +37,9 @@ from weylzeta.zeta import (
     ZetaError,
     ZetaReport,
     _IDENTITY_MAP,
+    _fixed_classes,
     _fixed_points,
+    _minor_classes,
     _one_vector_det_series,
     _perm_matrix,
     closed_strip_counts,
@@ -430,6 +433,31 @@ def test_compact_pairs_match_the_factor_table_composition(tables, tag, k):
 
 
 @pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_minor_strip_counts_match_the_counted_traces(tables, tag):
+    # the determinantal-divisor count of the fixed classes against the
+    # scan of all k^2 classes, both strips to order 24
+    for k in range(2, 13):
+        tq = torus_quotient_rep(coxeter.build_system(tag), k, tables[tag])
+        for spec in strips.strip_generators(tag):
+            assert operator_strip_counts(tq, spec, 24) == counted_strip_traces(tq, spec, 24), (k, spec.index)
+
+
+def test_minor_classes_match_a_brute_count_on_random_maps():
+    # 4,000 seeded affine maps x -> M x + v, entries -6..6, k 1..24, 30%
+    # with M = I: the minor count against the count over all k^2 classes
+    # and against the triangular-basis count of _fixed_classes
+    rng = random.Random(31)
+    for _ in range(4000):
+        k = rng.randint(1, 24)
+        m = (1, 0, 0, 1) if rng.random() < 0.3 else tuple(rng.randint(-6, 6) for _ in range(4))
+        f = m + (rng.randint(-6, 6), rng.randint(-6, 6))
+        a, b, c, d, e, h = f
+        brute = sum(1 for p in range(k) for q in range(k)
+                    if not (a * p + b * q + e - p) % k and not (c * p + d * q + h - q) % k)
+        assert _minor_classes(f, k) == brute == _fixed_classes(f, k), (f, k)
+
+
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
 def test_no_production_route_builds_a_table_of_labels_or_classes(tables, monkeypatch, tag):
     # the tables T_i on the k^2 classes, the breadth-first numbering and
     # the dense chamber matrices refuse to be built: the determinant
@@ -768,7 +796,8 @@ class FreeAction(TorusQuotient):
                 perm = tuple(perm)
             perms.append(perm)
         self.system, self.table = table.system, table
-        self.chambers = range(copies * size)
+        self.n = copies * size
+        self.chambers = range(self.n)
         self._gens = perms
         self._perm_cache = {table.identity.key: tuple(self.chambers)}
 
