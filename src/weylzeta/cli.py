@@ -277,33 +277,35 @@ def build_parser():
 
 
 def _read_options(config):
-    """Fill in the options the command reads; any other given raises an InputError."""
+    """Fill in the options the command reads and join --rank to --type; any other given raises an InputError."""
     command = config.command
     own_reps = command == "det-identity" and not config.rep_path  # its characters or the torus
     options = (  # option, attribute, default, whether the command reads it
+        ("type", "type_tag", None, command != "ihara"),
+        ("rank", "rank", None, command != "ihara" and (command != "macdonald-table"
+                                                       or (config.type_tag or "all").lower() != "all")),
         ("trunc", "trunc", 24, command in ("poincare", "factorize", "ihara")),
         ("scale", "scale", 2, command == "torus" or (own_reps and config.q_mode == "torus")),
         ("q", "q_mode", "formal", command == "ihara" or own_reps),
         ("rep", "rep_path", None, command == "det-identity"),
         ("graph", "graph_path", None, command == "ihara"),
+        ("format csv", "out_format", "text", command == "macdonald-table" or config.out_format != "csv"),
     )
+    hints = {"det-identity scale": " (only with --q torus and no --rep)", "det-identity q": " (not with --rep)",
+             "macdonald-table rank": " (only with a --type other than all)"}
     for option, attribute, default, reads in options:
         value = getattr(config, attribute)
         if reads:
             setattr(config, attribute, default if value is None else value)
         elif value is not None:
-            hint = {"scale": " (only with --q torus and no --rep)", "q": " (not with --rep)"}.get(option, "")
-            raise InputError("%s does not read --%s%s" % (command, option, hint if command == "det-identity" else ""))
+            raise InputError("%s does not read --%s%s" % (command, option, hints.get(command + " " + option, "")))
+    if config.rank is not None and config.type_tag:  # A + 2 + t is A2t
+        config.type_tag = "%s%d%s" % (config.type_tag.rstrip("0123456789t"), config.rank,
+                                      "t" if config.type_tag.endswith("t") else "")
 
 
 def main(argv=None):
     config = build_parser().parse_args(argv)
-    if config.rank is not None and config.type_tag:
-        config.type_tag = "%s%d%s" % (
-            config.type_tag.rstrip("0123456789t"),
-            config.rank,
-            "t" if config.type_tag.endswith("t") else "",
-        )
     try:
         _read_options(config)
         if config.trunc is not None and config.trunc < 0:

@@ -653,9 +653,9 @@ class ExponentMap:
 
     The 1-u^d are multiplicatively independent, so the map is the
     canonical form of a binomial product: products and quotients add and
-    subtract maps, and equality compares them.  `expand`, `as_polynomial`
-    and `str` are for output and the truncated cross-checks; `str` reads
-    the map, with no peel.
+    subtract maps, and equality compares them.  `expand`, `as_polynomial`,
+    `power_sums` and `str` are for output and the truncated cross-checks;
+    `str` reads the map, with no peel.
     """
 
     __slots__ = ("exponents",)
@@ -698,6 +698,10 @@ class ExponentMap:
     def expand(self, order):
         """Power series to u^order: the binomial series of the map."""
         return PowerSeries(_dense(_binomial_series(self.exponents, order), order + 1), order)
+
+    def power_sums(self, order):
+        """p_1..p_order of the product = exp(sum p_j u^j / j): p_j = -sum_(d|j) d m_d."""
+        return [-sum(d * m for d, m in self.exponents.items() if j % d == 0) for j in range(1, order + 1)]
 
     def as_polynomial(self):
         """The product as a polynomial; every exponent must be positive."""

@@ -15,9 +15,10 @@ q = 1, validated when it is built; its dense chamber matrices (`image`,
 `action_matrix`) are uncached oracles.  The build proves W/t(kL) acts
 regularly, so tr P(w) is n or 0 and every cycle of P(w) has length o:
 the dual trace-log checks solve one resolvent recurrence for a label
-vector over the compact pairs of a ball, and Newton's identities turn
-its integer power sums into the determinant.  The torus routes run in Python
-ints; all emitted values are ints, Fractions, or exact polynomials.
+vector over the compact pairs, its last degree one lookup per pair at
+P^-1(0), to integer power sums: `block_det` compares them with its map's,
+and Newton's identities turn the whole ball's into its determinant, in
+Python ints; every emitted value is an int, Fraction or exact polynomial.
 """
 
 import math
@@ -322,22 +323,23 @@ def _fixed_points(perm):
     return sum(1 for c in range(len(perm)) if perm[c] == c)
 
 
-def _one_vector_det_series(pair_lengths, n, order):
-    """det(I + N) up to u^order for N = sum P u^l over (pair, l), l >= 1,
-    P the pair (R, f) sending label j k^2 + p k + q to R[j] k^2 + f(p, q)
-    mod k: R a permutation of s indices (a W0 Cayley column), f an affine
-    map of Z^2 and k^2 = n / s.  Valid only when every product of the P
-    fixes no label or all n, as on a torus: then tr M = n M_00 for every
-    M in the algebra the P span, read off the row vector e_0 M.
+def _one_vector_power_sums(pair_lengths, n, order):
+    """The int power sums p_1, ..., p_order of det(I + N) for N = sum P u^l
+    over (pair, l), l >= 1, P the pair (R, f) sending label j k^2 + p k + q
+    to R[j] k^2 + f(p, q) mod k: R a permutation of s indices (a W0 Cayley
+    column), f an affine map of Z^2 with det M = +-1 mod k and k^2 = n / s.
+    Valid only when every product of the P fixes no label or all n, as on a
+    torus: then tr M = n M_00 for every M in the algebra the P span.
 
     By Jacobi's formula the power sums of det(I + N) = exp(sum p_d u^d / d)
     are the coefficients of u d/du log det(I + N) = tr(u N' (I + N)^-1),
     so p_d = n (y_d)_0 for the row vector y = e_0 u N' (I + N)^-1.  One
     resolvent pass solves y (I + N) = e_0 u N' degree by degree,
         y_d = d sum_(P of length d) e_P(0) - sum_(l<d) y_(d-l) N_l,
-    each y_d a sparse {label: int} map, so every p_d is an int and
-    `power_sum_exp` is the only step that divides; nothing of size k^2 or
-    n is built."""
+    each y_d a sparse {label: int} map, to d = D - 1, D = order.  The last
+    degree reads label 0 alone, (y_D)_0 = D #{P of length D : P(0) = 0} -
+    sum_(l<D) sum_(P of length l) y_(D-l)(P^-1(0)), P^-1(0) the label
+    (R.index(0), -M^-1 v mod k).  Nothing of size k^2 or n is built."""
     by_length = [[] for _ in range(order + 1)]
     for pair, length in pair_lengths:
         if length <= order:
@@ -345,7 +347,7 @@ def _one_vector_det_series(pair_lengths, n, order):
     k = math.isqrt(n // len(pair_lengths[0][0][0])) if pair_lengths else 1
     size = k * k
     ys, power_sums = [None], []
-    for d in range(1, order + 1):
+    for d in range(1, order):
         row = {}
         for right, (_a, _b, _c, _d, e, h) in by_length[d]:
             label = right[0] * size + e % k * k + h % k
@@ -362,7 +364,20 @@ def _one_vector_det_series(pair_lengths, n, order):
                     row[label] = row.get(label, 0) - x
         ys.append(row)
         power_sums.append(n * row.get(0, 0))
-    return power_sum_exp(power_sums, order)
+    last = order * sum(1 for right, f in by_length[order] if not (right[0] or f[4] % k or f[5] % k))
+    for length in range(1, order):
+        y = ys[order - length]
+        for right, (a, b, c, dd, e, h) in by_length[length] if y else ():
+            det = a * dd - b * c  # M^-1 = det (dd, -b; -c, a) mod k when det^2 = 1 mod k
+            if (det * det - 1) % k:
+                raise ZetaError("class map %r has det^2 != 1 mod %d" % ((a, b, c, dd, e, h), k))
+            last -= y.get(right.index(0) * size + det * (b * h - dd * e) % k * k + det * (c * e - a * h) % k, 0)
+    return power_sums + [n * last] if order else []
+
+
+def _one_vector_det_series(pair_lengths, n, order):
+    """det(I + N) to u^order from `_one_vector_power_sums` by `power_sum_exp`."""
+    return power_sum_exp(_one_vector_power_sums(pair_lengths, n, order), order)
 
 
 def _regular_cycle_map(n, o, shift_power):
@@ -673,10 +688,8 @@ class TorusQuotient:
         one-vector route: the action is regular (proved at build), so a
         trace is n times one diagonal entry, and one resolvent pass over
         the compact pairs of the ball of radius `order` gives the power sums."""
-        return _one_vector_det_series(self._pushes(table.ball(order)[1:]), self.n, order)
-
-    def _pushes(self, elements):  # (R_g, f) and l(w): what `_one_vector_det_series` pushes
-        return [((self._w0_mul[g], f), el.length) for el in elements for g, f in [self.perm(el)]]
+        pushes = [((self._w0_mul[g], f), el.length) for el in table.ball(order)[1:] for g, f in [self.perm(el)]]
+        return _one_vector_det_series(pushes, self.n, order)
 
     # -- exact block determinants ---------------------------------------------
 
@@ -697,17 +710,17 @@ class TorusQuotient:
         else of no inverse, and |W_J| / |W_I| distinct elements are all of
         W_J^I.  Any other set, a repeated element, an infinite or unclosed
         W_J, or a pair that is not its key's raises ZetaError.  When S holds
-        the identity, the map's truncated expansion must equal the one-vector
-        trace-log of the elements named by the keys up to u^dual_check_order."""
+        the identity, the map's power sums p_j = -sum_(d|j) d m_d must equal
+        the one-vector ones of the elements named by the keys up to
+        u^dual_check_order: equal power sums are equal truncated series."""
         table, n = self.table, self.n
         elements = [table.element(key) for _perm, _length, key in perm_len_keys]
         letters = tuple(sorted({s for el in elements for s in el.word}))
-        named = "".join(str(s + 1) for s in letters)
         try:
             group = table.parabolic_elements(letters)
         except cox.OutOfTableError:
             raise ZetaError("the letters %s generate no finite parabolic within bound %d"
-                            % (named, table.bound)) from None
+                            % ("".join(str(s + 1) for s in letters), table.bound)) from None
         for (perm, _length, _key), el in zip(perm_len_keys, elements):
             own = self.perm(el)
             if perm is not own and perm != own:
@@ -719,16 +732,17 @@ class TorusQuotient:
             if len(set(keys)) == len(keys) and len(keys) * len(table.parabolic_elements(sub)) == len(group):
                 break
         else:
-            raise ZetaError("the elements over the letters %s are no set of minimal coset representatives" % named)
+            raise ZetaError("the elements over the letters %s are no set of minimal coset representatives"
+                            % "".join(str(s + 1) for s in letters))
         ratio, copies = len(group) // len(table.parabolic_elements(sub)), n // len(group)
         whole, part = (_regular_block_exponents(self.system, J) for J in (letters, sub))
         det = ExponentMap({d: (whole.get(d, 0) - ratio * part.get(d, 0)) * copies
                            for d in whole.keys() | part.keys()})
         # independent truncated route, from the keys alone
         if [el.length for el in elements].count(0) == 1:
-            pair_lengths = self._pushes([el for el in elements if 0 < el.length <= dual_check_order])
-            truncated = _one_vector_det_series(pair_lengths, n, dual_check_order)
-            if not (truncated == det.expand(dual_check_order)):
+            pushes = [((self._w0_mul[pair[0]], pair[1]), el.length) for (pair, _length, _key), el
+                      in zip(perm_len_keys, elements) if 0 < el.length <= dual_check_order]
+            if _one_vector_power_sums(pushes, n, dual_check_order) != det.power_sums(dual_check_order):
                 raise ZetaError("regular-block determinant failed the trace-log cross-check")
         return det
 

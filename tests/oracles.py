@@ -3,6 +3,7 @@ weylzeta: each computes the same quantity another way, and a test
 compares the two.  The small graphs the Ihara tests share live here
 too."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -454,6 +455,39 @@ def orbit_block_det(n, perm_len_keys):
             rows[i][j] = rows[i][j] + Poly.u(length, count)
         det = det * exponent_map_of_poly(det_poly_matrix(rows), mult)
     return det
+
+
+def full_resolvent_power_sums(pair_lengths, n, order):
+    """The power sums p_1, ..., p_order of det(I + N) by the full
+    resolvent pass: y_d = d sum_(P of length d) e_P(0) - sum_(l<d) y_(d-l) N_l
+    pushed over every label for every degree d <= order, p_d = n (y_d)_0.
+    Oracle for zeta._one_vector_power_sums, which reads the last degree
+    from label 0 alone through the labels P^-1(0)."""
+    by_length = [[] for _ in range(order + 1)]
+    for pair, length in pair_lengths:
+        if length <= order:
+            by_length[length].append(pair)
+    k = math.isqrt(n // len(pair_lengths[0][0][0])) if pair_lengths else 1
+    size = k * k
+    ys, power_sums = [None], []
+    for d in range(1, order + 1):
+        row = {}
+        for right, (_a, _b, _c, _d, e, h) in by_length[d]:
+            label = right[0] * size + e % k * k + h % k
+            row[label] = row.get(label, 0) + d
+        for length in range(1, d):
+            pairs = by_length[length]
+            if not pairs:
+                continue
+            for at, x in ys[d - length].items():
+                j, t = divmod(at, size)
+                p, q = divmod(t, k)
+                for right, (a, b, c, dd, e, h) in pairs:
+                    label = right[j] * size + (a * p + b * q + e) % k * k + (c * p + dd * q + h) % k
+                    row[label] = row.get(label, 0) - x
+        ys.append(row)
+        power_sums.append(n * row.get(0, 0))
+    return power_sums
 
 
 def twisted_series(table, descriptor, rep, order=None):

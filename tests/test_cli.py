@@ -212,11 +212,24 @@ def test_bad_option_values_report_structured_error(argv, word, capsys):
     (["ihara", "--graph", "g.txt", "--rep", "r.json"], "--rep"),
     (["alt", "--type", "A2t", "--graph", "nothere.txt"], "--graph"),
     (["det-identity", "--type", "A2t", "--graph", "nothere.txt"], "--graph"),
+    (["ihara", "--graph", "g.txt", "--type", "A2t"], "--type"),
+    (["ihara", "--graph", "g.txt", "--rank", "3"], "--rank"),
+    (["macdonald-table", "--rank", "3"], "--rank"),
+    (["macdonald-table", "--type", "all", "--rank", "3"], "--rank"),
+    (["torus", "--type", "A2t", "--format", "csv"], "--format csv"),
+    (["poincare", "--type", "A2t", "--format", "csv"], "--format csv"),
+    (["det-identity", "--type", "A2t", "--format", "csv"], "--format csv"),
+    (["ihara", "--graph", "g.txt", "--format", "csv"], "--format csv"),
 ], ids=["torus-trunc", "det-identity-trunc", "alt-trunc", "macdonald-trunc", "alt-scale",
         "poincare-scale", "factorize-scale", "det-identity-scale", "det-identity-q2-scale",
         "torus-q", "alt-q-formal", "poincare-q", "det-identity-rep-q", "torus-rep", "ihara-rep",
-        "alt-graph", "det-identity-graph"])
+        "alt-graph", "det-identity-graph", "ihara-type", "ihara-rank", "macdonald-rank",
+        "macdonald-all-rank", "torus-csv", "poincare-csv", "det-identity-csv", "ihara-csv"])
 def test_an_option_the_command_does_not_read_is_refused(argv, option, capsys):
+    if "csv" in argv:  # a --format json after it would replace --format csv: text only
+        status, out = run_cli(argv, capsys)
+        assert status == 2 and out.startswith("error: %s does not read %s" % (argv[0], option))
+        return
     status, out = run_cli(argv + ["--format", "json"], capsys)
     assert status == 2
     error = json.loads(out)
@@ -224,6 +237,14 @@ def test_an_option_the_command_does_not_read_is_refused(argv, option, capsys):
     assert error["error"].startswith("%s does not read %s" % (argv[0], option))
     status, out = run_cli(argv, capsys)
     assert (status, out) == (2, "error: %s\n" % error["error"])
+
+
+def test_rank_joins_the_type(capsys):
+    # --rank is read with a named --type: A + 2 + t is A2t, E + 8 is E8
+    for joined, named in ((["alt", "--type", "At", "--rank", "2"], ["alt", "--type", "A2t"]),
+                          (["macdonald-table", "--type", "E", "--rank", "8"], ["macdonald-table", "--type", "E8"])):
+        status, out = run_cli(joined, capsys)
+        assert status == 0 and (status, out) == run_cli(named, capsys)
 
 
 def test_torus_over_chamber_cap_reports_resource_limit(capsys, monkeypatch):

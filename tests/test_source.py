@@ -1,6 +1,7 @@
 """Guards over the package source itself, read as syntax trees."""
 
 import ast
+import sys
 from pathlib import Path
 
 import weylzeta
@@ -70,3 +71,33 @@ def test_the_float_guard_sees_each_form(tmp_path):
                    "a = 0.5\nb = float(3)\nc = m.log(2)\nd = root(4)\ne = math.exp(1)\nf = 2j\n"
                    "g = isinstance(a, float) and math.gcd(4, 6)\n")
     assert sorted(line for line, _what in _inexact_nodes(src)) == [3, 4, 5, 6, 7, 8]
+
+
+def _foreign_imports(path):
+    """(line, module) for every import of a module outside the standard
+    library and weylzeta; a relative import is the package's own."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names | {"weylzeta"}]
+    return out
+
+
+def test_the_package_imports_the_standard_library_alone():
+    # pyproject's dependencies = [] stays true
+    foreign = ["%s:%d %s" % (path.name, *hit) for path in SOURCES for hit in _foreign_imports(path)]
+    assert foreign == []
+
+
+def test_the_dependency_guard_sees_each_form(tmp_path):
+    src = tmp_path / "foreign.py"
+    src.write_text("import numpy\nfrom numpy.linalg import det\nimport math, sympy.core as sc\n"
+                   "from . import series\nfrom weylzeta.zeta import Graph\nfrom fractions import Fraction\n"
+                   "def f():\n    import scipy\n")
+    assert _foreign_imports(src) == [(1, "numpy"), (2, "numpy.linalg"), (3, "sympy.core"), (8, "scipy")]

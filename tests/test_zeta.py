@@ -16,7 +16,8 @@ from oracles import (
     _cycle_type_map, _perm_char_poly, _perm_compose, _perm_cycles, _perm_zeta, closed_strip_counts_by_chambers,
     closed_strip_counts_by_factor_walk, column_sums, complete_bipartite, complete_graph, counted_strip_traces,
     cycle_graph,
-    cyclic_entry_rational, exponent_map_of_poly, label_permutation, label_permutation_by_factor_tables, mat_mul,
+    cyclic_entry_rational, exponent_map_of_poly, full_resolvent_power_sums, label_permutation,
+    label_permutation_by_factor_tables, mat_mul,
     orbit_block_det, order_by_factor_walk, petersen_graph, product_key, torus_generator_permutations_by_matrices,
     twisted_series,
 )
@@ -41,6 +42,7 @@ from weylzeta.zeta import (
     _fixed_points,
     _minor_classes,
     _one_vector_det_series,
+    _one_vector_power_sums,
     _perm_matrix,
     closed_strip_counts,
     geodesic_oracle,
@@ -753,6 +755,15 @@ def test_regular_block_closed_form_matches_the_dense_block(tables, tag, letters)
     assert closed == exponent_map_of_poly(_regular_block_det(t, els, els)), closed
 
 
+def _coset_sets(t):
+    """(J, I, side, W_J^I) for every set of minimal coset representatives
+    of a proper parabolic J over a subset I, on either side."""
+    for J in coxeter.all_proper_subsets(3):
+        for I in [sub for size in range(len(J) + 1) for sub in itertools.combinations(J, size)]:
+            for side in ("right", "left"):
+                yield J, I, side, coxeter.min_coset_reps(t, J, I, side)
+
+
 @pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
 def test_block_det_matches_the_dense_block_on_every_coset_set(tables, torus_k2, tag):
     # every (J, I, side) set W_J^I of minimal coset representatives: the
@@ -760,16 +771,53 @@ def test_block_det_matches_the_dense_block_on_every_coset_set(tables, torus_k2, 
     # the regular representation of W_J, to the power n / |W_J|
     t, tq = tables[tag], torus_k2[tag]
     n, checked = tq.chamber_count(), 0
-    for J in coxeter.all_proper_subsets(3):
+    for J, I, side, els in _coset_sets(t):
         group = t.parabolic_elements(J)
-        for I in [sub for size in range(len(J) + 1) for sub in itertools.combinations(J, size)]:
-            for side in ("right", "left"):
-                els = coxeter.min_coset_reps(t, J, I, side)
-                det = tq.block_det([(tq.perm(el), el.length, el.key) for el in els])
-                dense = exponent_map_of_poly(_regular_block_det(t, group, els), n // len(group))
-                assert det == dense, (J, I, side)
-                checked += 1
+        det = tq.block_det([(tq.perm(el), el.length, el.key) for el in els])
+        dense = exponent_map_of_poly(_regular_block_det(t, group, els), n // len(group))
+        assert det == dense, (J, I, side)
+        checked += 1
     assert checked == 2 * (1 + 3 * 2 + 3 * 4)
+
+
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_block_det_cross_checks_integer_power_sums(tables, torus_k2, monkeypatch, tag):
+    # inside block_det the trace-log check compares the map's power sums
+    # with the one-vector ones: with power_sum_exp and ExponentMap.expand
+    # raising there, every coset set at k = 2 and both torus identities at
+    # k = 2 and 3 still pass, and each call compared power sums
+    from weylzeta import zeta
+
+    inside, compared = [], []
+    block_det, power_sums = TorusQuotient.block_det, ExponentMap.power_sums
+
+    def refused_inside(route):
+        def run(*args):
+            if inside:
+                raise AssertionError("block_det exponentiated or expanded a series")
+            return route(*args)
+        return run
+
+    def traced(self, *args, **kwargs):
+        inside.append(self)
+        try:
+            return block_det(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(TorusQuotient, "block_det", traced)
+    monkeypatch.setattr(zeta, "power_sum_exp", refused_inside(zeta.power_sum_exp))
+    monkeypatch.setattr(ExponentMap, "expand", refused_inside(ExponentMap.expand))
+    monkeypatch.setattr(ExponentMap, "power_sums", lambda det, order: compared.append(order) or power_sums(det, order))
+    t, tq = tables[tag], torus_k2[tag]
+    for _J, _I, _side, els in _coset_sets(t):
+        tq.block_det([(tq.perm(el), el.length, el.key) for el in els])
+    assert compared == [4] * 38
+    system = coxeter.build_system(tag)
+    for k in (2, 3):
+        q = torus_quotient_rep(system, k, t)
+        assert strips.verify_determinant_identity(system, q, t).ok, k
+        assert verify_strip_zeta_identity(q).ok, k
 
 
 class FreeAction(TorusQuotient):
@@ -1315,6 +1363,53 @@ def test_one_vector_det_series_matches_dense_at_order_12_on_seeded_shifts(monkey
     assert len(seen) == 30 and all(type(p) is int for sums in seen for p in sums)
 
 
+def _assert_power_sums_agree(pair_lengths, n, order):
+    fast = _one_vector_power_sums(pair_lengths, n, order)
+    assert fast == full_resolvent_power_sums(pair_lengths, n, order), order
+    assert len(fast) == order and all(type(p) is int for p in fast)
+
+
+@pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
+def test_last_degree_lookup_matches_the_full_resolvent_pass(tables, monkeypatch, tag):
+    # the last power sum read from label 0 through P^-1(0) against the pass
+    # that pushes every label at every degree: the ball pushes and seeded
+    # subsets of them, some with a degree left without pairs, orders 0-8
+    monkeypatch.setenv("WEYLZETA_MAX_ELEMENTS", str(10 ** 14))
+    rng, t = random.Random(3201), tables[tag]
+    system = coxeter.build_system(tag)
+    for k in [*range(2, 13), 30, 10 ** 6]:
+        tq = torus_quotient_rep(system, k, t)
+        pushes = [((tq._w0_mul[g], f), el.length) for el in t.ball(8)[1:] for g, f in [tq.perm(el)]]
+        dets = {(a * d - b * c) % k for (_right, (a, b, c, d, _e, _h)), _l in pushes}
+        assert dets == ({1} if k == 2 else {1, k - 1}), k  # the reflections have det M = -1
+        for order in range(9):
+            _assert_power_sums_agree(pushes, tq.n, order)
+            gap = rng.randint(1, 8)  # no pairs of this length
+            for subset in (rng.sample(pushes, rng.randint(0, len(pushes))),
+                           [push for push in pushes if push[1] != gap and rng.random() < 0.7]):
+                _assert_power_sums_agree(subset, tq.n, order)
+
+
+def test_last_degree_lookup_matches_the_full_pass_on_regular_shifts():
+    # the identity-map shift actions of the regular-shift tests: a
+    # permutation of n points is the pair with n indices and one class
+    rng = random.Random(3202)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        shifts = [(rng.randrange(n), rng.randint(1, 9)) for _ in range(rng.randint(1, 5))]
+        pair_lengths = [((tuple((x + a) % n for x in range(n)), _IDENTITY_MAP), length) for a, length in shifts]
+        for order in range(9):
+            _assert_power_sums_agree(pair_lengths, n, order)
+
+
+def test_last_degree_lookup_refuses_a_class_map_it_cannot_invert(tables):
+    # P^-1(0) needs det M with det^2 = 1 mod k; a map of det 0 is refused
+    tq = torus_quotient_rep(coxeter.build_system("A2t"), 3, tables["A2t"])
+    right = tq._w0_mul[0]
+    with pytest.raises(ZetaError, match="det\\^2 != 1 mod 3"):
+        _one_vector_power_sums([((right, (1, 1, 1, 1, 0, 0)), 1), ((right, _IDENTITY_MAP), 2)], tq.n, 3)
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 @pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
 def test_walked_orders_match_the_cycle_type_oracle(tables, tag, k):
@@ -1371,8 +1466,9 @@ def test_zeta_report_rejects_a_wrong_count():
 
 
 def test_block_det_cross_check_catches_a_wrong_block(torus_k2, monkeypatch):
-    # the closed-form map times 1 - u^3, still a product of (1-u^d)
-    # factors: the truncated one-vector trace-log must refuse it
+    # the closed-form map times (1 - u^d)^(+-1), still a product of (1-u^d)
+    # factors, wrong from degree d on: for every d up to the check's order 4
+    # the one-vector power sums must refuse it
     from weylzeta import zeta
 
     tq = torus_k2["A2t"]
@@ -1380,17 +1476,18 @@ def test_block_det_cross_check_catches_a_wrong_block(torus_k2, monkeypatch):
     els = t.parabolic_elements((0, 1))
     triples = [(rep.perm(w), w.length, w.key) for w in els]
     tq.block_det(triples)
-    calls = []
+    for d, sign in itertools.product((1, 2, 3, 4), (1, -1)):
+        calls = []
 
-    def one_map_off(exponents):
-        calls.append(exponents)
-        det = ExponentMap(exponents)
-        return det * ExponentMap({3: 1}) if len(calls) == 1 else det
+        def one_map_off(exponents):
+            calls.append(exponents)
+            det = ExponentMap(exponents)
+            return det * ExponentMap({d: sign}) if len(calls) == 1 else det
 
-    monkeypatch.setattr(zeta, "ExponentMap", one_map_off)
-    with pytest.raises(ZetaError, match="trace-log cross-check"):
-        tq.block_det(triples)
-    assert calls
+        monkeypatch.setattr(zeta, "ExponentMap", one_map_off)
+        with pytest.raises(ZetaError, match="regular-block determinant failed the trace-log cross-check"):
+            tq.block_det(triples)
+        assert calls, (d, sign)
 
 
 def test_block_det_refuses_a_set_that_is_not_a_coset_set(torus_k2):
