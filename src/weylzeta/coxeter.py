@@ -277,13 +277,31 @@ class GroupElement:
         return "GroupElement(len=%d, word=%s)" % (self.length, ",".join(str(i + 1) for i in self.word) or "e")
 
 
+class CayleyView:
+    """A table's Cayley graph on BFS positions 0..n-1, in layer order, with no
+    GroupElement (so no reference cycle): `keys`, `lengths`, `position` (key
+    -> p), per generator s the position `neighbours[s][p]` of p * s (None out
+    of the bound layer) and `ascents[s][p]` (key[s] > 0), and `words`, a memo
+    of BFS words by key."""
+
+    def __init__(self, table):
+        elements = [el for layer in table.layers for el in layer]
+        self.keys = [el.key for el in elements]
+        self.position = at = {key: p for p, key in enumerate(self.keys)}
+        self.lengths = [el.length for el in elements]
+        gens = range(table.system.num_generators)
+        self.neighbours = [[None if el.links[s] is None else at[el.links[s]] for el in elements] for s in gens]
+        self.ascents = [[el.key[s] > 0 for el in elements] for s in gens]
+        self.words = {table.identity.key: ()}
+
+
 class ElementTable:
     """BFS-generated store of all group elements up to a length bound.
 
     The table is its Cayley graph: every element holds the keys of its
     right neighbours w * s_i, so right multiplication by a generator inside
-    the table is a lookup.  Immutable after construction; safe for
-    concurrent reads.
+    the table is a lookup; `cayley`, built on first read, is that graph on
+    ints.  Immutable after construction; safe for concurrent reads.
     """
 
     def __init__(self, system, bound, layers, index):
@@ -305,6 +323,8 @@ class ElementTable:
 
     def __len__(self):
         return len(self.index)
+
+    cayley = cached_property(CayleyView)
 
     def layer_sizes(self):
         return [len(layer) for layer in self.layers]

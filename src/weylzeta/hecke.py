@@ -145,49 +145,62 @@ def hecke_mul(table, x, y, q=None):
     The width b comes from `_width`, and an operand packed at b is used as
     it is.  When L = 1 the product stays packed at b, with norm bound B;
     otherwise it is unpacked.  Any other q runs the same loop on the
-    coefficients as given."""
-    index = table.index
+    coefficients as given.
+
+    The loop runs on `table.cayley`'s int positions, y's words from its memo;
+    an operand key outside the table raises OutOfTableError, as an escape does."""
+    view, index = table.cayley, table.index
+    at = view.position
     q_coeffs = (0, 1) if q is None else q.coeffs if isinstance(q, QPolynomial) else None
-    grow = q_coeffs and 2 * sum(map(abs, q_coeffs)) + 1
+    grow = 3 if q is None else q_coeffs and 2 * sum(map(abs, q_coeffs)) + 1
+    pack = type(grow) is int  # q in Z[q]
+    x_terms = x.packed if pack and x.packed is not None else x.terms
+    y_terms = y.packed if pack and y.packed is not None else y.terms
+    try:
+        xs = {at[k]: c for k, c in x_terms.items()}
+        y_lengths = [view.lengths[at[k]] for k in y_terms]
+    except KeyError:
+        raise OutOfTableError("a Hecke operand has a term outside the table bound %d" % table.bound) from None
     b = 0
-    if type(grow) is int:  # q in Z[q]: pack
-        norm = (x.norm if x.packed is not None else _norm(x.terms, index, 1)) * (
-            y.norm * grow ** max([index[k].length for k in y.packed], default=0) if y.packed is not None
-            else _norm(y.terms, index, grow))
+    if pack:
+        norm = (x.norm if x.packed is not None else _norm(x_terms, index, 1)) * (
+            y.norm * grow ** max(y_lengths or [0]) if y.packed is not None else _norm(y_terms, index, grow))
         lcm = 1 if type(norm) is int else math.lcm(*[  # over Q[q]: the lcm of the denominators
             a.denominator for t in (x, y) if t.packed is None for c in t.terms.values()
             for a in (c.coeffs if type(c) is QPolynomial else (c,))])
         norm = int(norm * lcm * lcm)
         b = _width(norm)
-        x_terms, y_terms = (t.packed if t.width == b and lcm == 1 else _pack(t.terms, b, lcm) for t in (x, y))
+        xs = xs if x.width == b and lcm == 1 else _pack({at[k]: c for k, c in x.terms.items()}, b, lcm)
+        y_terms = y_terms if y.width == b and lcm == 1 else _pack(y.terms, b, lcm)
         if q is not None:
             q = _pack({0: q}, b, 1)[0]
-    else:
-        x_terms, y_terms = x.terms, y.terms
     shift = b if q_coeffs == (0, 1) else 0  # at the formal q a descent step is a shift
+    neighbours, ascents_by_s, words, keys = view.neighbours, view.ascents, view.words, view.keys
     out = {}
-    for key_y, c_y in y_terms.items():
-        state = x_terms
-        for s in index[key_y].word:
+    for k_y, c_y in y_terms.items():
+        state = xs
+        for s in words[k_y] if k_y in words else walk_word(index[k_y], words, lambda w, s: w + (s,)):
+            links, ascents = neighbours[s], ascents_by_s[s]
             new = {}
-            for key, c in state.items():
-                ws_key = index[key].links[s]
-                if ws_key is None:
-                    raise OutOfTableError("Hecke product support escapes the table bound %d" % table.bound)
-                if key[s] > 0:
-                    new[ws_key] = new[ws_key] + c if ws_key in new else c
+            for p, c in state.items():
+                ws = links[p]
+                if ascents[p]:
+                    if ws is None:
+                        raise OutOfTableError("Hecke product support escapes the table bound %d" % table.bound)
+                    new[ws] = new[ws] + c if ws in new else c
                 else:
                     t = c << shift if shift else c * q
-                    new[key] = new[key] + t - c if key in new else t - c
-                    new[ws_key] = new[ws_key] + t if ws_key in new else t
+                    new[p] = new[p] + t - c if p in new else t - c
+                    new[ws] = new[ws] + t if ws in new else t
             state = new
-        for k, c in state.items():
-            t = c * c_y
+        for p, c in state.items():
+            k, t = keys[p], c * c_y
             out[k] = out[k] + t if k in out else t
     if not b:
         return HeckeElement(table, out)
-    if lcm == 1:
-        return HeckeElement._from_packed(table, {k: v for k, v in out.items() if v}, b, norm)
+    if lcm == 1:  # a merge can cancel a packed coefficient to 0
+        return HeckeElement._from_packed(table, {k: v for k, v in out.items() if v} if 0 in out.values() else out,
+                                         b, norm)
     return HeckeElement(table, {k: QPolynomial(signed_digits(v, b, lcm * lcm)) for k, v in out.items() if v})
 
 

@@ -715,7 +715,13 @@ class TorusQuotient:
         u^dual_check_order: equal power sums are equal truncated series."""
         table, n = self.table, self.n
         elements = [table.element(key) for _perm, _length, key in perm_len_keys]
-        letters = tuple(sorted({s for el in elements for s in el.word}))
+        letters, climbed = set(), {table.identity}
+        for el in elements:  # the words' letters, each climb up the parents ending at a climbed element
+            while el not in climbed:
+                climbed.add(el)
+                letters.add(el.letter)
+                el = el.parent
+        letters = tuple(sorted(letters))
         try:
             group = table.parabolic_elements(letters)
         except cox.OutOfTableError:

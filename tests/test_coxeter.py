@@ -478,6 +478,69 @@ def test_walking_a_stored_word_matches_mat_mul(tag, where, data):
     assert table.walk_key(key, el.word) == product_key(table, key, el.key) == product
 
 
+@pytest.mark.parametrize("tag,bound", [("A2t", 24), ("C2t", 24), ("G2t", 24), ("F4", 30), ("E6", 6)])
+def test_the_cayley_view_is_the_table_on_positions(tag, bound):
+    # built on first read only; positions in layer order; each neighbour
+    # and ascent flag is the element's link, key[s] > 0 and length; None
+    # exactly out of the bound layer; the word memo, filled by a product
+    # over every element, holds each element's word
+    from weylzeta import hecke
+
+    t = enumerate_elements(build_system(tag), bound)
+    assert "cayley" not in vars(t)
+    view = t.cayley
+    assert t.cayley is view
+    elements = [el for layer in t.layers for el in layer]
+    assert view.keys == [el.key for el in elements] and len(view.position) == len(t)
+    assert view.lengths == [el.length for el in elements] == sorted(view.lengths)
+    escapes = 0
+    for p, el in enumerate(elements):
+        assert view.position[el.key] == p
+        for s, link in enumerate(el.links):
+            nb, up = view.neighbours[s][p], view.ascents[s][p]
+            assert up == (el.key[s] > 0)
+            if link is None:
+                assert nb is None and up and el.length == t.bound
+                escapes += 1
+                continue
+            assert view.keys[nb] == link
+            assert view.lengths[nb] == el.length + (1 if up else -1)
+            assert (nb > p) == up
+    assert (escapes > 0) == (tag != "F4")
+    if tag == "F4":
+        assert len(t) == 1152
+    everything = hecke.HeckeElement(t, {el.key: 1 for el in elements})
+    assert hecke.hecke_mul(t, hecke.basis_element(t, t.identity), everything) == everything
+    assert len(view.words) == len(t)
+    assert all(view.words[el.key] == el.word for el in elements)
+
+    def contents(obj):  # the view's leaves: ints, flags and sentinels, no element
+        if isinstance(obj, (dict, list, tuple)):
+            for item in obj.items() if isinstance(obj, dict) else obj:
+                yield from contents(item)
+        else:
+            yield obj
+
+    assert {type(leaf) for leaf in contents(list(vars(view).values()))} <= {int, bool, type(None)}
+
+
+def test_a_table_with_its_cayley_view_is_freed_without_gc():
+    from weylzeta import hecke
+
+    t = enumerate_elements(build_system("A2t"), 12)
+    x = hecke.basis_element(t, t.element_of_word((0, 1, 2)))
+    hecke.hecke_mul(t, x, x)
+    assert "cayley" in vars(t)
+    gc.collect()
+    gc.disable()
+    try:
+        ref = weakref.ref(t)
+        del t, x
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("tag,bound", [
     ("A1t", 20), ("A2t", 20), ("C2t", 20), ("G2t", 20), ("F4", 24), ("E6", 8),
 ])

@@ -79,6 +79,47 @@ def test_out_of_bound_support_raises():
         hecke_mul(t, x, x)
 
 
+def test_an_operand_outside_the_table_raises_out_of_table_error():
+    # an A2t element past the bound, or a C2t element, on either side, at
+    # the formal q (packed) and at q = 1/2, raises the typed error
+    small = coxeter.enumerate_elements(coxeter.build_system("A2t"), 6)
+    far = coxeter.enumerate_elements(coxeter.build_system("A2t"), 12)
+    other = coxeter.enumerate_elements(coxeter.build_system("C2t"), 6)
+    outside = [basis_element(far, far.layers[12][0]), basis_element(other, other.layers[6][0])]
+    assert not any(set(x.terms) & set(small.index) for x in outside)
+    inside = basis_element(small, small.element_of_word((0, 1)))
+    for x in outside:
+        for pair in ((x, inside), (inside, x)):
+            for q in (None, Fraction(1, 2)):
+                with pytest.raises(coxeter.OutOfTableError, match="outside the table bound 6"):
+                    hecke_mul(small, *pair, q)
+
+
+@pytest.mark.parametrize("q,coeff", [(None, 1), (None, QPolynomial((Fraction(1, 2), -1))), (Fraction(1, 2), 1)])
+def test_products_read_no_words(q, coeff, monkeypatch):
+    # after one warm-up product on a table, 200 seeded products read no
+    # GroupElement.word: the formal-q packed path, a Q[q] operand and
+    # q = 1/2, products fed back as operands
+    t = coxeter.enumerate_elements(coxeter.build_system("A2t"), 24)
+    reads = []
+    word = coxeter.GroupElement.word
+    monkeypatch.setattr(coxeter.GroupElement, "word", property(lambda el: reads.append(el) or word.fget(el)))
+    rng = random.Random(33)
+    elements = [el for layer in t.layers[:5] for el in layer]
+
+    def operand():  # at coeff 1 and the formal q, packed basis elements
+        if q is None and coeff == 1:
+            return basis_element(t, rng.choice(elements))
+        return HeckeElement(t, {rng.choice(elements).key: coeff for _ in range(rng.randint(1, 2))})
+
+    hecke_mul(t, operand(), operand(), q)
+    reads.clear()
+    for _ in range(100):
+        x = hecke_mul(t, operand(), operand(), q)
+        hecke_mul(t, x, operand(), q)
+    assert reads == []
+
+
 def test_character_counts():
     assert len(characters(coxeter.build_system("A2t"))) == 2
     assert len(characters(coxeter.build_system("C2t"))) == 8
