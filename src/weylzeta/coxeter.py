@@ -310,6 +310,7 @@ class ElementTable:
         self.layers = layers
         self.index = index
         self._parabolic_cache = {}
+        self._coset_cache = {}  # (J, I, side) -> min_coset_reps
 
     @property
     def identity(self):
@@ -363,11 +364,10 @@ class ElementTable:
         cached = self._parabolic_cache.get(gens)
         if cached is not None:
             return cached
-        frontier = [self.identity]
-        seen = {self.identity.key}
-        out = [self.identity]
+        out, frontier = [self.identity], [self.identity]
+        place = {self.identity.key: 0}  # key -> place in out
         while frontier:
-            nxt = []
+            nxt = {}
             for el in frontier:
                 for i in gens:
                     key = el.links[i]
@@ -376,14 +376,13 @@ class ElementTable:
                             "parabolic subgroup <%s> does not close within bound %d"
                             % (",".join(str(g + 1) for g in gens), self.bound)
                         )
-                    if key in seen:
-                        continue
-                    nel = self.index[key]
-                    seen.add(key)
-                    out.append(nel)
-                    nxt.append(nel)
-            frontier = nxt
-        out.sort(key=lambda e: (e.length, e.word))
+                    if key not in place:
+                        nxt[key] = self.index[key]
+            # a layer in word order: a BFS word is its parent's word, one
+            # layer up (so already placed), and one more letter
+            frontier = sorted(nxt.values(), key=lambda e: (place[e.parent.key], e.letter))
+            place.update((e.key, p) for p, e in enumerate(frontier, len(out)))
+            out += frontier
         self._parabolic_cache[gens] = out
         return out
 
@@ -602,7 +601,8 @@ def length_and_word(system, key):
 
 
 def min_coset_reps(table, J, I, side="right"):
-    """Minimal coset representatives inside the parabolic W_J.
+    """Minimal coset representatives inside the parabolic W_J, cached on
+    the table by (J, I, side).
 
     side="right": elements of W_J with no right descent in I (minimal
     left W_I-coset representatives, W_J = reps * W_I length-additively);
@@ -616,13 +616,18 @@ def min_coset_reps(table, J, I, side="right"):
     I = tuple(sorted(set(I)))
     if not set(I) <= set(J):
         raise CoxeterError("I must be a subset of J")
+    reps = table._coset_cache.get((J, I, side))
+    if reps is None:
+        reps = table._coset_cache[J, I, side] = [
+            el for el in table.parabolic_elements(J) if not any(_descent(table, el, s, side) for s in I)]
+    return reps
 
-    def descent(el, s):
-        if side == "right":
-            return el.key[s] < 0
-        return table.element(table.walk_key(table.generator(s).key, el.word)).length < el.length
 
-    return [el for el in table.parabolic_elements(J) if not any(descent(el, s) for s in I)]
+def _descent(table, el, s, side):
+    """Whether s is a descent of the element on the given side."""
+    if side == "right":
+        return el.key[s] < 0
+    return table.element(table.walk_key(table.generator(s).key, el.word)).length < el.length
 
 
 def all_proper_subsets(k):

@@ -9,11 +9,12 @@ Nothing here ever touches floating point.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress
-from operator import add, sub
+from itertools import accumulate, chain, compress, repeat
+from operator import add, mul, sub
 
 
 class SeriesError(Exception):
@@ -132,6 +133,8 @@ class _DensePoly:
         return self.coerce(other) - self
 
     def __mul__(self, other):
+        """The product on common-denominator int rows: one int convolution,
+        each coefficient built once; int values are their own rows."""
         cls = type(self)
         if not isinstance(other, cls):
             if isinstance(other, cls.scalars):
@@ -140,13 +143,16 @@ class _DensePoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return cls(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return cls(out)
+        if len(b) < len(a):  # the shorter operand runs the outer loop
+            a, b = b, a
+        out = cls.__new__(cls)  # the leading coefficient a_top b_top is not 0
+        if _INT.issuperset(map(type, a + b)):
+            out.coeffs = tuple(_convolve(a, b, [0] * (len(a) + len(b) - 1)))
+            return out
+        flat_a, flat_b, stride, scale, kind = _int_operands(a, b)
+        values = _convolve(flat_a, flat_b, [0] * ((len(a) + len(b) - 1) * stride))
+        out.coeffs = tuple(_from_int_rows(values, stride, scale, kind))
+        return out
 
     __rmul__ = __mul__
 
@@ -264,6 +270,76 @@ def _divide_scalar(a, b):
 
 
 # ---------------------------------------------------------------------------
+# common-denominator int rows: the dense product, RationalFunction.expand and
+# the product of power series flatten each operand once, run on Python ints
+# and build each result coefficient once, exact with no packing width.
+# Type rule: a result's coefficients all take one kind, the widest among its
+# operands' coefficients: QPolynomials when one is a QPolynomial, else
+# Fractions (whole ones too) when a value is a Fraction, else ints; a
+# QPolynomial's own coefficients are Fractions when any value is one.
+
+
+def _int_rows(values):
+    """(rows, width, scale, kind): each value as its row of q-coefficients
+    times scale, the lcm of all their denominators; width is the longest
+    row, and kind has bit 2 when a value is a QPolynomial, bit 1 when a
+    Fraction occurs.  Without bit 2 a row is its one int."""
+    if _INT.issuperset(map(type, values)):
+        return values, 1, 1, 0
+    kind = 2 if QPolynomial in set(map(type, values)) else 0
+    rows = [c.coeffs if type(c) is QPolynomial else (c,) for c in values] if kind else values
+    scalars, scale = list(chain.from_iterable(rows)) if kind else values, 1
+    if Fraction in set(map(type, scalars)):
+        kind, scale = kind | 1, math.lcm(*[x.denominator for x in scalars])
+        rows = [[x.numerator * (scale // x.denominator) for x in row] for row in rows] if kind & 2 else [
+            x.numerator * (scale // x.denominator) for x in rows]
+    return rows, (max(map(len, rows)) or 1) if kind & 2 else 1, scale, kind
+
+
+_INT = frozenset((int,))
+
+
+def _spread(rows, stride, kind):
+    """Int rows laid out in one list, `stride` places per row."""
+    if not kind & 2:  # a row is its one int
+        if stride == 1:
+            return rows
+        rows = [(v,) for v in rows]
+    out = [0] * (len(rows) * stride)
+    for p, row in zip(range(0, len(out), stride), rows):
+        out[p:p + len(row)] = row
+    return out
+
+
+def _int_operands(a, b):
+    """The operands of a product spread at one stride: (flat_a, flat_b,
+    stride, scale, kind), scale and kind those of the product."""
+    (rows_a, width_a, scale_a, kind_a), (rows_b, width_b, scale_b, kind_b) = _int_rows(a), _int_rows(b)
+    stride = width_a + width_b - 1
+    return _spread(rows_a, stride, kind_a), _spread(rows_b, stride, kind_b), stride, scale_a * scale_b, kind_a | kind_b
+
+
+def _convolve(a, b, out):
+    """Adds a * b into out, as far as out reaches, for int sequences a and
+    b; returns out."""
+    end = len(out) - len(b)  # a place up to end keeps all of b
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b if i <= end else b[:len(out) - i], i):
+                out[j] += x * y
+    return out
+
+
+def _from_int_rows(values, stride, scale, kind):
+    """The coefficients of spread int rows over scale, of the given kind."""
+    if kind & 1:
+        values = [Fraction(v, scale) for v in values]
+    if kind & 2:
+        return [QPolynomial(values[p:p + stride]) for p in range(0, len(values), stride)]
+    return values
+
+
+# ---------------------------------------------------------------------------
 # square matrices over exact scalars
 
 
@@ -328,7 +404,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.nrows == other.nrows and all(
+        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and all(
             a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
 
     def __hash__(self):
@@ -400,43 +476,31 @@ class PowerSeries:
         raise TypeError("cannot combine %r with a power series" % (other,))
 
     def __mul__(self, other):
+        """The product to the lower order, on common-denominator int rows
+        (_series_product): a series of matrices by its entries' u-series, a
+        scalar series as the one entry of a 1x1 matrix."""
         if isinstance(other, Poly.scalars):
             return PowerSeries([c * other for c in self.coeffs], self.order)
         other = self._match(other)
         n = min(self.order, other.order)
-        z = scalar_zero_like(self.coeffs[0] * other.coeffs[0])
-        out = [z] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if _is_zero(a):
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if _is_zero(b):
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return PowerSeries(out, n)
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        if isinstance(a[0], Matrix) != isinstance(b[0], Matrix):
+            raise SeriesError("a series of matrices times a series of scalars")
+        if not isinstance(a[0], Matrix):
+            return PowerSeries(_series_product([a], [b], 1, 1, 1)[0], n)
+        h, m, w = a[0].nrows, a[0].ncols, b[0].ncols
+        out = _series_product([[x.rows[r][t] for x in a] for r in range(h) for t in range(m)],
+                              [[x.rows[t][c] for x in b] for t in range(m) for c in range(w)], h, m, w)
+        # out[r w + c] is entry (r, c) by degree; the coefficient of degree d takes each entry's d-th
+        return PowerSeries([Matrix.of_rows(rows) for rows in zip(*[tuple(zip(*out[r * w:(r + 1) * w]))
+                                                                    for r in range(h)])], n)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse; the constant term must be a unit."""
-        c0 = self.coeffs[0]
-        if _is_zero(c0):
-            raise SeriesError("series with zero constant term has no inverse")
-        if isinstance(c0, QPolynomial):
-            if c0.degree != 0:
-                raise SeriesError("q-polynomial constant term is not a unit")
-            inv0 = QPolynomial((_divide_scalar(1, c0.constant()),))
-        else:
-            inv0 = _divide_scalar(1, c0)
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = scalar_zero_like(c0)
-            for k in range(1, n + 1):
-                if k < len(self.coeffs) and not _is_zero(self.coeffs[k]):
-                    acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-(inv0 * acc))
-        return PowerSeries(out, self.order)
+        """Multiplicative inverse, the expansion of 1 / self; the constant
+        term must be a unit."""
+        return RationalFunction(Poly.one(), Poly(self.coeffs)).expand(self.order)
 
     def __eq__(self, other):
         try:
@@ -457,6 +521,26 @@ class PowerSeries:
 
     def __repr__(self):
         return "PowerSeries(%r, order=%d)" % (list(self.coeffs), self.order)
+
+
+def _series_product(a, b, h, m, w):
+    """Entry (r, c), as a u-series, of the product of an h x m and an m x w
+    matrix of u-series of one length, cut at that length; a and b list the
+    entries' series row by row.  On common-denominator int rows: every
+    scalar of an operand shares its scale, and entry (r, c) is the sum over
+    t of a's (r, t) convolved with b's (t, c)."""
+    flat_a, flat_b, stride, scale, kind = _int_operands(list(chain.from_iterable(a)), list(chain.from_iterable(b)))
+    span = len(a[0]) * stride
+    entries_a = [flat_a[p:p + span] for p in range(0, h * m * span, span)]
+    entries_b = [flat_b[p:p + span] for p in range(0, m * w * span, span)]
+    out = []
+    for r in range(h):
+        for c in range(w):
+            acc = [0] * span
+            for t in range(m):
+                _convolve(entries_a[r * m + t], entries_b[t * w + c], acc)
+            out.append(_from_int_rows(acc, stride, scale, kind))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +629,36 @@ class RationalFunction:
     __hash__ = None
 
     def expand(self, order):
-        """Power series to u^order: out_n = num_n - sum_{k>=1} den_k out_{n-k}, as
-        den(0) = 1, each summed onto 1/den(0) * num(0) * 0, the ring inversion gives."""
+        """Power series to u^order: out_n = num_n - sum_{k>=1} den_k out_{n-k},
+        as den(0) = 1, on common-denominator int rows.  With L the lcm of
+        the denominators of num and den, N_n = L num_n and E_k = L den_k,
+        the int rows y_n = L^n N_n - sum_{k>=1} L^(k-1) E_k y_(n-k) are
+        y_n = L^(n+1) out_n.  They are spread at a stride past their q-width
+        (deg y_n <= max_m deg N_m + r (n - m), r >= deg E_k / k), and each
+        place, once final, is pushed into the later ones.  Coefficients follow
+        the type rule of _int_rows over num and den."""
         num, den = self.num.coeffs, self.den.coeffs
-        zero = (den[0] if isinstance(den[0], QPolynomial) else 1) * (num[0] if num else 0) * 0
-        terms = [(k, -c) for k, c in enumerate(den[1:order + 1], start=1) if num and c != 0]
-        out = []
-        for n in range(order + 1):
-            start = zero + num[n] if n < len(num) else zero
-            out.append(sum([c * out[n - k] for k, c in terms if k <= n], start))
-        return PowerSeries(out, order)
+        rows, _, scale, kind = _int_rows(num + den)
+        nums, dens = rows[:min(len(num), order + 1)], rows[len(num) + 1:len(num) + 1 + order]
+        stride = 1
+        if kind & 2:
+            rate = max([(len(e) + k - 2) // k for k, e in enumerate(dens, 1)] + [0])
+            stride = max([len(r) + rate * (order - n) for n, r in enumerate(nums)] + [1])
+        size, powers = (order + 1) * stride, list(accumulate(repeat(scale, order), mul, initial=1))
+        # L^n at every place of row n
+        places = list(chain.from_iterable(map(repeat, powers, repeat(stride)))) if stride > 1 else powers
+        y = list(map(mul, _spread(nums, stride, kind), places))
+        y += [0] * (size - len(y))
+        # y(u) times the tail of den, -sum_k L^(k-1) E_k u^k, at places t >= stride
+        pairs = [(t, -x) for t, x in enumerate(map(mul, _spread(dens, stride, kind), places), stride) if x]
+        end = size - (pairs[-1][0] if pairs else 0)  # a place before end keeps every pair
+        for i, x in enumerate(y):  # y's places before i are final
+            if x:
+                for j, e in pairs if i < end else pairs[:bisect_left(pairs, (size - i,))]:
+                    y[i + j] += x * e
+        if scale > 1:  # over one denominator, y_n L^(order-n) = L^(order+1) out_n
+            y = list(map(mul, y, reversed(places)))
+        return PowerSeries(_from_int_rows(y, stride, scale ** (order + 1), kind), order)
 
     def as_polynomial(self):
         return self.num.exact_div(self.den)

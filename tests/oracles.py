@@ -92,6 +92,57 @@ def _normalize_fractions(cs):
     return out
 
 
+def dense_product(x, y):
+    """The product of two polynomials of one class by the nested loop over
+    their coefficients, each pair multiplied and summed as a scalar.
+    Oracle for _DensePoly.__mul__, which runs on common-denominator int
+    rows."""
+    cls = type(x)
+    a, b = x.coeffs, y.coeffs
+    if not a or not b:
+        return cls(())
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return cls(out)
+
+
+def expand_recurrence(rf, order):
+    """Power series of a RationalFunction to u^order by the recurrence on
+    its scalars: out_n = num_n - sum_{k>=1} den_k out_{n-k}, as den(0) = 1,
+    each summed onto 1/den(0) * num(0) * 0, the ring inversion gives.
+    Oracle for RationalFunction.expand, which runs on int rows."""
+    num, den = rf.num.coeffs, rf.den.coeffs
+    zero = (den[0] if isinstance(den[0], QPolynomial) else 1) * (num[0] if num else 0) * 0
+    terms = [(k, -c) for k, c in enumerate(den[1:order + 1], start=1) if num and c != 0]
+    out = []
+    for n in range(order + 1):
+        start = zero + num[n] if n < len(num) else zero
+        out.append(sum([c * out[n - k] for k, c in terms if k <= n], start))
+    return PowerSeries(out, order)
+
+
+def series_product(x, y):
+    """Product of two truncated power series by the nested loop over their
+    coefficient pairs, Matrix products included.  Oracle for
+    PowerSeries.__mul__, which runs on int rows."""
+    n = min(x.order, y.order)
+    z = scalar_zero_like(x.coeffs[0] * y.coeffs[0])
+    out = [z] * (n + 1)
+    for i, a in enumerate(x.coeffs[: n + 1]):
+        if _is_zero(a):
+            continue
+        for j in range(0, n + 1 - i):
+            b = y.coeffs[j]
+            if _is_zero(b):
+                continue
+            out[i + j] = out[i + j] + a * b
+    return PowerSeries(out, n)
+
+
 def binomial_factors_dense(rf):
     """The (1-u^d)^m exponent map of a RationalFunction, as a sorted list
     of (d, m), or None, by the peel on Poly values: each step multiplies

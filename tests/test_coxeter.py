@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylzeta import coxeter
+from weylzeta import coxeter, hecke, strips
 from weylzeta.coxeter import (
     INFINITE,
     CoxeterError,
@@ -211,6 +211,41 @@ def test_min_coset_reps_counts(tables):
                     for side in ("right", "left"):
                         reps = min_coset_reps(t, J, I, side)
                         assert len(reps) * wi == wj
+
+
+def test_parabolic_order_is_the_word_order():
+    # each layer is sorted by the parent's place and the letter, which is
+    # the order of the BFS words; TorusQuotient numbers W0 by it
+    tables = {tag: enumerate_elements(build_system(tag), bound)
+              for tag, bound in (("A2t", 24), ("C2t", 24), ("G2t", 24), ("F4", 24), ("E6", 8))}
+    closed = 0
+    for tag, t in tables.items():
+        k = t.system.num_generators
+        for size in range(k + 1):
+            for gens in itertools.combinations(range(k), size):
+                try:
+                    els = t.parabolic_elements(gens)
+                except OutOfTableError:
+                    continue
+                closed += 1
+                assert els == sorted(els, key=lambda e: (e.length, e.word))
+                assert len({el.key for el in els}) == len(els)
+    assert closed > 60
+
+
+def test_coset_sets_are_computed_once_per_table(tables, monkeypatch):
+    calls = []
+    descent = coxeter._descent
+    monkeypatch.setattr(coxeter, "_descent", lambda *args: calls.append(args) or descent(*args))
+    for tag in ("A2t", "C2t", "G2t"):
+        system, t = build_system(tag), tables[tag]
+        rep = hecke.characters(system)[1].as_representation()
+        first = strips.realize_factors(t, strips.scheme_for(tag))
+        report = strips.verify_determinant_identity(system, rep, t)
+        calls.clear()
+        again = strips.verify_determinant_identity(system, rep, t)
+        assert calls == [] and again.ok == report.ok
+        assert strips.realize_factors(t, strips.scheme_for(tag)) == first
 
 
 def test_coset_product_bijection(tables):

@@ -28,7 +28,8 @@ from weylzeta.series import (
     scalar_from_json,
 )
 from oracles import (
-    _series_exp, binomial_factors_dense, det_series_tracelog, exponent_map_of_poly, series_from_json,
+    _series_exp, binomial_factors_dense, dense_product, det_series_tracelog, expand_recurrence,
+    exponent_map_of_poly, series_from_json, series_product,
 )
 
 
@@ -760,8 +761,127 @@ def test_power_matches_repeated_products(entries, num, den_tail, n):
         assert rf ** -n == inv
 
 
+def test_matrix_equality_compares_shapes():
+    square, wide = Matrix([[1, 2], [3, 4]]), Matrix([[1, 2, 5], [3, 4, 6]])
+    assert square != wide and wide != square
+    assert Matrix([[1, 2]]) != Matrix([[1, 2], [0, 0]])
+    assert square == Matrix([[Fraction(1), 2], [3, QPolynomial((4,))]])
+    assert hash(square) == hash(Matrix([[Fraction(1), 2], [3, QPolynomial((4,))]]))
+
+
 def test_poly_coefficients_are_scalars_only():
     with pytest.raises(TypeError):
         Poly.coerce(Matrix.identity(2))
     with pytest.raises(TypeError):
         Poly.one() * Matrix.identity(2)
+
+
+# differential check of the common-denominator int rows (the dense product,
+# RationalFunction.expand, the product of power series) against the nested
+# loops they replaced, kept in oracles.  The values must agree.  The types
+# follow the rule documented in series: every coefficient of a result takes
+# one kind, the widest among its operands' coefficients (QPolynomial over
+# Fraction over int; a QPolynomial's own coefficients are Fractions when any
+# value is one).  The oracles promote position by position, so their values
+# are brought under that rule before the two type lists are compared.
+
+whole_fractions = st.integers(-3, 3).map(Fraction)
+ring_values = {
+    "Z": st.integers(-5, 5),
+    "Q": st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=6), whole_fractions),
+    "Z[q]": st.lists(st.integers(-4, 4), max_size=4).map(QPolynomial),
+    "Q[q]": st.lists(st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=4), whole_fractions),
+                     max_size=4).map(QPolynomial),
+}
+ring_values["mixed"] = st.one_of(*ring_values.values())
+ring_units = {"Z": st.sampled_from((1, -1, 2, -3)), "Q": st.fractions(min_value=-3, max_value=3).filter(bool),
+              "Z[q]": st.sampled_from((1, -2)).map(lambda c: QPolynomial((c,)))}
+ring_units.update({"Q[q]": ring_units["Z[q]"], "mixed": st.one_of(*ring_units.values())})
+rings = sorted(ring_values)
+
+
+def _rule_kind(values):
+    """The (coefficient type, q-coefficient type) the rule gives a result
+    whose operands have these coefficients."""
+    scalars = [x for c in values for x in (c.coeffs if isinstance(c, QPolynomial) else (c,))]
+    inner = Fraction if any(isinstance(x, Fraction) for x in scalars) else int
+    return (QPolynomial if any(isinstance(c, QPolynomial) for c in values) else inner), inner
+
+
+def _under_rule(c, kind):
+    outer, inner = kind
+    return QPolynomial([inner(x) for x in QPolynomial.coerce(c).coeffs]) if outer is QPolynomial else outer(c)
+
+
+def _types(values):
+    return [(type(c), tuple(map(type, c.coeffs)) if isinstance(c, QPolynomial) else ()) for c in values]
+
+
+def _assert_rule(got, want, kind):
+    assert list(got) == list(want)
+    assert _types(got) == _types([_under_rule(c, kind) for c in want])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(rings).flatmap(lambda ring: st.tuples(
+    st.just(ring), st.lists(ring_values[ring], max_size=6), st.lists(ring_values[ring], max_size=6))))
+def test_int_row_products_match_nested_loop(case):
+    ring, a, b = case
+    for cls in (Poly, QPolynomial) if ring in ("Z", "Q") else (Poly,):
+        x, y = cls(a), cls(b)
+        got = x * y
+        _assert_rule(got.coeffs, dense_product(x, y).coeffs, _rule_kind(x.coeffs + y.coeffs))
+        assert type(got) is cls and (not got.coeffs or got.coeffs[-1] != 0)
+
+
+@st.composite
+def expansion_cases(draw):
+    ring = draw(st.sampled_from(rings))
+    num = draw(st.one_of(st.just([]), st.lists(ring_values[ring], max_size=8)))
+    den = [draw(ring_units[ring])] + draw(st.lists(ring_values[ring], max_size=8))
+    return RationalFunction(Poly(num), Poly(den)), draw(st.integers(0, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansion_cases())
+def test_int_row_expansion_matches_recurrence(case):
+    rf, order = case
+    got = rf.expand(order)
+    assert got.order == order
+    _assert_rule(got.coeffs, expand_recurrence(rf, order).coeffs, _rule_kind(rf.num.coeffs + rf.den.coeffs))
+
+
+@st.composite
+def series_pairs(draw):
+    # dim 0 stands for a series of scalars
+    ring, dim = draw(st.sampled_from(rings)), draw(st.sampled_from((0, 1, 3)))
+
+    def series(zero):
+        order = draw(st.integers(0, 4))
+        cells = st.just(0) if zero else ring_values[ring]
+        return PowerSeries([Matrix([[draw(cells) for _ in range(dim)] for _ in range(dim)]) if dim else draw(cells)
+                            for _ in range(order + 1)], order)
+
+    zero = draw(st.sampled_from((None, 0, 1)))
+    return series(zero == 0), series(zero == 1)
+
+
+def _entries(series):
+    return [x for m in series.coeffs for row in (m.rows if isinstance(m, Matrix) else ((m,),)) for x in row]
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_pairs())
+def test_int_row_series_product_matches_nested_loop(pair):
+    x, y = pair
+    got, want = x * y, series_product(x, y)
+    n = want.order
+    shapes = [[(m.nrows, m.ncols) if isinstance(m, Matrix) else () for m in z.coeffs] for z in (got, want)]
+    assert got.order == n and shapes[0] == shapes[1]
+    kind = _rule_kind(_entries(x.truncate(n)) + _entries(y.truncate(n)))
+    _assert_rule(_entries(got), _entries(want), kind)
+
+
+def test_series_of_matrices_times_series_of_scalars_raises():
+    with pytest.raises(SeriesError):
+        PowerSeries([Matrix.identity(2)] * 3) * PowerSeries([1, 2, 3])
