@@ -4,7 +4,6 @@ representations, and twisted Poincare series of element subsets.
 """
 
 import json
-import math
 
 from .coxeter import OutOfTableError
 from .series import (
@@ -14,12 +13,14 @@ from .series import (
     QPolynomial,
     RationalFunction,
     SeriesError,
+    _from_kronecker,
+    _int_rows,
+    _packed_rows,
     char_matrix_det,
     det_poly_matrix,
     det_series,
     scalar_from_json,
     scalar_one_like,
-    signed_digits,
 )
 
 
@@ -50,8 +51,8 @@ class HeckeElement:
     A product over Z[q] stays in its Kronecker-packed form: `packed` maps
     each key to the int its coefficient takes at q = 2^width, with no
     coefficient of absolute value reaching 2^(width - 1), and `norm`
-    bounds the total coefficient 1-norm.  `terms` is unpacked from it on
-    first read.  An element built from terms has packed = None."""
+    bounds the total coefficient 1-norm.  `terms` unpacks from it through
+    series' int rows on first read.  An element built from terms has packed = None."""
 
     __slots__ = ("table", "_terms", "packed", "width", "norm")
 
@@ -70,8 +71,7 @@ class HeckeElement:
     @property
     def terms(self):
         if self._terms is None:  # a nonzero packed value unpacks to a nonzero coefficient
-            b = self.width
-            self._terms = {k: QPolynomial(signed_digits(v, b)) for k, v in self.packed.items()}
+            self._terms = {k: QPolynomial(_from_kronecker(v, self.width, 1, 1, 0)) for k, v in self.packed.items()}
         return self._terms
 
     def coeff(self, element):
@@ -133,19 +133,19 @@ def hecke_mul(table, x, y, q=None):
     (q - 1) T_w + q T_ws on a descent (key[s] < 0), so with t = c q a descent
     leaves t - c on w and t on ws.
 
-    Over Z[q] (the formal q by default) the coefficients, scaled by the lcm
-    L of their denominators, are packed into ints at q = 2^b.  A descent
-    step turns a coefficient c into c(q - 1) and cq, of 1-norm at most
-    (2|q|_1 + 1)|c|_1, and merging terms only lowers the total 1-norm; so
-    x T_y has total 1-norm at most |x|_1 (2|q|_1 + 1)^l(y), and no
-    coefficient of L^2 x y exceeds its total 1-norm, at most
-    B = L^2 |x|_1 sum_y |c_y|_1 (2|q|_1 + 1)^l(y) < 2^(b-1).  A packed
+    Over Z[q] (the formal q by default) x and y become series' int rows
+    over L_x and L_y, the lcms of their denominators, packed into ints at
+    q = 2^b.  A descent step turns a coefficient c into c(q - 1) and cq,
+    of 1-norm at most (2|q|_1 + 1)|c|_1, and merging terms only lowers the
+    total 1-norm; so x T_y has total 1-norm at most |x|_1 (2|q|_1 + 1)^l(y),
+    and no coefficient of L_x L_y x y exceeds its total 1-norm, at most
+    B = |L_x x|_1 sum_y |L_y c_y|_1 (2|q|_1 + 1)^l(y) < 2^(b-1).  A packed
     operand brings its stored bound on |x|_1 in place of its terms (for y,
     times (2|q|_1 + 1) to its greatest length), which keeps B a bound.
     The width b comes from `_width`, and an operand packed at b is used as
-    it is.  When L = 1 the product stays packed at b, with norm bound B;
-    otherwise it is unpacked.  Any other q runs the same loop on the
-    coefficients as given.
+    it is.  Over Z the product stays packed at b, with norm bound B; with a
+    Fraction it unpacks into QPolynomials over Fractions (the int-row type
+    rule).  Any other q runs the same loop on the coefficients as given.
 
     The loop runs on `table.cayley`'s int positions, y's words from its memo;
     an operand key outside the table raises OutOfTableError, as an escape does."""
@@ -163,17 +163,17 @@ def hecke_mul(table, x, y, q=None):
         raise OutOfTableError("a Hecke operand has a term outside the table bound %d" % table.bound) from None
     b = 0
     if pack:
-        norm = (x.norm if x.packed is not None else _norm(x_terms, index, 1)) * (
-            y.norm * grow ** max(y_lengths or [0]) if y.packed is not None else _norm(y_terms, index, grow))
-        lcm = 1 if type(norm) is int else math.lcm(*[  # over Q[q]: the lcm of the denominators
-            a.denominator for t in (x, y) if t.packed is None for c in t.terms.values()
-            for a in (c.coeffs if type(c) is QPolynomial else (c,))])
-        norm = int(norm * lcm * lcm)
+        x_rows, x_norm, x_scale, x_kind = (None, x.norm, 1, 0) if x.packed is not None else _int_terms(x, index, 1)
+        y_rows, y_norm, y_scale, y_kind = (None, y.norm * grow ** max(y_lengths or [0]), 1, 0) if (
+            y.packed is not None) else _int_terms(y, index, grow)
+        norm, scale, kind = x_norm * y_norm, x_scale * y_scale, x_kind | y_kind
         b = _width(norm)
-        xs = xs if x.width == b and lcm == 1 else _pack({at[k]: c for k, c in x.terms.items()}, b, lcm)
-        y_terms = y_terms if y.width == b and lcm == 1 else _pack(y.terms, b, lcm)
+        if x.width != b:
+            xs = {at[k]: v for k, v in _packed(x, x_rows, x_kind, b).items()}
+        if y.width != b:
+            y_terms = _packed(y, y_rows, y_kind, b)
         if q is not None:
-            q = _pack({0: q}, b, 1)[0]
+            q = _packed_rows([q_coeffs], b, 2)[0]
     shift = b if q_coeffs == (0, 1) else 0  # at the formal q a descent step is a shift
     neighbours, ascents_by_s, words, keys = view.neighbours, view.ascents, view.words, view.keys
     out = {}
@@ -198,29 +198,26 @@ def hecke_mul(table, x, y, q=None):
             out[k] = out[k] + t if k in out else t
     if not b:
         return HeckeElement(table, out)
-    if lcm == 1:  # a merge can cancel a packed coefficient to 0
+    if not kind & 1:  # over Z[q]; a merge can cancel a packed coefficient to 0
         return HeckeElement._from_packed(table, {k: v for k, v in out.items() if v} if 0 in out.values() else out,
                                          b, norm)
-    return HeckeElement(table, {k: QPolynomial(signed_digits(v, b, lcm * lcm)) for k, v in out.items() if v})
+    return HeckeElement(table, {k: QPolynomial(_from_kronecker(v, b, 1, scale, 1)) for k, v in out.items() if v})
 
 
-def _norm(terms, index, grow):
-    """sum |c|_1 grow^l(w) over the terms c T_w (a Fraction if a c has one)."""
-    norm = 0
-    for k, c in terms.items():
-        norm += sum(map(abs, c.coeffs if type(c) is QPolynomial else (c,))) * grow ** index[k].length
-    return norm
+def _int_terms(element, index, grow):
+    """(rows, norm, scale, kind): the coefficients as int rows over scale,
+    and norm = sum |row|_1 grow^l(w) over the terms c T_w."""
+    terms = element.terms
+    rows, _width, scale, kind = _int_rows(list(terms.values()))
+    norm = sum(sum(map(abs, row if kind & 2 else (row,))) * grow ** index[k].length for k, row in zip(terms, rows))
+    return rows, norm, scale, kind
 
 
-def _pack(terms, b, lcm):
-    """{key: the int L c takes at q = 2^b}, by shift-and-add."""
-    out = {}
-    for k, c in terms.items():
-        v = 0
-        for a in reversed(c.coeffs if type(c) is QPolynomial else (c,)):
-            v = (v << b) + (a if lcm == 1 and type(a) is int else int(a * lcm))
-        out[k] = v
-    return out
+def _packed(element, rows, kind, b):
+    """{key: int at q = 2^b}; rows None reads an element packed at another width."""
+    if rows is None:
+        rows, _width, _scale, kind = _int_rows(list(element.terms.values()))
+    return dict(zip(element.terms, _packed_rows(rows, b, kind)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, pairwise, repeat
 from operator import add, mul, sub
 
 
@@ -168,7 +168,10 @@ class _DensePoly:
             return NotImplemented
         return self.coeffs == other.coeffs
 
+    # a constant hashes like its coefficient, as it compares equal to it
     def __hash__(self):
+        if len(self.coeffs) <= 1:
+            return hash(self.constant())
         return hash(self.coeffs)
 
     def evaluate(self, value):
@@ -217,12 +220,6 @@ class QPolynomial(_DensePoly):
     def q(power=1):
         return QPolynomial((0,) * power + (1,))
 
-    # a constant hashes like its coefficient, as it compares equal to it
-    def __hash__(self):
-        if len(self.coeffs) <= 1:
-            return hash(self.constant())
-        return hash(self.coeffs)
-
 
 def format_poly(coeffs, var):
     parts = []
@@ -270,12 +267,12 @@ def _divide_scalar(a, b):
 
 
 # ---------------------------------------------------------------------------
-# common-denominator int rows: the dense product, RationalFunction.expand and
-# the product of power series flatten each operand once, run on Python ints
-# and build each result coefficient once, exact with no packing width.
-# Type rule: a result's coefficients all take one kind, the widest among its
-# operands' coefficients: QPolynomials when one is a QPolynomial, else
-# Fractions (whole ones too) when a value is a Fraction, else ints; a
+# common-denominator int rows: the dense product, RationalFunction.expand,
+# the product of power series, det_poly_matrix and hecke_mul flatten each
+# operand once into ints over a scale (the last two packed at X = 2^b) and
+# build each result coefficient once.  Type rule, on every route: a
+# result's coefficients take the widest kind among its operands':
+# QPolynomials, else Fractions (whole ones too), else ints; a
 # QPolynomial's own coefficients are Fractions when any value is one.
 
 
@@ -337,6 +334,37 @@ def _from_int_rows(values, stride, scale, kind):
     if kind & 2:
         return [QPolynomial(values[p:p + stride]) for p in range(0, len(values), stride)]
     return values
+
+
+def _kronecker(values, b):
+    """sum_i v_i 2^(b i): the int that a sequence of ints takes at X = 2^b."""
+    out = 0
+    for v in reversed(values):
+        out = (out << b) + v
+    return out
+
+
+def _packed_rows(rows, b, kind):
+    """Each row of `_int_rows` as the int it takes at X = 2^b."""
+    return [_kronecker(row, b) for row in rows] if kind & 2 else rows
+
+
+def signed_digits(packed, b):
+    """Digits in [-2^(b-1), 2^(b-1)) of a Kronecker-packed int, lowest first."""
+    digits = []
+    top, mask = 1 << (b - 1), (1 << b) - 1
+    for _ in range(packed.bit_length() // b + 1):
+        digit = ((packed + top) & mask) - top
+        digits.append(digit)
+        packed = (packed - digit) >> b
+    if packed:
+        raise SeriesError("packed value has no signed base-2^%d digits" % b)
+    return digits
+
+
+def _from_kronecker(packed, b, stride, scale, kind):
+    """The coefficients whose int rows over scale, spread at stride, pack to `packed`."""
+    return _from_int_rows(signed_digits(packed, b), stride, scale, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -962,29 +990,15 @@ def power_sum_exp(power_sums, order):
     return PowerSeries(out, order)
 
 
-def signed_digits(packed, b, scale=1):
-    """Digits in [-2^(b-1), 2^(b-1)) of a Kronecker-packed int, lowest
-    first, each divided by scale."""
-    digits = []
-    top, mask = 1 << (b - 1), (1 << b) - 1
-    for _ in range(packed.bit_length() // b + 1):
-        digit = ((packed + top) & mask) - top
-        digits.append(digit)
-        packed = (packed - digit) >> b
-    if packed:
-        raise SeriesError("packed value has no signed base-2^%d digits" % b)
-    return digits if scale == 1 else [_divide_scalar(d, scale) for d in digits]
-
-
 def det_poly_matrix(rows):
-    """Exact determinant of a square matrix of u-polynomials whose
-    coefficients lie in one integral domain: Z[u], Q[u] or Z[q][u].
+    """Exact determinant of a square matrix of u-polynomials over Q[q]:
+    Z[u], Q[u], Z[q][u] or Q[q][u].
 
     One integer determinant by Kronecker substitution (von zur Gathen and
-    Gerhard, Modern Computer Algebra, 8.4): row i is scaled by the lcm L_i
-    of its denominators, and each entry packs into the int it takes at
-    q = X, u = X^(D+1) with X = 2^b, where D, the sum over the rows of
-    their largest q-degree, bounds the q-degree of every minor.  A
+    Gerhard, Modern Computer Algebra, 8.4): row i becomes int rows over the
+    lcm L_i of its denominators (`_int_rows`), and each entry packs into the
+    int it takes at q = X, u = X^(D+1) with X = 2^b, where D, the sum over
+    the rows of their largest q-degree, bounds the q-degree of every minor.  A
     coefficient is at most the largest modulus on |u| = |q| = 1 (Cauchy's
     estimate), where |a_ij| <= |a_ij|_1, the coefficient 1-norm of a scaled
     entry; there Hadamard's inequality bounds a minor by the product of its
@@ -997,52 +1011,26 @@ def det_poly_matrix(rows):
     (k+2)-minor, so the division by the previous pivot is exact, in Z[u]
     as in Z.  A zero pivot is swapped with a lower row that has a nonzero
     entry in its column, flipping the sign; with no such row the
-    determinant is 0.  The result is divided by prod_i L_i.  Coefficients
-    come out as ints where integral, else Fractions, and as QPolynomials
-    when any entry has one; a matrix of size at most 1 returns its entry.
+    determinant is 0.  The result unpacks over prod_i L_i, its
+    coefficients of one kind by the type rule of the int rows; a matrix of
+    size at most 1 returns its entry.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise SeriesError("determinant of a non-square matrix")
     if n <= 1:
         return Poly.coerce(rows[0][0]) if n else Poly.one()
-    # each row as its nonzero terms (column, u-degree, q-degree, coefficient);
-    # an int entry is its own constant term
-    terms, over_q = [], False
-    for r in rows:
-        row = []
-        for j, entry in enumerate(r):
-            if type(entry) is int:
-                if entry:
-                    row.append((j, 0, 0, entry))
-                continue
-            for d, c in enumerate(Poly.coerce(entry).coeffs):
-                if isinstance(c, QPolynomial):
-                    over_q = True
-                    row.extend((j, d, e, x) for e, x in enumerate(c.coeffs) if x)
-                elif c:
-                    row.append((j, d, 0, c))
-        terms.append(row)
-    bound, q_degree, scale = 1, 0, 1
-    for i, row in enumerate(terms):
-        if any(type(t[3]) is not int for t in row):
-            lcm = math.lcm(*(t[3].denominator for t in row))
-            terms[i] = row = [(j, d, e, int(c * lcm)) for j, d, e, c in row]
-            scale *= lcm
-        norms = [0] * n  # the row's entries' 1-norms, by column
-        for j, _d, _e, c in row:
-            norms[j] += abs(c)
-        bound *= max(1, sum(x * x for x in norms))
-        if over_q:
-            q_degree += max((t[2] for t in row), default=0)
+    coeffs = [[Poly.coerce(entry).coeffs for entry in r] for r in rows]
+    flat = [_int_rows(list(chain.from_iterable(r))) for r in coeffs]
+    stride = 1 + sum(width - 1 for _rows, width, _scale, _kind in flat)  # D + 1
+    bound, scale, kind, spread = 1, 1, 0, []
+    for r, (ints, _width, row_scale, row_kind) in zip(coeffs, flat):  # entry j's u-coefficients, spread
+        entries = [_spread(ints[s:e], stride, row_kind) for s, e in pairwise([0, *accumulate(map(len, r))])]
+        bound *= max(1, sum([sum(map(abs, e)) ** 2 for e in entries]))
+        scale, kind = scale * row_scale, kind | row_kind
+        spread.append(entries)
     b = (math.isqrt(bound) + 1).bit_length() + 1
-    step = b * (q_degree + 1)
-    a = []
-    for row in terms:
-        ints = [0] * n
-        for j, d, e, c in row:
-            ints[j] += c << (d * step + e * b)
-        a.append(ints)
+    a = [[_kronecker(e, b) for e in entries] for entries in spread]
     sign, prev = 1, 1
     for k in range(n - 1):
         if not a[k][k]:
@@ -1062,12 +1050,7 @@ def det_poly_matrix(rows):
                 row[j] = quotient
         prev = pivot
     # coefficient of q^e u^d at place d (D+1) + e
-    digits = signed_digits(sign * a[-1][-1], b, scale)
-    if not over_q:
-        return Poly(digits)
-    width = q_degree + 1
-    coeffs = [QPolynomial(digits[i:i + width]) for i in range(0, len(digits), width)]
-    return Poly([0 if c.is_zero() else c for c in coeffs])
+    return Poly(_from_kronecker(sign * a[-1][-1], b, stride, scale, kind))
 
 
 def char_matrix_det(mat, shift_power=1):

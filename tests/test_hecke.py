@@ -24,6 +24,7 @@ from oracles import (
     character_word_value, cyclic_entry_rational, finite_twisted_coeffs, hecke_mul_recursion, multiply,
     twisted_series,
 )
+from rings import ring_values, rings, rule_kind
 
 
 def test_quadratic_relation_rearranged(tables):
@@ -338,15 +339,19 @@ HECKE_QS = (None, formal_q(), 2, Fraction(1, 2), QPolynomial((-1, 0, 3)), QPolyn
 def packed_hecke_cases(draw):
     """Two Hecke elements of several terms whose coefficients mix ints,
     Fractions and q-polynomials over Z or Q of both signs (random ones, or
-    monomials +-2^k q^e over a denominator), at every kind of q.  In a
+    monomials +-2^k q^e over a denominator, or values of one ring of
+    tests/rings.py), at every kind of q.  In a
     tight case x is one monomial term and y a monomial times the
     identity, so the product's one coefficient equals the packing bound B
     and only the spare bit of 2^(b-1) > B holds it."""
     dens = st.sampled_from((1, 2, 3, 6) if draw(st.booleans()) else (1,))
     tight = draw(st.booleans())
+    ring = ring_values[draw(st.sampled_from(rings))]
 
     def coeff():
-        kind = "monomial" if tight else draw(st.sampled_from(("int", "fraction", "monomial", "poly")))
+        kind = "monomial" if tight else draw(st.sampled_from(("int", "fraction", "monomial", "poly", "ring")))
+        if kind == "ring":
+            return draw(ring)
         if kind == "int":
             return draw(st.integers(-9, 9))
         if kind == "fraction":
@@ -378,7 +383,13 @@ def _integral_fraction_case(c, q):
 @example(_integral_fraction_case(QPolynomial((Fraction(4, 2), 1)), QPolynomial((-1, 0, 3))))
 def test_packed_product_matches_recursion(case):
     x, y, q = case
-    assert hecke_mul(PACKED_TABLE, x, y, q) == hecke_mul_recursion(PACKED_TABLE, x, y, q)
+    product = hecke_mul(PACKED_TABLE, x, y, q)
+    assert product == hecke_mul_recursion(PACKED_TABLE, x, y, q)
+    if q is None or isinstance(q, QPolynomial) and rule_kind(q.coeffs) == (int, int):
+        # at q in Z[q] the product runs on int rows, so its terms take one
+        # kind: QPolynomials over Fractions when an operand has one, else over ints
+        _outer, inner = rule_kind([*x.terms.values(), *y.terms.values()])
+        assert all(type(c) is QPolynomial and {type(a) for a in c.coeffs} <= {inner} for c in product.terms.values())
 
 
 def test_associativity_chain_matches_recursion(tables):
@@ -402,8 +413,8 @@ def test_associativity_chain_matches_recursion(tables):
 
 def _at_width(element, b):
     """The element over Z[q] held packed at width b."""
-    return HeckeElement._from_packed(element.table, hecke._pack(element.terms, b, 1), b, hecke._norm(
-        element.terms, element.table.index, 1))
+    rows, norm, _scale, kind = hecke._int_terms(element, element.table.index, 1)
+    return HeckeElement._from_packed(element.table, hecke._packed(element, rows, kind, b), b, norm)
 
 
 def test_packed_and_unpacked_elements_compare_and_hash_equal(tables):
@@ -441,15 +452,15 @@ def test_a_packed_operands_bound_grows_with_its_length(tables):
 
 def test_formal_chain_unpacks_only_when_a_term_is_read(tables, monkeypatch):
     # products at the formal q stay packed through the chain and the
-    # comparison; signed_digits runs first when a coefficient is read
+    # comparison; the unpacking runs first when a coefficient is read
     calls = []
-    digits = hecke.signed_digits
+    unpack = hecke._from_kronecker
 
     def counted(*args):
         calls.append(args)
-        return digits(*args)
+        return unpack(*args)
 
-    monkeypatch.setattr(hecke, "signed_digits", counted)
+    monkeypatch.setattr(hecke, "_from_kronecker", counted)
     t = tables["A2t"]
     rng = random.Random(31)
     elements = [el for layer in t.layers[:5] for el in layer]

@@ -31,6 +31,7 @@ from oracles import (
     _series_exp, binomial_factors_dense, dense_product, det_series_tracelog, expand_recurrence,
     exponent_map_of_poly, series_from_json, series_product,
 )
+from rings import assert_rule, ring_units, ring_values, rings, rule_kind, scalars_of
 
 
 def rand_qpoly(rng, deg=4, lo=-5, hi=5):
@@ -264,6 +265,14 @@ def test_det_series_keeps_int_entries_int():
     assert all(type(c) is int for c in det.coeffs)
 
 
+# one coefficient ring per drawn matrix series: Z, Q or Z[q]
+coefficient_rings = {
+    "int": st.integers(-4, 4),
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    "qpoly": st.lists(st.integers(-3, 3), max_size=3).map(QPolynomial),
+}
+
+
 @st.composite
 def unit_matrix_series(draw):
     """I + sum_d M_d u^d over one coefficient ring, with each M_d drawn,
@@ -494,22 +503,23 @@ def _det_berkowitz(rows):
     return det if n % 2 == 0 else -det
 
 
-# one coefficient ring per drawn matrix: Z[u], Q[u] or Z[q][u]
-coefficient_rings = {
-    "int": st.integers(-4, 4),
-    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=4),
-    "qpoly": st.lists(st.integers(-3, 3), max_size=3).map(QPolynomial),
-}
-
-
 def poly_matrices(ring):
+    """n x n matrices of u-polynomials, n in 2..4, over one ring of tests/rings.py."""
     return st.integers(2, 4).flatmap(lambda n: st.lists(
-        st.lists(st.lists(coefficient_rings[ring], max_size=3), min_size=n, max_size=n),
+        st.lists(st.lists(ring_values[ring], max_size=3), min_size=n, max_size=n),
         min_size=n, max_size=n))
 
 
+def _det_matches_berkowitz(rows):
+    """det_poly_matrix equals the Berkowitz oracle, its coefficients of
+    one kind by the int-row rule; returns it."""
+    det = det_poly_matrix(rows)
+    assert_rule(det.coeffs, _det_berkowitz(rows).coeffs, rule_kind([c for row in rows for p in row for c in p.coeffs]))
+    return det
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(sorted(coefficient_rings)).flatmap(poly_matrices),
+@given(st.sampled_from(rings).flatmap(poly_matrices),
        st.sampled_from(("drawn", "zero_pivot", "equal_rows", "zero_column")))
 def test_bareiss_det_matches_berkowitz(coeff_rows, shape):
     rows = [[Poly(cs) for cs in row] for row in coeff_rows]
@@ -523,14 +533,13 @@ def test_bareiss_det_matches_berkowitz(coeff_rows, shape):
     elif shape == "zero_column":
         for row in rows:
             row[0] = Poly.zero()
-    det = det_poly_matrix(rows)
-    assert det == _det_berkowitz(rows)
+    det = _det_matches_berkowitz(rows)
     if shape in ("equal_rows", "zero_column"):
         assert det == Poly.zero()
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(coefficient_rings)).flatmap(poly_matrices))
+@given(st.sampled_from(rings).flatmap(poly_matrices))
 def test_hadamard_packing_bound_holds_on_every_minor(coeff_rows):
     # det_poly_matrix packs at 2^b with 2^(b-1) above the Hadamard bound:
     # every coefficient of every minor of the rows, each row scaled by the
@@ -538,26 +547,23 @@ def test_hadamard_packing_bound_holds_on_every_minor(coeff_rows):
     # from Berkowitz.  b is read from the one unpacking call.
     rows = [[Poly(cs) for cs in row] for row in coeff_rows]
     bits, unpack = [], series.signed_digits
-    series.signed_digits = lambda packed, b, scale=1: bits.append(b) or unpack(packed, b, scale)
+    series.signed_digits = lambda packed, b: bits.append(b) or unpack(packed, b)
     try:
-        det = det_poly_matrix(rows)
+        _det_matches_berkowitz(rows)
     finally:
         series.signed_digits = unpack
     assume(bits)  # no unpacking when a pivot column is zero
-    assert det == _det_berkowitz(rows)
     scaled = []
     for row in rows:
-        fractions = [c for p in row for c in p.coeffs if isinstance(c, Fraction)]
-        lcm = math.lcm(*(c.denominator for c in fractions)) if fractions else 1
+        lcm = math.lcm(*(Fraction(x).denominator for x in scalars_of([c for p in row for c in p.coeffs])))
         scaled.append([p * lcm for p in row])
     n, top = len(rows), 2 ** (bits[0] - 1)
     for size in range(1, n + 1):
         for picked in combinations(range(n), size):
             for cols in combinations(range(n), size):
                 minor = _det_berkowitz([[scaled[i][j] for j in cols] for i in picked])
-                for c in minor.coeffs:
-                    for x in (c.coeffs if isinstance(c, QPolynomial) else (c,)):
-                        assert abs(x) < top, (picked, cols, x, bits)
+                for x in scalars_of(minor.coeffs):
+                    assert abs(x) < top, (picked, cols, x, bits)
 
 
 @st.composite
@@ -595,7 +601,7 @@ def near_bound_matrices(draw):
 def test_packed_det_is_exact_at_the_bound(rows):
     # the Kronecker packing has one bit of room: a coefficient equal to
     # the bound must unpack with its sign
-    assert det_poly_matrix(rows) == _det_berkowitz(rows)
+    _det_matches_berkowitz(rows)
 
 
 @settings(max_examples=80, deadline=None)
@@ -769,6 +775,17 @@ def test_matrix_equality_compares_shapes():
     assert hash(square) == hash(Matrix([[Fraction(1), 2], [3, QPolynomial((4,))]]))
 
 
+def test_constants_hash_like_the_scalars_they_equal():
+    # a constant polynomial compares equal to its coefficient, so it must
+    # hash like it: a set or dict holds the two as one key
+    for cls in (Poly, QPolynomial):
+        for c in (3, Fraction(3, 2), Fraction(4, 2), QPolynomial((3,)), QPolynomial((Fraction(1, 3),)), 0):
+            p = cls.coerce(c)
+            assert p == c and hash(p) == hash(c) and len({p, c}) == 1
+        assert len({cls.zero(), 0, Fraction(0), QPolynomial(())}) == 1
+        assert len({cls.coerce(3), 3, Fraction(3), QPolynomial((3,))}) == 1
+
+
 def test_poly_coefficients_are_scalars_only():
     with pytest.raises(TypeError):
         Poly.coerce(Matrix.identity(2))
@@ -778,49 +795,8 @@ def test_poly_coefficients_are_scalars_only():
 
 # differential check of the common-denominator int rows (the dense product,
 # RationalFunction.expand, the product of power series) against the nested
-# loops they replaced, kept in oracles.  The values must agree.  The types
-# follow the rule documented in series: every coefficient of a result takes
-# one kind, the widest among its operands' coefficients (QPolynomial over
-# Fraction over int; a QPolynomial's own coefficients are Fractions when any
-# value is one).  The oracles promote position by position, so their values
-# are brought under that rule before the two type lists are compared.
-
-whole_fractions = st.integers(-3, 3).map(Fraction)
-ring_values = {
-    "Z": st.integers(-5, 5),
-    "Q": st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=6), whole_fractions),
-    "Z[q]": st.lists(st.integers(-4, 4), max_size=4).map(QPolynomial),
-    "Q[q]": st.lists(st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=4), whole_fractions),
-                     max_size=4).map(QPolynomial),
-}
-ring_values["mixed"] = st.one_of(*ring_values.values())
-ring_units = {"Z": st.sampled_from((1, -1, 2, -3)), "Q": st.fractions(min_value=-3, max_value=3).filter(bool),
-              "Z[q]": st.sampled_from((1, -2)).map(lambda c: QPolynomial((c,)))}
-ring_units.update({"Q[q]": ring_units["Z[q]"], "mixed": st.one_of(*ring_units.values())})
-rings = sorted(ring_values)
-
-
-def _rule_kind(values):
-    """The (coefficient type, q-coefficient type) the rule gives a result
-    whose operands have these coefficients."""
-    scalars = [x for c in values for x in (c.coeffs if isinstance(c, QPolynomial) else (c,))]
-    inner = Fraction if any(isinstance(x, Fraction) for x in scalars) else int
-    return (QPolynomial if any(isinstance(c, QPolynomial) for c in values) else inner), inner
-
-
-def _under_rule(c, kind):
-    outer, inner = kind
-    return QPolynomial([inner(x) for x in QPolynomial.coerce(c).coeffs]) if outer is QPolynomial else outer(c)
-
-
-def _types(values):
-    return [(type(c), tuple(map(type, c.coeffs)) if isinstance(c, QPolynomial) else ()) for c in values]
-
-
-def _assert_rule(got, want, kind):
-    assert list(got) == list(want)
-    assert _types(got) == _types([_under_rule(c, kind) for c in want])
-
+# loops they replaced, kept in oracles: the values agree, and the types
+# follow the one rule (tests/rings.py).
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(rings).flatmap(lambda ring: st.tuples(
@@ -830,7 +806,7 @@ def test_int_row_products_match_nested_loop(case):
     for cls in (Poly, QPolynomial) if ring in ("Z", "Q") else (Poly,):
         x, y = cls(a), cls(b)
         got = x * y
-        _assert_rule(got.coeffs, dense_product(x, y).coeffs, _rule_kind(x.coeffs + y.coeffs))
+        assert_rule(got.coeffs, dense_product(x, y).coeffs, rule_kind(x.coeffs + y.coeffs))
         assert type(got) is cls and (not got.coeffs or got.coeffs[-1] != 0)
 
 
@@ -848,7 +824,7 @@ def test_int_row_expansion_matches_recurrence(case):
     rf, order = case
     got = rf.expand(order)
     assert got.order == order
-    _assert_rule(got.coeffs, expand_recurrence(rf, order).coeffs, _rule_kind(rf.num.coeffs + rf.den.coeffs))
+    assert_rule(got.coeffs, expand_recurrence(rf, order).coeffs, rule_kind(rf.num.coeffs + rf.den.coeffs))
 
 
 @st.composite
@@ -878,8 +854,8 @@ def test_int_row_series_product_matches_nested_loop(pair):
     n = want.order
     shapes = [[(m.nrows, m.ncols) if isinstance(m, Matrix) else () for m in z.coeffs] for z in (got, want)]
     assert got.order == n and shapes[0] == shapes[1]
-    kind = _rule_kind(_entries(x.truncate(n)) + _entries(y.truncate(n)))
-    _assert_rule(_entries(got), _entries(want), kind)
+    kind = rule_kind(_entries(x.truncate(n)) + _entries(y.truncate(n)))
+    assert_rule(_entries(got), _entries(want), kind)
 
 
 def test_series_of_matrices_times_series_of_scalars_raises():

@@ -101,3 +101,43 @@ def test_the_dependency_guard_sees_each_form(tmp_path):
                    "from . import series\nfrom weylzeta.zeta import Graph\nfrom fractions import Fraction\n"
                    "def f():\n    import scipy\n")
     assert _foreign_imports(src) == [(1, "numpy"), (2, "numpy.linalg"), (3, "sympy.core"), (8, "scipy")]
+
+
+_INT_LAYOUT = {"signed_digits", "_kronecker"}
+
+
+def _int_layout_uses(path):
+    """(line, what) for every use of math.lcm, series.signed_digits or the
+    Kronecker helper series._kronecker: an import, a name or an attribute,
+    however math was imported."""
+    tree = ast.parse(path.read_text(), str(path))
+    math_names = {"math"} | {a.asname for node in ast.walk(tree) if isinstance(node, ast.Import)
+                             for a in node.names if a.name == "math" and a.asname}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, "import %s" % a.name) for a in node.names
+                    if a.name in _INT_LAYOUT or (node.module == "math" and a.name == "lcm")]
+        elif isinstance(node, ast.Attribute) and (node.attr in _INT_LAYOUT or (
+                node.attr == "lcm" and isinstance(node.value, ast.Name) and node.value.id in math_names)):
+            out.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Name) and node.id in _INT_LAYOUT:
+            out.append((node.lineno, node.id))
+    return out
+
+
+def test_the_int_layout_lives_in_series():
+    # series alone turns exact scalars into ints and back (common
+    # denominators, Kronecker packing, signed digits); other modules go
+    # through its int rows
+    uses = ["%s:%d %s" % (path.name, *hit) for path in SOURCES if path.name != "series.py"
+            for hit in _int_layout_uses(path)]
+    assert uses == []
+
+
+def test_the_int_layout_guard_sees_each_form(tmp_path):
+    src = tmp_path / "layout.py"
+    src.write_text("import math as m\nfrom math import lcm\nfrom .series import signed_digits as digits\n"
+                   "a = m.lcm(2, 3)\nb = series._kronecker([1], 8)\nc = math.gcd(4, 6)\nd = signed_digits(5, 8)\n"
+                   "e = _int_rows([1])\n")
+    assert sorted(line for line, _what in _int_layout_uses(src)) == [2, 3, 4, 5, 7]
