@@ -155,6 +155,7 @@ def _parse_q(config):
 
 def cmd_det_identity(config):
     system = _system(config)
+    strips.check_identity_type(system)  # before a finite group is enumerated
     table = coxeter.enumerate_elements(system, coxeter.DEFAULT_BOUND)
     if config.rep_path:
         reps = [(config.rep_path,
@@ -225,8 +226,7 @@ def cmd_ihara(config):
 
 def cmd_torus(config):
     system = _system(config)
-    table = coxeter.enumerate_elements(system, coxeter.DEFAULT_BOUND)
-    tq = zeta.torus_quotient_rep(system, config.scale, table)
+    tq = zeta.torus_quotient_rep(system, config.scale)  # checks the rank before it enumerates
     report = zeta.verify_strip_zeta_identity(tq)
     lines = [
         "type: %s  k=%d  chambers=%d" % (config.type_tag, config.scale, tq.chamber_count()),

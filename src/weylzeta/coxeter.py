@@ -7,8 +7,9 @@ simple root: f is inside the fundamental chamber of the Tits cone, so the
 key is injective on W (Bourbaki, Lie Groups and Lie Algebras V 4.4-4.6).
 w * s_i has key v_b - v_i * cartan[i][b], and s_i is a right descent
 exactly when v_i < 0.  Enumeration is breadth-first, so every stored
-length is the true word length; it records the Cayley graph (each element
-keeps the keys of its right neighbours w * s_i) and each element's parent.
+length is the true word length; it records the Cayley graph on the
+breadth-first positions (the position of w * s_i for each w and i) and
+each element's parent.
 """
 
 import os
@@ -251,16 +252,12 @@ def build_system(type_tag):
 
 
 class GroupElement:
-    __slots__ = ("key", "length", "links", "letter", "parent")
+    __slots__ = ("key", "length", "position", "letter", "parent")
 
-    def __init__(self, key, length, links, letter=None, parent=None):
+    def __init__(self, key, length, position, letter=None, parent=None):
         self.key = key  # (w^-1 f)(alpha_j): the column sums of w's matrix
         self.length = length
-        # links[i] is the key of w * s_i, or None for an ascent out of the
-        # table's bound layer.  Keys, not elements: element-to-element links
-        # would form reference cycles, so a dropped table would wait for the
-        # garbage collector.  The parent is shorter, so parents form no cycle.
-        self.links = links
+        self.position = position  # w's place in the table's breadth-first order
         self.letter = letter  # w = parent * s_letter, parent its breadth-first parent
         self.parent = parent
 
@@ -277,38 +274,26 @@ class GroupElement:
         return "GroupElement(len=%d, word=%s)" % (self.length, ",".join(str(i + 1) for i in self.word) or "e")
 
 
-class CayleyView:
-    """A table's Cayley graph on BFS positions 0..n-1, in layer order, with no
-    GroupElement (so no reference cycle): `keys`, `lengths`, `position` (key
-    -> p), per generator s the position `neighbours[s][p]` of p * s (None out
-    of the bound layer) and `ascents[s][p]` (key[s] > 0), and `words`, a memo
-    of BFS words by key."""
-
-    def __init__(self, table):
-        elements = [el for layer in table.layers for el in layer]
-        self.keys = [el.key for el in elements]
-        self.position = at = {key: p for p, key in enumerate(self.keys)}
-        self.lengths = [el.length for el in elements]
-        gens = range(table.system.num_generators)
-        self.neighbours = [[None if el.links[s] is None else at[el.links[s]] for el in elements] for s in gens]
-        self.ascents = [[el.key[s] > 0 for el in elements] for s in gens]
-        self.words = {table.identity.key: ()}
-
-
 class ElementTable:
     """BFS-generated store of all group elements up to a length bound.
 
-    The table is its Cayley graph: every element holds the keys of its
-    right neighbours w * s_i, so right multiplication by a generator inside
-    the table is a lookup; `cayley`, built on first read, is that graph on
-    ints.  Immutable after construction; safe for concurrent reads.
+    The table is its Cayley graph on breadth-first positions 0..n-1, in
+    layer order: `elements[p]` is the element at p, and `neighbours[s][p]`
+    the position of p * s, or None for an ascent out of the bound layer.
+    Positions run layer by layer, so p * s is an ascent exactly when its
+    position is past p.  Positions are ints and parents are shorter, so
+    the table holds no reference cycle.  `words` is a memo of BFS words by
+    key.  Immutable after construction, but for its memos.
     """
 
-    def __init__(self, system, bound, layers, index):
+    def __init__(self, system, bound, layers, index, neighbours):
         self.system = system
         self.bound = bound
         self.layers = layers
         self.index = index
+        self.elements = [el for layer in layers for el in layer]
+        self.neighbours = neighbours
+        self.words = {self.identity.key: ()}
         self._parabolic_cache = {}
         self._coset_cache = {}  # (J, I, side) -> min_coset_reps
 
@@ -325,8 +310,6 @@ class ElementTable:
     def __len__(self):
         return len(self.index)
 
-    cayley = cached_property(CayleyView)
-
     def layer_sizes(self):
         return [len(layer) for layer in self.layers]
 
@@ -341,11 +324,11 @@ class ElementTable:
         return self.element(self.right_multiply_key(self.identity.key, i))
 
     def right_multiply_key(self, key, i):
-        """key * s_i: the stored link inside the table, the system's kernel
-        for keys outside it (or ascents out of the bound layer)."""
+        """key * s_i: the stored neighbour inside the table, the system's
+        kernel for keys outside it (or ascents out of the bound layer)."""
         el = self.index.get(key)
-        link = el.links[i] if el is not None else None
-        return link if link is not None else self.system.right_multiply_key(key, i)
+        ws = self.neighbours[i][el.position] if el is not None else None
+        return self.elements[ws].key if ws is not None else self.system.right_multiply_key(key, i)
 
     def walk_key(self, key, word):
         """key times the generators along word, checked as by word_key."""
@@ -365,23 +348,23 @@ class ElementTable:
         if cached is not None:
             return cached
         out, frontier = [self.identity], [self.identity]
-        place = {self.identity.key: 0}  # key -> place in out
+        place = {0: 0}  # position -> place in out
         while frontier:
             nxt = {}
             for el in frontier:
                 for i in gens:
-                    key = el.links[i]
-                    if key is None:
+                    ws = self.neighbours[i][el.position]
+                    if ws is None:
                         raise OutOfTableError(
                             "parabolic subgroup <%s> does not close within bound %d"
                             % (",".join(str(g + 1) for g in gens), self.bound)
                         )
-                    if key not in place:
-                        nxt[key] = self.index[key]
+                    if ws not in place:
+                        nxt[ws] = self.elements[ws]
             # a layer in word order: a BFS word is its parent's word, one
             # layer up (so already placed), and one more letter
-            frontier = sorted(nxt.values(), key=lambda e: (place[e.parent.key], e.letter))
-            place.update((e.key, p) for p, e in enumerate(frontier, len(out)))
+            frontier = sorted(nxt.values(), key=lambda e: (place[e.parent.position], e.letter))
+            place.update((e.position, p) for p, e in enumerate(frontier, len(out)))
             out += frontier
         self._parabolic_cache[gens] = out
         return out
@@ -408,20 +391,21 @@ class ElementTable:
                 fh.write(line + "\n")
 
 
-def _link_layer(system, layer, index, grow):
-    """Fill the right links of one layer and return the elements it grew.
+def _link_layer(system, layer, index, neighbours, grow):
+    """Fill the neighbours of one layer and return the elements it grew.
 
     l(ws) = l(w) +- 1, so every edge {w, ws} joins two adjacent layers.
-    The layer below has already set each descent link, and each ascent is
-    computed here once, by the key kernel (inlined), and linked both ways.
-    A product missing from the index goes to grow(key, parent, i), which
-    returns the new element; with grow None it is an error."""
+    The layer below has already set each descent, and each ascent is
+    computed here once, by the key kernel (inlined), and linked both ways
+    by the elements' own position ints.  A product missing from the index
+    goes to grow(key, parent, i), which returns the new element; with
+    grow None it is an error."""
     support = system._cartan_support
     out = []
     for el in layer:
-        key, links = el.key, el.links
-        for i, link in enumerate(links):
-            if link is not None:
+        key, p = el.key, el.position
+        for i, row in enumerate(neighbours):
+            if row[p] is not None:
                 continue
             x = key[i]
             v = list(key)
@@ -436,8 +420,8 @@ def _link_layer(system, layer, index, grow):
                 out.append(nb)
             elif nb.length != el.length + 1:
                 raise CoxeterError("stored lengths are not breadth-first depths")
-            links[i] = nb.key
-            nb.links[i] = key
+            row[p] = nb.position
+            row[nb.position] = p
     return out
 
 
@@ -447,10 +431,10 @@ def load_table(system, path_or_lines):
     matrix entries, separated by tabs; one element, the identity, has
     length 0.  Every stored word is checked to evaluate to its matrix
     along its prefixes, which must be stored words too (as save writes
-    them).  Elements are keyed by their matrices' column sums and linked
-    as enumerate_elements links them, so a malformed or repeated line, a
-    missing element or a stored length that is not the BFS depth raises
-    CoxeterError."""
+    them).  Elements are keyed by their matrices' column sums, placed in
+    file order and linked as enumerate_elements links them, so a malformed
+    or repeated line, a missing element or a stored length that is not the
+    BFS depth raises CoxeterError."""
     if isinstance(path_or_lines, str):
         with open(path_or_lines) as fh:
             lines = fh.read().splitlines()
@@ -495,12 +479,13 @@ def load_table(system, path_or_lines):
             if matrix != (system.right_reflect(above, word[-1]) if d else above):
                 raise CoxeterError("table line %d: stored word does not evaluate to the stored matrix"
                                    % number)
-            el = index[key] = GroupElement(key, d, [None] * k, word[-1] if d else None, parent)
+            el = index[key] = GroupElement(key, d, len(index), word[-1] if d else None, parent)
             by_word[word] = (el, matrix)
             layers[-1].append(el)
+    neighbours = [[None] * len(index) for _ in range(k)]
     for layer in layers[:-1]:
-        _link_layer(system, layer, index, None)
-    return ElementTable(system, bound, layers, index)
+        _link_layer(system, layer, index, neighbours, None)
+    return ElementTable(system, bound, layers, index, neighbours)
 
 
 def element_cap():
@@ -523,30 +508,32 @@ def enumerate_elements(system, bound=DEFAULT_BOUND):
 
     Each element appears exactly once, at its true length, because the
     Cayley-graph distance to the identity is the Coxeter length.  The BFS
-    records the Cayley graph as it runs: each edge {w, ws} is computed
-    once, from its shorter end, by the key kernel, and stored as neighbour
-    keys on both elements (see GroupElement.links).  A new element keeps
-    the element it was found from as its parent, and the letter.
+    records the Cayley graph as it runs: each new element takes the next
+    position, and each edge {w, ws} is computed once, from its shorter end,
+    by the key kernel, and stored in `neighbours` at both positions.  A new
+    element keeps the element it was found from as its parent, and the letter.
     """
     if bound < 0:
         raise CoxeterError("bound must be nonnegative")
     cap = element_cap()
-    k = system.num_generators
-    ident = GroupElement(system.word_key(()), 0, [None] * k)
+    ident = GroupElement(system.word_key(()), 0, 0)
     index = {ident.key: ident}
+    neighbours = [[None] for _ in range(system.num_generators)]
 
     def grow(key, parent, i):
-        nel = index[key] = GroupElement(key, parent.length + 1, [None] * k, i, parent)
+        nel = index[key] = GroupElement(key, parent.length + 1, len(index), i, parent)
         check_element_cap(len(index), "enumeration", cap)
+        for row in neighbours:
+            row.append(None)
         return nel
 
     layers = [[ident]]
     for _ in range(bound):
-        nxt = _link_layer(system, layers[-1], index, grow)
+        nxt = _link_layer(system, layers[-1], index, neighbours, grow)
         if not nxt:
             break  # finite group exhausted
         layers.append(nxt)
-    return ElementTable(system, bound, layers, index)
+    return ElementTable(system, bound, layers, index, neighbours)
 
 
 def layer_sizes(system, bound=DEFAULT_BOUND):

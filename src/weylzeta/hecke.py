@@ -147,18 +147,17 @@ def hecke_mul(table, x, y, q=None):
     Fraction it unpacks into QPolynomials over Fractions (the int-row type
     rule).  Any other q runs the same loop on the coefficients as given.
 
-    The loop runs on `table.cayley`'s int positions, y's words from its memo;
-    an operand key outside the table raises OutOfTableError, as an escape does."""
-    view, index = table.cayley, table.index
-    at = view.position
+    The loop runs on the table's positions and neighbours, y's words from its
+    memo; an operand key outside the table raises OutOfTableError, as an escape does."""
+    index = table.index
     q_coeffs = (0, 1) if q is None else q.coeffs if isinstance(q, QPolynomial) else None
     grow = 3 if q is None else q_coeffs and 2 * sum(map(abs, q_coeffs)) + 1
     pack = type(grow) is int  # q in Z[q]
     x_terms = x.packed if pack and x.packed is not None else x.terms
     y_terms = y.packed if pack and y.packed is not None else y.terms
     try:
-        xs = {at[k]: c for k, c in x_terms.items()}
-        y_lengths = [view.lengths[at[k]] for k in y_terms]
+        xs = {index[k].position: c for k, c in x_terms.items()}
+        y_lengths = [index[k].length for k in y_terms]
     except KeyError:
         raise OutOfTableError("a Hecke operand has a term outside the table bound %d" % table.bound) from None
     b = 0
@@ -169,24 +168,24 @@ def hecke_mul(table, x, y, q=None):
         norm, scale, kind = x_norm * y_norm, x_scale * y_scale, x_kind | y_kind
         b = _width(norm)
         if x.width != b:
-            xs = {at[k]: v for k, v in _packed(x, x_rows, x_kind, b).items()}
+            xs = {index[k].position: v for k, v in _packed(x, x_rows, x_kind, b).items()}
         if y.width != b:
             y_terms = _packed(y, y_rows, y_kind, b)
         if q is not None:
             q = _packed_rows([q_coeffs], b, 2)[0]
     shift = b if q_coeffs == (0, 1) else 0  # at the formal q a descent step is a shift
-    neighbours, ascents_by_s, words, keys = view.neighbours, view.ascents, view.words, view.keys
+    neighbours, words, elements = table.neighbours, table.words, table.elements
     out = {}
     for k_y, c_y in y_terms.items():
         state = xs
         for s in words[k_y] if k_y in words else walk_word(index[k_y], words, lambda w, s: w + (s,)):
-            links, ascents = neighbours[s], ascents_by_s[s]
+            row = neighbours[s]
             new = {}
             for p, c in state.items():
-                ws = links[p]
-                if ascents[p]:
-                    if ws is None:
-                        raise OutOfTableError("Hecke product support escapes the table bound %d" % table.bound)
+                ws = row[p]
+                if ws is None:
+                    raise OutOfTableError("Hecke product support escapes the table bound %d" % table.bound)
+                if ws > p:  # an ascent
                     new[ws] = new[ws] + c if ws in new else c
                 else:
                     t = c << shift if shift else c * q
@@ -194,7 +193,7 @@ def hecke_mul(table, x, y, q=None):
                     new[ws] = new[ws] + t if ws in new else t
             state = new
         for p, c in state.items():
-            k, t = keys[p], c * c_y
+            k, t = elements[p].key, c * c_y
             out[k] = out[k] + t if k in out else t
     if not b:
         return HeckeElement(table, out)
@@ -393,10 +392,10 @@ def check_word_products(rep, table, max_length=None):
         for el in layer:
             if el.length + 1 > max_length:
                 return True
-            m = rep.image(el)
-            for s, key in enumerate(el.links):  # the ascents: key[s] > 0
-                if key is not None and el.key[s] > 0 and not (
-                        m * rep.gen_images[s] == rep.image(table.element(key))):
+            m, p = rep.image(el), el.position
+            for s, row in enumerate(table.neighbours):  # the ascents: ws > p
+                ws = row[p]
+                if ws is not None and ws > p and not (m * rep.gen_images[s] == rep.image(table.elements[ws])):
                     return False
     return True
 

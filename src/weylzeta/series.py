@@ -134,12 +134,13 @@ class _DensePoly:
 
     def __mul__(self, other):
         """The product on common-denominator int rows: one int convolution,
-        each coefficient built once; int values are their own rows."""
+        each coefficient built once; int values are their own rows.  A
+        scalar is its constant polynomial, under the same type rule."""
         cls = type(self)
         if not isinstance(other, cls):
-            if isinstance(other, cls.scalars):
-                return cls([c * other for c in self.coeffs])
-            return NotImplemented
+            if not isinstance(other, cls.scalars):
+                return NotImplemented
+            other = cls((other,))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return cls(())

@@ -340,6 +340,12 @@ class DetIdentityReport:
         return [det.as_polynomial() for det in self._strip_factors]
 
 
+def check_identity_type(system):
+    """Raise StripsError unless the system is a rank-2 affine type with strip generators."""
+    if system.type_tag not in _STRIP_WORDS:
+        raise StripsError("determinant identity applies to rank-2 affine types")
+
+
 def verify_determinant_identity(system, rep, table=None):
     """Exact check that the product of the two inverse strip determinants
     equals the alternating product of twisted parabolic determinants.
@@ -356,8 +362,7 @@ def verify_determinant_identity(system, rep, table=None):
     (1-u^d) exponents differ, when both sides are maps), and the form of
     each factor.
     """
-    if system.type_tag not in _STRIP_WORDS:
-        raise StripsError("determinant identity applies to rank-2 affine types")
+    check_identity_type(system)
     if table is None:
         table = cox.enumerate_elements(system, cox.DEFAULT_BOUND)
     scheme = scheme_for(system.type_tag)

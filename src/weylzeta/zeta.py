@@ -523,17 +523,18 @@ class TorusQuotient:
         """Index W0 by linear part and take the triangular basis of phi(L)
         from row 2 of s3 v over v in W0, each section matrix its parent's
         times one reflection.  The Cayley table follows the parents on the
-        table's links, v_j v_g = (v_j v_parent) s_i; the linear part is a
-        homomorphism onto W0, so s3 acts on the indices as s_theta."""
+        table's neighbours, v_j v_g = (v_j v_parent) s_i; the linear part is
+        a homomorphism onto W0, so s3 acts on the indices as s_theta."""
         system = self.system
         section = self.table.parabolic_elements((0, 1))  # parents come first
         self.weyl_order = len(section)
-        position = {el.key: j for j, el in enumerate(section)}
-        right = [(position[el.links[0]], position[el.links[1]]) for el in section]
+        place = {el.position: j for j, el in enumerate(section)}
+        row0, row1 = self.table.neighbours[:2]
+        right = [(place[row0[el.position]], place[row1[el.position]]) for el in section]
         # _w0_mul[g][j] is the W0 index of v_j v_g: the permutation R_g
         matrices, mul = [system.word_matrix(())], [tuple(range(self.weyl_order))]
         for el in section[1:]:
-            parent = position[el.parent.key]
+            parent = place[el.parent.position]
             matrices.append(system.right_reflect(matrices[parent], el.letter))
             mul.append(tuple([right[j][el.letter] for j in mul[parent]]))
         linear_index = {self._linear_part(m): j for j, m in enumerate(matrices)}

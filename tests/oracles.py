@@ -193,9 +193,10 @@ def hecke_mul_recursion(table, x, y, q=None):
             new = {}
             for key, c in state.items():
                 w = table.element(key)
-                ws_key = w.links[s]
-                if ws_key is None:
+                ws = table.neighbours[s][w.position]
+                if ws is None:
                     raise OutOfTableError("Hecke product support escapes the table bound")
+                ws_key = table.elements[ws].key
                 if table.element(ws_key).length > w.length:
                     new[ws_key] = new.get(ws_key, 0) + c
                 else:

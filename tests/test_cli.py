@@ -293,12 +293,25 @@ def test_element_cap_error_names_its_cap(capsys, monkeypatch):
     assert (status, out) == (2, "error: %s\n" % error["error"])
 
 
-@pytest.mark.parametrize("argv,word", [
-    (["factorize", "--type", "E8"], "no factorization scheme for type 'E8'"),
-    (["alt", "--type", "E8"], "Poincare series in closed form needs an affine system"),
-    (["alt", "--type", "A2"], "Poincare series in closed form needs an affine system"),
-], ids=["factorize-E8", "alt-E8", "alt-A2"])
-def test_finite_types_fail_before_enumerating(argv, word, capsys, monkeypatch):
+_NOT_RANK_2 = "determinant identity applies to rank-2 affine types"
+_NO_TORUS = "torus quotient needs a rank-2 affine system"
+
+
+@pytest.mark.parametrize("argv,kind,word", [
+    (["factorize", "--type", "E8"], "StripsError", "no factorization scheme for type 'E8'"),
+    (["alt", "--type", "E8"], "SeriesError", "Poincare series in closed form needs an affine system"),
+    (["alt", "--type", "A2"], "SeriesError", "Poincare series in closed form needs an affine system"),
+    (["det-identity", "--type", "E8"], "StripsError", _NOT_RANK_2),
+    (["det-identity", "--type", "A2"], "StripsError", _NOT_RANK_2),
+    (["det-identity", "--type", "E8", "--q", "torus"], "StripsError", _NOT_RANK_2),
+    (["det-identity", "--type", "A2", "--q", "torus"], "StripsError", _NOT_RANK_2),
+    (["torus", "--type", "E8"], "ZetaError", _NO_TORUS),
+    (["torus", "--type", "A2"], "ZetaError", _NO_TORUS),
+], ids=["factorize-E8", "alt-E8", "alt-A2", "det-identity-E8", "det-identity-A2", "det-identity-torus-E8",
+        "det-identity-torus-A2", "torus-E8", "torus-A2"])
+def test_finite_types_fail_before_enumerating(argv, kind, word, capsys, monkeypatch):
+    # det-identity and torus on E8 would otherwise run into the element cap
+    # after seconds of enumeration
     from weylzeta import coxeter
 
     def no_enumeration(*args, **kwargs):
@@ -307,8 +320,7 @@ def test_finite_types_fail_before_enumerating(argv, word, capsys, monkeypatch):
     monkeypatch.setattr(coxeter, "enumerate_elements", no_enumeration)
     status, out = run_cli(argv + ["--format", "json"], capsys)
     assert status == 2
-    error = json.loads(out)
-    assert error["error"] == word and "cap" not in error
+    assert json.loads(out) == {"error": word, "kind": kind}
 
 
 def test_torus_subcommand(tmp_path, capsys):

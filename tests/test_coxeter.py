@@ -29,6 +29,19 @@ from oracles import (
 )
 
 
+def neighbour_keys(table, el):
+    """The keys of w * s_i for each generator i, read off the table's
+    neighbour positions (None for an ascent out of the bound layer)."""
+    return tuple(None if row[el.position] is None else table.elements[row[el.position]].key
+                 for row in table.neighbours)
+
+
+def key_graph(table):
+    """The table's Cayley graph on keys, which does not depend on the order
+    of the positions (load_table places a layer by word)."""
+    return {el.key: neighbour_keys(table, el) for el in table.elements}
+
+
 def test_affine_bond_orders_match_expected():
     a2t = build_system("A2t")
     assert (a2t.bond(0, 1), a2t.bond(1, 2), a2t.bond(0, 2)) == (3, 3, 3)
@@ -300,7 +313,7 @@ def test_table_export_import_roundtrip(tmp_path, tables):
     loaded = load_table(build_system("C2t"), str(path))
     assert loaded.layer_sizes() == t.layer_sizes()
     assert set(loaded.index) == set(t.index)
-    assert all(loaded.index[key].links == el.links for key, el in t.index.items())
+    assert key_graph(loaded) == key_graph(t)
     # malformed line rejected
     bad = path.read_text().splitlines()
     bad[3] = bad[3].replace("\t", " ", 1)
@@ -454,7 +467,7 @@ def test_links_are_the_cayley_graph(tag, bound):
     gens = [generator_matrix(system, i) for i in range(system.num_generators)]
     for key, el in t.index.items():
         matrix = system.word_matrix(el.word)
-        for i, link in enumerate(el.links):
+        for i, link in enumerate(neighbour_keys(t, el)):
             product = column_sums(mat_mul(matrix, gens[i]))
             # None exactly for an ascent out of the bound layer
             assert (link is None) == (el.length == t.bound and product not in t.index)
@@ -462,7 +475,7 @@ def test_links_are_the_cayley_graph(tag, bound):
                 continue
             assert link == product
             other = t.index[link]
-            assert other.links[i] == key
+            assert neighbour_keys(t, other)[i] == key
             assert abs(other.length - el.length) == 1
 
 
@@ -494,9 +507,9 @@ WALK_TABLES = {tag: enumerate_elements(build_system(tag), 6) for tag in ("A2t", 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(WALK_TABLES)), st.sampled_from(("inside", "bound", "outside")), st.data())
 def test_walking_a_stored_word_matches_mat_mul(tag, where, data):
-    # right_multiply_key reads a link inside the table and falls back to
-    # the reflection kernel on the bound layer (whose ascent links are
-    # None) and outside the table
+    # right_multiply_key reads a neighbour inside the table and falls back
+    # to the reflection kernel on the bound layer (whose ascent neighbours
+    # are None) and outside the table
     table = WALK_TABLES[tag]
     system = table.system
     k = system.num_generators
@@ -507,7 +520,7 @@ def test_walking_a_stored_word_matches_mat_mul(tag, where, data):
         word = data.draw(st.sampled_from([el for layer in layers for el in layer])).word
     key = system.word_key(word)
     if where == "bound":
-        assert any(link is None for link in table.element(key).links)
+        assert any(link is None for link in neighbour_keys(table, table.element(key)))
     el = data.draw(st.sampled_from([el for layer in table.layers for el in layer]))
     product = column_sums(mat_mul(system.word_matrix(word), system.word_matrix(el.word)))
     assert table.walk_key(key, el.word) == product_key(table, key, el.key) == product
@@ -515,48 +528,47 @@ def test_walking_a_stored_word_matches_mat_mul(tag, where, data):
 
 @pytest.mark.parametrize("tag,bound", [("A2t", 24), ("C2t", 24), ("G2t", 24), ("F4", 30), ("E6", 6)])
 def test_the_cayley_view_is_the_table_on_positions(tag, bound):
-    # built on first read only; positions in layer order; each neighbour
-    # and ascent flag is the element's link, key[s] > 0 and length; None
-    # exactly out of the bound layer; the word memo, filled by a product
-    # over every element, holds each element's word
+    # positions in layer order; each neighbour is the key kernel's product,
+    # one length up exactly for key[s] > 0, the ascent flag (nb > p) and
+    # linked back; None exactly out of the bound layer; the word memo,
+    # filled by a product over every element, holds each element's word
     from weylzeta import hecke
 
     t = enumerate_elements(build_system(tag), bound)
-    assert "cayley" not in vars(t)
-    view = t.cayley
-    assert t.cayley is view
     elements = [el for layer in t.layers for el in layer]
-    assert view.keys == [el.key for el in elements] and len(view.position) == len(t)
-    assert view.lengths == [el.length for el in elements] == sorted(view.lengths)
+    assert t.elements == elements and [el.position for el in elements] == list(range(len(t)))
+    assert [el.length for el in elements] == sorted(el.length for el in elements)
+    assert t.words == {t.identity.key: ()}
     escapes = 0
     for p, el in enumerate(elements):
-        assert view.position[el.key] == p
-        for s, link in enumerate(el.links):
-            nb, up = view.neighbours[s][p], view.ascents[s][p]
-            assert up == (el.key[s] > 0)
+        assert t.index[el.key] is el
+        for s, link in enumerate(neighbour_keys(t, el)):
+            nb, up = t.neighbours[s][p], el.key[s] > 0
             if link is None:
                 assert nb is None and up and el.length == t.bound
                 escapes += 1
                 continue
-            assert view.keys[nb] == link
-            assert view.lengths[nb] == el.length + (1 if up else -1)
+            assert link == t.system.right_multiply_key(el.key, s)
+            assert t.elements[nb].length == el.length + (1 if up else -1)
             assert (nb > p) == up
+            # linked back, and both ends store the elements' own position ints
+            assert t.neighbours[s][nb] is el.position and nb is t.elements[nb].position
     assert (escapes > 0) == (tag != "F4")
     if tag == "F4":
         assert len(t) == 1152
     everything = hecke.HeckeElement(t, {el.key: 1 for el in elements})
     assert hecke.hecke_mul(t, hecke.basis_element(t, t.identity), everything) == everything
-    assert len(view.words) == len(t)
-    assert all(view.words[el.key] == el.word for el in elements)
+    assert len(t.words) == len(t)
+    assert all(t.words[el.key] == el.word for el in elements)
 
-    def contents(obj):  # the view's leaves: ints, flags and sentinels, no element
+    def contents(obj):  # the graph's leaves: ints and sentinels, no element
         if isinstance(obj, (dict, list, tuple)):
             for item in obj.items() if isinstance(obj, dict) else obj:
                 yield from contents(item)
         else:
             yield obj
 
-    assert {type(leaf) for leaf in contents(list(vars(view).values()))} <= {int, bool, type(None)}
+    assert {type(leaf) for leaf in contents([t.neighbours, t.words])} <= {int, type(None)}
 
 
 def test_a_table_with_its_cayley_view_is_freed_without_gc():
@@ -565,7 +577,7 @@ def test_a_table_with_its_cayley_view_is_freed_without_gc():
     t = enumerate_elements(build_system("A2t"), 12)
     x = hecke.basis_element(t, t.element_of_word((0, 1, 2)))
     hecke.hecke_mul(t, x, x)
-    assert "cayley" in vars(t)
+    assert len(t.words) > 1  # the product filled the word memo
     gc.collect()
     gc.disable()
     try:
@@ -581,7 +593,7 @@ def test_a_table_with_its_cayley_view_is_freed_without_gc():
 ])
 def test_keys_are_column_sums_and_descents_are_negative_entries(tag, bound):
     # the key is the column sums of the word's matrix, v_i < 0 exactly for
-    # the descent links, and the descent walk on the key alone gives the
+    # the descent neighbours, and the descent walk on the key alone gives the
     # length and a word whose matrix has that key again
     system = build_system(tag)
     t = enumerate_elements(system, bound)
@@ -589,7 +601,7 @@ def test_keys_are_column_sums_and_descents_are_negative_entries(tag, bound):
         assert len(t) == 1152
     for el in t.index.values():
         assert el.key == column_sums(system.word_matrix(el.word))
-        for i, link in enumerate(el.links):
+        for i, link in enumerate(neighbour_keys(t, el)):
             down = link is not None and t.element(link).length == el.length - 1
             assert (el.key[i] < 0) == down
         length, word = length_and_word(system, el.key)
@@ -628,7 +640,7 @@ def test_export_matches_the_golden_and_round_trips(tag):
     assert "".join(line + "\n" for line in table.export_lines()) == golden
     loaded = load_table(system, golden.splitlines())
     assert "".join(line + "\n" for line in loaded.export_lines()) == golden
-    assert all(loaded.element(key).links == el.links for key, el in table.index.items())
+    assert key_graph(loaded) == key_graph(table)
 
 
 def test_load_table_rejects_a_word_whose_prefix_is_not_stored():
@@ -642,7 +654,7 @@ def test_load_table_rejects_a_word_whose_prefix_is_not_stored():
 
 
 def test_bytes_per_element_do_not_grow_with_length():
-    # an element holds its key, its links, its letter and its parent, not
+    # an element holds its key, its position, its letter and its parent, not
     # its word, so its size does not grow with its length
     system = build_system("A2t")
     enumerate_elements(system, 2)
@@ -660,7 +672,7 @@ def test_bytes_per_element_do_not_grow_with_length():
 
 
 def test_table_memory_is_small_and_freed_without_gc():
-    # Neighbour links are keys, so the elements form no reference cycle:
+    # Neighbours are positions, so the elements form no reference cycle:
     # with the collector off, dropping the table frees it and its elements
     # at once.  What stays traced afterwards is only the interpreter's
     # tuple free lists (a few hundred KB).

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weylzeta import coxeter, series
@@ -801,6 +801,7 @@ def test_poly_coefficients_are_scalars_only():
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(rings).flatmap(lambda ring: st.tuples(
     st.just(ring), st.lists(ring_values[ring], max_size=6), st.lists(ring_values[ring], max_size=6))))
+@example(("Q", [1, Fraction(1, 2)], [2]))
 def test_int_row_products_match_nested_loop(case):
     ring, a, b = case
     for cls in (Poly, QPolynomial) if ring in ("Z", "Q") else (Poly,):
@@ -808,6 +809,10 @@ def test_int_row_products_match_nested_loop(case):
         got = x * y
         assert_rule(got.coeffs, dense_product(x, y).coeffs, rule_kind(x.coeffs + y.coeffs))
         assert type(got) is cls and (not got.coeffs or got.coeffs[-1] != 0)
+        for c in b[:1]:  # a scalar is the constant polynomial, on either side
+            want = dense_product(x, cls((c,))).coeffs
+            assert_rule((x * c).coeffs, want, rule_kind(x.coeffs + (c,)))
+            assert_rule((c * x).coeffs, want, rule_kind(x.coeffs + (c,)))
 
 
 @st.composite

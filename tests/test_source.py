@@ -141,3 +141,14 @@ def test_the_int_layout_guard_sees_each_form(tmp_path):
                    "a = m.lcm(2, 3)\nb = series._kronecker([1], 8)\nc = math.gcd(4, 6)\nd = signed_digits(5, 8)\n"
                    "e = _int_rows([1])\n")
     assert sorted(line for line, _what in _int_layout_uses(src)) == [2, 3, 4, 5, 7]
+
+
+# `wc -l src/weylzeta/*.py`, which CI writes to each run's summary.  A
+# change that shrinks src/ lowers the budget; one that must raise it says
+# by how much and why.
+SOURCE_LINE_BUDGET = 4110
+
+
+def test_the_source_stays_within_its_line_budget():
+    lines = sum(path.read_bytes().count(b"\n") for path in SOURCES)
+    assert lines <= SOURCE_LINE_BUDGET, "src/ has %d lines, over its budget of %d" % (lines, SOURCE_LINE_BUDGET)

@@ -58,6 +58,16 @@ from weylzeta.zeta import (
 )
 
 
+@pytest.mark.parametrize("tag", ["E8", "A2", "A1t"])
+def test_the_torus_checks_the_rank_before_it_enumerates(tag, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a wrong type was enumerated before its error")
+
+    monkeypatch.setattr(coxeter, "enumerate_elements", no_enumeration)
+    with pytest.raises(ZetaError, match="torus quotient needs a rank-2 affine system"):
+        TorusQuotient(coxeter.build_system(tag), 2)
+
+
 def test_graph_invariants():
     g = petersen_graph()
     assert g.num_vertices == 10 and g.num_edges == 15
@@ -831,7 +841,7 @@ class FreeAction(TorusQuotient):
 
     def __init__(self, table, letters, copies, relabel):
         group = table.parabolic_elements(letters)
-        index = {v.key: i for i, v in enumerate(group)}
+        index = {v.position: i for i, v in enumerate(group)}
         size = len(group)
         perms = []
         for s in range(table.system.num_generators):
@@ -840,7 +850,8 @@ class FreeAction(TorusQuotient):
                 perm = [None] * (copies * size)
                 for c in range(copies):
                     for v in group:
-                        perm[relabel[c * size + index[v.key]]] = relabel[c * size + index[v.links[s]]]
+                        perm[relabel[c * size + index[v.position]]] = relabel[
+                            c * size + index[table.neighbours[s][v.position]]]
                 perm = tuple(perm)
             perms.append(perm)
         self.system, self.table = table.system, table
