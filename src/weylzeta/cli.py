@@ -98,7 +98,6 @@ def cmd_poincare(config):
     system = _system(config)
     if system.is_affine:
         rf, ps = poincare_affine(system, config.trunc)
-        rf = rf.reduced()
     else:
         # closed form via the height product; exact even for E8
         rs = rootsys.positive_roots(config.type_tag[0], system.rank)
@@ -115,8 +114,7 @@ def cmd_poincare(config):
 
 def cmd_alt(config):
     system = _system(config)
-    alt = alt_product_rational(system)
-    inv = alt.inverse().reduced()
+    inv = alt_product_rational(system).inverse()
     factors = inv.binomial_factors()
     lines = ["type: %s" % config.type_tag, "alt_inverse: %s" % inv]
     obj = {

@@ -44,7 +44,8 @@ def _is_zero(x):
 
 
 def _power(base, n, one):
-    """base ** n by square-and-multiply, for n >= 0; one is the unit."""
+    """base ** n for a polynomial or a matrix by square-and-multiply, for
+    n >= 0; one is the unit."""
     if n < 0:
         raise SeriesError("negative power of %s" % type(base).__name__)
     out = one
@@ -256,15 +257,15 @@ class Poly(_DensePoly):
 
 
 def _divide_scalar(a, b):
-    """Exact scalar division a / b in whatever ring the scalars live in."""
+    """Exact scalar division a / b in whatever ring the scalars live in; by
+    the type rule of the int rows, an int comes only from two ints."""
     if isinstance(a, QPolynomial) or isinstance(b, QPolynomial):
         return QPolynomial.coerce(a).exact_div(b)
     if type(a) is int and type(b) is int:
         quotient, remainder = divmod(a, b)
         if not remainder:
             return quotient
-    f = Fraction(a) / Fraction(b)
-    return f.numerator if f.denominator == 1 else f
+    return Fraction(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +581,11 @@ class RationalFunction:
     """Quotient num/den of u-polynomials; den has unit constant term.
 
     Normalised so that den(0) == 1, and not reduced: equality is tested by
-    cross multiplication, exact over any integral coefficient domain.
-    Products of (1-u^d)^m factors are read as exponent maps and put in
-    lowest terms without a gcd (binomial_factors, binomial_product); a
-    value known as such a product from the start is an ExponentMap.
+    cross multiplication, exact over any integral coefficient domain; it
+    has products and inverses but no sums.  Products of (1-u^d)^m factors
+    are read as exponent maps and put in lowest terms without a gcd
+    (binomial_factors, binomial_product); a value known as such a product
+    from the start is an ExponentMap, and its arithmetic runs on the map.
     """
 
     __slots__ = ("num", "den")
@@ -616,32 +618,6 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RationalFunction.coerce(other)
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RationalFunction.coerce(other) / self
-
-    def __add__(self, other):
-        other = RationalFunction.coerce(other)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-RationalFunction.coerce(other))
-
-    def __rsub__(self, other):
-        return RationalFunction.coerce(other) - self
-
-    def __pow__(self, n):
-        base = self if n >= 0 else self.inverse()
-        return _power(base, abs(n), RationalFunction(Poly.one()))
 
     def inverse(self):
         return RationalFunction(self.den, self.num)
@@ -1087,14 +1063,19 @@ def _require_affine(system):
         raise SeriesError("Poincare series in closed form needs an affine system")
 
 
-def poincare_affine(system, order, table=None):
-    """Exact rational Poincare series of an affine system, plus its truncation.
+def _affine_maps(system, order, table):
+    """The exponent maps of the proper parabolics' layer polynomials, by
+    subset, and of W(u), whose truncation at order is checked exactly
+    against the layer counts: the supplied table's or, with no table, a
+    streaming count (coxeter.layer_sizes) next to a DEFAULT_BOUND table
+    for the parabolics.  Returns (maps, W(u)'s map, truncation).
 
-    The rational function comes from the alternating sum over proper
-    parabolic subgroups; the truncation is checked exactly against the
-    layer counts, the supplied table's or, with no table, a streaming
-    count (coxeter.layer_sizes) next to a DEFAULT_BOUND table for the
-    parabolics.
+    A finite W_J(u) is prod [d_i]_u over its degrees, the map
+    {d_i: +1, 1: -rank}, read by the exact peel.  The largest proper
+    parabolic is a special node's complement, a copy of the finite Weyl
+    group W0 (any other maximal parabolic is a proper reflection subgroup
+    of it), and Bott's formula (Bott 1956; Macdonald 1972) gives
+    W(u) = W0(u) / prod (1 - u^(d_i - 1)).
     """
     from . import coxeter
 
@@ -1104,23 +1085,29 @@ def poincare_affine(system, order, table=None):
         table = coxeter.enumerate_elements(system, coxeter.DEFAULT_BOUND)
     else:
         layers = table.layer_sizes()
-    k = system.num_generators
-    total = RationalFunction(Poly.zero())
-    for subset in coxeter.all_proper_subsets(k):
-        sign = (-1) ** (len(subset) + k + 1)
-        total = total + RationalFunction(Poly((sign,)), poincare_parabolic(table, subset))
-    rf = total.inverse()
-    ps = rf.expand(order)
+    maps = {J: ExponentMap(RationalFunction(poincare_parabolic(table, J)).binomial_factors())
+            for J in coxeter.all_proper_subsets(system.num_generators)}
+    w0 = maps[max(maps, key=lambda J: len(table.parabolic_elements(J)))]
+    full = w0 / ExponentMap({d - 1: m for d, m in w0.exponents.items() if d > 1})
+    ps = full.expand(order)
     for d, count in enumerate(layers[: order + 1]):
         if ps.coeff(d) != count:
             raise SeriesError("affine Poincare series disagrees with BFS layers at degree %d" % d)
-    return rf, ps
+    return maps, full, ps
+
+
+def poincare_affine(system, order, table=None):
+    """Exact rational Poincare series of an affine system in lowest terms,
+    plus its truncation, checked against the layer counts (_affine_maps)."""
+    _, full, ps = _affine_maps(system, order, table)
+    return binomial_product(full.exponents), ps
 
 
 def alt_product_rational(system, table=None):
     """Alternating product of parabolic Poincare series over all subsets
-    of the generators (the full group included via its rational series,
-    checked against the table's layers up to 2k + 16)."""
+    of the generators, in lowest terms: each proper W_J(u) to the power
+    (-1)^(k - |J|), times W(u) (_affine_maps, checked against the table's
+    layers up to 2k + 16)."""
     from . import coxeter
 
     _require_affine(system)  # before a finite group is enumerated
@@ -1128,9 +1115,7 @@ def alt_product_rational(system, table=None):
     order = 2 * k + 16
     if table is None:
         table = coxeter.enumerate_elements(system, order)
-    rf_full, _ = poincare_affine(system, order, table)
-    out = RationalFunction(Poly.one())
-    for subset in coxeter.all_proper_subsets(k):
-        factor = RationalFunction(poincare_parabolic(table, subset))
-        out = out * (factor if (len(subset) + k) % 2 == 0 else factor.inverse())
-    return out * rf_full  # the full subset, exponent +1
+    maps, out, _ = _affine_maps(system, order, table)
+    for subset, w in maps.items():
+        out = out * (w if (len(subset) + k) % 2 == 0 else w.inverse())
+    return binomial_product(out.exponents)

@@ -204,6 +204,8 @@ def factorization_census(table, scheme, order):
     (c) the number of tuples of total length k equals the coefficient of
         u^k in the Poincare series of the group.
     """
+    if order > table.bound:
+        raise StripsError("order exceeds the table bound")
     # every factor element as its (length, word) pair: each word is checked
     # once here and then walked one unchecked step a letter
     system, multiply = table.system, table.right_multiply_key
@@ -256,7 +258,7 @@ def factorization_census(table, scheme, order):
                 k += 1
 
     descend(0, table.identity.key, 0, ())
-    _, ps = poincare_affine(system, order, table if table.bound >= order else None)
+    _, ps = poincare_affine(system, order, table)
     report.expected = [ps.coeff(d) for d in range(order + 1)]
     if counts != report.expected:
         report.counts_ok = False

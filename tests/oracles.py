@@ -22,6 +22,7 @@ from weylzeta.series import (
     _is_zero,
     char_matrix_det,
     det_poly_matrix,
+    poincare_parabolic,
     scalar_from_json,
     scalar_one_like,
     scalar_zero_like,
@@ -177,6 +178,39 @@ def binomial_factors_dense(rf):
             top = (1 - Poly.u(d)) ** -m * top
         factors.append((d, m))
     return factors
+
+
+def rational_sum(terms):
+    """The sum of RationalFunctions over the product of their
+    denominators, not reduced; RationalFunction has no addition."""
+    num, den = Poly.zero(), Poly.one()
+    for rf in terms:
+        num, den = num * rf.den + rf.num * den, den * rf.den
+    return RationalFunction(num, den)
+
+
+def poincare_affine_alternating_sum(system, table):
+    """W(u) of an affine system from the alternating sum over the proper
+    parabolics (Humphreys, Ch. 1 and 5): 1/W(u) is the sum over proper
+    J of (-1)^(k - |J| - 1) / W_J(u).  Oracle for series.poincare_affine,
+    which reads W(u) off W0's degrees by Bott's formula."""
+    k = system.num_generators
+    return rational_sum(
+        RationalFunction(Poly(((-1) ** (len(subset) + k + 1),)), poincare_parabolic(table, subset))
+        for subset in cox.all_proper_subsets(k)).inverse()
+
+
+def alt_product_alternating_sum(system, table):
+    """The alternating product of the parabolic Poincare series, each
+    proper W_J(u) to the power (-1)^(k - |J|), times the alternating-sum
+    W(u), multiplied as RationalFunctions.  Oracle for
+    series.alt_product_rational, which multiplies exponent maps."""
+    k = system.num_generators
+    out = poincare_affine_alternating_sum(system, table)
+    for subset in cox.all_proper_subsets(k):
+        factor = RationalFunction(poincare_parabolic(table, subset))
+        out = out * (factor if (len(subset) + k) % 2 == 0 else factor.inverse())
+    return out
 
 
 def hecke_mul_recursion(table, x, y, q=None):

@@ -127,7 +127,7 @@ def test_line_quotient_realizes_cycle_zeta():
             * RationalFunction(Poly.one(), det_rot)
             * RationalFunction(d2)
         )
-        alt = det_full / (RationalFunction(d1) * RationalFunction(d2))
+        alt = det_full * (RationalFunction(d1) * RationalFunction(d2)).inverse()
         assert alt == RationalFunction(Poly.one(), graph_inv)
 
 

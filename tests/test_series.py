@@ -29,7 +29,8 @@ from weylzeta.series import (
 )
 from oracles import (
     _series_exp, binomial_factors_dense, dense_product, det_series_tracelog, expand_recurrence,
-    exponent_map_of_poly, series_from_json, series_product,
+    alt_product_alternating_sum, exponent_map_of_poly, extended_cartan, poincare_affine_alternating_sum,
+    rational_sum, series_from_json, series_product,
 )
 from rings import assert_rule, ring_units, ring_values, rings, rule_kind, scalars_of
 
@@ -167,7 +168,7 @@ def test_exponent_maps_match_rational_functions(a, b):
     ma, mb = ExponentMap(a), ExponentMap(b)
     ra, rb = binomial_product(a), binomial_product(b)
     assert binomial_product((ma * mb).exponents) == ra * rb
-    assert binomial_product((ma / mb).exponents) == ra / rb
+    assert binomial_product((ma / mb).exponents) == ra * rb.inverse()
     assert (ma == mb) == (ra == rb) == (a == b)
     assert ma.expand(20) == ra.expand(20)
     assert str(ma) == str(ra)
@@ -364,12 +365,9 @@ def test_finite_alternating_sum_is_top_length():
         table = coxeter.enumerate_elements(system, top + 1)
         k = system.num_generators
         w_full = RationalFunction(poincare_parabolic(table, range(k)))
-        total = RationalFunction(Poly.zero())
-        for size in range(k + 1):
-            for sub in combinations(range(k), size):
-                term = w_full / RationalFunction(poincare_parabolic(table, sub))
-                total = total + ((-1) ** size) * term
-        assert total == RationalFunction(Poly.u(top))
+        terms = [((-1) ** size) * w_full * RationalFunction(Poly.one(), poincare_parabolic(table, sub))
+                 for size in range(k + 1) for sub in combinations(range(k), size)]
+        assert rational_sum(terms) == RationalFunction(Poly.u(top))
 
 
 def test_affine_series_examples(tables):
@@ -429,6 +427,41 @@ def test_affine_series_rejects_infinite_parabolic():
     assert not hyper.is_affine
     with pytest.raises(SeriesError):
         poincare_affine(hyper, 6, coxeter.enumerate_elements(hyper, 6))
+
+
+def test_affine_series_and_alt_products_match_the_alternating_sum(tables):
+    # Bott's formula and the product of exponent maps against the
+    # alternating sum over the proper parabolics, on the built-in affine
+    # types and on affine systems known only by their Cartan matrices; in
+    # the reversed C2t and G2t the first two nodes span no copy of W0
+    systems = [(coxeter.build_system(tag), tables.get(tag)) for tag in ("A1t", "A2t", "C2t", "G2t")]
+    systems += [(coxeter.CoxeterSystem("%s2-extended" % f, extended_cartan(f, 2)), None) for f in "ACG"]
+    for tag in ("C2t", "G2t"):
+        cartan = [row[::-1] for row in coxeter.build_system(tag).cartan[::-1]]
+        systems.append((coxeter.CoxeterSystem(tag + "-reversed", cartan), None))
+    for system, table in systems:
+        table = table or coxeter.enumerate_elements(system, 24)
+        rf, ps = poincare_affine(system, 24, table)
+        want = poincare_affine_alternating_sum(system, table)
+        assert rf == want and str(rf) == str(want), system
+        assert ps == want.expand(24), system
+        alt = alt_product_rational(system, table)
+        want = alt_product_alternating_sum(system, table)
+        assert alt == want and str(alt) == str(want), system
+
+
+def test_exact_division_makes_fractions_from_a_fraction_operand():
+    # a quotient of two ints is an int when it is whole; a Fraction on
+    # either side makes a Fraction, a whole one too
+    for a, b in ((Poly([Fraction(2), Fraction(4)]), Poly([2])), (Poly([2, 4]), Poly([Fraction(2)]))):
+        quotient = a.exact_div(b)
+        assert quotient == Poly([1, 2]) and str(quotient) == "1 + 2*u"
+        assert [type(c) for c in quotient.coeffs] == [Fraction, Fraction]
+    assert [type(c) for c in Poly([2, 4]).exact_div(Poly([2])).coeffs] == [int, int]
+    power_sums = ExponentMap({1: 2, 3: -1}).power_sums(9)
+    assert [type(c) for c in power_sum_exp(power_sums, 9).coeffs] == [int] * 10
+    half = RationalFunction(Poly([1]), Poly([Fraction(-1)]))
+    assert [type(c) for c in half.num.coeffs + half.den.coeffs] == [Fraction, Fraction]
 
 
 def test_det_poly_matrix_fraction_entries():
@@ -613,8 +646,13 @@ def test_power_sum_exp_matches_fraction_oracle(power_sums):
     log_coeffs = [Fraction(0)] + [Fraction(p) / k for k, p in enumerate(power_sums, 1)]
     got = power_sum_exp(power_sums, order)
     assert got == _series_exp(log_coeffs, order)
-    # integral coefficients come out as ints
-    assert all(type(c) is int or c.denominator != 1 for c in got.coeffs)
+    # ints only from ints: int power sums of a series with whole
+    # coefficients make ints, and a Fraction power sum makes a Fraction of
+    # every coefficient from its degree on
+    first = next((k for k, p in enumerate(power_sums, 1) if type(p) is Fraction), order + 1)
+    if first > order and all(c.denominator == 1 for c in got.coeffs):
+        assert all(type(c) is int for c in got.coeffs)
+    assert all(type(c) is Fraction for c in got.coeffs[first:])
 
 
 # one coefficient ring per drawn rational function, with a nonzero
@@ -761,10 +799,10 @@ def test_power_matches_repeated_products(entries, num, den_tail, n):
     for _ in range(n):
         prod = prod * rf
         if num and num[0]:
-            inv = inv / rf
-    assert _power(rf, n, RationalFunction(Poly.one())) == rf ** n == prod
+            inv = inv * rf.inverse()
+    assert _power(rf, n, RationalFunction(Poly.one())) == prod
     if num and num[0]:
-        assert rf ** -n == inv
+        assert _power(rf.inverse(), n, RationalFunction(Poly.one())) == inv
 
 
 def test_matrix_equality_compares_shapes():

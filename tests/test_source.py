@@ -144,11 +144,16 @@ def test_the_int_layout_guard_sees_each_form(tmp_path):
 
 
 # `wc -l src/weylzeta/*.py`, which CI writes to each run's summary.  A
-# change that shrinks src/ lowers the budget; one that must raise it says
-# by how much and why.
-SOURCE_LINE_BUDGET = 4110
+# change that shrinks src/ lowers the budget, which may stay at most
+# SOURCE_LINE_SLACK lines above the count; one that must raise it says by
+# how much and why.
+SOURCE_LINE_BUDGET = 4095
+SOURCE_LINE_SLACK = 20
 
 
 def test_the_source_stays_within_its_line_budget():
     lines = sum(path.read_bytes().count(b"\n") for path in SOURCES)
     assert lines <= SOURCE_LINE_BUDGET, "src/ has %d lines, over its budget of %d" % (lines, SOURCE_LINE_BUDGET)
+    assert SOURCE_LINE_BUDGET - lines <= SOURCE_LINE_SLACK, (
+        "src/ has %d lines, more than %d under its budget of %d: lower the budget"
+        % (lines, SOURCE_LINE_SLACK, SOURCE_LINE_BUDGET))

@@ -99,6 +99,12 @@ def test_census_degree_zero_slice(tables):
     assert report.ok and report.counts == [1]
 
 
+def test_census_refuses_an_order_past_the_table_bound(tables):
+    # refused before any tuple is walked, as the twisted factorization is
+    with pytest.raises(strips.StripsError, match="table bound"):
+        strips.factorization_census(tables["A2t"], strips.scheme_for("A2t"), 30)
+
+
 def test_census_c2t(tables):
     report = strips.factorization_census(tables["C2t"], strips.scheme_for("C2t"), 10)
     assert report.ok, report.as_json()
