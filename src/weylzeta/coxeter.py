@@ -522,7 +522,8 @@ def enumerate_elements(system, bound=DEFAULT_BOUND):
 
     def grow(key, parent, i):
         nel = index[key] = GroupElement(key, parent.length + 1, len(index), i, parent)
-        check_element_cap(len(index), "enumeration", cap)
+        if len(index) > cap:
+            check_element_cap(len(index), "enumeration", cap)
         for row in neighbours:
             row.append(None)
         return nel

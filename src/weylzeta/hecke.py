@@ -4,6 +4,10 @@ representations, and twisted Poincare series of element subsets.
 """
 
 import json
+from collections import Counter
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import add
 
 from .coxeter import OutOfTableError
 from .series import (
@@ -237,16 +241,12 @@ class Character:
     def __hash__(self):
         return hash(tuple(vars(self).values()))
 
-    def value(self, i, q):
-        return scalar_one_like(q) * q if self.signs[i] else -scalar_one_like(q)
-
     def name(self):
         return "".join("q" if s else "-" for s in self.signs)
 
     def as_representation(self, q=None):
-        q = formal_q() if q is None else q
-        mats = tuple(Matrix(((self.value(i, q),),)) for i in range(self.system.num_generators))
-        return validate_representation(self.system, mats, q)
+        """Its own representation: a character needs no validation."""
+        return CharacterRepresentation(self, formal_q() if q is None else q)
 
 
 def odd_bond_classes(system):
@@ -256,8 +256,7 @@ def odd_bond_classes(system):
     label = list(range(k))
     for i in range(k):
         for j in range(i + 1, k):
-            m = system.bond(i, j)
-            if m != 0 and m % 2 == 1:
+            if system.bond(i, j) % 2:  # odd, so not 0 (no bond)
                 label = [label[i] if a == label[j] else a for a in label]
     return sorted([i for i in range(k) if label[i] == c] for c in set(label))
 
@@ -266,17 +265,62 @@ def characters(system):
     """All one-dimensional characters: sign patterns constant on odd-bond
     classes.  The all-q character comes first."""
     classes = odd_bond_classes(system)
-    k = system.num_generators
-    out = []
-    for mask in range(2 ** len(classes)):
-        signs = [True] * k
-        for bit, cls in enumerate(classes):
-            if (mask >> bit) & 1:
-                for i in cls:
-                    signs[i] = False
-        out.append(Character(system, tuple(signs)))
+    minus = [[i for b, cls in enumerate(classes) if mask >> b & 1 for i in cls] for mask in range(2 ** len(classes))]
+    out = [Character(system, tuple(i not in m for i in range(system.num_generators))) for m in minus]
     out.sort(key=lambda ch: sum(0 if s else 1 << i for i, s in enumerate(ch.signs)))
     return out
+
+
+@lru_cache(maxsize=256)
+def _class_counts(system, elements):
+    """How many elements w of the set have each c(w), w's letters in each
+    odd-bond class along its breadth-first parents: an odd braid move swaps
+    letters of one class and an even one keeps each count, so c(w) is w's alone."""
+    classes = odd_bond_classes(system)
+    units = [tuple(int(i in cls) for cls in classes) for i in range(system.num_generators)]
+    cache = {system.word_key(()): (0,) * len(classes)}
+    return tuple(Counter(walk_word(el, cache, lambda c, i: tuple(map(add, c, units[i]))) for el in elements).items())
+
+
+class CharacterRepresentation:
+    """A character with no matrices: chi(e_w) = (-1)^(l(w) - p(w)) q^p(w), p(w)
+    w's letters in the q-classes, so a set's twisted series has u^d coefficient
+    sum_p A(d, p) (-1)^(d - p) q^p over its A(d, p) elements of length d with p
+    (`_class_counts`): a QPolynomial at the formal q, else Horner from q's zero."""
+
+    dim = 1
+
+    def __init__(self, character, q):
+        self.system, self.q, self._zero = character.system, q, scalar_one_like(q) * 0
+        self._q_classes = [character.signs[cls[0]] for cls in odd_bond_classes(character.system)]
+        self._formal = isinstance(q, QPolynomial) and q.coeffs == (0, 1)
+
+    def _coeffs(self, elements):
+        """sum chi(e_w) u^l(w) over the set, by degree up to its longest element."""
+        counts = _class_counts(self.system, tuple(elements))
+        rows = [[0] * (d + 1) for d in range(max(sum(c) for c, _n in counts) + 1)]
+        for c, n in counts:
+            d, p = sum(c), sum(compress(c, self._q_classes))
+            rows[d][p] += -n if (d - p) & 1 else n
+        if self._formal:
+            return [QPolynomial(row) for row in rows]
+        return [reduce(lambda value, a: value * self.q + a, reversed(row), self._zero) for row in rows]
+
+    def finite_series(self, elements, order):
+        cs = self._coeffs(elements)[: order + 1]
+        return PowerSeries(cs + [self._zero] * (order + 1 - len(cs)), order)
+
+    def cyclic_series(self, element, order):
+        return RationalFunction(Poly.one(), 1 - Poly.u(element.length, self._coeffs((element,))[-1])).expand(order)
+
+    def finite_det_factor(self, elements):
+        return RationalFunction(Poly(self._coeffs(elements)))
+
+    def cyclic_det_factor(self, element):
+        return RationalFunction(char_matrix_det(Matrix(((self._coeffs((element,))[-1],),)), element.length))
+
+    def det_series_hook(self, table, order):  # the group sum is its own 1x1 determinant
+        return twisted_group_sum(self, table, order)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +360,19 @@ class Representation:
     # (zeta.TorusQuotient has permutation routes of the same names).  A
     # factor is a value the verifiers multiply, divide and compare: here a
     # RationalFunction.
+
+    def finite_series(self, elements, order):
+        """sum rho(e_w) u^l(w) over a finite element set, to u^order."""
+        cs = FiniteTwistedSeries(self, elements).coeffs[: order + 1]
+        return PowerSeries(cs + (cs[0] * 0,) * (order + 1 - len(cs)), order)
+
+    def cyclic_series(self, element, order):
+        """(I - rho(e_w) u^l(w))^-1 to u^order: the powers of rho(e_w) at the multiples of l(w)."""
+        a, power = self.image(element), Matrix.identity(self.dim, scalar_one_like(self.q))
+        coeffs = [power * 0] * (order + 1)
+        for d in range(0, order + 1, element.length):
+            coeffs[d], power = power, power * a
+        return PowerSeries(coeffs, order)
 
     def finite_det_factor(self, elements):
         """det of sum rho(e_w) u^l(w) over a finite element set."""
@@ -406,8 +463,8 @@ def check_word_products(rep, table, max_length=None):
 
 def twisted_group_sum(rep, table, order):
     """Truncated twisted Poincare series of the whole group, sum of
-    rho(e_w) u^l(w) over `table.ball(order)`."""
-    return FiniteTwistedSeries(rep, table.ball(order)).truncate(order)
+    rho(e_w) u^l(w) over `table.ball(order)`, by the representation's route."""
+    return rep.finite_series(table.ball(order), order)
 
 
 class FiniteTwistedSeries:
@@ -426,31 +483,9 @@ class FiniteTwistedSeries:
             tuple([tuple([sum(entries, zero) for entries in zip(*rows)]) for rows in zip(*ms)]) if ms
             else ((zero,) * rep.dim,) * rep.dim) for ms in images)
 
-    def truncate(self, order):
-        cs = self.coeffs[: order + 1]
-        return PowerSeries(cs + (Matrix.zeros(self.rep.dim),) * (order + 1 - len(cs)), order)
-
     def det(self):
         cs, dim = self.coeffs, self.rep.dim
         return det_poly_matrix([[Poly([m.rows[i][j] for m in cs]) for j in range(dim)] for i in range(dim)])
-
-
-class CyclicTwistedSeries:
-    """Closed form (I - rho(e_w) u^l)^{-1} for the powers of one straight
-    generator w; exact, never truncated internally."""
-
-    def __init__(self, rep, element):
-        self.rep = rep
-        self.a = rep.image(element)
-        self.length = element.length
-
-    def truncate(self, order):
-        power = Matrix.identity(self.a.nrows, scalar_one_like(self.rep.q))
-        coeffs = [power * 0] * (order + 1)
-        for d in range(0, order + 1, self.length):
-            coeffs[d] = power
-            power = power * self.a
-        return PowerSeries(coeffs, order)
 
 
 # ---------------------------------------------------------------------------

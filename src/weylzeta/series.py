@@ -184,7 +184,8 @@ class _DensePoly:
         return out
 
     def exact_div(self, other):
-        """Exact division by another polynomial; raises on nonzero remainder."""
+        """Exact division by another polynomial; raises on nonzero remainder.
+        Its coefficients take the widest kind of theirs and the operands'."""
         other = self.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("%s-polynomial division by zero" % self.var)
@@ -202,7 +203,7 @@ class _DensePoly:
                 rem[i - dq + j] -= f * oc
         if any(c != 0 for c in rem):
             raise SeriesError("inexact %s-polynomial division" % self.var)
-        return type(self)(out)
+        return type(self)(_one_kind(out, _int_rows(list(self.coeffs + other.coeffs))[3]))
 
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, list(self.coeffs))
@@ -296,6 +297,12 @@ def _int_rows(values):
 
 
 _INT = frozenset((int,))
+
+
+def _one_kind(values, kind=0):
+    """The values in the widest kind among theirs and `kind`'s."""
+    rows, width, scale, own = _int_rows(values)
+    return _from_int_rows(_spread(rows, width, own), width, scale, own | kind)
 
 
 def _spread(rows, stride, kind):
@@ -957,14 +964,14 @@ def power_sum_exp(power_sums, order):
     p_1, ..., p_order, by Newton's identities: e_0 = 1 and
     m e_m = sum_{k<=m} p_k e_{m-k}.  Each division by m is exact in the
     scalars' own ring where it can be, so int power sums of a series with
-    int coefficients never make a Fraction."""
+    int coefficients never make a Fraction; one Fraction makes all Fractions."""
     out = [1]
     for m in range(1, order + 1):
         acc = 0
         for k in range(1, m + 1):
             acc = acc + power_sums[k - 1] * out[m - k]
         out.append(_divide_scalar(acc, m))
-    return PowerSeries(out, order)
+    return PowerSeries(_one_kind(out), order)
 
 
 def det_poly_matrix(rows):

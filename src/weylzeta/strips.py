@@ -8,8 +8,8 @@ import operator
 from functools import cached_property, lru_cache, reduce
 
 from . import coxeter as cox
-from .hecke import CyclicTwistedSeries, FiniteTwistedSeries, twisted_group_sum
-from .series import ExponentMap, poincare_affine
+from .hecke import twisted_group_sum
+from .series import ExponentMap, _affine_maps
 
 
 class StripsError(Exception):
@@ -258,7 +258,7 @@ def factorization_census(table, scheme, order):
                 k += 1
 
     descend(0, table.identity.key, 0, ())
-    _, ps = poincare_affine(system, order, table)
+    _, _, ps = _affine_maps(system, order, table)
     report.expected = [ps.coeff(d) for d in range(order + 1)]
     if counts != report.expected:
         report.counts_ok = False
@@ -288,16 +288,12 @@ class TwistedFactorizationReport:
 
 def verify_twisted_factorization(table, scheme, rep, order):
     """Check that the ordered product of the twisted factor series equals
-    the twisted series of the whole group, coefficient by coefficient."""
+    the twisted series of the whole group, each by the representation's route."""
     if order > table.bound:
         raise StripsError("order exceeds the table bound")
-    factors = realize_factors(table, scheme)
     product = None
-    for kind, data in factors:
-        if kind == "finite":
-            ts = FiniteTwistedSeries(rep, data).truncate(order)
-        else:
-            ts = CyclicTwistedSeries(rep, data).truncate(order)
+    for kind, data in realize_factors(table, scheme):
+        ts = rep.finite_series(data, order) if kind == "finite" else rep.cyclic_series(data, order)
         product = ts if product is None else product * ts
     direct = twisted_group_sum(rep, table, order)
     report = TwistedFactorizationReport(scheme.type_tag, order, True)

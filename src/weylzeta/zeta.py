@@ -27,7 +27,7 @@ from itertools import combinations
 
 from . import coxeter as cox
 from . import strips as strips_mod
-from .hecke import walk_word
+from .hecke import Representation, walk_word
 from .series import (
     ExponentMap,
     Matrix,
@@ -671,6 +671,7 @@ class TorusQuotient:
         return _perm_matrix([self.walk(label, element.word) for label in self.chambers])
 
     action_matrix = image
+    finite_series, cyclic_series = Representation.finite_series, Representation.cyclic_series  # dense, on `image`
 
     # exact permutation routes for the identity verifiers
 

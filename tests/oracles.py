@@ -9,7 +9,13 @@ from fractions import Fraction
 
 from weylzeta import coxeter as cox
 from weylzeta.coxeter import OutOfTableError
-from weylzeta.hecke import CyclicTwistedSeries, FiniteTwistedSeries, HeckeElement, HeckeError
+from weylzeta.hecke import (
+    FiniteTwistedSeries,
+    HeckeElement,
+    HeckeError,
+    formal_q,
+    validate_representation,
+)
 from weylzeta.rootsys import RootSystemError, positive_roots
 from weylzeta.series import (
     ExponentMap,
@@ -417,12 +423,27 @@ def generator_matrix(system, i):
     )
 
 
+def character_value(ch, i, q):
+    """The character's value q or -1 at generator i, in q's own ring."""
+    return scalar_one_like(q) * q if ch.signs[i] else -scalar_one_like(q)
+
+
+def dense_character(ch, q=None):
+    """A character as validated 1x1 matrix images of the generators, the
+    dense Representation that walks one image per element and sums them.
+    Oracle for hecke.CharacterRepresentation, which reads letter-class
+    counts instead."""
+    q = formal_q() if q is None else q
+    return validate_representation(
+        ch.system, [Matrix(((character_value(ch, i, q),),)) for i in range(ch.system.num_generators)], q)
+
+
 def character_word_value(ch, word, q):
     """Value of a one-dimensional character on the product of the
     generators along a word.  Oracle for the walked character images."""
     out = scalar_one_like(q)
     for i in word:
-        out = out * ch.value(i, q)
+        out = out * character_value(ch, i, q)
     return out
 
 
@@ -576,7 +597,7 @@ def full_resolvent_power_sums(pair_lengths, n, order):
     return power_sums
 
 
-def twisted_series(table, descriptor, rep, order=None):
+def twisted_series(table, descriptor, rep):
     """Twisted Poincare series of an element subset.
 
     descriptor: ("parabolic", gens) | ("coset", J, I, side) |
@@ -590,16 +611,24 @@ def twisted_series(table, descriptor, rep, order=None):
         _, J, I, side = descriptor
         elements = cox.min_coset_reps(table, J, I, side)
     elif kind == "cyclic":
-        el = descriptor[1]
-        return CyclicTwistedSeries(rep, el)
+        return CyclicTwistedSeries(rep, descriptor[1])
     elif kind == "elements":
         elements = list(descriptor[1])
     else:
         raise HeckeError("unknown subset descriptor %r" % (kind,))
-    fts = FiniteTwistedSeries(rep, elements)
-    if order is not None:
-        return fts.truncate(order)
-    return fts
+    return FiniteTwistedSeries(rep, elements)
+
+
+class CyclicTwistedSeries:
+    """(I - rho(e_w) u^l)^-1 for the powers of one straight generator w:
+    `truncate` is the representation's cyclic_series, and
+    cyclic_entry_rational reads its entries in closed form."""
+
+    def __init__(self, rep, element):
+        self.rep, self.element, self.a, self.length = rep, element, rep.image(element), element.length
+
+    def truncate(self, order):
+        return self.rep.cyclic_series(self.element, order)
 
 
 def cyclic_entry_rational(cyc, i, j):

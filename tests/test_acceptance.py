@@ -9,7 +9,7 @@ import os
 import random
 import time
 
-from oracles import complete_bipartite, complete_graph, label_permutation, petersen_graph, product_key
+from oracles import complete_bipartite, complete_graph, dense_character, label_permutation, petersen_graph, product_key
 from weylzeta import coxeter, hecke, rootsys, strips, zeta
 from weylzeta.series import (
     Matrix,
@@ -232,7 +232,7 @@ def test_criterion_10_property_suites(tables, torus_k2):
     # (b) multiplicativity on every length-additive pair at L=10, rank 2
     for tag in AFFINE_TAGS:
         table = tables[tag]
-        reps = [ch.as_representation() for ch in hecke.characters(table.system)]
+        reps = [dense_character(ch) for ch in hecke.characters(table.system)]
         torus = torus_k2[tag]
         elements = [el for layer in table.layers[:11] for el in layer]
         pairs = 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylzeta import coxeter, hecke
+from weylzeta import coxeter, hecke, strips
 from weylzeta.hecke import (
     FiniteTwistedSeries,
     HeckeElement,
@@ -21,8 +21,8 @@ from weylzeta.hecke import (
 )
 from weylzeta.series import Matrix, Poly, QPolynomial, RationalFunction, poincare_parabolic
 from oracles import (
-    character_word_value, cyclic_entry_rational, finite_twisted_coeffs, hecke_mul_recursion, multiply,
-    twisted_series,
+    character_word_value, cyclic_entry_rational, dense_character, finite_twisted_coeffs, hecke_mul_recursion,
+    multiply, twisted_series,
 )
 from rings import ring_values, rings, rule_kind
 
@@ -182,7 +182,7 @@ def test_validate_reports_braid_failure():
 def test_twisted_series_identity_subset(tables):
     t = tables["A2t"]
     ch = characters(t.system)[0]
-    rep = ch.as_representation()
+    rep = dense_character(ch)
     ts = twisted_series(t, ("elements", [t.identity]), rep)
     assert ts.coeffs == (Matrix(((QPolynomial.one(),),)),)
 
@@ -192,7 +192,7 @@ def test_twisted_series_trivial_character_scaling(tables):
     # series with u replaced by qu
     t = tables["C2t"]
     q = formal_q()
-    rep = characters(t.system)[0].as_representation()
+    rep = dense_character(characters(t.system)[0])
     for gens in ((0,), (0, 1), (1, 2)):
         ts = twisted_series(t, ("parabolic", gens), rep)
         plain = poincare_parabolic(t, gens)
@@ -203,7 +203,7 @@ def test_twisted_series_trivial_character_scaling(tables):
 def test_twisted_series_cyclic_closed_form(tables):
     t = tables["A2t"]
     q = formal_q()
-    rep = characters(t.system)[0].as_representation()
+    rep = dense_character(characters(t.system)[0])
     w1 = t.element_of_word((2, 1, 0))
     cyc = twisted_series(t, ("cyclic", w1), rep)
     den = Poly([QPolynomial.one(), QPolynomial.zero(), QPolynomial.zero(), -(q ** 3)])
@@ -219,7 +219,7 @@ def test_word_products_for_characters(tables):
     for tag in ("A2t", "G2t"):
         t = tables[tag]
         for ch in characters(t.system):
-            rep = ch.as_representation()
+            rep = dense_character(ch)
             assert check_word_products(rep, t, max_length=6)
 
 
@@ -271,7 +271,7 @@ def test_character_word_values(tables):
     t = tables["G2t"]
     q = formal_q()
     for ch in characters(t.system):
-        rep = ch.as_representation()
+        rep = dense_character(ch)
         for layer in t.layers[:5]:
             for el in layer:
                 assert rep.image(el).rows[0][0] == character_word_value(ch, el.word, q)
@@ -298,7 +298,7 @@ def test_json_ingestion_with_table():
 def test_twisted_series_coset_descriptor(tables):
     t = tables["A2t"]
     q = formal_q()
-    rep = characters(t.system)[0].as_representation()
+    rep = dense_character(characters(t.system)[0])
     ts = twisted_series(t, ("coset", (0, 1), (1,), "right"), rep)
     # the three minimal representatives have lengths 0, 1, 2
     for d, want in ((0, QPolynomial.one()), (1, q), (2, q ** 2)):
@@ -307,7 +307,7 @@ def test_twisted_series_coset_descriptor(tables):
 
 def test_cyclic_truncation_below_period(tables):
     t = tables["A2t"]
-    rep = characters(t.system)[0].as_representation()
+    rep = dense_character(characters(t.system)[0])
     w1 = t.element_of_word((2, 1, 0))
     ser = twisted_series(t, ("cyclic", w1), rep).truncate(2)
     assert ser.coeffs[0].rows[0][0] == QPolynomial.one()
@@ -533,7 +533,7 @@ def _twisted_reps(system):
     representation diag(2, -1) of every generator, ingested through JSON."""
     rep_2dim = {"dim": 2, "scalar": "rational", "q": 2,
                 "generators": {"s%d" % (i + 1): [[2, 0], [0, -1]] for i in range(system.num_generators)}}
-    return [ch.as_representation(q) for q in (None, 2, Fraction(1, 2)) for ch in characters(system)] + [
+    return [dense_character(ch, q) for q in (None, 2, Fraction(1, 2)) for ch in characters(system)] + [
         representation_from_json(system, rep_2dim)]
 
 
@@ -590,3 +590,80 @@ def test_twisted_group_sum_of_an_exhausted_finite_group():
     det = rep.det_series_hook(t, 5)
     assert [det.coeff(d) for d in range(6)] == [QPolynomial.one(), 2 * q, 2 * q ** 2, q ** 3,
                                                  QPolynomial.zero(), QPolynomial.zero()]
+
+
+# ---------------------------------------------------------------------------
+# characters read off letter-class counts, against their dense 1x1 images
+
+CHARACTER_QS = (None, 2, Fraction(1, 2), 3)
+
+
+def _kinds(values):
+    return [(type(c), tuple(map(type, c.coeffs)) if isinstance(c, QPolynomial) else ()) for c in values]
+
+
+def _assert_same_scalars(got, want):
+    """got equals want value by value and kind by kind, the q-coefficients' too."""
+    assert list(got) == list(want)
+    assert _kinds(got) == _kinds(want)
+
+
+def _entries(series):
+    return [m.rows[0][0] for m in series.coeffs]
+
+
+@st.composite
+def character_cases(draw):
+    tag = draw(st.sampled_from(sorted(TWISTED_TABLES)))
+    table = TWISTED_TABLES[tag]
+    ch = draw(st.sampled_from(characters(table.system)))
+    pool = [el for layer in table.layers for el in layer]
+    elements = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    cyclic = draw(st.sampled_from(pool[1:]))
+    return table, ch, draw(st.sampled_from(CHARACTER_QS)), elements, cyclic, draw(st.integers(0, table.bound))
+
+
+@settings(max_examples=200, deadline=None)
+@given(character_cases())
+def test_character_routes_match_the_dense_oracle(case):
+    table, ch, q, elements, cyclic, order = case
+    rep, dense = ch.as_representation(q), dense_character(ch, q)
+    assert rep.dim == dense.dim == 1
+    _assert_same_scalars(rep.finite_series(elements, order).coeffs, _entries(dense.finite_series(elements, order)))
+    _assert_same_scalars(rep.cyclic_series(cyclic, order).coeffs, _entries(dense.cyclic_series(cyclic, order)))
+    for got, want in ((rep.finite_det_factor(elements), dense.finite_det_factor(elements)),
+                      (rep.cyclic_det_factor(cyclic), dense.cyclic_det_factor(cyclic))):
+        _assert_same_scalars(got.num.coeffs, want.num.coeffs)
+        _assert_same_scalars(got.den.coeffs, want.den.coeffs)
+    _assert_same_scalars(rep.det_series_hook(table, order).coeffs, dense.det_series_hook(table, order).coeffs)
+
+
+def test_characters_are_never_validated(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("validate_representation called")
+
+    monkeypatch.setattr(hecke, "validate_representation", refuse)
+    table = TWISTED_TABLES["C2t"]
+    for ch in characters(table.system):
+        for q in CHARACTER_QS:
+            rep = ch.as_representation(q)
+            assert rep.finite_det_factor(table.parabolic_elements((0, 1))) is not None
+            assert rep.det_series_hook(table, 4).order == 4
+
+
+def test_character_identities_build_only_the_cyclic_1x1_matrices(tables, monkeypatch):
+    # the determinant identity builds one 1x1 Matrix per cyclic factor, for
+    # char_matrix_det, and the twisted factorization builds none
+    built = []
+    init, of_rows = Matrix.__init__, Matrix.of_rows
+    monkeypatch.setattr(Matrix, "__init__", lambda self, rows: built.append(rows) or init(self, rows))
+    monkeypatch.setattr(Matrix, "of_rows", staticmethod(lambda rows: built.append(rows) or of_rows(rows)))
+    for tag in sorted(TWISTED_TABLES):
+        table = tables[tag]
+        for ch in characters(table.system):
+            built.clear()
+            assert strips.verify_determinant_identity(table.system, ch.as_representation(), table).ok
+            assert [len(rows) for rows in built] == [1, 1]
+            built.clear()
+            assert strips.verify_twisted_factorization(table, strips.scheme_for(tag), ch.as_representation(), 8).ok
+            assert built == []

@@ -452,16 +452,34 @@ def test_affine_series_and_alt_products_match_the_alternating_sum(tables):
 
 def test_exact_division_makes_fractions_from_a_fraction_operand():
     # a quotient of two ints is an int when it is whole; a Fraction on
-    # either side makes a Fraction, a whole one too
-    for a, b in ((Poly([Fraction(2), Fraction(4)]), Poly([2])), (Poly([2, 4]), Poly([Fraction(2)]))):
+    # either side, in any coefficient, makes every coefficient a Fraction,
+    # a whole one too
+    for a, b in ((Poly([Fraction(2), Fraction(4)]), Poly([2])), (Poly([2, 4]), Poly([Fraction(2)])),
+                 (Poly([Fraction(2), 4]), Poly([2]))):
         quotient = a.exact_div(b)
         assert quotient == Poly([1, 2]) and str(quotient) == "1 + 2*u"
         assert [type(c) for c in quotient.coeffs] == [Fraction, Fraction]
+    assert [type(c) for c in Poly([Fraction(2), 2]).exact_div(Poly([1, 1])).coeffs] == [Fraction]
     assert [type(c) for c in Poly([2, 4]).exact_div(Poly([2])).coeffs] == [int, int]
+    quotient = Poly([QPolynomial((0, 2)), 2]).exact_div(Poly([2]))
+    assert quotient.coeffs == (QPolynomial((0, 1)), 1) and [type(c) for c in quotient.coeffs] == [QPolynomial] * 2
     power_sums = ExponentMap({1: 2, 3: -1}).power_sums(9)
     assert [type(c) for c in power_sum_exp(power_sums, 9).coeffs] == [int] * 10
+    series = power_sum_exp([8, -3, -1], 3)
+    assert series.coeffs == (1, 8, Fraction(61, 2), 73) and [type(c) for c in series.coeffs] == [Fraction] * 4
     half = RationalFunction(Poly([1]), Poly([Fraction(-1)]))
     assert [type(c) for c in half.num.coeffs + half.den.coeffs] == [Fraction, Fraction]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(rings).flatmap(lambda ring: st.tuples(
+    st.lists(ring_values[ring], max_size=5), st.lists(ring_values[ring], min_size=1, max_size=4))))
+def test_exact_division_follows_the_type_rule(case):
+    a, b = case
+    x, y = Poly(a), Poly(b)
+    assume(not y.is_zero())
+    product = x * y
+    assert_rule(product.exact_div(y).coeffs, x.coeffs, rule_kind(product.coeffs + y.coeffs))
 
 
 def test_det_poly_matrix_fraction_entries():

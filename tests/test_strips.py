@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
-from weylzeta import coxeter, hecke, strips
+from oracles import dense_character
+from weylzeta import coxeter, hecke, series, strips
 from weylzeta.series import Poly, QPolynomial, RationalFunction
 
 
@@ -151,7 +154,7 @@ def test_twisted_factorization_trivial_character_is_scaled_census(tables):
     rep = hecke.characters(t.system)[0].as_representation()
     total = strips.twisted_group_sum(rep, t, 6)
     for d in range(7):
-        assert total.coeffs[d].rows[0][0] == len(t.layers[d]) * q ** d
+        assert total.coeffs[d] == len(t.layers[d]) * q ** d
 
 
 def test_det_identity_characters(tables):
@@ -175,7 +178,7 @@ def test_det_identity_wrong_character_factor_fails_the_dual_check(tables, monkey
     target_words = [el.word for el in first_finite]
     reps = [ch.as_representation() for ch in hecke.characters(system)]
     wrong = reps[3]
-    orig = hecke.Representation.finite_det_factor
+    orig = hecke.CharacterRepresentation.finite_det_factor
 
     def tampered(self, elements):
         out = orig(self, elements)
@@ -183,7 +186,7 @@ def test_det_identity_wrong_character_factor_fails_the_dual_check(tables, monkey
             return out * RationalFunction(Poly.one() + Poly.u(5))
         return out
 
-    monkeypatch.setattr(hecke.Representation, "finite_det_factor", tampered)
+    monkeypatch.setattr(hecke.CharacterRepresentation, "finite_det_factor", tampered)
     for rep in reps:
         report = strips.verify_determinant_identity(system, rep, table)
         if rep is not wrong:
@@ -285,3 +288,30 @@ def test_census_power_lengths_and_identity_multiply_no_matrices(tables, monkeypa
         assert report.ok and report.dual_check_ok
     raw = strips.check_power_lengths(tables["G2t"], strips.unreplaced_strip_generator(), 4)
     assert not raw.ok and raw.first_failure[0] == 2
+
+
+def test_character_reports_match_the_dense_oracle(tables):
+    # every character at q formal, 2, 1/2 and 3: the letter-class route and
+    # the dense 1x1 images give the same reports, text included
+    for tag in ("A2t", "C2t", "G2t"):
+        table = tables[tag]
+        for q in (None, 2, Fraction(1, 2), 3):
+            for ch in hecke.characters(table.system):
+                reps = ch.as_representation(q), dense_character(ch, q)
+                new, old = (strips.verify_determinant_identity(table.system, rep, table) for rep in reps)
+                assert new.as_json() == old.as_json() and new.ok and new.dual_check_ok
+                assert str(new.alt_det) == str(old.alt_det) and new.alt_det == old.alt_det
+                assert [str(p) for p in new.strip_dets] == [str(p) for p in old.strip_dets]
+                new, old = (strips.verify_twisted_factorization(table, strips.scheme_for(tag), rep, 12)
+                            for rep in reps)
+                assert new.as_json() == old.as_json() and new.ok
+
+
+def test_census_builds_no_rational_function(tables, monkeypatch):
+    # the expected counts are read off the exponent maps
+    def refuse(*args):
+        raise AssertionError("binomial_product called")
+
+    monkeypatch.setattr(series, "binomial_product", refuse)
+    for tag in ("A2t", "C2t", "G2t"):
+        assert strips.factorization_census(tables[tag], strips.scheme_for(tag), 16).ok
