@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import coxeter, hecke, rootsys, series, strips, zeta
-from .series import alt_product_rational, poincare_affine, series_to_json
+from .series import ExponentMap, alt_product_rational, poincare_affine, series_to_json
 
 
 class InputError(ValueError):
@@ -116,7 +116,7 @@ def cmd_alt(config):
     system = _system(config)
     inv = alt_product_rational(system).inverse()
     factors = inv.binomial_factors()
-    lines = ["type: %s" % config.type_tag, "alt_inverse: %s" % inv]
+    lines = ["type: %s" % config.type_tag, "alt_inverse: %s" % ExponentMap(factors)]
     obj = {
         "type": config.type_tag,
         "alt_inverse": {"num": _poly_json(inv.num), "den": _poly_json(inv.den)},

@@ -57,41 +57,38 @@ class RootSystem:
             self.type_tag, len(self.positive_roots), self.coxeter_number)
 
 
-def positive_roots(family, rank):
-    """Generate the full positive system by closure from the simple roots.
-
-    Uses the standard root-string criterion: for a root a and simple root
-    a_i, a + a_i is a root exactly when p - <a, a_i^vee> > 0 where p is the
+def root_heights(cartan):
+    """{root: height} over the positive roots of a finite-type Cartan
+    matrix, reducible ones included, by closure from the simple roots
+    under the root-string criterion: for a root a and simple root a_i,
+    a + a_i is a root exactly when p - <a, a_i^vee> > 0, where p is the
     number of steps one can subtract a_i from a staying inside the system.
     """
+    n = len(cartan)
+    layer = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    heights, h = dict.fromkeys(layer, 1), 1
+    while layer:
+        h, nxt = h + 1, []
+        for a in layer:
+            for i in range(n):
+                p = 0  # a - a_i, ..., a - p a_i are roots
+                while a[i] > p and a[:i] + (a[i] - p - 1,) + a[i + 1:] in heights:
+                    p += 1
+                up = a[:i] + (a[i] + 1,) + a[i + 1:]
+                if p > sum(a[j] * cartan[i][j] for j in range(n)) and up not in heights:
+                    heights[up] = h
+                    nxt.append(up)
+        layer = nxt
+    return heights
+
+
+def positive_roots(family, rank):
+    """The root system of a finite type from root_heights, checked against
+    the classical root counts and for a unique highest root."""
     family = family.upper()
     cartan = tuple(tuple(r) for r in _finite_cartan(family, rank))
-    n = rank
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    known = set(simple)
-    by_height = {1: list(simple)}
-    h = 1
-    while by_height.get(h):
-        nxt = []
-        for a in by_height[h]:
-            for i in range(n):
-                pairing = sum(a[j] * cartan[i][j] for j in range(n))
-                p = 0
-                probe = list(a)
-                while True:
-                    probe[i] -= 1
-                    if probe[i] < 0 or tuple(probe) not in known:
-                        break
-                    p += 1
-                if p - pairing > 0:
-                    up = tuple(a[j] + (1 if j == i else 0) for j in range(n))
-                    if up not in known:
-                        known.add(up)
-                        nxt.append(up)
-        if nxt:
-            by_height[h + 1] = nxt
-        h += 1
-    roots = sorted(known, key=lambda r: (sum(r), r))
+    heights = root_heights(cartan)
+    roots = sorted(heights, key=lambda r: (heights[r], r))
     expected = _CLASSICAL_COUNTS[family]
     expected = expected(rank) if callable(expected) else expected.get(rank)
     if expected is not None and len(roots) != expected:

@@ -997,24 +997,28 @@ def det_poly_matrix(rows):
     entry in its column, flipping the sign; with no such row the
     determinant is 0.  The result unpacks over prod_i L_i, its
     coefficients of one kind by the type rule of the int rows; a matrix of
-    size at most 1 returns its entry.
+    size at most 1 returns its entry, and a matrix of ints packs as itself.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise SeriesError("determinant of a non-square matrix")
     if n <= 1:
         return Poly.coerce(rows[0][0]) if n else Poly.one()
-    coeffs = [[Poly.coerce(entry).coeffs for entry in r] for r in rows]
-    flat = [_int_rows(list(chain.from_iterable(r))) for r in coeffs]
-    stride = 1 + sum(width - 1 for _rows, width, _scale, _kind in flat)  # D + 1
-    bound, scale, kind, spread = 1, 1, 0, []
-    for r, (ints, _width, row_scale, row_kind) in zip(coeffs, flat):  # entry j's u-coefficients, spread
-        entries = [_spread(ints[s:e], stride, row_kind) for s, e in pairwise([0, *accumulate(map(len, r))])]
-        bound *= max(1, sum([sum(map(abs, e)) ** 2 for e in entries]))
-        scale, kind = scale * row_scale, kind | row_kind
-        spread.append(entries)
-    b = (math.isqrt(bound) + 1).bit_length() + 1
-    a = [[_kronecker(e, b) for e in entries] for entries in spread]
+    if _INT.issuperset(map(type, chain.from_iterable(rows))):  # each int is its own packed value
+        a, unpack = [list(r) for r in rows], lambda det: (det,)
+    else:
+        coeffs = [[Poly.coerce(entry).coeffs for entry in r] for r in rows]
+        flat = [_int_rows(list(chain.from_iterable(r))) for r in coeffs]
+        stride = 1 + sum(width - 1 for _rows, width, _scale, _kind in flat)  # D + 1
+        bound, scale, kind, spread = 1, 1, 0, []
+        for r, (ints, _width, row_scale, row_kind) in zip(coeffs, flat):  # entry j's u-coefficients, spread
+            entries = [_spread(ints[s:e], stride, row_kind) for s, e in pairwise([0, *accumulate(map(len, r))])]
+            bound *= max(1, sum([sum(map(abs, e)) ** 2 for e in entries]))
+            scale, kind = scale * row_scale, kind | row_kind
+            spread.append(entries)
+        b = (math.isqrt(bound) + 1).bit_length() + 1
+        a = [[_kronecker(e, b) for e in entries] for entries in spread]
+        unpack = lambda det: _from_kronecker(det, b, stride, scale, kind)
     sign, prev = 1, 1
     for k in range(n - 1):
         if not a[k][k]:
@@ -1034,7 +1038,7 @@ def det_poly_matrix(rows):
                 row[j] = quotient
         prev = pivot
     # coefficient of q^e u^d at place d (D+1) + e
-    return Poly(_from_kronecker(sign * a[-1][-1], b, stride, scale, kind))
+    return Poly(unpack(sign * a[-1][-1]))
 
 
 def char_matrix_det(mat, shift_power=1):
@@ -1052,77 +1056,63 @@ def char_matrix_det(mat, shift_power=1):
 
 
 # ---------------------------------------------------------------------------
-# Poincare series of Coxeter groups (consumes coxeter tables)
+# Poincare series of Coxeter groups
 
 
 def poincare_parabolic(table, gens):
     """Length generating polynomial of the finite parabolic subgroup
     generated by the given generator indices."""
-    elements = table.parabolic_elements(gens)
-    counts = [0] * (elements[-1].length + 1)
-    for e in elements:
-        counts[e.length] += 1
-    return Poly(counts)
+    counts = Counter(e.length for e in table.parabolic_elements(gens))
+    return Poly([counts[d] for d in range(max(counts) + 1)])
 
 
-def _require_affine(system):
+def _affine_maps(system, order, table=None):
+    """The exponent maps of the proper parabolics' Poincare series, by
+    subset, and of W(u), whose truncation at order is checked exactly
+    against the layer counts: the table's or else a streaming count
+    (coxeter.layer_sizes).  Returns (maps, W(u)'s map, truncation).
+
+    A finite W_J(u) is Macdonald's height product over the roots of its
+    Cartan submatrix (rootsys.root_heights), of finite type for a proper J
+    (Kac, Infinite-dimensional Lie algebras, Prop. 4.7): no element is
+    enumerated.  The parabolic with the most roots is a special node's
+    complement, a copy of the finite Weyl group W0 (any other maximal
+    parabolic is a proper reflection subgroup of it), and Bott's formula
+    (Bott 1956; Macdonald 1972) gives W(u) = W0(u) / prod (1 - u^(d_i - 1))
+    over W0's degrees d_i.
+    """
+    from . import coxeter, rootsys
+
     if not system.is_affine:
         raise SeriesError("Poincare series in closed form needs an affine system")
-
-
-def _affine_maps(system, order, table):
-    """The exponent maps of the proper parabolics' layer polynomials, by
-    subset, and of W(u), whose truncation at order is checked exactly
-    against the layer counts: the supplied table's or, with no table, a
-    streaming count (coxeter.layer_sizes) next to a DEFAULT_BOUND table
-    for the parabolics.  Returns (maps, W(u)'s map, truncation).
-
-    A finite W_J(u) is prod [d_i]_u over its degrees, the map
-    {d_i: +1, 1: -rank}, read by the exact peel.  The largest proper
-    parabolic is a special node's complement, a copy of the finite Weyl
-    group W0 (any other maximal parabolic is a proper reflection subgroup
-    of it), and Bott's formula (Bott 1956; Macdonald 1972) gives
-    W(u) = W0(u) / prod (1 - u^(d_i - 1)).
-    """
-    from . import coxeter
-
-    _require_affine(system)
-    if table is None:
-        layers = coxeter.layer_sizes(system, order)
-        table = coxeter.enumerate_elements(system, coxeter.DEFAULT_BOUND)
-    else:
-        layers = table.layer_sizes()
-    maps = {J: ExponentMap(RationalFunction(poincare_parabolic(table, J)).binomial_factors())
-            for J in coxeter.all_proper_subsets(system.num_generators)}
-    w0 = maps[max(maps, key=lambda J: len(table.parabolic_elements(J)))]
+    c = system.cartan
+    roots = {J: rootsys.root_heights([[c[i][j] for j in J] for i in J])
+             for J in coxeter.all_proper_subsets(system.num_generators)}
+    maps = {J: ExponentMap(rootsys._height_map(heights.values())) for J, heights in roots.items()}
+    w0 = maps[max(roots, key=lambda J: len(roots[J]))]
     full = w0 / ExponentMap({d - 1: m for d, m in w0.exponents.items() if d > 1})
     ps = full.expand(order)
+    layers = table.layer_sizes() if table is not None else coxeter.layer_sizes(system, order)
     for d, count in enumerate(layers[: order + 1]):
         if ps.coeff(d) != count:
             raise SeriesError("affine Poincare series disagrees with BFS layers at degree %d" % d)
     return maps, full, ps
 
 
-def poincare_affine(system, order, table=None):
+def poincare_affine(system, order):
     """Exact rational Poincare series of an affine system in lowest terms,
-    plus its truncation, checked against the layer counts (_affine_maps)."""
-    _, full, ps = _affine_maps(system, order, table)
+    plus its truncation, checked against the BFS layers (_affine_maps)."""
+    _, full, ps = _affine_maps(system, order)
     return binomial_product(full.exponents), ps
 
 
-def alt_product_rational(system, table=None):
+def alt_product_rational(system):
     """Alternating product of parabolic Poincare series over all subsets
     of the generators, in lowest terms: each proper W_J(u) to the power
-    (-1)^(k - |J|), times W(u) (_affine_maps, checked against the table's
-    layers up to 2k + 16)."""
-    from . import coxeter
-
-    _require_affine(system)  # before a finite group is enumerated
+    (-1)^(k - |J|), times W(u) (_affine_maps, whose W(u) is checked
+    against the BFS layers up to 2k + 16); no element is enumerated."""
     k = system.num_generators
-    order = 2 * k + 16
-    if table is None:
-        table = coxeter.enumerate_elements(system, order)
-    maps, out, _ = _affine_maps(system, order, table)
+    maps, out, _ = _affine_maps(system, 2 * k + 16)
     for subset, w in maps.items():
         out = out * (w if (len(subset) + k) % 2 == 0 else w.inverse())
     return binomial_product(out.exponents)

@@ -132,12 +132,12 @@ def test_macdonald_matches_bfs_rank_le_4():
         assert fin == RationalFunction(poincare_parabolic(table, range(rank))), (fam, rank)
 
 
-def test_macdonald_affine_matches_rank2_series(tables):
+def test_macdonald_affine_matches_rank2_series():
     pairs = {"A2t": ("A", 2), "C2t": ("C", 2), "G2t": ("G", 2)}
     for tag, (fam, rank) in pairs.items():
         rs = rootsys.positive_roots(fam, rank)
         _, aff = rootsys.macdonald_series(rs)
-        rf, _ = poincare_affine(coxeter.build_system(tag), 10, tables[tag])
+        rf, _ = poincare_affine(coxeter.build_system(tag), 10)
         assert aff == rf, tag
     rs = rootsys.positive_roots("A", 1)
     _, aff = rootsys.macdonald_series(rs)
@@ -145,12 +145,12 @@ def test_macdonald_affine_matches_rank2_series(tables):
     assert aff == rf
 
 
-def test_alt_via_sincere_matches_direct(tables):
+def test_alt_via_sincere_matches_direct():
     pairs = {"A2t": ("A", 2), "C2t": ("C", 2), "G2t": ("G", 2)}
     for tag, (fam, rank) in pairs.items():
         rs = rootsys.positive_roots(fam, rank)
         _, alt_aff = rootsys.alt_via_sincere(rs)
-        assert alt_aff == alt_product_rational(coxeter.build_system(tag), tables[tag]), tag
+        assert alt_aff == alt_product_rational(coxeter.build_system(tag)), tag
 
 
 def test_alt_via_sincere_finite_matches_subset_product():
@@ -197,12 +197,12 @@ def test_exponents_match_strip_lengths_g2():
     assert ds == lengths == [3, 5]
 
 
-def test_extended_cartan_builds_affine_system(tables):
+def test_extended_cartan_builds_affine_system():
     ext = extended_cartan("A", 2)
     system = coxeter.CoxeterSystem("A2-extended", ext)
     assert system.is_affine
     rf_ext, _ = poincare_affine(system, 8)
-    rf_std, _ = poincare_affine(coxeter.build_system("A2t"), 8, tables["A2t"])
+    rf_std, _ = poincare_affine(coxeter.build_system("A2t"), 8)
     assert rf_ext == rf_std
 
 

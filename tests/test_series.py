@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weylzeta import coxeter, series
+from weylzeta import cli, coxeter, rootsys, series
 from weylzeta.series import (
     ExponentMap,
     Matrix,
@@ -370,8 +371,8 @@ def test_finite_alternating_sum_is_top_length():
         assert rational_sum(terms) == RationalFunction(Poly.u(top))
 
 
-def test_affine_series_examples(tables):
-    rf, ps = poincare_affine(coxeter.build_system("A2t"), 8, tables["A2t"])
+def test_affine_series_examples():
+    rf, ps = poincare_affine(coxeter.build_system("A2t"), 8)
     want = RationalFunction(Poly((1, 1)) * Poly((1, 1, 1)), Poly((1, -1)) * Poly((1, 0, -1)))
     assert rf == want
     assert list(ps.coeffs) == [1, 3, 6, 9, 12, 15, 18, 21, 24]
@@ -381,18 +382,18 @@ def test_affine_series_examples(tables):
     assert list(ps1.coeffs) == [1, 2, 2, 2, 2, 2, 2]
 
     for tag in ("A2t", "C2t", "G2t"):
-        _, ps = poincare_affine(coxeter.build_system(tag), 4, tables[tag])
+        _, ps = poincare_affine(coxeter.build_system(tag), 4)
         assert ps.coeff(0) == 1
 
 
-def test_alt_product_closed_forms(tables):
+def test_alt_product_closed_forms():
     want = {
         "A2t": [(3, 2)],
         "C2t": [(3, 1), (4, 1)],
         "G2t": [(3, 1), (5, 1)],
     }
     for tag, factors in want.items():
-        alt = alt_product_rational(coxeter.build_system(tag), tables[tag])
+        alt = alt_product_rational(coxeter.build_system(tag))
         assert alt.inverse().binomial_factors() == factors
 
 
@@ -426,28 +427,79 @@ def test_affine_series_rejects_infinite_parabolic():
     hyper = coxeter.CoxeterSystem("hyperbolic", ((2, -2, -2), (-2, 2, -2), (-2, -2, 2)))
     assert not hyper.is_affine
     with pytest.raises(SeriesError):
-        poincare_affine(hyper, 6, coxeter.enumerate_elements(hyper, 6))
+        poincare_affine(hyper, 6)
+
+
+def _affine_systems(tables):
+    """(system, table to length 24) for the built-in affine types and for
+    affine systems known only by their Cartan matrices; in the reversed
+    C2t and G2t the first two nodes span no copy of W0."""
+    systems = [coxeter.build_system(tag) for tag in ("A1t", "A2t", "C2t", "G2t")]
+    systems += [coxeter.CoxeterSystem("%s2-extended" % f, extended_cartan(f, 2)) for f in "ACG"]
+    for tag in ("C2t", "G2t"):
+        cartan = [row[::-1] for row in coxeter.build_system(tag).cartan[::-1]]
+        systems.append(coxeter.CoxeterSystem(tag + "-reversed", cartan))
+    return [(system, tables.get(system.type_tag) or coxeter.enumerate_elements(system, 24)) for system in systems]
 
 
 def test_affine_series_and_alt_products_match_the_alternating_sum(tables):
     # Bott's formula and the product of exponent maps against the
-    # alternating sum over the proper parabolics, on the built-in affine
-    # types and on affine systems known only by their Cartan matrices; in
-    # the reversed C2t and G2t the first two nodes span no copy of W0
-    systems = [(coxeter.build_system(tag), tables.get(tag)) for tag in ("A1t", "A2t", "C2t", "G2t")]
-    systems += [(coxeter.CoxeterSystem("%s2-extended" % f, extended_cartan(f, 2)), None) for f in "ACG"]
-    for tag in ("C2t", "G2t"):
-        cartan = [row[::-1] for row in coxeter.build_system(tag).cartan[::-1]]
-        systems.append((coxeter.CoxeterSystem(tag + "-reversed", cartan), None))
-    for system, table in systems:
-        table = table or coxeter.enumerate_elements(system, 24)
-        rf, ps = poincare_affine(system, 24, table)
+    # alternating sum over the proper parabolics
+    for system, table in _affine_systems(tables):
+        rf, ps = poincare_affine(system, 24)
         want = poincare_affine_alternating_sum(system, table)
         assert rf == want and str(rf) == str(want), system
         assert ps == want.expand(24), system
-        alt = alt_product_rational(system, table)
+        alt = alt_product_rational(system)
         want = alt_product_alternating_sum(system, table)
         assert alt == want and str(alt) == str(want), system
+
+
+def test_parabolic_height_maps_match_the_table_peel(tables):
+    # G2t's {s2, s3} is A1 x A1: two roots of height 1 and no unique
+    # highest root, which positive_roots' checks would refuse
+    c = coxeter.build_system("G2t").cartan
+    assert rootsys.root_heights([[c[i][j] for j in (1, 2)] for i in (1, 2)]) == {(1, 0): 1, (0, 1): 1}
+    for system, table in _affine_systems(tables):
+        maps, _, _ = series._affine_maps(system, 24)
+        assert sorted(maps) == sorted(coxeter.all_proper_subsets(system.num_generators)), system
+        for subset, w in maps.items():
+            assert w == exponent_map_of_poly(poincare_parabolic(table, subset)), (system, subset)
+
+
+def test_affine_lines_enumerate_nothing(tables, monkeypatch, capsys):
+    # the parabolics come from root heights and W(u) is checked against
+    # the streaming layer count, so with enumeration refused every value,
+    # the CLI's included, still equals the alternating-sum oracles
+    want = [(system, poincare_affine_alternating_sum(system, table), alt_product_alternating_sum(system, table))
+            for system, table in _affine_systems(tables)]
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerate_elements called")
+
+    monkeypatch.setattr(coxeter, "enumerate_elements", no_enumeration)
+    for system, w, alt in want:
+        rf, ps = poincare_affine(system, 30)
+        assert rf == w and str(rf) == str(w) and ps == w.expand(30), system
+        got = alt_product_rational(system)
+        assert got == alt and str(got) == str(alt), system
+        tag = system.type_tag
+        if tag not in ("A1t", "A2t", "C2t", "G2t"):
+            continue
+        inv = alt.inverse()
+        for fmt in ("text", "json"):
+            assert cli.main(["alt", "--type", tag, "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert cli.main(["poincare", "--type", tag, "--trunc", "30", "--format", fmt]) == 0
+            out_poincare = capsys.readouterr().out
+            if fmt == "text":
+                assert out.splitlines()[1] == "alt_inverse: %s" % inv, tag
+                assert out_poincare.splitlines()[1:] == [
+                    "rational: %s" % w, "coefficients (to u^30): %s" % " ".join(map(str, ps.coeffs))], tag
+            else:
+                assert json.loads(out)["binomial_factors"] == [list(f) for f in inv.binomial_factors()], tag
+                lowest = binomial_product(w.binomial_factors())
+                assert json.loads(out_poincare)["series"] == series.series_to_json(lowest, w.expand(30)), tag
 
 
 def test_exact_division_makes_fractions_from_a_fraction_operand():
@@ -565,28 +617,40 @@ def _det_matches_berkowitz(rows):
     """det_poly_matrix equals the Berkowitz oracle, its coefficients of
     one kind by the int-row rule; returns it."""
     det = det_poly_matrix(rows)
-    assert_rule(det.coeffs, _det_berkowitz(rows).coeffs, rule_kind([c for row in rows for p in row for c in p.coeffs]))
+    polys = [[Poly.coerce(entry) for entry in row] for row in rows]
+    assert_rule(det.coeffs, _det_berkowitz(polys).coeffs, rule_kind([c for row in polys for p in row for c in p.coeffs]))
     return det
 
 
+# matrices of plain ints, which det_poly_matrix takes as their own packed ints
+int_matrices = st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(rings).flatmap(poly_matrices),
+@given(st.one_of(st.sampled_from(rings).flatmap(poly_matrices).map(
+    lambda coeff_rows: [[Poly(cs) for cs in row] for row in coeff_rows]), int_matrices),
        st.sampled_from(("drawn", "zero_pivot", "equal_rows", "zero_column")))
-def test_bareiss_det_matches_berkowitz(coeff_rows, shape):
-    rows = [[Poly(cs) for cs in row] for row in coeff_rows]
+def test_bareiss_det_matches_berkowitz(rows, shape):
+    plain = type(rows[0][0]) is int
+    zero, one = (0, 1) if plain else (Poly.zero(), Poly.one())
     if shape == "zero_pivot":
         # the first pivot is zero and a lower row can replace it
-        rows[0][0] = Poly.zero()
-        if rows[-1][0].is_zero():
-            rows[-1][0] = Poly.one()
+        rows[0][0] = zero
+        if rows[-1][0] == zero:
+            rows[-1][0] = one
     elif shape == "equal_rows":
         rows[-1] = list(rows[0])
     elif shape == "zero_column":
         for row in rows:
-            row[0] = Poly.zero()
+            row[0] = zero
     det = _det_matches_berkowitz(rows)
     if shape in ("equal_rows", "zero_column"):
         assert det == Poly.zero()
+    if plain:  # the same value, kinds and str as the matrix of constant polynomials
+        packed = det_poly_matrix([[Poly.coerce(entry) for entry in row] for row in rows])
+        assert det.coeffs == packed.coeffs and str(det) == str(packed)
+        assert [type(c) for c in det.coeffs] == [type(c) for c in packed.coeffs]
 
 
 @settings(max_examples=100, deadline=None)
