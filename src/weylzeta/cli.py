@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import coxeter, hecke, rootsys, series, strips, zeta
-from .series import ExponentMap, alt_product_rational, poincare_affine, series_to_json
+from .series import ExponentMap, alt_product_rational, binomial_product, poincare_affine, series_to_json
 
 
 class InputError(ValueError):
@@ -59,10 +59,6 @@ def _jsonable(x):
     return x
 
 
-def _poly_json(p):
-    return [_jsonable(c) for c in p.coeffs]
-
-
 def _emit(config, text_lines, json_obj):
     """Write the output to --out, or to stdout.  Returns False when --out
     cannot be opened; that InputError is then written to stdout."""
@@ -97,30 +93,29 @@ def _emit_error(config, exc):
 def cmd_poincare(config):
     system = _system(config)
     if system.is_affine:
-        rf, ps = poincare_affine(system, config.trunc)
+        w, ps = poincare_affine(system, config.trunc)
     else:
-        # closed form via the height product; exact even for E8
+        # Macdonald's height product; exact even for E8, and a polynomial
+        # of degree N, the number of positive roots
         rs = rootsys.positive_roots(config.type_tag[0], system.rank)
-        rf, _ = rootsys.macdonald_series(rs)
-        poly = rf.as_polynomial()
-        ps = poly.truncate(min(config.trunc, poly.degree))
+        w = ExponentMap(rootsys._height_map(rs.heights()))
+        ps = w.expand(min(config.trunc, len(rs.positive_roots)))
     lines = [
         "type: %s" % config.type_tag,
-        "rational: %s" % rf,
+        "rational: %s" % w,
         "coefficients (to u^%d): %s" % (ps.order, " ".join(str(c) for c in ps.coeffs)),
     ]
-    return 0, lines, {"type": config.type_tag, "series": series_to_json(rf, ps)}
+    return 0, lines, {"type": config.type_tag, "series": series_to_json(binomial_product(w.exponents), ps)}
 
 
 def cmd_alt(config):
-    system = _system(config)
-    inv = alt_product_rational(system).inverse()
-    factors = inv.binomial_factors()
-    lines = ["type: %s" % config.type_tag, "alt_inverse: %s" % ExponentMap(factors)]
+    inv = alt_product_rational(_system(config)).inverse()
+    lowest = binomial_product(inv.exponents)
+    lines = ["type: %s" % config.type_tag, "alt_inverse: %s" % inv]
     obj = {
         "type": config.type_tag,
-        "alt_inverse": {"num": _poly_json(inv.num), "den": _poly_json(inv.den)},
-        "binomial_factors": factors,
+        "alt_inverse": {"num": lowest.num.coeffs, "den": lowest.den.coeffs},
+        "binomial_factors": sorted(inv.exponents.items()),
     }
     return 0, lines, obj
 

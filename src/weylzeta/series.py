@@ -116,7 +116,7 @@ class _DensePoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return type(self)(out)
+        return type(self)(_widest(out, a + b))
 
     __radd__ = __add__
 
@@ -159,7 +159,8 @@ class _DensePoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return _power(self, n, self.one())
+        """By the type rule, p ** 0 is 1 in the kind of p's coefficients."""
+        return _power(self, n, self.one()) if n else type(self)(_one_kind([1], _int_rows(self.coeffs)[3]))
 
     def __eq__(self, other):
         if type(other) is int:
@@ -177,11 +178,12 @@ class _DensePoly:
         return hash(self.coeffs)
 
     def evaluate(self, value):
-        """Horner evaluation at a scalar value of the variable."""
+        """Horner evaluation at a scalar value of the variable, in the widest
+        kind among the coefficients' and the value's."""
         out = 0
         for c in reversed(self.coeffs):
             out = out * value + c
-        return out
+        return _widest([out], self.coeffs + (value,))[0]
 
     def exact_div(self, other):
         """Exact division by another polynomial; raises on nonzero remainder.
@@ -277,6 +279,7 @@ def _divide_scalar(a, b):
 # result's coefficients take the widest kind among its operands':
 # QPolynomials, else Fractions (whole ones too), else ints; a
 # QPolynomial's own coefficients are Fractions when any value is one.
+# Sums, differences, evaluation and p ** 0 take it too (_widest).
 
 
 def _int_rows(values):
@@ -297,6 +300,12 @@ def _int_rows(values):
 
 
 _INT = frozenset((int,))
+
+
+def _widest(values, operands):
+    """The values in the widest kind among the operands'; ints from ints
+    stay as they are."""
+    return values if _INT.issuperset(map(type, operands)) else _one_kind(values, _int_rows(operands)[3])
 
 
 def _one_kind(values, kind=0):
@@ -491,14 +500,17 @@ class PowerSeries:
         return self.coeffs[d]
 
     def __add__(self, other):
-        other = self._match(other)
-        n = min(self.order, other.order)
-        return PowerSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n)
+        return self._combine(other, add)
 
     def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def _combine(self, other, op):
+        """The sum or difference to the lower order, under the type rule."""
         other = self._match(other)
         n = min(self.order, other.order)
-        return PowerSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)], n)
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        return PowerSeries(_widest(list(map(op, a, b)), a + b), n)
 
     def __neg__(self):
         return PowerSeries([-c for c in self.coeffs], self.order)
@@ -1100,19 +1112,19 @@ def _affine_maps(system, order, table=None):
 
 
 def poincare_affine(system, order):
-    """Exact rational Poincare series of an affine system in lowest terms,
+    """The Poincare series W(u) of an affine system as its exponent map,
     plus its truncation, checked against the BFS layers (_affine_maps)."""
     _, full, ps = _affine_maps(system, order)
-    return binomial_product(full.exponents), ps
+    return full, ps
 
 
 def alt_product_rational(system):
     """Alternating product of parabolic Poincare series over all subsets
-    of the generators, in lowest terms: each proper W_J(u) to the power
+    of the generators, as an exponent map: each proper W_J(u) to the power
     (-1)^(k - |J|), times W(u) (_affine_maps, whose W(u) is checked
     against the BFS layers up to 2k + 16); no element is enumerated."""
     k = system.num_generators
     maps, out, _ = _affine_maps(system, 2 * k + 16)
     for subset, w in maps.items():
         out = out * (w if (len(subset) + k) % 2 == 0 else w.inverse())
-    return binomial_product(out.exponents)
+    return out

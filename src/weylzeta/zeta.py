@@ -43,6 +43,10 @@ class ZetaError(Exception):
     pass
 
 
+# the degree to which `TorusQuotient.block_det` checks its map's power sums
+DUAL_CHECK_ORDER = 4
+
+
 # ---------------------------------------------------------------------------
 # finite graphs
 
@@ -225,35 +229,18 @@ def traces(rows, order):
     return out
 
 
-def _moebius(n):
-    out, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
-        out = -out
-    return out
-
-
 def primitive_counts_from_traces(counts):
-    """Necklace inversion: N_n = sum_{d|n} d * p_d, solved for p_d.
+    """Necklace inversion: N_n = sum_{d|n} d * p_d, solved for p_n by
+    p_n = (N_n - sum_{d|n, d<n} d p_d) / n.
 
     Every count must come out a nonnegative integer (each closed class is
     a repetition of a unique primitive one)."""
-    order = len(counts)
     prim = []
-    for d in range(1, order + 1):
-        total = 0
-        for e in range(1, d + 1):
-            if d % e == 0:
-                total += _moebius(d // e) * counts[e - 1]
-        if total % d != 0 or total < 0:
-            raise ZetaError("necklace inversion failed at length %d" % d)
-        prim.append(total // d)
+    for n, count in enumerate(counts, 1):
+        total = count - sum(d * prim[d - 1] for d in range(1, n) if n % d == 0)
+        if total % n != 0 or total < 0:
+            raise ZetaError("necklace inversion failed at length %d" % n)
+        prim.append(total // n)
     return prim
 
 
@@ -695,7 +682,7 @@ class TorusQuotient:
 
     # -- exact block determinants ---------------------------------------------
 
-    def block_det(self, perm_len_keys, dual_check_order=4):
+    def block_det(self, perm_len_keys):
         """Exact determinant of sum_w rho(e_w) u^l(w) over a finite element
         set S, given as (compact pair, length, key) triples, as an
         ExponentMap in closed form: no block is built.
@@ -714,7 +701,7 @@ class TorusQuotient:
         W_J, or a pair that is not its key's raises ZetaError.  When S holds
         the identity, the map's power sums p_j = -sum_(d|j) d m_d must equal
         the one-vector ones of the elements named by the keys up to
-        u^dual_check_order: equal power sums are equal truncated series."""
+        u^DUAL_CHECK_ORDER: equal power sums are equal truncated series."""
         table, n = self.table, self.n
         elements = [table.element(key) for _perm, _length, key in perm_len_keys]
         letters, climbed = set(), {table.identity}
@@ -749,8 +736,8 @@ class TorusQuotient:
         # independent truncated route, from the keys alone
         if [el.length for el in elements].count(0) == 1:
             pushes = [((self._w0_mul[pair[0]], pair[1]), el.length) for (pair, _length, _key), el
-                      in zip(perm_len_keys, elements) if 0 < el.length <= dual_check_order]
-            if _one_vector_power_sums(pushes, n, dual_check_order) != det.power_sums(dual_check_order):
+                      in zip(perm_len_keys, elements) if 0 < el.length <= DUAL_CHECK_ORDER]
+            if _one_vector_power_sums(pushes, n, DUAL_CHECK_ORDER) != det.power_sums(DUAL_CHECK_ORDER):
                 raise ZetaError("regular-block determinant failed the trace-log cross-check")
         return det
 

@@ -613,6 +613,56 @@ def test_poincare_large_finite_type(capsys):
     assert obj["series"]["coeffs"] == [1, 8, 35, 112, 294]
 
 
+POINCARE_AND_ALT_LINES = (
+    [("poincare", "--type", tag, "--trunc", str(n)) for tag in ("A1t", "A2t", "C2t", "G2t") for n in (0, 12, 30)]
+    + [("alt", "--type", tag) for tag in ("A1t", "A2t", "C2t", "G2t")]
+    + [("poincare", "--type", tag, "--trunc", str(n))
+       for tag in ("A1", "A2", "B3", "C4", "D5", "E6", "E8", "F4", "G2") for n in (0, 3, 30)]
+)
+
+
+def _rational_function_route(argv):
+    """(text lines, JSON object) of a poincare or alt line by Macdonald's
+    rational functions: rootsys.macdonald_series and alt_via_sincere in
+    lowest terms, printed through the peel, a finite series truncated
+    through an exact division."""
+    tag = argv[2]
+    rs = rootsys.positive_roots(tag[0], int(tag[1:].rstrip("t")))
+    if argv[0] == "alt":
+        inv = rootsys.alt_via_sincere(rs)[1].inverse()
+        return ["type: %s" % tag, "alt_inverse: %s" % inv], {
+            "type": tag, "alt_inverse": {"num": list(inv.num.coeffs), "den": list(inv.den.coeffs)},
+            "binomial_factors": [list(f) for f in inv.binomial_factors()]}
+    trunc = int(argv[4])
+    finite, affine = rootsys.macdonald_series(rs)
+    if tag.endswith("t"):
+        rf, ps = affine, affine.expand(trunc)
+    else:
+        poly = finite.as_polynomial()
+        rf, ps = finite, poly.truncate(min(trunc, poly.degree))
+    lines = ["type: %s" % tag, "rational: %s" % rf,
+             "coefficients (to u^%d): %s" % (ps.order, " ".join(map(str, ps.coeffs)))]
+    return lines, {"type": tag, "series": series.series_to_json(rf, ps)}
+
+
+def test_poincare_and_alt_lines_peel_nothing(capsys, monkeypatch):
+    # both commands print exponent maps and build lowest terms once: with
+    # the peel, the exact division and macdonald_series refused, every
+    # line still prints what the rational-function route gives
+    want = {argv: _rational_function_route(argv) for argv in POINCARE_AND_ALT_LINES}
+
+    def refuse(*_args):
+        raise AssertionError("a poincare or alt line peeled a rational function or called macdonald_series")
+
+    for owner, name in ((series.RationalFunction, "binomial_factors"), (series.RationalFunction, "as_polynomial"),
+                        (rootsys, "macdonald_series")):
+        monkeypatch.setattr(owner, name, refuse)
+    for argv, (lines, obj) in want.items():
+        assert run_cli(list(argv), capsys) == (0, "\n".join(lines) + "\n"), argv
+        status, out = run_cli([*argv, "--format", "json"], capsys)
+        assert status == 0 and json.loads(out) == obj, argv
+
+
 def test_help_renders(capsys):
     import pytest as _pytest
 

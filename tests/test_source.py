@@ -147,7 +147,7 @@ def test_the_int_layout_guard_sees_each_form(tmp_path):
 # change that shrinks src/ lowers the budget, which may stay at most
 # SOURCE_LINE_SLACK lines above the count; one that must raise it says by
 # how much and why.
-SOURCE_LINE_BUDGET = 4122
+SOURCE_LINE_BUDGET = 4116
 SOURCE_LINE_SLACK = 20
 
 

@@ -7,6 +7,7 @@ import types
 import weakref
 from collections import Counter
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -832,7 +833,7 @@ class FreeAction(TorusQuotient):
     permutation of the relabelled chambers, which block_det compares and
     the orbit oracle reads.  Generators outside J get no permutation, so
     only W_J can be walked, and the trace-log check (which walks a ball of
-    the whole group) must be off: dual_check_order=0."""
+    the whole group) must be off: zeta.DUAL_CHECK_ORDER = 0."""
 
     def __init__(self, table, letters, copies, relabel):
         group = table.parabolic_elements(letters)
@@ -883,7 +884,8 @@ def test_block_det_matches_the_orbit_oracle_on_random_free_actions(tables, actio
     free = FreeAction(t, letters, copies, relabel)
     els = (t.parabolic_elements(letters) if coset is None
            else coxeter.min_coset_reps(t, letters, sub, coset))
-    det = free.block_det([(free.perm(el), el.length, el.key) for el in els], dual_check_order=0)
+    with mock.patch.object(zeta_mod, "DUAL_CHECK_ORDER", 0):
+        det = free.block_det([(free.perm(el), el.length, el.key) for el in els])
     oracle = orbit_block_det(copies * size, [(free.perm(el), el.length, el.key) for el in els])
     assert det == oracle
     assert det.exponents == oracle.exponents
@@ -1506,7 +1508,7 @@ def test_block_det_refuses_a_set_that_is_not_a_coset_set(torus_k2):
     # {e, s1 s2, s1 s2} would pass the count alone: W_J^I = {e, s2, s1 s2} for I = {s1}
     for els in (group[:-1], [t.identity, s1s2], [t.identity, s1s2, s1s2]):
         with pytest.raises(ZetaError, match="letters 12 are no set of minimal coset representatives"):
-            tq.block_det([(tq.perm(w), w.length, w.key) for w in els], dual_check_order=0)
+            tq.block_det([(tq.perm(w), w.length, w.key) for w in els])
 
 
 @pytest.mark.parametrize("tag", ["A2t", "C2t", "G2t"])
