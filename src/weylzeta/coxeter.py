@@ -549,7 +549,7 @@ def layer_sizes(system, bound=DEFAULT_BOUND):
     cap = element_cap()
     reflect = system.right_multiply_key
     layer = [system.word_key(())]
-    sizes = [1]
+    sizes, total = [1], 1
     for _ in range(bound):
         nxt = []
         for key in layer:
@@ -561,7 +561,8 @@ def layer_sizes(system, bound=DEFAULT_BOUND):
         if not nxt:
             break  # finite group exhausted
         sizes.append(len(nxt))
-        check_element_cap(sum(sizes), "enumeration", cap)
+        total += len(nxt)
+        check_element_cap(total, "enumeration", cap)
         layer = nxt
     return sizes
 

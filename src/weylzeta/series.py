@@ -12,19 +12,13 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, chain, compress, pairwise, repeat
 from operator import add, mul, sub
 
 
 class SeriesError(Exception):
     pass
-
-
-def scalar_zero_like(x):
-    if isinstance(x, Matrix):
-        return Matrix.zeros(x.nrows, x.ncols)
-    return x * 0
 
 
 def scalar_one_like(x):
@@ -44,8 +38,7 @@ def _is_zero(x):
 
 
 def _power(base, n, one):
-    """base ** n for a polynomial or a matrix by square-and-multiply, for
-    n >= 0; one is the unit."""
+    """base ** n by square-and-multiply, for n >= 0; one is the unit."""
     if n < 0:
         raise SeriesError("negative power of %s" % type(base).__name__)
     out = one
@@ -77,10 +70,6 @@ class _DensePoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
     def one(cls):
         return cls((1,))
 
@@ -98,9 +87,6 @@ class _DensePoly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def coeff(self, d):
-        return self.coeffs[d] if d < len(self.coeffs) else 0
 
     def constant(self):
         return self.coeffs[0] if self.coeffs else 0
@@ -177,14 +163,6 @@ class _DensePoly:
             return hash(self.constant())
         return hash(self.coeffs)
 
-    def evaluate(self, value):
-        """Horner evaluation at a scalar value of the variable, in the widest
-        kind among the coefficients' and the value's."""
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * value + c
-        return _widest([out], self.coeffs + (value,))[0]
-
     def exact_div(self, other):
         """Exact division by another polynomial; raises on nonzero remainder.
         Its coefficients take the widest kind of theirs and the operands'."""
@@ -254,10 +232,6 @@ class Poly(_DensePoly):
     def u(power=1, coeff=1):
         return Poly((0,) * power + (coeff,))
 
-    def truncate(self, order):
-        cs = self.coeffs[: order + 1]
-        return PowerSeries(cs + (0,) * (order + 1 - len(cs)), order)
-
 
 def _divide_scalar(a, b):
     """Exact scalar division a / b in whatever ring the scalars live in; by
@@ -279,7 +253,8 @@ def _divide_scalar(a, b):
 # result's coefficients take the widest kind among its operands':
 # QPolynomials, else Fractions (whole ones too), else ints; a
 # QPolynomial's own coefficients are Fractions when any value is one.
-# Sums, differences, evaluation and p ** 0 take it too (_widest).
+# Sums, differences, p ** 0, a series times a scalar and det_series take
+# it too (_widest).
 
 
 def _int_rows(values):
@@ -406,12 +381,8 @@ class Matrix:
 
     @staticmethod
     def identity(n, one=1):
-        z = scalar_zero_like(one)
+        z = one * 0
         return Matrix.of_rows(tuple(tuple([one if i == j else z for j in range(n)]) for i in range(n)))
-
-    @staticmethod
-    def zeros(n, m=None):
-        return Matrix.of_rows(((0,) * (n if m is None else m),) * n)
 
     @property
     def nrows(self):
@@ -431,9 +402,6 @@ class Matrix:
             return NotImplemented
         return Matrix.of_rows(tuple([tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)]))
 
-    def __neg__(self):
-        return Matrix.of_rows(tuple([tuple([-a for a in r]) for r in self.rows]))
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             cols = tuple(zip(*other.rows))
@@ -443,9 +411,6 @@ class Matrix:
         return NotImplemented
 
     __rmul__ = __mul__  # the scalars commute
-
-    def __pow__(self, n):
-        return _power(self, n, Matrix.identity(self.nrows, scalar_one_like(self.rows[0][0])))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -461,9 +426,6 @@ class Matrix:
 
     def is_identity(self):
         return all((a == 1 if i == j else _is_zero(a)) for i, r in enumerate(self.rows) for j, a in enumerate(r))
-
-    def trace(self):
-        return reduce(add, [r[i] for i, r in enumerate(self.rows)])
 
     def __repr__(self):
         return "Matrix(%r)" % (list(map(list, self.rows)),)
@@ -499,37 +461,30 @@ class PowerSeries:
     def coeff(self, d):
         return self.coeffs[d]
 
-    def __add__(self, other):
-        return self._combine(other, add)
-
     def __sub__(self, other):
-        return self._combine(other, sub)
-
-    def _combine(self, other, op):
-        """The sum or difference to the lower order, under the type rule."""
+        """The difference to the lower order, under the type rule."""
         other = self._match(other)
         n = min(self.order, other.order)
         a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
-        return PowerSeries(_widest(list(map(op, a, b)), a + b), n)
-
-    def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs], self.order)
+        return PowerSeries(_widest(list(map(sub, a, b)), a + b), n)
 
     def _match(self, other):
+        """A polynomial or a scalar as a series to self's order."""
         if isinstance(other, PowerSeries):
             return other
-        if isinstance(other, Poly):
-            return other.truncate(self.order)
-        if isinstance(other, Poly.scalars):
-            return Poly.coerce(other).truncate(self.order)
+        if isinstance(other, (Poly, *Poly.scalars)):
+            cs = Poly.coerce(other).coeffs[: self.order + 1]
+            return PowerSeries(cs + (0,) * (self.order - len(cs) + 1), self.order)
         raise TypeError("cannot combine %r with a power series" % (other,))
 
     def __mul__(self, other):
         """The product to the lower order, on common-denominator int rows
         (_series_product): a series of matrices by its entries' u-series, a
-        scalar series as the one entry of a 1x1 matrix."""
+        scalar series as the one entry of a 1x1 matrix.  A scalar multiplies
+        each coefficient, under the type rule for a series of scalars."""
         if isinstance(other, Poly.scalars):
-            return PowerSeries([c * other for c in self.coeffs], self.order)
+            cs = [c * other for c in self.coeffs]
+            return PowerSeries(cs if isinstance(cs[0], Matrix) else _widest(cs, self.coeffs + (other,)), self.order)
         other = self._match(other)
         n = min(self.order, other.order)
         a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
@@ -562,11 +517,6 @@ class PowerSeries:
     # equality compares up to the shorter truncation order, so hashing
     # would be inconsistent
     __hash__ = None
-
-    def truncate(self, order):
-        if order > self.order:
-            raise SeriesError("cannot extend a truncated series")
-        return PowerSeries(self.coeffs[: order + 1], order)
 
     def __repr__(self):
         return "PowerSeries(%r, order=%d)" % (list(self.coeffs), self.order)
@@ -951,7 +901,8 @@ def det_series(ps):
     is a unit series whose inverse needs only products and differences,
     and the determinant is the product of the pivots.  There is no pivot
     search and no division, so entries stay in their own ring (ints stay
-    ints), and a 1x1 series is its single entry.
+    ints); the coefficients take the type rule's widest kind among the
+    entries', a 1x1 series' as well.
     """
     order, c0 = ps.order, ps.coeffs[0]
     if not isinstance(c0, Matrix) or not c0.is_identity():
@@ -968,7 +919,7 @@ def det_series(ps):
             f = rows[i][k] * inv
             rows[i][k + 1:] = [a - f * b for a, b in zip(rows[i][k + 1:], rows[k][k + 1:])]
         det = det * rows[k + 1][k + 1]
-    return det
+    return PowerSeries(_widest(list(det.coeffs), [x for c in ps.coeffs for r in c.rows for x in r]), order)
 
 
 def power_sum_exp(power_sums, order):
@@ -1036,7 +987,7 @@ def det_poly_matrix(rows):
         if not a[k][k]:
             swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
-                return Poly.zero()
+                return Poly()
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         pivot_row, cols = a[k], range(k + 1, n)
@@ -1103,8 +1054,10 @@ def _affine_maps(system, order, table=None):
     maps = {J: ExponentMap(rootsys._height_map(heights.values())) for J, heights in roots.items()}
     w0 = maps[max(roots, key=lambda J: len(roots[J]))]
     full = w0 / ExponentMap({d - 1: m for d, m in w0.exponents.items() if d > 1})
-    ps = full.expand(order)
+    # the layers first: their count meets the element cap before W(u)
+    # expands, whose denominator series never ends
     layers = table.layer_sizes() if table is not None else coxeter.layer_sizes(system, order)
+    ps = full.expand(order)
     for d, count in enumerate(layers[: order + 1]):
         if ps.coeff(d) != count:
             raise SeriesError("affine Poincare series disagrees with BFS layers at degree %d" % d)

@@ -31,7 +31,6 @@ from weylzeta.series import (
     poincare_parabolic,
     scalar_from_json,
     scalar_one_like,
-    scalar_zero_like,
 )
 from weylzeta.zeta import Graph, ZetaError, _fixed_points, _zeta_report
 
@@ -51,20 +50,36 @@ def det_series_tracelog(ps, order=None):
         raise SeriesError("det_series needs identity constant term")
     n = c0.nrows
     one = scalar_one_like(c0.rows[0][0])
-    zser = [scalar_zero_like(one) for _ in range(order + 1)]
+    zser = [one * 0 for _ in range(order + 1)]
     nil = PowerSeries(
-        [ps.coeffs[d] - (c0 if d == 0 else Matrix.zeros(n)) for d in range(order + 1)],
+        [ps.coeffs[d] - (c0 if d == 0 else Matrix.identity(n) * 0) for d in range(order + 1)],
         order,
     )
     # trace of log(1 + N) = sum (-1)^(j+1) tr(N^j)/j, N nilpotent mod u
     tr_log = list(zser)
-    power = PowerSeries([Matrix.identity(n, one)] + [Matrix.zeros(n)] * order, order)
+    power = PowerSeries([Matrix.identity(n, one)] + [Matrix.identity(n) * 0] * order, order)
     for j in range(1, order + 1):
         power = power * nil
         sign = 1 if j % 2 == 1 else -1
         for d in range(j, order + 1):
-            tr_log[d] = tr_log[d] + Fraction(sign, j) * _promote_fraction(power.coeffs[d].trace())
+            trace = sum(row[i] for i, row in enumerate(power.coeffs[d].rows))
+            tr_log[d] = tr_log[d] + Fraction(sign, j) * _promote_fraction(trace)
     return _series_exp(tr_log, order)
+
+
+def truncation(poly, order):
+    """The polynomial to u^order as a PowerSeries, its coefficients as
+    they are and int zeros past its degree."""
+    cs = poly.coeffs[: order + 1]
+    return PowerSeries(cs + (0,) * (order + 1 - len(cs)), order)
+
+
+def evaluate(poly, value):
+    """The polynomial at a scalar value of its variable, by Horner's rule."""
+    out = 0
+    for c in reversed(poly.coeffs):
+        out = out * value + c
+    return out
 
 
 def _promote_fraction(x):
@@ -82,7 +97,7 @@ def _series_exp(coeffs, order):
     if isinstance(out[0], int):
         out[0] = Fraction(1)
     for m in range(1, order + 1):
-        acc = scalar_zero_like(out[0])
+        acc = out[0] * 0
         for k in range(1, m + 1):
             acc = acc + k * coeffs[k] * out[m - k]
         out.append(acc * Fraction(1, m))
@@ -137,7 +152,7 @@ def series_product(x, y):
     coefficient pairs, Matrix products included.  Oracle for
     PowerSeries.__mul__, which runs on int rows."""
     n = min(x.order, y.order)
-    z = scalar_zero_like(x.coeffs[0] * y.coeffs[0])
+    z = x.coeffs[0] * y.coeffs[0] * 0
     out = [z] * (n + 1)
     for i, a in enumerate(x.coeffs[: n + 1]):
         if _is_zero(a):
@@ -165,6 +180,9 @@ def binomial_factors_dense(rf):
             out.append(c)
         return Poly(out)
 
+    def coeff(p, d):
+        return p.coeffs[d] if d < len(p.coeffs) else 0
+
     top, bottom = plain(rf.num), plain(rf.den)
     if top is None or bottom is None or top.constant() != 1:
         return None
@@ -172,9 +190,9 @@ def binomial_factors_dense(rf):
     factors = []
     d = 1
     while top != bottom:
-        while top.coeff(d) == bottom.coeff(d):
+        while coeff(top, d) == coeff(bottom, d):
             d += 1
-        c = top.coeff(d) - bottom.coeff(d)
+        c = coeff(top, d) - coeff(bottom, d)
         if Fraction(c).denominator != 1 or abs(c) > bound or d > 2 * bound * bound:
             return None
         m = -int(c)
@@ -189,7 +207,7 @@ def binomial_factors_dense(rf):
 def rational_sum(terms):
     """The sum of RationalFunctions over the product of their
     denominators, not reduced; RationalFunction has no addition."""
-    num, den = Poly.zero(), Poly.one()
+    num, den = Poly(), Poly.one()
     for rf in terms:
         num, den = num * rf.den + rf.num * den, den * rf.den
     return RationalFunction(num, den)
@@ -557,7 +575,7 @@ def orbit_block_det(n, perm_len_keys):
         blocks[content] = blocks.get(content, 0) + 1
     det = ExponentMap()
     for (size, cells), mult in blocks.items():
-        rows = [[Poly.zero()] * size for _ in range(size)]
+        rows = [[Poly()] * size for _ in range(size)]
         for (i, j, length), count in cells:
             rows[i][j] = rows[i][j] + Poly.u(length, count)
         det = det * exponent_map_of_poly(det_poly_matrix(rows), mult)
@@ -638,7 +656,7 @@ def cyclic_entry_rational(cyc, i, j):
     n = cyc.a.nrows
     one = scalar_one_like(cyc.rep.q)
     # adj(I - A t) = sum_m (sum_{k<=m} det_k A^{m-k}) t^m, deg < n in t
-    det_t = [det.coeff(d * cyc.length) for d in range(det.degree // cyc.length + 1)]
+    det_t = [det.coeffs[d * cyc.length] for d in range(det.degree // cyc.length + 1)]
     powers = [Matrix.identity(n, one)]
     for _ in range(n - 1):
         powers.append(powers[-1] * cyc.a)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -512,6 +513,34 @@ def test_env_cap_respected(tmp_path, capsys, monkeypatch):
     assert "exceeded" in out
 
 
+def _package_env():
+    """This environment, with the package's source directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
+
+
+@pytest.mark.parametrize("tag,cap", [("A1t", None), ("A2t", 100_000), ("C2t", 100_000), ("G2t", 100_000)])
+def test_poincare_far_past_the_cap_is_refused_before_it_expands(tag, cap):
+    # W(u)'s denominator series never ends, so the layers meet the element
+    # cap before W(u) expands: a typed refusal, not a MemoryError, under
+    # 1.5 GB of address space
+    env = _package_env()
+    env.pop("WEYLZETA_MAX_ELEMENTS", None)
+    if cap is not None:
+        env["WEYLZETA_MAX_ELEMENTS"] = str(cap)
+    argv = ["poincare", "--type", tag, "--trunc", str(10 ** 20), "--format", "json"]
+    out = subprocess.run([sys.executable, "-m", "weylzeta.cli", *argv], env=env, capture_output=True, text=True,
+                         timeout=60, preexec_fn=_limit_address_space)
+    assert out.returncode == 2, out.stderr
+    error = json.loads(out.stdout)
+    assert error["kind"] == "ResourceLimitError"
+    assert error["cap"] == (cap or coxeter._DEFAULT_MAX_ELEMENTS) and error["env"] == "WEYLZETA_MAX_ELEMENTS"
+
+
 def test_rep_ingestion_via_cli(tmp_path, capsys):
     rep = {
         "dim": 1,
@@ -639,7 +668,7 @@ def _rational_function_route(argv):
         rf, ps = affine, affine.expand(trunc)
     else:
         poly = finite.as_polynomial()
-        rf, ps = finite, poly.truncate(min(trunc, poly.degree))
+        rf, ps = finite, series.PowerSeries(poly.coeffs[: min(trunc, poly.degree) + 1])
     lines = ["type: %s" % tag, "rational: %s" % rf,
              "coefficients (to u^%d): %s" % (ps.order, " ".join(map(str, ps.coeffs)))]
     return lines, {"type": tag, "series": series.series_to_json(rf, ps)}
@@ -674,8 +703,7 @@ def test_help_renders(capsys):
 
 def _loaded_after_a_fresh_cli_import(*modules):
     """Which of modules a fresh interpreter holds after importing weylzeta.cli."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _package_env()
     code = "import sys, weylzeta, weylzeta.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code, *modules], env=env, capture_output=True, text=True,
                          check=True)

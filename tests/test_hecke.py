@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -197,7 +198,7 @@ def test_twisted_series_trivial_character_scaling(tables):
         ts = twisted_series(t, ("parabolic", gens), rep)
         plain = poincare_parabolic(t, gens)
         for d, mat in enumerate(ts.coeffs):
-            assert mat.rows[0][0] == plain.coeff(d) * q ** d
+            assert mat.rows[0][0] == plain.coeffs[d] * q ** d
 
 
 def test_twisted_series_cyclic_closed_form(tables):
@@ -206,13 +207,34 @@ def test_twisted_series_cyclic_closed_form(tables):
     rep = dense_character(characters(t.system)[0])
     w1 = t.element_of_word((2, 1, 0))
     cyc = twisted_series(t, ("cyclic", w1), rep)
-    den = Poly([QPolynomial.one(), QPolynomial.zero(), QPolynomial.zero(), -(q ** 3)])
+    den = Poly([QPolynomial.one(), QPolynomial(), QPolynomial(), -(q ** 3)])
     assert cyclic_entry_rational(cyc, 0, 0) == RationalFunction(Poly([QPolynomial.one()]), den)
     # truncation agrees with the closed form
     ser = cyc.truncate(7)
     for d in range(8):
-        want = q ** d if d % 3 == 0 else QPolynomial.zero()
+        want = q ** d if d % 3 == 0 else QPolynomial()
         assert ser.coeffs[d].rows[0][0] == want
+
+
+def test_dense_six_dimensional_representation_matches_its_characters(tables):
+    # P^-1 diag(chi_1(e_s), ..., chi_6(e_s)) P for six of C2t's characters
+    # at formal q and the dense unimodular P = L U, L and U all-ones
+    # triangular: its determinants are the products of the characters'
+    t, n = tables["C2t"], 6
+    q = formal_q()
+    chars = [characters(t.system)[i] for i in (0, 7, 1, 6, 2, 5)]  # signs vary along each diagonal
+    p = Matrix([[min(i, j) + 1 for j in range(n)] for i in range(n)])
+    shift = Matrix([[int(j == i + 1) for j in range(n)] for i in range(n)])
+    p_inv = (Matrix.identity(n) - shift) * (Matrix.identity(n) - Matrix(tuple(zip(*shift.rows))))
+    assert (p_inv * p).is_identity()
+    dense = [dense_character(ch, q) for ch in chars]
+    images = [p_inv * Matrix([[d.gen_images[s].rows[0][0] if i == j else 0 for j, d in enumerate(dense)]
+                              for i in range(n)]) * p for s in range(t.system.num_generators)]
+    rep = validate_representation(t.system, images, q)
+    assert all(x != 0 for m in rep.gen_images for row in m.rows for x in row)
+    assert rep.det_series_hook(t, 8) == math.prod(ch.as_representation(q).det_series_hook(t, 8) for ch in chars)
+    report = strips.verify_determinant_identity(t.system, rep, t)
+    assert report.ok and report.dual_check_ok
 
 
 def test_word_products_for_characters(tables):
@@ -311,7 +333,7 @@ def test_cyclic_truncation_below_period(tables):
     w1 = t.element_of_word((2, 1, 0))
     ser = twisted_series(t, ("cyclic", w1), rep).truncate(2)
     assert ser.coeffs[0].rows[0][0] == QPolynomial.one()
-    assert all(ser.coeffs[d].rows[0][0] == QPolynomial.zero() for d in (1, 2))
+    assert all(ser.coeffs[d].rows[0][0] == QPolynomial() for d in (1, 2))
 
 
 def test_hecke_mul_distributes(tables):
@@ -589,7 +611,7 @@ def test_twisted_group_sum_of_an_exhausted_finite_group():
     rep = characters(t.system)[0].as_representation()
     det = rep.det_series_hook(t, 5)
     assert [det.coeff(d) for d in range(6)] == [QPolynomial.one(), 2 * q, 2 * q ** 2, q ** 3,
-                                                 QPolynomial.zero(), QPolynomial.zero()]
+                                                 QPolynomial(), QPolynomial()]
 
 
 # ---------------------------------------------------------------------------

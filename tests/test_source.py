@@ -5,6 +5,9 @@ import sys
 from pathlib import Path
 
 import weylzeta
+from weylzeta import strips
+
+import census
 
 SOURCES = sorted(Path(weylzeta.__file__).parent.glob("*.py"))
 
@@ -143,11 +146,42 @@ def test_the_int_layout_guard_sees_each_form(tmp_path):
     assert sorted(line for line, _what in _int_layout_uses(src)) == [2, 3, 4, 5, 7]
 
 
+def test_every_function_is_reached_or_has_a_reason():
+    # the census traces the golden and extra CLI lines in-process; a def
+    # that none of them calls is on the allow-list with its reason, or is
+    # deleted.  Primed lru_caches must not hide a call (the census clears
+    # them), and the tracer installed before is back at the end.
+    for tag in census.RANK2:
+        strips.strip_generators(tag)
+    previous = sys.gettrace()
+
+    def outer(_frame, _event, _arg):
+        return None
+
+    sys.settrace(outer)
+    try:
+        defs, reached, statuses = census.take_census()
+        assert sys.gettrace() is outer
+    finally:
+        sys.settrace(previous)
+    assert [(line, status) for line, status, want in statuses if status != want] == []
+    assert "strips.strip_generators" in reached
+    assert sorted(defs - reached - census.ALLOWED.keys()) == [], "unreached with no reason: delete, or list with one"
+    assert sorted(census.ALLOWED.keys() & reached) == [], "listed, yet a CLI line reaches it"
+    assert sorted(census.ALLOWED.keys() - defs) == [], "listed, yet no longer defined"
+    assert sum(map(len, census.ALLOWED_BY_REASON.values())) == len(census.ALLOWED)
+    assert set(census.ALLOWED_BY_REASON) == set(census.REASONS)
+    pinned = {name for name, reason in census.ALLOWED.items() if reason == "pinned"}
+    assert census.PINNED_THROUGH.keys() <= pinned
+    read = census.benchmark_names()
+    assert sorted(name for name in pinned if census.PINNED_THROUGH.get(name, name).rpartition(".")[2] not in read) == []
+
+
 # `wc -l src/weylzeta/*.py`, which CI writes to each run's summary.  A
 # change that shrinks src/ lowers the budget, which may stay at most
 # SOURCE_LINE_SLACK lines above the count; one that must raise it says by
 # how much and why.
-SOURCE_LINE_BUDGET = 4116
+SOURCE_LINE_BUDGET = 4070
 SOURCE_LINE_SLACK = 20
 
 

@@ -256,7 +256,7 @@ def test_necklace_inversion_rejects_garbage():
 
 
 def test_strip_zeta_trivial_cases():
-    assert strip_zeta(Matrix.zeros(3), 6).zeta == RationalFunction(Poly.one())
+    assert strip_zeta(Matrix.identity(3) * 0, 6).zeta == RationalFunction(Poly.one())
     z = strip_zeta(Matrix.identity(4), 6)
     assert z.zeta == RationalFunction(Poly.one(), Poly((1, -1)) ** 4)
     cyc = Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
@@ -649,7 +649,7 @@ def test_identity_trace_is_chamber_count(torus_k2):
     tq = torus_k2["A2t"]
     ident = tq.table.identity
     mat = tq.action_matrix(ident)
-    assert mat.trace() == tq.chamber_count()
+    assert sum(row[i] for i, row in enumerate(mat.rows)) == tq.chamber_count()
 
 
 def test_action_is_homomorphism(torus_k2):
@@ -703,7 +703,7 @@ def _regular_block_det(t, group, els):
     """det of sum_(w in els) u^l(w) R(w) over the group W_J, R its
     right-regular representation, from table products."""
     pos = {v.key: i for i, v in enumerate(group)}
-    rows = [[Poly.zero()] * len(group) for _ in group]
+    rows = [[Poly()] * len(group) for _ in group]
     for v in group:
         for w in els:
             j = pos[product_key(t, v.key, w.key)]
@@ -1099,7 +1099,7 @@ def test_one_vector_det_series_matches_dense_on_regular_shifts(n, shifts, order)
     # n, so the one-vector trace-log applies; against det_series of the
     # dense I + sum P u^l
     perm_lengths = [(tuple((x + a) % n for x in range(n)), length) for a, length in shifts]
-    coeffs = [Matrix.identity(n)] + [Matrix.zeros(n)] * order
+    coeffs = [Matrix.identity(n)] + [Matrix.identity(n) * 0] * order
     for perm, length in perm_lengths:
         if length <= order:
             coeffs[length] = coeffs[length] + _perm_matrix(perm)
@@ -1362,7 +1362,7 @@ def test_one_vector_det_series_matches_dense_at_order_12_on_seeded_shifts(monkey
         n = rng.randint(1, 9)
         shifts = [(rng.randrange(n), rng.randint(1, 13)) for _ in range(rng.randint(1, 5))]
         perm_lengths = [(tuple((x + a) % n for x in range(n)), length) for a, length in shifts]
-        coeffs = [Matrix.identity(n)] + [Matrix.zeros(n)] * order
+        coeffs = [Matrix.identity(n)] + [Matrix.identity(n) * 0] * order
         for perm, length in perm_lengths:
             if length <= order:
                 coeffs[length] = coeffs[length] + _perm_matrix(perm)
